@@ -26,7 +26,7 @@ from .harmonics import (
     build_basis, analyze, synthesize, funk_hecke_apply, eigenvalue_residual,
 )
 from .convolution import (
-    ConvProfile,
+    ConvProfile, SliceColumn,
     convolve_at, convolve_many, conv_profile, conv_l2_norm,
     extension_at, l4_norm,
 )
@@ -63,7 +63,7 @@ __all__ = [
     "random_band_limited",
     "build_basis", "analyze", "synthesize", "funk_hecke_apply",
     "eigenvalue_residual",
-    "ConvProfile",
+    "ConvProfile", "SliceColumn",
     "convolve_at", "convolve_many", "conv_profile", "conv_l2_norm",
     "extension_at", "l4_norm",
     "GammaSample", "PairKernel", "FormGrids",

@@ -36,7 +36,39 @@ DEFAULTS = {
 
 ENV_PREFIX = "SEL_"
 
-_CASTS = {"tol": float}
+
+def _at_least(cast, low):
+    """Argument type: a finite cast value >= low, else a usage error."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"expected {kind} >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+# name: (flag, type, help); the types also validate SEL_* environment values
+OPTIONS = {
+    "n_t": ("--n-t", _at_least(int, 1), "polar quadrature nodes"),
+    "n_c": ("--n-c", _at_least(int, 1), "circle-slice angle nodes"),
+    "n_r": ("--n-r", _at_least(int, 1), "radial ball nodes"),
+    "degree": ("--degree", _at_least(int, 0), "band limit / max degree"),
+    "seed": ("--seed", _at_least(int, 0), "RNG seed"),
+    "max_iter": ("--max-iter", _at_least(int, 0), "iteration cap"),
+    "tol": ("--tol", _at_least(float, 0.0), "convergence tolerance"),
+    "samples": ("--samples", _at_least(int, 1), "number of random samples"),
+    "points": ("--points", _at_least(int, 1), "number of profile radii"),
+}
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _resolve(name: str, flag_value, default=None):
@@ -44,14 +76,11 @@ def _resolve(name: str, flag_value, default=None):
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_PREFIX + name.upper())
-    cast = _CASTS.get(name, int)
     if env is not None:
         try:
-            return cast(env)
-        except ValueError as exc:
-            print(f"error: invalid value for {ENV_PREFIX}{name.upper()}: {env!r}",
-                  file=sys.stderr)
-            raise SystemExit(2) from exc
+            return OPTIONS[name][1](env)
+        except argparse.ArgumentTypeError as exc:
+            _usage_error(f"invalid value for {ENV_PREFIX}{name.upper()}: {exc}")
     return DEFAULTS[name] if default is None else default
 
 
@@ -118,6 +147,9 @@ def cmd_verify(args) -> int:
         n_t=_resolve("n_t", args.n_t), n_c=_resolve("n_c", args.n_c),
         n_r=_resolve("n_r", args.n_r), degree=_resolve("degree", args.degree),
         seed=_resolve("seed", args.seed))
+    if 2 * config.n_t - 1 < 2 * config.degree:
+        _usage_error(f"--n-t {config.n_t} integrates degree {2 * config.n_t - 1}, "
+                     f"below 2 x degree = {2 * config.degree}")
     report = run_verification(config)
     payload = report.as_dict()
     payload["timestamp"] = _timestamp()
@@ -189,6 +221,8 @@ def cmd_search(args) -> int:
     max_iter = _resolve("max_iter", args.max_iter)
     tol = _resolve("tol", args.tol)
     rng = np.random.default_rng(seed)
+    if args.init == "zonal" and L < 1:
+        _usage_error("--init zonal needs --degree >= 1")
     init = maximizer.initial_coeffs(args.init, L, rng)
     result = maximizer.search(init, max_iter=max_iter, tol=tol)
     trace = [{"iter": s.iteration, "phi": s.objective, "grad_norm": s.gradient_norm,
@@ -248,19 +282,8 @@ def cmd_convolution(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, *names, default_format="json"):
-    flags = {
-        "n_t": ("--n-t", int, "polar quadrature nodes"),
-        "n_c": ("--n-c", int, "circle-slice angle nodes"),
-        "n_r": ("--n-r", int, "radial ball nodes"),
-        "degree": ("--degree", int, "band limit / max degree"),
-        "seed": ("--seed", int, "RNG seed"),
-        "max_iter": ("--max-iter", int, "iteration cap"),
-        "tol": ("--tol", float, "convergence tolerance"),
-        "samples": ("--samples", int, "number of random samples"),
-        "points": ("--points", int, "number of profile radii"),
-    }
     for name in names:
-        flag, typ, help_text = flags[name]
+        flag, typ, help_text = OPTIONS[name]
         p.add_argument(flag, dest=name, type=typ, default=None, help=help_text)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     fmt = p.add_mutually_exclusive_group()

@@ -9,11 +9,12 @@ the oscillatory extension on a 3D grid.
 
 import numpy as np
 
-from .harmonics import SphereFunction, harmonic_values, parity_signs
+from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values, parity_signs
 from .quadrature import BallGrid, SphereGrid, circle_frames
 
 __all__ = [
     "ConvProfile",
+    "SliceColumn",
     "convolve_at",
     "convolve_many",
     "conv_profile",
@@ -24,6 +25,10 @@ __all__ = [
 
 # Centers per vectorized batch; bounds peak memory of the slice-point tables.
 _CHUNK = 2048
+
+# Slice nodes per azimuth block of a SliceColumn; bounds the transient field
+# arrays of the ball route, not the cached column table.
+_BLOCK_NODES = 1 << 20
 
 
 def _angle_tables(n_c: int):
@@ -98,6 +103,186 @@ def eval_with_table(func, table, flat, negate: bool = False) -> np.ndarray:
         minus = (co * parity_signs(src.coeffs.max_degree)) @ sub
         return np.sqrt(0.5 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
     return np.asarray(func(-flat if negate else flat))
+
+
+class SliceColumn:
+    """The circle slices of a product ball grid, tabulated on one azimuth column.
+
+    Ball grid directions carry 2 n_t uniform azimuths, and circle_frames takes
+    each slice frame from the azimuthal unit vector of its centre, so the
+    slice at azimuth row a is the first column's slice rotated about the z
+    axis by alpha_a = a pi / n_t, node by node. Real harmonics rotate order by
+    order,
+
+        Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
+        Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
+
+    so a band-limited f on every slice node is trig @ spectra(c): spectra
+    mixes the coefficients with the column table into the 2L+1 azimuth
+    Fourier rows A_0, A_1, B_1, ..., A_L, B_L, and row a of trig holds 1,
+    cos(m alpha_a), sin(m alpha_a). Harmonics are evaluated only at the
+    n_r n_t n_c column nodes. The table rows are grouped by order: degrees
+    0..L of order 0, then for each m >= 1 the +m rows of degrees m..L
+    followed by the -m rows, so every order is one contiguous block.
+
+    Values on slices come in blocks of shape (azimuth rows, column centres,
+    n_c), the centres radial-major as in BallGrid.points(); radii and weights
+    belong to the column centres and hold for every azimuth row. L is None
+    for geometry without a table.
+    """
+
+    def __init__(self, ball: BallGrid, n_c: int, L: int | None):
+        dirs = ball.directions
+        n_t = (dirs.exactness_degree + 1) // 2
+        n_az = 2 * n_t
+        if dirs.n_nodes != n_t * n_az:
+            raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
+        X0 = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
+        self.pts, self.radii = slice_point_table(X0, n_c)
+        self.weights = ball.weights()[::n_az]
+        self.n_c, self.n_az, self.L = n_c, n_az, L
+        alpha = np.arange(n_az) * (np.pi / n_t)
+        self._cos, self._sin = np.cos(alpha), np.sin(alpha)
+        self.table = None
+        if L is None:
+            return
+        m_alpha = alpha[:, None] * np.arange(1, L + 1)
+        self.trig = np.ones((n_az, 2 * L + 1))
+        self.trig[:, 1::2] = np.cos(m_alpha)
+        self.trig[:, 2::2] = np.sin(m_alpha)
+        order = [k * k + k for k in range(L + 1)]
+        for m in range(1, L + 1):
+            order += [k * k + k + m for k in range(m, L + 1)]
+            order += [k * k + k - m for k in range(m, L + 1)]
+        self._order = np.array(order)
+        self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
+
+    def blocks(self):
+        """Azimuth row ranges (a0, a1) of about _BLOCK_NODES slice nodes each."""
+        n = min(self.n_az, -(-self.n_az * self.radii.size * self.n_c // _BLOCK_NODES))
+        edges = np.arange(n + 1) * self.n_az // n
+        return list(zip(edges[:-1], edges[1:]))
+
+    def points(self, a0: int, a1: int) -> np.ndarray:
+        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, n_c, 3)."""
+        c, s = self._cos[a0:a1, None, None], self._sin[a0:a1, None, None]
+        x, y, z = self.pts[..., 0], self.pts[..., 1], self.pts[..., 2]
+        return np.stack([c * x - s * y, s * x + c * y,
+                         np.broadcast_to(z, (a1 - a0,) + z.shape)], axis=-1)
+
+    def spectra(self, coeffs: np.ndarray) -> np.ndarray:
+        """Azimuth Fourier rows, shape (n, 2L+1, column nodes), of real coefficient rows.
+
+        coeffs has shape (n, (L'+1)^2) with L' <= L, in the flat layout.
+        """
+        L, nv = self.L, len(coeffs)
+        c = np.zeros((nv, (L + 1) ** 2))
+        c[:, :coeffs.shape[1]] = coeffs
+        c = c[:, self._order]
+        out = np.empty((nv, 2 * L + 1, self.table.shape[1]))
+        out[:, 0] = c[:, :L + 1] @ self.table[:L + 1]
+        lo = L + 1
+        for m in range(1, L + 1):
+            n = L + 1 - m
+            plus, minus = c[:, lo:lo + n], c[:, lo + n:lo + 2 * n]
+            mix = np.stack([np.concatenate([plus, minus], axis=1),
+                            np.concatenate([minus, -plus], axis=1)], axis=1)
+            out[:, 2 * m - 1:2 * m + 1] = (
+                mix.reshape(2 * nv, 2 * n) @ self.table[lo:lo + 2 * n]).reshape(nv, 2, -1)
+            lo += 2 * n
+        return out
+
+    def pullback(self, rows: np.ndarray) -> np.ndarray:
+        """Adjoint of spectra: the coefficient gradients, shape (n, (L+1)^2),
+        of sum(rows * spectra(c)) for rows of shape (n, 2L+1, column nodes)."""
+        L = self.L
+        g = np.empty((len(rows), (L + 1) ** 2))
+        g[:, :L + 1] = rows[:, 0] @ self.table[:L + 1].T
+        lo = L + 1
+        for m in range(1, L + 1):
+            n = L + 1 - m
+            e = rows[:, 2 * m - 1:2 * m + 1] @ self.table[lo:lo + 2 * n].T
+            g[:, lo:lo + n] = e[:, 0, :n] - e[:, 1, n:]
+            g[:, lo + n:lo + 2 * n] = e[:, 0, n:] + e[:, 1, :n]
+            lo += 2 * n
+        out = np.empty_like(g)
+        out[:, self._order] = g
+        return out
+
+    def pair_profile(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        """(f sigma * g sigma) at the ball nodes of a block, from f and g on its slices.
+
+        Needs even n_c: the partner x - p_j of node j is node j + n_c/2, so
+        pairing the two halves of each slice crosswise is the partner product.
+        """
+        a = va.reshape(va.shape[:-1] + (2, self.n_c // 2))
+        b = vb.reshape(vb.shape[:-1] + (2, self.n_c // 2))[..., ::-1, :]
+        return (2.0 * np.pi / self.n_c) * np.einsum("...ij,...ij->...", a, b) / self.radii
+
+    def sampler(self, requests):
+        """Evaluator of functions on the slices of any azimuth block.
+
+        requests holds (func, negate) pairs. The returned sample(a0, a1) gives,
+        per request, func at the nodes p (at -p when negate) of azimuth rows
+        a0:a1. Coefficient-backed functions within the table degree come from
+        one stacked spectra pass, real and imaginary parts apart, with f(-p)
+        from parity-flipped coefficients; a sharp rearrangement of one is
+        sqrt((|f(p)|^2 + |f(-p)|^2) / 2), antipodally symmetric. Any other
+        callable is evaluated at the literal nodes. Repeated requests share
+        their values.
+        """
+        rows, plans, index = [], [], []
+
+        def row(c: HarmonicCoeffs, negate: bool) -> int:
+            rows.append(c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs)
+            return len(rows) - 1
+
+        def tabulated(c) -> bool:
+            return c is not None and self.L is not None and c.max_degree <= self.L
+
+        seen = {}
+        for func, negate in requests:
+            c = getattr(func, "coeffs", None)
+            src = getattr(getattr(func, "sharp_source", None), "coeffs", None)
+            key = (id(func), None if tabulated(src) else negate)
+            if key not in seen:
+                seen[key] = len(plans)
+                if tabulated(c):
+                    plans.append(("field", row(c, negate)))
+                elif tabulated(src):
+                    plans.append(("sharp", row(src, False), row(src, True)))
+                else:
+                    plans.append(("call", func, negate))
+            index.append(seen[key])
+        spec, split = None, False
+        if rows:
+            width = max(len(r) for r in rows)
+            stack = np.array([np.pad(r, (0, width - len(r))) for r in rows])
+            split = np.iscomplexobj(stack)
+            spec = self.spectra(np.concatenate([stack.real, stack.imag]) if split else stack)
+
+        def sample(a0: int, a1: int) -> list:
+            shape = (a1 - a0, self.radii.size, self.n_c)
+            fields = pts = None
+            if spec is not None:
+                fields = self.trig[a0:a1] @ spec
+                if split:
+                    fields = fields[:len(rows)] + 1j * fields[len(rows):]
+            values = []
+            for plan in plans:
+                if plan[0] == "field":
+                    v = fields[plan[1]]
+                elif plan[0] == "sharp":
+                    v = np.sqrt(0.5 * (np.abs(fields[plan[1]]) ** 2
+                                       + np.abs(fields[plan[2]]) ** 2))
+                else:
+                    if pts is None:
+                        pts = self.points(a0, a1).reshape(-1, 3)
+                    v = np.asarray(plan[1](-pts if plan[2] else pts))
+                values.append(v.reshape(shape))
+            return [values[i] for i in index]
+
+        return sample
 
 
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:

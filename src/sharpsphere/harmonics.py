@@ -140,6 +140,8 @@ class HarmonicCoeffs:
             raise ValueError(
                 f"expected {n_coeffs(self.max_degree)} coefficients for degree "
                 f"{self.max_degree}, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
 

@@ -109,9 +109,11 @@ class CircleSlice:
 def circle_frames(xs: np.ndarray):
     """Deterministic slice geometry for a batch of centers xs, shape (M, 3).
 
-    Returns (centers, radii, e1, e2). e1 is the normalized cross product of x
-    with the standard axis along which x has the smallest |component|; e2
-    completes the right-handed frame x_hat, e1, e2.
+    Returns (centers, radii, e1, e2). e1 is the azimuthal unit vector
+    (-sin phi, cos phi, 0) of x, or (0, 1, 0) on the z axis; e2 completes the
+    right-handed frame x_hat, e1, e2. The frame is equivariant under rotations
+    about the z axis: the slice at R x is R applied to the slice at x, node by
+    node, which lets product grids with uniform azimuth tabulate one column.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     r = np.linalg.norm(xs, axis=1)
@@ -119,10 +121,11 @@ def circle_frames(xs: np.ndarray):
         raise DegenerateSliceError("circle slice undefined at x = 0")
     if np.any(r > 2.0):
         raise EmptyIntersectionError("spheres at 0 and x do not intersect for |x| > 2")
-    axis = np.argmin(np.abs(xs), axis=1)
-    e_axis = np.eye(3)[axis]
-    e1 = np.cross(xs, e_axis)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    rho = np.hypot(xs[:, 0], xs[:, 1])
+    on_axis = rho == 0.0
+    rho[on_axis] = 1.0
+    e1 = np.column_stack([-xs[:, 1] / rho, xs[:, 0] / rho, np.zeros(len(xs))])
+    e1[on_axis] = (0.0, 1.0, 0.0)
     xhat = xs / r[:, None]
     e2 = np.cross(xhat, e1)
     radii = np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))

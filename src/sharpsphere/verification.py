@@ -9,6 +9,7 @@ caller's config, so a passing report means the same thing everywhere.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,8 @@ def _passes(expected, computed, tol, kind) -> bool:
 
 
 class _Suite:
-    """Collects checks; a `with suite.timed(...)` block is one check's work."""
+    """Collects checks; a check's wall_time runs from the previous check (or
+    start()) unless the caller measured it."""
 
     def __init__(self, report: VerificationReport):
         self.report = report
@@ -168,35 +170,44 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                             partner=build_sphere_grid(config.n_t, azimuth_offset=1.0),
                             ball=ball, n_c=n_c)
     q_sym_viol = q_vs_b_dev = cs_viol = crude_viol = 0.0
-    t0 = time.perf_counter()
-    for _ in range(6):
-        cf = random_band_limited(L, rng, complex_valued=True)
-        f = SphereFunction.from_coeffs(cf)
-        q = forms.quadrilinear_q(f, f.antipodal_conjugate(), f,
-                                 f.antipodal_conjugate(), grids).real
-        fsh = f.sharp_rearrangement()
-        q_sharp = forms.quadrilinear_q(fsh, fsh, fsh, fsh, grids).real
-        q_sym_viol = max(q_sym_viol, (q - q_sharp) / abs(q_sharp))
+    spent = dict.fromkeys(("sym", "q_vs_b", "cs", "crude"), 0.0)
 
-        cr = random_band_limited(L, rng)
-        fr = SphereFunction.from_coeffs(cr)
-        q4 = forms.quadrilinear_q(fr, fr, fr, fr, grids).real
-        F = forms.weighted_pair_kernel(fr)
-        bff = forms.bilinear_b(F, F, grids).real
-        bf2 = forms.bilinear_b(F.abs_squared(), forms.PairKernel.one(), grids).real
-        q_vs_b_dev = max(q_vs_b_dev, abs(q4 - 0.75 * bff) / abs(q4))
-        cs_viol = max(cs_viol, (bff - bf2) / abs(bf2))
-        crude = 4.0 * np.pi * cr.norm_sq() ** 2
-        crude_viol = max(crude_viol, (bf2 - crude) / crude)
-    shared = (time.perf_counter() - t0) / 4.0
+    @contextmanager
+    def clock(name):
+        t0 = time.perf_counter()
+        yield
+        spent[name] += time.perf_counter() - t0
+
+    for _ in range(6):
+        with clock("sym"):
+            cf = random_band_limited(L, rng, complex_valued=True)
+            f = SphereFunction.from_coeffs(cf)
+            q = forms.quadrilinear_q(f, f.antipodal_conjugate(), f,
+                                     f.antipodal_conjugate(), grids).real
+            fsh = f.sharp_rearrangement()
+            q_sharp = forms.quadrilinear_q(fsh, fsh, fsh, fsh, grids).real
+            q_sym_viol = max(q_sym_viol, (q - q_sharp) / abs(q_sharp))
+        with clock("q_vs_b"):
+            cr = random_band_limited(L, rng)
+            fr = SphereFunction.from_coeffs(cr)
+            q4 = forms.quadrilinear_q(fr, fr, fr, fr, grids).real
+            F = forms.weighted_pair_kernel(fr)
+            bff = forms.bilinear_b(F, F, grids).real
+            q_vs_b_dev = max(q_vs_b_dev, abs(q4 - 0.75 * bff) / abs(q4))
+        with clock("cs"):
+            bf2 = forms.bilinear_b(F.abs_squared(), forms.PairKernel.one(), grids).real
+            cs_viol = max(cs_viol, (bff - bf2) / abs(bf2))
+        with clock("crude"):
+            crude = 4.0 * np.pi * cr.norm_sq() ** 2
+            crude_viol = max(crude_viol, (bf2 - crude) / crude)
     suite.check("q_symmetrization_violation_rel", 0.0, max(0.0, q_sym_viol),
-                1e-8, "abs", wall_time=shared)
+                1e-8, "abs", wall_time=spent["sym"])
     suite.check("q_equals_three_quarters_b_max_rel_dev", 0.0, q_vs_b_dev,
-                1e-6, "abs", wall_time=shared)
+                1e-6, "abs", wall_time=spent["q_vs_b"])
     suite.check("b_cauchy_schwarz_violation_rel", 0.0, max(0.0, cs_viol),
-                1e-8, "abs", wall_time=shared)
+                1e-8, "abs", wall_time=spent["cs"])
     suite.check("b_crude_bound_violation_rel", 0.0, max(0.0, crude_viol),
-                1e-8, "abs", wall_time=shared)
+                1e-8, "abs", wall_time=spent["crude"])
 
     # the chord functional H
     suite.start()

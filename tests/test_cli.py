@@ -234,3 +234,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--degree", "-1"],
+        ["verify", "--n-t", "0"],
+        ["identity", "--samples", "0"],
+        ["search", "--tol", "nan"],
+    ])
+    def test_out_of_range_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " + argv[1] in err
+        assert "Traceback" not in err
+
+    def test_out_of_range_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEL_DEGREE", "-1")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["search"])
+        assert exc_info.value.code == 2
+        assert "SEL_DEGREE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--init", "zonal", "--degree", "0"],
+        ["verify", "--n-t", "2", "--degree", "8"],
+    ])
+    def test_inconsistent_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -5,6 +5,7 @@ import pytest
 
 from sharpsphere import (
     DegenerateSliceError,
+    SliceColumn,
     SphereFunction,
     build_ball_grid,
     build_sphere_grid,
@@ -13,9 +14,11 @@ from sharpsphere import (
     convolve_at,
     convolve_many,
     extension_at,
+    harmonic_values,
     l4_norm,
     random_band_limited,
 )
+from sharpsphere.convolution import slice_point_table
 
 from helpers import ball_points, rand_fn, unit_vectors
 
@@ -171,3 +174,59 @@ class TestL4Norm:
         coarse = l4_norm(f, build_ball_grid(24, build_sphere_grid(16)), 32)
         fine = l4_norm(f, build_ball_grid(48, build_sphere_grid(32)), 64)
         assert abs(coarse - fine) <= 1e-6 * fine
+
+
+class TestSliceColumn:
+    @pytest.fixture(scope="class")
+    def column(self):
+        return SliceColumn(build_ball_grid(5, build_sphere_grid(6)), 10, 5)
+
+    def test_rotated_column_is_the_slice_geometry(self, column):
+        # azimuth row a of the column holds the slices of the ball nodes at azimuth a
+        ball = build_ball_grid(5, build_sphere_grid(6))
+        X = ball.points().reshape(-1, column.n_az, 3).transpose(1, 0, 2)
+        pts, _ = slice_point_table(X.reshape(-1, 3), column.n_c)
+        literal = column.points(0, column.n_az).reshape(pts.shape)
+        assert np.abs(literal - pts).max() <= 1e-15
+        assert np.array_equal(column.weights, ball.weights()[::column.n_az])
+
+    def test_synthesis_matches_literal_evaluation(self, column):
+        c = random_band_limited(5, np.random.default_rng(60)).coeffs
+        fields = column.trig @ column.spectra(c[None])[0]
+        pts = column.points(0, column.n_az).reshape(-1, 3)
+        expect = c @ harmonic_values(5, pts)
+        assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_lower_degree_coefficients_use_leading_rows(self, column):
+        c = random_band_limited(2, np.random.default_rng(61)).coeffs
+        fields = column.trig @ column.spectra(c[None])[0]
+        expect = c @ harmonic_values(2, column.points(0, column.n_az).reshape(-1, 3))
+        assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_pullback_is_adjoint_of_spectra(self, column):
+        rng = np.random.default_rng(62)
+        c = rng.standard_normal((2, 36))
+        rows = rng.standard_normal((2, 11, column.table.shape[1]))
+        lhs = np.sum(rows * column.spectra(c))
+        rhs = np.sum(column.pullback(rows) * c)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_blocks_cover_every_azimuth_row(self, column):
+        edges = [a for block in column.blocks() for a in block]
+        assert edges[0] == 0 and edges[-1] == column.n_az
+        assert all(a1 == b0 for a1, b0 in zip(edges[1::2], edges[2::2]))
+
+    def test_sampler_shares_repeated_requests(self, column):
+        f = rand_fn(3, 63, complex_valued=True)
+        sharp = f.sharp_rearrangement()
+        a, b, c, d = column.sampler([(f, False), (f, False), (sharp, False),
+                                     (sharp, True)])(0, 3)
+        assert a is b and c is d
+        assert a.shape == (3, column.radii.size, column.n_c)
+
+    def test_rejects_non_product_directions(self):
+        grid = build_sphere_grid(4)
+        odd = type(grid)(grid.nodes[:-1].copy(), grid.weights[:-1].copy(),
+                         grid.exactness_degree)
+        with pytest.raises(ValueError):
+            SliceColumn(build_ball_grid(3, odd), 8, 2)

@@ -31,6 +31,7 @@ from sharpsphere import (
     random_band_limited,
     weighted_pair_kernel,
 )
+from sharpsphere import convolution
 from sharpsphere.forms import h_direct_many
 from sharpsphere.legendre import FunkHeckeSpectrum
 
@@ -272,6 +273,77 @@ class TestBilinearForm:
         with pytest.raises(ValueError):
             bilinear_b(PairKernel.one(), PairKernel.one(), exact_grids,
                        method="midpoint")
+
+
+def reference_q(f1, f2, f3, f4, grids):
+    """Ball route over every ball node with literal partner points."""
+    X, w = grids.ball.points(), grids.ball.weights()
+    c12 = pair_slice_average(PairKernel(lambda a, b: f1(a) * f2(b)), X, grids.n_c)
+    c34 = pair_slice_average(PairKernel(lambda a, b: f3(a) * f4(b)), -X, grids.n_c)
+    return np.sum(w * c12 * c34)
+
+
+def reference_b(F, G, grids):
+    X, w = grids.ball.points(), grids.ball.weights()
+    return np.sum(w * pair_slice_average(F, X, grids.n_c)
+                  * pair_slice_average(G, -X, grids.n_c))
+
+
+class TestBallRouteAgainstReference:
+    """The column-table ball route against literal slice averages at every node."""
+
+    @pytest.fixture(scope="class")
+    def grids4(self):
+        # exact for band limit 4: sphere degree 17, radial degree 21, trig degree 17
+        outer = build_sphere_grid(9)
+        return FormGrids(outer=outer, partner=build_sphere_grid(9, azimuth_offset=1.0),
+                         ball=build_ball_grid(10, outer), n_c=18)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_q_star_pairing(self, grids4, complex_valued):
+        f = rand_fn(4, 50, complex_valued=complex_valued)
+        fs = f.antipodal_conjugate()
+        ref = reference_q(f, fs, f, fs, grids4)
+        assert abs(quadrilinear_q(f, fs, f, fs, grids4) - ref) <= 1e-12 * abs(ref)
+
+    def test_q_mixed_degrees_and_callable(self, grids4):
+        fns = [rand_fn(4, 51, complex_valued=True), rand_fn(2, 52),
+               SphereFunction.plane_wave((0.2, -0.4, 0.3)), rand_fn(3, 53)]
+        ref = reference_q(*fns, grids4)
+        assert abs(quadrilinear_q(*fns, grids4) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_q_sharp_rearrangement(self, grids4, complex_valued):
+        sharp = rand_fn(4, 54, complex_valued=complex_valued).sharp_rearrangement()
+        ref = reference_q(sharp, sharp, sharp, sharp, grids4)
+        q = quadrilinear_q(sharp, sharp, sharp, sharp, grids4)
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_b_structured_and_generic_kernels(self, grids4, complex_valued):
+        f = rand_fn(4, 55, complex_valued=complex_valued)
+        F = weighted_pair_kernel(f)
+        generic = PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1)))
+        for K, M in ((F, F), (F.abs_squared(), PairKernel.one()), (generic, F)):
+            ref = reference_b(K, M, grids4)
+            assert abs(bilinear_b(K, M, grids4) - ref) <= 1e-12 * abs(ref)
+
+
+    def test_azimuth_blocks_agree_with_one_block(self, grids4, monkeypatch):
+        f = rand_fn(4, 56, complex_valued=True)
+        wave = SphereFunction.plane_wave((0.1, 0.3, -0.2))
+        generic = PairKernel(lambda a, b: f(a) * wave(b))
+
+        def values():
+            return [quadrilinear_q(f, f.antipodal_conjugate(), f.sharp_rearrangement(),
+                                   wave, grids4),
+                    bilinear_b(generic, weighted_pair_kernel(f), grids4)]
+
+        whole = values()
+        monkeypatch.setattr(convolution, "_BLOCK_NODES", 5000)
+        assert len(grids4.slice_column(4).blocks()) == 6
+        for blocked, one in zip(values(), whole):
+            assert abs(blocked - one) <= 1e-13 * abs(one)
 
 
 class TestMeanValue:

@@ -237,6 +237,11 @@ class TestHarmonicCoeffs:
         with pytest.raises(ValueError):
             HarmonicCoeffs(3, np.zeros(15))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicCoeffs(1, [1.0, bad, 1.0, 1.0])
+
     def test_random_band_limited_shapes(self):
         real = random_band_limited(6, np.random.default_rng(10))
         cplx = random_band_limited(6, np.random.default_rng(10), complex_valued=True)

@@ -16,6 +16,8 @@ from sharpsphere import (
     quadrilinear_q,
     search,
 )
+from sharpsphere.convolution import slice_point_table
+from sharpsphere.harmonics import harmonic_values, parity_signs
 from sharpsphere.maximizer import Workspace
 
 PI = np.pi
@@ -256,3 +258,45 @@ class TestWorkspace:
     def test_negative_band_limit_rejected(self):
         with pytest.raises(ValueError):
             Workspace(-1)
+
+
+def full_table_q_gradient(ws, arr):
+    """Q and its gradient from a harmonic table over every slice node of the ball."""
+    X = ws.ball.points()
+    w, r = ws.ball.weights(), np.linalg.norm(X, axis=1)
+    pts, _ = slice_point_table(X, ws.n_c)
+    table = harmonic_values(ws.L, pts.reshape(-1, 3))
+    half, angle_weight = ws.n_c // 2, 2 * PI / ws.n_c
+    parity = parity_signs(ws.L)
+    va = (arr @ table).reshape(-1, ws.n_c)
+    vb = ((parity * arr) @ table).reshape(-1, ws.n_c)
+    prof = angle_weight * np.sum(va * np.roll(vb, -half, axis=1), axis=1) / r
+    g = 2 * angle_weight * w * prof / r
+    w1 = (g[:, None] * np.roll(vb, -half, axis=1)).ravel()
+    w2 = (g[:, None] * np.roll(va, -half, axis=1)).ravel()
+    return np.sum(w * prof * prof), table @ w1 + parity * (table @ w2)
+
+
+class TestColumnTable:
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_matches_full_slice_table(self, L):
+        ws = Workspace(L)
+        rng = np.random.default_rng(100 + L)
+        for _ in range(3):
+            arr = rng.standard_normal(n_coeffs(L))
+            q_ref, dq_ref = full_table_q_gradient(ws, arr)
+            q, dq = ws.q_gradient(arr)
+            assert abs(ws.q_value(arr) - q_ref) <= 1e-13 * q_ref
+            assert abs(q - q_ref) <= 1e-13 * q_ref
+            assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
+
+    def test_table_is_one_azimuth_column(self, ws8):
+        # (L+1)^2 harmonics at n_r n_t n_c = 18 * 17 * 18 nodes
+        assert ws8.basis.shape == (81, 18 * 17 * 18)
+        assert ws8.basis.nbytes < 4e6
+
+    def test_band_limit_sixteen(self):
+        ws = Workspace(16)
+        assert ws.basis.nbytes < 100e6
+        phi = objective_phi(constant_coeffs(16), ws)
+        assert abs(phi - SHARP_CONSTANT) <= 1e-12 * SHARP_CONSTANT

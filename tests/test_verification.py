@@ -46,6 +46,14 @@ class TestRunVerification:
         for c in small_report.checks:
             assert c.wall_time > 0.0
 
+    def test_form_checks_are_timed_separately(self, small_report):
+        # the four Q/B checks each report the time of their own computations
+        times = [c.wall_time for c in small_report.checks
+                 if c.name in EXPECTED_CHECK_ORDER[9:13]]
+        assert len(times) == 4
+        assert min(times) > 0.0
+        assert len(set(times)) > 1
+
     def test_values_are_finite_floats(self, small_report):
         for c in small_report.checks:
             assert isinstance(c.computed, float)
