@@ -14,22 +14,26 @@ exactly for constants. The crude kernel bound (|a+b|^2 <= 4) stays strict even
 at f = 1 -- its average against constants is 8/3, not 4 -- which is why the
 chord functional H, whose bound does close at constants, is the link that
 produces the sharp constant rather than a lossy one. Every quadrature rule
-below is sized so degree-8 inputs are integrated exactly, so the printed
-slacks are genuine, not discretization noise.
+below is sized so degree-8 inputs are integrated exactly (exact_sizes), so
+every slack between band-limited quantities is genuine, not discretization
+noise. The one exception is Q(f#, f#, f#, f#): the sharp rearrangement f# is
+not band-limited, so that value carries quadrature error: rotating only the
+slice frames moves it by about 5e-7 relative on these grids. The
+symmetrization inequality itself holds node by node, so the discrete slack
+it prints can never turn negative.
 """
 
 import numpy as np
 
 from sharpsphere import (
-    FormGrids,
     HarmonicCoeffs,
     PairKernel,
     SphereFunction,
     analyze,
     bilinear_b,
-    build_ball_grid,
     build_basis,
-    build_sphere_grid,
+    default_form_grids,
+    exact_sizes,
     h_spectral,
     lambda_closed_form,
     quadrilinear_q,
@@ -72,12 +76,9 @@ def walk(cf, grids, basis, lam, label):
 
 
 def main():
-    grid = build_sphere_grid(17)
-    grids = FormGrids(outer=grid,
-                      partner=build_sphere_grid(17, azimuth_offset=1.0),
-                      ball=build_ball_grid(18, grid),
-                      n_c=34)
-    basis = build_basis(16, grid)   # holds |f#|^2 exactly for band limit 8
+    n_t, n_r, n_c = exact_sizes(L, 4 * L)
+    grids = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
+    basis = build_basis(2 * L, grids.outer)   # holds |f#|^2 exactly for band limit 8
     lam = lambda_closed_form(16)
 
     walk(random_band_limited(L, np.random.default_rng(7)), grids, basis, lam,

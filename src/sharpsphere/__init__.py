@@ -12,7 +12,7 @@ from .quadrature import (
     DegenerateSliceError, EmptyIntersectionError,
     build_sphere_grid, integrate_sphere,
     build_circle_slice, circle_frames,
-    build_ball_grid, integrate_ball,
+    build_ball_grid, integrate_ball, exact_sizes,
 )
 from .legendre import (
     LegendreTable, FunkHeckeSpectrum,
@@ -27,12 +27,12 @@ from .harmonics import (
 )
 from .convolution import (
     ConvProfile, SliceColumn,
-    convolve_at, convolve_many, conv_profile, conv_l2_norm,
+    convolve_at, convolve_many, pair_profile, conv_profile, conv_l2_norm,
     extension_at, l4_norm,
 )
 from .forms import (
     GammaSample, PairKernel, FormGrids,
-    antipodal_conjugate, sharp_rearrangement, weighted_pair_kernel,
+    weighted_pair_kernel,
     default_form_grids, quadrilinear_q, bilinear_b, pair_slice_average,
     gamma_sample, gamma_samples, four_identity, four_identity_many,
     h_direct, h_direct_many, h_spectral, mean_value,
@@ -53,7 +53,7 @@ __all__ = [
     "DegenerateSliceError", "EmptyIntersectionError",
     "build_sphere_grid", "integrate_sphere",
     "build_circle_slice", "circle_frames",
-    "build_ball_grid", "integrate_ball",
+    "build_ball_grid", "integrate_ball", "exact_sizes",
     "LegendreTable", "FunkHeckeSpectrum",
     "legendre_eval", "legendre_values", "recurrence_residuals",
     "a_coefficient", "lambda_closed_form",
@@ -64,10 +64,10 @@ __all__ = [
     "build_basis", "analyze", "synthesize", "funk_hecke_apply",
     "eigenvalue_residual",
     "ConvProfile", "SliceColumn",
-    "convolve_at", "convolve_many", "conv_profile", "conv_l2_norm",
+    "convolve_at", "convolve_many", "pair_profile", "conv_profile", "conv_l2_norm",
     "extension_at", "l4_norm",
     "GammaSample", "PairKernel", "FormGrids",
-    "antipodal_conjugate", "sharp_rearrangement", "weighted_pair_kernel",
+    "weighted_pair_kernel",
     "default_form_grids", "quadrilinear_q", "bilinear_b", "pair_slice_average",
     "gamma_sample", "gamma_samples", "four_identity", "four_identity_many",
     "h_direct", "h_direct_many", "h_spectral", "mean_value",

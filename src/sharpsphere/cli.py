@@ -23,9 +23,7 @@ from .harmonics import SphereFunction
 from .verification import VerifyConfig, run_verification
 
 DEFAULTS = {
-    "n_t": 32,
     "n_c": 64,
-    "n_r": 48,
     "degree": 8,
     "seed": 1234,
     "max_iter": 500,
@@ -143,10 +141,12 @@ def _timestamp() -> str:
 
 
 def cmd_verify(args) -> int:
+    # grid sizes default to the exact plan for the degree
+    plan = VerifyConfig(degree=_resolve("degree", args.degree),
+                        seed=_resolve("seed", args.seed))
     config = VerifyConfig(
-        n_t=_resolve("n_t", args.n_t), n_c=_resolve("n_c", args.n_c),
-        n_r=_resolve("n_r", args.n_r), degree=_resolve("degree", args.degree),
-        seed=_resolve("seed", args.seed))
+        n_t=_resolve("n_t", args.n_t, plan.n_t), n_c=_resolve("n_c", args.n_c, plan.n_c),
+        n_r=_resolve("n_r", args.n_r, plan.n_r), degree=plan.degree, seed=plan.seed)
     if 2 * config.n_t - 1 < 2 * config.degree:
         _usage_error(f"--n-t {config.n_t} integrates degree {2 * config.n_t - 1}, "
                      f"below 2 x degree = {2 * config.degree}")
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convolution", help="radial profile of sigma * sigma")
     _add_common(p, "n_c", "points", default_format="csv")
-    p.add_argument("--profile", action="store_true", default=True,
-                   help="emit the radial profile (the default and only mode)")
     p.set_defaults(func=cmd_convolution)
 
     return parser

@@ -17,6 +17,7 @@ __all__ = [
     "SliceColumn",
     "convolve_at",
     "convolve_many",
+    "pair_profile",
     "conv_profile",
     "conv_l2_norm",
     "extension_at",
@@ -209,16 +210,6 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
-    def pair_profile(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """(f sigma * g sigma) at the ball nodes of a block, from f and g on its slices.
-
-        Needs even n_c: the partner x - p_j of node j is node j + n_c/2, so
-        pairing the two halves of each slice crosswise is the partner product.
-        """
-        a = va.reshape(va.shape[:-1] + (2, self.n_c // 2))
-        b = vb.reshape(vb.shape[:-1] + (2, self.n_c // 2))[..., ::-1, :]
-        return (2.0 * np.pi / self.n_c) * np.einsum("...ij,...ij->...", a, b) / self.radii
-
     def sampler(self, requests):
         """Evaluator of functions on the slices of any azimuth block.
 
@@ -285,12 +276,26 @@ class SliceColumn:
         return sample
 
 
+def pair_profile(va: np.ndarray, vb: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(f sigma * g sigma)(x) from f and g at the n_c = va.shape[-1] nodes of x's slice.
+
+    Leading axes run over centres x of norm radii. Needs even n_c: the
+    partner x - p_j of node j is node j + n_c/2, so the two halves of each
+    slice pair crosswise.
+    """
+    n_c = va.shape[-1]
+    a = va.reshape(va.shape[:-1] + (2, n_c // 2))
+    b = vb.reshape(vb.shape[:-1] + (2, n_c // 2))[..., ::-1, :]
+    return (2.0 * np.pi / n_c) * np.einsum("...ij,...ij->...", a, b) / radii
+
+
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     """(f sigma * g sigma)(x) for every row x of X; zero where |x| > 2.
 
     For even n_c the angle tables pair each slice node with its opposite,
-    x - p_j = p_{j + n_c/2}, so g is read off the same node values as f
-    (rolled); odd n_c falls back to evaluating g at the literal x - p points.
+    x - p_j = p_{j + n_c/2}, so g is read off the same nodes as f and the two
+    meet in pair_profile; odd n_c falls back to evaluating g at the literal
+    x - p points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = np.linalg.norm(X, axis=-1)
@@ -305,10 +310,10 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
         a = eval_with_table(f, table, flat).reshape(len(sel), n_c)
         if n_c % 2 == 0:
             b = eval_with_table(g, table, flat).reshape(len(sel), n_c)
-            b = np.roll(b, -(n_c // 2), axis=1)
+            out[sel] = pair_profile(a, b, rr)
         else:
             b = np.asarray(g((X[sel][:, None, :] - pts).reshape(-1, 3))).reshape(len(sel), n_c)
-        out[sel] = (2.0 * np.pi / n_c) * np.sum(a * b, axis=1) / rr
+            out[sel] = (2.0 * np.pi / n_c) * np.sum(a * b, axis=1) / rr
     return out
 
 

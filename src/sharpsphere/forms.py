@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import SliceColumn, convolve_many, slice_point_table, table_degree
+from .convolution import SliceColumn, pair_profile, slice_point_table, table_degree
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
 from .quadrature import (BallGrid, SphereGrid, build_ball_grid,
@@ -27,8 +27,6 @@ __all__ = [
     "GammaSample",
     "PairKernel",
     "FormGrids",
-    "antipodal_conjugate",
-    "sharp_rearrangement",
     "weighted_pair_kernel",
     "default_form_grids",
     "quadrilinear_q",
@@ -43,19 +41,6 @@ __all__ = [
     "h_spectral",
     "mean_value",
 ]
-
-
-def antipodal_conjugate(f: SphereFunction) -> SphereFunction:
-    """f_star(omega) = conj(f(-omega)); an involution."""
-    return f.antipodal_conjugate()
-
-
-def sharp_rearrangement(f: SphereFunction) -> SphereFunction:
-    """The nonnegative antipodally symmetric function with f's pairwise L2 mass.
-
-    sqrt((|f(omega)|^2 + |f(-omega)|^2)/2); preserves the L2 norm.
-    """
-    return f.sharp_rearrangement()
 
 
 @dataclass(frozen=True)
@@ -149,6 +134,11 @@ class PairKernel:
         return self.evaluator(omega, nu)
 
     @classmethod
+    def tensor(cls, f, g) -> "PairKernel":
+        """f tensor g: (omega, nu) -> f(omega) g(nu), with no pair-sum weight."""
+        return cls(lambda omega, nu: f(omega) * g(nu), factors=(f, g))
+
+    @classmethod
     def one(cls) -> "PairKernel":
         return cls(lambda omega, nu: np.ones(np.shape(omega)[:-1]),
                    symmetric=True, factors=())
@@ -207,7 +197,8 @@ class FormGrids:
         return col
 
 
-def default_form_grids(n_t: int = 32, n_c: int = 64, n_r: int = 48) -> FormGrids:
+def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
+    """The FormGrids of given sizes; exact_sizes(L, 4L) makes them exact at band limit L."""
     outer = build_sphere_grid(n_t, azimuth_offset=0.5)
     partner = build_sphere_grid(n_t, azimuth_offset=1.0)
     ball = build_ball_grid(n_r, outer)
@@ -243,103 +234,68 @@ def pair_slice_average(F: PairKernel, X: np.ndarray, n_c: int, chunk: int = 2048
     return out
 
 
-def _kernel_sampler(F: PairKernel, col: SliceColumn, negate: bool):
-    """F at the node pairs (p_j, p_{j+n_c/2}) of a block's slices, sign-flipped if asked.
+def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
+                    negate: bool) -> np.ndarray:
+    """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
 
-    Structured kernels evaluate their factors through the column table and use
-    |omega + nu| = |x| = r, exact at the analytic nodes; unstructured ones get
-    the literal point pairs. Returns sample(a0, a1) -> (a1 - a0, centres, n_c).
+    values yields K's factors on the slices. Structured kernels pair them in
+    pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
+    analytic nodes; the constant kernel gives 2 pi / r; unstructured kernels
+    are summed at their literal node pairs (p_j, p_{j + n_c/2}).
     """
-    half = col.n_c // 2
-    r = col.radii[:, None]
-    if F.factors is None:
-        def literal(a0, a1):
-            pts = col.points(a0, a1)
-            if negate:
-                pts = -pts
-            partner = np.roll(pts, -half, axis=-2)
-            return np.asarray(F.evaluator(pts.reshape(-1, 3), partner.reshape(-1, 3))
-                              ).reshape(pts.shape[:-1])
-        return literal
-    factors = col.sampler([(f, negate) for f in F.factors])
-
-    def structured(a0, a1):
-        if F.factors:
-            va, vb = factors(a0, a1)
-            prod = va * np.roll(vb, -half, axis=-1)
-        else:
-            prod = np.ones((a1 - a0, r.size, col.n_c))
-        if F.magnitude_power:
-            prod = np.abs(prod) ** F.magnitude_power
-        if F.sum_weight_power:
-            prod = prod * r ** F.sum_weight_power
-        return prod
-    return structured
-
-
-def _q_ball(f1, f2, f3, f4, grids: FormGrids) -> complex:
-    # One column table serves all four inputs: values at -p come from
-    # parity-flipped coefficients, and the second member of each pair lives
-    # n_c/2 angle steps away on the same slice.
-    col = grids.slice_column(table_degree((f1, f2, f3, f4)))
-    sample = col.sampler([(f1, False), (f2, False), (f3, True), (f4, True)])
-    total = 0.0 + 0.0j
-    for a0, a1 in col.blocks():
-        v1, v2, v3, v4 = sample(a0, a1)
-        total += np.sum(col.weights * col.pair_profile(v1, v2) * col.pair_profile(v3, v4))
-    return complex(total)
+    r = col.radii
+    if K.factors is None:
+        pts = col.points(a0, a1)
+        if negate:
+            pts = -pts
+        partner = np.roll(pts, -(col.n_c // 2), axis=-2)
+        vals = np.asarray(K.evaluator(pts.reshape(-1, 3), partner.reshape(-1, 3)))
+        return (2.0 * np.pi / col.n_c) * vals.reshape(pts.shape[:-1]).sum(axis=-1) / r
+    if K.factors:
+        va, vb = next(values), next(values)
+        if K.magnitude_power:
+            va, vb = np.abs(va) ** K.magnitude_power, np.abs(vb) ** K.magnitude_power
+        prof = pair_profile(va, vb, r)
+    else:
+        prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
+    return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
 
 
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
-    col = grids.slice_column(table_degree([f for K in (F, G) if K.factors
-                                           for f in K.factors]))
-    fs, gs = _kernel_sampler(F, col, negate=False), _kernel_sampler(G, col, negate=True)
-    scale = (2.0 * np.pi / grids.n_c) ** 2
+    # One column table serves both kernels: F's factors are sampled at the
+    # slice nodes p, G's at -p from parity-flipped coefficients, and repeated
+    # inputs share one spectra pass.
+    kernels = ((F, False), (G, True))
+    factors = [(f, negate) for K, negate in kernels if K.factors for f in K.factors]
+    col = grids.slice_column(table_degree([f for f, _ in factors]))
+    sample = col.sampler(factors)
     total = 0.0 + 0.0j
     for a0, a1 in col.blocks():
-        total += np.sum(col.weights * (fs(a0, a1).sum(axis=-1) / col.radii)
-                        * (gs(a0, a1).sum(axis=-1) / col.radii))
-    return complex(scale * total)
+        values = iter(sample(a0, a1))
+        pf, pg = [_kernel_profile(K, values, col, a0, a1, negate) for K, negate in kernels]
+        total += np.sum(col.weights * pf * pg)
+    return complex(total)
 
 
 def quadrilinear_q(f1, f2, f3, f4, grids: FormGrids, method: str = "ball"):
     """Q(f1, f2, f3, f4): integral of the product over zero-sum quadruples.
 
-    method="ball" factors the constraint through x = omega_1 + omega_2 =
-    -(omega_3 + omega_4) and integrates the product of the two pair profiles
-    over the ball; for band-limited inputs every 1D rule involved is exact, so
-    the result is correct to rounding. method="outer" is the literal nested
-    quadrature (double sphere integral of f1 f2 times the slice profile of
-    (f3, f4) at -omega_1 - omega_2); its 1/|omega_1 + omega_2| weight is
-    integrable but unsmooth, so it converges slowly and serves only as an
-    independent cross-check.
+    Q is B(f1 tensor f2, f3 tensor f4): the constraint factors through
+    x = omega_1 + omega_2 = -(omega_3 + omega_4). See bilinear_b for routes.
     """
-    if method == "ball":
-        if grids.n_c % 2 == 0:
-            return _q_ball(f1, f2, f3, f4, grids)
-        X = grids.ball.points()
-        c12 = convolve_many(f1, f2, X, grids.n_c)
-        c34 = convolve_many(f3, f4, -X, grids.n_c)
-        return complex(np.sum(grids.ball.weights() * c12 * c34))
-    if method == "outer":
-        _check_offset(grids)
-        g1, g2 = grids.outer, grids.partner
-        v1 = np.asarray(f1(g1.nodes)) * g1.weights
-        v2 = np.asarray(f2(g2.nodes)) * g2.weights
-        total = 0.0 + 0.0j
-        for node, wv in zip(g1.nodes, v1):
-            Y = -(node[None, :] + g2.nodes)
-            total += wv * np.sum(v2 * convolve_many(f3, f4, Y, grids.n_c))
-        return complex(total)
-    raise ValueError(f"unknown method {method!r}")
+    return bilinear_b(PairKernel.tensor(f1, f2), PairKernel.tensor(f3, f4), grids, method)
 
 
 def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ball"):
     """B(F, G): pair kernels integrated against the zero-sum pairing measure.
 
-    Same dual-route structure as quadrilinear_q. For F built by
-    weighted_pair_kernel the |omega + nu| factor cancels the slice weight, so
-    the ball route is again exact for band-limited ingredients.
+    method="ball" integrates F's pair profile at x times G's at -x over the
+    ball, exact to rounding for band-limited ingredients on exact_sizes
+    grids. Even n_c runs on the column table; odd n_c has no partner nodes
+    and takes the literal pair_slice_average. method="outer" is the nested
+    quadrature (double sphere integral of F times G's slice profile at
+    -omega_1 - omega_2); its 1/|omega_1 + omega_2| weight is integrable but
+    unsmooth, so it converges slowly and serves only as a cross-check.
     """
     if method == "ball":
         if grids.n_c % 2 == 0:

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolution import SliceColumn
+from .convolution import SliceColumn, pair_profile
 from .harmonics import HarmonicCoeffs, n_coeffs, parity_signs
-from .quadrature import build_ball_grid, build_sphere_grid
+from .quadrature import build_ball_grid, build_sphere_grid, exact_sizes
 
 __all__ = [
     "OptimizerState",
@@ -45,13 +45,11 @@ MIN_STEP = 1e-12
 class Workspace:
     """Quadrature tables for exact evaluation of Q at band limit L.
 
-    Sizing: the two pair profiles are polynomials of degree <= 2L in the
-    radius and in the direction, so n_t = 2L+1 polar nodes (sphere exactness
-    4L+1), n_r = 2L+2 radial nodes (degree 4L+2 with the r^2 Jacobian), and
-    n_c = 2L+2 circle angles (trig degree 2L) make every 1D rule exact. n_c is
-    even so each slice node's opposite is a node, built by explicit negation;
-    the partner point x - omega(phi_j) is then omega(phi_{j + n_c/2}) itself,
-    and profiles reduce to a rolled product of two fields on the same nodes.
+    Sizing: exact_sizes(L, 2L), since on each slice f(p) f_star(x - p) is a
+    trigonometric polynomial of degree 2L; 17, 18, 18 at L=8. n_c is even so
+    each slice node's opposite is a node, built by explicit negation; the
+    partner point x - omega(phi_j) is then omega(phi_{j + n_c/2}) itself, and
+    profiles pair two fields on the same nodes (pair_profile).
 
     Tables: every slice is a z-rotation of a slice in the first azimuth column
     of the ball grid, so the harmonics are tabulated at the n_r n_t n_c nodes
@@ -64,13 +62,12 @@ class Workspace:
         if L < 0:
             raise ValueError(f"band limit must be nonnegative, got {L}")
         self.L = L
-        n_t, n_r, n_c = 2 * L + 1, 2 * L + 2, 2 * L + 2
+        n_t, n_r, n_c = exact_sizes(L, 2 * L)
         self.ball = build_ball_grid(n_r, build_sphere_grid(n_t))
         self.n_c = n_c
         self.slices = SliceColumn(self.ball, n_c, L)
         self.basis = self.slices.table
         self.parity = parity_signs(L)
-        self._half = n_c // 2
 
     def _fields(self, coeffs: np.ndarray) -> np.ndarray:
         # f and f_star = f(-.) (real coefficients) at every slice node,
@@ -81,14 +78,14 @@ class Workspace:
 
     def q_value(self, coeffs: np.ndarray) -> float:
         """Q(f, f_star, f, f_star) for real coefficients; nonnegative."""
-        prof = self.slices.pair_profile(*self._fields(coeffs))
+        prof = pair_profile(*self._fields(coeffs), self.slices.radii)
         return float(self.slices.weights @ np.sum(prof * prof, axis=0))
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
         col = self.slices
         fields = self._fields(coeffs)
-        prof = col.pair_profile(*fields)
+        prof = pair_profile(*fields, col.radii)
         q = float(col.weights @ np.sum(prof * prof, axis=0))
         # dQ/d(field value at node p) is g_n times the partner field at the
         # opposite node, with g_n = 2 w_n prof_n * angle_weight / r_n. trig^T
@@ -97,7 +94,7 @@ class Workspace:
         # the coefficients (through parity for the f_star field).
         g = (4.0 * np.pi / self.n_c) * col.weights * prof / col.radii
         rows = col.trig.T @ (g[..., None] * fields[::-1]).reshape(2, col.n_az, -1)
-        rows = rows.reshape(2, -1, 2, self._half)[:, :, ::-1].reshape(rows.shape)
+        rows = rows.reshape(2, -1, 2, self.n_c // 2)[:, :, ::-1].reshape(rows.shape)
         d = col.pullback(rows)
         return q, d[0] + self.parity * d[1]
 
@@ -205,15 +202,14 @@ def initial_coeffs(kind: str, L: int, rng: np.random.Generator) -> HarmonicCoeff
 
 
 def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
-           workspace: Workspace | None = None, rng=None) -> SearchResult:
+           workspace: Workspace | None = None) -> SearchResult:
     """Normalized gradient ascent on log Phi with backtracking line search.
 
     Accepted steps must increase the objective; on decrease the step is halved
     down to MIN_STEP, below which the run stops and reports a stall. After an
     accepted step the step size doubles back up, capped at INITIAL_STEP.
     Convergence means gradient_norm < tol. The trace holds the initial state
-    and every accepted state. rng is accepted for interface uniformity with
-    seeded callers; the ascent itself is deterministic.
+    and every accepted state.
 
     Near a quadratic maximum the objective sits within machine epsilon of its
     peak once the iterate is ~sqrt(eps) away, so the line search stops making

@@ -186,6 +186,20 @@ def build_ball_grid(n_r: int, directions: SphereGrid) -> BallGrid:
     return BallGrid(radial_nodes=r, radial_weights=w * r * r, directions=directions)
 
 
+def exact_sizes(L: int, slice_degree: int) -> tuple[int, int, int]:
+    """Grid sizes (n_t, n_r, n_c) that make the ball route exact at band limit L.
+
+    The ball integrand has degree <= 4L in the direction and <= 4L+2 in the
+    radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. On each slice it is a trig
+    polynomial of degree slice_degree (2L for f(p) g(x - p), 4L for squared
+    pair kernels); n_c is the smallest even count above it, so the trapezoid
+    rule is exact and the partner x - p of each slice node is a node.
+    """
+    if min(L, slice_degree) < 0:
+        raise ValueError(f"L and slice_degree must be nonnegative, got {L}, {slice_degree}")
+    return 2 * L + 1, 2 * L + 2, slice_degree + 2 - slice_degree % 2
+
+
 def integrate_ball(ball: BallGrid, f):
     """Integrate f over the ball |x| <= 2; f takes an (M, 3) array of points."""
     vals = f(ball.points()) if callable(f) else np.asarray(f)

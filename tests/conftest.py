@@ -1,19 +1,20 @@
 """Session-scoped fixtures for the expensive shared objects.
 
-The exactness bundle sizes every rule so degree-8 inputs are integrated
-without discretization error: sphere exactness 33 >= 4L+1, 18 radial nodes
-(degree 37 with the r^2 Jacobian), and 34 circle angles (even, trig degree 33)
-cover products of four band-limited factors and squared pair kernels alike.
+The exactness bundle takes the exact plan for band limit 8 with squared pair
+kernels, exact_sizes(8, 32) = (17, 18, 34), so degree-8 inputs are integrated
+without discretization error in products of four band-limited factors and
+squared pair kernels alike.
 """
 
 import numpy as np
 import pytest
 
 from sharpsphere import (
-    FormGrids,
     build_ball_grid,
     build_basis,
     build_sphere_grid,
+    default_form_grids,
+    exact_sizes,
     lambda_closed_form,
     make_workspace,
 )
@@ -35,11 +36,9 @@ def ball_default(grid32):
 
 
 @pytest.fixture(scope="session")
-def exact_grids(grid17):
-    return FormGrids(outer=grid17,
-                     partner=build_sphere_grid(17, azimuth_offset=1.0),
-                     ball=build_ball_grid(18, grid17),
-                     n_c=34)
+def exact_grids():
+    n_t, n_r, n_c = exact_sizes(8, 32)
+    return default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from sharpsphere import VerificationReport, cli
 from sharpsphere.cli import main
 
 PI = np.pi
@@ -174,6 +175,28 @@ class TestVerifyCommand:
         assert len(lines) == 18   # header + 17 checks
         for line in lines[1:]:
             assert line.split(",")[5] == "True"
+
+
+class TestVerifyGridPlan:
+    def test_degree_alone_takes_the_exact_plan(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "--degree", "4"])
+        assert code == 0
+        assert json.loads(out)["config"] == {"n_t": 9, "n_c": 18, "n_r": 10,
+                                             "L": 4, "seed": 1234}
+
+    def test_flags_and_env_override_the_plan(self, capsys, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return VerificationReport(suite_name="stub", config=config.as_dict())
+
+        monkeypatch.setattr(cli, "run_verification", record)
+        monkeypatch.setenv("SEL_N_R", "14")
+        code, _, _ = run_cli(capsys, ["verify", "--degree", "4", "--n-c", "20"])
+        assert code == 0
+        assert seen[0].as_dict() == {"n_t": 9, "n_c": 20, "n_r": 14, "L": 4,
+                                     "seed": 1234}
 
 
 class TestConvolutionCommand:

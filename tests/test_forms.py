@@ -16,6 +16,7 @@ from sharpsphere import (
     build_sphere_grid,
     conv_l2_norm,
     convolve_many,
+    default_form_grids,
     four_identity,
     four_identity_many,
     gamma_sample,
@@ -289,15 +290,8 @@ def reference_b(F, G, grids):
                   * pair_slice_average(G, -X, grids.n_c))
 
 
-class TestBallRouteAgainstReference:
-    """The column-table ball route against literal slice averages at every node."""
-
-    @pytest.fixture(scope="class")
-    def grids4(self):
-        # exact for band limit 4: sphere degree 17, radial degree 21, trig degree 17
-        outer = build_sphere_grid(9)
-        return FormGrids(outer=outer, partner=build_sphere_grid(9, azimuth_offset=1.0),
-                         ball=build_ball_grid(10, outer), n_c=18)
+class ReferenceCases:
+    """Q and B on grids4 against literal slice averages at every ball node."""
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_q_star_pairing(self, grids4, complex_valued):
@@ -329,6 +323,14 @@ class TestBallRouteAgainstReference:
             assert abs(bilinear_b(K, M, grids4) - ref) <= 1e-12 * abs(ref)
 
 
+class TestBallRouteAgainstReference(ReferenceCases):
+    """The column-table ball route (even n_c)."""
+
+    @pytest.fixture(scope="class")
+    def grids4(self):
+        # exact for band limit 4: sphere degree 17, radial degree 21, trig degree 17
+        return default_form_grids(n_t=9, n_c=18, n_r=10)
+
     def test_azimuth_blocks_agree_with_one_block(self, grids4, monkeypatch):
         f = rand_fn(4, 56, complex_valued=True)
         wave = SphereFunction.plane_wave((0.1, 0.3, -0.2))
@@ -344,6 +346,14 @@ class TestBallRouteAgainstReference:
         assert len(grids4.slice_column(4).blocks()) == 6
         for blocked, one in zip(values(), whole):
             assert abs(blocked - one) <= 1e-13 * abs(one)
+
+
+class TestOddSliceCountAgainstReference(ReferenceCases):
+    """Odd n_c: no slice node has its partner among the nodes."""
+
+    @pytest.fixture(scope="class")
+    def grids4(self):
+        return default_form_grids(n_t=9, n_c=19, n_r=10)
 
 
 class TestMeanValue:

@@ -8,6 +8,7 @@ from sharpsphere import (
     HarmonicCoeffs,
     SphereFunction,
     constancy_metric,
+    exact_sizes,
     gradient,
     initial_coeffs,
     make_workspace,
@@ -235,11 +236,6 @@ class TestSearch:
         assert result.reason == "iteration limit reached"
         assert len(result.states) == 6
 
-    def test_rng_argument_accepted(self, ws8):
-        result = search(constant_coeffs(), workspace=ws8,
-                        rng=np.random.default_rng(1))
-        assert result.converged
-
     def test_zero_init_rejected(self, ws8):
         with pytest.raises(ValueError):
             search(HarmonicCoeffs(8, np.zeros(n_coeffs(8))), workspace=ws8)
@@ -258,6 +254,14 @@ class TestWorkspace:
     def test_negative_band_limit_rejected(self):
         with pytest.raises(ValueError):
             Workspace(-1)
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_sizes_follow_the_exact_plan(self, L):
+        ws = make_workspace(L)
+        n_t, n_r, n_c = exact_sizes(L, 2 * L)
+        assert ws.ball.directions.exactness_degree == 2 * n_t - 1
+        assert ws.ball.radial_nodes.size == n_r
+        assert ws.n_c == n_c
 
 
 def full_table_q_gradient(ws, arr):

@@ -13,6 +13,7 @@ from sharpsphere import (
     build_circle_slice,
     build_sphere_grid,
     circle_frames,
+    exact_sizes,
     integrate_ball,
     integrate_sphere,
 )
@@ -205,3 +206,24 @@ class TestBallGrid:
     def test_invalid_radial_count_rejected(self):
         with pytest.raises(ValueError):
             build_ball_grid(0, build_sphere_grid(2))
+
+
+class TestExactSizes:
+    @pytest.mark.parametrize("L, slice_degree, sizes", [
+        (0, 0, (1, 2, 2)),
+        (4, 8, (9, 10, 10)),
+        (4, 16, (9, 10, 18)),
+        (8, 16, (17, 18, 18)),
+        (8, 32, (17, 18, 34)),
+    ])
+    def test_plan_values(self, L, slice_degree, sizes):
+        assert exact_sizes(L, slice_degree) == sizes
+
+    def test_odd_slice_degree_rounds_up_to_even(self):
+        assert exact_sizes(4, 17) == (9, 10, 18)
+
+    def test_negative_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            exact_sizes(-1, 0)
+        with pytest.raises(ValueError):
+            exact_sizes(2, -1)

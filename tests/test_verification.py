@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sharpsphere import CheckResult, VerificationReport, VerifyConfig, run_verification
+from sharpsphere import (CheckResult, VerificationReport, VerifyConfig, exact_sizes,
+                         run_verification)
 from sharpsphere.verification import _passes
 
 EXPECTED_CHECK_ORDER = [
@@ -85,7 +86,17 @@ class TestReportSerialization:
 
     def test_default_config(self):
         cfg = VerifyConfig()
-        assert (cfg.n_t, cfg.n_c, cfg.n_r, cfg.degree, cfg.seed) == (32, 64, 48, 8, 1234)
+        assert (cfg.n_t, cfg.n_c, cfg.n_r, cfg.degree, cfg.seed) == (17, 34, 18, 8, 1234)
+
+    @pytest.mark.parametrize("L", [0, 4, 8])
+    def test_grid_sizes_follow_the_exact_plan(self, L):
+        cfg = VerifyConfig(degree=L)
+        n_t, n_r, n_c = exact_sizes(L, 4 * L)
+        assert (cfg.n_t, cfg.n_c, cfg.n_r) == (n_t, n_c, n_r)
+
+    def test_explicit_sizes_override_the_plan(self):
+        cfg = VerifyConfig(degree=4, n_c=20)
+        assert (cfg.n_t, cfg.n_c, cfg.n_r) == (9, 20, 10)
 
 
 class TestPassLogic:
