@@ -8,10 +8,10 @@ integrated exactly, turning the inequality chain into machine-precision checks.
 """
 
 from .quadrature import (
-    SphereGrid, CircleSlice, BallGrid,
+    SphereGrid, BallGrid,
     DegenerateSliceError, EmptyIntersectionError,
     build_sphere_grid, integrate_sphere,
-    build_circle_slice, circle_frames,
+    circle_frames,
     build_ball_grid, integrate_ball, exact_sizes,
 )
 from .legendre import (
@@ -26,14 +26,15 @@ from .harmonics import (
     build_basis, analyze, synthesize, funk_hecke_apply, eigenvalue_residual,
 )
 from .convolution import (
-    ConvProfile, SliceColumn,
-    convolve_at, convolve_many, pair_profile, conv_profile, conv_l2_norm,
+    ConvProfile, SliceColumn, SlicePlan,
+    convolve_at, convolve_many, pair_profile, pair_slice_average,
+    conv_profile, conv_l2_norm,
     extension_at, l4_norm,
 )
 from .forms import (
     GammaSample, PairKernel, FormGrids,
     weighted_pair_kernel,
-    default_form_grids, quadrilinear_q, bilinear_b, pair_slice_average,
+    default_form_grids, quadrilinear_q, bilinear_b,
     gamma_sample, gamma_samples, four_identity, four_identity_many,
     h_direct, h_direct_many, h_spectral, mean_value,
 )
@@ -49,10 +50,10 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SphereGrid", "CircleSlice", "BallGrid",
+    "SphereGrid", "BallGrid",
     "DegenerateSliceError", "EmptyIntersectionError",
     "build_sphere_grid", "integrate_sphere",
-    "build_circle_slice", "circle_frames",
+    "circle_frames",
     "build_ball_grid", "integrate_ball", "exact_sizes",
     "LegendreTable", "FunkHeckeSpectrum",
     "legendre_eval", "legendre_values", "recurrence_residuals",
@@ -63,12 +64,13 @@ __all__ = [
     "random_band_limited",
     "build_basis", "analyze", "synthesize", "funk_hecke_apply",
     "eigenvalue_residual",
-    "ConvProfile", "SliceColumn",
-    "convolve_at", "convolve_many", "pair_profile", "conv_profile", "conv_l2_norm",
+    "ConvProfile", "SliceColumn", "SlicePlan",
+    "convolve_at", "convolve_many", "pair_profile", "pair_slice_average",
+    "conv_profile", "conv_l2_norm",
     "extension_at", "l4_norm",
     "GammaSample", "PairKernel", "FormGrids",
     "weighted_pair_kernel",
-    "default_form_grids", "quadrilinear_q", "bilinear_b", "pair_slice_average",
+    "default_form_grids", "quadrilinear_q", "bilinear_b",
     "gamma_sample", "gamma_samples", "four_identity", "four_identity_many",
     "h_direct", "h_direct_many", "h_spectral", "mean_value",
     "OptimizerState", "SearchResult", "Workspace",

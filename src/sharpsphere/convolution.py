@@ -7,6 +7,8 @@ L4-norm computations route through this fact (Plancherel) instead of sampling
 the oscillatory extension on a 3D grid.
 """
 
+import math
+
 import numpy as np
 
 from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values, parity_signs
@@ -15,9 +17,11 @@ from .quadrature import BallGrid, SphereGrid, circle_frames
 __all__ = [
     "ConvProfile",
     "SliceColumn",
+    "SlicePlan",
     "convolve_at",
     "convolve_many",
     "pair_profile",
+    "pair_slice_average",
     "conv_profile",
     "conv_l2_norm",
     "extension_at",
@@ -60,50 +64,77 @@ def slice_point_table(X: np.ndarray, n_c: int):
     return pts, np.linalg.norm(X, axis=-1)
 
 
-def band_degree(func) -> int | None:
-    """Band limit usable for shared-table evaluation of func, or None.
+class SlicePlan:
+    """How to evaluate several functions on slice nodes from one basis table.
 
-    Coefficient-backed functions report their own degree; a sharp
-    rearrangement of a coefficient-backed function reports the source degree
-    (its values at +-p both come from the source's table rows).
+    requests holds (func, negate) pairs, each asking for func at the nodes p,
+    or at -p when negate. A coefficient-backed function becomes one
+    coefficient row, parity-flipped for f(-p); a sharp rearrangement of one
+    becomes its source's rows for +p and -p, combined as
+    sqrt((|f(p)|^2 + |f(-p)|^2) / 2), which is antipodally symmetric; any
+    other callable is called at the literal nodes. Repeated requests share
+    one entry.
+
+    rows stacks the coefficient rows, real and imaginary parts apart when any
+    is complex, padded to (degree + 1)^2 columns of the flat layout; degree is
+    the band limit of the basis table they need. Both are None when no
+    request is coefficient-backed.
     """
-    c = getattr(func, "coeffs", None)
-    if c is not None:
-        return c.max_degree
-    src = getattr(func, "sharp_source", None)
-    if src is not None and getattr(src, "coeffs", None) is not None:
-        return src.coeffs.max_degree
-    return None
 
+    def __init__(self, requests):
+        coeffs, self._entries, self._index, seen = [], [], [], {}
 
-def table_degree(funcs) -> int | None:
-    """Largest band limit among funcs, or None when no shared table would help."""
-    degs = [d for d in (band_degree(f) for f in funcs) if d is not None]
-    return max(degs) if degs else None
+        def row(c: HarmonicCoeffs, negate: bool) -> int:
+            coeffs.append(c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs)
+            return len(coeffs) - 1
 
+        for func, negate in requests:
+            c = getattr(func, "coeffs", None)
+            src = getattr(getattr(func, "sharp_source", None), "coeffs", None)
+            key = (id(func), negate if c is not None or src is None else None)
+            if key not in seen:
+                seen[key] = len(self._entries)
+                if c is not None:
+                    self._entries.append(("field", row(c, negate)))
+                elif src is not None:
+                    self._entries.append(("sharp", row(src, False), row(src, True)))
+                else:
+                    self._entries.append(("call", func, negate))
+            self._index.append(seen[key])
+        self.rows = self.degree = None
+        self._split = False
+        if coeffs:
+            width = max(len(r) for r in coeffs)
+            stack = np.array([np.pad(r, (0, width - len(r))) for r in coeffs])
+            self._split = np.iscomplexobj(stack)
+            self.rows = np.concatenate([stack.real, stack.imag]) if self._split else stack
+            self.degree = math.isqrt(width) - 1
 
-def eval_with_table(func, table, flat, negate: bool = False) -> np.ndarray:
-    """Values of func at flat (or at -flat), through the basis table if possible.
+    def values(self, fields, nodes) -> list:
+        """Per request, its values at a set of slice nodes.
 
-    table holds harmonic_values(L, flat) for L at least the band limit of
-    func; the flat layout makes the leading rows serve any smaller degree.
-    Negation never touches the table: f(-p) synthesizes from parity-flipped
-    coefficients, and a sharp rearrangement is antipodally symmetric.
-    """
-    c = getattr(func, "coeffs", None)
-    if c is not None and table is not None:
-        co = c.coeffs
-        if negate:
-            co = co * parity_signs(c.max_degree)
-        return co @ table[: co.size]
-    src = getattr(func, "sharp_source", None)
-    if src is not None and getattr(src, "coeffs", None) is not None and table is not None:
-        co = src.coeffs.coeffs
-        sub = table[: co.size]
-        plus = co @ sub
-        minus = (co * parity_signs(src.coeffs.max_degree)) @ sub
-        return np.sqrt(0.5 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
-    return np.asarray(func(-flat if negate else flat))
+        fields holds rows synthesized at the nodes (None without rows), the
+        row axis first; nodes() returns the literal nodes with the same node
+        axes plus a last axis of 3, and is called only for literal calls.
+        """
+        if self._split:
+            n = len(fields) // 2
+            fields = fields[:n] + 1j * fields[n:]
+        pts, out = None, []
+        for kind, *args in self._entries:
+            if kind == "field":
+                v = fields[args[0]]
+            elif kind == "sharp":
+                v = np.sqrt(0.5 * (np.abs(fields[args[0]]) ** 2
+                                   + np.abs(fields[args[1]]) ** 2))
+            else:
+                func, negate = args
+                if pts is None:
+                    pts = nodes()
+                flat = pts.reshape(-1, 3)
+                v = np.asarray(func(-flat if negate else flat)).reshape(pts.shape[:-1])
+            out.append(v)
+        return [out[i] for i in self._index]
 
 
 class SliceColumn:
@@ -210,68 +241,21 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
-    def sampler(self, requests):
-        """Evaluator of functions on the slices of any azimuth block.
+    def sampler(self, plan: SlicePlan):
+        """Evaluator of plan's requests on the slices of any azimuth block.
 
-        requests holds (func, negate) pairs. The returned sample(a0, a1) gives,
-        per request, func at the nodes p (at -p when negate) of azimuth rows
-        a0:a1. Coefficient-backed functions within the table degree come from
-        one stacked spectra pass, real and imaginary parts apart, with f(-p)
-        from parity-flipped coefficients; a sharp rearrangement of one is
-        sqrt((|f(p)|^2 + |f(-p)|^2) / 2), antipodally symmetric. Any other
-        callable is evaluated at the literal nodes. Repeated requests share
-        their values.
+        The returned sample(a0, a1) gives, per request, its values of shape
+        (a1 - a0, column centres, n_c) at azimuth rows a0:a1. The table must
+        reach plan.degree; the coefficient rows go through one spectra pass.
         """
-        rows, plans, index = [], [], []
-
-        def row(c: HarmonicCoeffs, negate: bool) -> int:
-            rows.append(c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs)
-            return len(rows) - 1
-
-        def tabulated(c) -> bool:
-            return c is not None and self.L is not None and c.max_degree <= self.L
-
-        seen = {}
-        for func, negate in requests:
-            c = getattr(func, "coeffs", None)
-            src = getattr(getattr(func, "sharp_source", None), "coeffs", None)
-            key = (id(func), None if tabulated(src) else negate)
-            if key not in seen:
-                seen[key] = len(plans)
-                if tabulated(c):
-                    plans.append(("field", row(c, negate)))
-                elif tabulated(src):
-                    plans.append(("sharp", row(src, False), row(src, True)))
-                else:
-                    plans.append(("call", func, negate))
-            index.append(seen[key])
-        spec, split = None, False
-        if rows:
-            width = max(len(r) for r in rows)
-            stack = np.array([np.pad(r, (0, width - len(r))) for r in rows])
-            split = np.iscomplexobj(stack)
-            spec = self.spectra(np.concatenate([stack.real, stack.imag]) if split else stack)
+        spec = None if plan.rows is None else self.spectra(plan.rows)
 
         def sample(a0: int, a1: int) -> list:
-            shape = (a1 - a0, self.radii.size, self.n_c)
-            fields = pts = None
+            fields = None
             if spec is not None:
-                fields = self.trig[a0:a1] @ spec
-                if split:
-                    fields = fields[:len(rows)] + 1j * fields[len(rows):]
-            values = []
-            for plan in plans:
-                if plan[0] == "field":
-                    v = fields[plan[1]]
-                elif plan[0] == "sharp":
-                    v = np.sqrt(0.5 * (np.abs(fields[plan[1]]) ** 2
-                                       + np.abs(fields[plan[2]]) ** 2))
-                else:
-                    if pts is None:
-                        pts = self.points(a0, a1).reshape(-1, 3)
-                    v = np.asarray(plan[1](-pts if plan[2] else pts))
-                values.append(v.reshape(shape))
-            return [values[i] for i in index]
+                fields = (self.trig[a0:a1] @ spec).reshape(
+                    len(spec), a1 - a0, self.radii.size, self.n_c)
+            return plan.values(fields, lambda: self.points(a0, a1))
 
         return sample
 
@@ -289,31 +273,48 @@ def pair_profile(va: np.ndarray, vb: np.ndarray, radii: np.ndarray) -> np.ndarra
     return (2.0 * np.pi / n_c) * np.einsum("...ij,...ij->...", a, b) / radii
 
 
+def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
+    """(1/|x|) * integral of F(omega(phi), x - omega(phi)) dphi for each row x of X.
+
+    The pair-measure profile of a kernel F(omega, nu): for F = f tensor g
+    this is the convolution of f sigma and g sigma at x. This is the literal
+    route (partner points x - p, generic evaluator) that the table routes are
+    cross-checked against. The result is real when F's values are.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    parts = [np.zeros(0)]
+    for i0 in range(0, len(X), _CHUNK):
+        pts, r = slice_point_table(X[i0:i0 + _CHUNK], n_c)
+        partner = X[i0:i0 + _CHUNK, None, :] - pts
+        vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(-1, n_c)
+        parts.append((2.0 * np.pi / n_c) * vals.sum(axis=1) / r)
+    return np.concatenate(parts)
+
+
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     """(f sigma * g sigma)(x) for every row x of X; zero where |x| > 2.
 
     For even n_c the angle tables pair each slice node with its opposite,
-    x - p_j = p_{j + n_c/2}, so g is read off the same nodes as f and the two
-    meet in pair_profile; odd n_c falls back to evaluating g at the literal
-    x - p points.
+    x - p_j = p_{j + n_c/2}, so g is read off the same nodes as f, both
+    through one SlicePlan, and the two meet in pair_profile; odd n_c takes
+    the literal pair_slice_average.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    r = np.linalg.norm(X, axis=-1)
     out = np.zeros(len(X), dtype=complex)
-    idx = np.flatnonzero(r <= 2.0)
-    L_tab = table_degree((f, g))
+    idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
+    if n_c % 2:
+        out[idx] = pair_slice_average(lambda p, q: f(p) * g(q), X[idx], n_c)
+        return out
+    plan = SlicePlan([(f, False), (g, False)])
     for i0 in range(0, len(idx), _CHUNK):
         sel = idx[i0:i0 + _CHUNK]
         pts, rr = slice_point_table(X[sel], n_c)
-        flat = pts.reshape(-1, 3)
-        table = harmonic_values(L_tab, flat) if L_tab is not None else None
-        a = eval_with_table(f, table, flat).reshape(len(sel), n_c)
-        if n_c % 2 == 0:
-            b = eval_with_table(g, table, flat).reshape(len(sel), n_c)
-            out[sel] = pair_profile(a, b, rr)
-        else:
-            b = np.asarray(g((X[sel][:, None, :] - pts).reshape(-1, 3))).reshape(len(sel), n_c)
-            out[sel] = (2.0 * np.pi / n_c) * np.sum(a * b, axis=1) / rr
+        fields = None
+        if plan.rows is not None:
+            table = harmonic_values(plan.degree, pts.reshape(-1, 3))
+            fields = (plan.rows @ table).reshape((-1,) + pts.shape[:-1])
+        a, b = plan.values(fields, lambda: pts)
+        out[sel] = pair_profile(a, b, rr)
     return out
 
 
@@ -322,16 +323,14 @@ def convolve_at(f: SphereFunction, g: SphereFunction, x, n_c: int):
 
     Exact (up to rounding) whenever f(omega(phi)) g(x - omega(phi)) is a
     trigonometric polynomial of degree < n_c in the slice angle, which holds
-    with degree 2L for band-limited f, g of degree L. Returns exactly 0 for
-    |x| > 2; x = 0 is rejected, the convolution density diverges there.
+    with degree 2L for band-limited f, g of degree L. Real for real f and g.
+    Returns exactly 0 for |x| > 2; x = 0 is rejected, the convolution density
+    diverges there.
     """
     x = np.asarray(x, dtype=float).reshape(3)
-    r = float(np.linalg.norm(x))
-    if r > 2.0:
+    if np.linalg.norm(x) > 2.0:
         return 0.0
-    pts = slice_point_table(x[None], n_c)[0][0]   # raises at x = 0
-    vals = np.asarray(f(pts)) * np.asarray(g(x - pts))
-    return (2.0 * np.pi / n_c) * np.sum(vals) / r
+    return pair_slice_average(lambda p, q: f(p) * g(q), x[None], n_c)[0]   # raises at x = 0
 
 
 class ConvProfile:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import SliceColumn, pair_profile, slice_point_table, table_degree
+from .convolution import SliceColumn, SlicePlan, pair_profile, pair_slice_average
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
 from .quadrature import (BallGrid, SphereGrid, build_ball_grid,
@@ -31,7 +31,6 @@ __all__ = [
     "default_form_grids",
     "quadrilinear_q",
     "bilinear_b",
-    "pair_slice_average",
     "gamma_sample",
     "gamma_samples",
     "four_identity",
@@ -41,6 +40,10 @@ __all__ = [
     "h_spectral",
     "mean_value",
 ]
+
+# Chord-matrix entries per row block of h_direct_many; bounds its transient
+# memory (8 MiB of doubles; 56 rows at n_t=96).
+_CHORD_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -214,26 +217,6 @@ def _check_offset(grids: FormGrids):
             "copy, otherwise node pairs hit the antipodal singularity exactly")
 
 
-def pair_slice_average(F: PairKernel, X: np.ndarray, n_c: int, chunk: int = 2048) -> np.ndarray:
-    """(1/|x|) * integral of F(omega(phi), x - omega(phi)) dphi for each row x of X.
-
-    The pair-measure profile of F: for F = f tensor g this is the convolution
-    of f sigma and g sigma at x. This is the reference evaluation (literal
-    partner points, generic evaluator); the ball routes below exploit kernel
-    structure instead and are cross-checked against it.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.zeros(len(X), dtype=complex)
-    for i0 in range(0, len(X), chunk):
-        sel = slice(i0, i0 + chunk)
-        pts, r = slice_point_table(X[sel], n_c)
-        flat = pts.reshape(-1, 3)
-        partner = (X[sel][:, None, :] - pts).reshape(-1, 3)
-        vals = np.asarray(F(flat, partner)).reshape(-1, n_c)
-        out[sel] = (2.0 * np.pi / n_c) * vals.sum(axis=1) / r
-    return out
-
-
 def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
                     negate: bool) -> np.ndarray:
     """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
@@ -267,8 +250,9 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # inputs share one spectra pass.
     kernels = ((F, False), (G, True))
     factors = [(f, negate) for K, negate in kernels if K.factors for f in K.factors]
-    col = grids.slice_column(table_degree([f for f, _ in factors]))
-    sample = col.sampler(factors)
+    plan = SlicePlan(factors)
+    col = grids.slice_column(plan.degree)
+    sample = col.sampler(plan)
     total = 0.0 + 0.0j
     for a0, a1 in col.blocks():
         values = iter(sample(a0, a1))
@@ -333,10 +317,11 @@ def h_direct(g, grid: SphereGrid):
     return h_direct_many([g], grid)[0]
 
 
-def h_direct_many(gs, grid: SphereGrid, block: int = 1024):
+def h_direct_many(gs, grid: SphereGrid):
     """h_direct for several functions sharing one pass over the chord matrix."""
     n_t = (grid.exactness_degree + 1) // 2
     partner = build_sphere_grid(n_t, grid.azimuth_offset + 0.5)
+    block = max(1, _CHORD_ENTRIES // partner.n_nodes)
     v1 = np.stack([np.asarray(g(grid.nodes)) for g in gs])
     v2 = np.stack([np.asarray(g(partner.nodes)) for g in gs])
     left = np.conj(v1) * grid.weights

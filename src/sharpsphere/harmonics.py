@@ -268,11 +268,6 @@ class SphereFunction:
         return vals[0] if single else vals
 
     @classmethod
-    def from_callable(cls, fn) -> "SphereFunction":
-        """Wrap a closure mapping an (n, 3) array of unit vectors to n values."""
-        return cls(fn)
-
-    @classmethod
     def from_coeffs(cls, c: HarmonicCoeffs) -> "SphereFunction":
         def fn(pts):
             return c.coeffs @ harmonic_values(c.max_degree, pts)

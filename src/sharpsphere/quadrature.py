@@ -8,7 +8,7 @@ measure on the ball of radius 2 where such convolutions live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,26 +86,6 @@ def integrate_sphere(grid: SphereGrid, f):
     return np.sum(grid.weights * vals)
 
 
-@dataclass(frozen=True)
-class CircleSlice:
-    """The circle S^2 n {omega : |x - omega| = 1}, carrying the 1/|x| conv weight.
-
-    Points are omega(phi) = center + radius*(cos(phi)*e1 + sin(phi)*e2); both
-    omega(phi) and x - omega(phi) are unit vectors.
-    """
-
-    center: np.ndarray
-    radius: float
-    frame: tuple[np.ndarray, np.ndarray]
-    angle_nodes: np.ndarray
-    weight_factor: float
-
-    def points(self) -> np.ndarray:
-        e1, e2 = self.frame
-        c, s = np.cos(self.angle_nodes), np.sin(self.angle_nodes)
-        return self.center + self.radius * (np.outer(c, e1) + np.outer(s, e2))
-
-
 def circle_frames(xs: np.ndarray):
     """Deterministic slice geometry for a batch of centers xs, shape (M, 3).
 
@@ -130,22 +110,6 @@ def circle_frames(xs: np.ndarray):
     e2 = np.cross(xhat, e1)
     radii = np.sqrt(np.maximum(0.0, 1.0 - 0.25 * r * r))
     return 0.5 * xs, radii, e1, e2
-
-
-def build_circle_slice(x, n_c: int) -> CircleSlice:
-    """Slice at x with n_c uniformly spaced angle nodes and weight 1/|x|."""
-    if n_c < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c}")
-    x = np.asarray(x, dtype=float).reshape(3)
-    centers, radii, e1, e2 = circle_frames(x[None, :])
-    angles = np.arange(n_c) * (2.0 * np.pi / n_c)
-    return CircleSlice(
-        center=centers[0],
-        radius=float(radii[0]),
-        frame=(e1[0], e2[0]),
-        angle_nodes=angles,
-        weight_factor=1.0 / float(np.linalg.norm(x)),
-    )
 
 
 @dataclass(frozen=True)

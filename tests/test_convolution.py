@@ -5,7 +5,9 @@ import pytest
 
 from sharpsphere import (
     DegenerateSliceError,
+    PairKernel,
     SliceColumn,
+    SlicePlan,
     SphereFunction,
     build_ball_grid,
     build_sphere_grid,
@@ -16,6 +18,7 @@ from sharpsphere import (
     extension_at,
     harmonic_values,
     l4_norm,
+    pair_slice_average,
     random_band_limited,
 )
 from sharpsphere.convolution import slice_point_table
@@ -52,6 +55,11 @@ class TestConvolveAt:
         with pytest.raises(DegenerateSliceError):
             convolve_at(ONE, ONE, np.zeros(3), 8)
 
+    def test_real_inputs_give_a_real_value(self):
+        f = rand_fn(4, 14)
+        val = convolve_at(f, f.sharp_rearrangement(), np.array([0.3, -0.2, 0.9]), 16)
+        assert np.isrealobj(val) and np.ndim(val) == 0
+
     def test_outside_support_is_exactly_zero(self):
         assert convolve_at(ONE, ONE, np.array([0.0, 0.0, 2.0001]), 8) == 0.0
         assert convolve_at(ONE, ONE, np.array([3.0, 1.0, 0.0]), 8) == 0.0
@@ -75,10 +83,25 @@ class TestConvolveAt:
         assert np.all(lhs <= rhs + 1e-10)
 
 
+def _pair(case):
+    """Inputs (f, g) that take different routes through the slice plan."""
+    f = rand_fn(4, 6, complex_valued=True)
+    if case == "complex":
+        return f, rand_fn(4, 7, complex_valued=True)
+    if case == "sharp":
+        return f.sharp_rearrangement(), rand_fn(3, 9).sharp_rearrangement()
+    if case == "plane-wave":
+        return SphereFunction.plane_wave((0.4, -0.1, 0.6)), f
+    if case == "mixed-degrees":
+        return rand_fn(2, 10), f
+    return f, f
+
+
 class TestConvolveMany:
-    def test_matches_scalar_calls(self):
-        f = rand_fn(4, 6, complex_valued=True)
-        g = rand_fn(4, 7, complex_valued=True)
+    @pytest.mark.parametrize(
+        "case", ["complex", "sharp", "plane-wave", "mixed-degrees", "same-object"])
+    def test_matches_scalar_calls(self, case):
+        f, g = _pair(case)
         xs = ball_points(np.random.default_rng(8), 25)
         batch = convolve_many(f, g, xs, 18)
         for x, expect in zip(xs, batch):
@@ -94,6 +117,12 @@ class TestConvolveMany:
         odd = convolve_many(f, g, xs, 35)
         scale = np.abs(even).max()
         assert np.abs(even - odd).max() <= 1e-12 * scale
+
+    def test_odd_count_is_the_literal_slice_average(self):
+        f, g = _pair("complex")
+        xs = ball_points(np.random.default_rng(12), 30)
+        tensor = pair_slice_average(PairKernel.tensor(f, g), xs, 35)
+        assert np.array_equal(convolve_many(f, g, xs, 35), tensor)
 
     def test_mixed_batch_zeroes_outside_support(self):
         xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
@@ -219,8 +248,8 @@ class TestSliceColumn:
     def test_sampler_shares_repeated_requests(self, column):
         f = rand_fn(3, 63, complex_valued=True)
         sharp = f.sharp_rearrangement()
-        a, b, c, d = column.sampler([(f, False), (f, False), (sharp, False),
-                                     (sharp, True)])(0, 3)
+        plan = SlicePlan([(f, False), (f, False), (sharp, False), (sharp, True)])
+        a, b, c, d = column.sampler(plan)(0, 3)
         assert a is b and c is d
         assert a.shape == (3, column.radii.size, column.n_c)
 

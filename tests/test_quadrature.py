@@ -5,18 +5,17 @@ import pytest
 
 from sharpsphere import (
     BallGrid,
-    CircleSlice,
     DegenerateSliceError,
     EmptyIntersectionError,
     SphereGrid,
     build_ball_grid,
-    build_circle_slice,
     build_sphere_grid,
     circle_frames,
     exact_sizes,
     integrate_ball,
     integrate_sphere,
 )
+from sharpsphere.convolution import slice_point_table
 
 from helpers import ball_points, unit_vectors
 
@@ -98,24 +97,29 @@ class TestSphereGrid:
 
 class TestCircleSlice:
     def test_slice_at_unit_north_pole(self):
-        s = build_circle_slice(np.array([0.0, 0.0, 1.0]), 8)
-        assert np.allclose(s.center, [0.0, 0.0, 0.5], atol=1e-15)
-        assert abs(s.radius - np.sqrt(3.0) / 2.0) <= 1e-15
-        assert abs(s.weight_factor - 1.0) <= 1e-15
+        x = np.array([[0.0, 0.0, 1.0]])
+        centers, radii, _, _ = circle_frames(x)
+        assert np.allclose(centers[0], [0.0, 0.0, 0.5], atol=1e-15)
+        assert abs(radii[0] - np.sqrt(3.0) / 2.0) <= 1e-15
+        pts, r = slice_point_table(x, 8)
+        assert abs(r[0] - 1.0) <= 1e-15
+        assert np.abs(np.linalg.norm(pts[0] - centers[0], axis=1) - radii[0]).max() <= 1e-15
 
     def test_slice_degenerates_to_point_at_radius_two(self):
-        s = build_circle_slice(np.array([0.0, 0.0, 2.0]), 8)
-        assert abs(s.radius) <= 1e-15
-        assert np.allclose(s.center, [0.0, 0.0, 1.0], atol=1e-15)
-        assert np.abs(s.points() - s.center).max() <= 1e-15
+        x = np.array([[0.0, 0.0, 2.0]])
+        centers, radii, _, _ = circle_frames(x)
+        assert abs(radii[0]) <= 1e-15
+        assert np.allclose(centers[0], [0.0, 0.0, 1.0], atol=1e-15)
+        pts, _ = slice_point_table(x, 8)
+        assert np.abs(pts[0] - centers[0]).max() <= 1e-15
 
     def test_too_far_center_rejected(self):
         with pytest.raises(EmptyIntersectionError):
-            build_circle_slice(np.array([0.0, 0.0, 2.5]), 8)
+            slice_point_table(np.array([[0.0, 0.0, 2.5]]), 8)
 
     def test_origin_rejected(self):
         with pytest.raises(DegenerateSliceError):
-            build_circle_slice(np.zeros(3), 8)
+            slice_point_table(np.zeros((1, 3)), 8)
 
     def test_points_and_partners_are_unit_vectors(self):
         # omega(phi) in S^2 and |x - omega(phi)| = 1 define the slice
@@ -146,18 +150,18 @@ class TestCircleSlice:
         assert np.abs(np.sum(xs * e2, axis=1)).max() <= 1e-12
 
     def test_weight_factor_is_inverse_center_distance(self):
-        x = np.array([0.3, -0.4, 1.2])
-        s = build_circle_slice(x, 4)
-        assert abs(s.weight_factor - 1.0 / np.linalg.norm(x)) <= 1e-15
+        # the slice table returns |x|, which carries the 1/|x| convolution weight
+        x = np.array([[0.3, -0.4, 1.2], [0.0, 1.5, 0.0]])
+        _, r = slice_point_table(x, 4)
+        assert np.array_equal(r, np.linalg.norm(x, axis=1))
 
     def test_angle_node_count(self):
-        s = build_circle_slice(np.array([1.0, 0.0, 0.0]), 12)
-        assert len(s.angle_nodes) == 12
-        assert s.points().shape == (12, 3)
+        pts, _ = slice_point_table(np.array([[1.0, 0.0, 0.0]]), 12)
+        assert pts.shape == (1, 12, 3)
 
     def test_invalid_angle_count_rejected(self):
         with pytest.raises(ValueError):
-            build_circle_slice(np.array([1.0, 0.0, 0.0]), 0)
+            slice_point_table(np.array([[1.0, 0.0, 0.0]]), 0)
 
 
 class TestBallGrid:
