@@ -136,6 +136,15 @@ class SlicePlan:
             out.append(v)
         return [out[i] for i in self._index]
 
+    def at(self, points: np.ndarray) -> list:
+        """Per request, its values at points of any shape (last axis 3), with the
+        coefficient rows synthesized from one harmonic table."""
+        fields = None
+        if self.rows is not None:
+            table = harmonic_values(self.degree, points.reshape(-1, 3))
+            fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
+        return self.values(fields, lambda: points)
+
 
 class SliceColumn:
     """The circle slices of a product ball grid, tabulated on one azimuth column.
@@ -309,11 +318,7 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     for i0 in range(0, len(idx), _CHUNK):
         sel = idx[i0:i0 + _CHUNK]
         pts, rr = slice_point_table(X[sel], n_c)
-        fields = None
-        if plan.rows is not None:
-            table = harmonic_values(plan.degree, pts.reshape(-1, 3))
-            fields = (plan.rows @ table).reshape((-1,) + pts.shape[:-1])
-        a, b = plan.values(fields, lambda: pts)
+        a, b = plan.at(pts)
         out[sel] = pair_profile(a, b, rr)
     return out
 

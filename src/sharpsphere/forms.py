@@ -9,8 +9,11 @@ independent slow path for cross-checking, since the factorized route is the
 one every headline number depends on.
 
 H(g), the chord-kernel quadratic functional, gets the same dual treatment:
-brute-force double quadrature versus the diagonal form 2*pi*sum_k Lambda_k *
-(degree-k energy) in harmonic coefficients.
+a direct double quadrature versus the diagonal form 2*pi*sum_k Lambda_k *
+(degree-k energy) in harmonic coefficients. The direct route integrates in
+polar coordinates about each outer node, with t = 1 - 2u^2, where the chord
+|omega - nu| = 2u is a polynomial; on a grid with n_t polar nodes it is exact
+for g of degree <= n_t - 1 and never touches Lambda_k.
 """
 
 from dataclasses import dataclass
@@ -41,9 +44,9 @@ __all__ = [
     "mean_value",
 ]
 
-# Chord-matrix entries per row block of h_direct_many; bounds its transient
-# memory (8 MiB of doubles; 56 rows at n_t=96).
-_CHORD_ENTRIES = 1 << 20
+# Polar nodes per block of h_direct_many; bounds its transient memory
+# (L=8 on n_t=9 has 162 x 90 = 14580 polar nodes, one block).
+_POLAR_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -309,28 +312,53 @@ def mean_value(g, grid: SphereGrid):
 def h_direct(g, grid: SphereGrid):
     """H(g) = double integral of conj(g(omega)) g(nu) |omega - nu| by quadrature.
 
-    The second copy of the sphere uses an azimuth-offset partner grid: the
-    chord kernel has a cone point on the diagonal, and keeping the two node
-    sets apart removes the accuracy loss the coincident-node rule shows.
-    Result is real up to rounding for any g (Hermitian kernel).
+    Exact to rounding for g of degree <= n_t - 1 on a grid with n_t polar
+    nodes (see h_direct_many). Result is real up to rounding for any g
+    (Hermitian kernel).
     """
     return h_direct_many([g], grid)[0]
 
 
 def h_direct_many(gs, grid: SphereGrid):
-    """h_direct for several functions sharing one pass over the chord matrix."""
+    """h_direct for several functions, by polar quadrature about each outer node.
+
+    About omega, nu = t omega + s (cos phi e1 + sin phi e2) with t = 1 - 2u^2,
+    s = 2u sqrt(1 - u^2) and the circle_frames frame of omega; then
+    |omega - nu| = 2u and d sigma(nu) = 4u du dphi, so the inner integrand is
+    8u^2 g(nu). With n_t the grid's polar node count and L = n_t - 1, a
+    uniform phi-rule with n_t nodes averages g exactly to a polynomial of
+    degree L in t, Gauss-Legendre with n_t + 1 nodes in u integrates the
+    resulting degree 2L + 2 polynomial, and the outer grid integrates the
+    degree-2L product with conj(g). Non-finite values raise ValueError.
+    """
     n_t = (grid.exactness_degree + 1) // 2
-    partner = build_sphere_grid(n_t, grid.azimuth_offset + 0.5)
-    block = max(1, _CHORD_ENTRIES // partner.n_nodes)
-    v1 = np.stack([np.asarray(g(grid.nodes)) for g in gs])
-    v2 = np.stack([np.asarray(g(partner.nodes)) for g in gs])
-    left = np.conj(v1) * grid.weights
-    right = (partner.weights * v2).T
+    u, w_u = np.polynomial.legendre.leggauss(n_t + 1)
+    u, w_u = 0.5 * (u + 1.0), 0.5 * w_u
+    phi = 2.0 * np.pi * np.arange(n_t) / n_t
+    s = 2.0 * u * np.sqrt(1.0 - u * u)
+    # polar nodes in the frame (omega, e1, e2) of an outer node, and weights
+    ring = np.column_stack([np.repeat(1.0 - 2.0 * u * u, n_t),
+                            np.outer(s, np.cos(phi)).ravel(),
+                            np.outer(s, np.sin(phi)).ravel()])
+    ring_w = np.repeat(8.0 * u * u * w_u * (2.0 * np.pi / n_t), n_t)
+    _, _, e1, e2 = circle_frames(grid.nodes)
+    frames = np.stack([grid.nodes, e1, e2], axis=1)
+    plan = SlicePlan([(g, False) for g in gs])
+
+    def sample(points):
+        vals = np.stack(plan.at(points))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("function produced non-finite values on the chord nodes")
+        return vals
+
+    outer = np.conj(sample(grid.nodes)) * grid.weights
+    block = max(1, _POLAR_NODES // ring_w.size)
     acc = np.zeros(len(gs), dtype=complex)
     for i0 in range(0, grid.n_nodes, block):
         sel = slice(i0, i0 + block)
-        chord = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * (grid.nodes[sel] @ partner.nodes.T)))
-        acc += np.einsum("gi,ig->g", left[:, sel], chord @ right)
+        nu = (ring @ frames[sel]).reshape(-1, 3)
+        inner = sample(nu).reshape(len(gs), -1, ring_w.size) @ ring_w
+        acc += np.sum(outer[:, sel] * inner, axis=1)
     if np.all(acc.imag == 0.0):
         return acc.real
     return acc

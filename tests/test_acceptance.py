@@ -78,11 +78,11 @@ def test_criterion_04_chord_multipliers():
 
 
 def test_criterion_05_chord_form_routes():
-    h1 = float(np.real(h_direct(ONE, build_sphere_grid(32))))
+    h1 = float(np.real(h_direct(ONE, build_sphere_grid(1))))
     expected = 64 * PI**2 / 3
     assert abs(h1 - expected) <= 1e-6 * expected
 
-    fine = build_sphere_grid(96)
+    fine = build_sphere_grid(9)
     lam8 = lambda_closed_form(8)
     rng = np.random.default_rng(2024)
     gs = [random_band_limited(8, rng) for _ in range(50)]

@@ -32,7 +32,7 @@ from sharpsphere import (
     random_band_limited,
     weighted_pair_kernel,
 )
-from sharpsphere import convolution
+from sharpsphere import convolution, forms, legendre
 from sharpsphere.forms import h_direct_many
 from sharpsphere.legendre import FunkHeckeSpectrum
 
@@ -364,32 +364,34 @@ class TestMeanValue:
 
 
 class TestChordForm:
-    def test_flat_input_closed_form(self, grid32):
-        h = h_direct(ONE, grid32)
+    def test_flat_input_closed_form(self):
+        h = h_direct(ONE, build_sphere_grid(1))
         assert abs(h - 64 * PI ** 2 / 3) <= 1e-6 * 64 * PI ** 2 / 3
 
     def test_height_input_closed_form(self):
         # H picks up 2 pi Lambda_1 times the squared norm 4 pi / 3
-        grid = build_sphere_grid(64)
+        grid = build_sphere_grid(2)
         h = h_direct(lambda p: p[:, 2], grid)
         expect = 2 * PI * (-8.0 / 15.0) * (4 * PI / 3)
         assert abs(h - expect) <= 2e-6 * abs(expect)
 
-    def test_quadratic_scaling(self, grid32):
-        h1 = h_direct(ONE, grid32)
-        h3 = h_direct(SphereFunction.constant(-3.0), grid32)
+    def test_quadratic_scaling(self):
+        grid = build_sphere_grid(1)
+        h1 = h_direct(ONE, grid)
+        h3 = h_direct(SphereFunction.constant(-3.0), grid)
         assert abs(h3 - 9.0 * h1) <= 1e-12 * abs(h3)
 
-    def test_hermitian_form_is_real(self, grid32):
+    def test_hermitian_form_is_real(self):
         g = rand_fn(6, 30, complex_valued=True)
-        h = h_direct(g, grid32)
+        h = h_direct(g, build_sphere_grid(7))
         assert abs(np.imag(h)) <= 1e-12 * abs(np.real(h))
 
-    def test_many_matches_single(self, grid32):
+    def test_many_matches_single(self):
+        grid = build_sphere_grid(6)
         gs = [rand_fn(5, s, complex_valued=True) for s in (31, 32, 33)]
-        batch = h_direct_many(gs, grid32)
+        batch = h_direct_many(gs, grid)
         for g, expect in zip(gs, batch):
-            single = h_direct(g, grid32)
+            single = h_direct(g, grid)
             assert abs(single - expect) <= 1e-12 * abs(expect)
 
     def test_spectral_route_constant(self, lam8):
@@ -399,13 +401,30 @@ class TestChordForm:
         assert abs(h - 0.25 * 64 * PI ** 2 / 3) <= 1e-13 * 64 * PI ** 2 / 3
 
     def test_spectral_matches_direct(self, lam8):
-        grid = build_sphere_grid(96)
+        grid = build_sphere_grid(9)
         cs = [random_band_limited(8, np.random.default_rng(400 + i), complex_valued=True)
               for i in range(3)]
         direct = h_direct_many([SphereFunction.from_coeffs(c) for c in cs], grid)
         for c, d in zip(cs, direct):
             s = h_spectral(c, lam8)
             assert abs(s - d) <= 1e-6 * abs(s)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            h_direct(lambda p: np.full(len(p), np.nan), build_sphere_grid(3))
+
+    def test_inf_between_outer_nodes_is_rejected(self):
+        # finite on every outer node, infinite near the pole, which only the
+        # polar nodes about the top ring reach
+        grid = build_sphere_grid(3)
+        assert np.max(grid.nodes[:, 2]) < 0.9
+        with pytest.raises(ValueError):
+            h_direct(lambda p: np.where(p[:, 2] > 0.9, np.inf, 1.0), grid)
+
+    def test_inf_at_an_outer_node_is_rejected(self):
+        grid = build_sphere_grid(3)
+        with pytest.raises(ValueError):
+            h_direct_many([ONE, lambda p: np.full(len(p), np.inf)], grid)
 
     def test_spectral_zero(self, lam8):
         assert h_spectral(HarmonicCoeffs(8, np.zeros(81)), lam8) == 0.0
@@ -445,12 +464,47 @@ class TestChordForm:
     def test_l1_lipschitz_bound(self, grid32):
         # |H(g1) - H(g2)| <= 2 (||g1||_1 + ||g2||_1) ||g1 - g2||_1 since the
         # chord kernel is bounded by 2
+        exact = build_sphere_grid(7)
         for seed in (37, 38, 39):
             rng = np.random.default_rng(seed)
             g1 = SphereFunction.from_coeffs(random_band_limited(6, rng, complex_valued=True))
             g2 = SphereFunction.from_coeffs(random_band_limited(6, rng, complex_valued=True))
-            lhs = abs(h_direct(g1, grid32) - h_direct(g2, grid32))
+            lhs = abs(h_direct(g1, exact) - h_direct(g2, exact))
             l1 = integrate_sphere(grid32, np.abs(g1(grid32.nodes)))
             l2 = integrate_sphere(grid32, np.abs(g2(grid32.nodes)))
             ld = integrate_sphere(grid32, np.abs(g1(grid32.nodes) - g2(grid32.nodes)))
             assert lhs <= 2.0 * (l1 + l2) * ld * (1.0 + 1e-8)
+
+
+class TestPolarChordRoute:
+    """h_direct on build_sphere_grid(L + 1) is exact for degree-L input."""
+
+    @pytest.mark.parametrize("L", range(9))
+    def test_exact_for_band_limited_complex_input(self, L, lam8):
+        c = random_band_limited(L, np.random.default_rng(500 + L), complex_valued=True)
+        h = h_direct(SphereFunction.from_coeffs(c), build_sphere_grid(L + 1))
+        s = h_spectral(c, lam8)
+        assert abs(np.real(h) - s) <= 1e-12 * abs(s)
+        assert abs(np.imag(h)) <= 1e-12 * abs(s)
+
+    def test_constant_closed_form(self):
+        expect = 64 * PI ** 2 / 3
+        assert abs(h_direct(ONE, build_sphere_grid(1)) - expect) <= 1e-13 * expect
+
+    def test_independent_of_the_chord_spectrum(self, monkeypatch, lam8):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the direct route must not use the chord spectrum")
+        for name in ("lambda_closed_form", "funk_hecke_coefficient"):
+            monkeypatch.setattr(legendre, name, unavailable)
+            monkeypatch.setattr(forms, name, unavailable, raising=False)
+        c = random_band_limited(8, np.random.default_rng(510), complex_valued=True)
+        h = h_direct(SphereFunction.from_coeffs(c), build_sphere_grid(9))
+        assert abs(h - h_spectral(c, lam8)) <= 1e-12 * abs(h)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        grid = build_sphere_grid(9)
+        gs = [rand_fn(8, s, complex_valued=True) for s in (511, 512)] + [ONE]
+        whole = h_direct_many(gs, grid)
+        monkeypatch.setattr(forms, "_POLAR_NODES", 200)   # two outer nodes a block
+        blocked = h_direct_many(gs, grid)
+        assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-14

@@ -1,8 +1,11 @@
 """Structure and outcome of the bundled verification suite."""
 
+import time
+
 import numpy as np
 import pytest
 
+from sharpsphere import forms
 from sharpsphere import (CheckResult, VerificationReport, VerifyConfig, exact_sizes,
                          run_verification)
 from sharpsphere.verification import _passes
@@ -54,6 +57,26 @@ class TestRunVerification:
         assert len(times) == 4
         assert min(times) > 0.0
         assert len(set(times)) > 1
+
+    def test_chord_checks_are_exact(self, small_report):
+        checks = {c.name: c for c in small_report.checks}
+        one = checks["H_of_one"]
+        assert abs(one.computed - one.expected) <= 1e-12 * one.expected
+        assert checks["h_spectral_vs_direct_max_rel_dev"].computed <= 1e-12
+
+    def test_h_of_one_has_its_own_time(self, monkeypatch):
+        # a slow batch must show in the spectral-vs-direct check only
+        batch = forms.h_direct_many
+
+        def slow_batch(gs, grid):
+            if len(gs) > 1:
+                time.sleep(0.2)
+            return batch(gs, grid)
+
+        monkeypatch.setattr(forms, "h_direct_many", slow_batch)
+        report = run_verification(VerifyConfig(degree=2))
+        times = {c.name: c.wall_time for c in report.checks}
+        assert times["H_of_one"] < 0.2 <= times["h_spectral_vs_direct_max_rel_dev"]
 
     def test_values_are_finite_floats(self, small_report):
         for c in small_report.checks:
@@ -118,3 +141,11 @@ class TestPassLogic:
             name="bad", expected=1.0, computed=2.0, tolerance=1e-12,
             kind="rel", passed=False, wall_time=0.1))
         assert not report.overall_pass
+
+
+@pytest.mark.parametrize("seed", [4, 8, 10, 29])
+def test_seeds_that_failed_the_chord_gate_pass(seed):
+    # the former n_t=96 chord matrix missed the 1e-6 gate at these seeds
+    report = run_verification(VerifyConfig(seed=seed))
+    failing = [c.name for c in report.checks if not c.passed]
+    assert report.overall_pass, f"failing checks: {failing}"
