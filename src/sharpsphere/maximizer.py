@@ -56,6 +56,22 @@ class Workspace:
     of that column only (slices, a SliceColumn) and every other column comes
     from per-order cos/sin combinations. basis is that table: 3.6 MB at L=8,
     about 88 MB at L=16, growing like L^5.
+
+    Antipodal fold: the ball grid maps x at (radius, polar ring i, azimuth
+    row a) to -x at (radius, ring n_t-1-i, row a+n_t) with equal weight, and
+    circle_frames gives -x the frame (-e1, e2), so the slice at -x is the
+    negation of x's slice with node j going to node -j. For real coefficients
+    f_star = f(-.), so the pair profile at -x sums the same products as at x:
+    prof(-x) = prof(x) up to rounding, for every coefficient vector. Q is
+    therefore twice the sum over azimuth rows a < n_t, and the fields are
+    synthesized on those rows only; being an identity in the coefficients,
+    the fold carries over to the gradient.
+
+    Forward memo: the last forward pass (fields and profile) is kept under a
+    copy of the exact coefficient bytes it was computed from, so q_gradient
+    on the array q_value was just given (the line search's accepted trial)
+    costs only the backward pass. Reuse requires bitwise-equal input, so a
+    hit returns exactly what a fresh evaluation would.
     """
 
     def __init__(self, L: int):
@@ -68,32 +84,41 @@ class Workspace:
         self.slices = SliceColumn(self.ball, n_c, L)
         self.basis = self.slices.table
         self.parity = parity_signs(L)
+        self._trig = self.slices.trig[:n_t]
+        self._memo = (None, None)
 
-    def _fields(self, coeffs: np.ndarray) -> np.ndarray:
-        # f and f_star = f(-.) (real coefficients) at every slice node,
-        # shape (2, n_az, column centres, n_c)
+    def _forward(self, coeffs: np.ndarray):
+        # (q, fields, prof): f and f_star = f(-.) at the slice nodes of the
+        # first n_t azimuth rows, fields of shape (2, n_t, column centres,
+        # n_c), and their pair profile.
+        coeffs = np.asarray(coeffs, dtype=float)
+        key = coeffs.tobytes()
+        memo_key, memo = self._memo   # one read, so key and value always match
+        if memo_key == key:
+            return memo
         col = self.slices
         spec = col.spectra(np.stack([coeffs, self.parity * coeffs]))
-        return (col.trig @ spec).reshape(2, col.n_az, -1, self.n_c)
+        fields = (self._trig @ spec).reshape(2, len(self._trig), -1, self.n_c)
+        prof = pair_profile(*fields, col.radii)
+        q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
+        self._memo = (key, (q, fields, prof))
+        return q, fields, prof
 
     def q_value(self, coeffs: np.ndarray) -> float:
         """Q(f, f_star, f, f_star) for real coefficients; nonnegative."""
-        prof = pair_profile(*self._fields(coeffs), self.slices.radii)
-        return float(self.slices.weights @ np.sum(prof * prof, axis=0))
+        return self._forward(coeffs)[0]
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
         col = self.slices
-        fields = self._fields(coeffs)
-        prof = pair_profile(*fields, col.radii)
-        q = float(col.weights @ np.sum(prof * prof, axis=0))
+        q, fields, prof = self._forward(coeffs)
         # dQ/d(field value at node p) is g_n times the partner field at the
-        # opposite node, with g_n = 2 w_n prof_n * angle_weight / r_n. trig^T
-        # folds the azimuth rows into Fourier rows before the slice halves
-        # swap to reach the opposite nodes, and pullback routes the rows to
-        # the coefficients (through parity for the f_star field).
-        g = (4.0 * np.pi / self.n_c) * col.weights * prof / col.radii
-        rows = col.trig.T @ (g[..., None] * fields[::-1]).reshape(2, col.n_az, -1)
+        # opposite node, with g_n = 2 w_n prof_n * angle_weight / r_n, doubled
+        # by the fold. trig^T folds the azimuth rows into Fourier rows before
+        # the slice halves swap to reach the opposite nodes, and pullback
+        # routes the rows to the coefficients (through parity for f_star).
+        g = (8.0 * np.pi / self.n_c) * col.weights * prof / col.radii
+        rows = self._trig.T @ (g[..., None] * fields[::-1]).reshape(2, len(self._trig), -1)
         rows = rows.reshape(2, -1, 2, self.n_c // 2)[:, :, ::-1].reshape(rows.shape)
         d = col.pullback(rows)
         return q, d[0] + self.parity * d[1]
@@ -102,6 +127,15 @@ class Workspace:
 @lru_cache(maxsize=4)
 def make_workspace(L: int) -> Workspace:
     return Workspace(L)
+
+
+def _workspace_for(c: HarmonicCoeffs, workspace: Workspace | None) -> Workspace:
+    if workspace is None:
+        return make_workspace(c.max_degree)
+    if workspace.L != c.max_degree:
+        raise ValueError(f"workspace band limit {workspace.L} does not match the "
+                         f"coefficients' band limit {c.max_degree}")
+    return workspace
 
 
 def _as_real_coeffs(c: HarmonicCoeffs) -> np.ndarray:
@@ -119,7 +153,7 @@ def objective_phi(c: HarmonicCoeffs, workspace: Workspace | None = None) -> floa
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("Phi is undefined for the zero function")
-    ws = workspace or make_workspace(c.max_degree)
+    ws = _workspace_for(c, workspace)
     q = ws.q_value(arr)
     return float(((2.0 * np.pi) ** 3 * q) ** 0.25 / np.sqrt(nrm2))
 
@@ -134,7 +168,7 @@ def gradient(c: HarmonicCoeffs, workspace: Workspace | None = None) -> np.ndarra
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("gradient is undefined for the zero function")
-    ws = workspace or make_workspace(c.max_degree)
+    ws = _workspace_for(c, workspace)
     q, dq = ws.q_gradient(arr)
     return dq / q - 4.0 * arr / nrm2
 
@@ -221,7 +255,7 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
     arr = _as_real_coeffs(init)
     if not np.any(arr):
         raise ValueError("initial coefficients must be nonzero")
-    ws = workspace or make_workspace(init.max_degree)
+    ws = _workspace_for(init, workspace)
     L = init.max_degree
 
     def make_state(arr, step, iteration):

@@ -17,7 +17,7 @@ from sharpsphere import (
     quadrilinear_q,
     search,
 )
-from sharpsphere.convolution import slice_point_table
+from sharpsphere.convolution import SliceColumn, slice_point_table
 from sharpsphere.harmonics import harmonic_values, parity_signs
 from sharpsphere.maximizer import Workspace
 
@@ -95,6 +95,10 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective_phi(HarmonicCoeffs(8, c), ws8)
 
+    def test_band_limit_mismatch_rejected(self, ws8):
+        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
+            objective_phi(constant_coeffs(L=4), ws8)
+
 
 class TestGradient:
     def test_vanishes_at_constant(self, ws8):
@@ -134,6 +138,10 @@ class TestGradient:
     def test_zero_coeffs_rejected(self, ws8):
         with pytest.raises(ValueError):
             gradient(HarmonicCoeffs(8, np.zeros(n_coeffs(8))), ws8)
+
+    def test_band_limit_mismatch_rejected(self, ws8):
+        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
+            gradient(constant_coeffs(L=4), ws8)
 
 
 class TestConstancyMetric:
@@ -246,6 +254,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(HarmonicCoeffs(8, c), workspace=ws8)
 
+    def test_band_limit_mismatch_rejected(self, ws8):
+        init = initial_coeffs("random", 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
+            search(init, workspace=ws8)
+
 
 class TestWorkspace:
     def test_cached_by_band_limit(self):
@@ -262,6 +275,39 @@ class TestWorkspace:
         assert ws.ball.directions.exactness_degree == 2 * n_t - 1
         assert ws.ball.radial_nodes.size == n_r
         assert ws.n_c == n_c
+
+    def test_accepted_steps_reuse_the_line_search_forward_pass(self, monkeypatch):
+        ws = Workspace(4)
+        calls = {"spectra": 0, "q_value": 0}
+        spectra, q_value = SliceColumn.spectra, ws.q_value
+
+        def counted_spectra(col, coeffs):
+            calls["spectra"] += 1
+            return spectra(col, coeffs)
+
+        def counted_q_value(coeffs):
+            calls["q_value"] += 1
+            return q_value(coeffs)
+
+        monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
+        ws.q_value = counted_q_value
+        init = initial_coeffs("random", 4, np.random.default_rng(3))
+        result = search(init, workspace=ws)
+        assert len(result.states) > 10
+        assert calls["q_value"] > len(result.states) - 1
+        # one forward pass per trial, plus the starting point's gradient
+        assert calls["spectra"] == calls["q_value"] + 1
+
+    def test_memo_ignores_an_array_mutated_in_place(self):
+        ws = Workspace(4)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal(n_coeffs(4))
+        ws.q_value(a)
+        a[5] += 0.25
+        q, dq = ws.q_gradient(a)
+        q_ref, dq_ref = Workspace(4).q_gradient(a)
+        assert q == q_ref
+        assert np.array_equal(dq, dq_ref)
 
 
 def full_table_q_gradient(ws, arr):
@@ -282,7 +328,7 @@ def full_table_q_gradient(ws, arr):
 
 
 class TestColumnTable:
-    @pytest.mark.parametrize("L", [4, 6, 8])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 6, 8])
     def test_matches_full_slice_table(self, L):
         ws = Workspace(L)
         rng = np.random.default_rng(100 + L)
