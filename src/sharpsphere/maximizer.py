@@ -1,4 +1,4 @@
-"""Gradient ascent on the restriction ratio over band-limited sphere functions.
+"""Curvature-scaled ascent on the restriction ratio over band-limited sphere functions.
 
 The objective is Phi(f) = ||ext f||_4 / ||f||_2, parametrized by real harmonic
 coefficients. Phi^4 is (2 pi)^3 Q(f, f_star, f, f_star) / ||f||_2^4 with Q the
@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .convolution import SliceColumn, pair_profile
-from .harmonics import HarmonicCoeffs, n_coeffs, parity_signs
+from .harmonics import HarmonicCoeffs, _degree_index, n_coeffs, parity_signs
 from .quadrature import build_ball_grid, build_sphere_grid, exact_sizes
 
 __all__ = [
@@ -37,9 +37,12 @@ __all__ = [
 
 SHARP_CONSTANT = 2.0 * np.pi
 
-INITIAL_STEP = 0.1
+INITIAL_STEP = 1.0
 STEP_SHRINK = 0.5
-MIN_STEP = 1e-12
+# One ulp of Phi is a relative change of at most eps, so a change of at most
+# 4 eps in log Phi^4: a step whose first-order gain in log Phi^4 is below this
+# cannot show a strict increase of Phi.
+ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 
 
 class Workspace:
@@ -72,6 +75,12 @@ class Workspace:
     on the array q_value was just given (the line search's accepted trial)
     costs only the backward pass. Reuse requires bitwise-equal input, so a
     hit returns exactly what a fresh evaluation would.
+
+    Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
+    degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
+    k (negative for k >= 1, weakest lambda_2 = -8/5); curvature holds it per
+    flat slot, with the same formula (lambda_0 = 8) on the mean slot. search
+    scales its steps by 1 / |curvature|.
     """
 
     def __init__(self, L: int):
@@ -84,6 +93,7 @@ class Workspace:
         self.slices = SliceColumn(self.ball, n_c, L)
         self.basis = self.slices.table
         self.parity = parity_signs(L)
+        self.curvature = -4.0 + 4.0 * (2.0 + self.parity) / (2 * _degree_index(L) + 1)
         self._trig = self.slices.trig[:n_t]
         self._memo = (None, None)
 
@@ -237,26 +247,30 @@ def initial_coeffs(kind: str, L: int, rng: np.random.Generator) -> HarmonicCoeff
 
 def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
            workspace: Workspace | None = None) -> SearchResult:
-    """Normalized gradient ascent on log Phi with backtracking line search.
+    """Curvature-scaled ascent on log Phi^4 over the unit coefficient sphere.
 
-    Accepted steps must increase the objective; on decrease the step is halved
-    down to MIN_STEP, below which the run stops and reports a stall. After an
-    accepted step the step size doubles back up, capped at INITIAL_STEP.
-    Convergence means gradient_norm < tol. The trace holds the initial state
-    and every accepted state.
+    Each step moves along grad / |lambda| per coefficient slot, lambda the
+    per-degree Hessian of log Phi^4 at the constant (Workspace.curvature),
+    and renormalizes. A unit step is then a Newton step near the constant and
+    every degree contracts at a comparable rate, where plain gradient ascent
+    crawls along the weakest degree (lambda_2 = -8/5). The scaling is
+    diagonal by degree, so the odd-degree invariant subspace stays invariant.
 
-    Near a quadratic maximum the objective sits within machine epsilon of its
-    peak once the iterate is ~sqrt(eps) away, so the line search stops making
-    progress while the gradient norm is still ~1e-7. Runs with tol below that
-    floor therefore end reporting a stall even when they have found the
-    maximizer; the tie is broken by constancy_defect, which drops to ~1e-15
-    at a constant.
+    Line search: the step starts at INITIAL_STEP = 1, halves on a trial that
+    does not strictly increase Phi, and after an accepted step doubles back
+    up, capped at INITIAL_STEP; the trace is therefore strictly increasing.
+    The run stops with "line search stalled" when a rejected trial halves the
+    step to where its first-order gain in log Phi^4, step * (grad . grad /
+    |lambda|), is below ROUNDING_GAIN, the rounding level of log Phi^4: no
+    shorter trial can show an increase. Convergence means gradient_norm < tol.
+    The trace holds the initial state and every accepted state.
     """
     arr = _as_real_coeffs(init)
     if not np.any(arr):
         raise ValueError("initial coefficients must be nonzero")
     ws = _workspace_for(init, workspace)
     L = init.max_degree
+    scale = 1.0 / np.abs(ws.curvature)
 
     def make_state(arr, step, iteration):
         c = HarmonicCoeffs(L, arr)
@@ -275,15 +289,17 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
     for iteration in range(1, max_iter + 1):
         if state.gradient_norm < tol:
             return SearchResult(trace, True, "gradient norm below tolerance")
+        direction = scale * grad
+        slope = float(grad @ direction)
         while True:
-            trial = arr + step * grad
+            trial = arr + step * direction
             trial = trial / np.linalg.norm(trial)
             q_trial = ws.q_value(trial)
             phi_trial = float(((2.0 * np.pi) ** 3 * q_trial) ** 0.25)
             if phi_trial > state.objective:
                 break
             step *= STEP_SHRINK
-            if step < MIN_STEP:
+            if step * slope < ROUNDING_GAIN:
                 return SearchResult(trace, False, "line search stalled")
         arr = trial
         state, grad = make_state(arr, step, iteration)

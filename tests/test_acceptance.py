@@ -28,6 +28,7 @@ from sharpsphere import (
     l4_norm,
     lambda_closed_form,
     legendre_values,
+    make_workspace,
     objective_phi,
     quadrilinear_q,
     random_band_limited,
@@ -162,6 +163,20 @@ def test_criterion_09_ascent_finds_sharp_constant(ws8):
         fd[i] = (4 * np.log(objective_phi(HarmonicCoeffs(8, up), ws8))
                  - 4 * np.log(objective_phi(HarmonicCoeffs(8, down), ws8))) / (2 * h)
     assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
+    assert time.perf_counter() - t0 < 600.0
+
+
+def test_criterion_09b_ascent_finds_sharp_constant_at_band_limit_12():
+    # Criterion 09's bounds past L=8, on the L=12 exact-quadrature workspace.
+    t0 = time.perf_counter()
+    ws12 = make_workspace(12)
+    for seed in range(5):
+        init = initial_coeffs("random", 12, np.random.default_rng(seed))
+        result = search(init, workspace=ws12)
+        final = result.final
+        assert abs(final.objective - SHARP_CONSTANT) <= 1e-4
+        assert final.constancy_defect < 1e-3
+        assert max(s.objective for s in result.states) <= SHARP_CONSTANT * (1 + 1e-6)
     assert time.perf_counter() - t0 < 600.0
 
 

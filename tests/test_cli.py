@@ -147,8 +147,16 @@ class TestSearch:
         assert not payload["verdict"]["converged"]
         assert payload["verdict"]["final_phi"] < 2 * PI - 0.2
 
+    def test_random_start_converges(self, capsys):
+        code, out, _ = run_cli(capsys, ["search", "--init", "random", "--seed", "5"])
+        verdict = json.loads(out)["verdict"]
+        assert code == 0
+        assert verdict["converged"] is True
+        assert verdict["at_known_maximizer"] is True
+
     def test_csv_trace(self, capsys):
-        code, out, _ = run_cli(capsys, ["search", "--csv", "--max-iter", "5"])
+        code, out, _ = run_cli(capsys, ["search", "--csv", "--init", "zonal",
+                                        "--max-iter", "5"])
         lines = out.splitlines()
         assert code in (0, 1)
         assert lines[0] == "iter,phi,grad_norm,constancy_defect"

@@ -19,7 +19,7 @@ from sharpsphere import (
 )
 from sharpsphere.convolution import SliceColumn, slice_point_table
 from sharpsphere.harmonics import harmonic_values, parity_signs
-from sharpsphere.maximizer import Workspace
+from sharpsphere.maximizer import INITIAL_STEP, Workspace
 
 PI = np.pi
 
@@ -144,6 +144,33 @@ class TestGradient:
             gradient(constant_coeffs(L=4), ws8)
 
 
+class TestCurvature:
+    def test_degree_curvatures_certify_a_strict_local_maximum(self, ws8):
+        # Central differences of the gradient at the unit constant give the
+        # Hessian of log Phi^4 there: diagonal, lambda_k on every slot of
+        # degree k >= 1, all negative, so the constant is a strict local max.
+        n = n_coeffs(8)
+        const = np.zeros(n)
+        const[0] = 1.0
+        h = 1e-5
+        hess = np.empty((n, n))
+        for j in range(n):
+            up, down = const.copy(), const.copy()
+            up[j] += h
+            down[j] -= h
+            hess[:, j] = (gradient(HarmonicCoeffs(8, up), ws8)
+                          - gradient(HarmonicCoeffs(8, down), ws8)) / (2 * h)
+        diag = np.diag(hess)
+        lam = ws8.curvature
+        assert np.all(np.abs(diag[1:] - lam[1:]) <= 1e-7 * np.abs(lam[1:]))
+        assert np.abs(hess - np.diag(diag)).max() <= 1e-8
+        assert np.all(lam[1:] < 0.0)
+        assert lam[1:].max() == pytest.approx(-8 / 5, rel=1e-15)
+        degree2 = slice(4, 9)
+        assert np.all(lam[degree2] == lam[1:].max())
+        assert lam[0] == 8.0   # the mean slot takes the same formula
+
+
 class TestConstancyMetric:
     def test_constant_gives_zero(self):
         assert constancy_metric(constant_coeffs(L=4)) == 0.0
@@ -221,6 +248,36 @@ class TestSearch:
         assert all(b > a for a, b in zip(objectives, objectives[1:]))
         assert max(objectives) <= SHARP_CONSTANT * (1 + 1e-6)
 
+    def test_zonal_start_keeps_even_degrees_at_zero(self, ws8):
+        # The curvature scaling is diagonal by degree, so it leaves the odd
+        # invariant subspace invariant exactly, not just up to rounding.
+        init = initial_coeffs("zonal", 8, np.random.default_rng(0))
+        result = search(init, workspace=ws8)
+        even = parity_signs(8) > 0
+        for state in result.states:
+            assert np.all(state.coeffs.coeffs[even] == 0.0)
+
+    def test_zonal_stall_stops_at_rounding_level(self, ws8, monkeypatch):
+        # The stop rule ends the line search once its predicted gain is below
+        # the rounding level of log Phi^4, not after halving down to a floor.
+        calls = {"q_value": 0, "at_last_state": 0}
+        q_value, q_gradient = ws8.q_value, ws8.q_gradient
+
+        def counted_q_value(coeffs):
+            calls["q_value"] += 1
+            return q_value(coeffs)
+
+        def counted_q_gradient(coeffs):
+            calls["at_last_state"] = calls["q_value"]
+            return q_gradient(coeffs)
+
+        monkeypatch.setattr(ws8, "q_value", counted_q_value)
+        monkeypatch.setattr(ws8, "q_gradient", counted_q_gradient)
+        init = initial_coeffs("zonal", 8, np.random.default_rng(0))
+        result = search(init, workspace=ws8)
+        assert result.reason == "line search stalled"
+        assert calls["q_value"] - calls["at_last_state"] <= 2
+
     def test_random_starts_reach_sharp_value(self, ws8):
         for seed in range(3):
             init = initial_coeffs("random", 8, np.random.default_rng(seed))
@@ -234,7 +291,7 @@ class TestSearch:
         for i, state in enumerate(result.states):
             assert state.iteration == i
             assert abs(state.coeffs.norm_sq() - 1.0) <= 1e-12
-            assert 0.0 < state.step_size <= 0.1
+            assert 0.0 < state.step_size <= INITIAL_STEP
             assert state.gradient_norm >= 0.0
 
     def test_iteration_limit(self, ws8):
@@ -291,7 +348,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
         ws.q_value = counted_q_value
-        init = initial_coeffs("random", 4, np.random.default_rng(3))
+        init = initial_coeffs("zonal", 4, np.random.default_rng(3))
         result = search(init, workspace=ws)
         assert len(result.states) > 10
         assert calls["q_value"] > len(result.states) - 1
