@@ -4,16 +4,15 @@ Everything here orbits one geometric fact: four unit vectors summing to zero
 split into two pairs whose sums are opposite points of the ball |x| <= 2, so
 integrals over the zero-sum manifold factor through convolution profiles on
 that ball. The quadrilinear form Q and bilinear form B are evaluated by that
-factorization; a nested double-sphere quadrature route is kept as an
-independent slow path for cross-checking, since the factorized route is the
-one every headline number depends on.
+factorization; an independent outer route, a double sphere integral,
+cross-checks it, since the factorized route is the one every headline number
+depends on.
 
 H(g), the chord-kernel quadratic functional, gets the same dual treatment:
 a direct double quadrature versus the diagonal form 2*pi*sum_k Lambda_k *
-(degree-k energy) in harmonic coefficients. The direct route integrates in
-polar coordinates about each outer node, with t = 1 - 2u^2, where the chord
-|omega - nu| = 2u is a polynomial; on a grid with n_t polar nodes it is exact
-for g of degree <= n_t - 1 and never touches Lambda_k.
+(degree-k energy) in harmonic coefficients. Both double integrals run on one
+polar ring about each outer node, with t = 1 - 2u^2, where the chord is 2u
+(see _polar_ring): exact for band-limited input, and free of Lambda_k.
 """
 
 from dataclasses import dataclass
@@ -44,8 +43,8 @@ __all__ = [
     "mean_value",
 ]
 
-# Polar nodes per block of h_direct_many; bounds its transient memory
-# (L=8 on n_t=9 has 162 x 90 = 14580 polar nodes, one block).
+# Polar ring nodes per block of outer nodes; bounds the transient memory
+# (H at L=8 on n_t=9 has 162 x 90 = 14580 polar nodes, one block).
 _POLAR_NODES = 1 << 14
 
 
@@ -128,10 +127,9 @@ class PairKernel:
     factors = None means no structure is known.
     """
 
-    def __init__(self, evaluator, symmetric: bool = False, *, factors=None,
-                 sum_weight_power: int = 0, magnitude_power: int | None = None):
+    def __init__(self, evaluator, *, factors=None, sum_weight_power: int = 0,
+                 magnitude_power: int | None = None):
         self.evaluator = evaluator
-        self.symmetric = symmetric
         self.factors = factors
         self.sum_weight_power = sum_weight_power
         self.magnitude_power = magnitude_power
@@ -146,18 +144,16 @@ class PairKernel:
 
     @classmethod
     def one(cls) -> "PairKernel":
-        return cls(lambda omega, nu: np.ones(np.shape(omega)[:-1]),
-                   symmetric=True, factors=())
+        return cls(lambda omega, nu: np.ones(np.shape(omega)[:-1]), factors=())
 
     def abs_squared(self) -> "PairKernel":
         ev = self.evaluator
         def squared(omega, nu):
             return np.abs(ev(omega, nu)) ** 2
         if self.factors is None:
-            return PairKernel(squared, symmetric=self.symmetric)
+            return PairKernel(squared)
         return PairKernel(
-            squared, symmetric=self.symmetric, factors=self.factors,
-            sum_weight_power=2 * self.sum_weight_power,
+            squared, factors=self.factors, sum_weight_power=2 * self.sum_weight_power,
             magnitude_power=2 * (self.magnitude_power or 1))
 
 
@@ -165,17 +161,13 @@ def weighted_pair_kernel(f: SphereFunction) -> PairKernel:
     """F(omega, nu) = f(omega) f(nu) |omega + nu|, the tensor square with pair-sum weight."""
     def ev(omega, nu):
         return f(omega) * f(nu) * np.linalg.norm(np.asarray(omega) + np.asarray(nu), axis=-1)
-    return PairKernel(ev, symmetric=True, factors=(f, f), sum_weight_power=1)
+    return PairKernel(ev, factors=(f, f), sum_weight_power=1)
 
 
 @dataclass(frozen=True)
 class FormGrids:
-    """Quadrature bundle for Q and B.
-
-    outer and partner are sphere grids for the nested double-quadrature route;
-    the partner must be an azimuth-offset copy so no node pair is exactly
-    antipodal (the inner slice weight 1/|omega_1 + omega_2| would blow up).
-    ball and n_c drive the factorized route.
+    """Quadrature bundle for Q and B: a ball grid and the slice node count n_c.
+    The outer route takes its polar rings about the nodes of ball.directions.
 
     The factorized route memoizes a SliceColumn on this object: the slice
     nodes of one azimuth column of the ball grid and their harmonic table,
@@ -186,8 +178,6 @@ class FormGrids:
     geometry and basis once.
     """
 
-    outer: SphereGrid
-    partner: SphereGrid
     ball: BallGrid
     n_c: int
 
@@ -205,19 +195,34 @@ class FormGrids:
 
 def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
     """The FormGrids of given sizes; exact_sizes(L, 4L) makes them exact at band limit L."""
-    outer = build_sphere_grid(n_t, azimuth_offset=0.5)
-    partner = build_sphere_grid(n_t, azimuth_offset=1.0)
-    ball = build_ball_grid(n_r, outer)
-    return FormGrids(outer=outer, partner=partner, ball=ball, n_c=n_c)
+    return FormGrids(ball=build_ball_grid(n_r, build_sphere_grid(n_t)), n_c=n_c)
 
 
-def _check_offset(grids: FormGrids):
-    g1, g2 = grids.outer, grids.partner
-    if (g1.azimuth_offset == g2.azimuth_offset
-            and g1.exactness_degree == g2.exactness_degree):
-        raise ValueError(
-            "outer grids are identical; the second must be an azimuth-offset "
-            "copy, otherwise node pairs hit the antipodal singularity exactly")
+def _polar_ring(grid: SphereGrid, n_phi: int):
+    """Polar nodes nu about every node omega of grid, in blocks of outer nodes.
+
+    nu = t omega + s (cos phi e1 + sin phi e2) with t = 1 - 2u^2,
+    s = 2u sqrt(1 - u^2) and the circle_frames frame of omega, so
+    |omega - nu| = 2u and d sigma(nu) = 4u du dphi. u takes n_t + 1
+    Gauss-Legendre nodes on (0, 1), n_t the grid's polar node count; phi takes
+    n_phi uniform nodes. Returns u and its weight w_u per ring node, and blocks
+    of (sel, nu), nu of shape (outer nodes in sel * ring nodes, 3), outer-major.
+    """
+    n_t = (grid.exactness_degree + 1) // 2
+    u, w_u = np.polynomial.legendre.leggauss(n_t + 1)
+    u, w_u = 0.5 * (u + 1.0), 0.5 * w_u
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    s = 2.0 * u * np.sqrt(1.0 - u * u)
+    # ring nodes in the frame (omega, e1, e2) of an outer node
+    ring = np.column_stack([np.repeat(1.0 - 2.0 * u * u, n_phi),
+                            np.outer(s, np.cos(phi)).ravel(),
+                            np.outer(s, np.sin(phi)).ravel()])
+    _, _, e1, e2 = circle_frames(grid.nodes)
+    frames = np.stack([grid.nodes, e1, e2], axis=1)
+    block = max(1, _POLAR_NODES // len(ring))
+    sels = [slice(i0, i0 + block) for i0 in range(0, grid.n_nodes, block)]
+    return (np.repeat(u, n_phi), np.repeat(w_u, n_phi),
+            ((sel, (ring @ frames[sel]).reshape(-1, 3)) for sel in sels))
 
 
 def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
@@ -264,6 +269,21 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     return complex(total)
 
 
+def _b_outer(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
+    # omega_2 = -nu, so G's slice sum at nu - omega_1 divides by 2u, which the
+    # ring weight 4u du dphi multiplies back
+    dirs = grids.ball.directions
+    n_phi = dirs.exactness_degree + 1   # 2 n_t
+    u, w_u, blocks = _polar_ring(dirs, n_phi)
+    w = 4.0 * u * w_u * (2.0 * np.pi / n_phi)
+    total = 0.0 + 0.0j
+    for sel, nu in blocks:
+        omega = np.repeat(dirs.nodes[sel], w.size, axis=0)
+        vals = F.evaluator(omega, -nu) * pair_slice_average(G, nu - omega, grids.n_c)
+        total += np.sum(dirs.weights[sel] * (vals.reshape(-1, w.size) @ w))
+    return complex(total)
+
+
 def quadrilinear_q(f1, f2, f3, f4, grids: FormGrids, method: str = "ball"):
     """Q(f1, f2, f3, f4): integral of the product over zero-sum quadruples.
 
@@ -279,29 +299,26 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     method="ball" integrates F's pair profile at x times G's at -x over the
     ball, exact to rounding for band-limited ingredients on exact_sizes
     grids. Even n_c runs on the column table; odd n_c has no partner nodes
-    and takes the literal pair_slice_average. method="outer" is the nested
-    quadrature (double sphere integral of F times G's slice profile at
-    -omega_1 - omega_2); its 1/|omega_1 + omega_2| weight is integrable but
-    unsmooth, so it converges slowly and serves only as a cross-check.
+    and takes the literal pair_slice_average. method="outer", the
+    cross-check, integrates F(omega_1, omega_2) times G's literal slice
+    profile at -(omega_1 + omega_2) over omega_2 on the polar ring about
+    -omega_1 (2 n_t azimuths), whose Jacobian cancels the profile's
+    1/|omega_1 + omega_2|; it is exact to rounding on exact_sizes(L, 4L)
+    grids too. A non-finite result raises ValueError.
     """
-    if method == "ball":
-        if grids.n_c % 2 == 0:
-            return _b_ball(F, G, grids)
-        X = grids.ball.points()
-        cf = pair_slice_average(F, X, grids.n_c)
-        cg = pair_slice_average(G, -X, grids.n_c)
-        return complex(np.sum(grids.ball.weights() * cf * cg))
     if method == "outer":
-        _check_offset(grids)
-        g1, g2 = grids.outer, grids.partner
-        total = 0.0 + 0.0j
-        for node, w in zip(g1.nodes, g1.weights):
-            pair_vals = np.asarray(F.evaluator(np.broadcast_to(node, g2.nodes.shape),
-                                               g2.nodes))
-            inner = pair_slice_average(G, -(node[None, :] + g2.nodes), grids.n_c)
-            total += w * np.sum(g2.weights * pair_vals * inner)
-        return complex(total)
-    raise ValueError(f"unknown method {method!r}")
+        total = _b_outer(F, G, grids)
+    elif method != "ball":
+        raise ValueError(f"unknown method {method!r}")
+    elif grids.n_c % 2 == 0:
+        total = _b_ball(F, G, grids)
+    else:
+        X, n_c = grids.ball.points(), grids.n_c
+        total = complex(np.sum(grids.ball.weights() * pair_slice_average(F, X, n_c)
+                               * pair_slice_average(G, -X, n_c)))
+    if not np.isfinite(total):
+        raise ValueError(f"B evaluated to the non-finite value {total}")
+    return total
 
 
 def mean_value(g, grid: SphereGrid):
@@ -322,8 +339,7 @@ def h_direct(g, grid: SphereGrid):
 def h_direct_many(gs, grid: SphereGrid):
     """h_direct for several functions, by polar quadrature about each outer node.
 
-    About omega, nu = t omega + s (cos phi e1 + sin phi e2) with t = 1 - 2u^2,
-    s = 2u sqrt(1 - u^2) and the circle_frames frame of omega; then
+    On the polar ring about omega (see _polar_ring) the chord is
     |omega - nu| = 2u and d sigma(nu) = 4u du dphi, so the inner integrand is
     8u^2 g(nu). With n_t the grid's polar node count and L = n_t - 1, a
     uniform phi-rule with n_t nodes averages g exactly to a polynomial of
@@ -332,17 +348,8 @@ def h_direct_many(gs, grid: SphereGrid):
     degree-2L product with conj(g). Non-finite values raise ValueError.
     """
     n_t = (grid.exactness_degree + 1) // 2
-    u, w_u = np.polynomial.legendre.leggauss(n_t + 1)
-    u, w_u = 0.5 * (u + 1.0), 0.5 * w_u
-    phi = 2.0 * np.pi * np.arange(n_t) / n_t
-    s = 2.0 * u * np.sqrt(1.0 - u * u)
-    # polar nodes in the frame (omega, e1, e2) of an outer node, and weights
-    ring = np.column_stack([np.repeat(1.0 - 2.0 * u * u, n_t),
-                            np.outer(s, np.cos(phi)).ravel(),
-                            np.outer(s, np.sin(phi)).ravel()])
-    ring_w = np.repeat(8.0 * u * u * w_u * (2.0 * np.pi / n_t), n_t)
-    _, _, e1, e2 = circle_frames(grid.nodes)
-    frames = np.stack([grid.nodes, e1, e2], axis=1)
+    u, w_u, blocks = _polar_ring(grid, n_t)
+    ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)
     plan = SlicePlan([(g, False) for g in gs])
 
     def sample(points):
@@ -352,11 +359,8 @@ def h_direct_many(gs, grid: SphereGrid):
         return vals
 
     outer = np.conj(sample(grid.nodes)) * grid.weights
-    block = max(1, _POLAR_NODES // ring_w.size)
     acc = np.zeros(len(gs), dtype=complex)
-    for i0 in range(0, grid.n_nodes, block):
-        sel = slice(i0, i0 + block)
-        nu = (ring @ frames[sel]).reshape(-1, 3)
+    for sel, nu in blocks:
         inner = sample(nu).reshape(len(gs), -1, ring_w.size) @ ring_w
         acc += np.sum(outer[:, sel] * inner, axis=1)
     if np.all(acc.imag == 0.0):

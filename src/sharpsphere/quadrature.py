@@ -33,14 +33,11 @@ class SphereGrid:
         Positive weights summing to 4*pi.
     exactness_degree : int
         Spherical polynomials up to this degree integrate exactly.
-    azimuth_offset : float
-        Offset of the azimuth grid, in units of the azimuth step pi/n_t.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-    azimuth_offset: float = 0.5
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -51,26 +48,22 @@ class SphereGrid:
         return len(self.weights)
 
 
-def build_sphere_grid(n_t: int, azimuth_offset: float = 0.5) -> SphereGrid:
+def build_sphere_grid(n_t: int) -> SphereGrid:
     """Build a sphere grid with n_t polar nodes and 2*n_t azimuthal nodes.
 
-    The azimuth nodes sit at (j + azimuth_offset)*pi/n_t. The default half-step
-    offset keeps the node set away from phi = 0; passing a different offset
-    yields a grid whose nodes interleave with the default one, which is what
-    double integrals of kernels with a diagonal or antipodal singularity need.
+    The azimuth nodes sit at the half steps (j + 1/2)*pi/n_t, away from phi = 0.
     """
     if n_t < 1:
         raise ValueError(f"n_t must be a positive integer, got {n_t}")
     t, w_t = np.polynomial.legendre.leggauss(n_t)
     step = np.pi / n_t
-    phi = (np.arange(2 * n_t) + azimuth_offset) * step
+    phi = (np.arange(2 * n_t) + 0.5) * step
     tt = np.repeat(t, 2 * n_t)
     pp = np.tile(phi, n_t)
     ss = np.sqrt(1.0 - tt * tt)
     nodes = np.column_stack([ss * np.cos(pp), ss * np.sin(pp), tt])
     weights = np.repeat(w_t, 2 * n_t) * step
-    return SphereGrid(nodes, weights, exactness_degree=2 * n_t - 1,
-                      azimuth_offset=float(azimuth_offset))
+    return SphereGrid(nodes, weights, exactness_degree=2 * n_t - 1)
 
 
 def integrate_sphere(grid: SphereGrid, f):

@@ -112,7 +112,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
     L = config.degree
 
     grids = forms.default_form_grids(n_t=config.n_t, n_c=config.n_c, n_r=config.n_r)
-    grid, ball, n_c = grids.outer, grids.ball, grids.n_c
+    grid, ball, n_c = grids.ball.directions, grids.ball, grids.n_c
     one = SphereFunction.constant(1.0)
 
     # quadrature exactness

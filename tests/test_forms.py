@@ -1,10 +1,11 @@
 """Zero-sum pairing identity, the Q/B multilinear forms, and the chord form H."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from sharpsphere import (
-    FormGrids,
     GammaSample,
     HarmonicCoeffs,
     PairKernel,
@@ -17,6 +18,7 @@ from sharpsphere import (
     conv_l2_norm,
     convolve_many,
     default_form_grids,
+    exact_sizes,
     four_identity,
     four_identity_many,
     gamma_sample,
@@ -43,6 +45,13 @@ ONE = SphereFunction.constant(1.0)
 
 TETRAHEDRON = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                         [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
+
+
+@functools.cache
+def exact_form_grids(L):
+    """FormGrids at exact_sizes(L, 4L): exact for squared pair kernels of band limit L."""
+    n_t, n_r, n_c = exact_sizes(L, 4 * L)
+    return default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
 
 
 class TestFourPointIdentity:
@@ -92,7 +101,6 @@ class TestPairKernel:
         K = PairKernel.one()
         pts = unit_vectors(np.random.default_rng(4), 10)
         assert np.abs(K(pts, -pts) - 1.0).max() == 0.0
-        assert K.symmetric
 
     def test_weighted_kernel_values(self):
         f = rand_fn(4, 5, complex_valued=True)
@@ -101,7 +109,6 @@ class TestPairKernel:
         a, b = unit_vectors(rng, 20), unit_vectors(rng, 20)
         expect = f(a) * f(b) * np.linalg.norm(a + b, axis=1)
         assert np.abs(K(a, b) - expect).max() <= 1e-13 * np.abs(expect).max()
-        assert K.symmetric
 
     def test_abs_squared_doubles_powers(self):
         f = rand_fn(3, 7, complex_valued=True)
@@ -186,23 +193,18 @@ class TestQuadrilinearForm:
         q_sharp = quadrilinear_q(sharp, sharp, sharp, sharp, exact_grids).real
         assert abs(q - q_sharp) <= 1e-8 * q_sharp
 
-    def test_outer_route_cross_checks_ball_route(self, exact_grids):
-        f = rand_fn(4, 19)
-        ball = quadrilinear_q(f, f, f, f, exact_grids).real
-        outer = quadrilinear_q(f, f, f, f, exact_grids, method="outer").real
-        # the outer route's 1/|omega_1 + omega_2| weight is unsmooth, so the
-        # agreement is only ~5-10% at this grid size
-        assert abs(ball - outer) <= 1e-1 * abs(ball)
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    def test_outer_route_cross_checks_ball_route(self, L):
+        grids = exact_form_grids(L)
+        f = rand_fn(L, 19, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        ball = quadrilinear_q(f, fs, f, fs, grids)
+        outer = quadrilinear_q(f, fs, f, fs, grids, method="outer")
+        assert abs(outer - ball) <= 1e-12 * abs(ball)
 
     def test_unknown_method_rejected(self, exact_grids):
         with pytest.raises(ValueError):
             quadrilinear_q(ONE, ONE, ONE, ONE, exact_grids, method="midpoint")
-
-    def test_outer_route_demands_offset_grids(self, grid17):
-        clashing = FormGrids(outer=grid17, partner=grid17,
-                             ball=build_ball_grid(6, build_sphere_grid(5)), n_c=12)
-        with pytest.raises(ValueError):
-            quadrilinear_q(ONE, ONE, ONE, ONE, clashing, method="outer")
 
 
 class TestBilinearForm:
@@ -230,8 +232,8 @@ class TestBilinearForm:
         f, g = rand_fn(4, 23, complex_valued=True), rand_fn(3, 24)
         F = PairKernel(lambda a, b: f(a) * g(b) * (1.0 + np.sum(a * b, axis=-1)))
         G = PairKernel(lambda a, b: g(a) * f(b) * np.exp(np.sum(a * b, axis=-1)))
-        Fsq = PairKernel(lambda a, b: np.abs(F(a, b)) ** 2, symmetric=False)
-        Gsq = PairKernel(lambda a, b: np.abs(G(a, b)) ** 2, symmetric=False)
+        Fsq = PairKernel(lambda a, b: np.abs(F(a, b)) ** 2)
+        Gsq = PairKernel(lambda a, b: np.abs(G(a, b)) ** 2)
         lhs = abs(bilinear_b(F, G, exact_grids)) ** 2
         rhs = (bilinear_b(Fsq, PairKernel.one(), exact_grids).real
                * bilinear_b(Gsq, PairKernel.one(), exact_grids).real)
@@ -265,10 +267,52 @@ class TestBilinearForm:
         assert b_sq <= bound * (1.0 - 0.3)   # 128 pi^3 / 3 vs 64 pi^3
 
     def test_outer_route_cross_checks_ball_route(self, exact_grids):
-        F = weighted_pair_kernel(rand_fn(4, 29))
-        ball = bilinear_b(F, F, exact_grids).real
-        outer = bilinear_b(F, F, exact_grids, method="outer").real
-        assert abs(ball - outer) <= 1e-4 * abs(ball)
+        F = weighted_pair_kernel(rand_fn(8, 29)).abs_squared()
+        ball = bilinear_b(F, PairKernel.one(), exact_grids)
+        outer = bilinear_b(F, PairKernel.one(), exact_grids, method="outer")
+        assert abs(outer - ball) <= 1e-12 * abs(ball)
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    @pytest.mark.parametrize("case", ["weighted", "squared", "polynomial"])
+    def test_outer_route_matches_ball_route_exactly(self, case, L):
+        grids = exact_form_grids(L)
+        f, g = rand_fn(L, 57, complex_valued=True), rand_fn(L, 58)
+        W = weighted_pair_kernel(f)
+        F, G = {"weighted": (W, W),
+                "squared": (W.abs_squared(), PairKernel.one()),
+                "polynomial": (PairKernel(lambda a, b: f(a) * g(b)
+                                          * (1.0 + np.sum(a * b, axis=-1))), W)}[case]
+        ball = bilinear_b(F, G, grids)
+        outer = bilinear_b(F, G, grids, method="outer")
+        assert abs(outer - ball) <= 1e-12 * abs(ball)
+
+    def test_outer_route_is_independent_of_the_ball_route(self, monkeypatch):
+        f = rand_fn(4, 59, complex_valued=True)
+        Q = PairKernel.tensor(f, f.antipodal_conjugate())
+        expect = bilinear_b(Q, Q, exact_form_grids(4))
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the outer route must not use the ball route's tables")
+        for name in ("SliceColumn", "SlicePlan", "pair_profile"):
+            monkeypatch.setattr(forms, name, unavailable)
+        n_t, n_r, n_c = exact_sizes(4, 16)
+        fresh = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)   # no cached column
+        with pytest.raises(AssertionError):
+            bilinear_b(Q, Q, fresh)
+        assert abs(bilinear_b(Q, Q, fresh, method="outer") - expect) <= 1e-12 * abs(expect)
+
+    @pytest.mark.parametrize("route", ["even", "odd", "generic", "outer"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_are_rejected(self, route, bad):
+        grids = default_form_grids(n_t=2, n_c=5 if route == "odd" else 4, n_r=2)
+        f = lambda p: np.full(len(p), bad)
+        F = (PairKernel(lambda a, b: f(a) * (1.0 + np.sum(a * b, axis=-1)))
+             if route == "generic" else PairKernel.tensor(ONE, f))
+        method = "outer" if route == "outer" else "ball"
+        with pytest.raises(ValueError):
+            bilinear_b(F, PairKernel.one(), grids, method)
+        with pytest.raises(ValueError):
+            quadrilinear_q(ONE, ONE, f, ONE, grids, method)
 
     def test_unknown_method_rejected(self, exact_grids):
         with pytest.raises(ValueError):

@@ -37,10 +37,6 @@ class TestSphereGrid:
         assert grid.n_nodes == 7 * 14
         assert grid.exactness_degree == 13
 
-    def test_azimuth_offset_recorded(self):
-        assert build_sphere_grid(5).azimuth_offset == 0.5
-        assert build_sphere_grid(5, azimuth_offset=1.0).azimuth_offset == 1.0
-
     def test_default_grid_is_antipodally_closed(self):
         # negating t keeps a Gauss-Legendre node, and phi -> phi + pi shifts
         # the azimuth index by n_t mod 2 n_t; forms rely on this closure
