@@ -68,65 +68,86 @@ class SlicePlan:
     """How to evaluate several functions on slice nodes from one basis table.
 
     requests holds (func, negate) pairs, each asking for func at the nodes p,
-    or at -p when negate. A coefficient-backed function becomes one
-    coefficient row, parity-flipped for f(-p); a sharp rearrangement of one
-    becomes its source's rows for +p and -p, combined as
-    sqrt((|f(p)|^2 + |f(-p)|^2) / 2), which is antipodally symmetric; any
-    other callable is called at the literal nodes. Repeated requests share
-    one entry.
+    or at -p when negate. A coefficient-backed function becomes its real and
+    imaginary coefficient rows, parity-flipped for f(-p); a sharp
+    rearrangement of one becomes its source's rows for +p and -p, combined as
+    sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2), which is antipodally symmetric
+    and stays real; any other callable is called at the literal nodes.
 
-    rows stacks the coefficient rows, real and imaginary parts apart when any
-    is complex, padded to (degree + 1)^2 columns of the flat layout; degree is
-    the band limit of the basis table they need. Both are None when no
-    request is coefficient-backed.
+    Rows are shared by content: a real row equal to another, or to its
+    negation, bit for bit, is stored once and read with its sign. Since
+    f_star = conj(f(-.)) has the real row of f(-p) and the negated imaginary
+    one, f, f_star and both at -p cost the rows of f at +p and -p. Requests
+    whose rows (or, for callables, object and sign) agree share one entry.
+
+    rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
+    the flat layout; degree is the band limit of the basis table they need.
+    Both are None when no request is coefficient-backed.
     """
 
     def __init__(self, requests):
-        coeffs, self._entries, self._index, seen = [], [], [], {}
+        sources = [(getattr(func, "coeffs", None),
+                    getattr(getattr(func, "sharp_source", None), "coeffs", None))
+                   for func, _ in requests]
+        width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
+                    default=0)
+        rows, where = [], {}
 
-        def row(c: HarmonicCoeffs, negate: bool) -> int:
-            coeffs.append(c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs)
-            return len(coeffs) - 1
+        def row(part: np.ndarray) -> tuple:
+            # (index, sign) of a real row, stored once up to its sign
+            p = np.pad(part, (0, width - len(part))) + 0.0   # + 0.0 maps -0.0 to 0.0
+            key = p.tobytes()
+            if key not in where:
+                where[(0.0 - p).tobytes()] = (len(rows), -1.0)
+                where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
+                rows.append(p)
+            return where[key]
 
-        for func, negate in requests:
-            c = getattr(func, "coeffs", None)
-            src = getattr(getattr(func, "sharp_source", None), "coeffs", None)
-            key = (id(func), negate if c is not None or src is None else None)
+        def split(c: HarmonicCoeffs, negate: bool) -> tuple:
+            # the real row and the imaginary one (None for real coefficients)
+            v = c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs
+            return row(v.real), (row(v.imag) if np.iscomplexobj(v) else None)
+
+        self._entries, self._index, seen = [], [], {}
+        for (func, negate), (c, src) in zip(requests, sources):
+            if c is not None:
+                entry = ("field",) + split(c, negate)
+            elif src is not None:
+                entry = ("sharp",) + split(src, False) + split(src, True)
+            else:
+                entry = ("call", func, negate)
+            key = ("call", id(func), negate) if entry[0] == "call" else entry
             if key not in seen:
                 seen[key] = len(self._entries)
-                if c is not None:
-                    self._entries.append(("field", row(c, negate)))
-                elif src is not None:
-                    self._entries.append(("sharp", row(src, False), row(src, True)))
-                else:
-                    self._entries.append(("call", func, negate))
+                self._entries.append(entry)
             self._index.append(seen[key])
-        self.rows = self.degree = None
-        self._split = False
-        if coeffs:
-            width = max(len(r) for r in coeffs)
-            stack = np.array([np.pad(r, (0, width - len(r))) for r in coeffs])
-            self._split = np.iscomplexobj(stack)
-            self.rows = np.concatenate([stack.real, stack.imag]) if self._split else stack
-            self.degree = math.isqrt(width) - 1
+        self.rows = np.array(rows) if rows else None
+        self.degree = math.isqrt(width) - 1 if rows else None
 
     def values(self, fields, nodes) -> list:
         """Per request, its values at a set of slice nodes.
 
-        fields holds rows synthesized at the nodes (None without rows), the
-        row axis first; nodes() returns the literal nodes with the same node
-        axes plus a last axis of 3, and is called only for literal calls.
+        fields holds the distinct rows synthesized at the nodes (None without
+        rows), the row axis first; nodes() returns the literal nodes with the
+        same node axes plus a last axis of 3, and is called only for literal
+        calls.
         """
-        if self._split:
-            n = len(fields) // 2
-            fields = fields[:n] + 1j * fields[n:]
         pts, out = None, []
         for kind, *args in self._entries:
             if kind == "field":
-                v = fields[args[0]]
+                (i, si), im = args
+                if im is None:
+                    v = fields[i] if si > 0 else -fields[i]
+                else:
+                    v = np.empty(fields.shape[1:], dtype=complex)
+                    np.multiply(fields[i], si, out=v.real)
+                    np.multiply(fields[im[0]], im[1], out=v.imag)
             elif kind == "sharp":
-                v = np.sqrt(0.5 * (np.abs(fields[args[0]]) ** 2
-                                   + np.abs(fields[args[1]]) ** 2))
+                v = 0.0
+                for r in args:
+                    if r is not None:
+                        v = v + np.square(fields[r[0]])
+                v = np.sqrt(0.5 * v)
             else:
                 func, negate = args
                 if pts is None:
@@ -199,9 +220,15 @@ class SliceColumn:
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
 
     def blocks(self):
-        """Azimuth row ranges (a0, a1) of about _BLOCK_NODES slice nodes each."""
-        n = min(self.n_az, -(-self.n_az * self.radii.size * self.n_c // _BLOCK_NODES))
-        edges = np.arange(n + 1) * self.n_az // n
+        """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
+
+        Row a + n_t holds the slices of -x for the ball nodes x of row a (see
+        maximizer.Workspace), so the ball route reads them off row a at -p.
+        Each block spans about _BLOCK_NODES slice nodes of x and -x together.
+        """
+        n_t = self.n_az // 2
+        n = min(n_t, -(-self.n_az * self.radii.size * self.n_c // _BLOCK_NODES))
+        edges = np.arange(n + 1) * n_t // n
         return list(zip(edges[:-1], edges[1:]))
 
     def points(self, a0: int, a1: int) -> np.ndarray:

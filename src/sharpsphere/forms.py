@@ -175,7 +175,8 @@ class FormGrids:
     z-rotation of that one, so the table holds (L+1)^2 n_r n_t n_c entries,
     2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
     n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once.
+    geometry and basis once. The route synthesizes fields on the first n_t
+    azimuth rows only; the other n_t rows hold the antipodes of those nodes.
     """
 
     ball: BallGrid
@@ -253,10 +254,12 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
 
 
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
-    # One column table serves both kernels: F's factors are sampled at the
-    # slice nodes p, G's at -p from parity-flipped coefficients, and repeated
-    # inputs share one spectra pass.
-    kernels = ((F, False), (G, True))
+    # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
+    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t, each kernel's factors
+    # sampled at the slice nodes p and at -p from parity-flipped coefficients.
+    # One column table serves both kernels, and rows shared by content go
+    # through one spectra pass.
+    kernels = ((F, False), (F, True), (G, True), (G, False))
     factors = [(f, negate) for K, negate in kernels if K.factors for f in K.factors]
     plan = SlicePlan(factors)
     col = grids.slice_column(plan.degree)
@@ -264,8 +267,9 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     total = 0.0 + 0.0j
     for a0, a1 in col.blocks():
         values = iter(sample(a0, a1))
-        pf, pg = [_kernel_profile(K, values, col, a0, a1, negate) for K, negate in kernels]
-        total += np.sum(col.weights * pf * pg)
+        fx, fnx, gnx, gx = [_kernel_profile(K, values, col, a0, a1, negate)
+                            for K, negate in kernels]
+        total += np.sum(col.weights * (fx * gnx + fnx * gx))
     return complex(total)
 
 
@@ -298,8 +302,11 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
 
     method="ball" integrates F's pair profile at x times G's at -x over the
     ball, exact to rounding for band-limited ingredients on exact_sizes
-    grids. Even n_c runs on the column table; odd n_c has no partner nodes
-    and takes the literal pair_slice_average. method="outer", the
+    grids. Even n_c runs on the column table, folded over the antipodal
+    symmetry of the ball grid: it sums PF(x) PG(-x) + PF(-x) PG(x) over the
+    first n_t azimuth rows, with the factors sampled at the slice nodes p and
+    at -p. Odd n_c has no partner nodes and takes the literal
+    pair_slice_average at every ball node. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about
     -omega_1 (2 n_t azimuths), whose Jacobian cancels the profile's

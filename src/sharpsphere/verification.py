@@ -186,9 +186,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         with clock("sym"):
             cf = random_band_limited(L, rng, complex_valued=True)
             f = SphereFunction.from_coeffs(cf)
-            q = forms.quadrilinear_q(f, f.antipodal_conjugate(), f,
-                                     f.antipodal_conjugate(), grids).real
-            fsh = f.sharp_rearrangement()
+            fs, fsh = f.antipodal_conjugate(), f.sharp_rearrangement()
+            q = forms.quadrilinear_q(f, fs, f, fs, grids).real
             q_sharp = forms.quadrilinear_q(fsh, fsh, fsh, fsh, grids).real
             q_sym_viol = max(q_sym_viol, (q - q_sharp) / abs(q_sharp))
         with clock("q_vs_b"):

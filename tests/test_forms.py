@@ -400,6 +400,69 @@ class TestOddSliceCountAgainstReference(ReferenceCases):
         return default_form_grids(n_t=9, n_c=19, n_r=10)
 
 
+def unfolded_b(F, G, grids):
+    """The ball route before the antipodal fold: F's profile at x times G's at
+    -x, summed over every azimuth row of the ball grid."""
+    kernels = ((F, False), (G, True))
+    plan = convolution.SlicePlan(
+        [(f, negate) for K, negate in kernels if K.factors for f in K.factors])
+    col = grids.slice_column(plan.degree)
+    sample = col.sampler(plan)
+    total = 0.0 + 0.0j
+    for a in range(col.n_az):
+        values = iter(sample(a, a + 1))
+        pf, pg = [forms._kernel_profile(K, values, col, a, a + 1, negate)
+                  for K, negate in kernels]
+        total += np.sum(col.weights * pf * pg)
+    return total
+
+
+class TestAntipodalFold:
+    """The ball route sums rows a < n_t for x and -x alike."""
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
+    @pytest.mark.parametrize("case", ["star", "sharp", "weighted", "squared", "polynomial"])
+    def test_matches_the_sum_over_every_azimuth_row(self, case, L):
+        grids = exact_form_grids(L)
+        f, g = rand_fn(L, 64, complex_valued=True), rand_fn(L, 65)
+        fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
+        W = weighted_pair_kernel(f)
+        F, G = {"star": (PairKernel.tensor(f, fs), PairKernel.tensor(f, fs)),
+                "sharp": (PairKernel.tensor(sharp, sharp),) * 2,
+                "weighted": (W, W),
+                "squared": (W.abs_squared(), PairKernel.one()),
+                "polynomial": (PairKernel(lambda a, b: f(a) * g(b)
+                                          * (1.0 + np.sum(a * b, axis=-1))), W)}[case]
+        ref = unfolded_b(F, G, grids)
+        assert abs(bilinear_b(F, G, grids) - ref) <= 1e-14 * abs(ref)
+
+    def test_never_reaches_a_row_past_n_t(self, monkeypatch):
+        grids = default_form_grids(n_t=9, n_c=18, n_r=10)
+        f = rand_fn(4, 66, complex_valued=True)
+        generic = PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1)))
+        rows = []
+        sampler, points = convolution.SliceColumn.sampler, convolution.SliceColumn.points
+
+        def spy_sampler(col, plan):
+            sample = sampler(col, plan)
+            def spied(a0, a1):
+                rows.extend(range(a0, a1))
+                return sample(a0, a1)
+            return spied
+
+        def spy_points(col, a0, a1):
+            rows.extend(range(a0, a1))
+            return points(col, a0, a1)
+
+        monkeypatch.setattr(convolution.SliceColumn, "sampler", spy_sampler)
+        monkeypatch.setattr(convolution.SliceColumn, "points", spy_points)
+        monkeypatch.setattr(convolution, "_BLOCK_NODES", 5000)
+        bilinear_b(generic, weighted_pair_kernel(f), grids)
+        n_t = grids.slice_column(4).n_az // 2
+        assert len(grids.slice_column(4).blocks()) > 1
+        assert set(rows) == set(range(n_t))
+
+
 class TestMeanValue:
     def test_examples(self, grid17):
         assert abs(mean_value(lambda p: np.ones(len(p)), grid17) - 1.0) <= 1e-14
