@@ -4,7 +4,8 @@ Config precedence is flags > SEL_-prefixed environment variables > built-in
 defaults. All numbers in reports are serialized with 17 significant digits, so
 double-precision values survive a round trip through the files; given the same
 config and seed, outputs are byte-identical except for the one timestamp key
-in JSON reports (CSV outputs carry no timestamp at all).
+in JSON reports (CSV outputs carry no timestamp at all). Timings, such as
+verify's per-check wall time, go to stderr only.
 
 Exit codes: 0 success, 1 a numerical check failed, 2 usage error, 3 I/O error.
 """
@@ -154,18 +155,15 @@ def cmd_verify(args) -> int:
     payload = report.as_dict()
     payload["timestamp"] = _timestamp()
     if args.format == "csv":
-        rows = [(c.name, c.expected, c.computed, c.tolerance, c.kind,
-                 c.passed, c.wall_time) for c in report.checks]
-        text = _csv_text(
-            ("name", "expected", "computed", "tolerance", "abs_or_rel",
-             "pass", "wall_time"), rows)
+        text = _csv_text(("name", "expected", "computed", "tolerance", "abs_or_rel", "pass"),
+                         [tuple(c.values()) for c in payload["checks"]])
     else:
         text = _json_text(payload) + "\n"
     _emit(text, args.out)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
-        print(f"{status}  {c.name}: computed {_fmt(c.computed)} "
-              f"(expected {_fmt(c.expected)}, {c.kind} tol {_fmt(c.tolerance)})",
+        print(f"{status}  {c.name}: computed {_fmt(c.computed)} (expected "
+              f"{_fmt(c.expected)}, {c.kind} tol {_fmt(c.tolerance)}) in {c.wall_time:.3f} s",
               file=sys.stderr)
     return 0 if report.overall_pass else 1
 

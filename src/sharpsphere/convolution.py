@@ -82,7 +82,7 @@ class SlicePlan:
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
-    Both are None when no request is coefficient-backed.
+    Without coefficient-backed requests rows is None and degree is 0.
     """
 
     def __init__(self, requests):
@@ -122,7 +122,7 @@ class SlicePlan:
                 self._entries.append(entry)
             self._index.append(seen[key])
         self.rows = np.array(rows) if rows else None
-        self.degree = math.isqrt(width) - 1 if rows else None
+        self.degree = math.isqrt(width) - 1 if rows else 0
 
     def values(self, fields, nodes) -> list:
         """Per request, its values at a set of slice nodes.
@@ -189,25 +189,21 @@ class SliceColumn:
 
     Values on slices come in blocks of shape (azimuth rows, column centres,
     n_c), the centres radial-major as in BallGrid.points(); radii and weights
-    belong to the column centres and hold for every azimuth row. L is None
-    for geometry without a table.
+    belong to the column centres and hold for every azimuth row.
     """
 
-    def __init__(self, ball: BallGrid, n_c: int, L: int | None):
+    def __init__(self, ball: BallGrid, n_c: int, L: int):
         dirs = ball.directions
         n_t = (dirs.exactness_degree + 1) // 2
         n_az = 2 * n_t
         if dirs.n_nodes != n_t * n_az:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
-        X0 = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
-        self.pts, self.radii = slice_point_table(X0, n_c)
+        self._centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
+        self.pts, self.radii = slice_point_table(self._centres, n_c)
         self.weights = ball.weights()[::n_az]
         self.n_c, self.n_az, self.L = n_c, n_az, L
         alpha = np.arange(n_az) * (np.pi / n_t)
         self._cos, self._sin = np.cos(alpha), np.sin(alpha)
-        self.table = None
-        if L is None:
-            return
         m_alpha = alpha[:, None] * np.arange(1, L + 1)
         self.trig = np.ones((n_az, 2 * L + 1))
         self.trig[:, 1::2] = np.cos(m_alpha)
@@ -231,12 +227,21 @@ class SliceColumn:
         edges = np.arange(n + 1) * n_t // n
         return list(zip(edges[:-1], edges[1:]))
 
-    def points(self, a0: int, a1: int) -> np.ndarray:
-        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, n_c, 3)."""
-        c, s = self._cos[a0:a1, None, None], self._sin[a0:a1, None, None]
-        x, y, z = self.pts[..., 0], self.pts[..., 1], self.pts[..., 2]
+    def _rotated(self, v: np.ndarray, a0: int, a1: int) -> np.ndarray:
+        # column points v, shape (..., 3), turned about z by alpha_a per row a0:a1
+        c = self._cos[a0:a1].reshape((-1,) + (1,) * (v.ndim - 1))
+        s = self._sin[a0:a1].reshape(c.shape)
+        x, y, z = v[..., 0], v[..., 1], v[..., 2]
         return np.stack([c * x - s * y, s * x + c * y,
                          np.broadcast_to(z, (a1 - a0,) + z.shape)], axis=-1)
+
+    def points(self, a0: int, a1: int) -> np.ndarray:
+        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, n_c, 3)."""
+        return self._rotated(self.pts, a0, a1)
+
+    def centres(self, a0: int, a1: int) -> np.ndarray:
+        """The slices' centres x at azimuth rows a0:a1, shape (a1 - a0, centres, 3)."""
+        return self._rotated(self._centres, a0, a1)
 
     def spectra(self, coeffs: np.ndarray) -> np.ndarray:
         """Azimuth Fourier rows, shape (n, 2L+1, column nodes), of real coefficient rows.

@@ -169,14 +169,14 @@ class FormGrids:
     """Quadrature bundle for Q and B: a ball grid and the slice node count n_c.
     The outer route takes its polar rings about the nodes of ball.directions.
 
-    The factorized route memoizes a SliceColumn on this object: the slice
+    The ball route memoizes a SliceColumn on this object: the slice
     nodes of one azimuth column of the ball grid and their harmonic table,
     through the largest band limit asked for so far. Every other column is a
     z-rotation of that one, so the table holds (L+1)^2 n_r n_t n_c entries,
     2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
     n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once. The route synthesizes fields on the first n_t
-    azimuth rows only; the other n_t rows hold the antipodes of those nodes.
+    geometry and basis once. The route reads the first n_t azimuth rows
+    only; the other n_t rows hold the antipodes of those nodes.
     """
 
     ball: BallGrid
@@ -185,10 +185,10 @@ class FormGrids:
     def __post_init__(self):
         object.__setattr__(self, "_slice_cache", None)
 
-    def slice_column(self, L: int | None) -> SliceColumn:
+    def slice_column(self, L: int) -> SliceColumn:
         """The memoized SliceColumn, rebuilt when its table stops short of degree L."""
         col = self._slice_cache
-        if col is None or (L is not None and (col.L is None or col.L < L)):
+        if col is None or col.L < L:
             col = SliceColumn(self.ball, self.n_c, L)
             object.__setattr__(self, "_slice_cache", col)
         return col
@@ -230,19 +230,15 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
                     negate: bool) -> np.ndarray:
     """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
 
-    values yields K's factors on the slices. Structured kernels pair them in
-    pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
-    analytic nodes; the constant kernel gives 2 pi / r; unstructured kernels
-    are summed at their literal node pairs (p_j, p_{j + n_c/2}).
+    A structured K at even n_c pairs its factors, which values yields on the
+    slices, in pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r
+    at the analytic nodes; the constant kernel gives 2 pi / r. Every other
+    kernel takes the literal pair_slice_average at the ball nodes.
     """
     r = col.radii
-    if K.factors is None:
-        pts = col.points(a0, a1)
-        if negate:
-            pts = -pts
-        partner = np.roll(pts, -(col.n_c // 2), axis=-2)
-        vals = np.asarray(K.evaluator(pts.reshape(-1, 3), partner.reshape(-1, 3)))
-        return (2.0 * np.pi / col.n_c) * vals.reshape(pts.shape[:-1]).sum(axis=-1) / r
+    if K.factors is None or col.n_c % 2:
+        x = -col.centres(a0, a1) if negate else col.centres(a0, a1)
+        return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
         va, vb = next(values), next(values)
         if K.magnitude_power:
@@ -255,12 +251,12 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
 
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
-    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t, each kernel's factors
-    # sampled at the slice nodes p and at -p from parity-flipped coefficients.
-    # One column table serves both kernels, and rows shared by content go
-    # through one spectra pass.
+    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. At even n_c structured
+    # kernels' factors are sampled at p and -p from parity-flipped coefficients;
+    # one column table serves both kernels, and shared rows take one spectra pass.
     kernels = ((F, False), (F, True), (G, True), (G, False))
-    factors = [(f, negate) for K, negate in kernels if K.factors for f in K.factors]
+    tabled = grids.n_c % 2 == 0   # pair_profile pairs p_j with p_{j + n_c/2} = x - p_j
+    factors = [(f, negate) for K, negate in kernels if tabled and K.factors for f in K.factors]
     plan = SlicePlan(factors)
     col = grids.slice_column(plan.degree)
     sample = col.sampler(plan)
@@ -302,27 +298,20 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
 
     method="ball" integrates F's pair profile at x times G's at -x over the
     ball, exact to rounding for band-limited ingredients on exact_sizes
-    grids. Even n_c runs on the column table, folded over the antipodal
-    symmetry of the ball grid: it sums PF(x) PG(-x) + PF(-x) PG(x) over the
-    first n_t azimuth rows, with the factors sampled at the slice nodes p and
-    at -p. Odd n_c has no partner nodes and takes the literal
-    pair_slice_average at every ball node. method="outer", the
+    grids. It folds over the antipodal symmetry of the ball grid, summing
+    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows. Structured
+    kernels at even n_c pair their factors sampled on the column table at
+    the slice nodes p and at -p; every other kernel takes the literal
+    pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about
     -omega_1 (2 n_t azimuths), whose Jacobian cancels the profile's
     1/|omega_1 + omega_2|; it is exact to rounding on exact_sizes(L, 4L)
     grids too. A non-finite result raises ValueError.
     """
-    if method == "outer":
-        total = _b_outer(F, G, grids)
-    elif method != "ball":
+    if method not in ("ball", "outer"):
         raise ValueError(f"unknown method {method!r}")
-    elif grids.n_c % 2 == 0:
-        total = _b_ball(F, G, grids)
-    else:
-        X, n_c = grids.ball.points(), grids.n_c
-        total = complex(np.sum(grids.ball.weights() * pair_slice_average(F, X, n_c)
-                               * pair_slice_average(G, -X, n_c)))
+    total = (_b_ball if method == "ball" else _b_outer)(F, G, grids)
     if not np.isfinite(total):
         raise ValueError(f"B evaluated to the non-finite value {total}")
     return total

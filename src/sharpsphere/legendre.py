@@ -11,6 +11,7 @@ trusts it. (At k = 0 the same expression yields +8/3; all higher multipliers
 are negative.)
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -148,6 +149,14 @@ def chord_kernel(t):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(t, dtype=float)))
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def funk_hecke_coefficient(
     kernel: Callable,
     k: int,
@@ -166,14 +175,10 @@ def funk_hecke_coefficient(
         raise ValueError(f"degree must be nonnegative, got {k}")
     if n_quad < k + 1:
         raise ValueError(f"n_quad must be at least k+1 = {k + 1}, got {n_quad}")
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    t, w = _gauss_legendre(n_quad)
     if sqrt_singular_at_one:
-        u = 0.5 * (x + 1.0)   # map to (0, 1)
-        w = 0.5 * w
-        t = 1.0 - 2.0 * u * u
-        w = w * 4.0 * u
-    else:
-        t = x
+        u = 0.5 * (t + 1.0)   # map to (0, 1), then dt = -4u du
+        t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
     kv = np.asarray(kernel(t), dtype=float)
     if not np.all(np.isfinite(kv)):
         raise ValueError("kernel produced non-finite values on the quadrature nodes")

@@ -55,8 +55,7 @@ class CheckResult:
     def as_dict(self) -> dict:
         return {"name": self.name, "expected": self.expected,
                 "computed": self.computed, "tolerance": self.tolerance,
-                "abs_or_rel": self.kind, "pass": self.passed,
-                "wall_time": self.wall_time}
+                "abs_or_rel": self.kind, "pass": self.passed}
 
 
 @dataclass

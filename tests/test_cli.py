@@ -179,10 +179,29 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, SMALL_VERIFY + ["--csv"])
         lines = out.splitlines()
         assert code == 0
-        assert lines[0] == "name,expected,computed,tolerance,abs_or_rel,pass,wall_time"
+        assert lines[0] == "name,expected,computed,tolerance,abs_or_rel,pass"
         assert len(lines) == 18   # header + 17 checks
         for line in lines[1:]:
             assert line.split(",")[5] == "True"
+
+
+# every subcommand at small sizes
+SMALL_RUNS = {
+    "verify": ["verify", "--degree", "2"],
+    "spectrum": ["spectrum", "--degree", "8"],
+    "identity": ["identity", "--samples", "500"],
+    "search": ["search", "--degree", "2", "--init", "random", "--max-iter", "5"],
+    "convolution": ["convolution", "--points", "10"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_reruns_are_byte_identical_apart_from_the_timestamp(capsys, command, fmt):
+    _, first, _ = run_cli(capsys, SMALL_RUNS[command] + [fmt])
+    _, second, _ = run_cli(capsys, SMALL_RUNS[command] + [fmt])
+    assert first
+    assert drop_timestamp(first) == drop_timestamp(second)
 
 
 class TestVerifyGridPlan:

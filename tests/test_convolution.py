@@ -220,6 +220,12 @@ class TestSliceColumn:
         assert np.abs(literal - pts).max() <= 1e-15
         assert np.array_equal(column.weights, ball.weights()[::column.n_az])
 
+    def test_centres_are_the_ball_nodes_of_each_azimuth_row(self, column):
+        ball = build_ball_grid(5, build_sphere_grid(6))
+        X = ball.points().reshape(-1, column.n_az, 3)
+        for a in range(column.n_az):
+            assert np.abs(column.centres(a, a + 1)[0] - X[:, a]).max() <= 1e-15
+
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
         fields = column.trig @ column.spectra(c[None])[0]

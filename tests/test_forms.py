@@ -417,13 +417,22 @@ def unfolded_b(F, G, grids):
     return total
 
 
+def odd_form_grids(L):
+    """exact_form_grids(L) with one more slice node: every kernel takes the literal route."""
+    grids = exact_form_grids(L)
+    return forms.FormGrids(grids.ball, grids.n_c + 1)
+
+
 class TestAntipodalFold:
     """The ball route sums rows a < n_t for x and -x alike."""
 
-    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
+    # odd n_c runs every kernel literally, several seconds per case at L=8
+    @pytest.mark.parametrize("L, odd", [(L, False) for L in (0, 1, 2, 4, 8)]
+                             + [(L, True) for L in (0, 1, 2, 4)],
+                             ids=["0", "1", "2", "4", "8", "0-odd", "1-odd", "2-odd", "4-odd"])
     @pytest.mark.parametrize("case", ["star", "sharp", "weighted", "squared", "polynomial"])
-    def test_matches_the_sum_over_every_azimuth_row(self, case, L):
-        grids = exact_form_grids(L)
+    def test_matches_the_sum_over_every_azimuth_row(self, case, L, odd):
+        grids = odd_form_grids(L) if odd else exact_form_grids(L)
         f, g = rand_fn(L, 64, complex_valued=True), rand_fn(L, 65)
         fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
         W = weighted_pair_kernel(f)
@@ -441,7 +450,8 @@ class TestAntipodalFold:
         f = rand_fn(4, 66, complex_valued=True)
         generic = PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1)))
         rows = []
-        sampler, points = convolution.SliceColumn.sampler, convolution.SliceColumn.points
+        column = convolution.SliceColumn
+        sampler, points, centres = column.sampler, column.points, column.centres
 
         def spy_sampler(col, plan):
             sample = sampler(col, plan)
@@ -450,17 +460,61 @@ class TestAntipodalFold:
                 return sample(a0, a1)
             return spied
 
-        def spy_points(col, a0, a1):
-            rows.extend(range(a0, a1))
-            return points(col, a0, a1)
+        def spy(method):
+            def spied(col, a0, a1):
+                rows.extend(range(a0, a1))
+                return method(col, a0, a1)
+            return spied
 
-        monkeypatch.setattr(convolution.SliceColumn, "sampler", spy_sampler)
-        monkeypatch.setattr(convolution.SliceColumn, "points", spy_points)
+        monkeypatch.setattr(column, "sampler", spy_sampler)
+        monkeypatch.setattr(column, "points", spy(points))
+        monkeypatch.setattr(column, "centres", spy(centres))
         monkeypatch.setattr(convolution, "_BLOCK_NODES", 5000)
         bilinear_b(generic, weighted_pair_kernel(f), grids)
         n_t = grids.slice_column(4).n_az // 2
         assert len(grids.slice_column(4).blocks()) > 1
         assert set(rows) == set(range(n_t))
+
+    @pytest.mark.parametrize("case", ["odd", "unstructured"])
+    def test_literal_kernels_go_through_pair_slice_average(self, case, monkeypatch):
+        f = rand_fn(4, 73, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        grids = default_form_grids(n_t=9, n_c=19 if case == "odd" else 18, n_r=10)
+        inside, calls, spectra_rows = [False], [], []
+
+        def spied(evaluator):
+            def ev(omega, nu):
+                calls.append(inside[0])
+                return evaluator(omega, nu)
+            return ev
+
+        average, spectra = forms.pair_slice_average, convolution.SliceColumn.spectra
+
+        def spy_average(K, X, n_c):
+            inside[0] = True
+            try:
+                return average(K, X, n_c)
+            finally:
+                inside[0] = False
+
+        def spy_spectra(col, coeffs):
+            spectra_rows.append(len(coeffs))
+            return spectra(col, coeffs)
+
+        if case == "odd":
+            F = PairKernel(spied(lambda a, b: f(a) * fs(b)), factors=(f, fs))
+            G = F
+        else:
+            F = PairKernel(spied(lambda a, b: f(a) * fs(b) * (1.0 + np.sum(a * b, axis=-1))))
+            G = PairKernel.one()
+        expect = reference_b(F, G, grids)
+        calls.clear()
+        monkeypatch.setattr(forms, "pair_slice_average", spy_average)
+        monkeypatch.setattr(convolution.SliceColumn, "spectra", spy_spectra)
+        value = bilinear_b(F, G, grids)
+        assert calls and all(calls)
+        assert sum(spectra_rows) == 0
+        assert abs(value - expect) <= 1e-12 * abs(expect)
 
 
 class TestMeanValue:

@@ -101,7 +101,7 @@ class TestReportSerialization:
     def test_check_dict_keys(self, small_report):
         for c in small_report.as_dict()["checks"]:
             assert list(c) == ["name", "expected", "computed", "tolerance",
-                               "abs_or_rel", "pass", "wall_time"]
+                               "abs_or_rel", "pass"]
             assert c["abs_or_rel"] in ("abs", "rel")
 
     def test_config_dict_spells_out_band_limit(self):
