@@ -26,15 +26,14 @@ from .harmonics import (
     build_basis, analyze, synthesize, funk_hecke_apply, eigenvalue_residual,
 )
 from .convolution import (
-    ConvProfile, SliceColumn, SlicePlan,
+    ConvProfile, SliceColumn, SlicePlan, SplitValues,
     convolve_at, convolve_many, pair_profile, pair_slice_average,
-    conv_profile, conv_l2_norm,
-    extension_at, l4_norm,
+    conv_profile, extension_at,
 )
 from .forms import (
     GammaSample, PairKernel, FormGrids,
     weighted_pair_kernel,
-    default_form_grids, quadrilinear_q, bilinear_b,
+    default_form_grids, quadrilinear_q, bilinear_b, conv_l2_norm, l4_norm,
     gamma_sample, gamma_samples, four_identity, four_identity_many,
     h_direct, h_direct_many, h_spectral, mean_value,
 )
@@ -64,13 +63,12 @@ __all__ = [
     "random_band_limited",
     "build_basis", "analyze", "synthesize", "funk_hecke_apply",
     "eigenvalue_residual",
-    "ConvProfile", "SliceColumn", "SlicePlan",
+    "ConvProfile", "SliceColumn", "SlicePlan", "SplitValues",
     "convolve_at", "convolve_many", "pair_profile", "pair_slice_average",
-    "conv_profile", "conv_l2_norm",
-    "extension_at", "l4_norm",
+    "conv_profile", "extension_at",
     "GammaSample", "PairKernel", "FormGrids",
     "weighted_pair_kernel",
-    "default_form_grids", "quadrilinear_q", "bilinear_b",
+    "default_form_grids", "quadrilinear_q", "bilinear_b", "conv_l2_norm", "l4_norm",
     "gamma_sample", "gamma_samples", "four_identity", "four_identity_many",
     "h_direct", "h_direct_many", "h_spectral", "mean_value",
     "OptimizerState", "SearchResult", "Workspace",

@@ -1,13 +1,15 @@
-"""Convolution of sphere-carried measures, the extension operator, and L4 norms.
+"""Convolution of sphere-carried measures, its slice tables, and the extension operator.
 
 The convolution of two measures f*sigma and g*sigma is a function on the ball
 |x| <= 2: at x it is the integral of f(omega) g(x - omega) over the circle
 where the unit spheres centered at 0 and at x intersect, times 1/|x|. All
 L4-norm computations route through this fact (Plancherel) instead of sampling
-the oscillatory extension on a 3D grid.
+the oscillatory extension on a 3D grid; the norms themselves are forms.Q on
+the ball route (forms.conv_l2_norm, forms.l4_norm).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,14 +20,13 @@ __all__ = [
     "ConvProfile",
     "SliceColumn",
     "SlicePlan",
+    "SplitValues",
     "convolve_at",
     "convolve_many",
     "pair_profile",
     "pair_slice_average",
     "conv_profile",
-    "conv_l2_norm",
     "extension_at",
-    "l4_norm",
 ]
 
 # Centers per vectorized batch; bounds peak memory of the slice-point tables.
@@ -64,6 +65,40 @@ def slice_point_table(X: np.ndarray, n_c: int):
     return pts, np.linalg.norm(X, axis=-1)
 
 
+class SplitValues(NamedTuple):
+    """Values re_sign re + 1j im_sign im, held as real arrays with signs.
+
+    re and im are usually rows of a SlicePlan's synthesized fields, read in
+    place; im is None for real values. The signs are +-1.
+    """
+
+    re: np.ndarray
+    im: np.ndarray | None = None
+    re_sign: float = 1.0
+    im_sign: float = 1.0
+
+    def parts(self) -> list:
+        """(array, sign, unit) per part: unit 1.0 for re, 1j for im."""
+        if self.im is None:
+            return [(self.re, self.re_sign, 1.0)]
+        return [(self.re, self.re_sign, 1.0), (self.im, self.im_sign, 1j)]
+
+    def dense(self) -> np.ndarray:
+        """The values as one real or complex array."""
+        if self.im is None:
+            return self.re if self.re_sign > 0 else -self.re
+        v = np.empty(self.re.shape, dtype=complex)
+        np.multiply(self.re, self.re_sign, out=v.real)
+        np.multiply(self.im, self.im_sign, out=v.imag)
+        return v
+
+    def magnitude(self, p: int) -> "SplitValues":
+        """|v|^p, real, in one new buffer."""
+        m = np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
+        m **= p
+        return SplitValues(m)
+
+
 class SlicePlan:
     """How to evaluate several functions on slice nodes from one basis table.
 
@@ -95,7 +130,9 @@ class SlicePlan:
 
         def row(part: np.ndarray) -> tuple:
             # (index, sign) of a real row, stored once up to its sign
-            p = np.pad(part, (0, width - len(part))) + 0.0   # + 0.0 maps -0.0 to 0.0
+            p = np.zeros(width)
+            p[:len(part)] = part
+            p += 0.0   # maps -0.0 to 0.0
             key = p.tobytes()
             if key not in where:
                 where[(0.0 - p).tobytes()] = (len(rows), -1.0)
@@ -125,46 +162,53 @@ class SlicePlan:
         self.degree = math.isqrt(width) - 1 if rows else 0
 
     def values(self, fields, nodes) -> list:
-        """Per request, its values at a set of slice nodes.
+        """Per request, its values at a set of slice nodes, as SplitValues.
 
         fields holds the distinct rows synthesized at the nodes (None without
         rows), the row axis first; nodes() returns the literal nodes with the
         same node axes plus a last axis of 3, and is called only for literal
-        calls.
+        calls. A coefficient-backed request reads its rows of fields in place,
+        with their signs; a sharp rearrangement is built in one new buffer; a
+        literal call is split into views of its real and imaginary parts.
+        Requests that share an entry get the same object.
         """
         pts, out = None, []
         for kind, *args in self._entries:
             if kind == "field":
                 (i, si), im = args
-                if im is None:
-                    v = fields[i] if si > 0 else -fields[i]
-                else:
-                    v = np.empty(fields.shape[1:], dtype=complex)
-                    np.multiply(fields[i], si, out=v.real)
-                    np.multiply(fields[im[0]], im[1], out=v.imag)
+                v = (SplitValues(fields[i], None, si) if im is None
+                     else SplitValues(fields[i], fields[im[0]], si, im[1]))
             elif kind == "sharp":
-                v = 0.0
-                for r in args:
-                    if r is not None:
-                        v = v + np.square(fields[r[0]])
-                v = np.sqrt(0.5 * v)
+                r0, *rest = [fields[r[0]] for r in args if r is not None]
+                acc, scratch = np.square(r0), np.empty(r0.shape)
+                for r in rest:
+                    acc += np.square(r, out=scratch)
+                acc *= 0.5
+                v = SplitValues(np.sqrt(acc, out=acc))
             else:
                 func, negate = args
                 if pts is None:
                     pts = nodes()
                 flat = pts.reshape(-1, 3)
-                v = np.asarray(func(-flat if negate else flat)).reshape(pts.shape[:-1])
+                dense = np.asarray(func(-flat if negate else flat)).reshape(pts.shape[:-1])
+                v = (SplitValues(dense.real, dense.imag) if np.iscomplexobj(dense)
+                     else SplitValues(dense))
             out.append(v)
         return [out[i] for i in self._index]
 
     def at(self, points: np.ndarray) -> list:
-        """Per request, its values at points of any shape (last axis 3), with the
-        coefficient rows synthesized from one harmonic table."""
+        """Per request, its values as dense arrays at points of any shape (last
+        axis 3), with the coefficient rows synthesized from one harmonic table.
+        Non-finite values raise ValueError."""
         fields = None
         if self.rows is not None:
             table = harmonic_values(self.degree, points.reshape(-1, 3))
             fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
-        return self.values(fields, lambda: points)
+        split = self.values(fields, lambda: points)
+        dense = {id(v): v.dense() for v in split}
+        if not all(np.all(np.isfinite(v)) for v in dense.values()):
+            raise ValueError("function produced non-finite values at the nodes")
+        return [dense[id(v)] for v in split]
 
 
 class SliceColumn:
@@ -285,9 +329,10 @@ class SliceColumn:
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
 
-        The returned sample(a0, a1) gives, per request, its values of shape
-        (a1 - a0, column centres, n_c) at azimuth rows a0:a1. The table must
-        reach plan.degree; the coefficient rows go through one spectra pass.
+        The returned sample(a0, a1) gives, per request, its SplitValues (see
+        SlicePlan.values), parts of shape (a1 - a0, column centres, n_c), at
+        azimuth rows a0:a1. The table must reach plan.degree; the coefficient
+        rows go through one spectra pass.
         """
         spec = None if plan.rows is None else self.spectra(plan.rows)
 
@@ -301,17 +346,33 @@ class SliceColumn:
         return sample
 
 
-def pair_profile(va: np.ndarray, vb: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(f sigma * g sigma)(x) from f and g at the n_c = va.shape[-1] nodes of x's slice.
+def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum over each slice of a at node j times b at node j + n_c/2
+    n_c = a.shape[-1]
+    a = a.reshape(a.shape[:-1] + (2, n_c // 2))
+    b = b.reshape(b.shape[:-1] + (2, n_c // 2))[..., ::-1, :]
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
+    """(f sigma * g sigma)(x) from f and g at the n_c nodes (last axis) of x's slice.
 
     Leading axes run over centres x of norm radii. Needs even n_c: the
     partner x - p_j of node j is node j + n_c/2, so the two halves of each
-    slice pair crosswise.
+    slice pair crosswise. va and vb are dense arrays, or SplitValues, whose
+    signed real parts are paired in place: Re = sum(a_r b_r - a_i b_i),
+    Im = sum(a_r b_i + a_i b_r); the result is real when both are.
     """
-    n_c = va.shape[-1]
-    a = va.reshape(va.shape[:-1] + (2, n_c // 2))
-    b = vb.reshape(vb.shape[:-1] + (2, n_c // 2))[..., ::-1, :]
-    return (2.0 * np.pi / n_c) * np.einsum("...ij,...ij->...", a, b) / radii
+    dense = isinstance(va, np.ndarray)
+    n_c = (va if dense else va.re).shape[-1]
+    if n_c % 2:
+        raise ValueError(f"pair_profile needs an even slice node count, got n_c = {n_c}")
+    if dense:
+        s = _half_pair(va, vb)
+    else:
+        s = sum(ua * ub * (sa * sb) * _half_pair(a, b)
+                for a, sa, ua in va.parts() for b, sb, ub in vb.parts())
+    return (2.0 * np.pi / n_c) * s / radii
 
 
 def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
@@ -320,7 +381,8 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     The pair-measure profile of a kernel F(omega, nu): for F = f tensor g
     this is the convolution of f sigma and g sigma at x. This is the literal
     route (partner points x - p, generic evaluator) that the table routes are
-    cross-checked against. The result is real when F's values are.
+    cross-checked against. The result is real when F's values are; non-finite
+    values raise ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     parts = [np.zeros(0)]
@@ -328,6 +390,8 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
         pts, r = slice_point_table(X[i0:i0 + _CHUNK], n_c)
         partner = X[i0:i0 + _CHUNK, None, :] - pts
         vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(-1, n_c)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("kernel produced non-finite values on the slices")
         parts.append((2.0 * np.pi / n_c) * vals.sum(axis=1) / r)
     return np.concatenate(parts)
 
@@ -390,25 +454,8 @@ def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> ConvP
     return ConvProfile(radii, vals, u)
 
 
-def conv_l2_norm(f: SphereFunction, g: SphereFunction, ball: BallGrid, n_c: int) -> float:
-    """L2(R^3) norm of f sigma * g sigma via ball quadrature of |conv|^2."""
-    vals = convolve_many(f, g, ball.points(), n_c)
-    return float(np.sqrt(np.sum(ball.weights() * np.abs(vals) ** 2)))
-
-
 def extension_at(f: SphereFunction, x, grid: SphereGrid):
     """The extension (Fourier transform of f dsigma) at a point x in R^3."""
     x = np.asarray(x, dtype=float).reshape(3)
     vals = np.asarray(f(grid.nodes)) * np.exp(-1j * (grid.nodes @ x))
     return np.sum(grid.weights * vals)
-
-
-def l4_norm(f: SphereFunction, ball: BallGrid, n_c: int) -> float:
-    """L4(R^3) norm of the extension of f.
-
-    Plancherel turns the quartic integral into the L2 norm of the convolution
-    of f sigma with its antipodal conjugate:
-    ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2.
-    """
-    fstar = f.antipodal_conjugate()
-    return float(np.sqrt((2.0 * np.pi) ** 1.5 * conv_l2_norm(f, fstar, ball, n_c)))

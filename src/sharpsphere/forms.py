@@ -6,7 +6,8 @@ integrals over the zero-sum manifold factor through convolution profiles on
 that ball. The quadrilinear form Q and bilinear form B are evaluated by that
 factorization; an independent outer route, a double sphere integral,
 cross-checks it, since the factorized route is the one every headline number
-depends on.
+depends on. The Plancherel norms are Q too: ||f sigma * g sigma||_2^2 is
+Q(f, g, f_star, g_star) (conv_l2_norm, l4_norm).
 
 H(g), the chord-kernel quadratic functional, gets the same dual treatment:
 a direct double quadrature versus the diagonal form 2*pi*sum_k Lambda_k *
@@ -33,6 +34,8 @@ __all__ = [
     "default_form_grids",
     "quadrilinear_q",
     "bilinear_b",
+    "conv_l2_norm",
+    "l4_norm",
     "gamma_sample",
     "gamma_samples",
     "four_identity",
@@ -176,7 +179,9 @@ class FormGrids:
     2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
     n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
     geometry and basis once. The route reads the first n_t azimuth rows
-    only; the other n_t rows hold the antipodes of those nodes.
+    only; the other n_t rows hold the antipodes of those nodes. The
+    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route, so they
+    share the memoized column too.
     """
 
     ball: BallGrid
@@ -192,6 +197,33 @@ class FormGrids:
             col = SliceColumn(self.ball, self.n_c, L)
             object.__setattr__(self, "_slice_cache", col)
         return col
+
+    def conv_l2_norm(self, f, g) -> float:
+        """L2(R^3) norm of f sigma * g sigma, sqrt(Re Q(f, g, f_star, g_star)).
+
+        The pair profile of f_star tensor g_star at -x is the conjugate of
+        f tensor g's at x, so Q(f, g, f_star, g_star) is the ball integral
+        of |f sigma * g sigma|^2, on the ball route over these grids.
+        """
+        return _l2_norm(f, g, f.antipodal_conjugate(), g.antipodal_conjugate(), self)
+
+    def l4_norm(self, f) -> float:
+        """L4(R^3) norm of the extension of f.
+
+        Plancherel turns the quartic integral into the L2 norm of the
+        convolution of f sigma with its antipodal conjugate:
+        ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2. The Q of
+        conv_l2_norm takes f itself for the conjugate of f_star, so a
+        literal callable is evaluated at two functions' nodes, not three.
+        """
+        fs = f.antipodal_conjugate()
+        return float(np.sqrt((2.0 * np.pi) ** 1.5 * _l2_norm(f, fs, fs, f, self)))
+
+
+def _l2_norm(f, g, f_star, g_star, grids: FormGrids) -> float:
+    # ||f sigma * g sigma||_2 from Q(f, g, f_star, g_star)
+    q = quadrilinear_q(f, g, f_star, g_star, grids)
+    return float(np.sqrt(max(q.real, 0.0)))   # Re Q >= 0 up to rounding
 
 
 def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
@@ -231,9 +263,10 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
 
     A structured K at even n_c pairs its factors, which values yields on the
-    slices, in pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r
-    at the analytic nodes; the constant kernel gives 2 pi / r. Every other
-    kernel takes the literal pair_slice_average at the ball nodes.
+    slices as SplitValues, in pair_profile, as |ab|^p = |a|^p |b|^p and
+    |omega + nu| = |x| = r at the analytic nodes; the constant kernel gives
+    2 pi / r. Every other kernel takes the literal pair_slice_average at the
+    ball nodes.
     """
     r = col.radii
     if K.factors is None or col.n_c % 2:
@@ -242,7 +275,8 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     if K.factors:
         va, vb = next(values), next(values)
         if K.magnitude_power:
-            va, vb = np.abs(va) ** K.magnitude_power, np.abs(vb) ** K.magnitude_power
+            ma = va.magnitude(K.magnitude_power)
+            va, vb = ma, (ma if vb is va else vb.magnitude(K.magnitude_power))
         prof = pair_profile(va, vb, r)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
@@ -317,6 +351,18 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     return total
 
 
+def conv_l2_norm(f, g, ball: BallGrid, n_c: int) -> float:
+    """L2(R^3) norm of f sigma * g sigma on FormGrids(ball, n_c); see
+    FormGrids.conv_l2_norm. Non-finite values raise ValueError."""
+    return FormGrids(ball, n_c).conv_l2_norm(f, g)
+
+
+def l4_norm(f, ball: BallGrid, n_c: int) -> float:
+    """L4(R^3) norm of the extension of f on FormGrids(ball, n_c); see
+    FormGrids.l4_norm. Non-finite values raise ValueError."""
+    return FormGrids(ball, n_c).l4_norm(f)
+
+
 def mean_value(g, grid: SphereGrid):
     """Mean of g over the sphere: integral divided by 4*pi."""
     return integrate_sphere(grid, g) / (4.0 * np.pi)
@@ -341,23 +387,17 @@ def h_direct_many(gs, grid: SphereGrid):
     uniform phi-rule with n_t nodes averages g exactly to a polynomial of
     degree L in t, Gauss-Legendre with n_t + 1 nodes in u integrates the
     resulting degree 2L + 2 polynomial, and the outer grid integrates the
-    degree-2L product with conj(g). Non-finite values raise ValueError.
+    degree-2L product with conj(g). Non-finite values raise ValueError
+    (SlicePlan.at).
     """
     n_t = (grid.exactness_degree + 1) // 2
     u, w_u, blocks = _polar_ring(grid, n_t)
     ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)
     plan = SlicePlan([(g, False) for g in gs])
-
-    def sample(points):
-        vals = np.stack(plan.at(points))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("function produced non-finite values on the chord nodes")
-        return vals
-
-    outer = np.conj(sample(grid.nodes)) * grid.weights
+    outer = np.conj(np.stack(plan.at(grid.nodes))) * grid.weights
     acc = np.zeros(len(gs), dtype=complex)
     for sel, nu in blocks:
-        inner = sample(nu).reshape(len(gs), -1, ring_w.size) @ ring_w
+        inner = np.stack(plan.at(nu)).reshape(len(gs), -1, ring_w.size) @ ring_w
         acc += np.sum(outer[:, sel] * inner, axis=1)
     if np.all(acc.imag == 0.0):
         return acc.real

@@ -132,7 +132,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
     suite.check("sigma_conv_profile_max_rel_dev", 0.0,
                 float(np.max(np.abs(vals - closed) / closed)), 1e-12, "abs")
 
-    norm_sq = convolution.conv_l2_norm(one, one, ball, n_c) ** 2
+    norm_sq = grids.conv_l2_norm(one, one) ** 2
     suite.check("sigma_conv_norm_sq", 32.0 * np.pi ** 3, norm_sq, 1e-8, "rel")
 
     # Legendre / Funk-Hecke infrastructure
@@ -165,8 +165,14 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         fs, fsh = f.antipodal_conjugate(), f.sharp_rearrangement()
         x = rng.standard_normal((20, 3))
         x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1))
-        lhs = np.abs(convolution.convolve_many(f, fs, x, n_c))
-        rhs = convolution.convolve_many(fsh, fsh, x, n_c).real
+        if n_c % 2:   # no slice node meets its partner: literal slice averages
+            lhs = np.abs(convolution.convolve_many(f, fs, x, n_c))
+            rhs = convolution.convolve_many(fsh, fsh, x, n_c).real
+        else:         # f, f_star and f_sharp on x's slices from one harmonic table
+            pts, r = convolution.slice_point_table(x, n_c)
+            a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
+            lhs = np.abs(convolution.pair_profile(a, b, r))
+            rhs = convolution.pair_profile(c, c, r)
         worst = max(worst, float(np.max(lhs - rhs)))
     suite.check("pointwise_symmetrization_violation", 0.0, max(0.0, worst),
                 1e-10, "abs")
@@ -233,8 +239,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                 1e-6, "abs")
 
     # the sharp ratio at the maximizer
-    phi_1 = (convolution.l4_norm(one, ball, n_c)
-             / np.sqrt(integrate_sphere(grid, np.ones(grid.n_nodes))))
+    phi_1 = grids.l4_norm(one) / np.sqrt(integrate_sphere(grid, np.ones(grid.n_nodes)))
     suite.check("sharp_ratio_constant", 2.0 * np.pi, phi_1, 1e-8, "rel")
 
     return report

@@ -5,6 +5,7 @@ import pytest
 
 from sharpsphere import (
     DegenerateSliceError,
+    HarmonicCoeffs,
     PairKernel,
     SliceColumn,
     SlicePlan,
@@ -15,9 +16,11 @@ from sharpsphere import (
     conv_profile,
     convolve_at,
     convolve_many,
+    exact_sizes,
     extension_at,
     harmonic_values,
     l4_norm,
+    pair_profile,
     pair_slice_average,
     random_band_limited,
 )
@@ -124,12 +127,50 @@ class TestConvolveMany:
         tensor = pair_slice_average(PairKernel.tensor(f, g), xs, 35)
         assert np.array_equal(convolve_many(f, g, xs, 35), tensor)
 
+    @pytest.mark.parametrize("n_c", [16, 17])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_are_rejected(self, n_c, bad):
+        f = SphereFunction(lambda p: np.full(len(p), bad))
+        xs = ball_points(np.random.default_rng(14), 5)
+        with pytest.raises(ValueError):
+            convolve_many(ONE, f, xs, n_c)
+
     def test_mixed_batch_zeroes_outside_support(self):
         xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
         vals = convolve_many(ONE, ONE, xs, 16)
         assert vals[1] == 0.0
         assert abs(vals[0] - 4 * PI) <= 1e-12 * 4 * PI
         assert abs(vals[2] - 4 * PI / 3) <= 1e-12 * 4 * PI / 3
+
+
+class TestPairProfile:
+    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
+    def test_split_rows_match_the_dense_profiles(self, L):
+        # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each
+        n_t, n_r, n_c = exact_sizes(L, 4 * L)
+        col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, L)
+        f = rand_fn(L, 80 + L, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        neg = SphereFunction.from_coeffs(HarmonicCoeffs(L, -f.coeffs.coeffs))
+        plan = SlicePlan([(f, False), (fs, False), (f, True), (fs, True), (neg, False),
+                          (neg, True), (f.sharp_rearrangement(), False), (rand_fn(L, 90), True)])
+        assert len(plan.rows) == (3 if L == 0 else 5)
+        vals = col.sampler(plan)(0, col.n_az // 2)
+        squares = [v.magnitude(2) for v in vals]
+        for v, sq in zip(vals, squares):
+            expect = np.abs(v.dense()) ** 2
+            assert np.abs(sq.dense() - expect).max() <= 1e-15 * expect.max()
+        for group in (vals, squares):
+            for a in group:
+                for b in group:
+                    dense = pair_profile(a.dense(), b.dense(), col.radii)
+                    split = pair_profile(a, b, col.radii)
+                    assert split.dtype == dense.dtype
+                    assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_odd_slice_count_is_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            pair_profile(np.ones((2, 5)), np.ones((2, 5)), np.ones(2))
 
 
 class TestConvProfile:
@@ -167,6 +208,23 @@ class TestConvL2Norm:
     def test_zero_function(self, ball_default):
         zero = SphereFunction.constant(0.0)
         assert conv_l2_norm(zero, zero, ball_default, 16) == 0.0
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_square_is_the_ball_sum_of_the_squared_convolution(self, complex_valued):
+        f, g = rand_fn(4, 74, complex_valued=complex_valued), rand_fn(4, 75, complex_valued=True)
+        n_t, n_r, n_c = exact_sizes(4, 16)
+        ball = build_ball_grid(n_r, build_sphere_grid(n_t))
+        literal = np.sum(ball.weights() * np.abs(convolve_many(f, g, ball.points(), n_c)) ** 2)
+        assert abs(conv_l2_norm(f, g, ball, n_c) ** 2 - literal) <= 1e-14 * literal
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        f = SphereFunction(lambda p: np.full(len(p), bad))
+        ball = build_ball_grid(2, build_sphere_grid(2))
+        with pytest.raises(ValueError):
+            conv_l2_norm(f, ONE, ball, 4)
+        with pytest.raises(ValueError):
+            l4_norm(f, ball, 4)
 
 
 class TestExtension:
@@ -259,7 +317,8 @@ class TestSliceColumn:
         plan = SlicePlan([(f, False), (f, False), (sharp, False), (sharp, True)])
         a, b, c, d = column.sampler(plan)(0, 3)
         assert a is b and c is d
-        assert a.shape == (3, column.radii.size, column.n_c)
+        shape = (3, column.radii.size, column.n_c)
+        assert a.re.shape == a.im.shape == c.re.shape == shape and c.im is None
 
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,

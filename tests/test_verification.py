@@ -5,9 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from sharpsphere import forms
-from sharpsphere import (CheckResult, VerificationReport, VerifyConfig, exact_sizes,
-                         run_verification)
+from sharpsphere import convolution, forms
+from sharpsphere import (CheckResult, VerificationReport, VerifyConfig, build_ball_grid,
+                         build_sphere_grid, exact_sizes, run_verification)
 from sharpsphere.verification import _passes
 
 EXPECTED_CHECK_ORDER = [
@@ -89,6 +89,27 @@ class TestRunVerification:
         assert small_report.suite_name == "sharpsphere-verify"
         assert small_report.config == {"n_t": 24, "n_c": 18, "n_r": 12,
                                        "L": 4, "seed": 1234}
+
+
+    def test_default_run_sums_no_convolution_over_the_ball(self, monkeypatch):
+        # both norm checks are Q on the suite's FormGrids, not |convolve_many|^2
+        # at every ball node
+        convolve_many, centres = convolution.convolve_many, []
+
+        def spy(f, g, X, n_c):
+            centres.extend(row.tobytes() for row in np.atleast_2d(X))
+            return convolve_many(f, g, X, n_c)
+
+        monkeypatch.setattr(convolution, "convolve_many", spy)
+        cfg = VerifyConfig()
+        assert run_verification(cfg).overall_pass
+        ball = build_ball_grid(cfg.n_r, build_sphere_grid(cfg.n_t))
+        assert centres
+        assert not set(centres) & {row.tobytes() for row in ball.points()}
+
+    def test_odd_slice_count_passes(self):
+        report = run_verification(VerifyConfig(degree=2, n_c=11))
+        assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
 
 class TestReportSerialization:
