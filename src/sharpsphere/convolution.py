@@ -9,6 +9,7 @@ the ball route (forms.conv_l2_norm, forms.l4_norm).
 """
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,12 @@ def slice_point_table(X: np.ndarray, n_c: int):
     disp = c[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
     pts = centers[:, None, :] + rad[:, None, None] * disp
     return pts, np.linalg.norm(X, axis=-1)
+
+
+def _row_keys(row: np.ndarray) -> tuple:
+    # bytes of a real row (no -0.0 entries) and of its negation, trailing
+    # zeros trimmed: rows equal up to sign share keys at any padding
+    return np.trim_zeros(row, "b").tobytes(), np.trim_zeros(0.0 - row, "b").tobytes()
 
 
 class SplitValues(NamedTuple):
@@ -133,9 +140,9 @@ class SlicePlan:
             p = np.zeros(width)
             p[:len(part)] = part
             p += 0.0   # maps -0.0 to 0.0
-            key = p.tobytes()
+            key, negated = _row_keys(p)
             if key not in where:
-                where[(0.0 - p).tobytes()] = (len(rows), -1.0)
+                where[negated] = (len(rows), -1.0)
                 where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
                 rows.append(p)
             return where[key]
@@ -234,6 +241,10 @@ class SliceColumn:
     Values on slices come in blocks of shape (azimuth rows, column centres,
     n_c), the centres radial-major as in BallGrid.points(); radii and weights
     belong to the column centres and hold for every azimuth row.
+
+    The column keeps the spectra of the coefficient rows of its most recent
+    sampler call, and only those, keyed by row content up to sign as in
+    SlicePlan: a later call on the same function reuses them (see sampler).
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -258,6 +269,7 @@ class SliceColumn:
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
+        self._memo = {}   # _row_keys of the last sampler call's rows -> (spectra, sign)
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
@@ -326,21 +338,55 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
+    def _recall(self, rows) -> list:
+        """Per coefficient row, (spectra, sign) with spectra(row) = sign * spectra.
+
+        A row whose content, up to sign, was a row of the last call reuses
+        that row's spectra; the others take one spectra pass. The memo then
+        holds this call's rows only. A reused row that shares its spectra
+        batch with rows this call drops is copied out, so that batch is freed.
+        """
+        rows = () if rows is None else rows
+        keys = [_row_keys(r) for r in rows]
+        found = [self._memo.get(k) for k, _ in keys]
+        reused = Counter(id(s.base) for s, _ in filter(None, found))
+        found = [h if h is None or h[0].base is None or reused[id(h[0].base)] == len(h[0].base)
+                 else (h[0].copy(), h[1]) for h in found]
+        self._memo = {}   # frees the last call's batches before this call's
+        miss = [i for i, h in enumerate(found) if h is None]
+        if miss:
+            for i, s in zip(miss, self.spectra(rows[miss])):
+                found[i] = (s, 1.0)
+        for (key, negated), (s, sign) in zip(keys, found):
+            self._memo[negated] = (s, -sign)
+            self._memo[key] = (s, sign)   # after the negation: a zero row reads +
+        return found
+
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
 
         The returned sample(a0, a1) gives, per request, its SplitValues (see
         SlicePlan.values), parts of shape (a1 - a0, column centres, n_c), at
-        azimuth rows a0:a1. The table must reach plan.degree; the coefficient
-        rows go through one spectra pass.
+        azimuth rows a0:a1. The table must reach plan.degree. The coefficient
+        rows that the previous sampler call on this column had too, equal or
+        negated, reuse its spectra; the rest go through one spectra pass. Each
+        row's field is synthesized into one buffer per block, and negated in
+        place for a reused row of opposite sign. When the previous call had
+        the same rows, every value is bit for bit that of a fresh column; a
+        partial reuse can differ at rounding level, since BLAS may round a
+        row differently in batches of another size.
         """
-        spec = None if plan.rows is None else self.spectra(plan.rows)
+        spec = self._recall(plan.rows)
 
         def sample(a0: int, a1: int) -> list:
             fields = None
-            if spec is not None:
-                fields = (self.trig[a0:a1] @ spec).reshape(
-                    len(spec), a1 - a0, self.radii.size, self.n_c)
+            if spec:
+                fields = np.empty((len(spec), a1 - a0, self.table.shape[1]))
+                for out, (s, sign) in zip(fields, spec):
+                    np.matmul(self.trig[a0:a1], s, out=out)
+                    if sign < 0:
+                        np.negative(out, out=out)
+                fields = fields.reshape(len(spec), a1 - a0, self.radii.size, self.n_c)
             return plan.values(fields, lambda: self.points(a0, a1))
 
         return sample

@@ -178,10 +178,14 @@ class FormGrids:
     z-rotation of that one, so the table holds (L+1)^2 n_r n_t n_c entries,
     2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
     n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once. The route reads the first n_t azimuth rows
-    only; the other n_t rows hold the antipodes of those nodes. The
-    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route, so they
-    share the memoized column too.
+    geometry and basis once. The column also keeps, until the next call, the
+    azimuth spectra of the last call's coefficient rows (3.8 MB a row in that
+    example), so a chain of Q/B calls on one f, such as the paper's
+    Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F) and
+    B(F, F) <= B(|F|^2, 1), pays for f's rows once (SliceColumn.sampler). The
+    route reads the first n_t azimuth rows only; the other n_t rows hold the
+    antipodes of those nodes. The Plancherel norms (conv_l2_norm, l4_norm)
+    are Q on this route, so they share the memoized column too.
     """
 
     ball: BallGrid
@@ -205,25 +209,20 @@ class FormGrids:
         f tensor g's at x, so Q(f, g, f_star, g_star) is the ball integral
         of |f sigma * g sigma|^2, on the ball route over these grids.
         """
-        return _l2_norm(f, g, f.antipodal_conjugate(), g.antipodal_conjugate(), self)
+        q = quadrilinear_q(f, g, f.antipodal_conjugate(), g.antipodal_conjugate(), self)
+        return float(np.sqrt(max(q.real, 0.0)))   # Re Q >= 0 up to rounding
 
     def l4_norm(self, f) -> float:
         """L4(R^3) norm of the extension of f.
 
         Plancherel turns the quartic integral into the L2 norm of the
         convolution of f sigma with its antipodal conjugate:
-        ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2. The Q of
-        conv_l2_norm takes f itself for the conjugate of f_star, so a
-        literal callable is evaluated at two functions' nodes, not three.
+        ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2. The
+        conjugate of f_star is f itself (SphereFunction.antipodal_conjugate),
+        so a literal callable is evaluated at two functions' nodes, not three.
         """
-        fs = f.antipodal_conjugate()
-        return float(np.sqrt((2.0 * np.pi) ** 1.5 * _l2_norm(f, fs, fs, f, self)))
-
-
-def _l2_norm(f, g, f_star, g_star, grids: FormGrids) -> float:
-    # ||f sigma * g sigma||_2 from Q(f, g, f_star, g_star)
-    q = quadrilinear_q(f, g, f_star, g_star, grids)
-    return float(np.sqrt(max(q.real, 0.0)))   # Re Q >= 0 up to rounding
+        return float(np.sqrt((2.0 * np.pi) ** 1.5
+                             * self.conv_l2_norm(f, f.antipodal_conjugate())))
 
 
 def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
@@ -283,12 +282,28 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
 
 
+def _same_kernel(F: PairKernel, G: PairKernel) -> bool:
+    # F and G have the same profiles: one object, or one structure on the same factors
+    return F is G or (
+        F.factors is not None and G.factors is not None
+        and len(F.factors) == len(G.factors)
+        and all(a is b for a, b in zip(F.factors, G.factors))
+        and F.sum_weight_power == G.sum_weight_power
+        and F.magnitude_power == G.magnitude_power)
+
+
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
-    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. At even n_c structured
-    # kernels' factors are sampled at p and -p from parity-flipped coefficients;
-    # one column table serves both kernels, and shared rows take one spectra pass.
-    kernels = ((F, False), (F, True), (G, True), (G, False))
+    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, or has
+    # F's factors and powers, G's profiles are F's and are not computed again;
+    # the sum keeps its form, so the result is the same bit for bit. At even
+    # n_c structured kernels' factors are sampled at p and -p from
+    # parity-flipped coefficients; one column table serves both kernels, and
+    # shared rows take one spectra pass (or none, if the column's last call
+    # had them: see SliceColumn.sampler).
+    kernels = [(F, False), (F, True)]
+    if not _same_kernel(F, G):
+        kernels += [(G, True), (G, False)]
     tabled = grids.n_c % 2 == 0   # pair_profile pairs p_j with p_{j + n_c/2} = x - p_j
     factors = [(f, negate) for K, negate in kernels if tabled and K.factors for f in K.factors]
     plan = SlicePlan(factors)
@@ -297,8 +312,8 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     total = 0.0 + 0.0j
     for a0, a1 in col.blocks():
         values = iter(sample(a0, a1))
-        fx, fnx, gnx, gx = [_kernel_profile(K, values, col, a0, a1, negate)
-                            for K, negate in kernels]
+        prof = [_kernel_profile(K, values, col, a0, a1, negate) for K, negate in kernels]
+        fx, fnx, gnx, gx = prof if len(prof) == 4 else prof + prof[::-1]
         total += np.sum(col.weights * (fx * gnx + fnx * gx))
     return complex(total)
 
@@ -333,7 +348,9 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     method="ball" integrates F's pair profile at x times G's at -x over the
     ball, exact to rounding for band-limited ingredients on exact_sizes
     grids. It folds over the antipodal symmetry of the ball grid, summing
-    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows. Structured
+    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
+    is F, or has F's factor objects and powers, it computes F's two profiles
+    only, with the same result bit for bit. Structured
     kernels at even n_c pair their factors sampled on the column table at
     the slice nodes p and at -p; every other kernel takes the literal
     pair_slice_average at the ball nodes. method="outer", the

@@ -5,6 +5,7 @@ import pytest
 
 from sharpsphere import (
     DegenerateSliceError,
+    FormGrids,
     HarmonicCoeffs,
     PairKernel,
     SliceColumn,
@@ -204,6 +205,28 @@ class TestConvL2Norm:
         f = SphereFunction.plane_wave(np.array([0.3, 0.5, -0.2]))
         val = conv_l2_norm(f, f.antipodal_conjugate(), ball_default, 64)
         assert abs(val - np.sqrt(32 * PI ** 3)) <= 1e-10 * np.sqrt(32 * PI ** 3)
+
+    def test_literal_conjugate_pair_is_evaluated_for_two_functions(self):
+        # conv_l2_norm(f, f_star) needs f_star's and f's conjugates: f_star and f
+        xi, calls = np.array([0.3, 0.5, -0.2]), []
+
+        def wave(p):
+            calls.append(len(p))
+            return np.exp(1j * (p @ xi))
+
+        grids = FormGrids(build_ball_grid(6, build_sphere_grid(6)), 16)
+        blocks = len(grids.slice_column(0).blocks())
+        f = SphereFunction(wave)
+        value = grids.conv_l2_norm(f, f.antipodal_conjugate())
+        assert len(calls) == 4 * blocks   # f and f_star at +-p
+        g = SphereFunction(wave)
+        g_star = SphereFunction(lambda p: np.conj(wave(-p)))   # not linked to g
+        calls.clear()
+        assert grids.conv_l2_norm(g, g_star) == value
+        assert len(calls) == 8 * blocks
+        calls.clear()
+        grids.l4_norm(SphereFunction(wave))
+        assert len(calls) == 4 * blocks
 
     def test_zero_function(self, ball_default):
         zero = SphereFunction.constant(0.0)

@@ -1,6 +1,7 @@
 """Zero-sum pairing identity, the Q/B multilinear forms, and the chord form H."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,171 @@ class TestAntipodalFold:
         assert calls and all(calls)
         assert sum(spectra_rows) == 0
         assert abs(value - expect) <= 1e-12 * abs(expect)
+
+
+def chain_values(f, grids, fresh=False):
+    """The paper's chain on f: Q(f, f*, f, f*), sharp Q, Q(f, f, f, f), B(F, F)
+    and B(|F|^2, 1) with F the weighted kernel; fresh takes new grids per call."""
+    fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
+    F = weighted_pair_kernel(f)
+    calls = [lambda g: quadrilinear_q(f, fs, f, fs, g),
+             lambda g: quadrilinear_q(sharp, sharp, sharp, sharp, g),
+             lambda g: quadrilinear_q(f, f, f, f, g),
+             lambda g: bilinear_b(F, F, g),
+             lambda g: bilinear_b(F.abs_squared(), PairKernel.one(), g)]
+    return [call(forms.FormGrids(grids.ball, grids.n_c) if fresh else grids)
+            for call in calls]
+
+
+@pytest.fixture
+def spectra_rows(monkeypatch):
+    """Rows per SliceColumn.spectra call."""
+    rows, spectra = [], convolution.SliceColumn.spectra
+
+    def spy(col, coeffs):
+        rows.append(len(coeffs))
+        return spectra(col, coeffs)
+
+    monkeypatch.setattr(convolution.SliceColumn, "spectra", spy)
+    return rows
+
+
+class TestSpectraMemo:
+    """A SliceColumn reuses the spectra of its last sampler call's rows."""
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_chain_computes_the_rows_of_f_once(self, complex_valued, odd, spectra_rows):
+        grids = odd_form_grids(4) if odd else exact_form_grids(4)
+        grids = forms.FormGrids(grids.ball, grids.n_c)
+        f = rand_fn(4, 94, complex_valued=complex_valued)
+        values = chain_values(f, grids)
+        # the real and imaginary rows of f at +-p; odd n_c samples no rows
+        assert spectra_rows == ([] if odd else [4 if complex_valued else 2])
+        assert values == chain_values(f, grids, fresh=True)
+
+    def test_sign_flipped_rows_are_hits(self, spectra_rows):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 95, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        neg = SphereFunction.from_coeffs(HarmonicCoeffs(4, -f.coeffs.coeffs))
+        quadrilinear_q(f, fs, f, fs, grids)
+        # odd in neg, so a row read with the wrong sign would flip the value
+        value = quadrilinear_q(neg, f, fs, fs, grids)
+        assert spectra_rows == [4]
+        fresh = forms.FormGrids(grids.ball, grids.n_c)
+        assert value == quadrilinear_q(neg, f, fs, fs, fresh)
+
+    def test_a_call_on_another_function_drops_the_rows(self, spectra_rows):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f, g = rand_fn(4, 96, complex_valued=True), rand_fn(4, 97, complex_valued=True)
+        first = quadrilinear_q(f, f, f, f, grids)
+        quadrilinear_q(g, g, g, g, grids)
+        held = {id(s) for s, _ in grids.slice_column(4)._memo.values()}
+        assert len(held) == 4   # g's rows only
+        assert quadrilinear_q(f, f, f, f, grids) == first
+        assert spectra_rows == [4, 4, 4]
+
+    def test_a_rebuilt_column_starts_empty(self, spectra_rows):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f, h = rand_fn(2, 98, complex_valued=True), rand_fn(4, 99, complex_valued=True)
+        fs, hs = f.antipodal_conjugate(), h.antipodal_conjugate()
+        quadrilinear_q(f, fs, f, fs, grids)
+        low = grids.slice_column(2)
+        value = quadrilinear_q(f, fs, h, hs, grids)
+        assert grids.slice_column(4) is not low
+        assert spectra_rows == [4, 8]   # f's rows again, on the new column
+        assert value == quadrilinear_q(f, fs, h, hs, forms.FormGrids(grids.ball, grids.n_c))
+
+    def test_a_partly_reused_batch_is_copied_out(self, spectra_rows):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 104, complex_valued=True)
+        re = SphereFunction.from_coeffs(HarmonicCoeffs(4, f.coeffs.coeffs.real.copy()))
+        quadrilinear_q(f, f, f, f, grids)
+        value = quadrilinear_q(re, re, re, re, grids)   # 2 of f's 4 rows
+        assert spectra_rows == [4]
+        held = {id(s): s for s, _ in grids.slice_column(4)._memo.values()}
+        assert len(held) == 2 and all(s.base is None for s in held.values())
+        # BLAS may round a row differently in a batch of another size
+        expect = quadrilinear_q(re, re, re, re, forms.FormGrids(grids.ball, grids.n_c))
+        assert abs(value - expect) <= 1e-14 * abs(expect)
+
+    def test_a_reused_row_pins_no_second_call(self, exact_grids):
+        # sharp Q after complex Q on the same f reads the rows that complex Q
+        # left behind; it must peak no higher than on a column without them
+        f = rand_fn(8, 100, complex_valued=True)
+        fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
+
+        def peak(warm: bool) -> int:
+            grids = forms.FormGrids(exact_grids.ball, exact_grids.n_c)
+            grids.slice_column(8)
+            tracemalloc.start()
+            try:
+                if warm:
+                    quadrilinear_q(f, fs, f, fs, grids)
+                    tracemalloc.reset_peak()
+                quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True) <= peak(False) + 64 * 1024
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Counts of forms.pair_profile and forms.pair_slice_average calls."""
+    counts = {"pair_profile": 0, "pair_slice_average": 0}
+    for name in counts:
+        def spy(*args, _name=name, _inner=getattr(forms, name)):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(forms, name, spy)
+    return counts
+
+
+class TestSameKernelFold:
+    """B(F, G) with G's profiles those of F computes only F's."""
+
+    def test_conjugate_pairing_takes_two_profiles_per_block(self, profile_calls):
+        grids = exact_form_grids(4)
+        f = rand_fn(4, 101, complex_valued=True)
+        twin = SphereFunction.from_coeffs(f.coeffs)   # equal values, another object
+        fs = f.antipodal_conjugate()
+        blocks = len(grids.slice_column(4).blocks())
+        folded = quadrilinear_q(f, fs, f, fs, grids)
+        assert profile_calls["pair_profile"] == 2 * blocks
+        whole = quadrilinear_q(f, fs, twin, twin.antipodal_conjugate(), grids)
+        assert profile_calls["pair_profile"] == 6 * blocks
+        assert folded == whole
+
+    @pytest.mark.parametrize("case", ["sum_weight_power", "magnitude_power"])
+    def test_other_powers_are_not_folded(self, case, profile_calls):
+        grids = exact_form_grids(4)
+        f = rand_fn(4, 102, complex_valued=True)
+        W = weighted_pair_kernel(f)
+        if case == "sum_weight_power":
+            F, G = W, PairKernel.tensor(f, f)
+        else:
+            F = W.abs_squared()
+            G = PairKernel(lambda a, b: F(a, b) / np.linalg.norm(a + b, axis=-1) ** 2,
+                           factors=W.factors, sum_weight_power=2)
+        assert F.factors[0] is G.factors[0] and F.factors[1] is G.factors[1]
+        value = bilinear_b(F, G, grids)
+        assert profile_calls["pair_profile"] == 4 * len(grids.slice_column(4).blocks())
+        ref = unfolded_b(F, G, grids)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    def test_literal_kernel_is_averaged_once_per_sign(self, profile_calls):
+        grids = exact_form_grids(2)
+        f = rand_fn(2, 103, complex_valued=True)
+        K = PairKernel(lambda a, b: f(a) * f(b) * np.exp(np.sum(a * b, axis=-1)))
+        blocks = len(grids.slice_column(0).blocks())
+        folded = bilinear_b(K, K, grids)
+        assert profile_calls["pair_slice_average"] == 2 * blocks
+        whole = bilinear_b(K, PairKernel(K.evaluator), grids)
+        assert profile_calls["pair_slice_average"] == 6 * blocks
+        assert folded == whole
 
 
 class TestMeanValue:

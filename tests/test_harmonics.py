@@ -279,6 +279,14 @@ class TestSphereFunction:
         pts = unit_vectors(np.random.default_rng(17), 30)
         assert np.abs(back(pts) - f(pts)).max() <= 1e-14
 
+    def test_closure_conjugate_returns_its_source(self):
+        xi = np.array([0.3, 0.5, -0.2])
+        f = SphereFunction.plane_wave(xi)
+        g = f.antipodal_conjugate()
+        assert g.antipodal_conjugate() is f and f.antipodal_conjugate() is g
+        pts = unit_vectors(np.random.default_rng(23), 30)
+        assert np.array_equal(g(pts), np.conj(f(-pts)))
+
     def test_sharp_pointwise_formula(self):
         f = SphereFunction.from_coeffs(
             random_band_limited(5, np.random.default_rng(18), complex_valued=True))
