@@ -33,8 +33,9 @@ __all__ = [
 # Centers per vectorized batch; bounds peak memory of the slice-point tables.
 _CHUNK = 2048
 
-# Slice nodes per azimuth block of a SliceColumn; bounds the transient field
-# arrays of the ball route, not the cached column table.
+# Slice nodes per azimuth block of a SliceColumn; bounds the ball route's
+# per-block profile, sharp and literal arrays, not the column table or the
+# synthesized fields it holds.
 _BLOCK_NODES = 1 << 20
 
 
@@ -69,7 +70,9 @@ def slice_point_table(X: np.ndarray, n_c: int):
 def _row_keys(row: np.ndarray) -> tuple:
     # bytes of a real row (no -0.0 entries) and of its negation, trailing
     # zeros trimmed: rows equal up to sign share keys at any padding
-    return np.trim_zeros(row, "b").tobytes(), np.trim_zeros(0.0 - row, "b").tobytes()
+    nz = np.flatnonzero(row)
+    head = row[:nz[-1] + 1 if nz.size else 0]
+    return head.tobytes(), (0.0 - head).tobytes()
 
 
 class SplitValues(NamedTuple):
@@ -171,22 +174,28 @@ class SlicePlan:
     def values(self, fields, nodes) -> list:
         """Per request, its values at a set of slice nodes, as SplitValues.
 
-        fields holds the distinct rows synthesized at the nodes (None without
-        rows), the row axis first; nodes() returns the literal nodes with the
-        same node axes plus a last axis of 3, and is called only for literal
-        calls. A coefficient-backed request reads its rows of fields in place,
-        with their signs; a sharp rearrangement is built in one new buffer; a
-        literal call is split into views of its real and imaginary parts.
-        Requests that share an entry get the same object.
+        fields holds one (array, sign) pair per distinct row, in the order of
+        rows (empty or None without rows): the row synthesized at the nodes is
+        sign * array, so a caller can hand over a held field of the negated
+        row without negating it. nodes() returns the literal nodes with the
+        arrays' node axes plus a last axis of 3, and is called only for
+        literal calls. A coefficient-backed request reads its arrays in place,
+        with its signs times theirs; a sharp rearrangement is built in one new
+        buffer; a literal call is split into views of its real and imaginary
+        parts. Requests that share an entry get the same object.
         """
         pts, out = None, []
         for kind, *args in self._entries:
             if kind == "field":
                 (i, si), im = args
-                v = (SplitValues(fields[i], None, si) if im is None
-                     else SplitValues(fields[i], fields[im[0]], si, im[1]))
+                re, sr = fields[i]
+                if im is None:
+                    v = SplitValues(re, None, si * sr)
+                else:
+                    vi, sv = fields[im[0]]
+                    v = SplitValues(re, vi, si * sr, im[1] * sv)
             elif kind == "sharp":
-                r0, *rest = [fields[r[0]] for r in args if r is not None]
+                r0, *rest = [fields[r[0]][0] for r in args if r is not None]
                 acc, scratch = np.square(r0), np.empty(r0.shape)
                 for r in rest:
                     acc += np.square(r, out=scratch)
@@ -210,7 +219,7 @@ class SlicePlan:
         fields = None
         if self.rows is not None:
             table = harmonic_values(self.degree, points.reshape(-1, 3))
-            fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
+            fields = [(v, 1.0) for v in (self.rows @ table).reshape((-1,) + points.shape[:-1])]
         split = self.values(fields, lambda: points)
         dense = {id(v): v.dense() for v in split}
         if not all(np.all(np.isfinite(v)) for v in dense.values()):
@@ -242,9 +251,10 @@ class SliceColumn:
     n_c), the centres radial-major as in BallGrid.points(); radii and weights
     belong to the column centres and hold for every azimuth row.
 
-    The column keeps the spectra of the coefficient rows of its most recent
-    sampler call, and only those, keyed by row content up to sign as in
-    SlicePlan: a later call on the same function reuses them (see sampler).
+    The column keeps the fields of the coefficient rows of its most recent
+    sampler call, and only those: each row synthesized once on azimuth rows
+    [0, n_t), keyed by row content up to sign as in SlicePlan. A later call
+    on the same function reads them in place (see sampler).
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -269,14 +279,16 @@ class SliceColumn:
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
-        self._memo = {}   # _row_keys of the last sampler call's rows -> (spectra, sign)
+        self._memo = {}   # _row_keys of the last sampler call's rows -> (field, sign)
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
 
         Row a + n_t holds the slices of -x for the ball nodes x of row a (see
         maximizer.Workspace), so the ball route reads them off row a at -p.
-        Each block spans about _BLOCK_NODES slice nodes of x and -x together.
+        Each block spans about _BLOCK_NODES slice nodes of x and -x together;
+        the blocks bound the profile, sharp and literal arrays of one block,
+        since the sampler's coefficient fields are held whole.
         """
         n_t = self.n_az // 2
         n = min(n_t, -(-self.n_az * self.radii.size * self.n_c // _BLOCK_NODES))
@@ -339,27 +351,36 @@ class SliceColumn:
         return out
 
     def _recall(self, rows) -> list:
-        """Per coefficient row, (spectra, sign) with spectra(row) = sign * spectra.
+        """Per coefficient row, (field, sign): the row's values on the slices
+        of azimuth rows [0, n_t), shape (n_t, column centres, n_c), are
+        sign * field. The fields are read-only.
 
         A row whose content, up to sign, was a row of the last call reuses
-        that row's spectra; the others take one spectra pass. The memo then
-        holds this call's rows only. A reused row that shares its spectra
-        batch with rows this call drops is copied out, so that batch is freed.
+        that row's field; the others take one spectra pass and one synthesis
+        trig[:n_t] @ spectra into one buffer, and the spectra are dropped.
+        The memo then holds this call's rows only. A reused field that shares
+        its buffer with rows this call drops is copied out, so that buffer is
+        freed.
         """
         rows = () if rows is None else rows
         keys = [_row_keys(r) for r in rows]
         found = [self._memo.get(k) for k, _ in keys]
-        reused = Counter(id(s.base) for s, _ in filter(None, found))
+        reused = Counter(id(v.base) for v, _ in filter(None, found))
         found = [h if h is None or h[0].base is None or reused[id(h[0].base)] == len(h[0].base)
                  else (h[0].copy(), h[1]) for h in found]
-        self._memo = {}   # frees the last call's batches before this call's
+        self._memo = {}   # frees the last call's buffers before this call's
         miss = [i for i, h in enumerate(found) if h is None]
         if miss:
-            for i, s in zip(miss, self.spectra(rows[miss])):
-                found[i] = (s, 1.0)
-        for (key, negated), (s, sign) in zip(keys, found):
-            self._memo[negated] = (s, -sign)
-            self._memo[key] = (s, sign)   # after the negation: a zero row reads +
+            n_t = self.n_az // 2
+            fields = np.empty((len(miss), n_t, self.radii.size, self.n_c))
+            np.matmul(self.trig[:n_t], self.spectra(rows[miss]),
+                      out=fields.reshape(len(miss), n_t, -1))
+            for i, v in zip(miss, fields):
+                found[i] = (v, 1.0)
+        for (key, negated), (v, sign) in zip(keys, found):
+            v.flags.writeable = False
+            self._memo[negated] = (v, -sign)
+            self._memo[key] = (v, sign)   # after the negation: a zero row reads +
         return found
 
     def sampler(self, plan: SlicePlan):
@@ -367,27 +388,24 @@ class SliceColumn:
 
         The returned sample(a0, a1) gives, per request, its SplitValues (see
         SlicePlan.values), parts of shape (a1 - a0, column centres, n_c), at
-        azimuth rows a0:a1. The table must reach plan.degree. The coefficient
-        rows that the previous sampler call on this column had too, equal or
-        negated, reuse its spectra; the rest go through one spectra pass. Each
-        row's field is synthesized into one buffer per block, and negated in
-        place for a reused row of opposite sign. When the previous call had
-        the same rows, every value is bit for bit that of a fresh column; a
-        partial reuse can differ at rounding level, since BLAS may round a
-        row differently in batches of another size.
+        azimuth rows a0:a1 inside [0, n_t), the rows blocks() covers; other
+        ranges raise ValueError. The table must reach plan.degree. Each
+        coefficient row's field is synthesized once per call on rows
+        [0, n_t), or reused, equal or negated, from the previous sampler call
+        on this column; sample reads views of those fields, and a negated
+        field with the opposite sign. When the previous call had the same
+        rows, every value is bit for bit that of a fresh column; a partial
+        reuse can differ at rounding level, since BLAS may round a row
+        differently in batches of another size.
         """
-        spec = self._recall(plan.rows)
+        held = self._recall(plan.rows)
+        n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
-            fields = None
-            if spec:
-                fields = np.empty((len(spec), a1 - a0, self.table.shape[1]))
-                for out, (s, sign) in zip(fields, spec):
-                    np.matmul(self.trig[a0:a1], s, out=out)
-                    if sign < 0:
-                        np.negative(out, out=out)
-                fields = fields.reshape(len(spec), a1 - a0, self.radii.size, self.n_c)
-            return plan.values(fields, lambda: self.points(a0, a1))
+            if not 0 <= a0 <= a1 <= n_t:
+                raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
+            return plan.values([(v[a0:a1], sign) for v, sign in held],
+                               lambda: self.points(a0, a1))
 
         return sample
 

@@ -46,9 +46,10 @@ __all__ = [
     "mean_value",
 ]
 
-# Polar ring nodes per block of outer nodes; bounds the transient memory
-# (H at L=8 on n_t=9 has 162 x 90 = 14580 polar nodes, one block).
-_POLAR_NODES = 1 << 14
+# Polar ring nodes per block of outer nodes; bounds the harmonic table and
+# values of one block (H at L=8 on n_t=9 has 162 x 90 = 14580 polar nodes,
+# four blocks of at most 45 x 90, each a 2.6 MB degree-8 harmonic table).
+_POLAR_NODES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,17 @@ class FormGrids:
     z-rotation of that one, so the table holds (L+1)^2 n_r n_t n_c entries,
     2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
     n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once. The column also keeps, until the next call, the
-    azimuth spectra of the last call's coefficient rows (3.8 MB a row in that
-    example), so a chain of Q/B calls on one f, such as the paper's
-    Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F) and
-    B(F, F) <= B(|F|^2, 1), pays for f's rows once (SliceColumn.sampler). The
-    route reads the first n_t azimuth rows only; the other n_t rows hold the
-    antipodes of those nodes. The Plancherel norms (conv_l2_norm, l4_norm)
-    are Q on this route, so they share the memoized column too.
+    geometry and basis once. The route reads the first n_t azimuth rows
+    only; the other n_t rows hold the antipodes of those nodes. The column
+    also keeps, until the next call, the fields of the last call's
+    coefficient rows, synthesized on those n_t rows, so a chain of Q/B calls
+    on one f, such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#),
+    Q(f, f, f, f) = 3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra
+    pass and one synthesis for f's rows (SliceColumn.sampler). A held row is
+    n_t field rows of column nodes, where its azimuth spectra are 2L+1: the
+    same bytes on exact_sizes(L, 4L) grids, 5.3 MB against 3.8 MB a row in
+    the example above. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
+    this route, so they share the memoized column too.
     """
 
     ball: BallGrid
@@ -299,8 +303,8 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # the sum keeps its form, so the result is the same bit for bit. At even
     # n_c structured kernels' factors are sampled at p and -p from
     # parity-flipped coefficients; one column table serves both kernels, and
-    # shared rows take one spectra pass (or none, if the column's last call
-    # had them: see SliceColumn.sampler).
+    # shared rows are synthesized once (or not at all, if the column's last
+    # call had them: see SliceColumn.sampler).
     kernels = [(F, False), (F, True)]
     if not _same_kernel(F, G):
         kernels += [(G, True), (G, False)]
@@ -412,10 +416,10 @@ def h_direct_many(gs, grid: SphereGrid):
     ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)
     plan = SlicePlan([(g, False) for g in gs])
     outer = np.conj(np.stack(plan.at(grid.nodes))) * grid.weights
-    acc = np.zeros(len(gs), dtype=complex)
-    for sel, nu in blocks:
-        inner = np.stack(plan.at(nu)).reshape(len(gs), -1, ring_w.size) @ ring_w
-        acc += np.sum(outer[:, sel] * inner, axis=1)
+    inner = np.concatenate(
+        [np.stack(plan.at(nu)).reshape(len(gs), -1, ring_w.size) @ ring_w
+         for _, nu in blocks], axis=1)
+    acc = np.sum(outer * inner, axis=1)
     if np.all(acc.imag == 0.0):
         return acc.real
     return acc

@@ -25,7 +25,7 @@ from sharpsphere import (
     pair_slice_average,
     random_band_limited,
 )
-from sharpsphere.convolution import slice_point_table
+from sharpsphere.convolution import _row_keys, slice_point_table
 
 from helpers import ball_points, rand_fn, unit_vectors
 
@@ -343,6 +343,15 @@ class TestSliceColumn:
         shape = (3, column.radii.size, column.n_c)
         assert a.re.shape == a.im.shape == c.re.shape == shape and c.im is None
 
+    def test_sampler_covers_rows_below_n_t_only(self, column):
+        # rows a >= n_t hold the antipodal slices, which the ball route reads at -p
+        sample = column.sampler(SlicePlan([(rand_fn(3, 64), False)]))
+        n_t = column.n_az // 2
+        assert sample(n_t - 1, n_t)[0].re.shape[0] == 1
+        for a0, a1 in ((n_t - 1, n_t + 1), (n_t, n_t + 1), (-1, 1), (2, 1)):
+            with pytest.raises(ValueError, match=f"rows {a0}:{a1} .* 0:{n_t}"):
+                sample(a0, a1)
+
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,
         # each at p and -p, need only the real and imaginary rows of f(+-p)
@@ -384,3 +393,24 @@ class TestSliceColumn:
                          grid.exactness_degree)
         with pytest.raises(ValueError):
             SliceColumn(build_ball_grid(3, odd), 8, 2)
+
+
+class TestRowKeys:
+    @pytest.mark.parametrize("row", [
+        [0.5, -1.25, 3.0, 0.0, 0.0],     # trailing zeros
+        [0.0, 2.0, 0.0, 0.0, -7.5],      # interior zeros, none trailing
+        [0.0, 1.0, 0.0, -3.0, 0.0],      # both
+        [0.0, 0.0, 0.0],                 # all zero
+        [],
+    ], ids=["trailing", "interior", "both", "zero", "empty"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_keys_are_the_trimmed_row_bytes(self, row, sign):
+        row = sign * np.array(row) + 0.0   # no -0.0 entries, as SlicePlan stores them
+        expect = (np.trim_zeros(row, "b").tobytes(), np.trim_zeros(0.0 - row, "b").tobytes())
+        assert _row_keys(row) == expect
+
+    def test_negated_rows_swap_keys_at_any_padding(self):
+        row = np.random.default_rng(74).standard_normal(9)
+        row[[2, 6]] = 0.0
+        key, negated = _row_keys(row)
+        assert _row_keys(np.concatenate([0.0 - row, np.zeros(7)])) == (negated, key)

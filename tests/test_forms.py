@@ -403,7 +403,9 @@ class TestOddSliceCountAgainstReference(ReferenceCases):
 
 def unfolded_b(F, G, grids):
     """The ball route before the antipodal fold: F's profile at x times G's at
-    -x, summed over every azimuth row of the ball grid."""
+    -x, summed over every azimuth row of the ball grid. Rows a >= n_t, which
+    the sampler does not cover, take the factors from a harmonic table at
+    their literal slice nodes, independent of the column's rotation."""
     kernels = ((F, False), (G, True))
     plan = convolution.SlicePlan(
         [(f, negate) for K, negate in kernels if K.factors for f in K.factors])
@@ -411,7 +413,12 @@ def unfolded_b(F, G, grids):
     sample = col.sampler(plan)
     total = 0.0 + 0.0j
     for a in range(col.n_az):
-        values = iter(sample(a, a + 1))
+        if a < col.n_az // 2:
+            values = iter(sample(a, a + 1))
+        else:
+            values = iter([convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
+                           else convolution.SplitValues(v)
+                           for v in plan.at(col.points(a, a + 1))])
         pf, pg = [forms._kernel_profile(K, values, col, a, a + 1, negate)
                   for K, negate in kernels]
         total += np.sum(col.weights * pf * pg)
@@ -545,8 +552,35 @@ def spectra_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def row_passes(monkeypatch):
+    """Rows per SliceColumn.spectra call, and rows per synthesis from its
+    output: the spectra come back as an array that records each ufunc, such
+    as np.matmul, that reads them, with the row count of its result."""
+    passes, spectra = {"spectra": [], "synthesis": []}, convolution.SliceColumn.spectra
+
+    class Spectra(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Spectra) else x for x in inputs]
+            out = getattr(ufunc, method)(*inputs, **kwargs)
+            passes["synthesis"].append((ufunc.__name__, int(np.prod(out.shape[:-2]))))
+            return out
+
+    def spy(col, coeffs):
+        passes["spectra"].append(len(coeffs))
+        return spectra(col, coeffs).view(Spectra)
+
+    monkeypatch.setattr(convolution.SliceColumn, "spectra", spy)
+    return passes
+
+
+def held_fields(col) -> dict:
+    """The distinct field arrays a SliceColumn holds, by id."""
+    return {id(v): v for v, _ in col._memo.values()}
+
+
 class TestSpectraMemo:
-    """A SliceColumn reuses the spectra of its last sampler call's rows."""
+    """A SliceColumn reuses the fields of its last sampler call's rows."""
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -558,6 +592,43 @@ class TestSpectraMemo:
         # the real and imaginary rows of f at +-p; odd n_c samples no rows
         assert spectra_rows == ([] if odd else [4 if complex_valued else 2])
         assert values == chain_values(f, grids, fresh=True)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_chain_synthesizes_each_row_once(self, complex_valued, row_passes):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 105, complex_valued=complex_valued)
+        values = chain_values(f, grids)
+        rows = 4 if complex_valued else 2
+        assert row_passes == {"spectra": [rows], "synthesis": [("matmul", rows)]}
+        assert values == chain_values(f, grids, fresh=True)
+
+    def test_memo_holds_n_t_field_rows_per_coefficient_row(self):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 106, complex_valued=True)
+        chain_values(f, grids)
+        col = grids.slice_column(4)
+        n_t, nodes = col.n_az // 2, col.table.shape[1]
+        held = held_fields(col)
+        assert len(held) == 4
+        assert all(v.shape == (n_t, col.radii.size, col.n_c) for v in held.values())
+        assert sum(v.nbytes for v in held.values()) == 4 * n_t * nodes * 8
+        assert len({id(v.base) for v in held.values()}) == 1   # one buffer
+
+    def test_a_negated_hit_reads_the_held_field_with_sign_minus_one(self):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 107, complex_valued=True)
+        neg = SphereFunction.from_coeffs(HarmonicCoeffs(4, -f.coeffs.coeffs))
+        col = grids.slice_column(4)
+        (pos,) = col.sampler(convolution.SlicePlan([(f, False)]))(0, col.n_az // 2)
+        assert pos.re_sign == pos.im_sign == 1.0
+        (v,) = col.sampler(convolution.SlicePlan([(neg, False)]))(0, col.n_az // 2)
+        assert v.re_sign == v.im_sign == -1.0
+        held = held_fields(col).values()
+        assert any(np.shares_memory(v.re, h) for h in held)
+        assert any(np.shares_memory(v.im, h) for h in held)
+        fresh = forms.FormGrids(grids.ball, grids.n_c).slice_column(4)
+        (expect,) = fresh.sampler(convolution.SlicePlan([(neg, False)]))(0, col.n_az // 2)
+        assert np.array_equal(v.dense(), expect.dense())
 
     def test_sign_flipped_rows_are_hits(self, spectra_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
