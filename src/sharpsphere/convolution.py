@@ -6,10 +6,13 @@ where the unit spheres centered at 0 and at x intersect, times 1/|x|. All
 L4-norm computations route through this fact (Plancherel) instead of sampling
 the oscillatory extension on a 3D grid; the norms themselves are forms.Q on
 the ball route (forms.conv_l2_norm, forms.l4_norm).
+
+At every n_c the table routes (convolve_many, SliceColumn) read f at each
+slice's rule nodes p_j and g at their partners x - p_j off one node set (see
+_angle_tables) and pair them in pair_profile; pair_slice_average is literal.
 """
 
 import math
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -40,16 +43,23 @@ _BLOCK_NODES = 1 << 20
 
 
 def _angle_tables(n_c: int):
-    # For even n_c the second half of the circle nodes is built by explicit
-    # negation of the first, so omega(phi_j + pi) == -direction of omega(phi_j)
-    # about the center holds bitwise. Downstream inequalities that pair a node
-    # with its opposite then degrade only at rounding level.
-    ang = np.arange(n_c) * (2.0 * np.pi / n_c)
-    if n_c % 2 == 0:
-        half = n_c // 2
-        ch, sh = np.cos(ang[:half]), np.sin(ang[:half])
-        return np.concatenate([ch, -ch]), np.concatenate([sh, -sh])
-    return np.cos(ang), np.sin(ang)
+    # The first n_c/2 angles (all n_c at odd n_c), then their displacements
+    # negated: the first n_c nodes are the rule's, and the partner x - p_j of
+    # rule node j is node j + n_c/2 (j + n_c at odd n_c), its opposite about
+    # the centre bitwise, so pairing inequalities degrade only at rounding level.
+    if n_c < 1:
+        raise ValueError(f"n_c must be a positive integer, got {n_c}")
+    ang = np.arange(n_c if n_c % 2 else n_c // 2) * (2.0 * np.pi / n_c)
+    c, s = np.cos(ang), np.sin(ang)
+    return np.concatenate([c, -c]), np.concatenate([s, -s])
+
+
+def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
+    # the first count of _angle_tables' nodes (default all) on the slices at X, and |X|
+    c, s = _angle_tables(n_c)
+    centers, rad, e1, e2 = circle_frames(X)
+    disp = c[None, :count, None] * e1[:, None, :] + s[None, :count, None] * e2[:, None, :]
+    return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
 
 
 def slice_point_table(X: np.ndarray, n_c: int):
@@ -58,13 +68,7 @@ def slice_point_table(X: np.ndarray, n_c: int):
     Returns (pts, radii) with pts of shape (M, n_c, 3); row i holds the n_c
     nodes of the slice at X[i].
     """
-    if n_c < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c}")
-    centers, rad, e1, e2 = circle_frames(X)
-    c, s = _angle_tables(n_c)
-    disp = c[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
-    pts = centers[:, None, :] + rad[:, None, None] * disp
-    return pts, np.linalg.norm(X, axis=-1)
+    return _slice_nodes(X, n_c, n_c)
 
 
 def _row_keys(row: np.ndarray) -> tuple:
@@ -247,14 +251,16 @@ class SliceColumn:
     0..L of order 0, then for each m >= 1 the +m rows of degrees m..L
     followed by the -m rows, so every order is one contiguous block.
 
-    Values on slices come in blocks of shape (azimuth rows, column centres,
-    n_c), the centres radial-major as in BallGrid.points(); radii and weights
-    belong to the column centres and hold for every azimuth row.
+    Each slice holds its n_c rule nodes, followed at odd n_c by their
+    partners x - p_j (see _angle_tables). Values on slices come in blocks of
+    shape (azimuth rows, column centres, slice nodes), the centres
+    radial-major as in BallGrid.points(); radii and weights belong to the
+    column centres and hold for every azimuth row.
 
     The column keeps the fields of the coefficient rows of its most recent
-    sampler call, and only those: each row synthesized once on azimuth rows
-    [0, n_t), keyed by row content up to sign as in SlicePlan. A later call
-    on the same function reads them in place (see sampler).
+    sampler call, and only those, synthesized on azimuth rows [0, n_t). A
+    later call on the same rows, each equal up to sign, reads them in place
+    (see sampler).
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -264,7 +270,7 @@ class SliceColumn:
         if dirs.n_nodes != n_t * n_az:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
         self._centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
-        self.pts, self.radii = slice_point_table(self._centres, n_c)
+        self.pts, self.radii = _slice_nodes(self._centres, n_c)
         self.weights = ball.weights()[::n_az]
         self.n_c, self.n_az, self.L = n_c, n_az, L
         alpha = np.arange(n_az) * (np.pi / n_t)
@@ -279,7 +285,7 @@ class SliceColumn:
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
-        self._memo = {}   # _row_keys of the last sampler call's rows -> (field, sign)
+        self._memo = ([], [])   # the last sampler call's _row_keys and fields, per row
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
@@ -291,7 +297,7 @@ class SliceColumn:
         since the sampler's coefficient fields are held whole.
         """
         n_t = self.n_az // 2
-        n = min(n_t, -(-self.n_az * self.radii.size * self.n_c // _BLOCK_NODES))
+        n = min(n_t, -(-self.n_az * self.radii.size * self.pts.shape[1] // _BLOCK_NODES))
         edges = np.arange(n + 1) * n_t // n
         return list(zip(edges[:-1], edges[1:]))
 
@@ -304,7 +310,7 @@ class SliceColumn:
                          np.broadcast_to(z, (a1 - a0,) + z.shape)], axis=-1)
 
     def points(self, a0: int, a1: int) -> np.ndarray:
-        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, n_c, 3)."""
+        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, nodes, 3)."""
         return self._rotated(self.pts, a0, a1)
 
     def centres(self, a0: int, a1: int) -> np.ndarray:
@@ -352,51 +358,43 @@ class SliceColumn:
 
     def _recall(self, rows) -> list:
         """Per coefficient row, (field, sign): the row's values on the slices
-        of azimuth rows [0, n_t), shape (n_t, column centres, n_c), are
-        sign * field. The fields are read-only.
+        of azimuth rows [0, n_t), shape (n_t, column centres, slice nodes),
+        are sign * field. The fields are read-only.
 
-        A row whose content, up to sign, was a row of the last call reuses
-        that row's field; the others take one spectra pass and one synthesis
-        trig[:n_t] @ spectra into one buffer, and the spectra are dropped.
-        The memo then holds this call's rows only. A reused field that shares
-        its buffer with rows this call drops is copied out, so that buffer is
-        freed.
+        Rows equal, up to sign (by content, as in SlicePlan), to the last
+        call's, in their order, reuse its fields. Any other rows replace
+        them: all take one spectra pass and one synthesis trig[:n_t] @
+        spectra into one buffer, since BLAS may round a row differently in a
+        batch of another size; the spectra are dropped.
         """
         rows = () if rows is None else rows
         keys = [_row_keys(r) for r in rows]
-        found = [self._memo.get(k) for k, _ in keys]
-        reused = Counter(id(v.base) for v, _ in filter(None, found))
-        found = [h if h is None or h[0].base is None or reused[id(h[0].base)] == len(h[0].base)
-                 else (h[0].copy(), h[1]) for h in found]
-        self._memo = {}   # frees the last call's buffers before this call's
-        miss = [i for i, h in enumerate(found) if h is None]
-        if miss:
+        signs = [1.0 if key == k else -1.0 if key == neg else None   # a zero row reads +
+                 for (key, _), (k, neg) in zip(keys, self._memo[0])]
+        if len(keys) == len(self._memo[0]) and None not in signs:
+            return list(zip(self._memo[1], signs))
+        self._memo = ([], [])   # frees the last call's buffer before this call's
+        if keys:
             n_t = self.n_az // 2
-            fields = np.empty((len(miss), n_t, self.radii.size, self.n_c))
-            np.matmul(self.trig[:n_t], self.spectra(rows[miss]),
-                      out=fields.reshape(len(miss), n_t, -1))
-            for i, v in zip(miss, fields):
-                found[i] = (v, 1.0)
-        for (key, negated), (v, sign) in zip(keys, found):
-            v.flags.writeable = False
-            self._memo[negated] = (v, -sign)
-            self._memo[key] = (v, sign)   # after the negation: a zero row reads +
-        return found
+            fields = np.empty((len(rows), n_t, self.radii.size, self.pts.shape[1]))
+            np.matmul(self.trig[:n_t], self.spectra(rows),
+                      out=fields.reshape(len(rows), n_t, -1))
+            fields.flags.writeable = False
+            self._memo = (keys, list(fields))
+        return [(v, 1.0) for v in self._memo[1]]
 
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
 
         The returned sample(a0, a1) gives, per request, its SplitValues (see
-        SlicePlan.values), parts of shape (a1 - a0, column centres, n_c), at
+        SlicePlan.values), parts of shape (a1 - a0, column centres, slice nodes), at
         azimuth rows a0:a1 inside [0, n_t), the rows blocks() covers; other
-        ranges raise ValueError. The table must reach plan.degree. Each
-        coefficient row's field is synthesized once per call on rows
-        [0, n_t), or reused, equal or negated, from the previous sampler call
-        on this column; sample reads views of those fields, and a negated
-        field with the opposite sign. When the previous call had the same
-        rows, every value is bit for bit that of a fresh column; a partial
-        reuse can differ at rounding level, since BLAS may round a row
-        differently in batches of another size.
+        ranges raise ValueError. The table must reach plan.degree. The
+        coefficient rows' fields are synthesized once per call on rows
+        [0, n_t), or reused, equal or negated, from the previous call when it
+        had the same rows (see _recall), so every value is bit for bit that
+        of a fresh column; sample reads views of those fields, and a negated
+        field with the opposite sign.
         """
         held = self._recall(plan.rows)
         n_t = self.n_az // 2
@@ -410,31 +408,36 @@ class SliceColumn:
         return sample
 
 
-def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # sum over each slice of a at node j times b at node j + n_c/2
-    n_c = a.shape[-1]
+def _half_pair(a: np.ndarray, b: np.ndarray, n_c: int) -> np.ndarray:
+    # sum over each slice of a at rule node j times b at its partner: of 2 n_c
+    # nodes node j + n_c, of n_c nodes node j + n_c/2 (halves crosswise)
+    if a.shape[-1] == 2 * n_c:
+        return np.einsum("...j,...j->...", a[..., :n_c], b[..., n_c:])
     a = a.reshape(a.shape[:-1] + (2, n_c // 2))
     b = b.reshape(b.shape[:-1] + (2, n_c // 2))[..., ::-1, :]
     return np.einsum("...ij,...ij->...", a, b)
 
 
-def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
-    """(f sigma * g sigma)(x) from f and g at the n_c nodes (last axis) of x's slice.
+def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarray:
+    """(f sigma * g sigma)(x) from f and g at the nodes (last axis) of x's slice.
 
-    Leading axes run over centres x of norm radii. Needs even n_c: the
+    Leading axes run over centres x of norm radii; n_c is the rule's node
+    count, by default the node axis length. n_c nodes need even n_c: the
     partner x - p_j of node j is node j + n_c/2, so the two halves of each
-    slice pair crosswise. va and vb are dense arrays, or SplitValues, whose
-    signed real parts are paired in place: Re = sum(a_r b_r - a_i b_i),
+    slice pair crosswise. Of 2 n_c nodes, rule node j pairs with node j + n_c
+    over the rule half only. va and vb are dense arrays, or SplitValues,
+    whose signed real parts are paired in place: Re = sum(a_r b_r - a_i b_i),
     Im = sum(a_r b_i + a_i b_r); the result is real when both are.
     """
     dense = isinstance(va, np.ndarray)
-    n_c = (va if dense else va.re).shape[-1]
-    if n_c % 2:
-        raise ValueError(f"pair_profile needs an even slice node count, got n_c = {n_c}")
+    nodes = (va if dense else va.re).shape[-1]
+    n_c = nodes if n_c is None else n_c
+    if nodes % 2 or nodes not in (n_c, 2 * n_c):
+        raise ValueError(f"pair_profile needs an even node count, got {nodes} (n_c = {n_c})")
     if dense:
-        s = _half_pair(va, vb)
+        s = _half_pair(va, vb, n_c)
     else:
-        s = sum(ua * ub * (sa * sb) * _half_pair(a, b)
+        s = sum(ua * ub * (sa * sb) * _half_pair(a, b, n_c)
                 for a, sa, ua in va.parts() for b, sb, ub in vb.parts())
     return (2.0 * np.pi / n_c) * s / radii
 
@@ -463,23 +466,19 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     """(f sigma * g sigma)(x) for every row x of X; zero where |x| > 2.
 
-    For even n_c the angle tables pair each slice node with its opposite,
-    x - p_j = p_{j + n_c/2}, so g is read off the same nodes as f, both
-    through one SlicePlan, and the two meet in pair_profile; odd n_c takes
-    the literal pair_slice_average.
+    The slice nodes hold each rule node's partner x - p_j (see
+    _angle_tables), so g is read off the same nodes as f, both through one
+    SlicePlan, and the two meet in pair_profile.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(len(X), dtype=complex)
     idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
-    if n_c % 2:
-        out[idx] = pair_slice_average(lambda p, q: f(p) * g(q), X[idx], n_c)
-        return out
     plan = SlicePlan([(f, False), (g, False)])
     for i0 in range(0, len(idx), _CHUNK):
         sel = idx[i0:i0 + _CHUNK]
-        pts, rr = slice_point_table(X[sel], n_c)
+        pts, rr = _slice_nodes(X[sel], n_c)
         a, b = plan.at(pts)
-        out[sel] = pair_profile(a, b, rr)
+        out[sel] = pair_profile(a, b, rr, n_c)
     return out
 
 

@@ -173,23 +173,23 @@ class FormGrids:
     """Quadrature bundle for Q and B: a ball grid and the slice node count n_c.
     The outer route takes its polar rings about the nodes of ball.directions.
 
-    The ball route memoizes a SliceColumn on this object: the slice
-    nodes of one azimuth column of the ball grid and their harmonic table,
-    through the largest band limit asked for so far. Every other column is a
-    z-rotation of that one, so the table holds (L+1)^2 n_r n_t n_c entries,
-    2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8 on
-    n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once. The route reads the first n_t azimuth rows
-    only; the other n_t rows hold the antipodes of those nodes. The column
-    also keeps, until the next call, the fields of the last call's
-    coefficient rows, synthesized on those n_t rows, so a chain of Q/B calls
-    on one f, such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#),
-    Q(f, f, f, f) = 3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra
-    pass and one synthesis for f's rows (SliceColumn.sampler). A held row is
-    n_t field rows of column nodes, where its azimuth spectra are 2L+1: the
-    same bytes on exact_sizes(L, 4L) grids, 5.3 MB against 3.8 MB a row in
-    the example above. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
-    this route, so they share the memoized column too.
+    The ball route memoizes a SliceColumn on this object: the slice nodes of
+    one azimuth column of the ball grid and their harmonic table, through the
+    largest band limit asked for so far. Every other column is a z-rotation of
+    that one, so the table holds (L+1)^2 n_r n_t n_c entries (2 n_c at odd
+    n_c), 2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8
+    on n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
+    geometry and basis once. The route reads the first n_t azimuth rows only;
+    the other n_t rows hold the antipodes of those nodes. The column also
+    keeps, until the next call, the fields of the last call's coefficient
+    rows, synthesized on those n_t rows, so a chain of Q/B calls on one f,
+    such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
+    3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
+    synthesis for f's rows (SliceColumn.sampler). A held row is n_t field rows
+    of column nodes, where its azimuth spectra are 2L+1: the same bytes on
+    exact_sizes(L, 4L) grids, 5.3 MB against 3.8 MB a row in the example
+    above. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route,
+    so they share the memoized column too.
     """
 
     ball: BallGrid
@@ -265,14 +265,14 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
                     negate: bool) -> np.ndarray:
     """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
 
-    A structured K at even n_c pairs its factors, which values yields on the
-    slices as SplitValues, in pair_profile, as |ab|^p = |a|^p |b|^p and
-    |omega + nu| = |x| = r at the analytic nodes; the constant kernel gives
-    2 pi / r. Every other kernel takes the literal pair_slice_average at the
-    ball nodes.
+    A structured K, at any n_c, pairs its factors, which values yields on
+    the column's slice nodes as SplitValues, in pair_profile, as
+    |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the analytic nodes;
+    the constant kernel gives 2 pi / r. An unstructured kernel takes the
+    literal pair_slice_average at the ball nodes.
     """
     r = col.radii
-    if K.factors is None or col.n_c % 2:
+    if K.factors is None:
         x = -col.centres(a0, a1) if negate else col.centres(a0, a1)
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
@@ -280,7 +280,7 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
         if K.magnitude_power:
             ma = va.magnitude(K.magnitude_power)
             va, vb = ma, (ma if vb is va else vb.magnitude(K.magnitude_power))
-        prof = pair_profile(va, vb, r)
+        prof = pair_profile(va, vb, r, col.n_c)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
@@ -300,17 +300,15 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, or has
     # F's factors and powers, G's profiles are F's and are not computed again;
-    # the sum keeps its form, so the result is the same bit for bit. At even
-    # n_c structured kernels' factors are sampled at p and -p from
-    # parity-flipped coefficients; one column table serves both kernels, and
-    # shared rows are synthesized once (or not at all, if the column's last
-    # call had them: see SliceColumn.sampler).
+    # the sum keeps its form, so the result is the same bit for bit.
+    # Structured kernels' factors are sampled at p and -p from parity-flipped
+    # coefficients; one column table serves both kernels, and shared rows are
+    # synthesized once (or not at all, if the column's last call had them:
+    # see SliceColumn.sampler).
     kernels = [(F, False), (F, True)]
     if not _same_kernel(F, G):
         kernels += [(G, True), (G, False)]
-    tabled = grids.n_c % 2 == 0   # pair_profile pairs p_j with p_{j + n_c/2} = x - p_j
-    factors = [(f, negate) for K, negate in kernels if tabled and K.factors for f in K.factors]
-    plan = SlicePlan(factors)
+    plan = SlicePlan([(f, negate) for K, negate in kernels if K.factors for f in K.factors])
     col = grids.slice_column(plan.degree)
     sample = col.sampler(plan)
     total = 0.0 + 0.0j
@@ -355,8 +353,8 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
     is F, or has F's factor objects and powers, it computes F's two profiles
     only, with the same result bit for bit. Structured
-    kernels at even n_c pair their factors sampled on the column table at
-    the slice nodes p and at -p; every other kernel takes the literal
+    kernels, at every n_c, pair their factors sampled on the column table at
+    the slice nodes p and at -p; an unstructured kernel takes the literal
     pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about

@@ -150,7 +150,9 @@ def exact_sizes(L: int, slice_degree: int) -> tuple[int, int, int]:
     radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. On each slice it is a trig
     polynomial of degree slice_degree (2L for f(p) g(x - p), 4L for squared
     pair kernels); n_c is the smallest even count above it, so the trapezoid
-    rule is exact and the partner x - p of each slice node is a node.
+    rule is exact. Any n_c above it is exact too; even n_c is the cheaper
+    column, since the partner x - p of each slice node is a node, where an
+    odd n_c's column adds the n_c partners (convolution.SliceColumn).
     """
     if min(L, slice_degree) < 0:
         raise ValueError(f"L and slice_degree must be nonnegative, got {L}, {slice_degree}")

@@ -165,14 +165,11 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         fs, fsh = f.antipodal_conjugate(), f.sharp_rearrangement()
         x = rng.standard_normal((20, 3))
         x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1))
-        if n_c % 2:   # no slice node meets its partner: literal slice averages
-            lhs = np.abs(convolution.convolve_many(f, fs, x, n_c))
-            rhs = convolution.convolve_many(fsh, fsh, x, n_c).real
-        else:         # f, f_star and f_sharp on x's slices from one harmonic table
-            pts, r = convolution.slice_point_table(x, n_c)
-            a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
-            lhs = np.abs(convolution.pair_profile(a, b, r))
-            rhs = convolution.pair_profile(c, c, r)
+        # f, f_star and f_sharp on x's slices from one harmonic table
+        pts, r = convolution._slice_nodes(x, n_c)
+        a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
+        lhs = np.abs(convolution.pair_profile(a, b, r, n_c))
+        rhs = convolution.pair_profile(c, c, r, n_c)
         worst = max(worst, float(np.max(lhs - rhs)))
     suite.check("pointwise_symmetrization_violation", 0.0, max(0.0, worst),
                 1e-10, "abs")

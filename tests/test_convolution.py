@@ -25,6 +25,7 @@ from sharpsphere import (
     pair_slice_average,
     random_band_limited,
 )
+from sharpsphere import convolution
 from sharpsphere.convolution import _row_keys, slice_point_table
 
 from helpers import ball_points, rand_fn, unit_vectors
@@ -122,11 +123,25 @@ class TestConvolveMany:
         scale = np.abs(even).max()
         assert np.abs(even - odd).max() <= 1e-12 * scale
 
-    def test_odd_count_is_the_literal_slice_average(self):
+    def test_odd_count_matches_the_literal_slice_average(self):
         f, g = _pair("complex")
         xs = ball_points(np.random.default_rng(12), 30)
         tensor = pair_slice_average(PairKernel.tensor(f, g), xs, 35)
-        assert np.array_equal(convolve_many(f, g, xs, 35), tensor)
+        assert np.all(np.abs(convolve_many(f, g, xs, 35) - tensor) <= 1e-14 * np.abs(tensor))
+
+    def test_odd_count_never_calls_pair_slice_average(self, monkeypatch):
+        # the partners x - p_j are nodes of the table route at odd n_c too
+        calls, average = [], convolution.pair_slice_average
+
+        def spy(*args):
+            calls.append(args)
+            return average(*args)
+
+        monkeypatch.setattr(convolution, "pair_slice_average", spy)
+        f, g = _pair("complex")
+        xs = ball_points(np.random.default_rng(12), 30)
+        assert np.all(np.isfinite(convolve_many(f, g, xs, 35)))
+        assert calls == []
 
     @pytest.mark.parametrize("n_c", [16, 17])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -145,11 +160,13 @@ class TestConvolveMany:
 
 
 class TestPairProfile:
-    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
-    def test_split_rows_match_the_dense_profiles(self, L):
-        # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each
+    @pytest.mark.parametrize("L, odd", [(L, False) for L in (0, 1, 2, 4, 8)] + [(4, True)],
+                             ids=["0", "1", "2", "4", "8", "4-odd"])
+    def test_split_rows_match_the_dense_profiles(self, L, odd):
+        # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each;
+        # an odd column holds 2 n_c nodes a slice, rule nodes then partners
         n_t, n_r, n_c = exact_sizes(L, 4 * L)
-        col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, L)
+        col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c + odd, L)
         f = rand_fn(L, 80 + L, complex_valued=True)
         fs = f.antipodal_conjugate()
         neg = SphereFunction.from_coeffs(HarmonicCoeffs(L, -f.coeffs.coeffs))
@@ -157,6 +174,7 @@ class TestPairProfile:
                           (neg, True), (f.sharp_rearrangement(), False), (rand_fn(L, 90), True)])
         assert len(plan.rows) == (3 if L == 0 else 5)
         vals = col.sampler(plan)(0, col.n_az // 2)
+        assert vals[0].re.shape[-1] == (2 if odd else 1) * col.n_c
         squares = [v.magnitude(2) for v in vals]
         for v, sq in zip(vals, squares):
             expect = np.abs(v.dense()) ** 2
@@ -164,8 +182,8 @@ class TestPairProfile:
         for group in (vals, squares):
             for a in group:
                 for b in group:
-                    dense = pair_profile(a.dense(), b.dense(), col.radii)
-                    split = pair_profile(a, b, col.radii)
+                    dense = pair_profile(a.dense(), b.dense(), col.radii, col.n_c)
+                    split = pair_profile(a, b, col.radii, col.n_c)
                     assert split.dtype == dense.dtype
                     assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
 
