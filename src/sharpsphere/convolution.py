@@ -71,6 +71,14 @@ def slice_point_table(X: np.ndarray, n_c: int):
     return _slice_nodes(X, n_c, n_c)
 
 
+def _finite(x, what: str) -> np.ndarray:
+    # x as a float array; a non-finite entry raises ValueError naming what
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 def _row_keys(row: np.ndarray) -> tuple:
     # bytes of a real row (no -0.0 entries) and of its negation, trailing
     # zeros trimmed: rows equal up to sign share keys at any padding
@@ -257,10 +265,15 @@ class SliceColumn:
     radial-major as in BallGrid.points(); radii and weights belong to the
     column centres and hold for every azimuth row.
 
-    The column keeps the fields of the coefficient rows of its most recent
-    sampler call, and only those, synthesized on azimuth rows [0, n_t). A
-    later call on the same rows, each equal up to sign, reads them in place
-    (see sampler).
+    Antipodal rows: the ball node x at (radius, polar ring i, azimuth row a)
+    has -x at (radius, ring n_t-1-i, row a+n_t), of equal weight, and
+    circle_frames gives -x the frame (-e1, e2): -x's slice is x's negated,
+    slice angle negated. So the ball routes read rows [0, n_t), at p and -p.
+
+    recall is the column's one memo, of its last call's coefficient rows and
+    only those, synthesized on azimuth rows [0, n_t); a later call on the
+    same rows, each equal up to sign, reads them in place. The forms route
+    reads it through sampler, the ascent (maximizer.Workspace) directly.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -285,16 +298,16 @@ class SliceColumn:
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
-        self._memo = ([], [])   # the last sampler call's _row_keys and fields, per row
+        self._memo = ([], ())   # the last recall's _row_keys and its fields buffer
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
 
         Row a + n_t holds the slices of -x for the ball nodes x of row a (see
-        maximizer.Workspace), so the ball route reads them off row a at -p.
+        antipodal rows, above), so the ball route reads them off row a at -p.
         Each block spans about _BLOCK_NODES slice nodes of x and -x together;
         the blocks bound the profile, sharp and literal arrays of one block,
-        since the sampler's coefficient fields are held whole.
+        since the memo's coefficient fields are held whole.
         """
         n_t = self.n_az // 2
         n = min(n_t, -(-self.n_az * self.radii.size * self.pts.shape[1] // _BLOCK_NODES))
@@ -356,32 +369,32 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
-    def _recall(self, rows) -> list:
-        """Per coefficient row, (field, sign): the row's values on the slices
-        of azimuth rows [0, n_t), shape (n_t, column centres, slice nodes),
-        are sign * field. The fields are read-only.
+    def recall(self, rows) -> tuple:
+        """(fields, signs) of real coefficient rows, shape (n, (L'+1)^2) or
+        None: row i on the slices of azimuth rows [0, n_t) is signs[i] *
+        fields[i], fields a read-only buffer (n, n_t, column centres, nodes).
 
         Rows equal, up to sign (by content, as in SlicePlan), to the last
-        call's, in their order, reuse its fields. Any other rows replace
-        them: all take one spectra pass and one synthesis trig[:n_t] @
-        spectra into one buffer, since BLAS may round a row differently in a
-        batch of another size; the spectra are dropped.
+        call's, in their order, get its buffer back. Any other rows replace
+        it: all take one spectra pass and one synthesis trig[:n_t] @ spectra
+        into one buffer, since BLAS may round a row differently in a batch of
+        another size; the spectra are dropped.
         """
         rows = () if rows is None else rows
         keys = [_row_keys(r) for r in rows]
         signs = [1.0 if key == k else -1.0 if key == neg else None   # a zero row reads +
                  for (key, _), (k, neg) in zip(keys, self._memo[0])]
         if len(keys) == len(self._memo[0]) and None not in signs:
-            return list(zip(self._memo[1], signs))
-        self._memo = ([], [])   # frees the last call's buffer before this call's
+            return self._memo[1], signs
+        self._memo = ([], ())   # frees the last call's buffer before this call's
         if keys:
             n_t = self.n_az // 2
             fields = np.empty((len(rows), n_t, self.radii.size, self.pts.shape[1]))
             np.matmul(self.trig[:n_t], self.spectra(rows),
                       out=fields.reshape(len(rows), n_t, -1))
             fields.flags.writeable = False
-            self._memo = (keys, list(fields))
-        return [(v, 1.0) for v in self._memo[1]]
+            self._memo = (keys, fields)
+        return self._memo[1], [1.0] * len(keys)
 
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
@@ -390,19 +403,17 @@ class SliceColumn:
         SlicePlan.values), parts of shape (a1 - a0, column centres, slice nodes), at
         azimuth rows a0:a1 inside [0, n_t), the rows blocks() covers; other
         ranges raise ValueError. The table must reach plan.degree. The
-        coefficient rows' fields are synthesized once per call on rows
-        [0, n_t), or reused, equal or negated, from the previous call when it
-        had the same rows (see _recall), so every value is bit for bit that
-        of a fresh column; sample reads views of those fields, and a negated
-        field with the opposite sign.
+        coefficient rows' fields come from recall, the column's one memo, so
+        every value is bit for bit that of a fresh column; sample reads views
+        of those fields, and a negated field with the opposite sign.
         """
-        held = self._recall(plan.rows)
+        fields, signs = self.recall(plan.rows)
         n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
-            return plan.values([(v[a0:a1], sign) for v, sign in held],
+            return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
                                lambda: self.points(a0, a1))
 
         return sample
@@ -449,9 +460,9 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     this is the convolution of f sigma and g sigma at x. This is the literal
     route (partner points x - p, generic evaluator) that the table routes are
     cross-checked against. The result is real when F's values are; non-finite
-    values raise ValueError.
+    centres or values raise ValueError.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_finite(X, "slice centres"))
     parts = [np.zeros(0)]
     for i0 in range(0, len(X), _CHUNK):
         pts, r = slice_point_table(X[i0:i0 + _CHUNK], n_c)
@@ -464,13 +475,13 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
 
 
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
-    """(f sigma * g sigma)(x) for every row x of X; zero where |x| > 2.
+    """(f sigma * g sigma)(x) for every row x of X, all finite; zero where |x| > 2.
 
     The slice nodes hold each rule node's partner x - p_j (see
     _angle_tables), so g is read off the same nodes as f, both through one
     SlicePlan, and the two meet in pair_profile.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_finite(X, "convolution centres"))
     out = np.zeros(len(X), dtype=complex)
     idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
     plan = SlicePlan([(f, False), (g, False)])
@@ -489,9 +500,9 @@ def convolve_at(f: SphereFunction, g: SphereFunction, x, n_c: int):
     trigonometric polynomial of degree < n_c in the slice angle, which holds
     with degree 2L for band-limited f, g of degree L. Real for real f and g.
     Returns exactly 0 for |x| > 2; x = 0 is rejected, the convolution density
-    diverges there.
+    diverges there, and so is a non-finite x.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
+    x = _finite(x, "convolution centre").reshape(3)
     if np.linalg.norm(x) > 2.0:
         return 0.0
     return pair_slice_average(lambda p, q: f(p) * g(q), x[None], n_c)[0]   # raises at x = 0
@@ -507,18 +518,21 @@ class ConvProfile:
 
 
 def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> ConvProfile:
-    """Sample the convolution along a ray of the given radii in (0, 2]."""
+    """Sample the convolution at radii in (0, 2] along a finite nonzero direction."""
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0) or np.any(radii > 2.0):
+    if not np.all((radii > 0.0) & (radii <= 2.0)):
         raise ValueError("profile radii must lie in (0, 2]")
     u = np.asarray(direction, dtype=float).reshape(3)
-    u = u / np.linalg.norm(u)
+    norm = np.linalg.norm(u)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"profile direction must be finite and nonzero, got {u}")
+    u = u / norm
     vals = convolve_many(f, g, radii[:, None] * u, n_c)
     return ConvProfile(radii, vals, u)
 
 
 def extension_at(f: SphereFunction, x, grid: SphereGrid):
-    """The extension (Fourier transform of f dsigma) at a point x in R^3."""
-    x = np.asarray(x, dtype=float).reshape(3)
+    """The extension (Fourier transform of f dsigma) at a finite point x in R^3."""
+    x = _finite(x, "extension point").reshape(3)
     vals = np.asarray(f(grid.nodes)) * np.exp(-1j * (grid.nodes @ x))
     return np.sum(grid.weights * vals)

@@ -173,23 +173,18 @@ class FormGrids:
     """Quadrature bundle for Q and B: a ball grid and the slice node count n_c.
     The outer route takes its polar rings about the nodes of ball.directions.
 
-    The ball route memoizes a SliceColumn on this object: the slice nodes of
-    one azimuth column of the ball grid and their harmonic table, through the
-    largest band limit asked for so far. Every other column is a z-rotation of
-    that one, so the table holds (L+1)^2 n_r n_t n_c entries (2 n_c at odd
-    n_c), 2n_t times fewer than a table over all slice nodes: 17.9 MB at L=8
-    on n_t=24, n_r=24, n_c=48. Repeated Q/B evaluations on one bundle pay for
-    geometry and basis once. The route reads the first n_t azimuth rows only;
-    the other n_t rows hold the antipodes of those nodes. The column also
-    keeps, until the next call, the fields of the last call's coefficient
-    rows, synthesized on those n_t rows, so a chain of Q/B calls on one f,
+    The ball route memoizes a SliceColumn on this object, through the largest
+    band limit asked for so far: the harmonics on one azimuth column of
+    slices, (L+1)^2 n_r n_t n_c entries (2 n_c at odd n_c), 17.9 MB at L=8 on
+    n_t=24, n_r=24, n_c=48, so repeated Q/B evaluations pay for geometry and
+    basis once. Its one memo (SliceColumn.recall) keeps the last call's
+    coefficient rows synthesized on azimuth rows [0, n_t), n_t field rows of
+    column nodes each (5.3 MB a row above), so a chain of Q/B calls on one f,
     such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
-    synthesis for f's rows (SliceColumn.sampler). A held row is n_t field rows
-    of column nodes, where its azimuth spectra are 2L+1: the same bytes on
-    exact_sizes(L, 4L) grids, 5.3 MB against 3.8 MB a row in the example
-    above. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route,
-    so they share the memoized column too.
+    synthesis for f's rows. The Plancherel norms (conv_l2_norm, l4_norm) are
+    Q on this route and share the column, and so does the ascent:
+    maximizer.Workspace is these grids at exact_sizes(L, 2L).
     """
 
     ball: BallGrid

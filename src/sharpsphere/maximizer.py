@@ -14,14 +14,16 @@ Optimization is restricted to real coefficients. The complex symmetry group
 ascent would wander along that manifold instead of settling.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .convolution import SliceColumn, pair_profile
+from .convolution import pair_profile
+from .forms import default_form_grids
 from .harmonics import HarmonicCoeffs, _degree_index, n_coeffs, parity_signs
-from .quadrature import build_ball_grid, build_sphere_grid, exact_sizes
+from .quadrature import exact_sizes
 
 __all__ = [
     "OptimizerState",
@@ -46,35 +48,23 @@ ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 
 
 class Workspace:
-    """Quadrature tables for exact evaluation of Q at band limit L.
+    """Q and its gradient at band limit L, exact, on the forms ball route's grids.
 
-    Sizing: exact_sizes(L, 2L), since on each slice f(p) f_star(x - p) is a
-    trigonometric polynomial of degree 2L; 17, 18, 18 at L=8. n_c is even so
-    each slice node's opposite is a node, built by explicit negation; the
-    partner point x - omega(phi_j) is then omega(phi_{j + n_c/2}) itself, and
-    profiles pair two fields on the same nodes (pair_profile).
+    grids is default_form_grids at exact_sizes(L, 2L): on each slice
+    f(p) f_star(x - p) is a trigonometric polynomial of degree 2L; 17, 18, 18
+    at L=8. n_c is even, so the partner x - p of a slice node is its opposite
+    node (pair_profile). f and f_star come from the one memo
+    (SliceColumn.recall) of the column grids.slice_column(L), whose table,
+    basis, covers one azimuth column of slices: 3.6 MB at L=8, about 88 MB at
+    L=16, growing like L^5.
 
-    Tables: every slice is a z-rotation of a slice in the first azimuth column
-    of the ball grid, so the harmonics are tabulated at the n_r n_t n_c nodes
-    of that column only (slices, a SliceColumn) and every other column comes
-    from per-order cos/sin combinations. basis is that table: 3.6 MB at L=8,
-    about 88 MB at L=16, growing like L^5.
-
-    Antipodal fold: the ball grid maps x at (radius, polar ring i, azimuth
-    row a) to -x at (radius, ring n_t-1-i, row a+n_t) with equal weight, and
-    circle_frames gives -x the frame (-e1, e2), so the slice at -x is the
-    negation of x's slice with node j going to node -j. For real coefficients
-    f_star = f(-.), so the pair profile at -x sums the same products as at x:
-    prof(-x) = prof(x) up to rounding, for every coefficient vector. Q is
-    therefore twice the sum over azimuth rows a < n_t, and the fields are
-    synthesized on those rows only; being an identity in the coefficients,
-    the fold carries over to the gradient.
-
-    Forward memo: the last forward pass (fields and profile) is kept under a
-    copy of the exact coefficient bytes it was computed from, so q_gradient
-    on the array q_value was just given (the line search's accepted trial)
-    costs only the backward pass. Reuse requires bitwise-equal input, so a
-    hit returns exactly what a fresh evaluation would.
+    Antipodal fold: the slices at -x are x's negated (see SliceColumn), and
+    for real coefficients f_star = f(-.), so prof(-x) = prof(x) up to
+    rounding for every coefficient vector. Q is therefore twice the sum over
+    the azimuth rows a < n_t that the column synthesizes, and so is its
+    gradient. The profile and Q are kept while the column holds the fields
+    they came from, so q_gradient on the array q_value was just given (the
+    line search's accepted trial) costs only the reverse pass.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -88,50 +78,49 @@ class Workspace:
             raise ValueError(f"band limit must be nonnegative, got {L}")
         self.L = L
         n_t, n_r, n_c = exact_sizes(L, 2 * L)
-        self.ball = build_ball_grid(n_r, build_sphere_grid(n_t))
-        self.n_c = n_c
-        self.slices = SliceColumn(self.ball, n_c, L)
-        self.basis = self.slices.table
+        self.grids = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
+        self.grids.slice_column(L)   # the table is built here, not in the first Q
         self.parity = parity_signs(L)
         self.curvature = -4.0 + 4.0 * (2.0 + self.parity) / (2 * _degree_index(L) + 1)
-        self._trig = self.slices.trig[:n_t]
-        self._memo = (None, None)
+        self._held = (lambda: None, None, None)   # (weakref to fields, q, prof), see _forward
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The column's harmonic table, SliceColumn.table."""
+        return self.grids.slice_column(self.L).table
 
     def _forward(self, coeffs: np.ndarray):
-        # (q, fields, prof): f and f_star = f(-.) at the slice nodes of the
-        # first n_t azimuth rows, fields of shape (2, n_t, column centres,
-        # n_c), and their pair profile.
+        # (col, q, fields, sign, prof): fields (2, n_t, column centres, n_c)
+        # hold sign * f and sign * f_star on azimuth rows [0, n_t); q and prof
+        # are kept, by a weak reference, no longer than the column keeps them
+        col = self.grids.slice_column(self.L)
         coeffs = np.asarray(coeffs, dtype=float)
-        key = coeffs.tobytes()
-        memo_key, memo = self._memo   # one read, so key and value always match
-        if memo_key == key:
-            return memo
-        col = self.slices
-        spec = col.spectra(np.stack([coeffs, self.parity * coeffs]))
-        fields = (self._trig @ spec).reshape(2, len(self._trig), -1, self.n_c)
-        prof = pair_profile(*fields, col.radii)
-        q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
-        self._memo = (key, (q, fields, prof))
-        return q, fields, prof
+        fields, signs = col.recall(np.stack([coeffs, self.parity * coeffs]))
+        held, q, prof = self._held
+        if fields is not held():
+            prof = pair_profile(*fields, col.radii)
+            q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
+            self._held = (weakref.ref(fields), q, prof)
+        return col, q, fields, signs[0], prof
 
     def q_value(self, coeffs: np.ndarray) -> float:
         """Q(f, f_star, f, f_star) for real coefficients; nonnegative."""
-        return self._forward(coeffs)[0]
+        return self._forward(coeffs)[1]
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
-        col = self.slices
-        q, fields, prof = self._forward(coeffs)
+        col, q, fields, sign, prof = self._forward(coeffs)
         # dQ/d(field value at node p) is g_n times the partner field at the
         # opposite node, with g_n = 2 w_n prof_n * angle_weight / r_n, doubled
         # by the fold. trig^T folds the azimuth rows into Fourier rows before
         # the slice halves swap to reach the opposite nodes, and pullback
         # routes the rows to the coefficients (through parity for f_star).
-        g = (8.0 * np.pi / self.n_c) * col.weights * prof / col.radii
-        rows = self._trig.T @ (g[..., None] * fields[::-1]).reshape(2, len(self._trig), -1)
-        rows = rows.reshape(2, -1, 2, self.n_c // 2)[:, :, ::-1].reshape(rows.shape)
-        d = col.pullback(rows)
-        return q, d[0] + self.parity * d[1]
+        trig = col.trig[:col.n_az // 2]
+        g = (8.0 * np.pi / col.n_c) * col.weights * prof / col.radii
+        rows = trig.T @ (g[..., None] * fields[::-1]).reshape(2, len(trig), -1)
+        rows = rows.reshape(2, -1, 2, col.n_c // 2)[:, :, ::-1].reshape(rows.shape)
+        d = col.pullback(rows)[:, :self.parity.size]   # the column may reach past L
+        return q, sign * (d[0] + self.parity * d[1])
 
 
 @lru_cache(maxsize=4)

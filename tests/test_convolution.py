@@ -65,6 +65,13 @@ class TestConvolveAt:
         val = convolve_at(f, f.sharp_rearrangement(), np.array([0.3, -0.2, 0.9]), 16)
         assert np.isrealobj(val) and np.ndim(val) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centre_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            convolve_at(ONE, ONE, [bad, 0.0, 0.5], 16)
+        with pytest.raises(ValueError, match="finite"):
+            pair_slice_average(lambda p, q: np.ones(len(p)), np.array([[bad, 0.0, 0.5]]), 16)
+
     def test_outside_support_is_exactly_zero(self):
         assert convolve_at(ONE, ONE, np.array([0.0, 0.0, 2.0001]), 8) == 0.0
         assert convolve_at(ONE, ONE, np.array([3.0, 1.0, 0.0]), 8) == 0.0
@@ -151,6 +158,12 @@ class TestConvolveMany:
         with pytest.raises(ValueError):
             convolve_many(ONE, f, xs, n_c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centres_are_rejected(self, bad):
+        xs = np.array([[bad, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            convolve_many(ONE, ONE, xs, 16)
+
     def test_mixed_batch_zeroes_outside_support(self):
         xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
         vals = convolve_many(ONE, ONE, xs, 16)
@@ -212,6 +225,16 @@ class TestConvProfile:
             conv_profile(ONE, ONE, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             conv_profile(ONE, ONE, np.array([1.0, 2.2]))
+
+    def test_non_finite_radii_rejected(self):
+        with pytest.raises(ValueError, match="radii"):
+            conv_profile(ONE, ONE, np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0),
+                                           (np.inf, 0.0, 1.0)])
+    def test_degenerate_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction"):
+            conv_profile(ONE, ONE, np.array([0.5, 1.0]), direction=direction)
 
 
 class TestConvL2Norm:
@@ -282,6 +305,11 @@ class TestExtension:
             r = np.linalg.norm(x)
             expect = 4 * PI * np.sin(r) / r
             assert abs(extension_at(ONE, x, grid32) - expect) <= 1e-10 * 4 * PI
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, grid32, bad):
+        with pytest.raises(ValueError, match="finite"):
+            extension_at(ONE, np.array([bad, 0.0, 1.0]), grid32)
 
 
 class TestL4Norm:

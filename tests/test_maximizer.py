@@ -1,5 +1,7 @@
 """Objective, gradient, and ascent search for the restriction ratio."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sharpsphere import (
     quadrilinear_q,
     search,
 )
+from sharpsphere import maximizer
 from sharpsphere.convolution import SliceColumn, slice_point_table
 from sharpsphere.harmonics import harmonic_values, parity_signs
 from sharpsphere.maximizer import INITIAL_STEP, Workspace
@@ -317,6 +320,25 @@ class TestSearch:
             search(init, workspace=ws8)
 
 
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts of SliceColumn.spectra and maximizer.pair_profile calls."""
+    calls = {"spectra": 0, "pair_profile": 0}
+    spectra, profile = SliceColumn.spectra, maximizer.pair_profile
+
+    def counted_spectra(col, coeffs):
+        calls["spectra"] += 1
+        return spectra(col, coeffs)
+
+    def counted_profile(*args, **kwargs):
+        calls["pair_profile"] += 1
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
+    monkeypatch.setattr(maximizer, "pair_profile", counted_profile)
+    return calls
+
+
 class TestWorkspace:
     def test_cached_by_band_limit(self):
         assert make_workspace(4) is make_workspace(4)
@@ -329,31 +351,82 @@ class TestWorkspace:
     def test_sizes_follow_the_exact_plan(self, L):
         ws = make_workspace(L)
         n_t, n_r, n_c = exact_sizes(L, 2 * L)
-        assert ws.ball.directions.exactness_degree == 2 * n_t - 1
-        assert ws.ball.radial_nodes.size == n_r
-        assert ws.n_c == n_c
+        assert ws.grids.ball.directions.exactness_degree == 2 * n_t - 1
+        assert ws.grids.ball.radial_nodes.size == n_r
+        assert ws.grids.n_c == n_c
 
-    def test_accepted_steps_reuse_the_line_search_forward_pass(self, monkeypatch):
+    def test_accepted_steps_reuse_the_line_search_forward_pass(self, forward_calls):
         ws = Workspace(4)
-        calls = {"spectra": 0, "q_value": 0}
-        spectra, q_value = SliceColumn.spectra, ws.q_value
-
-        def counted_spectra(col, coeffs):
-            calls["spectra"] += 1
-            return spectra(col, coeffs)
+        trials, q_value = [0], ws.q_value
 
         def counted_q_value(coeffs):
-            calls["q_value"] += 1
+            trials[0] += 1
             return q_value(coeffs)
 
-        monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
         ws.q_value = counted_q_value
         init = initial_coeffs("zonal", 4, np.random.default_rng(3))
         result = search(init, workspace=ws)
         assert len(result.states) > 10
-        assert calls["q_value"] > len(result.states) - 1
+        assert trials[0] > len(result.states) - 1
         # one forward pass per trial, plus the starting point's gradient
-        assert calls["spectra"] == calls["q_value"] + 1
+        assert forward_calls == {"spectra": trials[0] + 1, "pair_profile": trials[0] + 1}
+
+    def test_gradient_after_value_runs_no_forward_pass(self, forward_calls):
+        ws = Workspace(4)
+        a = np.random.default_rng(9).standard_normal(n_coeffs(4))
+        q = ws.q_value(a)
+        before = dict(forward_calls)
+        q_grad, dq = ws.q_gradient(a)
+        assert forward_calls == before
+        assert q_grad == q
+        q_neg, dq_neg = ws.q_gradient(-a)   # a negated hit: Q is even, its gradient odd
+        assert forward_calls == before
+        assert q_neg == q and np.array_equal(dq_neg, -dq)
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_value_gradient_and_forms_agree_on_one_grid(self, L):
+        # the forms call sits between q_value and q_gradient on the same
+        # array, so a profile held past the column's fields would show
+        ws = Workspace(L)
+        arr = np.random.default_rng(400 + L).standard_normal(n_coeffs(L))
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(L, arr))
+        q = ws.q_value(arr)
+        q_forms = quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(),
+                                 ws.grids).real
+        q_grad, _ = ws.q_gradient(arr)
+        assert abs(q_forms - q) <= 1e-14 * q
+        assert abs(q_grad - q) <= 1e-14 * q
+
+    def test_a_column_rebuilt_past_its_band_limit_still_serves(self):
+        ws = Workspace(2)
+        a = np.random.default_rng(11).standard_normal(n_coeffs(2))
+        q_ref, dq_ref = Workspace(2).q_gradient(a)
+        ws.grids.slice_column(3)   # a form of degree 3 on ws.grids rebuilds the column
+        q, dq = ws.q_gradient(a)
+        assert ws.basis.shape[0] == n_coeffs(3)
+        assert abs(q - q_ref) <= 1e-13 * q_ref
+        assert dq.shape == dq_ref.shape
+        assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
+
+    def test_a_replaced_column_memo_frees_the_old_fields(self):
+        ws = Workspace(4)
+        ws.q_value(np.random.default_rng(12).standard_normal(n_coeffs(4)))
+        col = ws.grids.slice_column(4)
+        old = weakref.ref(col._memo[1])
+        col.recall(np.ones((1, n_coeffs(4))))   # another caller on the same grids
+        assert old() is None
+
+    def test_fields_come_from_the_grids_column_memo(self):
+        ws = Workspace(4)
+        a, b = np.random.default_rng(10).standard_normal((2, n_coeffs(4)))
+        ws.q_value(a)
+        col = ws.grids.slice_column(4)
+        fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
+        assert signs == [1.0, 1.0]
+        assert fields.shape == (2, col.n_az // 2, col.radii.size, col.n_c)
+        assert ws.basis is col.table
+        # a's fields outlive the memo here: b must not get a's profile
+        assert ws.q_value(b) == Workspace(4).q_value(b)
 
     def test_memo_ignores_an_array_mutated_in_place(self):
         ws = Workspace(4)
@@ -369,14 +442,15 @@ class TestWorkspace:
 
 def full_table_q_gradient(ws, arr):
     """Q and its gradient from a harmonic table over every slice node of the ball."""
-    X = ws.ball.points()
-    w, r = ws.ball.weights(), np.linalg.norm(X, axis=1)
-    pts, _ = slice_point_table(X, ws.n_c)
+    ball, n_c = ws.grids.ball, ws.grids.n_c
+    X = ball.points()
+    w, r = ball.weights(), np.linalg.norm(X, axis=1)
+    pts, _ = slice_point_table(X, n_c)
     table = harmonic_values(ws.L, pts.reshape(-1, 3))
-    half, angle_weight = ws.n_c // 2, 2 * PI / ws.n_c
+    half, angle_weight = n_c // 2, 2 * PI / n_c
     parity = parity_signs(ws.L)
-    va = (arr @ table).reshape(-1, ws.n_c)
-    vb = ((parity * arr) @ table).reshape(-1, ws.n_c)
+    va = (arr @ table).reshape(-1, n_c)
+    vb = ((parity * arr) @ table).reshape(-1, n_c)
     prof = angle_weight * np.sum(va * np.roll(vb, -half, axis=1), axis=1) / r
     g = 2 * angle_weight * w * prof / r
     w1 = (g[:, None] * np.roll(vb, -half, axis=1)).ravel()
