@@ -8,6 +8,9 @@ in JSON reports (CSV outputs carry no timestamp at all). Timings, such as
 verify's per-check wall time, go to stderr only.
 
 Exit codes: 0 success, 1 a numerical check failed, 2 usage error, 3 I/O error.
+A run that asks for more memory than the machine grants (MemoryError, such
+as `spectrum --degree 100000000`, whose quadrature rule would need a 71 PiB
+matrix) is a usage error: one `error:` line on stderr and exit 2.
 """
 
 import argparse
@@ -170,8 +173,9 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     K = _resolve("degree", args.degree, default=50)
-    closed = legendre.lambda_closed_form(K).multipliers
+    # the quadrature first: a degree too large for memory fails there at once
     quad = legendre.chord_spectrum_quadrature(K).multipliers
+    closed = legendre.lambda_closed_form(K).multipliers
     rows = [(k, float(closed[k]), float(quad[k]), float(abs(closed[k] - quad[k])))
             for k in range(K + 1)]
     if args.format == "json":
@@ -332,6 +336,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

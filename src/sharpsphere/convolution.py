@@ -92,18 +92,24 @@ class SplitValues(NamedTuple):
 
     re and im are usually rows of a SlicePlan's synthesized fields, read in
     place; im is None for real values. The signs are +-1.
+
+    products, when set, is a store that pair_profile keeps the real products
+    of these parts in, shared with every SplitValues that holds the same
+    store; keys then names each part in it (re's key, im's), and equal keys
+    name equal arrays (see SlicePlan.values).
     """
 
     re: np.ndarray
     im: np.ndarray | None = None
     re_sign: float = 1.0
     im_sign: float = 1.0
+    keys: tuple = (None, None)
+    products: dict | None = None
 
     def parts(self) -> list:
-        """(array, sign, unit) per part: unit 1.0 for re, 1j for im."""
-        if self.im is None:
-            return [(self.re, self.re_sign, 1.0)]
-        return [(self.re, self.re_sign, 1.0), (self.im, self.im_sign, 1j)]
+        """(array, sign, unit, key) per part: unit 1.0 for re, 1j for im."""
+        re = (self.re, self.re_sign, 1.0, self.keys[0])
+        return [re] if self.im is None else [re, (self.im, self.im_sign, 1j, self.keys[1])]
 
     def dense(self) -> np.ndarray:
         """The values as one real or complex array."""
@@ -116,6 +122,8 @@ class SplitValues(NamedTuple):
 
     def magnitude(self, p: int) -> "SplitValues":
         """|v|^p, real, in one new buffer."""
+        if self.im is None and p == 2:
+            return SplitValues(np.square(self.re))   # |x|^2 bit for bit, in one pass
         m = np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
         m **= p
         return SplitValues(m)
@@ -183,7 +191,7 @@ class SlicePlan:
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
 
-    def values(self, fields, nodes) -> list:
+    def values(self, fields, nodes, products=None) -> list:
         """Per request, its values at a set of slice nodes, as SplitValues.
 
         fields holds one (array, sign) pair per distinct row, in the order of
@@ -195,24 +203,31 @@ class SlicePlan:
         with its signs times theirs; a sharp rearrangement is built in one new
         buffer; a literal call is split into views of its real and imaginary
         parts. Requests that share an entry get the same object.
+
+        products is the store (SplitValues.products) of the fields' real
+        products, or None: coefficient-backed values carry it, keyed by row
+        index, so a product of two rows is formed once for as long as the
+        store lives. Sharp and literal values carry a store of this call's
+        own, keyed by entry and part, so they share products only with each
+        other and only among the values returned here.
         """
-        pts, out = None, []
-        for kind, *args in self._entries:
+        pts, out, own = None, [], {}
+        for e, (kind, *args) in enumerate(self._entries):
             if kind == "field":
                 (i, si), im = args
                 re, sr = fields[i]
                 if im is None:
-                    v = SplitValues(re, None, si * sr)
+                    v = SplitValues(re, None, si * sr, 1.0, (i, None), products)
                 else:
                     vi, sv = fields[im[0]]
-                    v = SplitValues(re, vi, si * sr, im[1] * sv)
+                    v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products)
             elif kind == "sharp":
                 r0, *rest = [fields[r[0]][0] for r in args if r is not None]
                 acc, scratch = np.square(r0), np.empty(r0.shape)
                 for r in rest:
                     acc += np.square(r, out=scratch)
                 acc *= 0.5
-                v = SplitValues(np.sqrt(acc, out=acc))
+                v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
             else:
                 func, negate = args
                 if pts is None:
@@ -220,7 +235,7 @@ class SlicePlan:
                 flat = pts.reshape(-1, 3)
                 dense = np.asarray(func(-flat if negate else flat)).reshape(pts.shape[:-1])
                 v = (SplitValues(dense.real, dense.imag) if np.iscomplexobj(dense)
-                     else SplitValues(dense))
+                     else SplitValues(dense))._replace(keys=((e, 0), (e, 1)), products=own)
             out.append(v)
         return [out[i] for i in self._index]
 
@@ -274,6 +289,9 @@ class SliceColumn:
     only those, synthesized on azimuth rows [0, n_t); a later call on the
     same rows, each equal up to sign, reads them in place. The forms route
     reads it through sampler, the ascent (maximizer.Workspace) directly.
+    Next to the fields the memo keeps their real products (_half_pair) per
+    azimuth block, which pair_profile forms at most once while recall holds
+    those fields; see sampler.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -298,7 +316,8 @@ class SliceColumn:
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
         self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
-        self._memo = ([], ())   # the last recall's _row_keys and its fields buffer
+        # the last recall's _row_keys, its fields buffer and their products by block
+        self._memo = ([], (), {})
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
@@ -378,7 +397,8 @@ class SliceColumn:
         call's, in their order, get its buffer back. Any other rows replace
         it: all take one spectra pass and one synthesis trig[:n_t] @ spectra
         into one buffer, since BLAS may round a row differently in a batch of
-        another size; the spectra are dropped.
+        another size; the spectra are dropped, and so are the products kept
+        with the fields replaced.
         """
         rows = () if rows is None else rows
         keys = [_row_keys(r) for r in rows]
@@ -386,14 +406,14 @@ class SliceColumn:
                  for (key, _), (k, neg) in zip(keys, self._memo[0])]
         if len(keys) == len(self._memo[0]) and None not in signs:
             return self._memo[1], signs
-        self._memo = ([], ())   # frees the last call's buffer before this call's
+        self._memo = ([], (), {})   # frees the last call's buffer before this call's
         if keys:
             n_t = self.n_az // 2
             fields = np.empty((len(rows), n_t, self.radii.size, self.pts.shape[1]))
             np.matmul(self.trig[:n_t], self.spectra(rows),
                       out=fields.reshape(len(rows), n_t, -1))
             fields.flags.writeable = False
-            self._memo = (keys, fields)
+            self._memo = (keys, fields, {})
         return self._memo[1], [1.0] * len(keys)
 
     def sampler(self, plan: SlicePlan):
@@ -406,22 +426,31 @@ class SliceColumn:
         coefficient rows' fields come from recall, the column's one memo, so
         every value is bit for bit that of a fresh column; sample reads views
         of those fields, and a negated field with the opposite sign.
+
+        Coefficient-backed values carry the memo's product store for block
+        a0:a1, keyed by row index (plan.rows is the order of recall's rows),
+        so pair_profile forms the product of two held rows on a block once
+        across every sampler and call that reads those fields; recall drops
+        the store with them. Keys are row indices, never array identities.
         """
         fields, signs = self.recall(plan.rows)
+        held = self._memo[2]
         n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
             return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
-                               lambda: self.points(a0, a1))
+                               lambda: self.points(a0, a1), held.setdefault((a0, a1), {}))
 
         return sample
 
 
 def _half_pair(a: np.ndarray, b: np.ndarray, n_c: int) -> np.ndarray:
     # sum over each slice of a at rule node j times b at its partner: of 2 n_c
-    # nodes node j + n_c, of n_c nodes node j + n_c/2 (halves crosswise)
+    # nodes node j + n_c, of n_c nodes node j + n_c/2 (halves crosswise); there
+    # einsum sums each half over j and adds the two sums once, so a and b
+    # swapped give the same bits (pair_profile keys such products unordered)
     if a.shape[-1] == 2 * n_c:
         return np.einsum("...j,...j->...", a[..., :n_c], b[..., n_c:])
     a = a.reshape(a.shape[:-1] + (2, n_c // 2))
@@ -439,6 +468,13 @@ def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarra
     over the rule half only. va and vb are dense arrays, or SplitValues,
     whose signed real parts are paired in place: Re = sum(a_r b_r - a_i b_i),
     Im = sum(a_r b_i + a_i b_r); the result is real when both are.
+
+    When va and vb carry one product store (SplitValues.products), each real
+    product of two parts is read from it, or formed and kept there, under
+    the parts' keys: as an unordered pair at n_c nodes, where the partners
+    are the node set itself and _half_pair gives a pair and its swap bit for
+    bit alike, and as an ordered pair at 2 n_c nodes, where they are
+    different sums.
     """
     dense = isinstance(va, np.ndarray)
     nodes = (va if dense else va.re).shape[-1]
@@ -448,8 +484,18 @@ def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarra
     if dense:
         s = _half_pair(va, vb, n_c)
     else:
-        s = sum(ua * ub * (sa * sb) * _half_pair(a, b, n_c)
-                for a, sa, ua in va.parts() for b, sb, ub in vb.parts())
+        store = va.products if va.products is vb.products else None
+
+        def product(a, ka, b, kb):
+            if store is None:
+                return _half_pair(a, b, n_c)
+            key = (kb, ka) if nodes == n_c and kb < ka else (ka, kb)
+            if key not in store:
+                store[key] = _half_pair(a, b, n_c)
+            return store[key]
+
+        s = sum(ua * ub * (sa * sb) * product(a, ka, b, kb)
+                for a, sa, ua, ka in va.parts() for b, sb, ub, kb in vb.parts())
     return (2.0 * np.pi / n_c) * s / radii
 
 

@@ -182,9 +182,11 @@ class FormGrids:
     column nodes each (5.3 MB a row above), so a chain of Q/B calls on one f,
     such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
-    synthesis for f's rows. The Plancherel norms (conv_l2_norm, l4_norm) are
-    Q on this route and share the column, and so does the ascent:
-    maximizer.Workspace is these grids at exact_sizes(L, 2L).
+    synthesis for f's rows. Next to the fields the memo keeps their real
+    products per azimuth block, so B(F, F) reads the products Q(f, f, f, f)
+    formed. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route
+    and share the column, and so does the ascent: maximizer.Workspace is
+    these grids at exact_sizes(L, 2L).
     """
 
     ball: BallGrid
@@ -299,7 +301,10 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Structured kernels' factors are sampled at p and -p from parity-flipped
     # coefficients; one column table serves both kernels, and shared rows are
     # synthesized once (or not at all, if the column's last call had them:
-    # see SliceColumn.sampler).
+    # see SliceColumn.sampler). Every profile sums real products of the
+    # sampled parts, each formed once per block (pair_profile): F's profile
+    # at -x for F = f tensor f_star, and G's in Q(f, g, f_star, g_star), read
+    # the products of F's at x, the same held rows swapped.
     kernels = [(F, False), (F, True)]
     if not _same_kernel(F, G):
         kernels += [(G, True), (G, False)]

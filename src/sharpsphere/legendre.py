@@ -151,10 +151,33 @@ def chord_kernel(t):
 
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only."""
+    """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only.
+
+    leggauss needs an n x n companion matrix. That matrix is asked for first,
+    so a rule too large for memory raises MemoryError at once, before
+    leggauss spends time and memory on its n-term series.
+    """
+    np.empty((n, n))
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _weighted_kernel(kernel: Callable, K: int, n_quad: int,
+                     sqrt_singular_at_one: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w * kernel(t) of the rule for degrees 0..K."""
+    if K < 0:
+        raise ValueError(f"degree must be nonnegative, got {K}")
+    if n_quad < K + 1:
+        raise ValueError(f"n_quad must be at least k+1 = {K + 1}, got {n_quad}")
+    t, w = _gauss_legendre(n_quad)
+    if sqrt_singular_at_one:
+        u = 0.5 * (t + 1.0)   # map to (0, 1), then dt = -4u du
+        t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
+    kv = np.asarray(kernel(t), dtype=float)
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel produced non-finite values on the quadrature nodes")
+    return t, w * kv
 
 
 def funk_hecke_coefficient(
@@ -171,26 +194,18 @@ def funk_hecke_coefficient(
     integrand 4u * kernel(1-2u^2) * P_k(1-2u^2) is a polynomial in u, so the
     quadrature is exact once n_quad exceeds k + 1.
     """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    if n_quad < k + 1:
-        raise ValueError(f"n_quad must be at least k+1 = {k + 1}, got {n_quad}")
-    t, w = _gauss_legendre(n_quad)
-    if sqrt_singular_at_one:
-        u = 0.5 * (t + 1.0)   # map to (0, 1), then dt = -4u du
-        t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
-    kv = np.asarray(kernel(t), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced non-finite values on the quadrature nodes")
-    return float(np.sum(w * kv * legendre_values(k, t)[k]))
+    t, wk = _weighted_kernel(kernel, k, n_quad, sqrt_singular_at_one)
+    return float(np.sum(wk * legendre_values(k, t)[k]))
 
 
 def chord_spectrum_quadrature(K: int, n_quad: Optional[int] = None) -> FunkHeckeSpectrum:
-    """Chord-kernel multipliers by quadrature, the oracle for lambda_closed_form."""
+    """Chord-kernel multipliers by quadrature, the oracle for lambda_closed_form.
+
+    Each Lambda_k is funk_hecke_coefficient's sum, bit for bit, taken over
+    one table of P_0..P_K at the nodes rather than K + 1 recursions.
+    """
     if n_quad is None:
         n_quad = K + 8
-    lam = np.array([
-        funk_hecke_coefficient(chord_kernel, k, n_quad, sqrt_singular_at_one=True)
-        for k in range(K + 1)
-    ])
+    t, wk = _weighted_kernel(chord_kernel, K, n_quad, sqrt_singular_at_one=True)
+    lam = np.array([np.sum(wk * p) for p in legendre_values(K, t)])
     return FunkHeckeSpectrum(kernel_id=CHORD_KERNEL_ID, multipliers=lam)

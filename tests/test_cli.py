@@ -299,6 +299,12 @@ class TestUsageErrors:
         assert "error: argument " + argv[1] in err
         assert "Traceback" not in err
 
+    def test_degree_too_large_for_memory_is_usage_error(self, capsys):
+        # the 100000008-node rule needs a 71 PiB matrix, refused at once
+        code, out, err = run_cli(capsys, ["spectrum", "--degree", "100000000"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     def test_out_of_range_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SEL_DEGREE", "-1")
         with pytest.raises(SystemExit) as exc_info:

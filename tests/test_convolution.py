@@ -11,6 +11,7 @@ from sharpsphere import (
     SliceColumn,
     SlicePlan,
     SphereFunction,
+    SplitValues,
     build_ball_grid,
     build_sphere_grid,
     conv_l2_norm,
@@ -199,6 +200,13 @@ class TestPairProfile:
                     split = pair_profile(a, b, col.radii, col.n_c)
                     assert split.dtype == dense.dtype
                     assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_real_squares_are_one_square_of_the_values(self):
+        v = np.random.default_rng(81).standard_normal((3, 40))
+        v[0, :3] = (-0.0, 0.0, -1e-200)
+        sq = SplitValues(v, None, -1.0).magnitude(2)
+        assert sq.im is None
+        assert sq.re.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
 
     def test_odd_slice_count_is_rejected(self):
         with pytest.raises(ValueError, match="even"):

@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -767,6 +768,128 @@ class TestSameKernelFold:
         whole = bilinear_b(K, PairKernel(K.evaluator), grids)
         assert profile_calls["pair_slice_average"] == 6 * blocks
         assert folded == whole
+
+
+@pytest.fixture
+def half_pairs(monkeypatch):
+    """Count of convolution._half_pair calls: the real products of slice values."""
+    calls, inner = [0], convolution._half_pair
+
+    def spy(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(convolution, "_half_pair", spy)
+    return calls
+
+
+@pytest.fixture
+def unshared(monkeypatch):
+    """Run a call with every real product formed anew: forms.pair_profile sees
+    the sampled values without their product stores."""
+    def strip(v):
+        return v if isinstance(v, np.ndarray) else v._replace(products=None)
+
+    def run(call):
+        with monkeypatch.context() as m:
+            m.setattr(forms, "pair_profile",
+                      lambda va, vb, *args, _inner=forms.pair_profile:
+                      _inner(strip(va), strip(vb), *args))
+            return call()
+    return run
+
+
+def held_products(col) -> list:
+    """The real products a SliceColumn keeps next to its fields, over all blocks."""
+    return [p for block in col._memo[2].values() for p in block.values()]
+
+
+class TestHeldProducts:
+    """Each real product of two held field rows is formed once per block."""
+
+    @staticmethod
+    def two_blocks(grids, L, monkeypatch):
+        col = grids.slice_column(L)
+        nodes = col.n_az * col.radii.size * col.pts.shape[1]
+        monkeypatch.setattr(convolution, "_BLOCK_NODES", -(-nodes // 2))
+        assert len(col.blocks()) == 2
+
+    def test_chain_sample_forms_twelve_products_on_two_blocks(self, half_pairs, monkeypatch):
+        # per block: f f* once for both signs, the sharp field once, f f and
+        # f(-.) f(-.) once for Q(f, f, f, f) and B(F, F), |f|^2 twice
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        self.two_blocks(grids, 4, monkeypatch)
+        chain_values(rand_fn(4, 120), grids)
+        assert half_pairs[0] == 12
+
+    @pytest.mark.parametrize("case, per_block", [("complex star", 4), ("sharp", 1),
+                                                 ("B(F, F) after Q(f, f, f, f)", 0)])
+    def test_products_per_block(self, case, per_block, half_pairs):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 121, complex_valued=case == "complex star")
+        fs = f.antipodal_conjugate()
+        blocks = len(grids.slice_column(4).blocks())
+        if case == "complex star":
+            quadrilinear_q(f, fs, f, fs, grids)
+        elif case == "sharp":
+            sharp = f.sharp_rearrangement()
+            quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+        else:
+            quadrilinear_q(f, f, f, f, grids)
+            half_pairs[0] = 0
+            F = weighted_pair_kernel(f)
+            bilinear_b(F, F, grids)
+        assert half_pairs[0] == per_block * blocks
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_values_match_products_formed_anew(self, complex_valued, odd, unshared):
+        # the chain on one grids object reads products across calls; fresh
+        # grids with the stores stripped form every product anew
+        grids = odd_form_grids(4) if odd else exact_form_grids(4)
+        grids = forms.FormGrids(grids.ball, grids.n_c)
+        f = rand_fn(4, 122, complex_valued=complex_valued)
+        g = rand_fn(4, 123, complex_valued=True)
+        values = chain_values(f, grids) + [grids.conv_l2_norm(f, g), grids.l4_norm(f)]
+        fresh = forms.FormGrids(grids.ball, grids.n_c)
+        expect = unshared(lambda: chain_values(f, grids, fresh=True)
+                          + [fresh.conv_l2_norm(f, g), fresh.l4_norm(f)])
+        assert values == expect
+
+    @pytest.mark.parametrize("n_c", [18, 20], ids=["n_c/2 odd", "n_c/2 even"])
+    @pytest.mark.parametrize("layout", ["held", "contiguous"])
+    def test_swapped_products_are_bitwise_equal_at_even_n_c(self, n_c, layout):
+        # pair_profile keys the products of an even column unordered
+        n_t, n_r, _ = exact_sizes(4, 16)
+        col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
+        f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
+        p = parity_signs(4)
+        fields, _ = col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag]))
+        a0, a1 = col.blocks()[0]
+        rows = [v[a0:a1] for v in fields]
+        if layout == "contiguous":
+            rows = [np.ascontiguousarray(v[:, ::-1]) for v in rows]
+        for a in rows:
+            for b in rows:
+                ab = convolution._half_pair(a, b, n_c)
+                assert ab.view(np.int64).tolist() == convolution._half_pair(
+                    b, a, n_c).view(np.int64).tolist()
+
+    def test_products_are_dropped_when_recall_replaces_the_fields(self):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f, g = rand_fn(4, 125), rand_fn(4, 126)
+        col = grids.slice_column(4)
+        first = quadrilinear_q(f, f, f, f, grids)
+        kept = held_products(col)
+        assert kept
+        quadrilinear_q(f, f, f, f, grids)   # a memo hit keeps them and adds none
+        assert [id(p) for p in held_products(col)] == [id(p) for p in kept]
+        refs = [weakref.ref(p) for p in kept]
+        del kept
+        quadrilinear_q(g, g, g, g, grids)
+        assert all(r() is None for r in refs)
+        assert len(held_products(col)) == len(refs)   # g's own, as many as f's
+        assert quadrilinear_q(f, f, f, f, grids) == first
 
 
 class TestMeanValue:

@@ -130,6 +130,12 @@ class TestChordSpectrum:
         lam = np.abs(lambda_closed_form(50).multipliers)
         assert np.all(np.diff(lam) < 0)
 
+    def test_one_table_gives_each_coefficient_bit_for_bit(self):
+        quad = chord_spectrum_quadrature(50).multipliers
+        for k in range(51):
+            one = funk_hecke_coefficient(chord_kernel, k, 58, sqrt_singular_at_one=True)
+            assert quad[k].hex() == one.hex()
+
     def test_kernel_id_tags_chord(self):
         assert lambda_closed_form(3).kernel_id == "chord"
         assert chord_spectrum_quadrature(3).kernel_id == "chord"
