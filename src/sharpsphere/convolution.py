@@ -7,12 +7,18 @@ L4-norm computations route through this fact (Plancherel) instead of sampling
 the oscillatory extension on a 3D grid; the norms themselves are forms.Q on
 the ball route (forms.conv_l2_norm, forms.l4_norm).
 
-At every n_c the table routes (convolve_many, SliceColumn) read f at each
-slice's rule nodes p_j and g at their partners x - p_j off one node set (see
-_angle_tables) and pair them in pair_profile; pair_slice_average is literal.
+On the slice at x a band-limited f of degree L is a trigonometric polynomial
+of degree L in the slice angle psi, and the partner x - p of the node at psi
+sits at psi + pi. SliceColumn holds such f as its 2L+1 slice-angle modes,
+which pair_profile pairs by Parseval, exactly at every n_c. Node values, at
+each slice's n_c rule nodes p_j and their partners (see _angle_tables), are
+for what is not bilinear in band-limited factors: sharp rearrangements,
+|.|^p and literal callables; convolve_many reads f and g at those nodes, and
+pair_slice_average is literal.
 """
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +60,47 @@ def _angle_tables(n_c: int):
     return np.concatenate([c, -c]), np.concatenate([s, -s])
 
 
+def _mode_signs(L: int) -> np.ndarray:
+    # (-1)^m per slice-angle mode 1, cos, sin, ..., cos L psi, sin L psi
+    return np.repeat(1.0 - 2.0 * (np.arange(L + 1) % 2), 2)[1:]
+
+
+@lru_cache(maxsize=None)
+def _expansion(L: int, n_c: int) -> np.ndarray:
+    """(2L+1, nodes) matrix taking slice-angle modes to _angle_tables' nodes.
+
+    Row 0 is 1, rows 2m-1 and 2m are cos(m psi) and sin(m psi) at each node
+    angle psi. A partner node sits at psi + pi, so its column is (-1)^m times
+    its rule node's. Read-only.
+    """
+    half = n_c if n_c % 2 else n_c // 2
+    m_psi = np.arange(1, L + 1)[:, None] * (np.arange(half) * (2.0 * np.pi / n_c))
+    rule = np.ones((2 * L + 1, half))
+    rule[1::2], rule[2::2] = np.cos(m_psi), np.sin(m_psi)
+    out = np.concatenate([rule, _mode_signs(L)[:, None] * rule], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mode_weights(modes: int) -> np.ndarray:
+    """Parseval weights of a pair profile over modes = 2L+1 slice-angle modes.
+
+    For a and b in modes, the integral over psi of a(psi) b(psi + pi) is
+    2 pi a_0 b_0 + pi sum_m (-1)^m (a_cm b_cm + a_sm b_sm), the dot product
+    of a * b with these weights. Read-only.
+    """
+    w = np.pi * _mode_signs(modes // 2)
+    w[0] = 2.0 * np.pi
+    w.flags.writeable = False
+    return w
+
+
+def _to_nodes(a: np.ndarray, expansion: np.ndarray) -> np.ndarray:
+    # slice-angle modes (last axis) to the slice nodes, in one matmul
+    return (a.reshape(-1, a.shape[-1]) @ expansion).reshape(a.shape[:-1] + (-1,))
+
+
 def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
     # the first count of _angle_tables' nodes (default all) on the slices at X, and |X|
     c, s = _angle_tables(n_c)
@@ -90,8 +137,13 @@ def _row_keys(row: np.ndarray) -> tuple:
 class SplitValues(NamedTuple):
     """Values re_sign re + 1j im_sign im, held as real arrays with signs.
 
-    re and im are usually rows of a SlicePlan's synthesized fields, read in
-    place; im is None for real values. The signs are +-1.
+    re and im are usually rows of a SliceColumn's held fields, read in place;
+    im is None for real values. The signs are +-1.
+
+    expansion marks the domain. None: the last axis runs over slice nodes.
+    Otherwise the last axis holds the 2L+1 slice-angle modes of a
+    band-limited function (see SliceColumn), and expansion is the
+    (2L+1, nodes) matrix that takes them to the slice nodes (nodes()).
 
     products, when set, is a store that pair_profile keeps the real products
     of these parts in, shared with every SplitValues that holds the same
@@ -105,6 +157,7 @@ class SplitValues(NamedTuple):
     im_sign: float = 1.0
     keys: tuple = (None, None)
     products: dict | None = None
+    expansion: np.ndarray | None = None
 
     def parts(self) -> list:
         """(array, sign, unit, key) per part: unit 1.0 for re, 1j for im."""
@@ -112,7 +165,7 @@ class SplitValues(NamedTuple):
         return [re] if self.im is None else [re, (self.im, self.im_sign, 1j, self.keys[1])]
 
     def dense(self) -> np.ndarray:
-        """The values as one real or complex array."""
+        """The values as one real or complex array, in their own domain."""
         if self.im is None:
             return self.re if self.re_sign > 0 else -self.re
         v = np.empty(self.re.shape, dtype=complex)
@@ -120,17 +173,27 @@ class SplitValues(NamedTuple):
         np.multiply(self.im, self.im_sign, out=v.imag)
         return v
 
+    def nodes(self) -> "SplitValues":
+        """The values at the slice nodes: self if they are there already,
+        else each part expanded into a new array, with no store."""
+        if self.expansion is None:
+            return self
+        im = None if self.im is None else _to_nodes(self.im, self.expansion)
+        return SplitValues(_to_nodes(self.re, self.expansion), im, self.re_sign, self.im_sign)
+
     def magnitude(self, p: int) -> "SplitValues":
-        """|v|^p, real, in one new buffer."""
-        if self.im is None and p == 2:
-            return SplitValues(np.square(self.re))   # |x|^2 bit for bit, in one pass
-        m = np.abs(self.re) if self.im is None else np.hypot(self.re, self.im)
+        """|v|^p at the slice nodes, real, in one new buffer."""
+        v = self.nodes()
+        if v.im is None and p == 2:
+            return SplitValues(np.square(v.re))   # |x|^2 bit for bit, in one pass
+        m = np.abs(v.re) if v.im is None else np.hypot(v.re, v.im)
         m **= p
         return SplitValues(m)
 
 
 class SlicePlan:
-    """How to evaluate several functions on slice nodes from one basis table.
+    """How to evaluate several functions on slices from one basis table, at
+    points (at) or, for a SliceColumn, as slice-angle modes (values).
 
     requests holds (func, negate) pairs, each asking for func at the nodes p,
     or at -p when negate. A coefficient-backed function becomes its real and
@@ -147,7 +210,9 @@ class SlicePlan:
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
-    Without coefficient-backed requests rows is None and degree is 0.
+    keys holds each row's _row_keys, computed once per distinct row, for
+    SliceColumn.recall. Without coefficient-backed requests rows is None,
+    keys is empty and degree is 0.
     """
 
     def __init__(self, requests):
@@ -156,18 +221,20 @@ class SlicePlan:
                    for func, _ in requests]
         width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
                     default=0)
-        rows, where = [], {}
+        rows, self.keys, where = [], [], {}
 
         def row(part: np.ndarray) -> tuple:
-            # (index, sign) of a real row, stored once up to its sign
+            # (index, sign) of a real row, stored once up to its sign; rows of
+            # one plan share a width, so their untrimmed bytes tell them apart
             p = np.zeros(width)
             p[:len(part)] = part
             p += 0.0   # maps -0.0 to 0.0
-            key, negated = _row_keys(p)
+            key = p.tobytes()
             if key not in where:
-                where[negated] = (len(rows), -1.0)
+                where[(0.0 - p).tobytes()] = (len(rows), -1.0)
                 where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
                 rows.append(p)
+                self.keys.append(_row_keys(p))
             return where[key]
 
         def split(c: HarmonicCoeffs, negate: bool) -> tuple:
@@ -191,18 +258,20 @@ class SlicePlan:
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
 
-    def values(self, fields, nodes, products=None) -> list:
-        """Per request, its values at a set of slice nodes, as SplitValues.
+    def values(self, fields, nodes, products=None, expansion=None) -> list:
+        """Per request, its values on a set of slices, as SplitValues.
 
         fields holds one (array, sign) pair per distinct row, in the order of
-        rows (empty or None without rows): the row synthesized at the nodes is
-        sign * array, so a caller can hand over a held field of the negated
-        row without negating it. nodes() returns the literal nodes with the
-        arrays' node axes plus a last axis of 3, and is called only for
-        literal calls. A coefficient-backed request reads its arrays in place,
-        with its signs times theirs; a sharp rearrangement is built in one new
-        buffer; a literal call is split into views of its real and imaginary
-        parts. Requests that share an entry get the same object.
+        rows (empty or None without rows): the row on the slices is sign *
+        array, so a caller can hand over a held field of the negated row
+        without negating it. The arrays hold values at the slice nodes, or,
+        given expansion (see SplitValues), slice-angle modes. nodes() returns
+        the literal nodes with the node axes plus a last axis of 3, and is
+        called only for literal calls. A coefficient-backed request reads its
+        arrays in place, with its signs times theirs, in their domain; a sharp
+        rearrangement is built at the nodes in one new buffer; a literal call
+        is split into views of its real and imaginary parts. Requests that
+        share an entry get the same object.
 
         products is the store (SplitValues.products) of the fields' real
         products, or None: coefficient-backed values carry it, keyed by row
@@ -217,15 +286,25 @@ class SlicePlan:
                 (i, si), im = args
                 re, sr = fields[i]
                 if im is None:
-                    v = SplitValues(re, None, si * sr, 1.0, (i, None), products)
+                    v = SplitValues(re, None, si * sr, 1.0, (i, None), products, expansion)
                 else:
                     vi, sv = fields[im[0]]
-                    v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products)
+                    v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products,
+                                    expansion)
             elif kind == "sharp":
-                r0, *rest = [fields[r[0]][0] for r in args if r is not None]
-                acc, scratch = np.square(r0), np.empty(r0.shape)
-                for r in rest:
-                    acc += np.square(r, out=scratch)
+                # the sum of squares, with one row's square next to it at a
+                # time: a row in modes goes to the nodes into a new array
+                acc = None
+                for r in args:
+                    if r is None:
+                        continue
+                    if expansion is None:
+                        sq = np.square(fields[r[0]][0])
+                    else:
+                        sq = _to_nodes(fields[r[0]][0], expansion)
+                        np.square(sq, out=sq)
+                    acc = sq if acc is None else np.add(acc, sq, out=acc)
+                    del sq   # before the next row's array is made
                 acc *= 0.5
                 v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
             else:
@@ -266,19 +345,29 @@ class SliceColumn:
         Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
         Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
 
-    so a band-limited f on every slice node is trig @ spectra(c): spectra
-    mixes the coefficients with the column table into the 2L+1 azimuth
-    Fourier rows A_0, A_1, B_1, ..., A_L, B_L, and row a of trig holds 1,
-    cos(m alpha_a), sin(m alpha_a). Harmonics are evaluated only at the
-    n_r n_t n_c column nodes. The table rows are grouped by order: degrees
-    0..L of order 0, then for each m >= 1 the +m rows of degrees m..L
-    followed by the -m rows, so every order is one contiguous block.
+    so a band-limited f on every slice is trig @ spectra(c): spectra mixes
+    the coefficients with the column table into the 2L+1 azimuth Fourier rows
+    A_0, A_1, B_1, ..., A_L, B_L, and row a of trig holds 1, cos(m alpha_a),
+    sin(m alpha_a).
 
-    Each slice holds its n_c rule nodes, followed at odd n_c by their
-    partners x - p_j (see _angle_tables). Values on slices come in blocks of
-    shape (azimuth rows, column centres, slice nodes), the centres
-    radial-major as in BallGrid.points(); radii and weights belong to the
-    column centres and hold for every azimuth row.
+    On each slice, degree-L harmonics are trigonometric polynomials of degree
+    L in the slice angle psi, so the table holds their 2L+1 psi-modes
+    1, cos psi, sin psi, ..., cos L psi, sin L psi per column centre: shape
+    ((L+1)^2, column centres * (2L+1)), centre-major, built from harmonic
+    values at 2L+1 uniform slice angles by one exact real DFT. The table rows
+    are grouped by order: degrees 0..L of order 0, then for each m >= 1 the
+    +m rows of degrees m..L followed by the -m rows, so every order is one
+    contiguous block. Nothing in it depends on n_c: pair_profile pairs modes
+    exactly (_mode_weights), and the slice nodes enter only through
+    expansion, the (2L+1, nodes) matrix to each slice's n_c rule nodes,
+    followed at odd n_c by their partners x - p_j (see _angle_tables). Node
+    values serve what is not bilinear in band-limited factors: sharp
+    rearrangements, |.|^p and literal calls.
+
+    Values on slices come in blocks of shape (azimuth rows, column centres,
+    modes or slice nodes), the centres radial-major as in BallGrid.points();
+    radii and weights belong to the column centres and hold for every
+    azimuth row.
 
     Antipodal rows: the ball node x at (radius, polar ring i, azimuth row a)
     has -x at (radius, ring n_t-1-i, row a+n_t), of equal weight, and
@@ -286,12 +375,13 @@ class SliceColumn:
     slice angle negated. So the ball routes read rows [0, n_t), at p and -p.
 
     recall is the column's one memo, of its last call's coefficient rows and
-    only those, synthesized on azimuth rows [0, n_t); a later call on the
-    same rows, each equal up to sign, reads them in place. The forms route
-    reads it through sampler, the ascent (maximizer.Workspace) directly.
-    Next to the fields the memo keeps their real products (_half_pair) per
-    azimuth block, which pair_profile forms at most once while recall holds
-    those fields; see sampler.
+    only those, as modes on azimuth rows [0, n_t); a later call on the same
+    rows, each equal up to sign, reads them in place. The forms route reads
+    it through sampler, the ascent (maximizer.Workspace) directly. Next to
+    the fields the memo keeps, per azimuth block, their real products in
+    modes, which pair_profile forms at most once while recall holds those
+    fields; see sampler. Node values are formed per use and not kept: a row
+    at the nodes takes n_c / (2L+1) times the memory of its modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -315,8 +405,18 @@ class SliceColumn:
             order += [k * k + k + m for k in range(m, L + 1)]
             order += [k * k + k - m for k in range(m, L + 1)]
         self._order = np.array(order)
-        self.table = harmonic_values(L, self.pts.reshape(-1, 3))[self._order]
-        # the last recall's _row_keys, its fields buffer and their products by block
+        self.expansion = _expansion(L, n_c)
+        # harmonics at 2L+1 uniform slice angles; the DFT takes each row's
+        # values to its modes, written straight into the row's ordered slot
+        modes = 2 * L + 1
+        uniform, _ = _slice_nodes(self._centres, modes, modes)
+        values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
+        dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
+        self.table = np.empty((len(order), values.shape[1] * modes))
+        for row, k in zip(self.table, self._order):
+            np.matmul(values[k], dft, out=row.reshape(-1, modes))
+        # the last recall's _row_keys, its fields buffer and, per block, the
+        # fields' real products
         self._memo = ([], (), {})
 
     def blocks(self):
@@ -350,7 +450,7 @@ class SliceColumn:
         return self._rotated(self._centres, a0, a1)
 
     def spectra(self, coeffs: np.ndarray) -> np.ndarray:
-        """Azimuth Fourier rows, shape (n, 2L+1, column nodes), of real coefficient rows.
+        """Azimuth Fourier rows, shape (n, 2L+1, table columns), of real coefficient rows.
 
         coeffs has shape (n, (L'+1)^2) with L' <= L, in the flat layout.
         """
@@ -373,7 +473,7 @@ class SliceColumn:
 
     def pullback(self, rows: np.ndarray) -> np.ndarray:
         """Adjoint of spectra: the coefficient gradients, shape (n, (L+1)^2),
-        of sum(rows * spectra(c)) for rows of shape (n, 2L+1, column nodes)."""
+        of sum(rows * spectra(c)) for rows of shape (n, 2L+1, table columns)."""
         L = self.L
         g = np.empty((len(rows), (L + 1) ** 2))
         g[:, :L + 1] = rows[:, 0] @ self.table[:L + 1].T
@@ -388,60 +488,66 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
-    def recall(self, rows) -> tuple:
+    def recall(self, rows, keys=None) -> tuple:
         """(fields, signs) of real coefficient rows, shape (n, (L'+1)^2) or
         None: row i on the slices of azimuth rows [0, n_t) is signs[i] *
-        fields[i], fields a read-only buffer (n, n_t, column centres, nodes).
+        fields[i], fields a read-only buffer (n, n_t, column centres, 2L+1)
+        of slice-angle modes. keys, if given, holds each row's _row_keys
+        (SlicePlan.keys), so the rows are not keyed again.
 
         Rows equal, up to sign (by content, as in SlicePlan), to the last
         call's, in their order, get its buffer back. Any other rows replace
         it: all take one spectra pass and one synthesis trig[:n_t] @ spectra
         into one buffer, since BLAS may round a row differently in a batch of
         another size; the spectra are dropped, and so are the products kept
-        with the fields replaced.
+        with the fields replaced. A call without rows needs no fields: it
+        gets an empty buffer and leaves the memo as it is.
         """
-        rows = () if rows is None else rows
-        keys = [_row_keys(r) for r in rows]
+        if rows is None or not len(rows):
+            return (), []
+        keys = [_row_keys(r) for r in rows] if keys is None else keys
         signs = [1.0 if key == k else -1.0 if key == neg else None   # a zero row reads +
                  for (key, _), (k, neg) in zip(keys, self._memo[0])]
         if len(keys) == len(self._memo[0]) and None not in signs:
             return self._memo[1], signs
         self._memo = ([], (), {})   # frees the last call's buffer before this call's
-        if keys:
-            n_t = self.n_az // 2
-            fields = np.empty((len(rows), n_t, self.radii.size, self.pts.shape[1]))
-            np.matmul(self.trig[:n_t], self.spectra(rows),
-                      out=fields.reshape(len(rows), n_t, -1))
-            fields.flags.writeable = False
-            self._memo = (keys, fields, {})
-        return self._memo[1], [1.0] * len(keys)
+        n_t = self.n_az // 2
+        fields = np.empty((len(rows), n_t, self.radii.size, 2 * self.L + 1))
+        np.matmul(self.trig[:n_t], self.spectra(rows), out=fields.reshape(len(rows), n_t, -1))
+        fields.flags.writeable = False
+        self._memo = (keys, fields, {})
+        return fields, [1.0] * len(keys)
 
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
 
         The returned sample(a0, a1) gives, per request, its SplitValues (see
-        SlicePlan.values), parts of shape (a1 - a0, column centres, slice nodes), at
-        azimuth rows a0:a1 inside [0, n_t), the rows blocks() covers; other
-        ranges raise ValueError. The table must reach plan.degree. The
-        coefficient rows' fields come from recall, the column's one memo, so
-        every value is bit for bit that of a fresh column; sample reads views
-        of those fields, and a negated field with the opposite sign.
+        SlicePlan.values) at azimuth rows a0:a1 inside [0, n_t), the rows
+        blocks() covers; other ranges raise ValueError. Coefficient-backed
+        values are slice-angle modes, parts of shape (a1 - a0, column centres,
+        2L+1), with this column's expansion; sharp and literal values are at
+        the slice nodes. The table must reach plan.degree. The coefficient
+        rows' fields come from recall, the column's one memo, so every value
+        is bit for bit that of a fresh column; sample reads views of those
+        fields, and a negated field with the opposite sign.
 
-        Coefficient-backed values carry the memo's product store for block
-        a0:a1, keyed by row index (plan.rows is the order of recall's rows),
-        so pair_profile forms the product of two held rows on a block once
+        Coefficient-backed values carry the memo's store for block a0:a1,
+        keyed by row index (plan.rows is the order of recall's rows), so
+        pair_profile forms the product of two held rows on a block once
         across every sampler and call that reads those fields; recall drops
         the store with them. Keys are row indices, never array identities.
         """
-        fields, signs = self.recall(plan.rows)
-        held = self._memo[2]
+        fields, signs = self.recall(plan.rows, plan.keys)
+        held = self._memo[2] if len(fields) else None
         n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
             return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
-                               lambda: self.points(a0, a1), held.setdefault((a0, a1), {}))
+                               lambda: self.points(a0, a1),
+                               None if held is None else held.setdefault((a0, a1), {}),
+                               self.expansion)
 
         return sample
 
@@ -458,45 +564,66 @@ def _half_pair(a: np.ndarray, b: np.ndarray, n_c: int) -> np.ndarray:
     return np.einsum("...ij,...ij->...", a, b)
 
 
-def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarray:
-    """(f sigma * g sigma)(x) from f and g at the nodes (last axis) of x's slice.
+def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the integral over psi of a(psi) b(psi + pi) on each slice, of a and b in
+    # slice-angle modes; a * b is b * a bit for bit, so a swap gives the same bits
+    return (a * b) @ _mode_weights(a.shape[-1])
 
-    Leading axes run over centres x of norm radii; n_c is the rule's node
-    count, by default the node axis length. n_c nodes need even n_c: the
-    partner x - p_j of node j is node j + n_c/2, so the two halves of each
-    slice pair crosswise. Of 2 n_c nodes, rule node j pairs with node j + n_c
-    over the rule half only. va and vb are dense arrays, or SplitValues,
-    whose signed real parts are paired in place: Re = sum(a_r b_r - a_i b_i),
-    Im = sum(a_r b_i + a_i b_r); the result is real when both are.
+
+def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarray:
+    """(f sigma * g sigma)(x) from f and g on x's slice (last axis).
+
+    Leading axes run over centres x of norm radii. va and vb are dense
+    arrays at the slice nodes, or SplitValues, whose signed real parts are
+    paired in place: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i + a_i b_r);
+    the result is real when both are.
+
+    Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
+    exact for band-limited factors at every n_c. Otherwise both are taken to
+    the slice nodes (SplitValues.nodes) and paired by the trapezoid rule:
+    n_c is the rule's node count, by default the node axis length. n_c nodes
+    need even n_c: the partner x - p_j of node j is node j + n_c/2, so the
+    two halves of each slice pair crosswise. Of 2 n_c nodes, rule node j
+    pairs with node j + n_c over the rule half only.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
-    the parts' keys: as an unordered pair at n_c nodes, where the partners
-    are the node set itself and _half_pair gives a pair and its swap bit for
-    bit alike, and as an ordered pair at 2 n_c nodes, where they are
-    different sums.
+    the parts' keys: as an unordered pair in modes and at n_c nodes, where a
+    pair and its swap give the same bits, and as an ordered pair at 2 n_c
+    nodes, where they are different sums.
     """
     dense = isinstance(va, np.ndarray)
-    nodes = (va if dense else va.re).shape[-1]
-    n_c = nodes if n_c is None else n_c
-    if nodes % 2 or nodes not in (n_c, 2 * n_c):
-        raise ValueError(f"pair_profile needs an even node count, got {nodes} (n_c = {n_c})")
+    if not dense and (va.expansion is None) != (vb.expansion is None):
+        va, vb = va.nodes(), vb.nodes()
+    if not dense and va.expansion is not None:
+        pair, unordered, scale = _mode_pair, True, 1.0
+    else:
+        nodes = (va if dense else va.re).shape[-1]
+        n_c = nodes if n_c is None else n_c
+        if nodes % 2 or nodes not in (n_c, 2 * n_c):
+            raise ValueError(
+                f"pair_profile needs an even node count, got {nodes} (n_c = {n_c})")
+
+        def pair(a, b):
+            return _half_pair(a, b, n_c)
+
+        unordered, scale = nodes == n_c, 2.0 * np.pi / n_c
     if dense:
-        s = _half_pair(va, vb, n_c)
+        s = pair(va, vb)
     else:
         store = va.products if va.products is vb.products else None
 
         def product(a, ka, b, kb):
             if store is None:
-                return _half_pair(a, b, n_c)
-            key = (kb, ka) if nodes == n_c and kb < ka else (ka, kb)
+                return pair(a, b)
+            key = (kb, ka) if unordered and kb < ka else (ka, kb)
             if key not in store:
-                store[key] = _half_pair(a, b, n_c)
+                store[key] = pair(a, b)
             return store[key]
 
         s = sum(ua * ub * (sa * sb) * product(a, ka, b, kb)
                 for a, sa, ua, ka in va.parts() for b, sb, ub, kb in vb.parts())
-    return (2.0 * np.pi / n_c) * s / radii
+    return scale * s / radii
 
 
 def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:

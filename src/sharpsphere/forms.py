@@ -174,19 +174,22 @@ class FormGrids:
     The outer route takes its polar rings about the nodes of ball.directions.
 
     The ball route memoizes a SliceColumn on this object, through the largest
-    band limit asked for so far: the harmonics on one azimuth column of
-    slices, (L+1)^2 n_r n_t n_c entries (2 n_c at odd n_c), 17.9 MB at L=8 on
-    n_t=24, n_r=24, n_c=48, so repeated Q/B evaluations pay for geometry and
-    basis once. Its one memo (SliceColumn.recall) keeps the last call's
-    coefficient rows synthesized on azimuth rows [0, n_t), n_t field rows of
-    column nodes each (5.3 MB a row above), so a chain of Q/B calls on one f,
-    such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
+    band limit asked for so far: the slice-angle modes of the harmonics on
+    one azimuth column of slices, (L+1)^2 n_r n_t (2L+1) entries at every
+    n_c, 6.3 MB at L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for
+    geometry and basis once. Its one memo (SliceColumn.recall) keeps the last
+    call's coefficient rows synthesized as modes on azimuth rows [0, n_t)
+    (1.9 MB a row above), so a chain of Q/B calls on one f, such as the
+    paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
-    synthesis for f's rows. Next to the fields the memo keeps their real
-    products per azimuth block, so B(F, F) reads the products Q(f, f, f, f)
-    formed. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route
-    and share the column, and so does the ascent: maximizer.Workspace is
-    these grids at exact_sizes(L, 2L).
+    synthesis for f's rows. Next to the fields the memo keeps, per azimuth
+    block, their real products, so B(F, F) reads the products Q(f, f, f, f)
+    formed. A kernel that needs values at the slice nodes (sharp
+    rearrangements, |F|^2, literal factors) expands the rows it reads per
+    call and keeps none (2.7 MB a row and block of n_c=48 nodes above); n_c
+    sizes only those node-valued kernels. The Plancherel norms
+    (conv_l2_norm, l4_norm) are Q on this route and share the column, and so
+    does the ascent: maximizer.Workspace is these grids at exact_sizes(L, 2L).
     """
 
     ball: BallGrid
@@ -263,10 +266,11 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
 
     A structured K, at any n_c, pairs its factors, which values yields on
-    the column's slice nodes as SplitValues, in pair_profile, as
-    |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the analytic nodes;
-    the constant kernel gives 2 pi / r. An unstructured kernel takes the
-    literal pair_slice_average at the ball nodes.
+    the column's slices as SplitValues, in pair_profile, as
+    |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the analytic nodes:
+    band-limited factors in slice-angle modes, |.|^p at the slice nodes; the
+    constant kernel gives 2 pi / r. An unstructured kernel takes the literal
+    pair_slice_average at the ball nodes.
     """
     r = col.radii
     if K.factors is None:
@@ -304,7 +308,8 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # see SliceColumn.sampler). Every profile sums real products of the
     # sampled parts, each formed once per block (pair_profile): F's profile
     # at -x for F = f tensor f_star, and G's in Q(f, g, f_star, g_star), read
-    # the products of F's at x, the same held rows swapped.
+    # the products of F's at x, the same held rows swapped. A held row's node
+    # values, for a kernel that needs them, are formed once per block too.
     kernels = [(F, False), (F, True)]
     if not _same_kernel(F, G):
         kernels += [(G, True), (G, False)]
@@ -352,9 +357,10 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     grids. It folds over the antipodal symmetry of the ball grid, summing
     PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
     is F, or has F's factor objects and powers, it computes F's two profiles
-    only, with the same result bit for bit. Structured
-    kernels, at every n_c, pair their factors sampled on the column table at
-    the slice nodes p and at -p; an unstructured kernel takes the literal
+    only, with the same result bit for bit. Structured kernels pair their
+    factors sampled on the column table at p and at -p: band-limited factors
+    in slice-angle modes, exactly at every n_c, and |.|^p, sharp and literal
+    factors at the n_c slice nodes; an unstructured kernel takes the literal
     pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about

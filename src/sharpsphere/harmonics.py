@@ -13,6 +13,7 @@ m = -k..k within a degree. Negative m holds the sin(m*phi) branch.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +52,13 @@ def _degree_index(L: int) -> np.ndarray:
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
+@lru_cache(maxsize=None)
 def parity_signs(L: int) -> np.ndarray:
-    """(-1)^k per flat slot; the antipodal map acts as Y_{k,m}(-w) = (-1)^k Y_{k,m}(w)."""
-    return 1.0 - 2.0 * (_degree_index(L) % 2)
+    """(-1)^k per flat slot; the antipodal map acts as Y_{k,m}(-w) = (-1)^k Y_{k,m}(w).
+    One read-only array per L."""
+    signs = 1.0 - 2.0 * (_degree_index(L) % 2)
+    signs.flags.writeable = False
+    return signs
 
 
 def _assoc_legendre_rows(L: int, t: np.ndarray, s: np.ndarray, out: np.ndarray):

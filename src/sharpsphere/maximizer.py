@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolution import pair_profile
+from .convolution import SplitValues, _mode_weights, pair_profile
 from .forms import default_form_grids
 from .harmonics import HarmonicCoeffs, _degree_index, n_coeffs, parity_signs
 from .quadrature import exact_sizes
@@ -50,13 +50,13 @@ ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 class Workspace:
     """Q and its gradient at band limit L, exact, on the forms ball route's grids.
 
-    grids is default_form_grids at exact_sizes(L, 2L): on each slice
-    f(p) f_star(x - p) is a trigonometric polynomial of degree 2L; 17, 18, 18
-    at L=8. n_c is even, so the partner x - p of a slice node is its opposite
-    node (pair_profile). f and f_star come from the one memo
-    (SliceColumn.recall) of the column grids.slice_column(L), whose table,
-    basis, covers one azimuth column of slices: 3.6 MB at L=8, about 88 MB at
-    L=16, growing like L^5.
+    grids is default_form_grids at exact_sizes(L, 2L); 17, 18, 18 at L=8.
+    f and f_star come from the one memo (SliceColumn.recall) of the column
+    grids.slice_column(L) as slice-angle modes, which pair_profile pairs by
+    Parseval, exactly at any n_c: n_c sizes only node-valued kernels, which
+    Q and its gradient do not use. The column's table, basis, holds the
+    modes of the harmonics on one azimuth column of slices: 3.4 MB at L=8,
+    about 86 MB at L=16, growing like L^5.
 
     Antipodal fold: the slices at -x are x's negated (see SliceColumn), and
     for real coefficients f_star = f(-.), so prof(-x) = prof(x) up to
@@ -90,15 +90,17 @@ class Workspace:
         return self.grids.slice_column(self.L).table
 
     def _forward(self, coeffs: np.ndarray):
-        # (col, q, fields, sign, prof): fields (2, n_t, column centres, n_c)
-        # hold sign * f and sign * f_star on azimuth rows [0, n_t); q and prof
-        # are kept, by a weak reference, no longer than the column keeps them
+        # (col, q, fields, sign, prof): fields (2, n_t, column centres, 2L+1)
+        # hold the modes of sign * f and sign * f_star on azimuth rows
+        # [0, n_t); q and prof are kept, by a weak reference, no longer than
+        # the column keeps them
         col = self.grids.slice_column(self.L)
         coeffs = np.asarray(coeffs, dtype=float)
         fields, signs = col.recall(np.stack([coeffs, self.parity * coeffs]))
         held, q, prof = self._held
         if fields is not held():
-            prof = pair_profile(*fields, col.radii)
+            prof = pair_profile(*(SplitValues(v, expansion=col.expansion) for v in fields),
+                                col.radii)
             q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
             self._held = (weakref.ref(fields), q, prof)
         return col, q, fields, signs[0], prof
@@ -110,15 +112,15 @@ class Workspace:
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
         col, q, fields, sign, prof = self._forward(coeffs)
-        # dQ/d(field value at node p) is g_n times the partner field at the
-        # opposite node, with g_n = 2 w_n prof_n * angle_weight / r_n, doubled
-        # by the fold. trig^T folds the azimuth rows into Fourier rows before
-        # the slice halves swap to reach the opposite nodes, and pullback
-        # routes the rows to the coefficients (through parity for f_star).
+        # dQ/d(mode k of f) is g_n sigma_k times mode k of f_star, and the
+        # reverse, with g_n = 2 w_n prof_n / r_n doubled by the fold and sigma
+        # the mode weights (_mode_weights). trig^T folds the azimuth rows
+        # into Fourier rows, and pullback routes them to the coefficients
+        # (through parity for f_star).
         trig = col.trig[:col.n_az // 2]
-        g = (8.0 * np.pi / col.n_c) * col.weights * prof / col.radii
-        rows = trig.T @ (g[..., None] * fields[::-1]).reshape(2, len(trig), -1)
-        rows = rows.reshape(2, -1, 2, col.n_c // 2)[:, :, ::-1].reshape(rows.shape)
+        g = (4.0 * col.weights * prof / col.radii)[..., None] * fields[::-1]
+        g *= _mode_weights(fields.shape[-1])
+        rows = trig.T @ g.reshape(2, len(trig), -1)
         d = col.pullback(rows)[:, :self.parity.size]   # the column may reach past L
         return q, sign * (d[0] + self.parity * d[1])
 

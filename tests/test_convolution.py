@@ -178,7 +178,8 @@ class TestPairProfile:
                              ids=["0", "1", "2", "4", "8", "4-odd"])
     def test_split_rows_match_the_dense_profiles(self, L, odd):
         # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each;
-        # an odd column holds 2 n_c nodes a slice, rule nodes then partners
+        # coefficient rows come as 2L+1 slice-angle modes, the rest at the
+        # slice nodes: an odd column holds 2 n_c a slice, rule nodes then partners
         n_t, n_r, n_c = exact_sizes(L, 4 * L)
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c + odd, L)
         f = rand_fn(L, 80 + L, complex_valued=True)
@@ -188,15 +189,17 @@ class TestPairProfile:
                           (neg, True), (f.sharp_rearrangement(), False), (rand_fn(L, 90), True)])
         assert len(plan.rows) == (3 if L == 0 else 5)
         vals = col.sampler(plan)(0, col.n_az // 2)
-        assert vals[0].re.shape[-1] == (2 if odd else 1) * col.n_c
+        assert vals[0].re.shape[-1] == 2 * L + 1
+        assert vals[6].re.shape[-1] == (2 if odd else 1) * col.n_c
         squares = [v.magnitude(2) for v in vals]
         for v, sq in zip(vals, squares):
-            expect = np.abs(v.dense()) ** 2
+            expect = np.abs(v.nodes().dense()) ** 2
             assert np.abs(sq.dense() - expect).max() <= 1e-15 * expect.max()
         for group in (vals, squares):
             for a in group:
                 for b in group:
-                    dense = pair_profile(a.dense(), b.dense(), col.radii, col.n_c)
+                    dense = pair_profile(a.nodes().dense(), b.nodes().dense(),
+                                         col.radii, col.n_c)
                     split = pair_profile(a, b, col.radii, col.n_c)
                     assert split.dtype == dense.dtype
                     assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -211,6 +214,58 @@ class TestPairProfile:
     def test_odd_slice_count_is_rejected(self):
         with pytest.raises(ValueError, match="even"):
             pair_profile(np.ones((2, 5)), np.ones((2, 5)), np.ones(2))
+
+
+class TestModePairing:
+    """Band-limited slice values pair in slice-angle modes, by Parseval."""
+
+    @staticmethod
+    def profiles(L, n_c, complex_valued):
+        # (modes, nodes, centres): f tensor g's profile on a column's first
+        # n_t azimuth rows from its modes and from its n_c slice nodes, and
+        # the slices' centres
+        col = SliceColumn(build_ball_grid(4, build_sphere_grid(5)), n_c, L)
+        f, g = rand_fn(L, 130, complex_valued=complex_valued), rand_fn(L, 131)
+        n_t = col.n_az // 2
+        a, b = col.sampler(SlicePlan([(f, False), (g, False)]))(0, n_t)
+        assert a.expansion is col.expansion and a.re.shape[-1] == 2 * L + 1
+        modes = pair_profile(a, b, col.radii, col.n_c)
+        nodes = pair_profile(a.nodes(), b.nodes(), col.radii, col.n_c)
+        return modes, nodes, col.centres(0, n_t), (f, g)
+
+    @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_matches_the_literal_slice_average(self, n_c, complex_valued):
+        # n_c > 2L: the trapezoid rule on the slice is exact too
+        modes, nodes, x, (f, g) = self.profiles(4, n_c, complex_valued)
+        literal = pair_slice_average(lambda p, q: f(p) * g(q), x.reshape(-1, 3),
+                                     n_c).reshape(x.shape[:-1])
+        scale = np.abs(literal).max()
+        assert modes.dtype == literal.dtype
+        assert np.abs(modes - literal).max() <= 1e-14 * scale
+        assert np.abs(nodes - literal).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n_c", [6, 7], ids=["even", "odd"])
+    def test_is_exact_at_few_slice_nodes(self, n_c):
+        # n_c <= 2L: the modes still match a 4x-oversampled literal slice
+        # average, where the node route's trapezoid rule misses it
+        modes, nodes, x, (f, g) = self.profiles(4, n_c, True)
+        literal = pair_slice_average(lambda p, q: f(p) * g(q), x.reshape(-1, 3),
+                                     4 * n_c).reshape(x.shape[:-1])
+        scale = np.abs(literal).max()
+        assert np.abs(modes - literal).max() <= 1e-14 * scale
+        assert np.abs(nodes - literal).max() > 1e-6 * scale
+
+    def test_weights_are_the_slice_integral_of_a_and_b_half_a_turn_on(self):
+        # at even n_c the expansion's nodes are the uniform angles in order
+        psi = 2 * PI * np.arange(64) / 64
+        full = convolution._expansion(3, 64)
+        assert np.abs(full[5] - np.cos(3 * psi)).max() <= 1e-14
+        assert np.abs(full[6] - np.sin(3 * psi)).max() <= 1e-14
+        a, b = np.random.default_rng(132).standard_normal((2, 7))
+        half_turn = np.roll(full, -32, axis=1)
+        literal = (2 * PI / 64) * np.sum((a @ full) * (b @ half_turn))
+        assert abs(convolution._mode_pair(a, b) - literal) <= 1e-14 * abs(literal)
 
 
 class TestConvProfile:
@@ -361,16 +416,21 @@ class TestSliceColumn:
         for a in range(column.n_az):
             assert np.abs(column.centres(a, a + 1)[0] - X[:, a]).max() <= 1e-15
 
+    @staticmethod
+    def at_nodes(column, modes):
+        # azimuth rows of slice-angle modes, taken to every slice node
+        return modes.reshape(column.n_az, column.radii.size, -1) @ column.expansion
+
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
-        fields = column.trig @ column.spectra(c[None])[0]
+        fields = self.at_nodes(column, column.trig @ column.spectra(c[None])[0])
         pts = column.points(0, column.n_az).reshape(-1, 3)
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_lower_degree_coefficients_use_leading_rows(self, column):
         c = random_band_limited(2, np.random.default_rng(61)).coeffs
-        fields = column.trig @ column.spectra(c[None])[0]
+        fields = self.at_nodes(column, column.trig @ column.spectra(c[None])[0])
         expect = c @ harmonic_values(2, column.points(0, column.n_az).reshape(-1, 3))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -394,8 +454,8 @@ class TestSliceColumn:
         plan = SlicePlan([(f, False), (f, False), (sharp, False), (sharp, True)])
         a, b, c, d = column.sampler(plan)(0, 3)
         assert a is b and c is d
-        shape = (3, column.radii.size, column.n_c)
-        assert a.re.shape == a.im.shape == c.re.shape == shape and c.im is None
+        modes, nodes = (3, column.radii.size, 2 * column.L + 1), (3, column.radii.size, column.n_c)
+        assert a.re.shape == a.im.shape == modes and c.re.shape == nodes and c.im is None
 
     def test_sampler_covers_rows_below_n_t_only(self, column):
         # rows a >= n_t hold the antipodal slices, which the ball route reads at -p

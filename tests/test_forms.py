@@ -403,6 +403,30 @@ class TestOddSliceCountAgainstReference(ReferenceCases):
         return default_form_grids(n_t=9, n_c=19, n_r=10)
 
 
+class TestSliceCount:
+    """n_c governs only the kernels the ball route pairs at slice nodes."""
+
+    def test_band_limited_pairs_do_not_depend_on_n_c(self):
+        # Q(f, f*, f, f*) pairs in slice-angle modes: exact at n_c <= 2L too
+        f = rand_fn(4, 60, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        ball = exact_form_grids(4).ball
+        exact = quadrilinear_q(f, fs, f, fs, forms.FormGrids(ball, 18))
+        for n_c in (3, 4, 7):
+            q = quadrilinear_q(f, fs, f, fs, forms.FormGrids(ball, n_c))
+            assert abs(q - exact) <= 1e-13 * abs(exact)
+        ref = reference_q(f, fs, f, fs, forms.FormGrids(ball, 18))
+        assert abs(exact - ref) <= 1e-12 * abs(ref)
+
+    def test_node_valued_kernels_do(self):
+        f = rand_fn(4, 61)
+        sharp = f.sharp_rearrangement()
+        ball = exact_form_grids(4).ball
+        few, many = (quadrilinear_q(sharp, sharp, sharp, sharp, forms.FormGrids(ball, n_c))
+                     for n_c in (4, 34))
+        assert abs(few - many) > 1e-6 * abs(many)
+
+
 def unfolded_b(F, G, grids):
     """The ball route before the antipodal fold: F's profile at x times G's at
     -x, summed over every azimuth row of the ball grid. Rows a >= n_t, which
@@ -615,11 +639,11 @@ class TestSpectraMemo:
         f = rand_fn(4, 106, complex_valued=True)
         chain_values(f, grids)
         col = grids.slice_column(4)
-        n_t, nodes = col.n_az // 2, col.table.shape[1]
+        n_t, modes = col.n_az // 2, col.table.shape[1]
         held = held_fields(col)
         assert len(held) == 4
-        assert all(v.shape == (n_t, col.radii.size, col.n_c) for v in held.values())
-        assert sum(v.nbytes for v in held.values()) == 4 * n_t * nodes * 8
+        assert all(v.shape == (n_t, col.radii.size, 2 * col.L + 1) for v in held.values())
+        assert sum(v.nbytes for v in held.values()) == 4 * n_t * modes * 8
         assert len({id(v.base) for v in held.values()}) == 1   # one buffer
 
     def test_a_negated_hit_reads_the_held_field_with_sign_minus_one(self):
@@ -680,6 +704,37 @@ class TestSpectraMemo:
         assert spectra_rows == [4, 2]
         assert len(held_fields(grids.slice_column(4))) == 2
         assert value == quadrilinear_q(re, re, re, re, forms.FormGrids(grids.ball, grids.n_c))
+
+    @pytest.mark.parametrize("case", ["B(1, 1)", "literal"])
+    def test_a_call_without_rows_keeps_the_memo(self, case, spectra_rows):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 108)
+        fs = f.antipodal_conjugate()
+        K = (PairKernel.one() if case == "B(1, 1)"
+             else PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1))))
+        first = quadrilinear_q(f, fs, f, fs, grids)
+        bilinear_b(K, PairKernel.one(), grids)
+        assert quadrilinear_q(f, fs, f, fs, grids) == first
+        assert spectra_rows == [2]
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_each_row_is_keyed_once_per_call(self, complex_valued, monkeypatch):
+        # the plan keys each distinct row and hands the keys to recall
+        keyed, row_keys = [], convolution._row_keys
+
+        def spy(row):
+            keyed.append(row.tobytes())
+            return row_keys(row)
+
+        monkeypatch.setattr(convolution, "_row_keys", spy)
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 109, complex_valued=complex_valued)
+        fs = f.antipodal_conjugate()
+        rows = 4 if complex_valued else 2
+        for _ in range(2):   # a fresh memo, then a hit
+            keyed.clear()
+            quadrilinear_q(f, fs, f, fs, grids)
+            assert len(keyed) == len(set(keyed)) == rows
 
     def test_one_row_after_a_batch_matches_a_fresh_column(self):
         # BLAS rounds a row differently in batches of other sizes: a field
@@ -772,14 +827,15 @@ class TestSameKernelFold:
 
 @pytest.fixture
 def half_pairs(monkeypatch):
-    """Count of convolution._half_pair calls: the real products of slice values."""
-    calls, inner = [0], convolution._half_pair
+    """Count of the real products of slice values: convolution._half_pair
+    calls at the slice nodes and _mode_pair calls in slice-angle modes."""
+    calls = [0]
+    for name in ("_half_pair", "_mode_pair"):
+        def spy(*args, _inner=getattr(convolution, name)):
+            calls[0] += 1
+            return _inner(*args)
 
-    def spy(*args):
-        calls[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(convolution, "_half_pair", spy)
+        monkeypatch.setattr(convolution, name, spy)
     return calls
 
 
@@ -859,21 +915,48 @@ class TestHeldProducts:
     @pytest.mark.parametrize("n_c", [18, 20], ids=["n_c/2 odd", "n_c/2 even"])
     @pytest.mark.parametrize("layout", ["held", "contiguous"])
     def test_swapped_products_are_bitwise_equal_at_even_n_c(self, n_c, layout):
-        # pair_profile keys the products of an even column unordered
+        # pair_profile keys the products of held modes, and of an even
+        # column's node values, unordered
         n_t, n_r, _ = exact_sizes(4, 16)
         col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
         f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
         p = parity_signs(4)
         fields, _ = col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag]))
         a0, a1 = col.blocks()[0]
-        rows = [v[a0:a1] for v in fields]
+        modes = [v[a0:a1] for v in fields]
+        nodes = [convolution.SplitValues(v, expansion=col.expansion).nodes().re for v in modes]
         if layout == "contiguous":
-            rows = [np.ascontiguousarray(v[:, ::-1]) for v in rows]
-        for a in rows:
-            for b in rows:
-                ab = convolution._half_pair(a, b, n_c)
-                assert ab.view(np.int64).tolist() == convolution._half_pair(
-                    b, a, n_c).view(np.int64).tolist()
+            modes, nodes = ([np.ascontiguousarray(v[:, ::-1]) for v in rows]
+                            for rows in (modes, nodes))
+        for pair, rows in ((convolution._mode_pair, modes),
+                           (lambda a, b: convolution._half_pair(a, b, n_c), nodes)):
+            for a in rows:
+                for b in rows:
+                    assert pair(a, b).view(np.int64).tolist() == pair(
+                        b, a).view(np.int64).tolist()
+
+    def test_node_values_are_formed_per_use_and_not_held(self, monkeypatch):
+        # Q(f, f*, f, f*) pairs in modes only; the sharp Q takes f's rows at
+        # +-p to the nodes once per block, and the memo keeps none of them
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        self.two_blocks(grids, 4, monkeypatch)
+        expanded, to_nodes = [], convolution._to_nodes
+
+        def spy(a, expansion):
+            expanded.append(a.shape)
+            return to_nodes(a, expansion)
+
+        monkeypatch.setattr(convolution, "_to_nodes", spy)
+        f = rand_fn(4, 127)
+        fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
+        col = grids.slice_column(4)
+        quadrilinear_q(f, fs, f, fs, grids)
+        assert expanded == []
+        quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+        assert len(expanded) == 2 * 2   # two rows on two blocks
+        held = [(p.shape, (a1 - a0, col.radii.size))
+                for (a0, a1), store in col._memo[2].items() for p in store.values()]
+        assert held and all(shape == block for shape, block in held)
 
     def test_products_are_dropped_when_recall_replaces_the_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)

@@ -48,6 +48,11 @@ class TestIndexing:
         expected = np.repeat([1.0, -1.0, 1.0, -1.0], [1, 3, 5, 7])
         assert np.array_equal(signs, expected)
 
+    def test_parity_signs_are_one_read_only_array_per_degree(self):
+        signs = parity_signs(3)
+        assert parity_signs(3) is signs
+        assert not signs.flags.writeable
+
 
 class TestHarmonicValues:
     def test_degree_zero_is_constant(self):

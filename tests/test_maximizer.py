@@ -423,7 +423,7 @@ class TestWorkspace:
         col = ws.grids.slice_column(4)
         fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
         assert signs == [1.0, 1.0]
-        assert fields.shape == (2, col.n_az // 2, col.radii.size, col.n_c)
+        assert fields.shape == (2, col.n_az // 2, col.radii.size, 2 * col.L + 1)
         assert ws.basis is col.table
         # a's fields outlive the memo here: b must not get a's profile
         assert ws.q_value(b) == Workspace(4).q_value(b)
@@ -472,8 +472,8 @@ class TestColumnTable:
             assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
 
     def test_table_is_one_azimuth_column(self, ws8):
-        # (L+1)^2 harmonics at n_r n_t n_c = 18 * 17 * 18 nodes
-        assert ws8.basis.shape == (81, 18 * 17 * 18)
+        # (L+1)^2 harmonics in 2L+1 slice-angle modes at n_r n_t = 18 * 17 centres
+        assert ws8.basis.shape == (81, 18 * 17 * 17)
         assert ws8.basis.nbytes < 4e6
 
     def test_band_limit_sixteen(self):
