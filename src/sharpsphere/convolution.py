@@ -10,15 +10,16 @@ the ball route (forms.conv_l2_norm, forms.l4_norm).
 On the slice at x a band-limited f of degree L is a trigonometric polynomial
 of degree L in the slice angle psi, and the partner x - p of the node at psi
 sits at psi + pi. SliceColumn holds such f as its 2L+1 slice-angle modes,
-which pair_profile pairs by Parseval, exactly at every n_c. Node values, at
-each slice's n_c rule nodes p_j and their partners (see _angle_tables), are
-for what is not bilinear in band-limited factors: sharp rearrangements,
-|.|^p and literal callables; convolve_many reads f and g at those nodes, and
-pair_slice_average is literal.
+which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
+band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
+every n_c. Node values, at each slice's n_c rule nodes p_j and their
+partners (see _angle_tables), are for what has no band limit: sharp
+rearrangements, |.|^p of odd p and literal callables; convolve_many reads f
+and g at those nodes, and pair_slice_average is literal.
 """
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +102,22 @@ def _to_nodes(a: np.ndarray, expansion: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ expansion).reshape(a.shape[:-1] + (-1,))
 
 
+def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
+    # the sum of the squares of real rows in one new array, each row taken
+    # from slice-angle modes to the nodes of expansion first, if given; one
+    # row's square is formed next to the sum at a time
+    acc = None
+    for row in rows:
+        if expansion is None:
+            sq = np.square(row)
+        else:
+            sq = _to_nodes(row, expansion)
+            np.square(sq, out=sq)
+        acc = sq if acc is None else np.add(acc, sq, out=acc)
+        del sq   # before the next row's array is made
+    return acc
+
+
 def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
     # the first count of _angle_tables' nodes (default all) on the slices at X, and |X|
     c, s = _angle_tables(n_c)
@@ -181,13 +198,16 @@ class SplitValues(NamedTuple):
         im = None if self.im is None else _to_nodes(self.im, self.expansion)
         return SplitValues(_to_nodes(self.re, self.expansion), im, self.re_sign, self.im_sign)
 
-    def magnitude(self, p: int) -> "SplitValues":
-        """|v|^p at the slice nodes, real, in one new buffer."""
-        v = self.nodes()
-        if v.im is None and p == 2:
-            return SplitValues(np.square(v.re))   # |x|^2 bit for bit, in one pass
-        m = np.abs(v.re) if v.im is None else np.hypot(v.re, v.im)
-        m **= p
+    def magnitude(self, p: int, n_c: int | None = None) -> "SplitValues":
+        """|v|^p, real, in one new buffer at the nodes of expansion, or of
+        _expansion(L, n_c) if n_c is given, or at the nodes the values are
+        at; real |x|^2 is np.square(x) bit for bit."""
+        expansion = self.expansion
+        if expansion is not None and n_c is not None:
+            expansion = _expansion(expansion.shape[0] // 2, n_c)
+        m = _square_sum([part for part, *_ in self.parts()], expansion)
+        if p != 2:
+            m **= p / 2
         return SplitValues(m)
 
 
@@ -292,19 +312,7 @@ class SlicePlan:
                     v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products,
                                     expansion)
             elif kind == "sharp":
-                # the sum of squares, with one row's square next to it at a
-                # time: a row in modes goes to the nodes into a new array
-                acc = None
-                for r in args:
-                    if r is None:
-                        continue
-                    if expansion is None:
-                        sq = np.square(fields[r[0]][0])
-                    else:
-                        sq = _to_nodes(fields[r[0]][0], expansion)
-                        np.square(sq, out=sq)
-                    acc = sq if acc is None else np.add(acc, sq, out=acc)
-                    del sq   # before the next row's array is made
+                acc = _square_sum([fields[r[0]][0] for r in args if r is not None], expansion)
                 acc *= 0.5
                 v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
             else:
@@ -360,9 +368,10 @@ class SliceColumn:
     contiguous block. Nothing in it depends on n_c: pair_profile pairs modes
     exactly (_mode_weights), and the slice nodes enter only through
     expansion, the (2L+1, nodes) matrix to each slice's n_c rule nodes,
-    followed at odd n_c by their partners x - p_j (see _angle_tables). Node
-    values serve what is not bilinear in band-limited factors: sharp
-    rearrangements, |.|^p and literal calls.
+    followed at odd n_c by their partners x - p_j (see _angle_tables). Those
+    node values serve only what has no band limit: sharp rearrangements,
+    |.|^p of odd p and literal calls; |.|^p of even p pairs on its band
+    limit's own rule (SplitValues.magnitude). points() builds the literal nodes on first use.
 
     Values on slices come in blocks of shape (azimuth rows, column centres,
     modes or slice nodes), the centres radial-major as in BallGrid.points();
@@ -391,7 +400,6 @@ class SliceColumn:
         if dirs.n_nodes != n_t * n_az:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
         self._centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
-        self.pts, self.radii = _slice_nodes(self._centres, n_c)
         self.weights = ball.weights()[::n_az]
         self.n_c, self.n_az, self.L = n_c, n_az, L
         alpha = np.arange(n_az) * (np.pi / n_t)
@@ -409,7 +417,7 @@ class SliceColumn:
         # harmonics at 2L+1 uniform slice angles; the DFT takes each row's
         # values to its modes, written straight into the row's ordered slot
         modes = 2 * L + 1
-        uniform, _ = _slice_nodes(self._centres, modes, modes)
+        uniform, self.radii = _slice_nodes(self._centres, modes, modes)
         values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
         dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
         self.table = np.empty((len(order), values.shape[1] * modes))
@@ -429,9 +437,14 @@ class SliceColumn:
         since the memo's coefficient fields are held whole.
         """
         n_t = self.n_az // 2
-        n = min(n_t, -(-self.n_az * self.radii.size * self.pts.shape[1] // _BLOCK_NODES))
+        n = min(n_t, -(-self.n_az * self.radii.size * self.expansion.shape[1] // _BLOCK_NODES))
         edges = np.arange(n + 1) * n_t // n
         return list(zip(edges[:-1], edges[1:]))
+
+    @cached_property
+    def pts(self) -> np.ndarray:
+        """The column's slice nodes, shape (centres, nodes, 3), built on first use."""
+        return _slice_nodes(self._centres, self.n_c)[0]
 
     def _rotated(self, v: np.ndarray, a0: int, a1: int) -> np.ndarray:
         # column points v, shape (..., 3), turned about z by alpha_a per row a0:a1

@@ -184,10 +184,11 @@ class FormGrids:
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
     synthesis for f's rows. Next to the fields the memo keeps, per azimuth
     block, their real products, so B(F, F) reads the products Q(f, f, f, f)
-    formed. A kernel that needs values at the slice nodes (sharp
-    rearrangements, |F|^2, literal factors) expands the rows it reads per
-    call and keeps none (2.7 MB a row and block of n_c=48 nodes above); n_c
-    sizes only those node-valued kernels. The Plancherel norms
+    formed. |F|^2 of band-limited f pairs on its band limit's own rule
+    (see _kernel_profile), exactly at every n_c, so only f# and
+    literal factors read values at the n_c slice nodes, which they expand
+    per call and keep none of (2.7 MB a row and block of n_c=48 nodes
+    above); n_c sizes only them and the literal routes. The Plancherel norms
     (conv_l2_norm, l4_norm) are Q on this route and share the column, and so
     does the ascent: maximizer.Workspace is these grids at exact_sizes(L, 2L).
     """
@@ -268,9 +269,13 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     A structured K, at any n_c, pairs its factors, which values yields on
     the column's slices as SplitValues, in pair_profile, as
     |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the analytic nodes:
-    band-limited factors in slice-angle modes, |.|^p at the slice nodes; the
-    constant kernel gives 2 pi / r. An unstructured kernel takes the literal
-    pair_slice_average at the ball nodes.
+    band-limited factors in slice-angle modes, exactly. |.|^p of even p of
+    them is a trig polynomial of degree pL on each slice, so its pairing, of
+    degree 2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half
+    of them partners of the other half; |.|^p of sharp or literal factors,
+    and of odd p, is at the n_c slice nodes. The constant kernel gives
+    2 pi / r. An unstructured kernel takes the literal pair_slice_average at
+    the ball nodes.
     """
     r = col.radii
     if K.factors is None:
@@ -278,10 +283,13 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
         va, vb = next(values), next(values)
-        if K.magnitude_power:
-            ma = va.magnitude(K.magnitude_power)
-            va, vb = ma, (ma if vb is va else vb.magnitude(K.magnitude_power))
-        prof = pair_profile(va, vb, r, col.n_c)
+        p, n_c = K.magnitude_power, col.n_c
+        if p:
+            if p % 2 == 0 and va.expansion is not None and vb.expansion is not None:
+                n_c = 2 * (p * col.L + 1)   # the band limit's own rule, exact (see above)
+            ma = va.magnitude(p, n_c)
+            va, vb = ma, (ma if vb is va else vb.magnitude(p, n_c))
+        prof = pair_profile(va, vb, r, n_c)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
@@ -359,8 +367,9 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     is F, or has F's factor objects and powers, it computes F's two profiles
     only, with the same result bit for bit. Structured kernels pair their
     factors sampled on the column table at p and at -p: band-limited factors
-    in slice-angle modes, exactly at every n_c, and |.|^p, sharp and literal
-    factors at the n_c slice nodes; an unstructured kernel takes the literal
+    in slice-angle modes, |.|^p of even p among them, exactly at every n_c,
+    and sharp and literal factors (and |.|^p of odd p) at the n_c slice
+    nodes, which n_c sizes; an unstructured kernel takes the literal
     pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about

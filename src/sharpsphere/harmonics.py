@@ -303,9 +303,15 @@ class SphereFunction:
         return self._conjugate
 
     def sharp_rearrangement(self) -> "SphereFunction":
-        fn = self._fn
+        """p -> sqrt((|f(p)|^2 + |f(-p)|^2) / 2); for coefficient-backed f,
+        f(-p) is the parity-flipped row on p's one harmonic table."""
+        fn, c = self._fn, self.coeffs
+        rows = None if c is None else np.stack([c.coeffs, parity_signs(c.max_degree) * c.coeffs])
+
         def sharp(pts):
-            return np.sqrt(0.5 * (np.abs(fn(pts)) ** 2 + np.abs(fn(-pts)) ** 2))
+            plus, minus = ((fn(pts), fn(-pts)) if rows is None
+                           else rows @ harmonic_values(c.max_degree, pts))
+            return np.sqrt(0.5 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
         return SphereFunction(sharp, sharp_source=self)
 
 

@@ -150,10 +150,11 @@ def exact_sizes(L: int, slice_degree: int) -> tuple[int, int, int]:
     radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. On each slice it is a trig
     polynomial of degree slice_degree (2L for f(p) g(x - p), 4L for squared
     pair kernels); n_c is the smallest even count above it, so the trapezoid
-    rule is exact. n_c governs only what the ball route pairs at slice nodes
-    (squared and sharp kernels, literal factors, and the literal routes):
-    f(p) g(x - p) of band-limited f, g pairs in slice-angle modes, exactly at
-    every n_c (convolution.SliceColumn). Any n_c above it is exact too; even
+    rule is exact. n_c governs only sharp rearrangements, literal factors and
+    the literal routes: f(p) g(x - p) of band-limited f, g pairs in
+    slice-angle modes, and |f(p) g(x - p)|^2 on its band limit's own
+    2(2L+1) nodes, both exactly at every n_c (convolution.SliceColumn,
+    forms._kernel_profile). Any n_c above it is exact too; even
     n_c is the cheaper node set, since the partner x - p of each slice node
     is a node, where an odd n_c adds the n_c partners.
     """

@@ -501,6 +501,27 @@ class TestSliceColumn:
         assert not np.iscomplexobj(v)
         assert np.abs(v - expect).max() <= 1e-15 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
+    def test_literal_nodes_are_built_on_first_use(self, n_c, monkeypatch):
+        # the build samples only the 2L+1 uniform angles; blocks() needs n_c
+        # alone, and points() reads the nodes _slice_nodes gives, bit for bit
+        calls, inner = [], convolution._slice_nodes
+
+        def spy(X, n, count=None):
+            calls.append(n)
+            return inner(X, n, count)
+
+        monkeypatch.setattr(convolution, "_slice_nodes", spy)
+        col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
+        col.blocks()
+        assert calls == [11]
+        pts = col.points(0, col.n_az)
+        assert calls == [11, n_c]
+        expect = col._rotated(inner(col._centres, n_c)[0], 0, col.n_az)
+        assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
+        col.points(1, 2)
+        assert calls == [11, n_c]
+
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)
         odd = type(grid)(grid.nodes[:-1].copy(), grid.weights[:-1].copy(),

@@ -427,6 +427,84 @@ class TestSliceCount:
         assert abs(few - many) > 1e-6 * abs(many)
 
 
+def literal(f):
+    """f as a closure: the ball route reads it at the n_c slice nodes."""
+    return SphereFunction(lambda p: f(p))
+
+
+def magnitude_kernels(f, g):
+    """|F|^p kernels of band limit L, each with p and its slice period: B(|F|^2,
+    1)'s (F the weighted square of f, so |f(psi)|^2 |f(psi + pi)|^2 has period
+    pi), |f tensor g|^2 with f != g (period 2 pi), and |F|^4."""
+    W = weighted_pair_kernel(f)
+    return [(W.abs_squared(), 2, np.pi), (PairKernel.tensor(f, g).abs_squared(), 2, 2 * np.pi),
+            (W.abs_squared().abs_squared(), 4, np.pi)]
+
+
+class TestHalfTurnRule:
+    """|F|^p of even p on band-limited factors pairs on its band limit's own
+    2(pL+1) nodes, half of them partners of the other half: exact at every
+    n_c, with no n_c slice nodes.
+    Exactness is per slice, so a small ball grid shows it at every L."""
+
+    ball = build_ball_grid(4, build_sphere_grid(5))
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
+    def test_matches_the_node_route_where_it_is_exact(self, L, complex_valued, odd):
+        # the node route, on literal factors, is exact at n_c >= 2pL+1
+        f = rand_fn(L, 140, complex_valued=complex_valued)
+        g = rand_fn(L, 141, complex_valued=True)
+        for (K, p, _), (N, *_) in zip(magnitude_kernels(f, g),
+                                      magnitude_kernels(literal(f), literal(g))):
+            grids = forms.FormGrids(self.ball, 2 * p * L + 2 + odd)
+            value = bilinear_b(K, PairKernel.one(), grids)
+            nodes = bilinear_b(N, PairKernel.one(), grids)
+            assert abs(value - nodes) <= 1e-14 * abs(nodes)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
+    def test_is_exact_where_the_slice_rule_is_not(self, L, complex_valued):
+        # at small n_c B matches the literal route on an exact slice rule;
+        # pair_slice_average at that n_c misses it where the n_c-point rule
+        # aliases a frequency of the degree-2pL integrand: at n_c <= 2pL, or,
+        # for odd n_c and period pi, where only even frequencies occur, n_c <= pL
+        f = rand_fn(L, 142, complex_valued=complex_valued)
+        g = rand_fn(L, 143, complex_valued=True)
+        for K, p, period in magnitude_kernels(f, g):
+            flat = PairKernel(K.evaluator)   # no structure: pair_slice_average
+            exact = bilinear_b(flat, PairKernel.one(), forms.FormGrids(self.ball, 2 * p * L + 2))
+            for n_c in (4, 6, 7, 12):
+                grids = forms.FormGrids(self.ball, n_c)
+                value = bilinear_b(K, PairKernel.one(), grids)
+                assert abs(value - exact) <= 1e-13 * abs(exact)
+                if n_c <= (p * L if n_c % 2 and period == np.pi else 2 * p * L):
+                    miss = bilinear_b(flat, PairKernel.one(), grids)
+                    assert abs(miss - exact) > 1e-8 * abs(exact)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_takes_no_slice_node(self, complex_valued, monkeypatch):
+        # B(|F|^2, 1) expands nothing to the column's n_c nodes: its one
+        # expansion is to the band limit's own 2(2L+1) nodes
+        grids = forms.FormGrids(exact_form_grids(4).ball, 12)
+        f = rand_fn(4, 144, complex_valued=complex_valued)
+        F = weighted_pair_kernel(f)
+        bilinear_b(F, F, grids)
+        expanded, to_nodes = [], convolution._to_nodes
+
+        def spy(a, expansion):
+            expanded.append(expansion.shape)
+            return to_nodes(a, expansion)
+
+        monkeypatch.setattr(convolution, "_to_nodes", spy)
+        monkeypatch.setattr(convolution.SplitValues, "nodes", None)   # any call raises
+        bilinear_b(F.abs_squared(), PairKernel.one(), grids)
+        parts = 2 if complex_valued else 1
+        assert expanded == [(9, 18)] * parts * 2 * len(grids.slice_column(4).blocks())
+        assert grids.slice_column(4).expansion.shape == (9, 12)
+
+
 def unfolded_b(F, G, grids):
     """The ball route before the antipodal fold: F's profile at x times G's at
     -x, summed over every azimuth row of the ball grid. Rows a >= n_t, which
@@ -872,7 +950,8 @@ class TestHeldProducts:
 
     def test_chain_sample_forms_twelve_products_on_two_blocks(self, half_pairs, monkeypatch):
         # per block: f f* once for both signs, the sharp field once, f f and
-        # f(-.) f(-.) once for Q(f, f, f, f) and B(F, F), |f|^2 twice
+        # f(-.) f(-.) once for Q(f, f, f, f) and B(F, F), and B(|F|^2, 1)'s
+        # |f|^2 pairs on the band limit's own nodes at x and -x
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         self.two_blocks(grids, 4, monkeypatch)
         chain_values(rand_fn(4, 120), grids)
@@ -936,8 +1015,9 @@ class TestHeldProducts:
                         b, a).view(np.int64).tolist()
 
     def test_node_values_are_formed_per_use_and_not_held(self, monkeypatch):
-        # Q(f, f*, f, f*) pairs in modes only; the sharp Q takes f's rows at
-        # +-p to the nodes once per block, and the memo keeps none of them
+        # Q(f, f*, f, f*) pairs in modes only; the sharp Q, the one kernel of
+        # coefficient-backed f left on the n_c nodes, takes f's rows at +-p
+        # to the nodes once per block, and the memo keeps none of them
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         self.two_blocks(grids, 4, monkeypatch)
         expanded, to_nodes = [], convolution._to_nodes

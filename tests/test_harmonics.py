@@ -302,6 +302,36 @@ class TestSphereFunction:
         assert np.abs(vals.imag).max() == 0.0
         assert np.abs(vals.real - expect).max() <= 1e-13
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_sharp_of_coefficients_reads_one_table(self, complex_valued, monkeypatch):
+        # f(-p) is the parity-flipped row on p's table: one harmonic_values
+        # call per evaluation, the values of the two-call route
+        from sharpsphere import harmonics
+        f = SphereFunction.from_coeffs(
+            random_band_limited(8, np.random.default_rng(24), complex_valued=complex_valued))
+        pts = unit_vectors(np.random.default_rng(25), 500)
+        expect = np.sqrt(0.5 * (np.abs(f(pts)) ** 2 + np.abs(f(-pts)) ** 2))
+        calls, inner = [], harmonics.harmonic_values
+
+        def spy(L, points):
+            calls.append(len(points))
+            return inner(L, points)
+
+        monkeypatch.setattr(harmonics, "harmonic_values", spy)
+        vals = f.sharp_rearrangement()(pts)
+        assert calls == [len(pts)]
+        assert np.abs(vals - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_sharp_of_a_closure_calls_it_at_both_points(self):
+        xi = np.array([0.4, -0.1, 0.7])
+        f = SphereFunction.plane_wave(xi)
+        seen = []
+        g = SphereFunction(lambda p: (seen.append(p.copy()), f(p))[1])
+        pts = unit_vectors(np.random.default_rng(26), 40)
+        vals = g.sharp_rearrangement()(pts)
+        assert len(seen) == 2 and np.array_equal(seen[1], -pts)
+        assert np.array_equal(vals, np.sqrt(0.5 * (np.abs(f(pts)) ** 2 + np.abs(f(-pts)) ** 2)))
+
     def test_sharp_is_nonnegative_and_antipodally_even(self):
         f = SphereFunction.from_coeffs(
             random_band_limited(6, np.random.default_rng(20), complex_valued=True))
