@@ -144,10 +144,10 @@ def _finite(x, what: str) -> np.ndarray:
 
 
 def _row_keys(row: np.ndarray) -> tuple:
-    # bytes of a real row (no -0.0 entries) and of its negation, trailing
+    # bytes of a real row and of its negation, -0.0 read as 0.0 and trailing
     # zeros trimmed: rows equal up to sign share keys at any padding
     nz = np.flatnonzero(row)
-    head = row[:nz[-1] + 1 if nz.size else 0]
+    head = row[:nz[-1] + 1 if nz.size else 0] + 0.0
     return head.tobytes(), (0.0 - head).tobytes()
 
 
@@ -389,8 +389,9 @@ class SliceColumn:
     it through sampler, the ascent (maximizer.Workspace) directly. Next to
     the fields the memo keeps, per azimuth block, their real products in
     modes, which pair_profile forms at most once while recall holds those
-    fields; see sampler. Node values are formed per use and not kept: a row
-    at the nodes takes n_c / (2L+1) times the memory of its modes.
+    fields (products), for the forms route and the ascent alike. Node values
+    are formed per use and not kept: a row at the nodes takes n_c / (2L+1)
+    times the memory of its modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -408,11 +409,14 @@ class SliceColumn:
         self.trig = np.ones((n_az, 2 * L + 1))
         self.trig[:, 1::2] = np.cos(m_alpha)
         self.trig[:, 2::2] = np.sin(m_alpha)
-        order = [k * k + k for k in range(L + 1)]
+        order, mix, sign = [k * k + k for k in range(L + 1)], [], []
         for m in range(1, L + 1):
-            order += [k * k + k + m for k in range(m, L + 1)]
-            order += [k * k + k - m for k in range(m, L + 1)]
+            plus, minus = ([k * k + k + s for k in range(m, L + 1)] for s in (m, -m))
+            order += plus + minus
+            mix += plus + minus + minus + plus   # spectra's [[plus, minus], [minus, -plus]]
+            sign += [1.0] * (3 * len(plus)) + [-1.0] * len(plus)
         self._order = np.array(order)
+        self._mix = np.array(order[:L + 1] + mix), np.array([1.0] * (L + 1) + sign)
         self.expansion = _expansion(L, n_c)
         # harmonics at 2L+1 uniform slice angles; the DFT takes each row's
         # values to its modes, written straight into the row's ordered slot
@@ -470,17 +474,14 @@ class SliceColumn:
         L, nv = self.L, len(coeffs)
         c = np.zeros((nv, (L + 1) ** 2))
         c[:, :coeffs.shape[1]] = coeffs
-        c = c[:, self._order]
+        c = c[:, self._mix[0]] * self._mix[1]   # order 0, then each order's mixing matrix
         out = np.empty((nv, 2 * L + 1, self.table.shape[1]))
         out[:, 0] = c[:, :L + 1] @ self.table[:L + 1]
         lo = L + 1
         for m in range(1, L + 1):
             n = L + 1 - m
-            plus, minus = c[:, lo:lo + n], c[:, lo + n:lo + 2 * n]
-            mix = np.stack([np.concatenate([plus, minus], axis=1),
-                            np.concatenate([minus, -plus], axis=1)], axis=1)
-            out[:, 2 * m - 1:2 * m + 1] = (
-                mix.reshape(2 * nv, 2 * n) @ self.table[lo:lo + 2 * n]).reshape(nv, 2, -1)
+            mix = c[:, 2 * lo - L - 1:2 * lo - L - 1 + 4 * n].reshape(2 * nv, 2 * n)
+            out[:, 2 * m - 1:2 * m + 1] = (mix @ self.table[lo:lo + 2 * n]).reshape(nv, 2, -1)
             lo += 2 * n
         return out
 
@@ -531,6 +532,13 @@ class SliceColumn:
         self._memo = (keys, fields, {})
         return fields, [1.0] * len(keys)
 
+    def products(self, fields, a0: int, a1: int) -> dict | None:
+        """The store (SplitValues.products) of the real products of fields'
+        rows on block a0:a1, kept while recall holds fields, else None."""
+        if not len(fields) or fields is not self._memo[1]:
+            return None
+        return self._memo[2].setdefault((a0, a1), {})
+
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
 
@@ -544,22 +552,20 @@ class SliceColumn:
         is bit for bit that of a fresh column; sample reads views of those
         fields, and a negated field with the opposite sign.
 
-        Coefficient-backed values carry the memo's store for block a0:a1,
-        keyed by row index (plan.rows is the order of recall's rows), so
-        pair_profile forms the product of two held rows on a block once
-        across every sampler and call that reads those fields; recall drops
-        the store with them. Keys are row indices, never array identities.
+        Coefficient-backed values carry products(fields, a0, a1), keyed by
+        row index (plan.rows is the order of recall's rows), so pair_profile
+        forms the product of two held rows on a block once across every
+        reader of those fields, Workspace too; recall drops the store with
+        them. Keys are row indices, never array identities.
         """
         fields, signs = self.recall(plan.rows, plan.keys)
-        held = self._memo[2] if len(fields) else None
         n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
             return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
-                               lambda: self.points(a0, a1),
-                               None if held is None else held.setdefault((a0, a1), {}),
+                               lambda: self.points(a0, a1), self.products(fields, a0, a1),
                                self.expansion)
 
         return sample

@@ -184,13 +184,14 @@ class FormGrids:
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
     synthesis for f's rows. Next to the fields the memo keeps, per azimuth
     block, their real products, so B(F, F) reads the products Q(f, f, f, f)
-    formed. |F|^2 of band-limited f pairs on its band limit's own rule
-    (see _kernel_profile), exactly at every n_c, so only f# and
-    literal factors read values at the n_c slice nodes, which they expand
-    per call and keep none of (2.7 MB a row and block of n_c=48 nodes
-    above); n_c sizes only them and the literal routes. The Plancherel norms
-    (conv_l2_norm, l4_norm) are Q on this route and share the column, and so
-    does the ascent: maximizer.Workspace is these grids at exact_sizes(L, 2L).
+    formed, and G's profiles in Q(f, f*, f, f*) read F's. |F|^2 of
+    band-limited f pairs on its band limit's own rule (see _kernel_profile),
+    exactly at every n_c, so only f# and literal factors read values at the
+    n_c slice nodes, which they expand per call and keep none of (2.7 MB a
+    row and block of n_c=48 nodes above); n_c sizes only them and the
+    literal routes. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
+    this route and share the column, and so does the ascent:
+    maximizer.Workspace is these grids at exact_sizes(L, 2L).
     """
 
     ball: BallGrid
@@ -295,31 +296,22 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
 
 
-def _same_kernel(F: PairKernel, G: PairKernel) -> bool:
-    # F and G have the same profiles: one object, or one structure on the same factors
-    return F is G or (
-        F.factors is not None and G.factors is not None
-        and len(F.factors) == len(G.factors)
-        and all(a is b for a, b in zip(F.factors, G.factors))
-        and F.sum_weight_power == G.sum_weight_power
-        and F.magnitude_power == G.magnitude_power)
-
-
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
-    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, or has
-    # F's factors and powers, G's profiles are F's and are not computed again;
-    # the sum keeps its form, so the result is the same bit for bit.
+    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, its
+    # profiles are F's and are not computed again; the sum keeps its form, so
+    # the result is the same bit for bit.
     # Structured kernels' factors are sampled at p and -p from parity-flipped
     # coefficients; one column table serves both kernels, and shared rows are
     # synthesized once (or not at all, if the column's last call had them:
     # see SliceColumn.sampler). Every profile sums real products of the
     # sampled parts, each formed once per block (pair_profile): F's profile
     # at -x for F = f tensor f_star, and G's in Q(f, g, f_star, g_star), read
-    # the products of F's at x, the same held rows swapped. A held row's node
+    # the products of F's at x, the same held rows swapped, and so do G's on
+    # F's factors, which get F's sampled values and stores. A held row's node
     # values, for a kernel that needs them, are formed once per block too.
     kernels = [(F, False), (F, True)]
-    if not _same_kernel(F, G):
+    if G is not F:
         kernels += [(G, True), (G, False)]
     plan = SlicePlan([(f, negate) for K, negate in kernels if K.factors for f in K.factors])
     col = grids.slice_column(plan.degree)
@@ -364,8 +356,8 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     ball, exact to rounding for band-limited ingredients on exact_sizes
     grids. It folds over the antipodal symmetry of the ball grid, summing
     PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
-    is F, or has F's factor objects and powers, it computes F's two profiles
-    only, with the same result bit for bit. Structured kernels pair their
+    is F it computes F's two profiles only, with the same result bit for
+    bit. Structured kernels pair their
     factors sampled on the column table at p and at -p: band-limited factors
     in slice-angle modes, |.|^p of even p among them, exactly at every n_c,
     and sharp and literal factors (and |.|^p of odd p) at the n_c slice

@@ -14,7 +14,6 @@ Optimization is restricted to real coefficients. The complex symmetry group
 ascent would wander along that manifold instead of settling.
 """
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,9 +61,10 @@ class Workspace:
     for real coefficients f_star = f(-.), so prof(-x) = prof(x) up to
     rounding for every coefficient vector. Q is therefore twice the sum over
     the azimuth rows a < n_t that the column synthesizes, and so is its
-    gradient. The profile and Q are kept while the column holds the fields
-    they came from, so q_gradient on the array q_value was just given (the
-    line search's accepted trial) costs only the reverse pass.
+    gradient. The product of f and f_star is kept in the memo's store
+    (SliceColumn.products), so q_gradient on the array q_value was just
+    given (the line search's accepted trial), or after a forms Q(f, f_star,
+    f, f_star) on grids, costs a read and the reverse pass.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -82,7 +82,6 @@ class Workspace:
         self.grids.slice_column(L)   # the table is built here, not in the first Q
         self.parity = parity_signs(L)
         self.curvature = -4.0 + 4.0 * (2.0 + self.parity) / (2 * _degree_index(L) + 1)
-        self._held = (lambda: None, None, None)   # (weakref to fields, q, prof), see _forward
 
     @property
     def basis(self) -> np.ndarray:
@@ -92,17 +91,15 @@ class Workspace:
     def _forward(self, coeffs: np.ndarray):
         # (col, q, fields, sign, prof): fields (2, n_t, column centres, 2L+1)
         # hold the modes of sign * f and sign * f_star on azimuth rows
-        # [0, n_t); q and prof are kept, by a weak reference, no longer than
-        # the column keeps them
+        # [0, n_t); their product is kept in the memo's store for those rows
         col = self.grids.slice_column(self.L)
         coeffs = np.asarray(coeffs, dtype=float)
         fields, signs = col.recall(np.stack([coeffs, self.parity * coeffs]))
-        held, q, prof = self._held
-        if fields is not held():
-            prof = pair_profile(*(SplitValues(v, expansion=col.expansion) for v in fields),
-                                col.radii)
-            q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
-            self._held = (weakref.ref(fields), q, prof)
+        store = col.products(fields, 0, col.n_az // 2)
+        prof = pair_profile(*(SplitValues(v, keys=(i, None), products=store,
+                                          expansion=col.expansion)
+                              for i, v in enumerate(fields)), col.radii)
+        q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
         return col, q, fields, signs[0], prof
 
     def q_value(self, coeffs: np.ndarray) -> float:

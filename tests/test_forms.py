@@ -860,18 +860,24 @@ def profile_calls(monkeypatch):
 
 
 class TestSameKernelFold:
-    """B(F, G) with G's profiles those of F computes only F's."""
+    """B(F, G) with G's profiles those of F forms only F's products: G's
+    profiles read them from the memo's store, or G is F and is not
+    profiled again."""
 
-    def test_conjugate_pairing_takes_two_profiles_per_block(self, profile_calls):
+    def test_conjugate_pairing_takes_two_profiles_per_block(self, half_pairs, spectra_rows):
+        # F's two profiles per block form every product: f f* at x, read
+        # swapped at -x; G's, on the same factors or on a twin's, read them
         grids = exact_form_grids(4)
         f = rand_fn(4, 101, complex_valued=True)
         twin = SphereFunction.from_coeffs(f.coeffs)   # equal values, another object
         fs = f.antipodal_conjugate()
         blocks = len(grids.slice_column(4).blocks())
         folded = quadrilinear_q(f, fs, f, fs, grids)
-        assert profile_calls["pair_profile"] == 2 * blocks
+        assert half_pairs[0] == 4 * blocks
+        assert spectra_rows == [4]
         whole = quadrilinear_q(f, fs, twin, twin.antipodal_conjugate(), grids)
-        assert profile_calls["pair_profile"] == 6 * blocks
+        assert half_pairs[0] == 4 * blocks
+        assert spectra_rows == [4]
         assert folded == whole
 
     @pytest.mark.parametrize("case", ["sum_weight_power", "magnitude_power"])

@@ -19,7 +19,7 @@ from sharpsphere import (
     quadrilinear_q,
     search,
 )
-from sharpsphere import maximizer
+from sharpsphere import convolution, maximizer
 from sharpsphere.convolution import SliceColumn, slice_point_table
 from sharpsphere.harmonics import harmonic_values, parity_signs
 from sharpsphere.maximizer import INITIAL_STEP, Workspace
@@ -322,20 +322,22 @@ class TestSearch:
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Counts of SliceColumn.spectra and maximizer.pair_profile calls."""
-    calls = {"spectra": 0, "pair_profile": 0}
-    spectra, profile = SliceColumn.spectra, maximizer.pair_profile
+    """Counts of SliceColumn.spectra calls and of the real products of slice
+    values formed (convolution._mode_pair and _half_pair calls)."""
+    calls = {"spectra": 0, "products": 0}
+    spectra = SliceColumn.spectra
 
     def counted_spectra(col, coeffs):
         calls["spectra"] += 1
         return spectra(col, coeffs)
 
-    def counted_profile(*args, **kwargs):
-        calls["pair_profile"] += 1
-        return profile(*args, **kwargs)
-
     monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
-    monkeypatch.setattr(maximizer, "pair_profile", counted_profile)
+    for name in ("_mode_pair", "_half_pair"):
+        def counted(*args, _inner=getattr(convolution, name)):
+            calls["products"] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(convolution, name, counted)
     return calls
 
 
@@ -369,7 +371,7 @@ class TestWorkspace:
         assert len(result.states) > 10
         assert trials[0] > len(result.states) - 1
         # one forward pass per trial, plus the starting point's gradient
-        assert forward_calls == {"spectra": trials[0] + 1, "pair_profile": trials[0] + 1}
+        assert forward_calls == {"spectra": trials[0] + 1, "products": trials[0] + 1}
 
     def test_gradient_after_value_runs_no_forward_pass(self, forward_calls):
         ws = Workspace(4)
@@ -383,10 +385,39 @@ class TestWorkspace:
         assert forward_calls == before
         assert q_neg == q and np.array_equal(dq_neg, -dq)
 
+    def test_gradient_after_forms_q_runs_no_forward_pass(self, forward_calls):
+        # forms Q(f, f*, f, f*) on ws.grids leaves f's fields and the product
+        # of f and f* in the column's memo, where q_gradient reads them
+        ws = Workspace(4)
+        a = np.random.default_rng(13).standard_normal(n_coeffs(4))
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
+        fs = f.antipodal_conjugate()
+        q_forms = quadrilinear_q(f, fs, f, fs, ws.grids).real
+        before = dict(forward_calls)
+        q, dq = ws.q_gradient(a)
+        assert forward_calls == before
+        q_ref, dq_ref = Workspace(4).q_gradient(a)
+        assert q == q_ref and np.array_equal(dq, dq_ref)
+        assert abs(q_forms - q) <= 1e-14 * q
+
+    def test_a_zero_odd_degree_slot_hits_the_forms_memo(self, forward_calls):
+        # parity * coeffs holds -0.0 at a zero slot of odd degree, where the
+        # forms plan's row holds 0.0: both must read as one key
+        ws = Workspace(4)
+        a = np.random.default_rng(14).standard_normal(n_coeffs(4))
+        a[1] = 0.0   # degree 1
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
+        fs = f.antipodal_conjugate()
+        quadrilinear_q(f, fs, f, fs, ws.grids)
+        assert forward_calls["spectra"] == 1
+        q = ws.q_value(a)
+        assert forward_calls["spectra"] == 1
+        assert q == Workspace(4).q_value(a)
+
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
     def test_value_gradient_and_forms_agree_on_one_grid(self, L):
         # the forms call sits between q_value and q_gradient on the same
-        # array, so a profile held past the column's fields would show
+        # array, so a value held past the column's fields would show
         ws = Workspace(L)
         arr = np.random.default_rng(400 + L).standard_normal(n_coeffs(L))
         f = SphereFunction.from_coeffs(HarmonicCoeffs(L, arr))
