@@ -230,9 +230,7 @@ class SlicePlan:
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
-    keys holds each row's _row_keys, computed once per distinct row, for
-    SliceColumn.recall. Without coefficient-backed requests rows is None,
-    keys is empty and degree is 0.
+    Without coefficient-backed requests rows is None and degree is 0.
     """
 
     def __init__(self, requests):
@@ -241,7 +239,7 @@ class SlicePlan:
                    for func, _ in requests]
         width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
                     default=0)
-        rows, self.keys, where = [], [], {}
+        rows, where = [], {}
 
         def row(part: np.ndarray) -> tuple:
             # (index, sign) of a real row, stored once up to its sign; rows of
@@ -254,7 +252,6 @@ class SlicePlan:
                 where[(0.0 - p).tobytes()] = (len(rows), -1.0)
                 where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
                 rows.append(p)
-                self.keys.append(_row_keys(p))
             return where[key]
 
         def split(c: HarmonicCoeffs, negate: bool) -> tuple:
@@ -385,13 +382,12 @@ class SliceColumn:
 
     recall is the column's one memo, of its last call's coefficient rows and
     only those, as modes on azimuth rows [0, n_t); a later call on the same
-    rows, each equal up to sign, reads them in place. The forms route reads
-    it through sampler, the ascent (maximizer.Workspace) directly. Next to
+    rows, each equal up to sign, reads them in place. The forms route and
+    the ascent (maximizer.Workspace) both read it through sampler. Next to
     the fields the memo keeps, per azimuth block, their real products in
     modes, which pair_profile forms at most once while recall holds those
-    fields (products), for the forms route and the ascent alike. Node values
-    are formed per use and not kept: a row at the nodes takes n_c / (2L+1)
-    times the memory of its modes.
+    fields. Node values are formed per use and not kept: a row at the nodes
+    takes n_c / (2L+1) times the memory of its modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -502,12 +498,11 @@ class SliceColumn:
         out[:, self._order] = g
         return out
 
-    def recall(self, rows, keys=None) -> tuple:
+    def recall(self, rows) -> tuple:
         """(fields, signs) of real coefficient rows, shape (n, (L'+1)^2) or
         None: row i on the slices of azimuth rows [0, n_t) is signs[i] *
         fields[i], fields a read-only buffer (n, n_t, column centres, 2L+1)
-        of slice-angle modes. keys, if given, holds each row's _row_keys
-        (SlicePlan.keys), so the rows are not keyed again.
+        of slice-angle modes. Each row is keyed once (_row_keys).
 
         Rows equal, up to sign (by content, as in SlicePlan), to the last
         call's, in their order, get its buffer back. Any other rows replace
@@ -519,7 +514,7 @@ class SliceColumn:
         """
         if rows is None or not len(rows):
             return (), []
-        keys = [_row_keys(r) for r in rows] if keys is None else keys
+        keys = [_row_keys(r) for r in rows]
         signs = [1.0 if key == k else -1.0 if key == neg else None   # a zero row reads +
                  for (key, _), (k, neg) in zip(keys, self._memo[0])]
         if len(keys) == len(self._memo[0]) and None not in signs:
@@ -531,13 +526,6 @@ class SliceColumn:
         fields.flags.writeable = False
         self._memo = (keys, fields, {})
         return fields, [1.0] * len(keys)
-
-    def products(self, fields, a0: int, a1: int) -> dict | None:
-        """The store (SplitValues.products) of the real products of fields'
-        rows on block a0:a1, kept while recall holds fields, else None."""
-        if not len(fields) or fields is not self._memo[1]:
-            return None
-        return self._memo[2].setdefault((a0, a1), {})
 
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
@@ -552,20 +540,24 @@ class SliceColumn:
         is bit for bit that of a fresh column; sample reads views of those
         fields, and a negated field with the opposite sign.
 
-        Coefficient-backed values carry products(fields, a0, a1), keyed by
-        row index (plan.rows is the order of recall's rows), so pair_profile
-        forms the product of two held rows on a block once across every
-        reader of those fields, Workspace too; recall drops the store with
-        them. Keys are row indices, never array identities.
+        Coefficient-backed values carry the memo's store (SplitValues.products)
+        of the held fields' real products on block a0:a1, keyed by row index
+        (plan.rows is the order of recall's rows), so pair_profile forms the
+        product of two held rows on a block once across every sampler of
+        those fields, the forms route and Workspace alike. recall drops the
+        store with the fields, and a sampler whose fields were replaced gets
+        none. Keys are row indices, never array identities.
         """
-        fields, signs = self.recall(plan.rows, plan.keys)
+        fields, signs = self.recall(plan.rows)
         n_t = self.n_az // 2
 
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
+            held = len(fields) and fields is self._memo[1]
             return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
-                               lambda: self.points(a0, a1), self.products(fields, a0, a1),
+                               lambda: self.points(a0, a1),
+                               self._memo[2].setdefault((a0, a1), {}) if held else None,
                                self.expansion)
 
         return sample

@@ -177,9 +177,10 @@ class FormGrids:
     band limit asked for so far: the slice-angle modes of the harmonics on
     one azimuth column of slices, (L+1)^2 n_r n_t (2L+1) entries at every
     n_c, 6.3 MB at L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for
-    geometry and basis once. Its one memo (SliceColumn.recall) keeps the last
-    call's coefficient rows synthesized as modes on azimuth rows [0, n_t)
-    (1.9 MB a row above), so a chain of Q/B calls on one f, such as the
+    geometry and basis once. Its one memo (SliceColumn.recall), which every
+    caller reads through SliceColumn.sampler, keeps the last call's
+    coefficient rows synthesized as modes on azimuth rows [0, n_t) (1.9 MB a
+    row above), so a chain of Q/B calls on one f, such as the
     paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra pass and one
     synthesis for f's rows. Next to the fields the memo keeps, per azimuth

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolution import SplitValues, _mode_weights, pair_profile
+from .convolution import SlicePlan, _mode_weights, pair_profile
 from .forms import default_form_grids
-from .harmonics import HarmonicCoeffs, _degree_index, n_coeffs, parity_signs
+from .harmonics import HarmonicCoeffs, SphereFunction, _degree_index, n_coeffs, parity_signs
 from .quadrature import exact_sizes
 
 __all__ = [
@@ -50,21 +50,26 @@ class Workspace:
     """Q and its gradient at band limit L, exact, on the forms ball route's grids.
 
     grids is default_form_grids at exact_sizes(L, 2L); 17, 18, 18 at L=8.
-    f and f_star come from the one memo (SliceColumn.recall) of the column
-    grids.slice_column(L) as slice-angle modes, which pair_profile pairs by
-    Parseval, exactly at any n_c: n_c sizes only node-valued kernels, which
-    Q and its gradient do not use. The column's table, basis, holds the
-    modes of the harmonics on one azimuth column of slices: 3.4 MB at L=8,
-    about 86 MB at L=16, growing like L^5.
+    f and f_star = f(-.) are read as the forms route reads them: one SlicePlan
+    of (f, +p) and (f, -p), sampled by the column grids.slice_column(L)
+    (SliceColumn.sampler) as slice-angle modes from its one memo, which
+    pair_profile pairs by Parseval, exactly at any n_c: n_c sizes only
+    node-valued kernels, which Q and its gradient do not use. The column's
+    table, basis, holds the modes of the harmonics on one azimuth column of
+    slices: 3.4 MB at L=8, about 86 MB at L=16, growing like L^5. A vector of
+    pure parity (f_star = +-f) is one row; every row is read with its sign.
+
+    Coefficients are (L+1)^2 finite reals in the flat layout; any other
+    length, or a NaN or infinite entry, raises ValueError (HarmonicCoeffs).
 
     Antipodal fold: the slices at -x are x's negated (see SliceColumn), and
     for real coefficients f_star = f(-.), so prof(-x) = prof(x) up to
     rounding for every coefficient vector. Q is therefore twice the sum over
     the azimuth rows a < n_t that the column synthesizes, and so is its
-    gradient. The product of f and f_star is kept in the memo's store
-    (SliceColumn.products), so q_gradient on the array q_value was just
-    given (the line search's accepted trial), or after a forms Q(f, f_star,
-    f, f_star) on grids, costs a read and the reverse pass.
+    gradient. The product of f and f_star is kept in the memo's product
+    store, so q_gradient on the array q_value was just given (the line
+    search's accepted trial), or after a forms Q(f, f_star, f, f_star) on
+    grids, costs a read and the reverse pass.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -89,18 +94,14 @@ class Workspace:
         return self.grids.slice_column(self.L).table
 
     def _forward(self, coeffs: np.ndarray):
-        # (col, q, fields, sign, prof): fields (2, n_t, column centres, 2L+1)
-        # hold the modes of sign * f and sign * f_star on azimuth rows
-        # [0, n_t); their product is kept in the memo's store for those rows
+        # (col, q, values, prof): values are the SplitValues of f and f_star
+        # on azimuth rows [0, n_t); the copy keeps the caller's array writable
         col = self.grids.slice_column(self.L)
-        coeffs = np.asarray(coeffs, dtype=float)
-        fields, signs = col.recall(np.stack([coeffs, self.parity * coeffs]))
-        store = col.products(fields, 0, col.n_az // 2)
-        prof = pair_profile(*(SplitValues(v, keys=(i, None), products=store,
-                                          expansion=col.expansion)
-                              for i, v in enumerate(fields)), col.radii)
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(self.L, np.array(coeffs, dtype=float)))
+        values = col.sampler(SlicePlan([(f, False), (f, True)]))(0, col.n_az // 2)
+        prof = pair_profile(*values, col.radii)
         q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
-        return col, q, fields, signs[0], prof
+        return col, q, values, prof
 
     def q_value(self, coeffs: np.ndarray) -> float:
         """Q(f, f_star, f, f_star) for real coefficients; nonnegative."""
@@ -108,18 +109,22 @@ class Workspace:
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
-        col, q, fields, sign, prof = self._forward(coeffs)
+        col, q, values, prof = self._forward(coeffs)
         # dQ/d(mode k of f) is g_n sigma_k times mode k of f_star, and the
         # reverse, with g_n = 2 w_n prof_n / r_n doubled by the fold and sigma
-        # the mode weights (_mode_weights). trig^T folds the azimuth rows
-        # into Fourier rows, and pullback routes them to the coefficients
-        # (through parity for f_star).
+        # the mode weights (_mode_weights). Each factor's own sign from the
+        # memo goes on g, so the held field is read once and not copied.
+        # trig^T folds the azimuth rows into Fourier rows, and pullback
+        # routes them to the coefficients (through parity for f_star).
         trig = col.trig[:col.n_az // 2]
-        g = (4.0 * col.weights * prof / col.radii)[..., None] * fields[::-1]
-        g *= _mode_weights(fields.shape[-1])
+        h = 4.0 * col.weights * prof / col.radii
+        g = np.empty((2,) + values[0].re.shape)
+        for out, v in zip(g, values[::-1]):
+            np.multiply((v.re_sign * h)[..., None], v.re, out=out)
+        g *= _mode_weights(g.shape[-1])
         rows = trig.T @ g.reshape(2, len(trig), -1)
         d = col.pullback(rows)[:, :self.parity.size]   # the column may reach past L
-        return q, sign * (d[0] + self.parity * d[1])
+        return q, d[0] + self.parity * d[1]
 
 
 @lru_cache(maxsize=4)

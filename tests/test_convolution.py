@@ -466,6 +466,16 @@ class TestSliceColumn:
             with pytest.raises(ValueError, match=f"rows {a0}:{a1} .* 0:{n_t}"):
                 sample(a0, a1)
 
+    def test_a_sampler_whose_fields_were_replaced_gets_no_store(self, column):
+        # the memo's store is keyed by row index: another call's rows reuse
+        # the indices, so a stale sampler must not read or fill that store
+        stale = column.sampler(SlicePlan([(rand_fn(3, 65), False)]))
+        (held,) = stale(0, 1)
+        assert held.products is column._memo[2][(0, 1)]
+        column.sampler(SlicePlan([(rand_fn(3, 66), False)]))
+        (v,) = stale(0, 1)
+        assert v.products is None
+
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,
         # each at p and -p, need only the real and imaginary rows of f(+-p)

@@ -797,7 +797,7 @@ class TestSpectraMemo:
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_each_row_is_keyed_once_per_call(self, complex_valued, monkeypatch):
-        # the plan keys each distinct row and hands the keys to recall
+        # recall keys each of the plan's rows, which are distinct, once
         keyed, row_keys = [], convolution._row_keys
 
         def spy(row):

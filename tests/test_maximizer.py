@@ -470,6 +470,53 @@ class TestWorkspace:
         assert q == q_ref
         assert np.array_equal(dq, dq_ref)
 
+    def test_gradient_follows_each_rows_memo_sign(self):
+        # g = c - i parity c leaves the rows [c, -parity c] in the memo, so
+        # c's f_star row comes back negated while its f row does not
+        ws = Workspace(4)
+        c = np.random.default_rng(3).standard_normal(n_coeffs(4))
+        g = SphereFunction.from_coeffs(HarmonicCoeffs(4, c - 1j * parity_signs(4) * c))
+        gs = g.antipodal_conjugate()
+        quadrilinear_q(g, gs, g, gs, ws.grids)
+        col = ws.grids.slice_column(4)
+        assert col.recall(np.stack([c, parity_signs(4) * c]))[1] == [1.0, -1.0]
+        q, dq = ws.q_gradient(c)
+        q_ref, dq_ref = Workspace(4).q_gradient(c)
+        assert q == q_ref and np.array_equal(dq, dq_ref)
+        assert np.array_equal(gradient(HarmonicCoeffs(4, c), ws),
+                              gradient(HarmonicCoeffs(4, c), Workspace(4)))
+
+    def test_a_pure_parity_vector_is_one_row(self, monkeypatch):
+        # the zonal start is odd: f_star = -f is f's row read negated
+        rows, spectra = [], SliceColumn.spectra
+
+        def spy(col, coeffs):
+            rows.append(len(coeffs))
+            return spectra(col, coeffs)
+
+        monkeypatch.setattr(SliceColumn, "spectra", spy)
+        a = initial_coeffs("zonal", 4, np.random.default_rng(0)).coeffs
+        ws = Workspace(4)
+        q = ws.q_value(a)
+        assert rows == [1]
+        ws = Workspace(4)
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
+        fs = f.antipodal_conjugate()
+        quadrilinear_q(f, fs, f, fs, ws.grids)
+        rows.clear()
+        assert ws.q_value(a) == q
+        assert rows == []
+
+    @pytest.mark.parametrize("method", ["q_value", "q_gradient"])
+    def test_non_finite_and_wrong_length_coefficients_are_rejected(self, method):
+        ws = Workspace(4)
+        a = np.random.default_rng(15).standard_normal(n_coeffs(4))
+        a[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            getattr(ws, method)(a)
+        with pytest.raises(ValueError, match="expected 25 coefficients"):
+            getattr(ws, method)(np.ones(9))
+
 
 def full_table_q_gradient(ws, arr):
     """Q and its gradient from a harmonic table over every slice node of the ball."""
