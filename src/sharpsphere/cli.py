@@ -57,7 +57,8 @@ def _at_least(cast, low):
 # name: (flag, type, help); the types also validate SEL_* environment values
 OPTIONS = {
     "n_t": ("--n-t", _at_least(int, 1), "polar quadrature nodes"),
-    "n_c": ("--n-c", _at_least(int, 1), "circle-slice angle nodes"),
+    "n_c": ("--n-c", _at_least(int, 1),
+            "circle-slice angle nodes; an odd count is paired with its partners, 2 n_c nodes"),
     "n_r": ("--n-r", _at_least(int, 1), "radial ball nodes"),
     "degree": ("--degree", _at_least(int, 0), "band limit / max degree"),
     "seed": ("--seed", _at_least(int, 0), "RNG seed"),

@@ -12,10 +12,10 @@ of degree L in the slice angle psi, and the partner x - p of the node at psi
 sits at psi + pi. SliceColumn holds such f as its 2L+1 slice-angle modes,
 which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
 band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
-every n_c. Node values, at each slice's n_c rule nodes p_j and their
-partners (see _angle_tables), are for what has no band limit: sharp
-rearrangements, |.|^p of odd p and literal callables; convolve_many reads f
-and g at those nodes, and pair_slice_average is literal.
+every n_c. Node values, at each slice's nodes p_j and their partners (n_c
+nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
+no band limit: sharp rearrangements, |.|^p of odd p and literal callables;
+convolve_many reads f and g at those nodes, and pair_slice_average is literal.
 """
 
 import math
@@ -49,16 +49,14 @@ _CHUNK = 2048
 _BLOCK_NODES = 1 << 20
 
 
-def _angle_tables(n_c: int):
-    # The first n_c/2 angles (all n_c at odd n_c), then their displacements
-    # negated: the first n_c nodes are the rule's, and the partner x - p_j of
-    # rule node j is node j + n_c/2 (j + n_c at odd n_c), its opposite about
-    # the centre bitwise, so pairing inequalities degrade only at rounding level.
-    if n_c < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c}")
-    ang = np.arange(n_c if n_c % 2 else n_c // 2) * (2.0 * np.pi / n_c)
-    c, s = np.cos(ang), np.sin(ang)
-    return np.concatenate([c, -c]), np.concatenate([s, -s])
+def _half_turn(n_c: int) -> np.ndarray:
+    # The first N/2 slice angles of n_c's rule: n_c/2 of the n_c uniform
+    # angles, all n_c at odd n_c. Node j + N/2 of a slice's N nodes is node
+    # j's partner x - p_j, half a turn on, and node j is its partner's: N is
+    # n_c, or 2 n_c at odd n_c, the uniform 2 n_c rule.
+    if not isinstance(n_c, (int, np.integer)) or n_c < 1:
+        raise ValueError(f"n_c must be a positive integer, got {n_c!r}")
+    return np.arange(n_c if n_c % 2 else n_c // 2) * (2.0 * np.pi / n_c)
 
 
 def _mode_signs(L: int) -> np.ndarray:
@@ -68,15 +66,14 @@ def _mode_signs(L: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _expansion(L: int, n_c: int) -> np.ndarray:
-    """(2L+1, nodes) matrix taking slice-angle modes to _angle_tables' nodes.
+    """(2L+1, N) matrix taking slice-angle modes to the N slice nodes (_half_turn).
 
     Row 0 is 1, rows 2m-1 and 2m are cos(m psi) and sin(m psi) at each node
     angle psi. A partner node sits at psi + pi, so its column is (-1)^m times
     its rule node's. Read-only.
     """
-    half = n_c if n_c % 2 else n_c // 2
-    m_psi = np.arange(1, L + 1)[:, None] * (np.arange(half) * (2.0 * np.pi / n_c))
-    rule = np.ones((2 * L + 1, half))
+    m_psi = np.arange(1, L + 1)[:, None] * _half_turn(n_c)
+    rule = np.ones((2 * L + 1, m_psi.shape[1]))
     rule[1::2], rule[2::2] = np.cos(m_psi), np.sin(m_psi)
     out = np.concatenate([rule, _mode_signs(L)[:, None] * rule], axis=1)
     out.flags.writeable = False
@@ -119,8 +116,12 @@ def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
 
 
 def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
-    # the first count of _angle_tables' nodes (default all) on the slices at X, and |X|
-    c, s = _angle_tables(n_c)
+    # the first count (default all) of the N nodes on the slices at X, and
+    # |X|: the _half_turn angles, then their displacements negated, each
+    # partner the opposite of its node about the centre bitwise, so pairing
+    # inequalities degrade only at rounding level
+    ang = _half_turn(n_c)
+    c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
     centers, rad, e1, e2 = circle_frames(X)
     disp = c[None, :count, None] * e1[:, None, :] + s[None, :count, None] * e2[:, None, :]
     return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
@@ -129,10 +130,11 @@ def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
 def slice_point_table(X: np.ndarray, n_c: int):
     """Circle-slice nodes for a batch of centers X, shape (M, 3).
 
-    Returns (pts, radii) with pts of shape (M, n_c, 3); row i holds the n_c
-    nodes of the slice at X[i].
+    Returns (pts, radii) with pts of shape (M, N, 3); row i holds the N
+    nodes of the slice at X[i], each node's partner x - p among them: N = n_c,
+    or at odd n_c the uniform 2 n_c rule (see _half_turn).
     """
-    return _slice_nodes(X, n_c, n_c)
+    return _slice_nodes(X, n_c)
 
 
 def _finite(x, what: str) -> np.ndarray:
@@ -364,8 +366,8 @@ class SliceColumn:
     +m rows of degrees m..L followed by the -m rows, so every order is one
     contiguous block. Nothing in it depends on n_c: pair_profile pairs modes
     exactly (_mode_weights), and the slice nodes enter only through
-    expansion, the (2L+1, nodes) matrix to each slice's n_c rule nodes,
-    followed at odd n_c by their partners x - p_j (see _angle_tables). Those
+    expansion, the (2L+1, N) matrix to each slice's N nodes, n_c or, at odd
+    n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn). Those
     node values serve only what has no band limit: sharp rearrangements,
     |.|^p of odd p and literal calls; |.|^p of even p pairs on its band
     limit's own rule (SplitValues.magnitude). points() builds the literal nodes on first use.
@@ -387,7 +389,7 @@ class SliceColumn:
     the fields the memo keeps, per azimuth block, their real products in
     modes, which pair_profile forms at most once while recall holds those
     fields. Node values are formed per use and not kept: a row at the nodes
-    takes n_c / (2L+1) times the memory of its modes.
+    takes N / (2L+1) times the memory of its modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -563,15 +565,14 @@ class SliceColumn:
         return sample
 
 
-def _half_pair(a: np.ndarray, b: np.ndarray, n_c: int) -> np.ndarray:
-    # sum over each slice of a at rule node j times b at its partner: of 2 n_c
-    # nodes node j + n_c, of n_c nodes node j + n_c/2 (halves crosswise); there
-    # einsum sums each half over j and adds the two sums once, so a and b
-    # swapped give the same bits (pair_profile keys such products unordered)
-    if a.shape[-1] == 2 * n_c:
-        return np.einsum("...j,...j->...", a[..., :n_c], b[..., n_c:])
-    a = a.reshape(a.shape[:-1] + (2, n_c // 2))
-    b = b.reshape(b.shape[:-1] + (2, n_c // 2))[..., ::-1, :]
+def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum over each slice of a at node j times b at its partner, node j + N/2
+    # of N (halves crosswise); einsum sums each half over j and adds the two
+    # sums once, so a and b swapped give the same bits (pair_profile keys
+    # such products unordered)
+    half = a.shape[-1] // 2
+    a = a.reshape(a.shape[:-1] + (2, half))
+    b = b.reshape(b.shape[:-1] + (2, half))[..., ::-1, :]
     return np.einsum("...ij,...ij->...", a, b)
 
 
@@ -581,7 +582,7 @@ def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b) @ _mode_weights(a.shape[-1])
 
 
-def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarray:
+def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis).
 
     Leading axes run over centres x of norm radii. va and vb are dense
@@ -591,34 +592,26 @@ def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarra
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
     exact for band-limited factors at every n_c. Otherwise both are taken to
-    the slice nodes (SplitValues.nodes) and paired by the trapezoid rule:
-    n_c is the rule's node count, by default the node axis length. n_c nodes
-    need even n_c: the partner x - p_j of node j is node j + n_c/2, so the
-    two halves of each slice pair crosswise. Of 2 n_c nodes, rule node j
-    pairs with node j + n_c over the rule half only.
+    the slice nodes (SplitValues.nodes) and paired by the trapezoid rule on
+    the N nodes of the last axis, N even and read from the values: the
+    partner x - p_j of node j is node j + N/2 and back (see _half_turn),
+    so the two halves of each slice pair crosswise.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
-    the parts' keys: as an unordered pair in modes and at n_c nodes, where a
-    pair and its swap give the same bits, and as an ordered pair at 2 n_c
-    nodes, where they are different sums.
+    the parts' keys as an unordered pair: a pair and its swap give the same
+    bits.
     """
     dense = isinstance(va, np.ndarray)
     if not dense and (va.expansion is None) != (vb.expansion is None):
         va, vb = va.nodes(), vb.nodes()
     if not dense and va.expansion is not None:
-        pair, unordered, scale = _mode_pair, True, 1.0
+        pair, scale = _mode_pair, 1.0
     else:
         nodes = (va if dense else va.re).shape[-1]
-        n_c = nodes if n_c is None else n_c
-        if nodes % 2 or nodes not in (n_c, 2 * n_c):
-            raise ValueError(
-                f"pair_profile needs an even node count, got {nodes} (n_c = {n_c})")
-
-        def pair(a, b):
-            return _half_pair(a, b, n_c)
-
-        unordered, scale = nodes == n_c, 2.0 * np.pi / n_c
+        if nodes % 2:
+            raise ValueError(f"pair_profile needs an even node count, got {nodes}")
+        pair, scale = _half_pair, 2.0 * np.pi / nodes
     if dense:
         s = pair(va, vb)
     else:
@@ -627,7 +620,7 @@ def pair_profile(va, vb, radii: np.ndarray, n_c: int | None = None) -> np.ndarra
         def product(a, ka, b, kb):
             if store is None:
                 return pair(a, b)
-            key = (kb, ka) if unordered and kb < ka else (ka, kb)
+            key = (kb, ka) if kb < ka else (ka, kb)
             if key not in store:
                 store[key] = pair(a, b)
             return store[key]
@@ -643,27 +636,27 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     The pair-measure profile of a kernel F(omega, nu): for F = f tensor g
     this is the convolution of f sigma and g sigma at x. This is the literal
     route (partner points x - p, generic evaluator) that the table routes are
-    cross-checked against. The result is real when F's values are; non-finite
-    centres or values raise ValueError.
+    cross-checked against, on slice_point_table's nodes. The result is real
+    when F's values are; non-finite centres or values raise ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
     parts = [np.zeros(0)]
     for i0 in range(0, len(X), _CHUNK):
         pts, r = slice_point_table(X[i0:i0 + _CHUNK], n_c)
         partner = X[i0:i0 + _CHUNK, None, :] - pts
-        vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(-1, n_c)
+        vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(pts.shape[:2])
         if not np.all(np.isfinite(vals)):
             raise ValueError("kernel produced non-finite values on the slices")
-        parts.append((2.0 * np.pi / n_c) * vals.sum(axis=1) / r)
+        parts.append((2.0 * np.pi / vals.shape[1]) * vals.sum(axis=1) / r)
     return np.concatenate(parts)
 
 
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     """(f sigma * g sigma)(x) for every row x of X, all finite; zero where |x| > 2.
 
-    The slice nodes hold each rule node's partner x - p_j (see
-    _angle_tables), so g is read off the same nodes as f, both through one
-    SlicePlan, and the two meet in pair_profile.
+    The slice nodes hold each node's partner x - p_j (see _half_turn), so
+    g is read off the same nodes as f, both through one SlicePlan, and the
+    two meet in pair_profile.
     """
     X = np.atleast_2d(_finite(X, "convolution centres"))
     out = np.zeros(len(X), dtype=complex)
@@ -673,7 +666,7 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
         sel = idx[i0:i0 + _CHUNK]
         pts, rr = _slice_nodes(X[sel], n_c)
         a, b = plan.at(pts)
-        out[sel] = pair_profile(a, b, rr, n_c)
+        out[sel] = pair_profile(a, b, rr)
     return out
 
 
@@ -681,8 +674,9 @@ def convolve_at(f: SphereFunction, g: SphereFunction, x, n_c: int):
     """(f sigma * g sigma)(x) by the trapezoid rule on the slice at x.
 
     Exact (up to rounding) whenever f(omega(phi)) g(x - omega(phi)) is a
-    trigonometric polynomial of degree < n_c in the slice angle, which holds
-    with degree 2L for band-limited f, g of degree L. Real for real f and g.
+    trigonometric polynomial of degree < N in the slice angle, N = n_c or,
+    at odd n_c, 2 n_c (pair_slice_average), which holds with degree 2L for
+    band-limited f, g of degree L. Real for real f and g.
     Returns exactly 0 for |x| > 2; x = 0 is rejected, the convolution density
     diverges there, and so is a non-finite x.
     """

@@ -170,8 +170,9 @@ def weighted_pair_kernel(f: SphereFunction) -> PairKernel:
 
 @dataclass(frozen=True)
 class FormGrids:
-    """Quadrature bundle for Q and B: a ball grid and the slice node count n_c.
-    The outer route takes its polar rings about the nodes of ball.directions.
+    """Quadrature bundle for Q and B: a ball grid and the slice node count n_c,
+    a positive integer. The outer route takes its polar rings about the
+    nodes of ball.directions.
 
     The ball route memoizes a SliceColumn on this object, through the largest
     band limit asked for so far: the slice-angle modes of the harmonics on
@@ -188,7 +189,7 @@ class FormGrids:
     formed, and G's profiles in Q(f, f*, f, f*) read F's. |F|^2 of
     band-limited f pairs on its band limit's own rule (see _kernel_profile),
     exactly at every n_c, so only f# and literal factors read values at the
-    n_c slice nodes, which they expand per call and keep none of (2.7 MB a
+    slice nodes, which they expand per call and keep none of (2.7 MB a
     row and block of n_c=48 nodes above); n_c sizes only them and the
     literal routes. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
     this route and share the column, and so does the ascent:
@@ -199,6 +200,8 @@ class FormGrids:
     n_c: int
 
     def __post_init__(self):
+        if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 1:
+            raise ValueError(f"n_c must be a positive integer, got {self.n_c!r}")
         object.__setattr__(self, "_slice_cache", None)
 
     def slice_column(self, L: int) -> SliceColumn:
@@ -275,9 +278,9 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     them is a trig polynomial of degree pL on each slice, so its pairing, of
     degree 2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half
     of them partners of the other half; |.|^p of sharp or literal factors,
-    and of odd p, is at the n_c slice nodes. The constant kernel gives
-    2 pi / r. An unstructured kernel takes the literal pair_slice_average at
-    the ball nodes.
+    and of odd p, is at the slice nodes, n_c or, at odd n_c, 2 n_c, each
+    paired with its partner. The constant kernel gives 2 pi / r. An
+    unstructured kernel takes the literal pair_slice_average at the ball nodes.
     """
     r = col.radii
     if K.factors is None:
@@ -285,13 +288,13 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
         va, vb = next(values), next(values)
-        p, n_c = K.magnitude_power, col.n_c
+        p, n_c = K.magnitude_power, None
         if p:
             if p % 2 == 0 and va.expansion is not None and vb.expansion is not None:
                 n_c = 2 * (p * col.L + 1)   # the band limit's own rule, exact (see above)
             ma = va.magnitude(p, n_c)
             va, vb = ma, (ma if vb is va else vb.magnitude(p, n_c))
-        prof = pair_profile(va, vb, r, n_c)
+        prof = pair_profile(va, vb, r)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
@@ -361,8 +364,8 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     bit. Structured kernels pair their
     factors sampled on the column table at p and at -p: band-limited factors
     in slice-angle modes, |.|^p of even p among them, exactly at every n_c,
-    and sharp and literal factors (and |.|^p of odd p) at the n_c slice
-    nodes, which n_c sizes; an unstructured kernel takes the literal
+    and sharp and literal factors (and |.|^p of odd p) at the slice nodes,
+    n_c or, at odd n_c, 2 n_c; an unstructured kernel takes the literal
     pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about

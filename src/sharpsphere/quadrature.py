@@ -154,9 +154,9 @@ def exact_sizes(L: int, slice_degree: int) -> tuple[int, int, int]:
     the literal routes: f(p) g(x - p) of band-limited f, g pairs in
     slice-angle modes, and |f(p) g(x - p)|^2 on its band limit's own
     2(2L+1) nodes, both exactly at every n_c (convolution.SliceColumn,
-    forms._kernel_profile). Any n_c above it is exact too; even
-    n_c is the cheaper node set, since the partner x - p of each slice node
-    is a node, where an odd n_c adds the n_c partners.
+    forms._kernel_profile). Any n_c above it is exact too, and so is an odd
+    n_c above half of it, which adds its n_c nodes' partners x - p: the
+    2 n_c nodes are the uniform 2 n_c rule.
     """
     if min(L, slice_degree) < 0:
         raise ValueError(f"L and slice_degree must be nonnegative, got {L}, {slice_degree}")

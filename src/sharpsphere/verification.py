@@ -168,8 +168,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         # f, f_star and f_sharp on x's slices from one harmonic table
         pts, r = convolution._slice_nodes(x, n_c)
         a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
-        lhs = np.abs(convolution.pair_profile(a, b, r, n_c))
-        rhs = convolution.pair_profile(c, c, r, n_c)
+        lhs = np.abs(convolution.pair_profile(a, b, r))
+        rhs = convolution.pair_profile(c, c, r)
         worst = max(worst, float(np.max(lhs - rhs)))
     suite.check("pointwise_symmetrization_violation", 0.0, max(0.0, worst),
                 1e-10, "abs")

@@ -121,8 +121,8 @@ class TestConvolveMany:
             assert abs(convolve_at(f, g, x, 18) - expect) <= 1e-13 * max(abs(expect), 1.0)
 
     def test_even_and_odd_angle_counts_agree(self):
-        # even counts pair each angle with its opposite and reuse one table;
-        # odd counts evaluate partner points literally; both are exact here
+        # even counts pair each angle with its opposite; odd counts pair on
+        # their rule nodes and partners, 2 n_c nodes; both are exact here
         f = rand_fn(5, 9, complex_valued=True)
         g = rand_fn(5, 10, complex_valued=True)
         xs = ball_points(np.random.default_rng(11), 30)
@@ -198,9 +198,8 @@ class TestPairProfile:
         for group in (vals, squares):
             for a in group:
                 for b in group:
-                    dense = pair_profile(a.nodes().dense(), b.nodes().dense(),
-                                         col.radii, col.n_c)
-                    split = pair_profile(a, b, col.radii, col.n_c)
+                    dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)
+                    split = pair_profile(a, b, col.radii)
                     assert split.dtype == dense.dtype
                     assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
 
@@ -229,8 +228,8 @@ class TestModePairing:
         n_t = col.n_az // 2
         a, b = col.sampler(SlicePlan([(f, False), (g, False)]))(0, n_t)
         assert a.expansion is col.expansion and a.re.shape[-1] == 2 * L + 1
-        modes = pair_profile(a, b, col.radii, col.n_c)
-        nodes = pair_profile(a.nodes(), b.nodes(), col.radii, col.n_c)
+        modes = pair_profile(a, b, col.radii)
+        nodes = pair_profile(a.nodes(), b.nodes(), col.radii)
         return modes, nodes, col.centres(0, n_t), (f, g)
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
@@ -245,10 +244,11 @@ class TestModePairing:
         assert np.abs(modes - literal).max() <= 1e-14 * scale
         assert np.abs(nodes - literal).max() <= 1e-14 * scale
 
-    @pytest.mark.parametrize("n_c", [6, 7], ids=["even", "odd"])
+    @pytest.mark.parametrize("n_c", [6, 3], ids=["even", "odd"])
     def test_is_exact_at_few_slice_nodes(self, n_c):
-        # n_c <= 2L: the modes still match a 4x-oversampled literal slice
-        # average, where the node route's trapezoid rule misses it
+        # N <= 2L nodes (N = n_c, or 2 n_c at odd n_c): the modes still match
+        # a 4x-oversampled literal slice average, where the node route's
+        # trapezoid rule misses it
         modes, nodes, x, (f, g) = self.profiles(4, n_c, True)
         literal = pair_slice_average(lambda p, q: f(p) * g(q), x.reshape(-1, 3),
                                      4 * n_c).reshape(x.shape[:-1])

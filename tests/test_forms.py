@@ -18,6 +18,7 @@ from sharpsphere import (
     build_basis,
     build_sphere_grid,
     conv_l2_norm,
+    conv_profile,
     convolve_many,
     default_form_grids,
     exact_sizes,
@@ -403,8 +404,57 @@ class TestOddSliceCountAgainstReference(ReferenceCases):
         return default_form_grids(n_t=9, n_c=19, n_r=10)
 
 
+def node_valued_cases():
+    """(kernel, factor pair) per node-valued case: an asymmetric literal f
+    tensor g, f tensor f#, and |f tensor g| (odd magnitude power), whose
+    factors for a convolution are the literal |f| and |g|."""
+    f, g = rand_fn(4, 150, complex_valued=True), rand_fn(3, 151, complex_valued=True)
+    fsh = f.sharp_rearrangement()
+    absf, absg = (SphereFunction(lambda p, h=h: np.abs(h(p))) for h in (f, g))
+    odd = PairKernel(lambda a, b: np.abs(f(a) * g(b)), factors=(f, g), magnitude_power=1)
+    return [(PairKernel.tensor(literal(f), literal(g)), (literal(f), literal(g))),
+            (PairKernel.tensor(f, fsh), (f, fsh)), (odd, (absf, absg))]
+
+
+class TestOddSliceCountIsTheDoubledRule:
+    """At odd n_c a slice's nodes are its n_c rule nodes and their partners,
+    the uniform 2 n_c rule, on every node-valued route: each value is the
+    one at 2 n_c, up to the order of the sums."""
+
+    ball = build_ball_grid(4, build_sphere_grid(5))
+
+    @pytest.mark.parametrize("n_c", [3, 7, 35])
+    @pytest.mark.parametrize("route", ["ball", "outer", "convolve_many", "pair_slice_average",
+                                       "conv_profile"])
+    def test_equals_the_value_at_twice_the_count(self, route, n_c):
+        xs = ball_points(np.random.default_rng(152), 20)
+
+        def value(K, pair, n):
+            if route in ("ball", "outer"):
+                return bilinear_b(K, K, forms.FormGrids(self.ball, n), route)
+            if route == "convolve_many":
+                return convolve_many(*pair, xs, n)
+            if route == "pair_slice_average":
+                return pair_slice_average(K, xs, n)
+            return conv_profile(*pair, np.linspace(0.1, 2.0, 7), n_c=n).values
+
+        for K, pair in node_valued_cases():
+            odd, doubled = value(K, pair, n_c), value(K, pair, 2 * n_c)
+            assert np.abs(odd - doubled).max() <= 1e-14 * np.abs(doubled).max()
+
+
 class TestSliceCount:
     """n_c governs only the kernels the ball route pairs at slice nodes."""
+
+    @pytest.mark.parametrize("n_c", [0, -2, 2.0])
+    def test_n_c_must_be_a_positive_integer(self, n_c):
+        # checked at construction, before any Q reads a slice node
+        ball = build_ball_grid(3, build_sphere_grid(3))
+        with pytest.raises(ValueError, match="n_c"):
+            forms.FormGrids(ball, n_c)
+        with pytest.raises(ValueError, match="n_c"):
+            default_form_grids(n_t=3, n_r=3, n_c=n_c)
+        assert forms.FormGrids(ball, np.int64(3)).n_c == 3
 
     def test_band_limited_pairs_do_not_depend_on_n_c(self):
         # Q(f, f*, f, f*) pairs in slice-angle modes: exact at n_c <= 2L too
@@ -433,12 +483,11 @@ def literal(f):
 
 
 def magnitude_kernels(f, g):
-    """|F|^p kernels of band limit L, each with p and its slice period: B(|F|^2,
-    1)'s (F the weighted square of f, so |f(psi)|^2 |f(psi + pi)|^2 has period
-    pi), |f tensor g|^2 with f != g (period 2 pi), and |F|^4."""
+    """|F|^p kernels of band limit L, each with p: B(|F|^2, 1)'s (F the
+    weighted square of f), |f tensor g|^2 with f != g, and |F|^4."""
     W = weighted_pair_kernel(f)
-    return [(W.abs_squared(), 2, np.pi), (PairKernel.tensor(f, g).abs_squared(), 2, 2 * np.pi),
-            (W.abs_squared().abs_squared(), 4, np.pi)]
+    return [(W.abs_squared(), 2), (PairKernel.tensor(f, g).abs_squared(), 2),
+            (W.abs_squared().abs_squared(), 4)]
 
 
 class TestHalfTurnRule:
@@ -456,8 +505,8 @@ class TestHalfTurnRule:
         # the node route, on literal factors, is exact at n_c >= 2pL+1
         f = rand_fn(L, 140, complex_valued=complex_valued)
         g = rand_fn(L, 141, complex_valued=True)
-        for (K, p, _), (N, *_) in zip(magnitude_kernels(f, g),
-                                      magnitude_kernels(literal(f), literal(g))):
+        for (K, p), (N, _) in zip(magnitude_kernels(f, g),
+                                  magnitude_kernels(literal(f), literal(g))):
             grids = forms.FormGrids(self.ball, 2 * p * L + 2 + odd)
             value = bilinear_b(K, PairKernel.one(), grids)
             nodes = bilinear_b(N, PairKernel.one(), grids)
@@ -467,19 +516,19 @@ class TestHalfTurnRule:
     @pytest.mark.parametrize("L", [0, 1, 2, 4, 8])
     def test_is_exact_where_the_slice_rule_is_not(self, L, complex_valued):
         # at small n_c B matches the literal route on an exact slice rule;
-        # pair_slice_average at that n_c misses it where the n_c-point rule
-        # aliases a frequency of the degree-2pL integrand: at n_c <= 2pL, or,
-        # for odd n_c and period pi, where only even frequencies occur, n_c <= pL
+        # pair_slice_average at that n_c misses it where its N-point rule
+        # (N = n_c, or 2 n_c at odd n_c) aliases a frequency of the degree-2pL
+        # integrand: at N <= 2pL
         f = rand_fn(L, 142, complex_valued=complex_valued)
         g = rand_fn(L, 143, complex_valued=True)
-        for K, p, period in magnitude_kernels(f, g):
+        for K, p in magnitude_kernels(f, g):
             flat = PairKernel(K.evaluator)   # no structure: pair_slice_average
             exact = bilinear_b(flat, PairKernel.one(), forms.FormGrids(self.ball, 2 * p * L + 2))
             for n_c in (4, 6, 7, 12):
                 grids = forms.FormGrids(self.ball, n_c)
                 value = bilinear_b(K, PairKernel.one(), grids)
                 assert abs(value - exact) <= 1e-13 * abs(exact)
-                if n_c <= (p * L if n_c % 2 and period == np.pi else 2 * p * L):
+                if (2 * n_c if n_c % 2 else n_c) <= 2 * p * L:
                     miss = bilinear_b(flat, PairKernel.one(), grids)
                     assert abs(miss - exact) > 1e-8 * abs(exact)
 
@@ -997,11 +1046,12 @@ class TestHeldProducts:
                           + [fresh.conv_l2_norm(f, g), fresh.l4_norm(f)])
         assert values == expect
 
-    @pytest.mark.parametrize("n_c", [18, 20], ids=["n_c/2 odd", "n_c/2 even"])
+    @pytest.mark.parametrize("n_c", [18, 20, 19], ids=["n_c/2 odd", "n_c/2 even", "n_c odd"])
     @pytest.mark.parametrize("layout", ["held", "contiguous"])
     def test_swapped_products_are_bitwise_equal_at_even_n_c(self, n_c, layout):
-        # pair_profile keys the products of held modes, and of an even
-        # column's node values, unordered
+        # pair_profile keys the products of held modes, and of a column's
+        # node values at every node count, unordered: an odd column's 2 n_c
+        # nodes pair crosswise as an even one's do
         n_t, n_r, _ = exact_sizes(4, 16)
         col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
         f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
@@ -1014,7 +1064,7 @@ class TestHeldProducts:
             modes, nodes = ([np.ascontiguousarray(v[:, ::-1]) for v in rows]
                             for rows in (modes, nodes))
         for pair, rows in ((convolution._mode_pair, modes),
-                           (lambda a, b: convolution._half_pair(a, b, n_c), nodes)):
+                           (convolution._half_pair, nodes)):
             for a in rows:
                 for b in rows:
                     assert pair(a, b).view(np.int64).tolist() == pair(

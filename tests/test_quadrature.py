@@ -154,10 +154,16 @@ class TestCircleSlice:
     def test_angle_node_count(self):
         pts, _ = slice_point_table(np.array([[1.0, 0.0, 0.0]]), 12)
         assert pts.shape == (1, 12, 3)
+        # an odd count's rule nodes and their partners: the uniform 14-node rule
+        pts, _ = slice_point_table(np.array([[1.0, 0.0, 0.0]]), 7)
+        assert pts.shape == (1, 14, 3)
+        even, _ = slice_point_table(np.array([[1.0, 0.0, 0.0]]), 14)
+        assert np.abs(np.sort(pts[0], axis=0) - np.sort(even[0], axis=0)).max() <= 1e-15
 
     def test_invalid_angle_count_rejected(self):
-        with pytest.raises(ValueError):
-            slice_point_table(np.array([[1.0, 0.0, 0.0]]), 0)
+        for n_c in (0, -2, 2.5):
+            with pytest.raises(ValueError, match="n_c"):
+                slice_point_table(np.array([[1.0, 0.0, 0.0]]), n_c)
 
 
 class TestBallGrid:

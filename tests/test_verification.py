@@ -111,6 +111,13 @@ class TestRunVerification:
         report = run_verification(VerifyConfig(degree=2, n_c=11))
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
+    @pytest.mark.parametrize("n_c", range(1, 18))
+    def test_passes_at_every_slice_count(self, n_c):
+        # every slice node pairs with its partner at odd n_c too, so the
+        # pointwise symmetrization slack stays nonnegative node by node
+        report = run_verification(VerifyConfig(n_c=n_c))
+        assert report.overall_pass, [c.name for c in report.checks if not c.passed]
+
 
 class TestReportSerialization:
     def test_report_dict_keys(self, small_report):
