@@ -76,7 +76,7 @@ def walk(cf, grids, basis, lam, label):
 
 
 def main():
-    n_t, n_r, n_c = exact_sizes(L, 4 * L)
+    n_t, n_r, n_c = exact_sizes(L)
     grids = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
     basis = build_basis(2 * L, grids.ball.directions)   # holds |f#|^2 exactly for band limit 8
     lam = lambda_closed_form(16)

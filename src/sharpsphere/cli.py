@@ -27,7 +27,6 @@ from .harmonics import SphereFunction
 from .verification import VerifyConfig, run_verification
 
 DEFAULTS = {
-    "n_c": 64,
     "degree": 8,
     "seed": 1234,
     "max_iter": 500,
@@ -75,7 +74,7 @@ def _usage_error(message: str):
 
 
 def _resolve(name: str, flag_value, default=None):
-    """flags > environment (SEL_<NAME>) > defaults."""
+    """flags > environment (SEL_<NAME>) > default > DEFAULTS; None if none applies."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_PREFIX + name.upper())
@@ -84,7 +83,7 @@ def _resolve(name: str, flag_value, default=None):
             return OPTIONS[name][1](env)
         except argparse.ArgumentTypeError as exc:
             _usage_error(f"invalid value for {ENV_PREFIX}{name.upper()}: {exc}")
-    return DEFAULTS[name] if default is None else default
+    return DEFAULTS.get(name) if default is None else default
 
 
 def _fmt(x) -> str:
@@ -146,12 +145,11 @@ def _timestamp() -> str:
 
 
 def cmd_verify(args) -> int:
-    # grid sizes default to the exact plan for the degree
-    plan = VerifyConfig(degree=_resolve("degree", args.degree),
-                        seed=_resolve("seed", args.seed))
+    # unset grid sizes stay None: VerifyConfig sizes them exactly for the degree
     config = VerifyConfig(
-        n_t=_resolve("n_t", args.n_t, plan.n_t), n_c=_resolve("n_c", args.n_c, plan.n_c),
-        n_r=_resolve("n_r", args.n_r, plan.n_r), degree=plan.degree, seed=plan.seed)
+        n_t=_resolve("n_t", args.n_t), n_c=_resolve("n_c", args.n_c),
+        n_r=_resolve("n_r", args.n_r), degree=_resolve("degree", args.degree),
+        seed=_resolve("seed", args.seed))
     if 2 * config.n_t - 1 < 2 * config.degree:
         _usage_error(f"--n-t {config.n_t} integrates degree {2 * config.n_t - 1}, "
                      f"below 2 x degree = {2 * config.degree}")
@@ -260,7 +258,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_convolution(args) -> int:
-    n_c = _resolve("n_c", args.n_c)
+    n_c = _resolve("n_c", args.n_c, default=64)
     n_pts = _resolve("points", args.points)
     one = SphereFunction.constant(1.0)
     radii = 2.0 * (np.arange(n_pts) + 1.0) / n_pts

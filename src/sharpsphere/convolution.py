@@ -19,13 +19,13 @@ convolve_many reads f and g at those nodes, and pair_slice_average is literal.
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values, parity_signs
-from .quadrature import BallGrid, SphereGrid, circle_frames
+from .quadrature import BallGrid, SphereGrid, _require_int, circle_frames
 
 __all__ = [
     "ConvProfile",
@@ -54,8 +54,7 @@ def _half_turn(n_c: int) -> np.ndarray:
     # angles, all n_c at odd n_c. Node j + N/2 of a slice's N nodes is node
     # j's partner x - p_j, half a turn on, and node j is its partner's: N is
     # n_c, or 2 n_c at odd n_c, the uniform 2 n_c rule.
-    if not isinstance(n_c, (int, np.integer)) or n_c < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c!r}")
+    _require_int(n_c, "n_c")
     return np.arange(n_c if n_c % 2 else n_c // 2) * (2.0 * np.pi / n_c)
 
 
@@ -116,10 +115,11 @@ def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
 
 
 def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
-    # the first count (default all) of the N nodes on the slices at X, and
-    # |X|: the _half_turn angles, then their displacements negated, each
-    # partner the opposite of its node about the centre bitwise, so pairing
-    # inequalities degrade only at rounding level
+    # slice_point_table's body: the first count (default all) of the N nodes
+    # on the slices at X, and |X|. The _half_turn angles, then their
+    # displacements negated, each partner the opposite of its node about the
+    # centre bitwise, so pairing inequalities degrade only at rounding level.
+    # SliceColumn's table build takes only the 2L+1 rule nodes, no partners.
     ang = _half_turn(n_c)
     c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
     centers, rad, e1, e2 = circle_frames(X)
@@ -367,10 +367,11 @@ class SliceColumn:
     contiguous block. Nothing in it depends on n_c: pair_profile pairs modes
     exactly (_mode_weights), and the slice nodes enter only through
     expansion, the (2L+1, N) matrix to each slice's N nodes, n_c or, at odd
-    n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn). Those
-    node values serve only what has no band limit: sharp rearrangements,
-    |.|^p of odd p and literal calls; |.|^p of even p pairs on its band
-    limit's own rule (SplitValues.magnitude). points() builds the literal nodes on first use.
+    n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn).
+    Those node values serve only what has no band limit: sharp
+    rearrangements, |.|^p of odd p and literal calls; |.|^p of even p pairs
+    on its band limit's own rule (SplitValues.magnitude). Literal calls read
+    points(), slice_point_table at the rotated centres.
 
     Values on slices come in blocks of shape (azimuth rows, column centres,
     modes or slice nodes), the centres radial-major as in BallGrid.points();
@@ -443,26 +444,19 @@ class SliceColumn:
         edges = np.arange(n + 1) * n_t // n
         return list(zip(edges[:-1], edges[1:]))
 
-    @cached_property
-    def pts(self) -> np.ndarray:
-        """The column's slice nodes, shape (centres, nodes, 3), built on first use."""
-        return _slice_nodes(self._centres, self.n_c)[0]
-
-    def _rotated(self, v: np.ndarray, a0: int, a1: int) -> np.ndarray:
-        # column points v, shape (..., 3), turned about z by alpha_a per row a0:a1
-        c = self._cos[a0:a1].reshape((-1,) + (1,) * (v.ndim - 1))
-        s = self._sin[a0:a1].reshape(c.shape)
-        x, y, z = v[..., 0], v[..., 1], v[..., 2]
-        return np.stack([c * x - s * y, s * x + c * y,
-                         np.broadcast_to(z, (a1 - a0,) + z.shape)], axis=-1)
+    def centres(self, a0: int, a1: int) -> np.ndarray:
+        """The slices' centres x at azimuth rows a0:a1, shape (a1 - a0, centres, 3):
+        the column's centres turned about z by alpha_a per row a."""
+        c, s = self._cos[a0:a1, None], self._sin[a0:a1, None]
+        x, y, z = self._centres.T
+        return np.stack([c * x - s * y, s * x + c * y, np.broadcast_to(z, (a1 - a0,) + z.shape)],
+                        axis=-1)
 
     def points(self, a0: int, a1: int) -> np.ndarray:
-        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, nodes, 3)."""
-        return self._rotated(self.pts, a0, a1)
-
-    def centres(self, a0: int, a1: int) -> np.ndarray:
-        """The slices' centres x at azimuth rows a0:a1, shape (a1 - a0, centres, 3)."""
-        return self._rotated(self._centres, a0, a1)
+        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, nodes, 3):
+        slice_point_table at centres(a0, a1), placed per call."""
+        x = self.centres(a0, a1)
+        return slice_point_table(x.reshape(-1, 3), self.n_c)[0].reshape(x.shape[:-1] + (-1, 3))
 
     def spectra(self, coeffs: np.ndarray) -> np.ndarray:
         """Azimuth Fourier rows, shape (n, 2L+1, table columns), of real coefficient rows.
@@ -664,7 +658,7 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     plan = SlicePlan([(f, False), (g, False)])
     for i0 in range(0, len(idx), _CHUNK):
         sel = idx[i0:i0 + _CHUNK]
-        pts, rr = _slice_nodes(X[sel], n_c)
+        pts, rr = slice_point_table(X[sel], n_c)
         a, b = plan.at(pts)
         out[sel] = pair_profile(a, b, rr)
     return out

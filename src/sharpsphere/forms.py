@@ -23,7 +23,7 @@ import numpy as np
 from .convolution import SliceColumn, SlicePlan, pair_profile, pair_slice_average
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
-from .quadrature import (BallGrid, SphereGrid, build_ball_grid,
+from .quadrature import (BallGrid, SphereGrid, _require_int, build_ball_grid,
                          build_sphere_grid, circle_frames, integrate_sphere)
 
 __all__ = [
@@ -193,15 +193,14 @@ class FormGrids:
     row and block of n_c=48 nodes above); n_c sizes only them and the
     literal routes. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
     this route and share the column, and so does the ascent:
-    maximizer.Workspace is these grids at exact_sizes(L, 2L).
+    maximizer.Workspace is these grids at exact_sizes(L).
     """
 
     ball: BallGrid
     n_c: int
 
     def __post_init__(self):
-        if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 1:
-            raise ValueError(f"n_c must be a positive integer, got {self.n_c!r}")
+        _require_int(self.n_c, "n_c")
         object.__setattr__(self, "_slice_cache", None)
 
     def slice_column(self, L: int) -> SliceColumn:
@@ -236,7 +235,7 @@ class FormGrids:
 
 
 def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
-    """The FormGrids of given sizes; exact_sizes(L, 4L) makes them exact at band limit L."""
+    """The FormGrids of given sizes; exact_sizes(L) makes them exact at band limit L."""
     return FormGrids(ball=build_ball_grid(n_r, build_sphere_grid(n_t)), n_c=n_c)
 
 
@@ -370,8 +369,8 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about
     -omega_1 (2 n_t azimuths), whose Jacobian cancels the profile's
-    1/|omega_1 + omega_2|; it is exact to rounding on exact_sizes(L, 4L)
-    grids too. A non-finite result raises ValueError.
+    1/|omega_1 + omega_2|; it is exact to rounding on exact_sizes(L) grids
+    too. A non-finite result raises ValueError.
     """
     if method not in ("ball", "outer"):
         raise ValueError(f"unknown method {method!r}")
@@ -418,8 +417,10 @@ def h_direct_many(gs, grid: SphereGrid):
     degree L in t, Gauss-Legendre with n_t + 1 nodes in u integrates the
     resulting degree 2L + 2 polynomial, and the outer grid integrates the
     degree-2L product with conj(g). Non-finite values raise ValueError
-    (SlicePlan.at).
+    (SlicePlan.at). No functions give an empty array.
     """
+    if not len(gs):
+        return np.zeros(0)
     n_t = (grid.exactness_degree + 1) // 2
     u, w_u, blocks = _polar_ring(grid, n_t)
     ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import SphereGrid
+from .quadrature import SphereGrid, _require_int
 
 __all__ = [
     "HarmonicCoeffs",
@@ -140,6 +140,7 @@ class HarmonicCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _require_int(self.max_degree, "max_degree", 0)
         c = np.asarray(self.coeffs)
         if c.shape != (n_coeffs(self.max_degree),):
             raise ValueError(
@@ -189,8 +190,7 @@ class BasisTable:
 
 def build_basis(L: int, grid: SphereGrid) -> BasisTable:
     """Tabulate the orthonormal basis on a grid; needs exactness >= 2L."""
-    if L < 0:
-        raise ValueError(f"max degree must be nonnegative, got {L}")
+    _require_int(L, "max degree", 0)
     if grid.exactness_degree < 2 * L:
         raise ValueError(
             f"grid exactness {grid.exactness_degree} < 2L = {2 * L}; "
@@ -240,6 +240,7 @@ def random_band_limited(L: int, rng: np.random.Generator, decay: float = 2.0,
     and keeps sign-indefinite quadratic functionals of the sample bounded away
     from zero (flat spectra make them nearly cancel in expectation).
     """
+    _require_int(L, "L", 0)
     amp = (1.0 + _degree_index(L)) ** (-decay)
     c = rng.standard_normal(n_coeffs(L))
     if complex_valued:

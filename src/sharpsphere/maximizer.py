@@ -49,7 +49,8 @@ ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 class Workspace:
     """Q and its gradient at band limit L, exact, on the forms ball route's grids.
 
-    grids is default_form_grids at exact_sizes(L, 2L); 17, 18, 18 at L=8.
+    grids is default_form_grids at exact_sizes(L), the sizes that
+    VerifyConfig(degree=L) defaults to: 17, 18, 34 at L=8.
     f and f_star = f(-.) are read as the forms route reads them: one SlicePlan
     of (f, +p) and (f, -p), sampled by the column grids.slice_column(L)
     (SliceColumn.sampler) as slice-angle modes from its one memo, which
@@ -79,10 +80,8 @@ class Workspace:
     """
 
     def __init__(self, L: int):
-        if L < 0:
-            raise ValueError(f"band limit must be nonnegative, got {L}")
+        n_t, n_r, n_c = exact_sizes(L)   # rejects L that is not a nonnegative integer
         self.L = L
-        n_t, n_r, n_c = exact_sizes(L, 2 * L)
         self.grids = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
         self.grids.slice_column(L)   # the table is built here, not in the first Q
         self.parity = parity_signs(L)

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require_int(value, name: str, low: int = 1):
+    # ValueError naming value unless it is an integer >= low (1: a size, 0: a degree)
+    if not isinstance(value, (int, np.integer)) or value < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 class DegenerateSliceError(ValueError):
     """Raised when a circle slice is requested at x = 0."""
 
@@ -53,8 +60,7 @@ def build_sphere_grid(n_t: int) -> SphereGrid:
 
     The azimuth nodes sit at the half steps (j + 1/2)*pi/n_t, away from phi = 0.
     """
-    if n_t < 1:
-        raise ValueError(f"n_t must be a positive integer, got {n_t}")
+    _require_int(n_t, "n_t")
     t, w_t = np.polynomial.legendre.leggauss(n_t)
     step = np.pi / n_t
     phi = (np.arange(2 * n_t) + 0.5) * step
@@ -136,31 +142,29 @@ def build_ball_grid(n_r: int, directions: SphereGrid) -> BallGrid:
     convolutions at the origin is never sampled; the integrands of interest,
     r^2 |conv|^2, stay bounded.
     """
-    if n_r < 1:
-        raise ValueError(f"n_r must be a positive integer, got {n_r}")
+    _require_int(n_r, "n_r")
     u, w = np.polynomial.legendre.leggauss(n_r)
     r = u + 1.0
     return BallGrid(radial_nodes=r, radial_weights=w * r * r, directions=directions)
 
 
-def exact_sizes(L: int, slice_degree: int) -> tuple[int, int, int]:
-    """Grid sizes (n_t, n_r, n_c) that make the ball route exact at band limit L.
+def exact_sizes(L: int) -> tuple[int, int, int]:
+    """Grid sizes (n_t, n_r, n_c) = (2L+1, 2L+2, 4L+2), exact at band limit L.
 
     The ball integrand has degree <= 4L in the direction and <= 4L+2 in the
-    radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. On each slice it is a trig
-    polynomial of degree slice_degree (2L for f(p) g(x - p), 4L for squared
-    pair kernels); n_c is the smallest even count above it, so the trapezoid
-    rule is exact. n_c governs only sharp rearrangements, literal factors and
-    the literal routes: f(p) g(x - p) of band-limited f, g pairs in
-    slice-angle modes, and |f(p) g(x - p)|^2 on its band limit's own
-    2(2L+1) nodes, both exactly at every n_c (convolution.SliceColumn,
-    forms._kernel_profile). Any n_c above it is exact too, and so is an odd
-    n_c above half of it, which adds its n_c nodes' partners x - p: the
-    2 n_c nodes are the uniform 2 n_c rule.
+    radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. The ball route pairs
+    band-limited factors exactly at every n_c: f(p) g(x - p) in slice-angle
+    modes, |f(p) g(x - p)|^2 on its band limit's own 2(2L+1) nodes
+    (convolution.SliceColumn, forms._kernel_profile). n_c sizes the rest:
+    a squared pair kernel of band limit L is a trig polynomial of degree 4L
+    on each slice, so n_c = 4L+2, the smallest even count above it, makes
+    the literal routes exact (pair_slice_average, the outer route); sharp
+    rearrangements and literal factors take those nodes too. Any n_c above
+    4L is exact as well, and so is an odd n_c above 2L, which adds its n_c
+    nodes' partners x - p: the 2 n_c nodes are the uniform 2 n_c rule.
     """
-    if min(L, slice_degree) < 0:
-        raise ValueError(f"L and slice_degree must be nonnegative, got {L}, {slice_degree}")
-    return 2 * L + 1, 2 * L + 2, slice_degree + 2 - slice_degree % 2
+    _require_int(L, "L", 0)
+    return 2 * L + 1, 2 * L + 2, 4 * L + 2
 
 
 def integrate_ball(ball: BallGrid, f):

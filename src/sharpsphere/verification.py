@@ -23,7 +23,8 @@ __all__ = ["CheckResult", "VerificationReport", "VerifyConfig", "run_verificatio
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Suite settings; unset grid sizes follow exact_sizes(degree, 4 degree)."""
+    """Suite settings; unset grid sizes follow exact_sizes(degree). This is
+    the one place verify fills them in."""
 
     n_t: int | None = None
     n_c: int | None = None
@@ -32,7 +33,7 @@ class VerifyConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        n_t, n_r, n_c = exact_sizes(self.degree, 4 * self.degree)
+        n_t, n_r, n_c = exact_sizes(self.degree)
         for name, planned in (("n_t", n_t), ("n_c", n_c), ("n_r", n_r)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, planned)
@@ -166,7 +167,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         x = rng.standard_normal((20, 3))
         x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1))
         # f, f_star and f_sharp on x's slices from one harmonic table
-        pts, r = convolution._slice_nodes(x, n_c)
+        pts, r = convolution.slice_point_table(x, n_c)
         a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
         lhs = np.abs(convolution.pair_profile(a, b, r))
         rhs = convolution.pair_profile(c, c, r)

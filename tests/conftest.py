@@ -1,9 +1,9 @@
 """Session-scoped fixtures for the expensive shared objects.
 
-The exactness bundle takes the exact plan for band limit 8 with squared pair
-kernels, exact_sizes(8, 32) = (17, 18, 34), so degree-8 inputs are integrated
-without discretization error in products of four band-limited factors and
-squared pair kernels alike.
+The exactness bundle takes the exact plan for band limit 8,
+exact_sizes(8) = (17, 18, 34), so degree-8 inputs are integrated without
+discretization error in products of four band-limited factors and squared
+pair kernels alike, on the ball route and the literal routes.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ def ball_default(grid32):
 
 @pytest.fixture(scope="session")
 def exact_grids():
-    n_t, n_r, n_c = exact_sizes(8, 32)
+    n_t, n_r, n_c = exact_sizes(8)
     return default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
 
 

@@ -180,7 +180,7 @@ class TestPairProfile:
         # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each;
         # coefficient rows come as 2L+1 slice-angle modes, the rest at the
         # slice nodes: an odd column holds 2 n_c a slice, rule nodes then partners
-        n_t, n_r, n_c = exact_sizes(L, 4 * L)
+        n_t, n_r, n_c = exact_sizes(L)
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c + odd, L)
         f = rand_fn(L, 80 + L, complex_valued=True)
         fs = f.antipodal_conjugate()
@@ -339,7 +339,7 @@ class TestConvL2Norm:
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_square_is_the_ball_sum_of_the_squared_convolution(self, complex_valued):
         f, g = rand_fn(4, 74, complex_valued=complex_valued), rand_fn(4, 75, complex_valued=True)
-        n_t, n_r, n_c = exact_sizes(4, 16)
+        n_t, n_r, n_c = exact_sizes(4)
         ball = build_ball_grid(n_r, build_sphere_grid(n_t))
         literal = np.sum(ball.weights() * np.abs(convolve_many(f, g, ball.points(), n_c)) ** 2)
         assert abs(conv_l2_norm(f, g, ball, n_c) ** 2 - literal) <= 1e-14 * literal
@@ -391,7 +391,7 @@ class TestL4Norm:
     def test_stable_under_grid_refinement(self):
         f = rand_fn(8, 14)
         coarse = l4_norm(f, build_ball_grid(24, build_sphere_grid(16)), 32)
-        # at least as fine as the coarse side and exact_sizes(8, 16) in every size
+        # at least as fine as the coarse side and exact_sizes(8) in every size
         fine = l4_norm(f, build_ball_grid(26, build_sphere_grid(18)), 34)
         assert abs(coarse - fine) <= 1e-6 * fine
 
@@ -513,24 +513,26 @@ class TestSliceColumn:
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_literal_nodes_are_built_on_first_use(self, n_c, monkeypatch):
-        # the build samples only the 2L+1 uniform angles; blocks() needs n_c
-        # alone, and points() reads the nodes _slice_nodes gives, bit for bit
-        calls, inner = [], convolution._slice_nodes
+        # the table build places only its 2L+1 rule nodes, no partners;
+        # blocks() places none; points() is slice_point_table at centres(),
+        # bit for bit, placed per call
+        placed, inner = [], convolution._slice_nodes
 
         def spy(X, n, count=None):
-            calls.append(n)
-            return inner(X, n, count)
+            out = inner(X, n, count)
+            placed.append(out[0].shape[1])
+            return out
 
         monkeypatch.setattr(convolution, "_slice_nodes", spy)
         col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
         col.blocks()
-        assert calls == [11]
-        pts = col.points(0, col.n_az)
-        assert calls == [11, n_c]
-        expect = col._rotated(inner(col._centres, n_c)[0], 0, col.n_az)
-        assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
-        col.points(1, 2)
-        assert calls == [11, n_c]
+        assert placed == [11]
+        for a0, a1 in [(0, col.n_az), (1, 2)]:
+            pts = col.points(a0, a1)
+            x = col.centres(a0, a1).reshape(-1, 3)
+            expect = slice_point_table(x, n_c)[0].reshape(pts.shape)
+            assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
+        assert placed == [11] + [2 * n_c if n_c % 2 else n_c] * 4
 
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)

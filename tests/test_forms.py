@@ -53,8 +53,8 @@ TETRAHEDRON = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
 
 @functools.cache
 def exact_form_grids(L):
-    """FormGrids at exact_sizes(L, 4L): exact for squared pair kernels of band limit L."""
-    n_t, n_r, n_c = exact_sizes(L, 4 * L)
+    """FormGrids at exact_sizes(L): exact for squared pair kernels of band limit L."""
+    n_t, n_r, n_c = exact_sizes(L)
     return default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
 
 
@@ -277,13 +277,18 @@ class TestBilinearForm:
         assert abs(outer - ball) <= 1e-12 * abs(ball)
 
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
-    @pytest.mark.parametrize("case", ["weighted", "squared", "polynomial"])
+    @pytest.mark.parametrize("case", ["weighted", "squared", "polynomial",
+                                      "unstructured-squared"])
     def test_outer_route_matches_ball_route_exactly(self, case, L):
+        # |K|^2 of a literal K has no structure either; the ball route takes it
+        # through pair_slice_average at the ball nodes
         grids = exact_form_grids(L)
         f, g = rand_fn(L, 57, complex_valued=True), rand_fn(L, 58)
         W = weighted_pair_kernel(f)
         F, G = {"weighted": (W, W),
                 "squared": (W.abs_squared(), PairKernel.one()),
+                "unstructured-squared": (PairKernel(W.evaluator).abs_squared(),
+                                         PairKernel.one()),
                 "polynomial": (PairKernel(lambda a, b: f(a) * g(b)
                                           * (1.0 + np.sum(a * b, axis=-1))), W)}[case]
         ball = bilinear_b(F, G, grids)
@@ -299,7 +304,7 @@ class TestBilinearForm:
             raise AssertionError("the outer route must not use the ball route's tables")
         for name in ("SliceColumn", "SlicePlan", "pair_profile"):
             monkeypatch.setattr(forms, name, unavailable)
-        n_t, n_r, n_c = exact_sizes(4, 16)
+        n_t, n_r, n_c = exact_sizes(4)
         fresh = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)   # no cached column
         with pytest.raises(AssertionError):
             bilinear_b(Q, Q, fresh)
@@ -999,7 +1004,7 @@ class TestHeldProducts:
     @staticmethod
     def two_blocks(grids, L, monkeypatch):
         col = grids.slice_column(L)
-        nodes = col.n_az * col.radii.size * col.pts.shape[1]
+        nodes = col.n_az * col.radii.size * col.expansion.shape[1]
         monkeypatch.setattr(convolution, "_BLOCK_NODES", -(-nodes // 2))
         assert len(col.blocks()) == 2
 
@@ -1052,7 +1057,7 @@ class TestHeldProducts:
         # pair_profile keys the products of held modes, and of a column's
         # node values at every node count, unordered: an odd column's 2 n_c
         # nodes pair crosswise as an even one's do
-        n_t, n_r, _ = exact_sizes(4, 16)
+        n_t, n_r, _ = exact_sizes(4)
         col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
         f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
         p = parity_signs(4)
@@ -1148,6 +1153,10 @@ class TestChordForm:
         for g, expect in zip(gs, batch):
             single = h_direct(g, grid)
             assert abs(single - expect) <= 1e-12 * abs(expect)
+
+    def test_many_of_no_functions_is_empty(self):
+        out = h_direct_many([], build_sphere_grid(3))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_spectral_route_constant(self, lam8):
         c = np.zeros(81)

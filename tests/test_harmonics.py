@@ -242,6 +242,17 @@ class TestHarmonicCoeffs:
         with pytest.raises(ValueError):
             HarmonicCoeffs(3, np.zeros(15))
 
+    @pytest.mark.parametrize("degree", [-1, 2.5, 2.0])
+    def test_degree_that_is_not_a_nonnegative_integer_rejected(self, degree):
+        with pytest.raises(ValueError, match=f"max_degree must be a nonnegative integer, "
+                                             f"got {degree!r}"):
+            HarmonicCoeffs(degree, np.zeros(9))
+
+    @pytest.mark.parametrize("L", [-1, 2.5])
+    def test_random_band_limited_rejects_a_degree_that_is_not_a_nonnegative_integer(self, L):
+        with pytest.raises(ValueError, match=f"L must be a nonnegative integer, got {L!r}"):
+            random_band_limited(L, np.random.default_rng(11))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

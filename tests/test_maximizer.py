@@ -9,6 +9,7 @@ from sharpsphere import (
     SHARP_CONSTANT,
     HarmonicCoeffs,
     SphereFunction,
+    VerifyConfig,
     constancy_metric,
     exact_sizes,
     gradient,
@@ -17,6 +18,7 @@ from sharpsphere import (
     n_coeffs,
     objective_phi,
     quadrilinear_q,
+    random_band_limited,
     search,
 )
 from sharpsphere import convolution, maximizer
@@ -97,6 +99,13 @@ class TestObjective:
         c[3] = 0.2j
         with pytest.raises(ValueError):
             objective_phi(HarmonicCoeffs(8, c), ws8)
+
+    def test_complex_typed_real_coeffs_are_the_real_array(self, ws8):
+        # complex dtype with zero imaginary parts is read as the real array
+        real = random_band_limited(8, np.random.default_rng(62))
+        typed = HarmonicCoeffs(8, real.coeffs.astype(complex))
+        assert objective_phi(typed, ws8) == objective_phi(real, ws8)
+        assert np.array_equal(gradient(typed, ws8), gradient(real, ws8))
 
     def test_band_limit_mismatch_rejected(self, ws8):
         with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
@@ -349,13 +358,20 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             Workspace(-1)
 
+    def test_non_integer_band_limit_rejected(self):
+        with pytest.raises(ValueError, match="L must be a nonnegative integer, got 2.5"):
+            Workspace(2.5)
+
     @pytest.mark.parametrize("L", [4, 8])
     def test_sizes_follow_the_exact_plan(self, L):
+        # the grid sizes verify defaults to at the same band limit
         ws = make_workspace(L)
-        n_t, n_r, n_c = exact_sizes(L, 2 * L)
+        n_t, n_r, n_c = exact_sizes(L)
         assert ws.grids.ball.directions.exactness_degree == 2 * n_t - 1
         assert ws.grids.ball.radial_nodes.size == n_r
         assert ws.grids.n_c == n_c
+        cfg = VerifyConfig(degree=L)
+        assert (cfg.n_t, cfg.n_r, cfg.n_c) == (n_t, n_r, n_c)
 
     def test_accepted_steps_reuse_the_line_search_forward_pass(self, forward_calls):
         ws = Workspace(4)

@@ -215,21 +215,37 @@ class TestBallGrid:
 
 
 class TestExactSizes:
-    @pytest.mark.parametrize("L, slice_degree, sizes", [
-        (0, 0, (1, 2, 2)),
-        (4, 8, (9, 10, 10)),
-        (4, 16, (9, 10, 18)),
-        (8, 16, (17, 18, 18)),
-        (8, 32, (17, 18, 34)),
+    @pytest.mark.parametrize("L, sizes", [
+        (0, (1, 2, 2)),
+        (4, (9, 10, 18)),
+        (8, (17, 18, 34)),
     ])
-    def test_plan_values(self, L, slice_degree, sizes):
-        assert exact_sizes(L, slice_degree) == sizes
-
-    def test_odd_slice_degree_rounds_up_to_even(self):
-        assert exact_sizes(4, 17) == (9, 10, 18)
+    def test_plan_values(self, L, sizes):
+        assert exact_sizes(L) == sizes
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            exact_sizes(-1, 0)
-        with pytest.raises(ValueError):
-            exact_sizes(2, -1)
+            exact_sizes(-1)
+
+
+class TestSizesAreIntegers:
+    # a size that is not a positive integer, or a degree that is not a
+    # nonnegative integer, raises ValueError naming the value
+    @pytest.mark.parametrize("n", [2.5, 0, -3, "4"])
+    def test_sphere_grid(self, n):
+        with pytest.raises(ValueError, match=f"n_t must be a positive integer, got {n!r}"):
+            build_sphere_grid(n)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, None])
+    def test_ball_grid(self, n):
+        with pytest.raises(ValueError, match=f"n_r must be a positive integer, got {n!r}"):
+            build_ball_grid(n, build_sphere_grid(2))
+
+    @pytest.mark.parametrize("L", [2.5, 4.0])
+    def test_exact_sizes(self, L):
+        with pytest.raises(ValueError, match=f"L must be a nonnegative integer, got {L!r}"):
+            exact_sizes(L)
+
+    def test_numpy_integers_are_sizes(self):
+        assert exact_sizes(np.int64(4)) == exact_sizes(4)
+        assert build_sphere_grid(np.int32(3)).n_nodes == 18

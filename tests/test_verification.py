@@ -142,7 +142,7 @@ class TestReportSerialization:
     @pytest.mark.parametrize("L", [0, 4, 8])
     def test_grid_sizes_follow_the_exact_plan(self, L):
         cfg = VerifyConfig(degree=L)
-        n_t, n_r, n_c = exact_sizes(L, 4 * L)
+        n_t, n_r, n_c = exact_sizes(L)
         assert (cfg.n_t, cfg.n_c, cfg.n_r) == (n_t, n_c, n_r)
 
     def test_explicit_sizes_override_the_plan(self):
