@@ -12,11 +12,12 @@ form, and shows the two identities that hang off it: the L2 norm
 import numpy as np
 
 from sharpsphere import (
+    FormGrids,
     SphereFunction,
     build_ball_grid,
     build_sphere_grid,
-    conv_l2_norm,
     conv_profile,
+    convolve_many,
     extension_at,
 )
 
@@ -36,11 +37,11 @@ def main():
               f"{abs(v - closed) / closed:9.2e}")
 
     print("\nbeyond the support the convolution vanishes identically:")
-    from sharpsphere import convolve_at
-    print(f"  value at |x| = 2.3: {convolve_at(one, one, (0, 0, 2.3), 16)!r}")
+    outside = convolve_many(one, one, (0, 0, 2.3), 16)[0]
+    print(f"  value at |x| = 2.3: {outside.real}")
 
     ball = build_ball_grid(48, build_sphere_grid(32))
-    norm_sq = conv_l2_norm(one, one, ball, 64) ** 2
+    norm_sq = FormGrids(ball, 64).conv_l2_norm(one, one) ** 2
     print(f"\n||sigma * sigma||_2^2 = {norm_sq:.10f}")
     print(f"32 pi^3               = {32 * PI**3:.10f}")
     print(f"relative error        = {abs(norm_sq - 32 * PI**3) / (32 * PI**3):.2e}")

@@ -14,7 +14,7 @@ rewritten through binary convolutions. The script checks structured corners
 
 import numpy as np
 
-from sharpsphere import GammaSample, four_identity, four_identity_many, gamma_samples
+from sharpsphere import GammaSample, four_identity_many, gamma_samples
 
 TETRAHEDRON = np.array([
     [1.0, 1.0, 1.0],
@@ -25,11 +25,11 @@ TETRAHEDRON = np.array([
 
 
 def main():
-    print("regular tetrahedron:", four_identity(GammaSample(TETRAHEDRON)))
+    print("regular tetrahedron:", four_identity_many(GammaSample(TETRAHEDRON).omegas)[0])
 
     e, v = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
     pairs = np.stack([e, -e, v, -v])
-    print("two antipodal pairs:", four_identity(GammaSample(pairs)))
+    print("two antipodal pairs:", four_identity_many(GammaSample(pairs).omegas)[0])
 
     rng = np.random.default_rng(2718)
     for n in (100, 10_000, 1_000_000):

@@ -5,7 +5,7 @@ The convolution of two measures f*sigma and g*sigma is a function on the ball
 where the unit spheres centered at 0 and at x intersect, times 1/|x|. All
 L4-norm computations route through this fact (Plancherel) instead of sampling
 the oscillatory extension on a 3D grid; the norms themselves are forms.Q on
-the ball route (forms.conv_l2_norm, forms.l4_norm).
+the ball route (forms.FormGrids.conv_l2_norm and .l4_norm).
 
 On the slice at x a band-limited f of degree L is a trigonometric polynomial
 of degree L in the slice angle psi, and the partner x - p of the node at psi
@@ -14,8 +14,10 @@ which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
 band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
 every n_c. Node values, at each slice's nodes p_j and their partners (n_c
 nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
-no band limit: sharp rearrangements, |.|^p of odd p and literal callables;
-convolve_many reads f and g at those nodes, and pair_slice_average is literal.
+no band limit: sharp rearrangements, |.|^p of odd p and literal callables.
+Pointwise values of f sigma * g sigma come two ways: convolve_many reads f
+and g at those nodes through one SlicePlan, and pair_slice_average of the
+kernel f tensor g is the literal route it is checked against.
 """
 
 import math
@@ -32,7 +34,6 @@ __all__ = [
     "SliceColumn",
     "SlicePlan",
     "SplitValues",
-    "convolve_at",
     "convolve_many",
     "pair_profile",
     "pair_slice_average",
@@ -630,8 +631,13 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     The pair-measure profile of a kernel F(omega, nu): for F = f tensor g
     this is the convolution of f sigma and g sigma at x. This is the literal
     route (partner points x - p, generic evaluator) that the table routes are
-    cross-checked against, on slice_point_table's nodes. The result is real
-    when F's values are; non-finite centres or values raise ValueError.
+    cross-checked against, on slice_point_table's nodes. Exact (up to
+    rounding) whenever F(omega(phi), x - omega(phi)) is a trigonometric
+    polynomial of degree < N in the slice angle, N = n_c or, at odd n_c,
+    2 n_c, which holds with degree 2L for f tensor g of band-limited f, g of
+    degree L. The result is real when F's values are. A centre at 0 raises
+    DegenerateSliceError, one beyond |x| = 2 EmptyIntersectionError, and
+    non-finite centres or values ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
     parts = [np.zeros(0)]
@@ -662,22 +668,6 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
         a, b = plan.at(pts)
         out[sel] = pair_profile(a, b, rr)
     return out
-
-
-def convolve_at(f: SphereFunction, g: SphereFunction, x, n_c: int):
-    """(f sigma * g sigma)(x) by the trapezoid rule on the slice at x.
-
-    Exact (up to rounding) whenever f(omega(phi)) g(x - omega(phi)) is a
-    trigonometric polynomial of degree < N in the slice angle, N = n_c or,
-    at odd n_c, 2 n_c (pair_slice_average), which holds with degree 2L for
-    band-limited f, g of degree L. Real for real f and g.
-    Returns exactly 0 for |x| > 2; x = 0 is rejected, the convolution density
-    diverges there, and so is a non-finite x.
-    """
-    x = _finite(x, "convolution centre").reshape(3)
-    if np.linalg.norm(x) > 2.0:
-        return 0.0
-    return pair_slice_average(lambda p, q: f(p) * g(q), x[None], n_c)[0]   # raises at x = 0
 
 
 class ConvProfile:

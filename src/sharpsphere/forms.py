@@ -7,13 +7,14 @@ that ball. The quadrilinear form Q and bilinear form B are evaluated by that
 factorization; an independent outer route, a double sphere integral,
 cross-checks it, since the factorized route is the one every headline number
 depends on. The Plancherel norms are Q too: ||f sigma * g sigma||_2^2 is
-Q(f, g, f_star, g_star) (conv_l2_norm, l4_norm).
+Q(f, g, f_star, g_star) (FormGrids.conv_l2_norm, FormGrids.l4_norm).
 
 H(g), the chord-kernel quadratic functional, gets the same dual treatment:
-a direct double quadrature versus the diagonal form 2*pi*sum_k Lambda_k *
-(degree-k energy) in harmonic coefficients. Both double integrals run on one
-polar ring about each outer node, with t = 1 - 2u^2, where the chord is 2u
-(see _polar_ring): exact for band-limited input, and free of Lambda_k.
+a direct double quadrature (h_direct_many) versus the diagonal form
+2*pi*sum_k Lambda_k * (degree-k energy) in harmonic coefficients
+(h_spectral). Both double integrals run on one polar ring about each outer
+node, with t = 1 - 2u^2, where the chord is 2u (see _polar_ring): exact for
+band-limited input, and free of Lambda_k.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .convolution import SliceColumn, SlicePlan, pair_profile, pair_slice_averag
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
 from .quadrature import (BallGrid, SphereGrid, _require_int, build_ball_grid,
-                         build_sphere_grid, circle_frames, integrate_sphere)
+                         build_sphere_grid, circle_frames)
 
 __all__ = [
     "GammaSample",
@@ -34,16 +35,10 @@ __all__ = [
     "default_form_grids",
     "quadrilinear_q",
     "bilinear_b",
-    "conv_l2_norm",
-    "l4_norm",
-    "gamma_sample",
     "gamma_samples",
-    "four_identity",
     "four_identity_many",
-    "h_direct",
     "h_direct_many",
     "h_spectral",
-    "mean_value",
 ]
 
 # Polar ring nodes per block of outer nodes; bounds the harmonic table and
@@ -99,24 +94,18 @@ def gamma_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([w1, w2, w3, w4], axis=1)
 
 
-def gamma_sample(rng: np.random.Generator) -> GammaSample:
-    """One random zero-sum quadruple."""
-    return GammaSample(gamma_samples(rng, 1)[0])
-
-
 def four_identity_many(omegas: np.ndarray) -> np.ndarray:
-    """Sum of the three pairing products |w_i + w_j| |w_k + w_l|, batched."""
+    """|w1+w2||w3+w4| + |w1+w3||w2+w4| + |w1+w4||w2+w3| per quadruple, batched.
+
+    Equals 4 on zero-sum quadruples (GammaSample.omegas, gamma_samples); a
+    single (4, 3) quadruple gives an array of one value.
+    """
     om = np.asarray(omegas, dtype=float)
     if om.ndim == 2:
         om = om[None]
     def pn(i, j):
         return np.linalg.norm(om[:, i] + om[:, j], axis=1)
     return pn(0, 1) * pn(2, 3) + pn(0, 2) * pn(1, 3) + pn(0, 3) * pn(1, 2)
-
-
-def four_identity(sample: GammaSample) -> float:
-    """|w1+w2||w3+w4| + |w1+w3||w2+w4| + |w1+w4||w2+w3|; equals 4 on zero-sum quadruples."""
-    return float(four_identity_many(sample.omegas)[0])
 
 
 class PairKernel:
@@ -380,35 +369,9 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     return total
 
 
-def conv_l2_norm(f, g, ball: BallGrid, n_c: int) -> float:
-    """L2(R^3) norm of f sigma * g sigma on FormGrids(ball, n_c); see
-    FormGrids.conv_l2_norm. Non-finite values raise ValueError."""
-    return FormGrids(ball, n_c).conv_l2_norm(f, g)
-
-
-def l4_norm(f, ball: BallGrid, n_c: int) -> float:
-    """L4(R^3) norm of the extension of f on FormGrids(ball, n_c); see
-    FormGrids.l4_norm. Non-finite values raise ValueError."""
-    return FormGrids(ball, n_c).l4_norm(f)
-
-
-def mean_value(g, grid: SphereGrid):
-    """Mean of g over the sphere: integral divided by 4*pi."""
-    return integrate_sphere(grid, g) / (4.0 * np.pi)
-
-
-def h_direct(g, grid: SphereGrid):
-    """H(g) = double integral of conj(g(omega)) g(nu) |omega - nu| by quadrature.
-
-    Exact to rounding for g of degree <= n_t - 1 on a grid with n_t polar
-    nodes (see h_direct_many). Result is real up to rounding for any g
-    (Hermitian kernel).
-    """
-    return h_direct_many([g], grid)[0]
-
-
 def h_direct_many(gs, grid: SphereGrid):
-    """h_direct for several functions, by polar quadrature about each outer node.
+    """H(g) for each g in gs, the double integral of conj(g(omega)) g(nu)
+    |omega - nu|, by polar quadrature about each outer node.
 
     On the polar ring about omega (see _polar_ring) the chord is
     |omega - nu| = 2u and d sigma(nu) = 4u du dphi, so the inner integrand is
@@ -416,8 +379,10 @@ def h_direct_many(gs, grid: SphereGrid):
     uniform phi-rule with n_t nodes averages g exactly to a polynomial of
     degree L in t, Gauss-Legendre with n_t + 1 nodes in u integrates the
     resulting degree 2L + 2 polynomial, and the outer grid integrates the
-    degree-2L product with conj(g). Non-finite values raise ValueError
-    (SlicePlan.at). No functions give an empty array.
+    degree-2L product with conj(g). So H is exact to rounding for g of
+    degree <= n_t - 1, and real up to rounding for any g (Hermitian kernel).
+    Non-finite values raise ValueError (SlicePlan.at). No functions give an
+    empty array.
     """
     if not len(gs):
         return np.zeros(0)

@@ -17,10 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import _require_int
+
 __all__ = [
-    "LegendreTable",
     "FunkHeckeSpectrum",
-    "legendre_eval",
     "legendre_values",
     "recurrence_residuals",
     "a_coefficient",
@@ -31,16 +31,6 @@ __all__ = [
 ]
 
 CHORD_KERNEL_ID = "chord"
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """P_0(t) ... P_K(t), and optionally P'_0(t) ... P'_K(t), at one point t."""
-
-    max_degree: int
-    t: float
-    values: np.ndarray
-    derivatives: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,11 @@ class FunkHeckeSpectrum:
 
 
 def legendre_values(K: int, t: np.ndarray) -> np.ndarray:
-    """Bonnet recursion, vectorized: values[k, ...] = P_k(t) for k = 0..K."""
+    """Bonnet recursion, vectorized: values[k, ...] = P_k(t) for k = 0..K.
+
+    Upward recursion is stable on [-1, 1] because |P_k| <= 1 there.
+    """
+    _require_int(K, "K", 0)
     t = np.asarray(t, dtype=float)
     values = np.empty((K + 1,) + t.shape)
     values[0] = 1.0
@@ -83,22 +77,6 @@ def _derivative_values(K: int, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     return d
 
 
-def legendre_eval(K: int, t: float, with_derivatives: bool = False) -> LegendreTable:
-    """Evaluate P_0..P_K at a scalar t in [-1, 1] by upward Bonnet recursion.
-
-    Upward recursion is stable on [-1, 1] because |P_k| <= 1 there. With
-    with_derivatives set, P'_k is carried alongside in increasing k.
-    """
-    if K < 0:
-        raise ValueError(f"max degree must be nonnegative, got {K}")
-    t = float(t)
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [-1, 1], got {t}")
-    p = legendre_values(K, t)
-    d = _derivative_values(K, t, p) if with_derivatives else None
-    return LegendreTable(max_degree=K, t=t, values=p, derivatives=d)
-
-
 def recurrence_residuals(K: int, t: float) -> tuple[float, float, float]:
     """Max residuals over k = 1..K of three derivative recurrences.
 
@@ -108,10 +86,14 @@ def recurrence_residuals(K: int, t: float) -> tuple[float, float, float]:
             P_k = P'_{k+1} - 2t P'_k + P'_{k-1}
 
     The table is extended internally to degree K+1 so that all three are
-    evaluable at k = K.
+    evaluable at k = K. K is a positive integer and t lies in [-1, 1].
     """
-    table = legendre_eval(K + 1, t, with_derivatives=True)
-    p, d = table.values, table.derivatives
+    _require_int(K, "K")
+    t = float(t)
+    if not -1.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [-1, 1], got {t}")
+    p = legendre_values(K + 1, t)
+    d = _derivative_values(K + 1, t, p)
     k = np.arange(1, K + 1)
     r0 = (2 * k + 1) * p[k] - (d[k + 1] - d[k - 1])
     r1 = (2 * k + 1) * p[k] - ((k + 1) * d[k + 1] - (2 * k + 1) * t * d[k] + k * d[k - 1])
@@ -125,8 +107,7 @@ def recurrence_residuals(K: int, t: float) -> tuple[float, float, float]:
 
 def a_coefficient(k: int) -> float:
     """A_k = 2/(2k+1), the Legendre coefficient of 1/|omega - nu| = (2-2t)^(-1/2)."""
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
+    _require_int(k, "k", 0)
     return 2.0 / (2 * k + 1)
 
 
@@ -137,8 +118,7 @@ def lambda_closed_form(K: int) -> FunkHeckeSpectrum:
     Lambda_k = -8/((2k-1)(2k+1)(2k+3)); Lambda_0 = 8/3 and Lambda_k < 0 for
     k >= 1.
     """
-    if K < 0:
-        raise ValueError(f"max degree must be nonnegative, got {K}")
+    _require_int(K, "K", 0)
     k = np.arange(K + 1, dtype=float)
     lam = -8.0 / ((2 * k - 1) * (2 * k + 1) * (2 * k + 3))
     return FunkHeckeSpectrum(kernel_id=CHORD_KERNEL_ID, multipliers=lam)
@@ -166,8 +146,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _weighted_kernel(kernel: Callable, K: int, n_quad: int,
                      sqrt_singular_at_one: bool) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights w * kernel(t) of the rule for degrees 0..K."""
-    if K < 0:
-        raise ValueError(f"degree must be nonnegative, got {K}")
+    _require_int(K, "degree", 0)
+    _require_int(n_quad, "n_quad")
     if n_quad < K + 1:
         raise ValueError(f"n_quad must be at least k+1 = {K + 1}, got {n_quad}")
     t, w = _gauss_legendre(n_quad)

@@ -22,12 +22,13 @@ import numpy as np
 from .convolution import SlicePlan, _mode_weights, pair_profile
 from .forms import default_form_grids
 from .harmonics import HarmonicCoeffs, SphereFunction, _degree_index, n_coeffs, parity_signs
-from .quadrature import exact_sizes
+from .quadrature import _require_int, exact_sizes
 
 __all__ = [
     "OptimizerState",
     "SearchResult",
     "Workspace",
+    "SHARP_CONSTANT",
     "make_workspace",
     "objective_phi",
     "gradient",
@@ -216,8 +217,9 @@ def initial_coeffs(kind: str, L: int, rng: np.random.Generator) -> HarmonicCoeff
     at Phi = 2 pi - 0.2667508 that captures roughly half of mean-starved
     normal draws. With the balanced mean, 40/40 seeded sweeps reached the
     constant; with the constant slot shrunk to a quarter of the remainder,
-    13/40 were trapped.
+    13/40 were trapped. L is a nonnegative integer.
     """
+    _require_int(L, "L", 0)
     c = np.zeros(n_coeffs(L))
     if kind == "random":
         c = rng.standard_normal(n_coeffs(L))

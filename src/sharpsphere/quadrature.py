@@ -12,6 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "SphereGrid",
+    "BallGrid",
+    "DegenerateSliceError",
+    "EmptyIntersectionError",
+    "build_sphere_grid",
+    "integrate_sphere",
+    "circle_frames",
+    "build_ball_grid",
+    "integrate_ball",
+    "exact_sizes",
+]
+
 
 def _require_int(value, name: str, low: int = 1):
     # ValueError naming value unless it is an integer >= low (1: a size, 0: a degree)

@@ -221,7 +221,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
     h_grid = build_sphere_grid(L + 1)
     suite.start()
     suite.check("H_of_one", 64.0 * np.pi ** 2 / 3.0,
-                np.real(forms.h_direct(one, h_grid)), 1e-6, "rel")
+                np.real(forms.h_direct_many([one], h_grid)[0]), 1e-6, "rel")
 
     viol = 0.0
     for g in bounded:

@@ -10,33 +10,31 @@ import numpy as np
 
 from sharpsphere import (
     SHARP_CONSTANT,
+    FormGrids,
     HarmonicCoeffs,
     PairKernel,
     SphereFunction,
     analyze,
     bilinear_b,
     build_sphere_grid,
-    conv_l2_norm,
-    convolve_at,
     convolve_many,
     four_identity_many,
     gamma_samples,
     gradient,
-    h_direct,
+    h_direct_many,
     h_spectral,
     initial_coeffs,
-    l4_norm,
     lambda_closed_form,
     legendre_values,
     make_workspace,
     objective_phi,
+    pair_slice_average,
     quadrilinear_q,
     random_band_limited,
     recurrence_residuals,
     search,
     weighted_pair_kernel,
 )
-from sharpsphere.forms import h_direct_many
 from sharpsphere.legendre import chord_spectrum_quadrature
 
 from helpers import ball_points
@@ -48,25 +46,25 @@ ONE = SphereFunction.constant(1.0)
 def test_criterion_01_sigma_convolution_closed_form():
     t0 = time.perf_counter()
     x = ball_points(np.random.default_rng(1), 1000, r_min=1e-6, r_max=2.0)
-    for xi in x:
-        val = convolve_at(ONE, ONE, xi, 16)
-        closed = 2 * PI / np.linalg.norm(xi)
-        assert abs(val - closed) <= 1e-12 * closed
+    vals = pair_slice_average(PairKernel.tensor(ONE, ONE), x, 16)
+    closed = 2 * PI / np.linalg.norm(x, axis=1)
+    assert np.all(np.abs(vals - closed) <= 1e-12 * closed)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_02_sigma_convolution_norm(ball_default):
     t0 = time.perf_counter()
-    norm_sq = conv_l2_norm(ONE, ONE, ball_default, 64) ** 2
+    norm_sq = FormGrids(ball_default, 64).conv_l2_norm(ONE, ONE) ** 2
     assert abs(norm_sq - 32 * PI**3) <= 1e-8 * 32 * PI**3
     assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_03_sharp_ratio_and_modulation(ball_default):
-    phi_const = l4_norm(ONE, ball_default, 64) / np.sqrt(4 * PI)
+    grids = FormGrids(ball_default, 64)
+    phi_const = grids.l4_norm(ONE) / np.sqrt(4 * PI)
     assert abs(phi_const - 2 * PI) <= 1e-8 * 2 * PI
     wave = SphereFunction.plane_wave([0.0, 0.0, 1.0])
-    phi_wave = l4_norm(wave, ball_default, 64) / np.sqrt(4 * PI)
+    phi_wave = grids.l4_norm(wave) / np.sqrt(4 * PI)
     assert abs(phi_wave - 2 * PI) <= 1e-8 * 2 * PI
     assert abs(phi_wave - phi_const) <= 1e-8 * 2 * PI
 
@@ -79,7 +77,7 @@ def test_criterion_04_chord_multipliers():
 
 
 def test_criterion_05_chord_form_routes():
-    h1 = float(np.real(h_direct(ONE, build_sphere_grid(1))))
+    h1 = float(np.real(h_direct_many([ONE], build_sphere_grid(1))[0]))
     expected = 64 * PI**2 / 3
     assert abs(h1 - expected) <= 1e-6 * expected
 

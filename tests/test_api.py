@@ -24,3 +24,10 @@ def test_module_names_resolve_and_are_reexported(module):
     assert not [name for name in mod.__all__
                 if getattr(sharpsphere, name, None) is not getattr(mod, name)
                 or name not in sharpsphere.__all__]
+
+
+def test_package_list_is_the_concatenation_of_the_module_lists():
+    # each public name is listed once, in its own module
+    lists = {m: importlib.import_module(f"sharpsphere.{m}").__all__ for m in MODULES}
+    order = sorted(MODULES, key=lambda m: sharpsphere.__all__.index(lists[m][0]))
+    assert sharpsphere.__all__ == [name for m in order for name in lists[m]]

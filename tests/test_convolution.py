@@ -14,14 +14,11 @@ from sharpsphere import (
     SplitValues,
     build_ball_grid,
     build_sphere_grid,
-    conv_l2_norm,
     conv_profile,
-    convolve_at,
     convolve_many,
     exact_sizes,
     extension_at,
     harmonic_values,
-    l4_norm,
     pair_profile,
     pair_slice_average,
     random_band_limited,
@@ -36,55 +33,57 @@ ONE = SphereFunction.constant(1.0)
 
 
 class TestConvolveAt:
+    """The literal one-point route: pair_slice_average of PairKernel.tensor(f, g)."""
+
     def test_closed_form_on_random_points(self):
         xs = ball_points(np.random.default_rng(0), 200)
-        for x in xs:
-            r = np.linalg.norm(x)
-            val = convolve_at(ONE, ONE, x, 16)
-            assert abs(val - 2 * PI / r) <= 1e-12 * (2 * PI / r)
+        r = np.linalg.norm(xs, axis=1)
+        vals = pair_slice_average(PairKernel.tensor(ONE, ONE), xs, 16)
+        assert np.all(np.abs(vals - 2 * PI / r) <= 1e-12 * (2 * PI / r))
 
     def test_unit_and_boundary_radii(self):
-        assert abs(convolve_at(ONE, ONE, np.array([0.0, 1.0, 0.0]), 8) - 2 * PI) <= 1e-12 * 2 * PI
-        assert abs(convolve_at(ONE, ONE, np.array([0.0, 0.0, 2.0]), 8) - PI) <= 1e-12 * PI
+        xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        unit, boundary = pair_slice_average(PairKernel.tensor(ONE, ONE), xs, 8)
+        assert abs(unit - 2 * PI) <= 1e-12 * 2 * PI
+        assert abs(boundary - PI) <= 1e-12 * PI
 
     def test_modulation_multiplies_phase(self):
         xi = np.array([0.7, -0.3, 1.1])
         f = SphereFunction.plane_wave(xi)
         g = f.antipodal_conjugate()
         xs = ball_points(np.random.default_rng(1), 50)
-        for x in xs:
-            r = np.linalg.norm(x)
-            expect = np.exp(1j * (xi @ x)) * 2 * PI / r
-            assert abs(convolve_at(f, g, x, 48) - expect) <= 1e-12 * abs(expect)
+        expect = np.exp(1j * (xs @ xi)) * 2 * PI / np.linalg.norm(xs, axis=1)
+        vals = pair_slice_average(PairKernel.tensor(f, g), xs, 48)
+        assert np.all(np.abs(vals - expect) <= 1e-12 * np.abs(expect))
 
     def test_origin_rejected(self):
         with pytest.raises(DegenerateSliceError):
-            convolve_at(ONE, ONE, np.zeros(3), 8)
+            pair_slice_average(PairKernel.tensor(ONE, ONE), np.zeros((1, 3)), 8)
 
     def test_real_inputs_give_a_real_value(self):
         f = rand_fn(4, 14)
-        val = convolve_at(f, f.sharp_rearrangement(), np.array([0.3, -0.2, 0.9]), 16)
+        x = np.array([[0.3, -0.2, 0.9]])
+        val = pair_slice_average(PairKernel.tensor(f, f.sharp_rearrangement()), x, 16)[0]
         assert np.isrealobj(val) and np.ndim(val) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_centre_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            convolve_at(ONE, ONE, [bad, 0.0, 0.5], 16)
+            convolve_many(ONE, ONE, [bad, 0.0, 0.5], 16)
         with pytest.raises(ValueError, match="finite"):
             pair_slice_average(lambda p, q: np.ones(len(p)), np.array([[bad, 0.0, 0.5]]), 16)
 
     def test_outside_support_is_exactly_zero(self):
-        assert convolve_at(ONE, ONE, np.array([0.0, 0.0, 2.0001]), 8) == 0.0
-        assert convolve_at(ONE, ONE, np.array([3.0, 1.0, 0.0]), 8) == 0.0
+        vals = convolve_many(ONE, ONE, np.array([[0.0, 0.0, 2.0001], [3.0, 1.0, 0.0]]), 8)
+        assert np.all(vals == 0.0)
 
     def test_hermitian_symmetry_of_star_pairing(self):
         f = rand_fn(6, 2, complex_valued=True)
         g = f.antipodal_conjugate()
         xs = ball_points(np.random.default_rng(3), 40)
-        for x in xs:
-            a = convolve_at(f, g, x, 32)
-            b = convolve_at(f, g, -x, 32)
-            assert abs(b - np.conj(a)) <= 1e-12 * max(abs(a), 1.0)
+        a = pair_slice_average(PairKernel.tensor(f, g), xs, 32)
+        b = pair_slice_average(PairKernel.tensor(f, g), -xs, 32)
+        assert np.all(np.abs(b - np.conj(a)) <= 1e-12 * np.maximum(np.abs(a), 1.0))
 
     def test_pointwise_symmetrization_bound(self):
         f = rand_fn(6, 4, complex_valued=True)
@@ -117,8 +116,9 @@ class TestConvolveMany:
         f, g = _pair(case)
         xs = ball_points(np.random.default_rng(8), 25)
         batch = convolve_many(f, g, xs, 18)
-        for x, expect in zip(xs, batch):
-            assert abs(convolve_at(f, g, x, 18) - expect) <= 1e-13 * max(abs(expect), 1.0)
+        scalar = [pair_slice_average(PairKernel.tensor(f, g), x[None], 18)[0] for x in xs]
+        for value, expect in zip(scalar, batch):
+            assert abs(value - expect) <= 1e-13 * max(abs(expect), 1.0)
 
     def test_even_and_odd_angle_counts_agree(self):
         # even counts pair each angle with its opposite; odd counts pair on
@@ -302,12 +302,12 @@ class TestConvProfile:
 
 class TestConvL2Norm:
     def test_flat_norm_closed_form(self, ball_default):
-        val = conv_l2_norm(ONE, ONE, ball_default, 64)
+        val = FormGrids(ball_default, 64).conv_l2_norm(ONE, ONE)
         assert abs(val - np.sqrt(32 * PI ** 3)) <= 1e-10 * np.sqrt(32 * PI ** 3)
 
     def test_modulation_invariance(self, ball_default):
         f = SphereFunction.plane_wave(np.array([0.3, 0.5, -0.2]))
-        val = conv_l2_norm(f, f.antipodal_conjugate(), ball_default, 64)
+        val = FormGrids(ball_default, 64).conv_l2_norm(f, f.antipodal_conjugate())
         assert abs(val - np.sqrt(32 * PI ** 3)) <= 1e-10 * np.sqrt(32 * PI ** 3)
 
     def test_literal_conjugate_pair_is_evaluated_for_two_functions(self):
@@ -334,7 +334,7 @@ class TestConvL2Norm:
 
     def test_zero_function(self, ball_default):
         zero = SphereFunction.constant(0.0)
-        assert conv_l2_norm(zero, zero, ball_default, 16) == 0.0
+        assert FormGrids(ball_default, 16).conv_l2_norm(zero, zero) == 0.0
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_square_is_the_ball_sum_of_the_squared_convolution(self, complex_valued):
@@ -342,16 +342,16 @@ class TestConvL2Norm:
         n_t, n_r, n_c = exact_sizes(4)
         ball = build_ball_grid(n_r, build_sphere_grid(n_t))
         literal = np.sum(ball.weights() * np.abs(convolve_many(f, g, ball.points(), n_c)) ** 2)
-        assert abs(conv_l2_norm(f, g, ball, n_c) ** 2 - literal) <= 1e-14 * literal
+        assert abs(FormGrids(ball, n_c).conv_l2_norm(f, g) ** 2 - literal) <= 1e-14 * literal
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_are_rejected(self, bad):
         f = SphereFunction(lambda p: np.full(len(p), bad))
         ball = build_ball_grid(2, build_sphere_grid(2))
         with pytest.raises(ValueError):
-            conv_l2_norm(f, ONE, ball, 4)
+            FormGrids(ball, 4).conv_l2_norm(f, ONE)
         with pytest.raises(ValueError):
-            l4_norm(f, ball, 4)
+            FormGrids(ball, 4).l4_norm(f)
 
 
 class TestExtension:
@@ -377,22 +377,22 @@ class TestExtension:
 
 class TestL4Norm:
     def test_flat_l4_closed_form(self, ball_default):
-        val = l4_norm(ONE, ball_default, 64)
+        val = FormGrids(ball_default, 64).l4_norm(ONE)
         assert abs(val - 4 * PI ** 1.5) <= 1e-10 * 4 * PI ** 1.5
 
     def test_plane_wave_matches_flat(self, ball_default):
         f = SphereFunction.plane_wave(np.array([0.0, 1.0, 0.0]))
-        val = l4_norm(f, ball_default, 64)
+        val = FormGrids(ball_default, 64).l4_norm(f)
         assert abs(val - 4 * PI ** 1.5) <= 1e-10 * 4 * PI ** 1.5
 
     def test_zero_function(self, ball_default):
-        assert l4_norm(SphereFunction.constant(0.0), ball_default, 16) == 0.0
+        assert FormGrids(ball_default, 16).l4_norm(SphereFunction.constant(0.0)) == 0.0
 
     def test_stable_under_grid_refinement(self):
         f = rand_fn(8, 14)
-        coarse = l4_norm(f, build_ball_grid(24, build_sphere_grid(16)), 32)
+        coarse = FormGrids(build_ball_grid(24, build_sphere_grid(16)), 32).l4_norm(f)
         # at least as fine as the coarse side and exact_sizes(8) in every size
-        fine = l4_norm(f, build_ball_grid(26, build_sphere_grid(18)), 34)
+        fine = FormGrids(build_ball_grid(26, build_sphere_grid(18)), 34).l4_norm(f)
         assert abs(coarse - fine) <= 1e-6 * fine
 
 

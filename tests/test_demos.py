@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion in a fresh interpreter."""
+"""Smoke test: every narrative demo runs to completion in a fresh interpreter,
+with RuntimeWarnings raised as errors."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()

@@ -17,20 +17,16 @@ from sharpsphere import (
     build_ball_grid,
     build_basis,
     build_sphere_grid,
-    conv_l2_norm,
     conv_profile,
     convolve_many,
     default_form_grids,
     exact_sizes,
-    four_identity,
     four_identity_many,
-    gamma_sample,
     gamma_samples,
-    h_direct,
+    h_direct_many,
     h_spectral,
     integrate_sphere,
     lambda_closed_form,
-    mean_value,
     n_coeffs,
     pair_slice_average,
     quadrilinear_q,
@@ -38,7 +34,6 @@ from sharpsphere import (
     weighted_pair_kernel,
 )
 from sharpsphere import convolution, forms, legendre
-from sharpsphere.forms import h_direct_many
 from sharpsphere.harmonics import parity_signs
 from sharpsphere.legendre import FunkHeckeSpectrum
 
@@ -60,7 +55,7 @@ def exact_form_grids(L):
 
 class TestFourPointIdentity:
     def test_tetrahedron_vertices(self):
-        assert abs(four_identity(GammaSample(TETRAHEDRON)) - 4.0) <= 1e-14
+        assert abs(four_identity_many(GammaSample(TETRAHEDRON).omegas)[0] - 4.0) <= 1e-14
 
     def test_two_antipodal_pairs(self):
         # (e, -e, v, -v): one pairing vanishes, the other two give
@@ -68,7 +63,7 @@ class TestFourPointIdentity:
         rng = np.random.default_rng(0)
         e, v = unit_vectors(rng, 2)
         sample = GammaSample(np.array([e, -e, v, -v]))
-        assert abs(four_identity(sample) - 4.0) <= 1e-13
+        assert abs(four_identity_many(sample.omegas)[0] - 4.0) <= 1e-13
 
     def test_random_samples_stay_on_four(self):
         rng = np.random.default_rng(1)
@@ -85,9 +80,9 @@ class TestFourPointIdentity:
         assert np.abs(omegas.sum(axis=1)).max() <= 1e-12
 
     def test_single_sample_constructor(self):
-        sample = gamma_sample(np.random.default_rng(3))
+        sample = GammaSample(gamma_samples(np.random.default_rng(3), 1)[0])
         assert isinstance(sample, GammaSample)
-        assert abs(four_identity(sample) - 4.0) <= 1e-12
+        assert abs(four_identity_many(sample.omegas)[0] - 4.0) <= 1e-12
 
     def test_validation_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -150,7 +145,7 @@ class TestQuadrilinearForm:
         f = rand_fn(8, 12, complex_valued=True)
         fs = f.antipodal_conjugate()
         q = quadrilinear_q(f, fs, f, fs, exact_grids).real
-        norm = conv_l2_norm(f, fs, build_ball_grid(20, build_sphere_grid(17)), 40)
+        norm = forms.FormGrids(build_ball_grid(20, build_sphere_grid(17)), 40).conv_l2_norm(f, fs)
         assert abs(q - norm ** 2) <= 1e-6 * norm ** 2
 
     def test_symmetric_under_all_argument_permutations(self, exact_grids):
@@ -1118,32 +1113,33 @@ class TestHeldProducts:
 
 class TestMeanValue:
     def test_examples(self, grid17):
-        assert abs(mean_value(lambda p: np.ones(len(p)), grid17) - 1.0) <= 1e-14
-        assert abs(mean_value(lambda p: p[:, 2], grid17)) <= 1e-14
-        assert abs(mean_value(lambda p: 2.0 + p[:, 0], grid17) - 2.0) <= 1e-13
+        # the mean over the sphere: the integral over its area 4 pi
+        assert abs(integrate_sphere(grid17, lambda p: np.ones(len(p))) / (4 * PI) - 1.0) <= 1e-14
+        assert abs(integrate_sphere(grid17, lambda p: p[:, 2]) / (4 * PI)) <= 1e-14
+        assert abs(integrate_sphere(grid17, lambda p: 2.0 + p[:, 0]) / (4 * PI) - 2.0) <= 1e-13
 
 
 class TestChordForm:
     def test_flat_input_closed_form(self):
-        h = h_direct(ONE, build_sphere_grid(1))
+        h = h_direct_many([ONE], build_sphere_grid(1))[0]
         assert abs(h - 64 * PI ** 2 / 3) <= 1e-6 * 64 * PI ** 2 / 3
 
     def test_height_input_closed_form(self):
         # H picks up 2 pi Lambda_1 times the squared norm 4 pi / 3
         grid = build_sphere_grid(2)
-        h = h_direct(lambda p: p[:, 2], grid)
+        h = h_direct_many([lambda p: p[:, 2]], grid)[0]
         expect = 2 * PI * (-8.0 / 15.0) * (4 * PI / 3)
         assert abs(h - expect) <= 2e-6 * abs(expect)
 
     def test_quadratic_scaling(self):
         grid = build_sphere_grid(1)
-        h1 = h_direct(ONE, grid)
-        h3 = h_direct(SphereFunction.constant(-3.0), grid)
+        h1 = h_direct_many([ONE], grid)[0]
+        h3 = h_direct_many([SphereFunction.constant(-3.0)], grid)[0]
         assert abs(h3 - 9.0 * h1) <= 1e-12 * abs(h3)
 
     def test_hermitian_form_is_real(self):
         g = rand_fn(6, 30, complex_valued=True)
-        h = h_direct(g, build_sphere_grid(7))
+        h = h_direct_many([g], build_sphere_grid(7))[0]
         assert abs(np.imag(h)) <= 1e-12 * abs(np.real(h))
 
     def test_many_matches_single(self):
@@ -1151,7 +1147,7 @@ class TestChordForm:
         gs = [rand_fn(5, s, complex_valued=True) for s in (31, 32, 33)]
         batch = h_direct_many(gs, grid)
         for g, expect in zip(gs, batch):
-            single = h_direct(g, grid)
+            single = h_direct_many([g], grid)[0]
             assert abs(single - expect) <= 1e-12 * abs(expect)
 
     def test_many_of_no_functions_is_empty(self):
@@ -1175,7 +1171,7 @@ class TestChordForm:
 
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError):
-            h_direct(lambda p: np.full(len(p), np.nan), build_sphere_grid(3))
+            h_direct_many([lambda p: np.full(len(p), np.nan)], build_sphere_grid(3))
 
     def test_inf_between_outer_nodes_is_rejected(self):
         # finite on every outer node, infinite near the pole, which only the
@@ -1183,7 +1179,7 @@ class TestChordForm:
         grid = build_sphere_grid(3)
         assert np.max(grid.nodes[:, 2]) < 0.9
         with pytest.raises(ValueError):
-            h_direct(lambda p: np.where(p[:, 2] > 0.9, np.inf, 1.0), grid)
+            h_direct_many([lambda p: np.where(p[:, 2] > 0.9, np.inf, 1.0)], grid)
 
     def test_inf_at_an_outer_node_is_rejected(self):
         grid = build_sphere_grid(3)
@@ -1233,7 +1229,7 @@ class TestChordForm:
             rng = np.random.default_rng(seed)
             g1 = SphereFunction.from_coeffs(random_band_limited(6, rng, complex_valued=True))
             g2 = SphereFunction.from_coeffs(random_band_limited(6, rng, complex_valued=True))
-            lhs = abs(h_direct(g1, exact) - h_direct(g2, exact))
+            lhs = abs(h_direct_many([g1], exact)[0] - h_direct_many([g2], exact)[0])
             l1 = integrate_sphere(grid32, np.abs(g1(grid32.nodes)))
             l2 = integrate_sphere(grid32, np.abs(g2(grid32.nodes)))
             ld = integrate_sphere(grid32, np.abs(g1(grid32.nodes) - g2(grid32.nodes)))
@@ -1241,19 +1237,19 @@ class TestChordForm:
 
 
 class TestPolarChordRoute:
-    """h_direct on build_sphere_grid(L + 1) is exact for degree-L input."""
+    """h_direct_many on build_sphere_grid(L + 1) is exact for degree-L input."""
 
     @pytest.mark.parametrize("L", range(9))
     def test_exact_for_band_limited_complex_input(self, L, lam8):
         c = random_band_limited(L, np.random.default_rng(500 + L), complex_valued=True)
-        h = h_direct(SphereFunction.from_coeffs(c), build_sphere_grid(L + 1))
+        h = h_direct_many([SphereFunction.from_coeffs(c)], build_sphere_grid(L + 1))[0]
         s = h_spectral(c, lam8)
         assert abs(np.real(h) - s) <= 1e-12 * abs(s)
         assert abs(np.imag(h)) <= 1e-12 * abs(s)
 
     def test_constant_closed_form(self):
         expect = 64 * PI ** 2 / 3
-        assert abs(h_direct(ONE, build_sphere_grid(1)) - expect) <= 1e-13 * expect
+        assert abs(h_direct_many([ONE], build_sphere_grid(1))[0] - expect) <= 1e-13 * expect
 
     def test_independent_of_the_chord_spectrum(self, monkeypatch, lam8):
         def unavailable(*args, **kwargs):
@@ -1262,7 +1258,7 @@ class TestPolarChordRoute:
             monkeypatch.setattr(legendre, name, unavailable)
             monkeypatch.setattr(forms, name, unavailable, raising=False)
         c = random_band_limited(8, np.random.default_rng(510), complex_valued=True)
-        h = h_direct(SphereFunction.from_coeffs(c), build_sphere_grid(9))
+        h = h_direct_many([SphereFunction.from_coeffs(c)], build_sphere_grid(9))[0]
         assert abs(h - h_spectral(c, lam8)) <= 1e-12 * abs(h)
 
     def test_blocks_match_one_block(self, monkeypatch):

@@ -9,7 +9,6 @@ from sharpsphere import (
     chord_spectrum_quadrature,
     funk_hecke_coefficient,
     lambda_closed_form,
-    legendre_eval,
     legendre_values,
     recurrence_residuals,
 )
@@ -25,8 +24,7 @@ class TestLegendreValues:
         assert np.abs(vals[1] - t).max() == 0.0
 
     def test_degree_two_at_half(self):
-        table = legendre_eval(2, 0.5)
-        assert abs(table.values[2] - (-0.125)) <= 1e-15
+        assert abs(legendre_values(2, 0.5)[2] - (-0.125)) <= 1e-15
 
     def test_bounded_by_one_on_interval(self):
         t = np.linspace(-1.0, 1.0, 2001)
@@ -63,12 +61,12 @@ class TestLegendreValues:
         assert np.abs(off).max() <= 1e-12
 
     def test_out_of_range_argument_rejected(self):
-        with pytest.raises(ValueError):
-            legendre_eval(3, 1.5)
+        with pytest.raises(ValueError, match="t must lie in"):
+            recurrence_residuals(3, 1.5)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            legendre_eval(-1, 0.5)
+            legendre_values(-1, 0.5)
 
 
 class TestRecurrenceResiduals:
@@ -167,6 +165,28 @@ class TestFunkHeckeCoefficient:
     def test_non_finite_kernel_rejected(self):
         with pytest.raises(ValueError):
             funk_hecke_coefficient(lambda t: np.full(np.shape(t), np.nan), 0, 16)
+
+
+class TestIntegerArguments:
+    """Degrees are nonnegative integers and node counts positive ones."""
+
+    CALLS = {
+        "legendre_values": lambda n: legendre_values(n, 0.3),
+        "recurrence_residuals": lambda n: recurrence_residuals(n, 0.3),
+        "a_coefficient": a_coefficient,
+        "lambda_closed_form": lambda_closed_form,
+        "chord_spectrum_quadrature K": chord_spectrum_quadrature,
+        "chord_spectrum_quadrature n_quad": lambda n: chord_spectrum_quadrature(4, n),
+        "funk_hecke_coefficient k": lambda n: funk_hecke_coefficient(chord_kernel, n, 16),
+        "funk_hecke_coefficient n_quad": lambda n: funk_hecke_coefficient(chord_kernel, 0, n),
+    }
+
+    @pytest.mark.parametrize("bad", [2.5, -1])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected_with_value_error(self, name, bad):
+        with pytest.raises(ValueError, match=f"must be a (positive|nonnegative) integer, "
+                                             f"got {bad!r}"):
+            self.CALLS[name](bad)
 
 
 class TestGeneratingFunction:

@@ -231,6 +231,12 @@ class TestInitialCoeffs:
         with pytest.raises(ValueError):
             initial_coeffs("zonal", 0, np.random.default_rng(5))
 
+    @pytest.mark.parametrize("kind, L", [("perturbed-constant", -1), ("random", 2.5),
+                                         ("zonal", 2.5)])
+    def test_band_limit_must_be_a_nonnegative_integer(self, kind, L):
+        with pytest.raises(ValueError, match=f"L must be a nonnegative integer, got {L!r}"):
+            initial_coeffs(kind, L, np.random.default_rng(5))
+
 
 class TestSearch:
     def test_constant_converges_immediately(self, ws8):
