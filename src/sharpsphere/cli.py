@@ -24,7 +24,7 @@ import numpy as np
 
 from . import convolution, forms, legendre, maximizer
 from .harmonics import SphereFunction
-from .verification import VerifyConfig, run_verification
+from .verification import CheckResult, VerifyConfig, run_verification
 
 DEFAULTS = {
     "degree": 8,
@@ -140,8 +140,15 @@ def _emit(text: str, out_path):
         raise SystemExit(3) from exc
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _report(args, payload: dict, header, rows) -> None:
+    """Write a command's report to --out or stdout: CSV is header over rows,
+    JSON is payload with the timestamp added last."""
+    if args.format == "csv":
+        text = _csv_text(header, rows)
+    else:
+        payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        text = _json_text(payload) + "\n"
+    _emit(text, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -154,14 +161,8 @@ def cmd_verify(args) -> int:
         _usage_error(f"--n-t {config.n_t} integrates degree {2 * config.n_t - 1}, "
                      f"below 2 x degree = {2 * config.degree}")
     report = run_verification(config)
-    payload = report.as_dict()
-    payload["timestamp"] = _timestamp()
-    if args.format == "csv":
-        text = _csv_text(("name", "expected", "computed", "tolerance", "abs_or_rel", "pass"),
-                         [tuple(c.values()) for c in payload["checks"]])
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(text, args.out)
+    _report(args, report.as_dict(), CheckResult.COLUMNS,
+            [c.as_row() for c in report.checks])
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status}  {c.name}: computed {_fmt(c.computed)} (expected "
@@ -175,19 +176,11 @@ def cmd_spectrum(args) -> int:
     # the quadrature first: a degree too large for memory fails there at once
     quad = legendre.chord_spectrum_quadrature(K).multipliers
     closed = legendre.lambda_closed_form(K).multipliers
+    header = ("k", "lambda_closed", "lambda_quadrature", "abs_diff")
     rows = [(k, float(closed[k]), float(quad[k]), float(abs(closed[k] - quad[k])))
             for k in range(K + 1)]
-    if args.format == "json":
-        payload = {
-            "max_degree": K,
-            "rows": [{"k": k, "lambda_closed": c, "lambda_quadrature": q,
-                      "abs_diff": d} for k, c, q, d in rows],
-            "timestamp": _timestamp(),
-        }
-        text = _json_text(payload) + "\n"
-    else:
-        text = _csv_text(("k", "lambda_closed", "lambda_quadrature", "abs_diff"), rows)
-    _emit(text, args.out)
+    payload = {"max_degree": K, "rows": [dict(zip(header, r)) for r in rows]}
+    _report(args, payload, header, rows)
     return 0
 
 
@@ -197,26 +190,20 @@ def cmd_identity(args) -> int:
     rng = np.random.default_rng(seed)
     dev = float(np.max(np.abs(
         forms.four_identity_many(forms.gamma_samples(rng, samples)) - 4.0)))
-    payload = {"samples": samples, "max_abs_deviation_from_4": dev, "seed": seed,
-               "timestamp": _timestamp()}
-    if args.format == "csv":
-        text = _csv_text(("samples", "max_abs_deviation_from_4", "seed"),
-                         [(samples, dev, seed)])
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(text, args.out)
+    header, row = ("samples", "max_abs_deviation_from_4", "seed"), (samples, dev, seed)
+    _report(args, dict(zip(header, row)), header, [row])
     return 0 if dev <= 1e-12 else 1
 
 
 def cmd_search(args) -> int:
     """Run one ascent and report the trace plus a verdict.
 
-    Exit 0 when the run converged by gradient tolerance or ended at the
-    known maximizer family (objective within 1e-4 of 2*pi with constancy
-    defect below 1e-3). A random or perturbed-constant start normally
-    converges, and at_known_maximizer then confirms where it converged; it
-    also accepts the occasional run whose gradient norm stops just above a
-    tight tol because the next step's gain in log Phi^4 fell below rounding.
+    Exit 0 when the run ended at the known maximizer family (objective
+    within 1e-4 of 2*pi with constancy defect below 1e-3), else 1, whether
+    or not the gradient tolerance was met. A zonal start of degree 1 or 2
+    converges at once on the odd critical point, 2*pi - 0.268, and exits 1;
+    a run at the maximizer whose gradient norm stops just above a tight tol,
+    because the next step's gain in log Phi^4 fell below rounding, exits 0.
     """
     L = _resolve("degree", args.degree)
     seed = _resolve("seed", args.seed)
@@ -227,15 +214,16 @@ def cmd_search(args) -> int:
         _usage_error("--init zonal needs --degree >= 1")
     init = maximizer.initial_coeffs(args.init, L, rng)
     result = maximizer.search(init, max_iter=max_iter, tol=tol)
-    trace = [{"iter": s.iteration, "phi": s.objective, "grad_norm": s.gradient_norm,
-              "constancy_defect": s.constancy_defect} for s in result.states]
+    header = ("iter", "phi", "grad_norm", "constancy_defect")
+    rows = [(s.iteration, s.objective, s.gradient_norm, s.constancy_defect)
+            for s in result.states]
     final = result.final
     at_maximizer = (abs(final.objective - 2.0 * math.pi) <= 1e-4
                     and final.constancy_defect < 1e-3)
     payload = {
         "config": {"L": L, "seed": seed, "init": args.init,
                    "max_iter": max_iter, "tol": tol},
-        "trace": trace,
+        "trace": [dict(zip(header, r)) for r in rows],
         "verdict": {
             "converged": result.converged,
             "reason": result.reason,
@@ -245,16 +233,9 @@ def cmd_search(args) -> int:
             "iterations": final.iteration,
             "sharp_constant": 2.0 * math.pi,
         },
-        "timestamp": _timestamp(),
     }
-    if args.format == "csv":
-        rows = [(t["iter"], t["phi"], t["grad_norm"], t["constancy_defect"])
-                for t in trace]
-        text = _csv_text(("iter", "phi", "grad_norm", "constancy_defect"), rows)
-    else:
-        text = _json_text(payload) + "\n"
-    _emit(text, args.out)
-    return 0 if (result.converged or at_maximizer) else 1
+    _report(args, payload, header, rows)
+    return 0 if at_maximizer else 1
 
 
 def cmd_convolution(args) -> int:
@@ -264,22 +245,10 @@ def cmd_convolution(args) -> int:
     radii = 2.0 * (np.arange(n_pts) + 1.0) / n_pts
     profile = convolution.conv_profile(one, one, radii, n_c=n_c)
     closed = 2.0 * np.pi / profile.radii
-    rows = [(float(r), float(v.real), float(v.imag), float(cf),
-             float(abs(v - cf)))
+    header = ("r", "conv_value_real", "conv_value_imag", "closed_form", "abs_diff")
+    rows = [(float(r), float(v.real), float(v.imag), float(cf), float(abs(v - cf)))
             for r, v, cf in zip(profile.radii, profile.values, closed)]
-    if args.format == "json":
-        payload = {
-            "rows": [{"r": r, "conv_value_real": vr, "conv_value_imag": vi,
-                      "closed_form": cf, "abs_diff": d}
-                     for r, vr, vi, cf, d in rows],
-            "timestamp": _timestamp(),
-        }
-        text = _json_text(payload) + "\n"
-    else:
-        text = _csv_text(
-            ("r", "conv_value_real", "conv_value_imag", "closed_form", "abs_diff"),
-            rows)
-    _emit(text, args.out)
+    _report(args, {"rows": [dict(zip(header, r)) for r in rows]}, header, rows)
     return 0
 
 

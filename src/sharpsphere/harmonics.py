@@ -38,12 +38,14 @@ __all__ = [
 
 def flat_index(k: int, m: int) -> int:
     """Position of the (k, m) coefficient in the flat layout."""
+    _require_int(k, "k", 0)
     if not -k <= m <= k:
         raise ValueError(f"order m={m} out of range for degree k={k}")
     return k * k + k + m
 
 
 def n_coeffs(L: int) -> int:
+    _require_int(L, "L", 0)
     return (L + 1) * (L + 1)
 
 
@@ -56,6 +58,7 @@ def _degree_index(L: int) -> np.ndarray:
 def parity_signs(L: int) -> np.ndarray:
     """(-1)^k per flat slot; the antipodal map acts as Y_{k,m}(-w) = (-1)^k Y_{k,m}(w).
     One read-only array per L."""
+    _require_int(L, "L", 0)
     signs = 1.0 - 2.0 * (_degree_index(L) % 2)
     signs.flags.writeable = False
     return signs
@@ -105,6 +108,7 @@ def harmonic_values(L: int, points: np.ndarray) -> np.ndarray:
     the leading (L'+1)^2 rows of a degree-L table are exactly the degree-L'
     table, so one table can serve every band limit up to L.
     """
+    _require_int(L, "L", 0)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     s = np.hypot(x, y)
@@ -232,16 +236,16 @@ def funk_hecke_apply(spectrum, c: HarmonicCoeffs) -> HarmonicCoeffs:
     return HarmonicCoeffs(c.max_degree, mult * c.coeffs)
 
 
-def random_band_limited(L: int, rng: np.random.Generator, decay: float = 2.0,
+def random_band_limited(L: int, rng: np.random.Generator,
                         complex_valued: bool = False) -> HarmonicCoeffs:
-    """Random coefficients with per-degree amplitude (1 + k)^(-decay).
+    """Random coefficients with the fixed per-degree amplitude (1 + k)^-2.
 
     The decay keeps low degrees dominant, which mirrors smooth test functions
     and keeps sign-indefinite quadratic functionals of the sample bounded away
     from zero (flat spectra make them nearly cancel in expectation).
     """
     _require_int(L, "L", 0)
-    amp = (1.0 + _degree_index(L)) ** (-decay)
+    amp = (1.0 + _degree_index(L)) ** -2.0
     c = rng.standard_normal(n_coeffs(L))
     if complex_valued:
         c = c + 1j * rng.standard_normal(n_coeffs(L))
@@ -323,9 +327,11 @@ def eigenvalue_residual(k: int, m: int, basis: BasisTable, mesh_size: int = 96) 
     basis grid) carries second-order finite differences: conservative flux
     form in theta, periodic central differences in phi. The two rows nearest
     each pole are excluded from the reported max; the chart is singular there
-    while the harmonic itself is not.
+    while the harmonic itself is not, so mesh_size must be at least 5.
     """
-    if not 0 <= k <= basis.max_degree:
+    _require_int(k, "k", 0)
+    _require_int(mesh_size, "mesh_size", 5)
+    if k > basis.max_degree:
         raise ValueError(f"degree k={k} outside basis range 0..{basis.max_degree}")
     if not -k <= m <= k:
         raise ValueError(f"order m={m} out of range for degree k={k}")

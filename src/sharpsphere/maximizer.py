@@ -70,8 +70,12 @@ class Workspace:
     the azimuth rows a < n_t that the column synthesizes, and so is its
     gradient. The product of f and f_star is kept in the memo's product
     store, so q_gradient on the array q_value was just given (the line
-    search's accepted trial), or after a forms Q(f, f_star, f, f_star) on
-    grids, costs a read and the reverse pass.
+    search's accepted trial) costs a read and the reverse pass. So does
+    q_gradient after a forms Q(f, f_star, f, f_star) on grids, but only
+    while the column is one azimuth block (SliceColumn.blocks(), up to L=10
+    at exact sizes): the store is keyed per row range, the Workspace samples
+    rows [0, n_t) as one range and forms samples each block, so past one
+    block the gradient forms its product again.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree

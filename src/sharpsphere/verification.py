@@ -53,10 +53,14 @@ class CheckResult:
     passed: bool
     wall_time: float
 
+    COLUMNS = ("name", "expected", "computed", "tolerance", "abs_or_rel", "pass")
+
+    def as_row(self) -> tuple:
+        return (self.name, self.expected, self.computed, self.tolerance,
+                self.kind, self.passed)
+
     def as_dict(self) -> dict:
-        return {"name": self.name, "expected": self.expected,
-                "computed": self.computed, "tolerance": self.tolerance,
-                "abs_or_rel": self.kind, "pass": self.passed}
+        return dict(zip(self.COLUMNS, self.as_row()))
 
 
 @dataclass

@@ -147,6 +147,17 @@ class TestSearch:
         assert not payload["verdict"]["converged"]
         assert payload["verdict"]["final_phi"] < 2 * PI - 0.2
 
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_converged_off_the_maximizer_exits_1(self, capsys, degree):
+        # degrees 1 and 2 start on the odd critical point, 2*pi - 0.268, where
+        # the gradient vanishes: converged, but not at the maximizer family
+        code, out, _ = run_cli(capsys, ["search", "--init", "zonal", "--degree", degree])
+        verdict = json.loads(out)["verdict"]
+        assert verdict["converged"] is True
+        assert verdict["at_known_maximizer"] is False
+        assert verdict["final_phi"] < 2 * PI - 0.2
+        assert code == 1
+
     def test_random_start_converges(self, capsys):
         code, out, _ = run_cli(capsys, ["search", "--init", "random", "--seed", "5"])
         verdict = json.loads(out)["verdict"]
@@ -267,6 +278,17 @@ class TestOutputFile:
             main(["spectrum", "--out", str(blocker / "x.csv")])
         assert exc_info.value.code == 3
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_unwritable_path_stops_before_stderr_lines(self, capsys, tmp_path, command):
+        # the report is written first, so verify prints no check lines
+        blocker = tmp_path / "blocker"
+        blocker.write_text("occupied")
+        with pytest.raises(SystemExit) as exc_info:
+            main(SMALL_RUNS[command] + ["--out", str(blocker / "report")])
+        assert exc_info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -32,7 +32,7 @@ PI = np.pi
 ONE = SphereFunction.constant(1.0)
 
 
-class TestConvolveAt:
+class TestLiteralSliceAverage:
     """The literal one-point route: pair_slice_average of PairKernel.tensor(f, g)."""
 
     def test_closed_form_on_random_points(self):

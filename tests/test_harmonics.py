@@ -25,6 +25,8 @@ from sharpsphere.legendre import FunkHeckeSpectrum
 from helpers import unit_vectors
 
 PI = np.pi
+UNIT_Z = np.array([[0.0, 0.0, 1.0]])
+BASIS2 = build_basis(2, build_sphere_grid(3))
 
 
 class TestIndexing:
@@ -252,6 +254,23 @@ class TestHarmonicCoeffs:
     def test_random_band_limited_rejects_a_degree_that_is_not_a_nonnegative_integer(self, L):
         with pytest.raises(ValueError, match=f"L must be a nonnegative integer, got {L!r}"):
             random_band_limited(L, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: harmonic_values(-1, UNIT_Z), "L must be a nonnegative integer, got -1"),
+        (lambda: harmonic_values(2.5, UNIT_Z), "L must be a nonnegative integer, got 2.5"),
+        (lambda: flat_index(1.5, 0), "k must be a nonnegative integer, got 1.5"),
+        (lambda: n_coeffs(-3), "L must be a nonnegative integer, got -3"),
+        (lambda: parity_signs(-1), "L must be a nonnegative integer, got -1"),
+        (lambda: eigenvalue_residual(1.5, 0, BASIS2), "k must be a nonnegative integer, got 1.5"),
+        *[(lambda n=n: eigenvalue_residual(1, 0, BASIS2, mesh_size=n),
+           f"mesh_size must be an integer >= 5, got {n}") for n in range(5)],
+    ])
+    def test_degrees_and_sizes_must_be_integers_in_range(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_smallest_eigenvalue_mesh_keeps_one_row(self):
+        assert eigenvalue_residual(1, 0, BASIS2, mesh_size=5) >= 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_non_finite_rejected(self, bad):
