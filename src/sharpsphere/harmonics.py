@@ -37,9 +37,10 @@ __all__ = [
 
 
 def flat_index(k: int, m: int) -> int:
-    """Position of the (k, m) coefficient in the flat layout."""
+    """Position of the (k, m) coefficient in the flat layout; m is an integer in -k..k."""
     _require_int(k, "k", 0)
-    if not -k <= m <= k:
+    _require_int(m, "m", -k)
+    if m > k:
         raise ValueError(f"order m={m} out of range for degree k={k}")
     return k * k + k + m
 
@@ -150,7 +151,7 @@ class HarmonicCoeffs:
             raise ValueError(
                 f"expected {n_coeffs(self.max_degree)} coefficients for degree "
                 f"{self.max_degree}, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
@@ -329,12 +330,10 @@ def eigenvalue_residual(k: int, m: int, basis: BasisTable, mesh_size: int = 96) 
     each pole are excluded from the reported max; the chart is singular there
     while the harmonic itself is not, so mesh_size must be at least 5.
     """
-    _require_int(k, "k", 0)
     _require_int(mesh_size, "mesh_size", 5)
+    row = flat_index(k, m)   # k and m integers, m in -k..k
     if k > basis.max_degree:
         raise ValueError(f"degree k={k} outside basis range 0..{basis.max_degree}")
-    if not -k <= m <= k:
-        raise ValueError(f"order m={m} out of range for degree k={k}")
     M = mesh_size
     h = np.pi / M
     theta = (np.arange(M) + 0.5) * h
@@ -345,7 +344,7 @@ def eigenvalue_residual(k: int, m: int, basis: BasisTable, mesh_size: int = 96) 
         (np.sin(T) * np.sin(P)).ravel(),
         np.cos(T).ravel(),
     ])
-    Y = harmonic_values(k, pts)[flat_index(k, m)].reshape(M, 2 * M)
+    Y = harmonic_values(k, pts)[row].reshape(M, 2 * M)
 
     sin_t = np.sin(theta)
     sin_half = np.sin(theta[:-1] + 0.5 * h)   # flux faces between rows

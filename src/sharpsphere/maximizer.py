@@ -58,8 +58,11 @@ class Workspace:
     pair_profile pairs by Parseval, exactly at any n_c: n_c sizes only
     node-valued kernels, which Q and its gradient do not use. The column's
     table, basis, holds the modes of the harmonics on one azimuth column of
-    slices: 3.4 MB at L=8, about 86 MB at L=16, growing like L^5. A vector of
-    pure parity (f_star = +-f) is one row; every row is read with its sign.
+    slices: 3.4 MB at L=8, about 86 MB at L=16, growing like L^5. f is one
+    row, synthesized on all 2 n_t azimuth rows, and f(-p) is that row on
+    the mirrored rows (SplitValues.mirrored); a vector of pure parity
+    (f_star = +-f) reads f(-p) at p with its sign instead. Coefficients equal,
+    bit for bit, to the last call's reuse its plan.
 
     Coefficients are (L+1)^2 finite reals in the flat layout; any other
     length, or a NaN or infinite entry, raises ValueError (HarmonicCoeffs).
@@ -70,8 +73,9 @@ class Workspace:
     the azimuth rows a < n_t that the column synthesizes, and so is its
     gradient. The product of f and f_star is kept in the memo's product
     store, so q_gradient on the array q_value was just given (the line
-    search's accepted trial) costs a read and the reverse pass. So does
-    q_gradient after a forms Q(f, f_star, f, f_star) on grids, but only
+    search's accepted trial) costs a read and the reverse pass: one reverse
+    field on all 2 n_t azimuth rows, folded by trig^T, and one pullback row.
+    So does q_gradient after a forms Q(f, f_star, f, f_star) on grids, but only
     while the column is one azimuth block (SliceColumn.blocks(), up to L=10
     at exact sizes): the store is keyed per row range, the Workspace samples
     rows [0, n_t) as one range and forms samples each block, so past one
@@ -91,6 +95,7 @@ class Workspace:
         self.grids.slice_column(L)   # the table is built here, not in the first Q
         self.parity = parity_signs(L)
         self.curvature = -4.0 + 4.0 * (2.0 + self.parity) / (2 * _degree_index(L) + 1)
+        self._plan = (None, None)   # the last coefficients, as (shape, bytes), and their plan
 
     @property
     def basis(self) -> np.ndarray:
@@ -99,12 +104,19 @@ class Workspace:
 
     def _forward(self, coeffs: np.ndarray):
         # (col, q, values, prof): values are the SplitValues of f and f_star
-        # on azimuth rows [0, n_t); the copy keeps the caller's array writable
+        # on azimuth rows [0, n_t). Coefficients equal, bit for bit, to the
+        # last call's reuse its plan, as q_gradient after q_value does; any
+        # others are validated first, and the copy keeps the caller's array
+        # writable
         col = self.grids.slice_column(self.L)
-        f = SphereFunction.from_coeffs(HarmonicCoeffs(self.L, np.array(coeffs, dtype=float)))
-        values = col.sampler(SlicePlan([(f, False), (f, True)]))(0, col.n_az // 2)
+        arr = np.asarray(coeffs, dtype=float)
+        key = (arr.shape, arr.tobytes())
+        if key != self._plan[0]:
+            f = SphereFunction.from_coeffs(HarmonicCoeffs(self.L, arr.copy()))
+            self._plan = (key, SlicePlan([(f, False), (f, True)]))
+        values = col.sampler(self._plan[1])(0, col.n_az // 2)
         prof = pair_profile(*values, col.radii)
-        q = 2.0 * float(col.weights @ np.sum(prof * prof, axis=0))
+        q = 2.0 * float(col.weights @ np.add.reduce(prof * prof, axis=0))
         return col, q, values, prof
 
     def q_value(self, coeffs: np.ndarray) -> float:
@@ -113,22 +125,35 @@ class Workspace:
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient, sharing the forward pass."""
-        col, q, values, prof = self._forward(coeffs)
-        # dQ/d(mode k of f) is g_n sigma_k times mode k of f_star, and the
-        # reverse, with g_n = 2 w_n prof_n / r_n doubled by the fold and sigma
-        # the mode weights (_mode_weights). Each factor's own sign from the
-        # memo goes on g, so the held field is read once and not copied.
-        # trig^T folds the azimuth rows into Fourier rows, and pullback
-        # routes them to the coefficients (through parity for f_star).
-        trig = col.trig[:col.n_az // 2]
-        h = 4.0 * col.weights * prof / col.radii
-        g = np.empty((2,) + values[0].re.shape)
-        for out, v in zip(g, values[::-1]):
-            np.multiply((v.re_sign * h)[..., None], v.re, out=out)
-        g *= _mode_weights(g.shape[-1])
-        rows = trig.T @ g.reshape(2, len(trig), -1)
-        d = col.pullback(rows)[:, :self.parity.size]   # the column may reach past L
-        return q, d[0] + self.parity * d[1]
+        col, q, (f, f_neg), prof = self._forward(coeffs)
+        # dQ/d(mode k of f at p) is h_n sigma_k times mode k of f(-p), and
+        # the reverse, with h_n = 2 w_n prof_n / r_n doubled by the fold and
+        # sigma the pair's mode weights (_mode_weights); f and f(-p) read one
+        # row with one sign, which goes on h. trig^T folds the azimuth rows
+        # into Fourier rows, and pullback routes them to the coefficients.
+        n_t = col.n_az // 2
+        mirrored = f_neg.mirrored[0]
+        h = (4.0 * f.re_sign) * col.weights * prof / col.radii
+        g = np.empty((col.n_az if mirrored else n_t,) + f.re.shape[1:])
+        # h times sigma per mode, from h repeated and sigma tiled: both runs
+        # are long, where a broadcast along the short mode axis is not
+        sigma = np.tile(_mode_weights(g.shape[-1], mirrored), h.shape[-1])
+        hs = np.multiply(np.repeat(h, g.shape[-1], axis=-1), sigma,
+                         out=g[:n_t].reshape(n_t, -1)).reshape(g[:n_t].shape)
+        if not mirrored:
+            # pure parity, f(-p) = e f(p) read at p: the two reverse fields
+            # are one, routed to the coefficients as (e + parity) times it,
+            # which is exactly 0 on the slots of the other parity
+            np.multiply(hs, f.re, out=hs)
+            d = col.pullback((col.trig[:n_t].T @ g.reshape(n_t, -1))[None])[0]
+            return q, (f.re_sign * f_neg.re_sign + self.parity) * d[:self.parity.size]
+        # rows [n_t, 2 n_t) take f's reverse field, written mirrored, and
+        # rows [0, n_t) f(-p)'s, read off the mirrored rows
+        split = f_neg.re.shape   # (n_t, rings, radii, modes)
+        np.multiply(hs.reshape(split), f.re.reshape(split), out=col.mirrored(g[n_t:]))
+        np.multiply(hs.reshape(split), f_neg.re, out=hs.reshape(split))
+        d = col.pullback((col.trig.T @ g.reshape(col.n_az, -1))[None])[0]
+        return q, d[:self.parity.size]   # the column may reach past L
 
 
 @lru_cache(maxsize=4)

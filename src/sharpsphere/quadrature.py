@@ -27,8 +27,9 @@ __all__ = [
 
 
 def _require_int(value, name: str, low: int = 1):
-    # ValueError naming value unless it is an integer >= low (1: a size, 0: a degree)
-    if not isinstance(value, (int, np.integer)) or value < low:
+    # ValueError naming value unless it is an integer >= low (1: a size, 0: a
+    # degree); a bool is not one, though Python counts it as an int
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             low, f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")

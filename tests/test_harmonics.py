@@ -45,6 +45,14 @@ class TestIndexing:
         with pytest.raises(ValueError):
             flat_index(2, 3)
 
+    @pytest.mark.parametrize("m", [0.5, -1.0, "1", True])
+    def test_order_must_be_an_integer(self, m):
+        # a fractional m made flat_index(2, 0.5) return 6.5, a row index
+        with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
+            flat_index(2, m)
+        with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
+            eigenvalue_residual(2, m, BASIS2)
+
     def test_parity_signs_follow_degree(self):
         signs = parity_signs(3)
         expected = np.repeat([1.0, -1.0, 1.0, -1.0], [1, 3, 5, 7])

@@ -246,6 +246,17 @@ class TestSizesAreIntegers:
         with pytest.raises(ValueError, match=f"L must be a nonnegative integer, got {L!r}"):
             exact_sizes(L)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("call", ["n_coeffs", "build_sphere_grid", "exact_sizes", "Workspace"])
+    def test_a_bool_is_not_an_integer(self, call, value):
+        # bool subclasses int, so True would pass as 1 and False as 0
+        from sharpsphere import Workspace, n_coeffs
+        fn = {"n_coeffs": n_coeffs, "build_sphere_grid": build_sphere_grid,
+              "exact_sizes": exact_sizes, "Workspace": Workspace}[call]
+        with pytest.raises(ValueError,
+                           match=f"must be a (positive|nonnegative) integer, got {value!r}"):
+            fn(value)
+
     def test_numpy_integers_are_sizes(self):
         assert exact_sizes(np.int64(4)) == exact_sizes(4)
         assert build_sphere_grid(np.int32(3)).n_nodes == 18
