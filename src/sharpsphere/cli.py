@@ -15,6 +15,7 @@ matrix) is a usage error: one `error:` line on stderr and exit 2.
 
 import argparse
 import datetime
+import functools
 import io
 import math
 import os
@@ -295,8 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process; SEL_* values are still
+    read per call (_resolve)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

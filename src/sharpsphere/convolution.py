@@ -496,13 +496,12 @@ class SliceColumn:
 
     recall is the column's one memo, of its last call's coefficient rows and
     only those, as modes on all 2 n_t azimuth rows; a later call on the same
-    rows, each equal up to sign, reads them in place. The forms route and
-    the ascent (maximizer.Workspace) both read it through sampler. Next to
-    the fields the memo keeps, per azimuth block, their real products in
-    modes, which pair_profile forms at most once while recall holds those
-    fields; sampler drops those a new plan on them cannot read. Node values
-    are formed per use and not kept: a row at the nodes takes N / (2L+1)
-    times the memory of its modes.
+    rows, each equal up to sign, reads them in place. The forms route reads
+    it through sampler. Next to the fields the memo keeps, per azimuth
+    block, their real products in modes, which pair_profile forms at most
+    once while recall holds those fields; sampler drops those a new plan on
+    them cannot read. Node values are formed per use and not kept: a row at
+    the nodes takes N / (2L+1) times the memory of its modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -527,7 +526,6 @@ class SliceColumn:
             order += plus + minus
             mix += plus + minus + minus + plus   # spectra's [[plus, minus], [minus, -plus]]
             sign += [1.0] * (3 * len(plus)) + [-1.0] * len(plus)
-        self._order = np.array(order)
         self._mix = np.array(order[:L + 1] + mix), np.array([1.0] * (L + 1) + sign)
         self.expansion = _expansion(L, n_c)
         # harmonics at 2L+1 uniform slice angles; the DFT takes each row's
@@ -537,7 +535,7 @@ class SliceColumn:
         values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
         dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
         self.table = np.empty((len(order), values.shape[1] * modes))
-        for row, k in zip(self.table, self._order):
+        for row, k in zip(self.table, order):
             np.matmul(values[k], dft, out=row.reshape(-1, modes))
         # the last recall's _row_keys, its fields buffer and, per block, the
         # fields' real products
@@ -594,23 +592,6 @@ class SliceColumn:
             lo += 2 * n
         return out.transpose(1, 0, 2)
 
-    def pullback(self, rows: np.ndarray) -> np.ndarray:
-        """Adjoint of spectra: the coefficient gradients, shape (n, (L+1)^2),
-        of sum(rows * spectra(c)) for rows of shape (n, 2L+1, table columns)."""
-        L = self.L
-        g = np.empty((len(rows), (L + 1) ** 2))
-        g[:, :L + 1] = rows[:, 0] @ self.table[:L + 1].T
-        lo = L + 1
-        for m in range(1, L + 1):
-            n = L + 1 - m
-            e = rows[:, 2 * m - 1:2 * m + 1] @ self.table[lo:lo + 2 * n].T
-            g[:, lo:lo + n] = e[:, 0, :n] - e[:, 1, n:]
-            g[:, lo + n:lo + 2 * n] = e[:, 0, n:] + e[:, 1, :n]
-            lo += 2 * n
-        out = np.empty_like(g)
-        out[:, self._order] = g
-        return out
-
     def mirrored(self, v: np.ndarray) -> np.ndarray:
         """v, of shape (rows, column centres, ...), as the view (rows, rings,
         radii, ...) with its polar rings reversed: on rows a+n_t it lines
@@ -664,9 +645,9 @@ class SliceColumn:
         (SplitValues.products) of the held fields' real products on block
         a0:a1, keyed by row index and mirror flag, or by sharp entry (plan.rows
         is the order of recall's rows), so pair_profile forms the product of
-        two held parts on a block once across the samplers of those fields,
-        the forms route and Workspace alike. A sampler keeps there only the
-        products its plan's values can read (plan.keys), so no call holds an
+        two held parts on a block once across the samplers of those fields.
+        A sampler keeps there only the products its plan's values can read
+        (plan.keys), so no call holds an
         earlier one's products that it has no use for. recall drops the store
         with the fields, and a sampler whose fields were replaced gets none.
         Keys are row indices, never array identities.

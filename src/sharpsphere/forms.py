@@ -24,8 +24,8 @@ import numpy as np
 from .convolution import SliceColumn, SlicePlan, pair_profile, pair_slice_average
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
-from .quadrature import (BallGrid, SphereGrid, _require_int, build_ball_grid,
-                         build_sphere_grid, circle_frames)
+from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _require_int,
+                         build_ball_grid, build_sphere_grid, circle_frames)
 
 __all__ = [
     "GammaSample",
@@ -182,8 +182,9 @@ class FormGrids:
     slice nodes, which they expand per call and keep none of (2.7 MB a
     row and block of n_c=48 nodes above); n_c sizes only them and the
     literal routes. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
-    this route and share the column, and so does the ascent:
-    maximizer.Workspace is these grids at exact_sizes(L).
+    this route and share the column. The ascent (maximizer.Workspace) takes
+    the slice-free radial route instead, which verify checks against this
+    one (q_radial_vs_ball_max_rel_dev).
     """
 
     ball: BallGrid
@@ -240,7 +241,7 @@ def _polar_ring(grid: SphereGrid, n_phi: int):
     of (sel, nu), nu of shape (outer nodes in sel * ring nodes, 3), outer-major.
     """
     n_t = (grid.exactness_degree + 1) // 2
-    u, w_u = np.polynomial.legendre.leggauss(n_t + 1)
+    u, w_u = _gauss_legendre(n_t + 1)
     u, w_u = 0.5 * (u + 1.0), 0.5 * w_u
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     s = 2.0 * u * np.sqrt(1.0 - u * u)

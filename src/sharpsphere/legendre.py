@@ -11,13 +11,12 @@ trusts it. (At k = 0 the same expression yields +8/3; all higher multipliers
 are negative.)
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import _require_int
+from .quadrature import _gauss_legendre, _require_int
 
 __all__ = [
     "FunkHeckeSpectrum",
@@ -127,20 +126,6 @@ def lambda_closed_form(K: int) -> FunkHeckeSpectrum:
 def chord_kernel(t):
     """The chord-length kernel sqrt(2 - 2t) = |omega - nu| at omega . nu = t."""
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(t, dtype=float)))
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only.
-
-    leggauss needs an n x n companion matrix. That matrix is asked for first,
-    so a rule too large for memory raises MemoryError at once, before
-    leggauss spends time and memory on its n-term series.
-    """
-    np.empty((n, n))
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def _weighted_kernel(kernel: Callable, K: int, n_quad: int,

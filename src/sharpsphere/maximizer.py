@@ -2,9 +2,10 @@
 
 The objective is Phi(f) = ||ext f||_4 / ||f||_2, parametrized by real harmonic
 coefficients. Phi^4 is (2 pi)^3 Q(f, f_star, f, f_star) / ||f||_2^4 with Q the
-zero-sum quadrilinear form, and for a band limit L every quadrature rule in
-the ball-factorized evaluation of Q can be sized so the discrete value is the
-continuous one up to rounding. That matters beyond accuracy: the computed
+zero-sum quadrilinear form, and for a band limit L both quadrature rules of
+the radial evaluation of Q (Workspace), one on the sphere and one on the
+radial variable, are sized so the discrete value is the continuous one up to
+rounding. That matters beyond accuracy: the computed
 objective then provably never exceeds the sharp constant 2*pi, so an ascent
 run that plateaus at 2*pi with vanishing non-constant energy is genuine
 evidence, not a quadrature artifact.
@@ -19,10 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolution import SlicePlan, _mode_weights, pair_profile
-from .forms import default_form_grids
-from .harmonics import HarmonicCoeffs, SphereFunction, _degree_index, n_coeffs, parity_signs
-from .quadrature import _require_int, exact_sizes
+from .harmonics import HarmonicCoeffs, _degree_index, harmonic_values, n_coeffs, parity_signs
+from .legendre import _derivative_values, legendre_values
+from .quadrature import _gauss_legendre, _require_int, build_sphere_grid
 
 __all__ = [
     "OptimizerState",
@@ -48,38 +48,41 @@ ROUNDING_GAIN = 4.0 * np.finfo(float).eps
 
 
 class Workspace:
-    """Q and its gradient at band limit L, exact, on the forms ball route's grids.
+    """Q and its gradient at band limit L, exact, on the radial route: no slices.
 
-    grids is default_form_grids at exact_sizes(L), the sizes that
-    VerifyConfig(degree=L) defaults to: 17, 18, 34 at L=8.
-    f and f_star = f(-.) are read as the forms route reads them: one SlicePlan
-    of (f, +p) and (f, -p), sampled by the column grids.slice_column(L)
-    (SliceColumn.sampler) as slice-angle modes from its one memo, which
-    pair_profile pairs by Parseval, exactly at any n_c: n_c sizes only
-    node-valued kernels, which Q and its gradient do not use. The column's
-    table, basis, holds the modes of the harmonics on one azimuth column of
-    slices: 3.4 MB at L=8, about 86 MB at L=16, growing like L^5. f is one
-    row, synthesized on all 2 n_t azimuth rows, and f(-p) is that row on
-    the mirrored rows (SplitValues.mirrored); a vector of pure parity
-    (f_star = +-f) reads f(-p) at p with its sign instead. Coefficients equal,
-    bit for bit, to the last call's reuse its plan.
+    ext f(x) = 4 pi sum_k i^k j_k(|x|) f_k(x/|x|), f_k the degree-k part of
+    f, so ||ext f||_4^4 is a sum over degrees (a, b, c, d) of a radial
+    integral I(a, b, c, d) of r^2 j_a j_b j_c j_d times the sphere integral
+    of f_a conj(f_b) f_c conj(f_d). With j_k(r) = (i^-k / 2) times the
+    Fourier transform of P_k on [-1, 1], I = -(pi/16) i^-(a+b+c+d) G''(0),
+    G the convolution of the four P_k 1_[-1,1], and G''(0) is the integral
+    over [-2, 2] of H'_ab(u) H'_cd(-u), H_ab = (P_a 1_[-1,1]) * (P_b 1_[-1,1]).
+    H_ab has parity (-1)^(a+b), and only a+b+c+d even survives the sphere
+    integral, so the u < 0 half folds onto u > 0 and
 
-    Coefficients are (L+1)^2 finite reals in the flat layout; any other
-    length, or a NaN or infinite entry, raises ValueError (HarmonicCoeffs).
+        Q(f, f_star, f, f_star) = 4 pi^2 sum_u w_u integral over S^2 of |A_u|^2,
+        A_u = sum over a, b of (-1)^a H'_ab(u) f_a conj(f_b),
 
-    Antipodal fold: the slices at -x are x's negated (see SliceColumn), and
-    for real coefficients f_star = f(-.), so prof(-x) = prof(x) up to
-    rounding for every coefficient vector. Q is therefore twice the sum over
-    the azimuth rows a < n_t that the column synthesizes, and so is its
-    gradient. The product of f and f_star is kept in the memo's product
-    store, so q_gradient on the array q_value was just given (the line
-    search's accepted trial) costs a read and the reverse pass: one reverse
-    field on all 2 n_t azimuth rows, folded by trig^T, and one pullback row.
-    So does q_gradient after a forms Q(f, f_star, f, f_star) on grids, but only
-    while the column is one azimuth block (SliceColumn.blocks(), up to L=10
-    at exact sizes): the store is keyed per row range, the Workspace samples
-    rows [0, n_t) as one range and forms samples each block, so past one
-    block the gradient forms its product again.
+    u at 2L+1 Gauss nodes on (0, 2), where H'_ab H'_cd, a polynomial of
+    degree <= 4L there, integrates exactly. |A_u|^2 has degree 4L on the
+    sphere, integrated exactly by sphere, build_sphere_grid(2L+1) (578
+    nodes at L=8). basis holds the harmonics at its nodes, (L+1)^2 rows:
+    0.37 MB at L=8, growing like L^4. The 1-D table holds
+    (-1)^a H'_ab(u) per degree pair a <= b, the pair (b, a) folded in:
+    H'_ba = H'_ab, so for real f a pair of odd a+b cancels its swap and
+    only the pairs of even a+b are read, and for complex f those carry
+    Re(f_a conj(f_b)) and the odd ones i Im. So Q is two small GEMMs past
+    the degree pieces f_a, and nonnegative by construction; the gradient is
+    one more GEMM, a contraction with the pieces and a pullback by basis^T.
+    A vector of pure parity has zero pieces of the other parity, which the
+    even pairs never mix with its own, so its gradient is exactly 0 on the
+    slots of the other parity and the ascent keeps to its parity subspace.
+
+    q_value takes real or complex coefficients, (L+1)^2 finite entries in
+    the flat layout (HarmonicCoeffs rejects any other length or a NaN or
+    infinite entry with ValueError); q_gradient takes real ones. The last
+    forward pass is held: q_gradient on coefficients equal, bit for bit, to
+    the last call's (the line search's accepted trial) reads it.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -89,71 +92,103 @@ class Workspace:
     """
 
     def __init__(self, L: int):
-        n_t, n_r, n_c = exact_sizes(L)   # rejects L that is not a nonnegative integer
+        _require_int(L, "L", 0)
         self.L = L
-        self.grids = default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
-        self.grids.slice_column(L)   # the table is built here, not in the first Q
-        self.parity = parity_signs(L)
-        self.curvature = -4.0 + 4.0 * (2.0 + self.parity) / (2 * _degree_index(L) + 1)
-        self._plan = (None, None)   # the last coefficients, as (shape, bytes), and their plan
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The column's harmonic table, SliceColumn.table."""
-        return self.grids.slice_column(self.L).table
+        sphere = build_sphere_grid(2 * L + 1)
+        self.basis = harmonic_values(L, sphere.nodes)
+        self._slots = [slice(k * k, (k + 1) ** 2) for k in range(L + 1)]   # per degree
+        w_u, h = _radial_table(L)
+        a, b = np.triu_indices(L + 1)
+        even = (a + b) % 2 == 0
+        # the swap (b, a) folded in: twice the entry off the diagonal
+        table = np.where(a == b, 1.0, 2.0)[:, None] * (1.0 - 2.0 * (a % 2))[:, None] * h[a, b]
+        self._pairs = [(a[sel], b[sel], table[sel]) for sel in (even, ~even)]
+        self._weights = np.outer(4.0 * np.pi ** 2 * w_u, sphere.weights)
+        # row k marks the even pairs whose a (then b) is k: the gradient's
+        # scatter of per-pair terms onto the degrees, as two GEMMs
+        self._incidence = [np.equal.outer(np.arange(L + 1), ends).astype(float)
+                           for ends in self._pairs[0][:2]]
+        self.curvature = -4.0 + 4.0 * (2.0 + parity_signs(L)) / (2 * _degree_index(L) + 1)
+        self._held = (None, None)   # the last coefficients, as (dtype, bytes), and their pass
 
     def _forward(self, coeffs: np.ndarray):
-        # (col, q, values, prof): values are the SplitValues of f and f_star
-        # on azimuth rows [0, n_t). Coefficients equal, bit for bit, to the
-        # last call's reuse its plan, as q_gradient after q_value does; any
-        # others are validated first, and the copy keeps the caller's array
-        # writable
-        col = self.grids.slice_column(self.L)
-        arr = np.asarray(coeffs, dtype=float)
-        key = (arr.shape, arr.tobytes())
-        if key != self._plan[0]:
-            f = SphereFunction.from_coeffs(HarmonicCoeffs(self.L, arr.copy()))
-            self._plan = (key, SlicePlan([(f, False), (f, True)]))
-        values = col.sampler(self._plan[1])(0, col.n_az // 2)
-        prof = pair_profile(*values, col.radii)
-        q = 2.0 * float(col.weights @ np.add.reduce(prof * prof, axis=0))
-        return col, q, values, prof
+        # (F, A, q) of the coefficients, held for the next call; any other
+        # coefficients are validated first, and the copy keeps the caller's
+        # array writable
+        arr = np.asarray(coeffs)
+        if not np.iscomplexobj(arr):
+            arr = arr.astype(float, copy=False)
+        key = (arr.dtype, arr.shape, arr.tobytes())
+        if key != self._held[0]:
+            self._held = (key, self._evaluate(HarmonicCoeffs(self.L, arr.copy()).coeffs))
+        return self._held[1]
+
+    def _evaluate(self, c: np.ndarray):
+        # F, the degree pieces f_a at the sphere nodes, of c's real rows (its
+        # real and imaginary parts if complex); A_u there, Re A_u if complex;
+        # and Q
+        rows = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c[None]
+        F = np.empty((len(rows), self.L + 1, self.basis.shape[1]))
+        for k, slots in enumerate(self._slots):
+            np.matmul(rows[:, slots], self.basis[slots], out=F[:, k])
+        (a, b, even), (a_odd, b_odd, odd) = self._pairs
+        if len(F) == 1:
+            A = even.T @ (F[0, a] * F[0, b])
+            return F[0], A, self._integral(A * A)
+        re, im = F
+        A = even.T @ (re[a] * re[b] + im[a] * im[b])
+        A_im = odd.T @ (im[a_odd] * re[b_odd] - re[a_odd] * im[b_odd])
+        return F, A, self._integral(A * A + A_im * A_im)
+
+    def _integral(self, values: np.ndarray) -> float:
+        # 4 pi^2 sum_u w_u sum_n w_n values[u, n], the node sums pairwise
+        # (np.add.reduce along a row), so Q of a constant is 2 pi to a few ulps
+        return float(np.add.reduce(values * self._weights, axis=1).sum())
 
     def q_value(self, coeffs: np.ndarray) -> float:
-        """Q(f, f_star, f, f_star) for real coefficients; nonnegative."""
-        return self._forward(coeffs)[1]
+        """Q(f, f_star, f, f_star) for real or complex coefficients; nonnegative."""
+        return self._forward(coeffs)[2]
 
     def q_gradient(self, coeffs: np.ndarray):
-        """Q and its coefficient gradient, sharing the forward pass."""
-        col, q, (f, f_neg), prof = self._forward(coeffs)
-        # dQ/d(mode k of f at p) is h_n sigma_k times mode k of f(-p), and
-        # the reverse, with h_n = 2 w_n prof_n / r_n doubled by the fold and
-        # sigma the pair's mode weights (_mode_weights); f and f(-p) read one
-        # row with one sign, which goes on h. trig^T folds the azimuth rows
-        # into Fourier rows, and pullback routes them to the coefficients.
-        n_t = col.n_az // 2
-        mirrored = f_neg.mirrored[0]
-        h = (4.0 * f.re_sign) * col.weights * prof / col.radii
-        g = np.empty((col.n_az if mirrored else n_t,) + f.re.shape[1:])
-        # h times sigma per mode, from h repeated and sigma tiled: both runs
-        # are long, where a broadcast along the short mode axis is not
-        sigma = np.tile(_mode_weights(g.shape[-1], mirrored), h.shape[-1])
-        hs = np.multiply(np.repeat(h, g.shape[-1], axis=-1), sigma,
-                         out=g[:n_t].reshape(n_t, -1)).reshape(g[:n_t].shape)
-        if not mirrored:
-            # pure parity, f(-p) = e f(p) read at p: the two reverse fields
-            # are one, routed to the coefficients as (e + parity) times it,
-            # which is exactly 0 on the slots of the other parity
-            np.multiply(hs, f.re, out=hs)
-            d = col.pullback((col.trig[:n_t].T @ g.reshape(n_t, -1))[None])[0]
-            return q, (f.re_sign * f_neg.re_sign + self.parity) * d[:self.parity.size]
-        # rows [n_t, 2 n_t) take f's reverse field, written mirrored, and
-        # rows [0, n_t) f(-p)'s, read off the mirrored rows
-        split = f_neg.re.shape   # (n_t, rings, radii, modes)
-        np.multiply(hs.reshape(split), f.re.reshape(split), out=col.mirrored(g[n_t:]))
-        np.multiply(hs.reshape(split), f_neg.re, out=hs.reshape(split))
-        d = col.pullback((col.trig.T @ g.reshape(col.n_az, -1))[None])[0]
-        return q, d[:self.parity.size]   # the column may reach past L
+        """Q and its coefficient gradient for real coefficients, sharing the forward pass."""
+        if np.iscomplexobj(coeffs):
+            raise ValueError("q_gradient takes real coefficients")
+        F, A, q = self._forward(coeffs)
+        # dQ/dA_u = 2 W A_u, W the u-by-node weights; back through the
+        # pairs, dQ/df_a collects each pair's value times its other piece
+        a, b, even = self._pairs[0]
+        back = even @ (2.0 * self._weights * A)
+        dF = self._incidence[0] @ (back * F[b]) + self._incidence[1] @ (back * F[a])
+        g = np.empty(self.basis.shape[0])
+        for k, slots in enumerate(self._slots):
+            np.matmul(self.basis[slots], dF[k], out=g[slots])
+        return q, g
+
+
+def _radial_table(L: int):
+    """w_u, the weights of the 2L+1 Gauss nodes u on (0, 2), and H'_ab(u),
+    shape (L+1, L+1, 2L+1), H_ab = (P_a 1_[-1,1]) * (P_b 1_[-1,1]).
+
+    On (0, 2), H_ab(u) is the integral of P_a(t) P_b(u - t) over t in
+    [u-1, 1], so H'_ab(u) = -P_a(u-1) P_b(1) plus that integral with P_b'
+    in place of P_b: a polynomial of degree a+b-1 in t, exact at L+1 Gauss
+    nodes, vectorized over (a, b, u, node). The rule is symmetric about the
+    interval's midpoint u/2, so u - t runs over the same nodes reversed.
+    H'_ab = H'_ba, and the entry is taken with the derivative on the lower
+    degree, the smaller factor: a few ulps where the other reads tens. u is
+    x + 1 for the Gauss nodes x on (-1, 1), and u - 1 is read as x, bit
+    for bit.
+    """
+    x, w_u = _gauss_legendre(2 * L + 1)
+    s, w_s = _gauss_legendre(L + 1)
+    t = 0.5 * ((1.0 - x)[:, None] * s + (1.0 + x)[:, None])   # (u, node), on [u-1, 1]
+    p = legendre_values(L, t)
+    d = _derivative_values(L, t, p)[..., ::-1]   # P_b' at u - t
+    h = np.einsum("aij,bij,j->abi", p, d, w_s) * (0.5 * (1.0 - x))
+    h -= legendre_values(L, x)[:, None]
+    low = np.tril_indices(L + 1, -1)
+    h[low[::-1]] = h[low]
+    return w_u, h
 
 
 @lru_cache(maxsize=4)

@@ -8,6 +8,7 @@ measure on the ball of radius 2 where such convolutions live.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,39 @@ def _require_int(value, name: str, low: int = 1):
         kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             low, f"an integer >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only.
+
+    leggauss's nodes are good to an ulp, but its weights are off by up to
+    7e-16 (5e-14 relative at n = 33), enough to move Q at band limit 16 by
+    2e-14. So one Newton step on its nodes, and the weights
+    2 / ((1 - x^2) P_n'(x)^2) at the stepped nodes, are taken in extended
+    precision (np.longdouble), P_n and P_(n-1) by Bonnet's recursion, and
+    rounded: correctly, on x86-64, at every n up to 200 checked. Where
+    longdouble is plain double, leggauss's rule is kept. Every step is odd
+    or even in x, so the rule stays symmetric bit for bit.
+
+    leggauss needs an n x n companion matrix. That matrix is asked for first,
+    so a rule too large for memory raises MemoryError at once, before
+    leggauss spends time and memory on its n-term series.
+    """
+    np.empty((n, n))
+    x, w = np.polynomial.legendre.leggauss(n)
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        t = x.astype(np.longdouble)
+        for step in (True, False):
+            prev, p = np.ones_like(t), t.copy()
+            for k in range(1, n):
+                prev, p = p, ((2 * k + 1) * t * p - k * prev) / (k + 1)
+            d = n * (prev - t * p) / ((1 - t) * (1 + t))   # P_n'
+            if step:
+                t = t - p / d
+        x, w = t.astype(float), (2 / ((1 - t) * (1 + t) * d * d)).astype(float)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 class DegenerateSliceError(ValueError):
@@ -76,7 +110,7 @@ def build_sphere_grid(n_t: int) -> SphereGrid:
     The azimuth nodes sit at the half steps (j + 1/2)*pi/n_t, away from phi = 0.
     """
     _require_int(n_t, "n_t")
-    t, w_t = np.polynomial.legendre.leggauss(n_t)
+    t, w_t = _gauss_legendre(n_t)
     step = np.pi / n_t
     phi = (np.arange(2 * n_t) + 0.5) * step
     tt = np.repeat(t, 2 * n_t)
@@ -158,7 +192,7 @@ def build_ball_grid(n_r: int, directions: SphereGrid) -> BallGrid:
     r^2 |conv|^2, stay bounded.
     """
     _require_int(n_r, "n_r")
-    u, w = np.polynomial.legendre.leggauss(n_r)
+    u, w = _gauss_legendre(n_r)
     r = u + 1.0
     return BallGrid(radial_nodes=r, radial_weights=w * r * r, directions=directions)
 

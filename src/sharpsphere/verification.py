@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import convolution, forms, legendre
+from . import convolution, forms, legendre, maximizer
 from .harmonics import SphereFunction, build_basis, random_band_limited
 from .quadrature import build_sphere_grid, exact_sizes, integrate_ball, integrate_sphere
 
@@ -180,8 +180,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                 1e-10, "abs")
 
     # quadrilinear/bilinear inequality chain
-    q_sym_viol = q_vs_b_dev = cs_viol = crude_viol = 0.0
-    spent = dict.fromkeys(("sym", "q_vs_b", "cs", "crude"), 0.0)
+    q_sym_viol = q_vs_b_dev = cs_viol = crude_viol = radial_dev = 0.0
+    spent = dict.fromkeys(("sym", "q_vs_b", "cs", "crude", "radial"), 0.0)
 
     @contextmanager
     def clock(name):
@@ -197,6 +197,10 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
             q = forms.quadrilinear_q(f, fs, f, fs, grids).real
             q_sharp = forms.quadrilinear_q(fsh, fsh, fsh, fsh, grids).real
             q_sym_viol = max(q_sym_viol, (q - q_sharp) / abs(q_sharp))
+        with clock("radial"):
+            # the ascent's slice-free route against the ball route, same f
+            q_radial = maximizer.make_workspace(L).q_value(cf.coeffs)
+            radial_dev = max(radial_dev, abs(q_radial - q) / abs(q))
         with clock("q_vs_b"):
             cr = random_band_limited(L, rng)
             fr = SphereFunction.from_coeffs(cr)
@@ -218,6 +222,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                 1e-8, "abs", wall_time=spent["cs"])
     suite.check("b_crude_bound_violation_rel", 0.0, max(0.0, crude_viol),
                 1e-8, "abs", wall_time=spent["crude"])
+    suite.check("q_radial_vs_ball_max_rel_dev", 0.0, radial_dev,
+                1e-12, "abs", wall_time=spent["radial"])
 
     # the chord functional H; the direct route is exact for degree L on h_grid
     bounded = [random_band_limited(L, rng) for _ in range(20)]

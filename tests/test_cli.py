@@ -3,6 +3,9 @@
 import datetime
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +194,7 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert code == 0
         assert lines[0] == "name,expected,computed,tolerance,abs_or_rel,pass"
-        assert len(lines) == 18   # header + 17 checks
+        assert len(lines) == 19   # header + 18 checks
         for line in lines[1:]:
             assert line.split(",")[5] == "True"
 
@@ -213,6 +216,38 @@ def test_reruns_are_byte_identical_apart_from_the_timestamp(capsys, command, fmt
     _, second, _ = run_cli(capsys, SMALL_RUNS[command] + [fmt])
     assert first
     assert drop_timestamp(first) == drop_timestamp(second)
+
+
+def test_one_parser_serves_mixed_calls_as_fresh_processes_do(capsys, monkeypatch):
+    # main builds its parser once per process; each call's report equals a
+    # fresh process's apart from the timestamp, SEL_* values included
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", cli.functools.cache(cli._parser.__wrapped__))
+    calls = [(SMALL_RUNS["identity"], {}), (SMALL_RUNS["search"] + ["--csv"], {}),
+             (SMALL_RUNS["spectrum"], {}), (SMALL_RUNS["identity"], {"SEL_SEED": "7"}),
+             (SMALL_RUNS["convolution"] + ["--json"], {}), (SMALL_RUNS["verify"], {}),
+             (SMALL_RUNS["search"], {"SEL_SEED": "3"})]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, env in calls:
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, _ = run_cli(capsys, argv)
+        proc = subprocess.run([sys.executable, "-m", "sharpsphere.cli"] + argv,
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert code == proc.returncode
+        assert drop_timestamp(out) == drop_timestamp(proc.stdout)
+        if argv[0] == "identity":
+            assert json.loads(out)["seed"] == int(env.get("SEL_SEED", cli.DEFAULTS["seed"]))
+        for key in env:
+            monkeypatch.delenv(key)
+    assert len(built) == 1
 
 
 class TestVerifyGridPlan:

@@ -445,14 +445,6 @@ class TestSliceColumn:
         expect = c @ harmonic_values(2, column.points(0, column.n_az).reshape(-1, 3))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    def test_pullback_is_adjoint_of_spectra(self, column):
-        rng = np.random.default_rng(62)
-        c = rng.standard_normal((2, 36))
-        rows = rng.standard_normal((2, 11, column.table.shape[1]))
-        lhs = np.sum(rows * column.spectra(c))
-        rhs = np.sum(column.pullback(rows) * c)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
     def test_blocks_cover_the_first_n_t_azimuth_rows(self, column):
         # rows a >= n_t hold -x of rows a < n_t; the ball route reads them at -p
         edges = [a for block in column.blocks() for a in block]

@@ -874,6 +874,68 @@ class TestSpectraMemo:
         value = quadrilinear_q(e, e, e, e, grids)   # an even-degree real e: one row
         assert value == quadrilinear_q(e, e, e, e, forms.FormGrids(grids.ball, grids.n_c))
 
+    def test_a_zero_slot_of_either_sign_is_one_key(self, spectra_rows):
+        # parity * coeffs holds -0.0 at a zero slot of odd degree, where
+        # another row holds 0.0: both must read as one key
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        a = np.random.default_rng(14).standard_normal(n_coeffs(4))
+        a[1] = 0.0   # degree 1
+        signed = a.copy()
+        signed[1] = -0.0
+        f, g = (SphereFunction.from_coeffs(HarmonicCoeffs(4, c)) for c in (a, signed))
+        quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
+        value = quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(), grids)
+        assert spectra_rows == [1]
+        fresh = forms.FormGrids(grids.ball, grids.n_c)
+        assert value == quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(),
+                                       fresh)
+
+    def test_fields_of_f_and_f_star_are_one_held_row(self):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        a, b = np.random.default_rng(10).standard_normal((2, n_coeffs(4)))
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
+        quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
+        col = grids.slice_column(4)
+        fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
+        assert signs == [1.0, 1.0]
+        assert fields.shape == (2, col.n_az, col.radii.size, 2 * col.L + 1)
+        # a's fields outlive the memo here: b must not get a's profile
+        g = SphereFunction.from_coeffs(HarmonicCoeffs(4, b))
+        gs = g.antipodal_conjugate()
+        assert (quadrilinear_q(g, gs, g, gs, grids)
+                == quadrilinear_q(g, gs, g, gs, forms.FormGrids(grids.ball, grids.n_c)))
+
+    def test_a_pure_parity_row_is_one_spectra_row(self, spectra_rows):
+        # an odd f has f_star = -f: f's row read negated, and a second call hits
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        a = np.zeros(n_coeffs(4))
+        a[2] = 1.0   # Y_{1,0}
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
+        fs = f.antipodal_conjugate()
+        q = quadrilinear_q(f, fs, f, fs, grids)
+        assert spectra_rows == [1]
+        assert quadrilinear_q(f, fs, f, fs, grids) == q
+        assert spectra_rows == [1]
+
+    def test_a_column_rebuilt_past_its_band_limit_still_serves(self):
+        grids = forms.FormGrids(exact_form_grids(2).ball, exact_form_grids(2).n_c)
+        f = rand_fn(2, 11)
+        fs = f.antipodal_conjugate()
+        q_ref = quadrilinear_q(f, fs, f, fs, grids).real
+        grids.slice_column(3)   # a form of degree 3 on these grids rebuilds the column
+        q = quadrilinear_q(f, fs, f, fs, grids).real
+        assert grids.slice_column(2).table.shape[0] == n_coeffs(3)
+        assert abs(q - q_ref) <= 1e-13 * q_ref
+
+    def test_a_replaced_column_memo_frees_the_old_fields(self):
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        f = rand_fn(4, 12)
+        quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
+        col = grids.slice_column(4)
+        old = weakref.ref(col._memo[1])
+        col.recall(np.ones((1, n_coeffs(4))))   # another caller on the same grids
+        assert old() is None
+
     def test_a_reused_row_pins_no_second_call(self, exact_grids):
         # sharp Q after complex Q on the same f reads the rows that complex Q
         # left behind; it must peak no higher than on a column without them

@@ -1,6 +1,9 @@
 """Objective, gradient, and ascent search for the restriction ratio."""
 
-import weakref
+import functools
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from sharpsphere import (
     SHARP_CONSTANT,
     HarmonicCoeffs,
     SphereFunction,
-    VerifyConfig,
+    build_sphere_grid,
     constancy_metric,
+    default_form_grids,
     exact_sizes,
     gradient,
     initial_coeffs,
@@ -21,8 +25,8 @@ from sharpsphere import (
     random_band_limited,
     search,
 )
-from sharpsphere import convolution, maximizer
-from sharpsphere.convolution import SliceColumn, slice_point_table
+from sharpsphere import maximizer
+from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import harmonic_values, parity_signs
 from sharpsphere.maximizer import INITIAL_STEP, Workspace
 
@@ -336,24 +340,28 @@ class TestSearch:
 
 
 @pytest.fixture
-def forward_calls(monkeypatch):
-    """Counts of SliceColumn.spectra calls and of the real products of slice
-    values formed (convolution._mode_pair and _half_pair calls)."""
-    calls = {"spectra": 0, "products": 0}
-    spectra = SliceColumn.spectra
+def passes(monkeypatch):
+    """Count of the forward passes the radial route runs (Workspace._evaluate calls)."""
+    count, evaluate = [0], Workspace._evaluate
 
-    def counted_spectra(col, coeffs):
-        calls["spectra"] += 1
-        return spectra(col, coeffs)
+    def counted(ws, c):
+        count[0] += 1
+        return evaluate(ws, c)
 
-    monkeypatch.setattr(SliceColumn, "spectra", counted_spectra)
-    for name in ("_mode_pair", "_half_pair"):
-        def counted(*args, _inner=getattr(convolution, name)):
-            calls["products"] += 1
-            return _inner(*args)
+    monkeypatch.setattr(Workspace, "_evaluate", counted)
+    return count
 
-        monkeypatch.setattr(convolution, name, counted)
-    return calls
+
+def exact_form_grids(L):
+    n_t, n_r, n_c = exact_sizes(L)
+    return default_form_grids(n_t=n_t, n_c=n_c, n_r=n_r)
+
+
+def star_q(L, arr, grids):
+    """Q(f, f*, f, f*) on the forms ball route."""
+    f = SphereFunction.from_coeffs(HarmonicCoeffs(L, arr))
+    fs = f.antipodal_conjugate()
+    return quadrilinear_q(f, fs, f, fs, grids).real
 
 
 class TestWorkspace:
@@ -368,18 +376,7 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="L must be a nonnegative integer, got 2.5"):
             Workspace(2.5)
 
-    @pytest.mark.parametrize("L", [4, 8])
-    def test_sizes_follow_the_exact_plan(self, L):
-        # the grid sizes verify defaults to at the same band limit
-        ws = make_workspace(L)
-        n_t, n_r, n_c = exact_sizes(L)
-        assert ws.grids.ball.directions.exactness_degree == 2 * n_t - 1
-        assert ws.grids.ball.radial_nodes.size == n_r
-        assert ws.grids.n_c == n_c
-        cfg = VerifyConfig(degree=L)
-        assert (cfg.n_t, cfg.n_r, cfg.n_c) == (n_t, n_r, n_c)
-
-    def test_accepted_steps_reuse_the_line_search_forward_pass(self, forward_calls):
+    def test_accepted_steps_reuse_the_line_search_forward_pass(self, passes):
         ws = Workspace(4)
         trials, q_value = [0], ws.q_value
 
@@ -393,93 +390,52 @@ class TestWorkspace:
         assert len(result.states) > 10
         assert trials[0] > len(result.states) - 1
         # one forward pass per trial, plus the starting point's gradient
-        assert forward_calls == {"spectra": trials[0] + 1, "products": trials[0] + 1}
+        assert passes[0] == trials[0] + 1
 
-    def test_gradient_after_value_runs_no_forward_pass(self, forward_calls):
+    def test_gradient_after_value_runs_no_forward_pass(self, passes):
         ws = Workspace(4)
         a = np.random.default_rng(9).standard_normal(n_coeffs(4))
         q = ws.q_value(a)
-        before = dict(forward_calls)
+        assert passes[0] == 1
         q_grad, dq = ws.q_gradient(a)
-        assert forward_calls == before
+        assert passes[0] == 1
         assert q_grad == q
-        q_neg, dq_neg = ws.q_gradient(-a)   # a negated hit: Q is even, its gradient odd
-        assert forward_calls == before
+        q_neg, dq_neg = ws.q_gradient(-a)   # Q is even, its gradient odd, bit for bit
+        assert passes[0] == 2
         assert q_neg == q and np.array_equal(dq_neg, -dq)
 
-    def test_gradient_after_forms_q_runs_no_forward_pass(self, forward_calls):
-        # forms Q(f, f*, f, f*) on ws.grids leaves f's fields and the product
-        # of f and f* in the column's memo, where q_gradient reads them
-        ws = Workspace(4)
-        a = np.random.default_rng(13).standard_normal(n_coeffs(4))
-        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
-        fs = f.antipodal_conjugate()
-        q_forms = quadrilinear_q(f, fs, f, fs, ws.grids).real
-        before = dict(forward_calls)
-        q, dq = ws.q_gradient(a)
-        assert forward_calls == before
-        q_ref, dq_ref = Workspace(4).q_gradient(a)
-        assert q == q_ref and np.array_equal(dq, dq_ref)
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_value_and_gradient_agree_with_forms_q(self, L, passes):
+        # the forms call sits between q_value and q_gradient on the same
+        # array, and leaves the held pass as it was
+        ws, grids = Workspace(L), exact_form_grids(L)
+        rng = np.random.default_rng(400 + L)
+        arr = rng.standard_normal(n_coeffs(L))
+        q = ws.q_value(arr)
+        q_forms = star_q(L, arr, grids)
+        q_grad, _ = ws.q_gradient(arr)
+        assert passes[0] == 1
         assert abs(q_forms - q) <= 1e-14 * q
-
-    def test_a_zero_odd_degree_slot_hits_the_forms_memo(self, forward_calls):
-        # parity * coeffs holds -0.0 at a zero slot of odd degree, where the
-        # forms plan's row holds 0.0: both must read as one key
-        ws = Workspace(4)
-        a = np.random.default_rng(14).standard_normal(n_coeffs(4))
-        a[1] = 0.0   # degree 1
-        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
-        fs = f.antipodal_conjugate()
-        quadrilinear_q(f, fs, f, fs, ws.grids)
-        assert forward_calls["spectra"] == 1
-        q = ws.q_value(a)
-        assert forward_calls["spectra"] == 1
-        assert q == Workspace(4).q_value(a)
+        assert q_grad == q
+        cplx = arr + 1j * rng.standard_normal(n_coeffs(L))
+        q_forms = star_q(L, cplx, grids)
+        assert abs(q_forms - ws.q_value(cplx)) <= 1e-14 * q_forms
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
-    def test_value_gradient_and_forms_agree_on_one_grid(self, L):
-        # the forms call sits between q_value and q_gradient on the same
-        # array, so a value held past the column's fields would show
-        ws = Workspace(L)
-        arr = np.random.default_rng(400 + L).standard_normal(n_coeffs(L))
+    def test_gradient_is_four_forms_q_per_slot(self, L):
+        # dQ(f, f*, f, f*)/dc_i = 4 Q(Y_i, f*, f, f*) for real f; every slot
+        # up to L=8, five at L=16
+        ws, grids = Workspace(L), exact_form_grids(L)
+        arr = np.random.default_rng(500 + L).standard_normal(n_coeffs(L))
+        _, dq = ws.q_gradient(arr)
         f = SphereFunction.from_coeffs(HarmonicCoeffs(L, arr))
-        q = ws.q_value(arr)
-        q_forms = quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(),
-                                 ws.grids).real
-        q_grad, _ = ws.q_gradient(arr)
-        assert abs(q_forms - q) <= 1e-14 * q
-        assert abs(q_grad - q) <= 1e-14 * q
-
-    def test_a_column_rebuilt_past_its_band_limit_still_serves(self):
-        ws = Workspace(2)
-        a = np.random.default_rng(11).standard_normal(n_coeffs(2))
-        q_ref, dq_ref = Workspace(2).q_gradient(a)
-        ws.grids.slice_column(3)   # a form of degree 3 on ws.grids rebuilds the column
-        q, dq = ws.q_gradient(a)
-        assert ws.basis.shape[0] == n_coeffs(3)
-        assert abs(q - q_ref) <= 1e-13 * q_ref
-        assert dq.shape == dq_ref.shape
-        assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
-
-    def test_a_replaced_column_memo_frees_the_old_fields(self):
-        ws = Workspace(4)
-        ws.q_value(np.random.default_rng(12).standard_normal(n_coeffs(4)))
-        col = ws.grids.slice_column(4)
-        old = weakref.ref(col._memo[1])
-        col.recall(np.ones((1, n_coeffs(4))))   # another caller on the same grids
-        assert old() is None
-
-    def test_fields_come_from_the_grids_column_memo(self):
-        ws = Workspace(4)
-        a, b = np.random.default_rng(10).standard_normal((2, n_coeffs(4)))
-        ws.q_value(a)
-        col = ws.grids.slice_column(4)
-        fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
-        assert signs == [1.0, 1.0]
-        assert fields.shape == (2, col.n_az, col.radii.size, 2 * col.L + 1)
-        assert ws.basis is col.table
-        # a's fields outlive the memo here: b must not get a's profile
-        assert ws.q_value(b) == Workspace(4).q_value(b)
+        fs = f.antipodal_conjugate()
+        n = n_coeffs(L)
+        slots = range(n) if L <= 8 else (0, 1, 5, n // 2, n - 1)
+        for i in slots:
+            y = SphereFunction.from_coeffs(HarmonicCoeffs(L, np.eye(n)[i]))
+            expect = 4.0 * quadrilinear_q(y, fs, f, fs, grids).real
+            assert abs(dq[i] - expect) <= (1e-14 if L <= 8 else 1e-13) * np.abs(dq).max()
 
     def test_memo_ignores_an_array_mutated_in_place(self):
         ws = Workspace(4)
@@ -492,43 +448,34 @@ class TestWorkspace:
         assert q == q_ref
         assert np.array_equal(dq, dq_ref)
 
-    def test_gradient_follows_each_rows_memo_sign(self):
-        # g = -(c + i parity c) leaves the one row -c in the memo, its
-        # imaginary row being that row mirrored, so c's row, which f and
-        # f_star both read, comes back negated
+    def test_a_complex_call_holds_no_pass_for_its_real_part(self, passes):
+        # the held pass is keyed by dtype too: a complex array whose
+        # imaginary part is 0 has other bytes than its real part
         ws = Workspace(4)
-        c = np.random.default_rng(3).standard_normal(n_coeffs(4))
-        g = SphereFunction.from_coeffs(HarmonicCoeffs(4, -(c + 1j * parity_signs(4) * c)))
-        gs = g.antipodal_conjugate()
-        quadrilinear_q(g, gs, g, gs, ws.grids)
-        col = ws.grids.slice_column(4)
-        assert col.recall(c[None])[1] == [-1.0]
-        q, dq = ws.q_gradient(c)
-        q_ref, dq_ref = Workspace(4).q_gradient(c)
+        a = np.random.default_rng(16).standard_normal(n_coeffs(4))
+        q_complex = ws.q_value(a.astype(complex))
+        q, dq = ws.q_gradient(a)
+        assert passes[0] == 2
+        q_ref, dq_ref = Workspace(4).q_gradient(a)
         assert q == q_ref and np.array_equal(dq, dq_ref)
-        assert np.array_equal(gradient(HarmonicCoeffs(4, c), ws),
-                              gradient(HarmonicCoeffs(4, c), Workspace(4)))
+        assert abs(q_complex - q) <= 1e-15 * q
 
-    def test_a_pure_parity_vector_is_one_row(self, monkeypatch):
-        # the zonal start is odd: f_star = -f is f's row read negated
-        rows, spectra = [], SliceColumn.spectra
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    @pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
+    def test_a_pure_parity_gradient_is_zero_on_the_other_parity(self, L, parity):
+        # the even pairs never mix a parity's pieces with the other's
+        arr = np.random.default_rng(17 + L).standard_normal(n_coeffs(L))
+        other = parity_signs(L) != parity
+        arr[other] = 0.0
+        _, dq = Workspace(L).q_gradient(arr)
+        assert np.all(dq[other] == 0.0)
+        assert np.all(dq[~other] != 0.0)
 
-        def spy(col, coeffs):
-            rows.append(len(coeffs))
-            return spectra(col, coeffs)
-
-        monkeypatch.setattr(SliceColumn, "spectra", spy)
-        a = initial_coeffs("zonal", 4, np.random.default_rng(0)).coeffs
-        ws = Workspace(4)
-        q = ws.q_value(a)
-        assert rows == [1]
-        ws = Workspace(4)
-        f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
-        fs = f.antipodal_conjugate()
-        quadrilinear_q(f, fs, f, fs, ws.grids)
-        rows.clear()
-        assert ws.q_value(a) == q
-        assert rows == []
+    def test_q_gradient_rejects_complex_coefficients(self):
+        c = np.zeros(n_coeffs(4), dtype=complex)
+        c[0] = 1.0
+        with pytest.raises(ValueError, match="real coefficients"):
+            Workspace(4).q_gradient(c)
 
     @pytest.mark.parametrize("method", ["q_value", "q_gradient"])
     def test_non_finite_and_wrong_length_coefficients_are_rejected(self, method):
@@ -541,15 +488,17 @@ class TestWorkspace:
             getattr(ws, method)(np.ones(9))
 
 
-def full_table_q_gradient(ws, arr):
-    """Q and its gradient from a harmonic table over every slice node of the ball."""
-    ball, n_c = ws.grids.ball, ws.grids.n_c
+def full_table_q_gradient(L, arr):
+    """Q and its gradient from a harmonic table over every slice node of the
+    ball, on the forms grids at exact_sizes(L): the literal ball route."""
+    grids = exact_form_grids(L)
+    ball, n_c = grids.ball, grids.n_c
     X = ball.points()
     w, r = ball.weights(), np.linalg.norm(X, axis=1)
     pts, _ = slice_point_table(X, n_c)
-    table = harmonic_values(ws.L, pts.reshape(-1, 3))
+    table = harmonic_values(L, pts.reshape(-1, 3))
     half, angle_weight = n_c // 2, 2 * PI / n_c
-    parity = parity_signs(ws.L)
+    parity = parity_signs(L)
     va = (arr @ table).reshape(-1, n_c)
     vb = ((parity * arr) @ table).reshape(-1, n_c)
     prof = angle_weight * np.sum(va * np.roll(vb, -half, axis=1), axis=1) / r
@@ -559,26 +508,130 @@ def full_table_q_gradient(ws, arr):
     return np.sum(w * prof * prof), table @ w1 + parity * (table @ w2)
 
 
-class TestColumnTable:
+def exact_radial_integrals(L):
+    """I(a, b, c, d) / pi, exact, for a <= b <= c <= d <= L of even sum.
+
+    I = -(pi/16) i^-(a+b+c+d) G''(0), G''(0) the integral over [-2, 2] of
+    H'_ab(u) H'_cd(-u), H_ab = (P_a 1_[-1,1]) * (P_b 1_[-1,1]) a polynomial
+    on each of [-2, 0] and [0, 2], found here in rationals by expanding
+    P_a(t) P_b(u - t) and integrating over t: on [0, 2] from u-1 to 1, on
+    [-2, 0] from -1 to u+1. I is symmetric in its four degrees, so sorted
+    tuples cover every one.
+    """
+    def add(p, q):
+        return [x + y for x, y in itertools.zip_longest(p, q, fillvalue=0)]
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def power(p, n):
+        return functools.reduce(mul, [p] * n, [Fraction(1)])
+
+    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, L):
+        legendre.append([((2 * k + 1) * x - k * y) / (k + 1) for x, y in itertools.zip_longest(
+            [Fraction(0)] + legendre[k], legendre[k - 1] + [0, 0], fillvalue=0)])
+
+    def h_prime(a, b):
+        # (H'_ab on [0, 2], H'_ab on [-2, 0]), as coefficient lists in u
+        terms = {}   # (power of u, power of t): coefficient of P_a(t) P_b(u - t)
+        for k, pk in enumerate(legendre[b]):
+            for j in range(k + 1):
+                for m, am in enumerate(legendre[a]):
+                    key = (k - j, j + m)
+                    terms[key] = terms.get(key, 0) + pk * math.comb(k, j) * (-1) ** j * am
+        pos, neg = [Fraction(0)], [Fraction(0)]
+        for (i, j), x in terms.items():
+            u_i = [Fraction(0)] * i + [x / (j + 1)]
+            pos = add(pos, mul(u_i, add([1], [-y for y in power([-1, 1], j + 1)])))
+            neg = add(neg, mul(u_i, add(power([1, 1], j + 1), [-(-1) ** (j + 1)])))
+        return [[k * x for k, x in enumerate(p)][1:] for p in (pos, neg)]
+
+    def integral(p, lo, hi):
+        return sum(x * (Fraction(hi) ** (k + 1) - Fraction(lo) ** (k + 1)) / (k + 1)
+                   for k, x in enumerate(p))
+
+    def reflect(p):   # p(-u)
+        return [x * (-1) ** k for k, x in enumerate(p)]
+
+    h = {(a, b): h_prime(a, b) for a in range(L + 1) for b in range(a, L + 1)}
+    out = {}
+    for q in itertools.combinations_with_replacement(range(L + 1), 4):
+        if sum(q) % 2 == 0:
+            (pab, nab), (pcd, ncd) = h[q[:2]], h[q[2:]]
+            g2 = integral(mul(pab, reflect(ncd)), 0, 2) + integral(mul(nab, reflect(pcd)), -2, 0)
+            out[q] = Fraction(-1, 16) * (-1) ** (sum(q) // 2) * g2
+    return out
+
+
+class TestRadialRoute:
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 6, 8])
     def test_matches_full_slice_table(self, L):
         ws = Workspace(L)
         rng = np.random.default_rng(100 + L)
         for _ in range(3):
             arr = rng.standard_normal(n_coeffs(L))
-            q_ref, dq_ref = full_table_q_gradient(ws, arr)
+            q_ref, dq_ref = full_table_q_gradient(L, arr)
             q, dq = ws.q_gradient(arr)
             assert abs(ws.q_value(arr) - q_ref) <= 1e-13 * q_ref
             assert abs(q - q_ref) <= 1e-13 * q_ref
             assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
 
-    def test_table_is_one_azimuth_column(self, ws8):
-        # (L+1)^2 harmonics in 2L+1 slice-angle modes at n_r n_t = 18 * 17 centres
-        assert ws8.basis.shape == (81, 18 * 17 * 17)
-        assert ws8.basis.nbytes < 4e6
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_basis_is_the_harmonics_on_the_exact_sphere_grid(self, L):
+        # |A_u|^2 has degree 4L on the sphere: 2L+1 polar nodes integrate it exactly
+        grid = build_sphere_grid(2 * L + 1)
+        assert grid.exactness_degree >= 4 * L
+        ws = make_workspace(L)
+        assert np.array_equal(ws.basis, harmonic_values(L, grid.nodes))
+        assert ws.basis.shape == (n_coeffs(L), 2 * (2 * L + 1) ** 2)
+
+    def test_table_is_small(self, ws8):
+        assert ws8.basis.shape == (81, 578)
+        assert ws8.basis.nbytes < 0.4e6
 
     def test_band_limit_sixteen(self):
         ws = Workspace(16)
         assert ws.basis.nbytes < 100e6
         phi = objective_phi(constant_coeffs(16), ws)
         assert abs(phi - SHARP_CONSTANT) <= 1e-12 * SHARP_CONSTANT
+
+    def test_radial_table_matches_the_exact_integrals(self):
+        # I(a, b, c, d) = (pi/8) i^-(a+b+c+d) (-1)^(a+b) sum_u w_u H'_ab H'_cd
+        # at even a+b+c+d, from the u > 0 half; every ordering of each tuple
+        L = 8
+        exact = exact_radial_integrals(L)
+        assert exact[0, 0, 0, 0] == Fraction(1, 4)
+        for k in range(1, L + 1):
+            assert exact[0, 0, k, k] == Fraction(1, 4 * (2 * k + 1))
+        w_u, h = maximizer._radial_table(L)
+        scale = PI * max(abs(float(v)) for v in exact.values())
+        worst = 0.0
+        for q, value in exact.items():
+            for a, b, c, d in set(itertools.permutations(q)):
+                sign = (-1) ** ((a + b + c + d) // 2 + a + b)
+                got = PI / 8 * sign * float(np.sum(w_u * h[a, b] * h[c, d]))
+                worst = max(worst, abs(got - PI * float(value)))
+        assert worst <= 1e-15 * scale
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_phi_never_exceeds_two_pi_near_the_constant(self, L):
+        # exactness: 1,500 near-constant unit vectors, perturbed by 1e-9 to
+        # 1e-3, read Phi no more than 2 ulps above 2 pi
+        ws = make_workspace(L)
+        rng = np.random.default_rng(2026 + L)
+        ulp = np.spacing(SHARP_CONSTANT)
+        worst = -np.inf
+        for _ in range(1500):
+            d = rng.standard_normal(n_coeffs(L))
+            d[0] = 0.0
+            c = np.zeros(n_coeffs(L))
+            c[0] = rng.choice([-1.0, 1.0])
+            c += 10.0 ** rng.uniform(-9, -3) * d / np.linalg.norm(d)
+            c /= np.linalg.norm(c)
+            worst = max(worst, objective_phi(HarmonicCoeffs(L, c), ws) - SHARP_CONSTANT)
+        assert worst <= 2 * ulp

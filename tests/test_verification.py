@@ -24,6 +24,7 @@ EXPECTED_CHECK_ORDER = [
     "q_equals_three_quarters_b_max_rel_dev",
     "b_cauchy_schwarz_violation_rel",
     "b_crude_bound_violation_rel",
+    "q_radial_vs_ball_max_rel_dev",
     "H_of_one",
     "h_bound_violation_rel",
     "h_spectral_vs_direct_max_rel_dev",
@@ -63,6 +64,12 @@ class TestRunVerification:
         one = checks["H_of_one"]
         assert abs(one.computed - one.expected) <= 1e-12 * one.expected
         assert checks["h_spectral_vs_direct_max_rel_dev"].computed <= 1e-12
+
+    def test_radial_and_ball_routes_agree_to_rounding(self, small_report):
+        # the ascent's slice-free Q on the suite's six complex f
+        check = {c.name: c for c in small_report.checks}["q_radial_vs_ball_max_rel_dev"]
+        assert check.computed <= 1e-14
+        assert check.wall_time > 0.0
 
     def test_h_of_one_has_its_own_time(self, monkeypatch):
         # a slow batch must show in the spectral-vs-direct check only
