@@ -82,7 +82,9 @@ class Workspace:
     the flat layout (HarmonicCoeffs rejects any other length or a NaN or
     infinite entry with ValueError); q_gradient takes real ones. The last
     forward pass is held: q_gradient on coefficients equal, bit for bit, to
-    the last call's (the line search's accepted trial) reads it.
+    the last call's (the line search's accepted trial) reads it, and so does
+    a call on their negation: Q is even in f and its gradient odd, so the
+    gradient of -f is the held pass's, negated.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -109,19 +111,23 @@ class Workspace:
         self._incidence = [np.equal.outer(np.arange(L + 1), ends).astype(float)
                            for ends in self._pairs[0][:2]]
         self.curvature = -4.0 + 4.0 * (2.0 + parity_signs(L)) / (2 * _degree_index(L) + 1)
-        self._held = (None, None)   # the last coefficients, as (dtype, bytes), and their pass
+        self._held = (None, None)   # the last coefficients, as (dtype, shape, bytes), and their pass
 
     def _forward(self, coeffs: np.ndarray):
-        # (F, A, q) of the coefficients, held for the next call; any other
-        # coefficients are validated first, and the copy keeps the caller's
-        # array writable
+        # (F, A, q) of the coefficients, held for the next call, and the sign
+        # that takes the held F to theirs; any other coefficients are
+        # validated first, and the copy keeps the caller's array writable
         arr = np.asarray(coeffs)
         if not np.iscomplexobj(arr):
             arr = arr.astype(float, copy=False)
         key = (arr.dtype, arr.shape, arr.tobytes())
-        if key != self._held[0]:
-            self._held = (key, self._evaluate(HarmonicCoeffs(self.L, arr.copy()).coeffs))
-        return self._held[1]
+        held, run = self._held
+        if key == held:
+            return run, 1.0
+        if held == (arr.dtype, arr.shape, (-arr).tobytes()):
+            return run, -1.0
+        self._held = (key, self._evaluate(HarmonicCoeffs(self.L, arr.copy()).coeffs))
+        return self._held[1], 1.0
 
     def _evaluate(self, c: np.ndarray):
         # F, the degree pieces f_a at the sphere nodes, of c's real rows (its
@@ -147,17 +153,18 @@ class Workspace:
 
     def q_value(self, coeffs: np.ndarray) -> float:
         """Q(f, f_star, f, f_star) for real or complex coefficients; nonnegative."""
-        return self._forward(coeffs)[2]
+        return self._forward(coeffs)[0][2]
 
     def q_gradient(self, coeffs: np.ndarray):
         """Q and its coefficient gradient for real coefficients, sharing the forward pass."""
         if np.iscomplexobj(coeffs):
             raise ValueError("q_gradient takes real coefficients")
-        F, A, q = self._forward(coeffs)
+        (F, A, q), sign = self._forward(coeffs)
         # dQ/dA_u = 2 W A_u, W the u-by-node weights; back through the
-        # pairs, dQ/df_a collects each pair's value times its other piece
+        # pairs, dQ/df_a collects each pair's value times its other piece;
+        # A is even in F, so the sign of F goes on the factor 2
         a, b, even = self._pairs[0]
-        back = even @ (2.0 * self._weights * A)
+        back = even @ (2.0 * sign * self._weights * A)
         dF = self._incidence[0] @ (back * F[b]) + self._incidence[1] @ (back * F[a])
         g = np.empty(self.basis.shape[0])
         for k, slots in enumerate(self._slots):

@@ -400,8 +400,8 @@ class TestWorkspace:
         q_grad, dq = ws.q_gradient(a)
         assert passes[0] == 1
         assert q_grad == q
-        q_neg, dq_neg = ws.q_gradient(-a)   # Q is even, its gradient odd, bit for bit
-        assert passes[0] == 2
+        q_neg, dq_neg = ws.q_gradient(-a)   # a negated hit: Q is even, its gradient odd
+        assert passes[0] == 1
         assert q_neg == q and np.array_equal(dq_neg, -dq)
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])

@@ -26,14 +26,13 @@ PI = np.pi
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [25, 33, 49, 65])
     def test_even_moments_to_rounding(self, n):
-        # sum w x^(2j) = 2 / (2j + 1) for every j < n; leggauss's own weights
-        # miss by 2.8e-14 to 1.4e-13 relative at these n
-        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-            pytest.skip("longdouble is plain double here: the rule is leggauss's")
+        # sum w x^(2j) = 2 / (2j + 1) for every j < n, to 13 eps at these n
+        # with an 80-bit longdouble and 26 eps where longdouble is double;
+        # leggauss's own weights miss by 2.8e-14 to 1.4e-13 (130 to 630 eps)
         x, w = _gauss_legendre(n)
         j = np.arange(n)
         moments = np.array([np.sum(w * x ** (2 * k)) for k in j])
-        assert np.abs(moments * (2 * j + 1) / 2.0 - 1.0).max() <= 20 * np.finfo(float).eps
+        assert np.abs(moments * (2 * j + 1) / 2.0 - 1.0).max() <= 32 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [1, 2, 17, 48])
     def test_symmetric_bit_for_bit_and_read_only(self, n):

@@ -71,6 +71,15 @@ class TestRunVerification:
         assert check.computed <= 1e-14
         assert check.wall_time > 0.0
 
+    @pytest.mark.parametrize("sizes", [dict(n_t=9), dict(n_r=2), dict(n_t=9, n_r=2)])
+    def test_radial_check_reads_exact_grids_below_the_plan(self, sizes):
+        # at L=8 these grids are below exact_sizes(8) = (17, 18, 34), so the
+        # ball route on them misses Q (q_equals_three_quarters_b fails); the
+        # radial check's reference still sits on exact grids
+        report = run_verification(VerifyConfig(**sizes))
+        check = {c.name: c for c in report.checks}["q_radial_vs_ball_max_rel_dev"]
+        assert check.passed and check.computed <= 1e-14
+
     def test_h_of_one_has_its_own_time(self, monkeypatch):
         # a slow batch must show in the spectral-vs-direct check only
         batch = forms.h_direct_many
