@@ -21,7 +21,7 @@ kernel f tensor g is the literal route it is checked against.
 """
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,16 +65,6 @@ def _mode_signs(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mirror_signs(modes: int) -> np.ndarray:
-    # -1 on the sin-psi modes of modes = 2L+1 slice-angle modes, 1 elsewhere:
-    # a slice at -x is x's with its slice angle negated (see SliceColumn)
-    s = np.ones(modes)
-    s[2::2] = -1.0
-    s.flags.writeable = False
-    return s
-
-
-@lru_cache(maxsize=None)
 def _expansion(L: int, n_c: int) -> np.ndarray:
     """(2L+1, N) matrix taking slice-angle modes to the N slice nodes (_half_turn).
 
@@ -91,18 +81,15 @@ def _expansion(L: int, n_c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mode_weights(modes: int, flip: bool = False) -> np.ndarray:
+def _mode_weights(modes: int) -> np.ndarray:
     """Parseval weights of a pair profile over modes = 2L+1 slice-angle modes.
 
     For a and b in modes, the integral over psi of a(psi) b(psi + pi) is
     2 pi a_0 b_0 + pi sum_m (-1)^m (a_cm b_cm + a_sm b_sm), the dot product
-    of a * b with these weights. flip negates the sin-psi weights, for a pair
-    of which exactly one factor is mirrored (SplitValues). Read-only.
+    of a * b with these weights. Read-only.
     """
     w = np.pi * _mode_signs(modes // 2)
     w[0] = 2.0 * np.pi
-    if flip:
-        w *= _mirror_signs(modes)
     w.flags.writeable = False
     return w
 
@@ -112,52 +99,18 @@ def _to_nodes(a: np.ndarray, expansion: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ expansion).reshape(a.shape[:-1] + (-1,))
 
 
-def _part_nodes(a: np.ndarray, mirrored: bool, expansion: np.ndarray) -> np.ndarray:
-    # a part in slice-angle modes taken to the nodes of expansion, in a new
-    # array; a mirrored part (SplitValues) is expanded in its stored ring
-    # order, its sin-psi rows negated, and the nodes are viewed mirrored
-    # again, so neither array is copied
-    if not mirrored:
-        return _to_nodes(a, expansion)
-    return _to_nodes(a[:, ::-1], _mirror_signs(len(expansion))[:, None] * expansion)[:, ::-1]
-
-
-def _aligned(a: np.ndarray, b: np.ndarray) -> tuple:
-    # a and b in one shape: beside a mirrored part, whose ring axis is split
-    # out (SplitValues), the other is viewed with its ring axis split too
-    if a.ndim == b.ndim:
-        return a, b
-    return (a, b.reshape(a.shape)) if a.ndim > b.ndim else (a.reshape(b.shape), b)
-
-
-def _on_slices(pair, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # pair(a, b), one value per slice, of a and b aligned (_aligned), on the
-    # centres again; two mirrored parts pair in their stored ring order and
-    # the profile is mirrored after, so neither is read reversed
-    a, b = _aligned(a, b)
-    if a.ndim < 4 or a.strides[1] >= 0 or b.strides[1] >= 0:
-        s = pair(a, b)
-    else:
-        s = pair(a[:, ::-1], b[:, ::-1])[:, ::-1]
-    return s.reshape(len(s), -1) if s.ndim > 2 else s
-
-
 def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
-    # the sum of the squares of real (row, mirrored) parts in one new array,
-    # each row taken from slice-angle modes to the nodes of expansion first,
-    # if given; one row's square is formed next to the sum at a time
+    # the sum of the squares of real rows in one new array, each row taken
+    # from slice-angle modes to the nodes of expansion first, if given; one
+    # row's square is formed next to the sum at a time
     acc = None
-    for row, mirrored in rows:
+    for row in rows:
         if expansion is None:
             sq = np.square(row)
         else:
-            sq = _part_nodes(row, mirrored, expansion)
+            sq = _to_nodes(row, expansion)
             np.square(sq, out=sq)
-        if acc is None:
-            acc = sq
-        else:
-            a, sq = _aligned(acc, sq)   # a views acc
-            np.add(a, sq, out=a)
+        acc = sq if acc is None else np.add(acc, sq, out=acc)
         del sq   # before the next row's array is made
     return acc
 
@@ -212,14 +165,6 @@ class SplitValues(NamedTuple):
     band-limited function (see SliceColumn), and expansion is the
     (2L+1, nodes) matrix that takes them to the slice nodes (nodes()).
 
-    mirrored marks, per part, a field read at -p off the column's mirrored
-    azimuth rows (SliceColumn.sampler): a view of shape (rows, rings, radii,
-    2L+1) with its polar rings reversed, whose stored modes are the values'
-    with their sin-psi modes negated. pair_profile puts that sign into the
-    Parseval weights and nodes() into the expansion; a part in modes that is
-    not mirrored has shape (rows, centres, 2L+1). Node values of mirrored
-    parts keep the ring axis split out, and pairs view the other factor so.
-
     products, when set, is a store that pair_profile keeps the real products
     of these parts in, shared with every SplitValues that holds the same
     store; keys then names each part in it (re's key, im's), and equal keys
@@ -233,25 +178,19 @@ class SplitValues(NamedTuple):
     keys: tuple = (None, None)
     products: dict | None = None
     expansion: np.ndarray | None = None
-    mirrored: tuple = (False, False)
 
     def parts(self) -> list:
-        """(array, sign, unit, key, mirrored) per part: unit 1.0 for re, 1j for im."""
-        re = (self.re, self.re_sign, 1.0, self.keys[0], self.mirrored[0])
-        if self.im is None:
-            return [re]
-        return [re, (self.im, self.im_sign, 1j, self.keys[1], self.mirrored[1])]
+        """(array, sign, unit, key) per part: unit 1.0 for re, 1j for im."""
+        re = (self.re, self.re_sign, 1.0, self.keys[0])
+        return [re] if self.im is None else [re, (self.im, self.im_sign, 1j, self.keys[1])]
 
     def dense(self) -> np.ndarray:
         """The values as one real or complex array, in their own domain."""
-        re, im = (np.multiply(a, _mirror_signs(a.shape[-1])) if m else a
-                  for a, m in zip((self.re, self.im), self.mirrored))
-        if im is None:
-            return re if self.re_sign > 0 else -re
-        re, im = _aligned(re, im)
-        v = np.empty(re.shape, dtype=complex)
-        np.multiply(re, self.re_sign, out=v.real)
-        np.multiply(im, self.im_sign, out=v.imag)
+        if self.im is None:
+            return self.re if self.re_sign > 0 else -self.re
+        v = np.empty(self.re.shape, dtype=complex)
+        np.multiply(self.re, self.re_sign, out=v.real)
+        np.multiply(self.im, self.im_sign, out=v.imag)
         return v
 
     def nodes(self) -> "SplitValues":
@@ -259,9 +198,8 @@ class SplitValues(NamedTuple):
         else each part expanded into a new array, with no store."""
         if self.expansion is None:
             return self
-        re, im = (None if a is None else _part_nodes(a, m, self.expansion)
-                  for a, m in zip((self.re, self.im), self.mirrored))
-        return SplitValues(re, im, self.re_sign, self.im_sign)
+        im = None if self.im is None else _to_nodes(self.im, self.expansion)
+        return SplitValues(_to_nodes(self.re, self.expansion), im, self.re_sign, self.im_sign)
 
     def magnitude(self, p: int, n_c: int | None = None) -> "SplitValues":
         """|v|^p, real, in one new buffer at the nodes of expansion, or of
@@ -270,7 +208,7 @@ class SplitValues(NamedTuple):
         expansion = self.expansion
         if expansion is not None and n_c is not None:
             expansion = _expansion(expansion.shape[0] // 2, n_c)
-        m = _square_sum([(part, mirrored) for part, *_, mirrored in self.parts()], expansion)
+        m = _square_sum([part for part, *_ in self.parts()], expansion)
         if p != 2:
             m **= p / 2
         return SplitValues(m)
@@ -282,26 +220,24 @@ class SlicePlan:
 
     requests holds (func, negate) pairs, each asking for func at the nodes p,
     or at -p when negate. A coefficient-backed function becomes its real and
-    imaginary coefficient rows, each a part (row, sign, mirrored): the part
-    at p is sign times the row at p, or at -p if mirrored, so a request at -p
-    is its rows mirrored. A sharp rearrangement of one becomes its source's
-    parts at +p and -p, combined as sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2),
-    which is antipodally symmetric and stays real; any other callable is
-    called at the literal nodes.
+    imaginary coefficient rows, times parity_signs for f(-p); a sharp
+    rearrangement of one becomes its source's rows for +p and -p, combined as
+    sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2), which is antipodally symmetric
+    and stays real; any other callable is called at the literal nodes.
 
-    Rows are shared by content, up to sign and parity: a real row equal, bit
-    for bit, to another, to its negation, or to either times the parity
-    signs (a function of the other at -p) is stored once and read with its
-    sign, mirrored in the last two cases. A row of pure parity, parity * row
-    = +-row, is read at p with that sign instead of mirrored, so f(-p) =
-    +-f(p) holds bit for bit. Since f_star = conj(f(-.)) has f's real row
-    mirrored and its imaginary row mirrored and negated, f, f_star and both
-    at -p cost the rows of f alone. Requests whose parts (or, for callables,
-    object and sign) agree share one entry.
+    Rows are shared by content, up to sign only: a real row equal to
+    another, or to its negation, bit for bit, is stored once and read with
+    its sign. Since f_star = conj(f(-.)) has the real row of f(-p) and the
+    negated imaginary one, f, f_star and both at -p cost the rows of f at +p
+    and -p; a row of pure parity is its own parity flip up to sign, so it is
+    one row at +-p. Requests whose rows (or, for callables, object and sign)
+    agree share one entry.
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
-    Without coefficient-backed requests rows is None and degree is 0.
+    Without coefficient-backed requests rows is None and degree is 0. keys
+    holds the indices of the rows its coefficient-backed requests read; a
+    held product of any other row is one its values cannot read.
     """
 
     def __init__(self, requests):
@@ -310,38 +246,25 @@ class SlicePlan:
                    for func, _ in requests]
         width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
                     default=0)
-        parity = parity_signs(math.isqrt(width) - 1) if width else None
-        rows, where, pure = [], {}, []
+        rows, where = [], {}
 
-        def part(v: np.ndarray, negate: bool) -> tuple:
-            # (index, sign, mirrored) of a real row read at -p if negate,
-            # stored once up to sign and parity; rows of one plan share a
-            # width, so their untrimmed bytes tell them apart
-            if len(v) < width:
-                v = np.concatenate([v, np.zeros(width - len(v))])
-            p = v + 0.0   # a copy, with -0.0 mapped to 0.0
+        def row(part: np.ndarray) -> tuple:
+            # (index, sign) of a real row, stored once up to its sign; rows of
+            # one plan share a width, so their untrimmed bytes tell them apart
+            p = np.zeros(width)
+            p[:len(part)] = part
+            p += 0.0   # maps -0.0 to 0.0
             key = p.tobytes()
             if key not in where:
-                n, q = len(rows), parity * p + 0.0
-                mirror = q.tobytes()
-                where[(0.0 - q).tobytes()] = (n, -1.0, True)
-                where[mirror] = (n, 1.0, True)
-                # after the mirrored keys, so a row of pure parity reads at p,
-                # and after the negation: a zero row reads +
-                where[(0.0 - p).tobytes()] = (n, -1.0, False)
-                where[key] = (n, 1.0, False)
-                _, sign, mirrored = where[mirror]
-                pure.append(None if mirrored else sign)
+                where[(0.0 - p).tobytes()] = (len(rows), -1.0)
+                where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
                 rows.append(p)
-            i, sign, mirrored = where[key]
-            if negate and pure[i] is not None:
-                return i, sign * pure[i], False
-            return i, sign, mirrored != negate
+            return where[key]
 
         def split(c: HarmonicCoeffs, negate: bool) -> tuple:
-            # the real part and the imaginary one (None for real coefficients)
-            v = c.coeffs
-            return part(v.real, negate), (part(v.imag, negate) if np.iscomplexobj(v) else None)
+            # the real row and the imaginary one (None for real coefficients)
+            v = c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs
+            return row(v.real), (row(v.imag) if np.iscomplexobj(v) else None)
 
         self._entries, self._index, seen = [], [], {}
         for (func, negate), (c, src) in zip(requests, sources):
@@ -358,61 +281,46 @@ class SlicePlan:
             self._index.append(seen[key])
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
-
-    @cached_property
-    def keys(self) -> frozenset:
-        """The products that values given a store can read there: (row,
-        mirrored) per coefficient part, and each sharp entry."""
-        return frozenset([(i, m) for e in self._entries if e[0] == "field"
-                          for i, _, m in filter(None, e[1:])]
-                         + [e for e in self._entries if e[0] == "sharp"])
+        self.keys = frozenset(i for e in self._entries if e[0] == "field"
+                              for i, _ in filter(None, e[1:]))
 
     def values(self, fields, nodes, products=None, expansion=None) -> list:
         """Per request, its values on a set of slices, as SplitValues.
 
-        fields(i, mirrored) gives row i of rows on the slices, at -p if
-        mirrored, as (array, sign): the row there is sign * array, so a
-        caller can hand over a held field of the negated row without negating
-        it. The arrays hold values at the slice nodes, or, given expansion
-        (see SplitValues), slice-angle modes, where a mirrored array is read
-        off the column's mirrored azimuth rows (SplitValues.mirrored). nodes()
-        returns the literal nodes with the node axes plus a last axis of 3,
-        and is called only for literal calls. A coefficient-backed request
-        reads its arrays in place, with its signs times theirs, in their
-        domain; a sharp rearrangement is built at the nodes in one new buffer;
-        a literal call is split into views of its real and imaginary parts.
-        Requests that share an entry get the same object.
+        fields holds one (array, sign) pair per distinct row, in the order of
+        rows (empty or None without rows): the row on the slices is sign *
+        array, so a caller can hand over a held field of the negated row
+        without negating it. The arrays hold values at the slice nodes, or,
+        given expansion (see SplitValues), slice-angle modes. nodes() returns
+        the literal nodes with the node axes plus a last axis of 3, and is
+        called only for literal calls. A coefficient-backed request reads its
+        arrays in place, with its signs times theirs, in their domain; a sharp
+        rearrangement is built at the nodes in one new buffer; a literal call
+        is split into views of its real and imaginary parts. Requests that
+        share an entry get the same object.
 
         products is the store (SplitValues.products) of the fields' real
-        products, or None: coefficient-backed values carry it, keyed by
-        (row index, mirrored), and sharp values too, keyed by their entry, so
-        a product of two parts is formed once for as long as the store lives
-        (keys lists them all). Without it sharp values, and literal values
-        always, carry a store of this call's own, keyed by entry and part, so
-        they share products only among the values returned here.
+        products, or None: coefficient-backed values carry it, keyed by row
+        index, so a product of two rows is formed once for as long as the
+        store lives. Sharp and literal values carry a store of this call's
+        own, keyed by entry and part, so they share products only with each
+        other and only among the values returned here.
         """
-        modes = expansion is not None
         pts, out, own = None, [], {}
         for e, (kind, *args) in enumerate(self._entries):
             if kind == "field":
-                (i, si, mi), im = args
-                re, sr = fields(i, mi)
+                (i, si), im = args
+                re, sr = fields[i]
                 if im is None:
-                    v = SplitValues(re, None, si * sr, 1.0, ((i, mi), None), products, expansion,
-                                    (modes and mi, False))
+                    v = SplitValues(re, None, si * sr, 1.0, (i, None), products, expansion)
                 else:
-                    j, sj, mj = im
-                    vi, sv = fields(j, mj)
-                    v = SplitValues(re, vi, si * sr, sj * sv, ((i, mi), (j, mj)), products,
-                                    expansion, (modes and mi, modes and mj))
+                    vi, sv = fields[im[0]]
+                    v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products,
+                                    expansion)
             elif kind == "sharp":
-                # parts read at p first, so the sum keeps their shape
-                acc = _square_sum([(fields(i, m)[0], modes and m)
-                                   for i, _, m in sorted(filter(None, args), key=lambda x: x[2])],
-                                  expansion)
+                acc = _square_sum([fields[r[0]][0] for r in args if r is not None], expansion)
                 acc *= 0.5
-                v = SplitValues(np.sqrt(acc, out=acc), keys=(self._entries[e], None),
-                                products=own if products is None else products)
+                v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
             else:
                 func, negate = args
                 if pts is None:
@@ -426,20 +334,12 @@ class SlicePlan:
 
     def at(self, points: np.ndarray) -> list:
         """Per request, its values as dense arrays at points of any shape (last
-        axis 3), with the coefficient rows synthesized from one harmonic table;
-        a row read mirrored is the row times the parity signs, there being no
-        column to mirror. Non-finite values raise ValueError."""
+        axis 3), with the coefficient rows synthesized from one harmonic table.
+        Non-finite values raise ValueError."""
         fields = None
         if self.rows is not None:
-            n, table = len(self.rows), harmonic_values(self.degree, points.reshape(-1, 3))
-            mirrors = any(m for e in self._entries if e[0] != "call"
-                          for _, _, m in filter(None, e[1:]))
-            rows = (np.concatenate([self.rows, parity_signs(self.degree) * self.rows])
-                    if mirrors else self.rows)
-            synth = (rows @ table).reshape((-1,) + points.shape[:-1])
-
-            def fields(i, mirrored):
-                return synth[i + n * mirrored], 1.0
+            table = harmonic_values(self.degree, points.reshape(-1, 3))
+            fields = [(v, 1.0) for v in (self.rows @ table).reshape((-1,) + points.shape[:-1])]
         split = self.values(fields, lambda: points)
         dense = {id(v): v.dense() for v in split}
         if not all(np.all(np.isfinite(v)) for v in dense.values()):
@@ -481,27 +381,24 @@ class SliceColumn:
     points(), slice_point_table at the rotated centres.
 
     Values on slices come in blocks of shape (azimuth rows, column centres,
-    modes or slice nodes), the centres ring-major (polar ring, then radius),
-    so that reversing the rings, as the mirrored rows do, moves whole blocks
-    of a ring's radii; radii and weights belong to the column centres and
-    hold for every azimuth row.
+    modes or slice nodes), the centres radial-major as in BallGrid.points();
+    radii and weights belong to the column centres and hold for every
+    azimuth row.
 
     Antipodal rows: the ball node x at (radius, polar ring i, azimuth row a)
     has -x at (radius, ring n_t-1-i, row a+n_t), of equal weight, and
     circle_frames gives -x the frame (-e1, e2): -x's slice is x's negated,
-    slice angle negated. So the ball routes read rows [0, n_t), at p and -p,
-    and f at -p on row a is f's own field on row a+n_t with its rings
-    reversed and its sin-psi modes negated: the mirrored azimuth rows
-    (mirrored, SplitValues.mirrored).
+    slice angle negated. So the ball routes read rows [0, n_t) only, at p
+    and at -p, the latter as the parity-flipped coefficient row (SlicePlan).
 
     recall is the column's one memo, of its last call's coefficient rows and
-    only those, as modes on all 2 n_t azimuth rows; a later call on the same
+    only those, as modes on azimuth rows [0, n_t); a later call on the same
     rows, each equal up to sign, reads them in place. The forms route reads
     it through sampler. Next to the fields the memo keeps, per azimuth
     block, their real products in modes, which pair_profile forms at most
-    once while recall holds those fields; sampler drops those a new plan on
-    them cannot read. Node values are formed per use and not kept: a row at
-    the nodes takes N / (2L+1) times the memory of its modes.
+    once while recall holds those fields. Node values are formed per use and
+    not kept: a row at the nodes takes N / (2L+1) times the memory of its
+    modes.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -510,9 +407,8 @@ class SliceColumn:
         n_az = 2 * n_t
         if dirs.n_nodes != n_t * n_az:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
-        # ring-major: the rings of -x, reversed, line up with x's as whole blocks
-        self._centres = (dirs.nodes[::n_az, None] * ball.radial_nodes[:, None]).reshape(-1, 3)
-        self.weights = ball.weights()[::n_az].reshape(-1, n_t).T.ravel()
+        self._centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
+        self.weights = ball.weights()[::n_az]
         self.n_c, self.n_az, self.L = n_c, n_az, L
         alpha = np.arange(n_az) * (np.pi / n_t)
         self._cos, self._sin = np.cos(alpha), np.sin(alpha)
@@ -545,8 +441,7 @@ class SliceColumn:
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
 
         Row a + n_t holds the slices of -x for the ball nodes x of row a (see
-        antipodal rows, above), so the ball route reads them as row a's
-        values at -p, mirrored.
+        antipodal rows, above), so the ball route reads them off row a at -p.
         Each block spans about _BLOCK_NODES slice nodes of x and -x together;
         the blocks bound the profile, sharp and literal arrays of one block,
         since the memo's coefficient fields are held whole.
@@ -592,22 +487,16 @@ class SliceColumn:
             lo += 2 * n
         return out.transpose(1, 0, 2)
 
-    def mirrored(self, v: np.ndarray) -> np.ndarray:
-        """v, of shape (rows, column centres, ...), as the view (rows, rings,
-        radii, ...) with its polar rings reversed: on rows a+n_t it lines
-        each -x up with x of row a."""
-        return v.reshape((len(v), self.n_az // 2, -1) + v.shape[2:])[:, ::-1]
-
     def recall(self, rows) -> tuple:
         """(fields, signs) of real coefficient rows, shape (n, (L'+1)^2) or
-        None: row i on the slices of every azimuth row is signs[i] *
-        fields[i], fields a read-only buffer (n, 2 n_t, column centres, 2L+1)
+        None: row i on the slices of azimuth rows [0, n_t) is signs[i] *
+        fields[i], fields a read-only buffer (n, n_t, column centres, 2L+1)
         of slice-angle modes. Each row is keyed once (_row_keys).
 
         Rows equal, up to sign (by content, as in SlicePlan), to the last
         call's, in their order, get its buffer back. Any other rows replace
-        it: all take one spectra pass and one synthesis trig @ spectra into
-        one buffer, since BLAS may round a row differently in a batch of
+        it: all take one spectra pass and one synthesis trig[:n_t] @ spectra
+        into one buffer, since BLAS may round a row differently in a batch of
         another size; the spectra are dropped, and so are the products kept
         with the fields replaced. A call without rows needs no fields: it
         gets an empty buffer and leaves the memo as it is.
@@ -620,8 +509,9 @@ class SliceColumn:
         if len(keys) == len(self._memo[0]) and None not in signs:
             return self._memo[1], signs
         self._memo = ([], (), {})   # frees the last call's buffer before this call's
-        fields = np.empty((len(rows), self.n_az, self.radii.size, 2 * self.L + 1))
-        np.matmul(self.trig, self.spectra(rows), out=fields.reshape(len(rows), self.n_az, -1))
+        n_t = self.n_az // 2
+        fields = np.empty((len(rows), n_t, self.radii.size, 2 * self.L + 1))
+        np.matmul(self.trig[:n_t], self.spectra(rows), out=fields.reshape(len(rows), n_t, -1))
         fields.flags.writeable = False
         self._memo = (keys, fields, {})
         return fields, [1.0] * len(keys)
@@ -633,21 +523,19 @@ class SliceColumn:
         SlicePlan.values) at azimuth rows a0:a1 inside [0, n_t), the rows
         blocks() covers; other ranges raise ValueError. Coefficient-backed
         values are slice-angle modes, parts of shape (a1 - a0, column centres,
-        2L+1), with this column's expansion; a part at -p is its row's field
-        on rows n_t+a0 : n_t+a1, mirrored (SplitValues.mirrored). Sharp and
-        literal values are at the slice nodes. The table must reach
-        plan.degree. The coefficient rows' fields come from recall, the
-        column's one memo, so every value is bit for bit that of a fresh
-        column; sample reads views of those fields, and a negated field with
-        the opposite sign.
+        2L+1), with this column's expansion; a part at -p is the field of its
+        parity-flipped row on the same azimuth rows. Sharp and literal values
+        are at the slice nodes. The table must reach plan.degree. The
+        coefficient rows' fields come from recall, the column's one memo, so
+        every value is bit for bit that of a fresh column; sample reads views
+        of those fields, and a negated field with the opposite sign.
 
-        Coefficient-backed and sharp values carry the memo's store
-        (SplitValues.products) of the held fields' real products on block
-        a0:a1, keyed by row index and mirror flag, or by sharp entry (plan.rows
-        is the order of recall's rows), so pair_profile forms the product of
-        two held parts on a block once across the samplers of those fields.
-        A sampler keeps there only the products its plan's values can read
-        (plan.keys), so no call holds an
+        Coefficient-backed values carry the memo's store (SplitValues.products)
+        of the held fields' real products on block a0:a1, keyed by row index
+        (plan.rows is the order of recall's rows), so pair_profile forms the
+        product of two held rows on a block once across the samplers of those
+        fields. A sampler keeps there only the products of rows its plan's
+        coefficient-backed values read (plan.keys), so no call holds an
         earlier one's products that it has no use for. recall drops the store
         with the fields, and a sampler whose fields were replaced gets none.
         Keys are row indices, never array identities.
@@ -663,12 +551,8 @@ class SliceColumn:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
             held = len(fields) and fields is self._memo[1]
-
-            def field(i: int, mirrored: bool) -> tuple:
-                v = fields[i]
-                return (self.mirrored(v[n_t + a0:n_t + a1]) if mirrored else v[a0:a1]), signs[i]
-
-            return plan.values(field, lambda: self.points(a0, a1),
+            return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
+                               lambda: self.points(a0, a1),
                                self._memo[2].setdefault((a0, a1), {}) if held else None,
                                self.expansion)
 
@@ -680,24 +564,16 @@ def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # of N (halves crosswise); einsum sums each half over j and adds the two
     # sums once, so a and b swapped give the same bits (pair_profile keys
     # such products unordered)
-    def pair(a, b):
-        half = a.shape[-1] // 2
-        a = a.reshape(a.shape[:-1] + (2, half))
-        b = b.reshape(b.shape[:-1] + (2, half))[..., ::-1, :]
-        return np.einsum("...ij,...ij->...", a, b)
-    return _on_slices(pair, a, b)
+    half = a.shape[-1] // 2
+    a = a.reshape(a.shape[:-1] + (2, half))
+    b = b.reshape(b.shape[:-1] + (2, half))[..., ::-1, :]
+    return np.einsum("...ij,...ij->...", a, b)
 
 
-def _mode_pair(a: np.ndarray, b: np.ndarray, flip: bool = False) -> np.ndarray:
+def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the integral over psi of a(psi) b(psi + pi) on each slice, of a and b in
-    # slice-angle modes, flip when exactly one is mirrored (SplitValues); the
-    # other is then viewed in its ring-split shape. a * b is b * a bit for
-    # bit, in C order either way, so a swap gives the same bits
-    def pair(a, b):
-        p = np.multiply(a, b, order="C")
-        w = _mode_weights(p.shape[-1], flip)
-        return (p.reshape(-1, p.shape[-1]) @ w).reshape(p.shape[:-1])
-    return _on_slices(pair, a, b)
+    # slice-angle modes; a * b is b * a bit for bit, so a swap gives the same bits
+    return (a * b) @ _mode_weights(a.shape[-1])
 
 
 def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
@@ -709,9 +585,7 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     the result is real when both are.
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
-    exact for band-limited factors at every n_c; a pair of parts of which
-    exactly one is mirrored (SplitValues.mirrored) takes the weights with
-    their sin-psi signs flipped. Otherwise both are taken to
+    exact for band-limited factors at every n_c. Otherwise both are taken to
     the slice nodes (SplitValues.nodes) and paired by the trapezoid rule on
     the N nodes of the last axis, N even and read from the values: the
     partner x - p_j of node j is node j + N/2 and back (see _half_turn),
@@ -729,17 +603,18 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
         nodes = (va if dense else va.re).shape[-1]
         if nodes % 2:
             raise ValueError(f"pair_profile needs an even node count, got {nodes}")
+    pair = _mode_pair if modes else _half_pair
     if dense:
-        s = _half_pair(va, vb)
+        s = pair(va, vb)
     else:
         store = va.products if va.products is vb.products else None
         s = None
-        for a, sa, ua, ka, ma in va.parts():
-            for b, sb, ub, kb, mb in vb.parts():
+        for a, sa, ua, ka in va.parts():
+            for b, sb, ub, kb in vb.parts():
                 key = None if store is None else frozenset((ka, kb))
                 p = None if key is None else store.get(key)
                 if p is None:
-                    p = _mode_pair(a, b, ma != mb) if modes else _half_pair(a, b)
+                    p = pair(a, b)
                     if key is not None:
                         store[key] = p
                 coef = ua * ub * (sa * sb)
@@ -779,7 +654,8 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
 
     The slice nodes hold each node's partner x - p_j (see _half_turn), so
     g is read off the same nodes as f, both through one SlicePlan, and the
-    two meet in pair_profile.
+    two meet in pair_profile. A centre at 0, or one whose norm underflows to
+    0, raises DegenerateSliceError, and non-finite centres ValueError.
     """
     X = np.atleast_2d(_finite(X, "convolution centres"))
     out = np.zeros(len(X), dtype=complex)

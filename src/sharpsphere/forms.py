@@ -169,11 +169,11 @@ class FormGrids:
     n_c, 6.3 MB at L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for
     geometry and basis once. Its one memo (SliceColumn.recall), which every
     caller reads through SliceColumn.sampler, keeps the last call's
-    coefficient rows synthesized as modes on all 2 n_t azimuth rows (3.8 MB
-    a row above), f at -p read off the mirrored rows, so a chain of Q/B
-    calls on one f, such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#,
-    f#), Q(f, f, f, f) = 3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one
-    spectra pass and one synthesis for f's one row, or two for complex f.
+    coefficient rows synthesized as modes on azimuth rows [0, n_t) (1.9 MB a
+    row above), f at -p as its parity-flipped rows, so a chain of Q/B calls
+    on one f, such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#),
+    Q(f, f, f, f) = 3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra
+    pass and one synthesis for f's rows at +-p: two, or four for complex f.
     Next to the fields the memo keeps, per azimuth block, their real
     products, so B(F, F) reads the products Q(f, f, f, f) formed, and G's
     profiles in Q(f, f*, f, f*) read F's. |F|^2 of
@@ -295,10 +295,10 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, its
     # profiles are F's and are not computed again; the sum keeps its form, so
     # the result is the same bit for bit.
-    # Structured kernels' factors are sampled at p, and at -p off the
-    # mirrored azimuth rows of the same coefficient rows; one column table
-    # serves both kernels, and shared rows are synthesized once (or not at
-    # all, if the column's last call had them: see SliceColumn.sampler).
+    # Structured kernels' factors are sampled at p, and at -p from
+    # parity-flipped coefficient rows on the same azimuth rows; one column
+    # table serves both kernels, and shared rows are synthesized once (or not
+    # at all, if the column's last call had them: see SliceColumn.sampler).
     # Every profile sums real products of the sampled parts, each formed
     # once per block (pair_profile): F's profile at -x for F = f tensor
     # f_star, and G's in Q(f, g, f_star, g_star), read the products of F's at

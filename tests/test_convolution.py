@@ -57,9 +57,15 @@ class TestLiteralSliceAverage:
         vals = pair_slice_average(PairKernel.tensor(f, g), xs, 48)
         assert np.all(np.abs(vals - expect) <= 1e-12 * np.abs(expect))
 
-    def test_origin_rejected(self):
+    @pytest.mark.parametrize("route", [
+        lambda X: pair_slice_average(PairKernel.tensor(ONE, ONE), X, 8),
+        lambda X: convolve_many(ONE, ONE, X, 8),
+    ], ids=["pair_slice_average", "convolve_many"])
+    @pytest.mark.parametrize("centre", [0.0, 1e-300], ids=["zero", "underflow"])
+    def test_origin_rejected(self, route, centre):
+        # |x| of 1e-300 underflows to 0: the slice there is as undefined
         with pytest.raises(DegenerateSliceError):
-            pair_slice_average(PairKernel.tensor(ONE, ONE), np.zeros((1, 3)), 8)
+            route(np.array([[centre, 0.0, 0.0]]))
 
     def test_real_inputs_give_a_real_value(self):
         f = rand_fn(4, 14)
@@ -179,9 +185,8 @@ class TestPairProfile:
                              ids=["0", "1", "2", "4", "8", "4-odd"])
     def test_split_rows_match_the_dense_profiles(self, L, odd):
         # f and f_star at +-p, rows read negated, a sharp field and |.|^2 of each;
-        # coefficient rows come as 2L+1 slice-angle modes, at -p off the
-        # mirrored azimuth rows, the rest at the slice nodes: an odd column
-        # holds 2 n_c a slice, rule nodes then partners
+        # coefficient rows come as 2L+1 slice-angle modes, the rest at the
+        # slice nodes: an odd column holds 2 n_c a slice, rule nodes then partners
         n_t, n_r, n_c = exact_sizes(L)
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c + odd, L)
         f = rand_fn(L, 80 + L, complex_valued=True)
@@ -189,7 +194,7 @@ class TestPairProfile:
         neg = SphereFunction.from_coeffs(HarmonicCoeffs(L, -f.coeffs.coeffs))
         plan = SlicePlan([(f, False), (fs, False), (f, True), (fs, True), (neg, False),
                           (neg, True), (f.sharp_rearrangement(), False), (rand_fn(L, 90), True)])
-        assert len(plan.rows) == 3   # f's real and imaginary rows, and the other function's
+        assert len(plan.rows) == (3 if L == 0 else 5)
         vals = col.sampler(plan)(0, col.n_az // 2)
         assert vals[0].re.shape[-1] == 2 * L + 1
         assert vals[6].re.shape[-1] == (2 if odd else 1) * col.n_c
@@ -403,29 +408,20 @@ class TestSliceColumn:
     def column(self):
         return SliceColumn(build_ball_grid(5, build_sphere_grid(6)), 10, 5)
 
-    @staticmethod
-    def by_row(ball, n_az):
-        # the ball's nodes and weights per azimuth row, centres ring-major
-        # (polar ring, then radius) as the column holds them
-        n_r = len(ball.radial_nodes)
-        X = ball.points().reshape(n_r, -1, n_az, 3).transpose(2, 1, 0, 3).reshape(n_az, -1, 3)
-        w = ball.weights().reshape(n_r, -1, n_az).transpose(2, 1, 0).reshape(n_az, -1)
-        return X, w
-
     def test_rotated_column_is_the_slice_geometry(self, column):
         # azimuth row a of the column holds the slices of the ball nodes at azimuth a
         ball = build_ball_grid(5, build_sphere_grid(6))
-        X, w = self.by_row(ball, column.n_az)
+        X = ball.points().reshape(-1, column.n_az, 3).transpose(1, 0, 2)
         pts, _ = slice_point_table(X.reshape(-1, 3), column.n_c)
         literal = column.points(0, column.n_az).reshape(pts.shape)
         assert np.abs(literal - pts).max() <= 1e-15
-        assert np.array_equal(column.weights, w[0])
+        assert np.array_equal(column.weights, ball.weights()[::column.n_az])
 
     def test_centres_are_the_ball_nodes_of_each_azimuth_row(self, column):
         ball = build_ball_grid(5, build_sphere_grid(6))
-        X, _ = self.by_row(ball, column.n_az)
+        X = ball.points().reshape(-1, column.n_az, 3)
         for a in range(column.n_az):
-            assert np.abs(column.centres(a, a + 1)[0] - X[a]).max() <= 1e-15
+            assert np.abs(column.centres(a, a + 1)[0] - X[:, a]).max() <= 1e-15
 
     @staticmethod
     def at_nodes(column, modes):
@@ -481,25 +477,24 @@ class TestSliceColumn:
 
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,
-        # each at p and -p, need only the real and imaginary rows of f
+        # each at p and -p, need only the real and imaginary rows of f(+-p)
         f = rand_fn(4, 67, complex_valued=True)
         fa, fb = f.antipodal_conjugate(), f.antipodal_conjugate()
         requests = [(f, False), (fa, False), (f, True), (fa, True),
                     (f, True), (fb, True), (f, False), (fb, False)]
         plan = SlicePlan(requests)
-        assert plan.rows.shape[0] == 2
+        assert plan.rows.shape[0] == 4
         pts = unit_vectors(np.random.default_rng(68), 50)
         for (func, negate), v in zip(requests, plan.at(pts)):
             expect = func(-pts if negate else pts)
             assert np.abs(v - expect).max() <= 1e-14 * np.abs(expect).max()
 
     def test_real_function_and_its_conjugate_hold_one_row_per_sign(self):
-        # f_star is f at -p: f's row, mirrored, serves both signs
         f = rand_fn(4, 69)
         fs = f.antipodal_conjugate()
         requests = [(f, False), (fs, False), (f, True), (fs, True)]
         plan = SlicePlan(requests)
-        assert plan.rows.shape[0] == 1
+        assert plan.rows.shape[0] == 2
         pts = unit_vectors(np.random.default_rng(70), 50)
         for (func, negate), v in zip(requests, plan.at(pts)):
             assert not np.iscomplexobj(v)
@@ -550,9 +545,9 @@ def coeff_fn(L: int, c) -> SphereFunction:
     return SphereFunction.from_coeffs(HarmonicCoeffs(L, np.asarray(c)))
 
 
-class TestMirroredRows:
-    """f at -p is f's own field on the mirrored azimuth rows: row a + n_t,
-    polar rings reversed, sin-psi modes negated (SplitValues.mirrored)."""
+class TestNegatedReads:
+    """f at -p is the field of f's parity-flipped coefficient row on the same
+    azimuth rows (SlicePlan): rows are shared up to sign only."""
 
     @staticmethod
     def column(L: int, odd: bool) -> SliceColumn:
@@ -562,32 +557,35 @@ class TestMirroredRows:
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
     @pytest.mark.parametrize("L", list(range(9)) + [16])
-    def test_a_mirrored_read_is_the_parity_flipped_synthesis(self, L, complex_valued, odd):
+    def test_a_negated_read_is_the_parity_flipped_synthesis(self, L, complex_valued, odd):
         col = self.column(L, odd)
         n_t, modes = col.n_az // 2, 2 * L + 1
         f = rand_fn(L, 140 + L, complex_valued=complex_valued)
         (v,) = col.sampler(SlicePlan([(f, True)]))(0, n_t)
-        assert v.mirrored[0] == (L > 0)   # at L = 0 every row has pure parity
         flipped = parity_signs(L) * f.coeffs.coeffs
         fresh = col.trig[:n_t] @ col.spectra(np.stack([flipped.real, flipped.imag]))
         fresh = fresh.reshape(2, n_t, -1, modes)
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
         got = v.dense().reshape(expect.shape)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
-        nodes = v.nodes().dense().reshape(expect.shape[:-1] + (-1,))
-        assert np.abs(nodes - expect @ col.expansion).max() <= 1e-13 * np.abs(expect).max()
+        # at the nodes, the literal f(-p)
+        pts = col.points(0, n_t).reshape(-1, 3)
+        literal = f(-pts)
+        nodes = v.nodes().dense().ravel()
+        assert np.abs(nodes - literal).max() <= 1e-13 * np.abs(literal).max()
 
     @pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
     def test_a_row_of_pure_parity_is_read_at_p_with_its_sign(self, parity):
+        # parity * row = +-row, so the row at -p is the one row at p, with its sign
         col = self.column(4, False)
         c = rand_fn(4, 145).coeffs.coeffs
         f = coeff_fn(4, 0.5 * (c + parity * parity_signs(4) * c))
         plus, minus = col.sampler(SlicePlan([(f, False), (f, True)]))(0, col.n_az // 2)
-        assert minus.mirrored == (False, False) and np.shares_memory(plus.re, minus.re)
+        assert np.shares_memory(plus.re, minus.re)
         assert minus.re_sign == parity * plus.re_sign
         assert np.array_equal(minus.dense(), parity * plus.dense())
 
-    def test_one_spectra_row_per_distinct_row_up_to_parity_and_sign(self, monkeypatch):
+    def test_one_spectra_row_per_distinct_row_up_to_sign(self, monkeypatch):
         rows, spectra = [], SliceColumn.spectra
 
         def spy(col, coeffs):
@@ -598,21 +596,21 @@ class TestMirroredRows:
         p = parity_signs(4)
         c, g = rand_fn(4, 146, complex_valued=True).coeffs.coeffs, rand_fn(4, 147).coeffs.coeffs
         even = 0.5 * (g + p * g)
-        # rows: c.real, c.imag, g, even and the zero real row of 1j c.imag,
-        # each also negated and parity-flipped
+        # rows, each also negated: c.real, c.imag, g and their parity flips,
+        # even, its own flip, and the zero real row of 1j c.imag
         funcs = [coeff_fn(4, v) for v in (c, -c, p * c, -p * np.conj(c), c.real, 1j * c.imag,
                                           g, -p * g, even, -even, p * even)]
         funcs.append(funcs[0].antipodal_conjugate())
         requests = [(func, negate) for func in funcs for negate in (False, True)]
         col = self.column(4, True)
         values = col.sampler(SlicePlan(requests))(0, col.n_az // 2)
-        assert rows == [5]
+        assert rows == [8]
         pts = col.points(0, col.n_az // 2).reshape(-1, 3)
         for (func, negate), v in zip(requests, values):
             expect = func(-pts if negate else pts)
             got = v.nodes().dense().ravel()
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
-        # every pair, mirrored or not, in modes matches the node route
+        # every pair, at p or -p, in modes matches the node route
         for a in values:
             for b in values:
                 dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)

@@ -748,8 +748,8 @@ class TestSpectraMemo:
         grids = forms.FormGrids(grids.ball, grids.n_c)
         f = rand_fn(4, 94, complex_valued=complex_valued)
         values = chain_values(f, grids)
-        # the real and imaginary rows of f, read at -p off the mirrored azimuth rows
-        assert spectra_rows == [2 if complex_valued else 1]
+        # the real and imaginary rows of f at +-p
+        assert spectra_rows == [4 if complex_valued else 2]
         assert values == chain_values(f, grids, fresh=True)
 
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -757,7 +757,7 @@ class TestSpectraMemo:
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 105, complex_valued=complex_valued)
         values = chain_values(f, grids)
-        rows = 2 if complex_valued else 1
+        rows = 4 if complex_valued else 2
         assert row_passes == {"spectra": [rows], "synthesis": [("matmul", rows)]}
         assert values == chain_values(f, grids, fresh=True)
 
@@ -766,11 +766,11 @@ class TestSpectraMemo:
         f = rand_fn(4, 106, complex_valued=True)
         chain_values(f, grids)
         col = grids.slice_column(4)
-        n_az, modes = col.n_az, col.table.shape[1]   # all 2 n_t azimuth rows
+        n_t, modes = col.n_az // 2, col.table.shape[1]
         held = held_fields(col)
-        assert len(held) == 2
-        assert all(v.shape == (n_az, col.radii.size, 2 * col.L + 1) for v in held.values())
-        assert sum(v.nbytes for v in held.values()) == 2 * n_az * modes * 8
+        assert len(held) == 4
+        assert all(v.shape == (n_t, col.radii.size, 2 * col.L + 1) for v in held.values())
+        assert sum(v.nbytes for v in held.values()) == 4 * n_t * modes * 8
         assert len({id(v.base) for v in held.values()}) == 1   # one buffer
 
     def test_a_negated_hit_reads_the_held_field_with_sign_minus_one(self):
@@ -797,7 +797,7 @@ class TestSpectraMemo:
         quadrilinear_q(f, fs, f, fs, grids)
         # odd in neg, so a row read with the wrong sign would flip the value
         value = quadrilinear_q(neg, f, fs, fs, grids)
-        assert spectra_rows == [2]
+        assert spectra_rows == [4]
         fresh = forms.FormGrids(grids.ball, grids.n_c)
         assert value == quadrilinear_q(neg, f, fs, fs, fresh)
 
@@ -807,9 +807,9 @@ class TestSpectraMemo:
         first = quadrilinear_q(f, f, f, f, grids)
         quadrilinear_q(g, g, g, g, grids)
         held = held_fields(grids.slice_column(4))
-        assert len(held) == 2   # g's rows only
+        assert len(held) == 4   # g's rows only
         assert quadrilinear_q(f, f, f, f, grids) == first
-        assert spectra_rows == [2, 2, 2]
+        assert spectra_rows == [4, 4, 4]
 
     def test_a_rebuilt_column_starts_empty(self, spectra_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -819,7 +819,7 @@ class TestSpectraMemo:
         low = grids.slice_column(2)
         value = quadrilinear_q(f, fs, h, hs, grids)
         assert grids.slice_column(4) is not low
-        assert spectra_rows == [2, 4]   # f's rows again, on the new column
+        assert spectra_rows == [4, 8]   # f's rows again, on the new column
         assert value == quadrilinear_q(f, fs, h, hs, forms.FormGrids(grids.ball, grids.n_c))
 
     def test_a_partly_reused_batch_is_recomputed(self, spectra_rows):
@@ -827,9 +827,9 @@ class TestSpectraMemo:
         f = rand_fn(4, 104, complex_valued=True)
         re = SphereFunction.from_coeffs(HarmonicCoeffs(4, f.coeffs.coeffs.real.copy()))
         quadrilinear_q(f, f, f, f, grids)
-        value = quadrilinear_q(re, re, re, re, grids)   # 1 of f's 2 rows
-        assert spectra_rows == [2, 1]
-        assert len(held_fields(grids.slice_column(4))) == 1
+        value = quadrilinear_q(re, re, re, re, grids)   # 2 of f's 4 rows
+        assert spectra_rows == [4, 2]
+        assert len(held_fields(grids.slice_column(4))) == 2
         assert value == quadrilinear_q(re, re, re, re, forms.FormGrids(grids.ball, grids.n_c))
 
     @pytest.mark.parametrize("case", ["B(1, 1)", "literal"])
@@ -842,7 +842,7 @@ class TestSpectraMemo:
         first = quadrilinear_q(f, fs, f, fs, grids)
         bilinear_b(K, PairKernel.one(), grids)
         assert quadrilinear_q(f, fs, f, fs, grids) == first
-        assert spectra_rows == [1]
+        assert spectra_rows == [2]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_each_row_is_keyed_once_per_call(self, complex_valued, monkeypatch):
@@ -857,7 +857,7 @@ class TestSpectraMemo:
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 109, complex_valued=complex_valued)
         fs = f.antipodal_conjugate()
-        rows = 2 if complex_valued else 1
+        rows = 4 if complex_valued else 2
         for _ in range(2):   # a fresh memo, then a hit
             keyed.clear()
             quadrilinear_q(f, fs, f, fs, grids)
@@ -885,12 +885,13 @@ class TestSpectraMemo:
         f, g = (SphereFunction.from_coeffs(HarmonicCoeffs(4, c)) for c in (a, signed))
         quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
         value = quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(), grids)
-        assert spectra_rows == [1]
+        assert spectra_rows == [2]
         fresh = forms.FormGrids(grids.ball, grids.n_c)
         assert value == quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(),
                                        fresh)
 
-    def test_fields_of_f_and_f_star_are_one_held_row(self):
+    def test_fields_of_f_and_f_star_are_the_held_rows(self):
+        # f and f_star read the rows of f at +-p: a and parity * a
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         a, b = np.random.default_rng(10).standard_normal((2, n_coeffs(4)))
         f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
@@ -898,7 +899,7 @@ class TestSpectraMemo:
         col = grids.slice_column(4)
         fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
         assert signs == [1.0, 1.0]
-        assert fields.shape == (2, col.n_az, col.radii.size, 2 * col.L + 1)
+        assert fields.shape == (2, col.n_az // 2, col.radii.size, 2 * col.L + 1)
         # a's fields outlive the memo here: b must not get a's profile
         g = SphereFunction.from_coeffs(HarmonicCoeffs(4, b))
         gs = g.antipodal_conjugate()
@@ -985,10 +986,10 @@ class TestSameKernelFold:
         blocks = len(grids.slice_column(4).blocks())
         folded = quadrilinear_q(f, fs, f, fs, grids)
         assert half_pairs[0] == 4 * blocks
-        assert spectra_rows == [2]
+        assert spectra_rows == [4]
         whole = quadrilinear_q(f, fs, twin, twin.antipodal_conjugate(), grids)
         assert half_pairs[0] == 4 * blocks
-        assert spectra_rows == [2]
+        assert spectra_rows == [4]
         assert folded == whole
 
     @pytest.mark.parametrize("case", ["sum_weight_power", "magnitude_power"])
@@ -1150,11 +1151,14 @@ class TestHeldProducts:
         col = grids.slice_column(4)
         quadrilinear_q(f, fs, f, fs, grids)
         assert expanded == []
-        quadrilinear_q(sharp, sharp, sharp, sharp, grids)
-        assert len(expanded) == 2 * 2   # two rows on two blocks
         held = [(p.shape, (a1 - a0, col.radii.size))
                 for (a0, a1), store in col._memo[2].items() for p in store.values()]
         assert held and all(shape == block for shape, block in held)
+        quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+        assert len(expanded) == 2 * 2   # two rows on two blocks
+        # the sharp plan reads no row in modes: its sampler keeps none of f's
+        # products, and its sharp values keep their own store
+        assert not any(col._memo[2].values())
 
     def test_products_are_dropped_when_recall_replaces_the_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
