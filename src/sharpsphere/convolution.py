@@ -115,27 +115,21 @@ def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
     return acc
 
 
-def _slice_nodes(X: np.ndarray, n_c: int, count: int | None = None):
-    # slice_point_table's body: the first count (default all) of the N nodes
-    # on the slices at X, and |X|. The _half_turn angles, then their
-    # displacements negated, each partner the opposite of its node about the
-    # centre bitwise, so pairing inequalities degrade only at rounding level.
-    # SliceColumn's table build takes only the 2L+1 rule nodes, no partners.
-    ang = _half_turn(n_c)
-    c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
-    centers, rad, e1, e2 = circle_frames(X)
-    disp = c[None, :count, None] * e1[:, None, :] + s[None, :count, None] * e2[:, None, :]
-    return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
-
-
 def slice_point_table(X: np.ndarray, n_c: int):
     """Circle-slice nodes for a batch of centers X, shape (M, 3).
 
     Returns (pts, radii) with pts of shape (M, N, 3); row i holds the N
     nodes of the slice at X[i], each node's partner x - p among them: N = n_c,
-    or at odd n_c the uniform 2 n_c rule (see _half_turn).
+    or at odd n_c the uniform 2 n_c rule (see _half_turn). The _half_turn
+    angles come first, then their displacements negated, each partner the
+    opposite of its node about the centre bitwise, so pairing inequalities
+    degrade only at rounding level.
     """
-    return _slice_nodes(X, n_c)
+    ang = _half_turn(n_c)
+    c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
+    centers, rad, e1, e2 = circle_frames(X)
+    disp = c[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
+    return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
 
 
 def _finite(x, what: str) -> np.ndarray:
@@ -144,14 +138,6 @@ def _finite(x, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} must be finite")
     return x
-
-
-def _row_keys(row: np.ndarray) -> tuple:
-    # bytes of a real row and of its negation, -0.0 read as 0.0 and trailing
-    # zeros trimmed: rows equal up to sign share keys at any padding
-    nz = row.nonzero()[0]
-    head = row[:nz[-1] + 1 if nz.size else 0] + 0.0
-    return head.tobytes(), (0.0 - head).tobytes()
 
 
 class SplitValues(NamedTuple):
@@ -225,13 +211,16 @@ class SlicePlan:
     sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2), which is antipodally symmetric
     and stays real; any other callable is called at the literal nodes.
 
-    Rows are shared by content, up to sign only: a real row equal to
-    another, or to its negation, bit for bit, is stored once and read with
-    its sign. Since f_star = conj(f(-.)) has the real row of f(-p) and the
-    negated imaginary one, f, f_star and both at -p cost the rows of f at +p
-    and -p; a row of pure parity is its own parity flip up to sign, so it is
-    one row at +-p. Requests whose rows (or, for callables, object and sign)
-    agree share one entry.
+    Row identity is decided here, once: each real row is stored in canonical
+    sign, the sign that makes its first nonzero entry positive (a zero row
+    stays zero), with -0.0 read as 0.0, and read with the sign that gives it
+    back. So rows equal up to sign are one stored row, bit for bit, whichever
+    plan stores them, and a SliceColumn recognizes them across calls by
+    content alone (SliceColumn.recall). Since f_star = conj(f(-.)) has the
+    real row of f(-p) and the negated imaginary one, f, f_star and both at
+    -p cost the rows of f at +p and -p; a row of pure parity is its own
+    parity flip up to sign, so it is one row at +-p. Requests whose rows (or,
+    for callables, object and sign) agree share one entry.
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
@@ -249,17 +238,17 @@ class SlicePlan:
         rows, where = [], {}
 
         def row(part: np.ndarray) -> tuple:
-            # (index, sign) of a real row, stored once up to its sign; rows of
-            # one plan share a width, so their untrimmed bytes tell them apart
+            # (index, sign) of a real row, stored once in canonical sign; rows
+            # of one plan share a width, so their bytes tell them apart
             p = np.zeros(width)
             p[:len(part)] = part
-            p += 0.0   # maps -0.0 to 0.0
-            key = p.tobytes()
-            if key not in where:
-                where[(0.0 - p).tobytes()] = (len(rows), -1.0)
-                where[key] = (len(rows), 1.0)   # after the negation: a zero row reads +
+            nz = np.flatnonzero(p)
+            sign = -1.0 if nz.size and p[nz[0]] < 0.0 else 1.0
+            p = sign * p + 0.0   # + 0.0 maps -0.0 to 0.0
+            i = where.setdefault(p.tobytes(), len(rows))
+            if i == len(rows):
                 rows.append(p)
-            return where[key]
+            return i, sign
 
         def split(c: HarmonicCoeffs, negate: bool) -> tuple:
             # the real row and the imaginary one (None for real coefficients)
@@ -287,38 +276,32 @@ class SlicePlan:
     def values(self, fields, nodes, products=None, expansion=None) -> list:
         """Per request, its values on a set of slices, as SplitValues.
 
-        fields holds one (array, sign) pair per distinct row, in the order of
-        rows (empty or None without rows): the row on the slices is sign *
-        array, so a caller can hand over a held field of the negated row
-        without negating it. The arrays hold values at the slice nodes, or,
-        given expansion (see SplitValues), slice-angle modes. nodes() returns
+        fields holds one array per row, in the order of rows (empty or None
+        without rows): each row's values at the slice nodes, or, given
+        expansion (see SplitValues), its slice-angle modes. nodes() returns
         the literal nodes with the node axes plus a last axis of 3, and is
         called only for literal calls. A coefficient-backed request reads its
-        arrays in place, with its signs times theirs, in their domain; a sharp
+        arrays in place, with its rows' signs, in their domain; a sharp
         rearrangement is built at the nodes in one new buffer; a literal call
         is split into views of its real and imaginary parts. Requests that
         share an entry get the same object.
 
-        products is the store (SplitValues.products) of the fields' real
-        products, or None: coefficient-backed values carry it, keyed by row
-        index, so a product of two rows is formed once for as long as the
-        store lives. Sharp and literal values carry a store of this call's
-        own, keyed by entry and part, so they share products only with each
-        other and only among the values returned here.
+        products is a store (SplitValues.products) of the fields' real
+        products, keyed by row index, or None; coefficient-backed values
+        carry it (a SliceColumn's is described at SliceColumn.recall). Sharp
+        and literal values carry a store of this call's own, keyed by entry
+        and part, so they share products only with each other and only among
+        the values returned here.
         """
         pts, out, own = None, [], {}
         for e, (kind, *args) in enumerate(self._entries):
             if kind == "field":
                 (i, si), im = args
-                re, sr = fields[i]
-                if im is None:
-                    v = SplitValues(re, None, si * sr, 1.0, (i, None), products, expansion)
-                else:
-                    vi, sv = fields[im[0]]
-                    v = SplitValues(re, vi, si * sr, im[1] * sv, (i, im[0]), products,
-                                    expansion)
+                j, sj = im or (None, 1.0)
+                v = SplitValues(fields[i], None if j is None else fields[j], si, sj, (i, j),
+                                products, expansion)
             elif kind == "sharp":
-                acc = _square_sum([fields[r[0]][0] for r in args if r is not None], expansion)
+                acc = _square_sum([fields[r[0]] for r in args if r is not None], expansion)
                 acc *= 0.5
                 v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
             else:
@@ -339,7 +322,7 @@ class SlicePlan:
         fields = None
         if self.rows is not None:
             table = harmonic_values(self.degree, points.reshape(-1, 3))
-            fields = [(v, 1.0) for v in (self.rows @ table).reshape((-1,) + points.shape[:-1])]
+            fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
         split = self.values(fields, lambda: points)
         dense = {id(v): v.dense() for v in split}
         if not all(np.all(np.isfinite(v)) for v in dense.values()):
@@ -391,14 +374,8 @@ class SliceColumn:
     slice angle negated. So the ball routes read rows [0, n_t) only, at p
     and at -p, the latter as the parity-flipped coefficient row (SlicePlan).
 
-    recall is the column's one memo, of its last call's coefficient rows and
-    only those, as modes on azimuth rows [0, n_t); a later call on the same
-    rows, each equal up to sign, reads them in place. The forms route reads
-    it through sampler. Next to the fields the memo keeps, per azimuth
-    block, their real products in modes, which pair_profile forms at most
-    once while recall holds those fields. Node values are formed per use and
-    not kept: a row at the nodes takes N / (2L+1) times the memory of its
-    modes.
+    The column's one memo, of its last call's rows and their products, is
+    described at recall; the forms route reads it through sampler.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -424,18 +401,21 @@ class SliceColumn:
             sign += [1.0] * (3 * len(plus)) + [-1.0] * len(plus)
         self._mix = np.array(order[:L + 1] + mix), np.array([1.0] * (L + 1) + sign)
         self.expansion = _expansion(L, n_c)
-        # harmonics at 2L+1 uniform slice angles; the DFT takes each row's
-        # values to its modes, written straight into the row's ordered slot
+        # harmonics at 2L+1 uniform slice angles, the rule nodes of that odd
+        # count, copied out so that their partners are freed first; the DFT
+        # takes each row's values to its modes, written straight into the
+        # row's ordered slot
         modes = 2 * L + 1
-        uniform, self.radii = _slice_nodes(self._centres, modes, modes)
-        values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
+        uniform, self.radii = slice_point_table(self._centres, modes)
+        uniform = uniform[:, :modes].reshape(-1, 3)
+        values = harmonic_values(L, uniform).reshape(len(order), -1, modes)
         dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
         self.table = np.empty((len(order), values.shape[1] * modes))
         for row, k in zip(self.table, order):
             np.matmul(values[k], dft, out=row.reshape(-1, modes))
-        # the last recall's _row_keys, its fields buffer and, per block, the
-        # fields' real products
-        self._memo = ([], (), {})
+        # the last recall's padded rows, its fields buffer and, per block,
+        # the fields' real products
+        self._memo = (None, (), {})
 
     def blocks(self):
         """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
@@ -487,34 +467,39 @@ class SliceColumn:
             lo += 2 * n
         return out.transpose(1, 0, 2)
 
-    def recall(self, rows) -> tuple:
-        """(fields, signs) of real coefficient rows, shape (n, (L'+1)^2) or
-        None: row i on the slices of azimuth rows [0, n_t) is signs[i] *
-        fields[i], fields a read-only buffer (n, n_t, column centres, 2L+1)
-        of slice-angle modes. Each row is keyed once (_row_keys).
+    def recall(self, rows):
+        """The fields of real coefficient rows, shape (n, (L'+1)^2) or None: a
+        read-only buffer (n, n_t, column centres, 2L+1), row i's slice-angle
+        modes on the slices of azimuth rows [0, n_t).
 
-        Rows equal, up to sign (by content, as in SlicePlan), to the last
-        call's, in their order, get its buffer back. Any other rows replace
-        it: all take one spectra pass and one synthesis trig[:n_t] @ spectra
-        into one buffer, since BLAS may round a row differently in a batch of
-        another size; the spectra are dropped, and so are the products kept
-        with the fields replaced. A call without rows needs no fields: it
-        gets an empty buffer and leaves the memo as it is.
+        This is the column's one memo. It holds the last call's rows, padded
+        to the table's (L+1)^2 columns, their fields, and per azimuth block a
+        store of the fields' real products in modes, which pair_profile forms
+        at most once while the fields are held (see sampler). A call whose
+        padded rows equal the held ones (np.array_equal) gets the held buffer
+        back; rows equal up to sign are equal here, as SlicePlan stores them.
+        Any other rows replace the memo: all take one spectra pass and one
+        synthesis trig[:n_t] @ spectra into one buffer, since BLAS may round a
+        row differently in a batch of another size, so every field is bit for
+        bit that of a fresh column; the spectra are dropped, and so are the
+        products kept with the fields replaced. A call without rows gets an
+        empty buffer and leaves the memo as it is. Node values are formed per
+        use and not kept: a row at the nodes takes N / (2L+1) times the memory
+        of its modes.
         """
         if rows is None or not len(rows):
-            return (), []
-        keys = [_row_keys(r) for r in rows]
-        signs = [1.0 if key == k else -1.0 if key == neg else None   # a zero row reads +
-                 for (key, _), (k, neg) in zip(keys, self._memo[0])]
-        if len(keys) == len(self._memo[0]) and None not in signs:
-            return self._memo[1], signs
-        self._memo = ([], (), {})   # frees the last call's buffer before this call's
+            return ()
+        padded = np.zeros((len(rows), self.table.shape[0]))
+        padded[:, :rows.shape[1]] = rows
+        if np.array_equal(padded, self._memo[0]):
+            return self._memo[1]
+        self._memo = (None, (), {})   # frees the last call's buffer before this call's
         n_t = self.n_az // 2
         fields = np.empty((len(rows), n_t, self.radii.size, 2 * self.L + 1))
-        np.matmul(self.trig[:n_t], self.spectra(rows), out=fields.reshape(len(rows), n_t, -1))
+        np.matmul(self.trig[:n_t], self.spectra(padded), out=fields.reshape(len(rows), n_t, -1))
         fields.flags.writeable = False
-        self._memo = (keys, fields, {})
-        return fields, [1.0] * len(keys)
+        self._memo = (padded, fields, {})
+        return fields
 
     def sampler(self, plan: SlicePlan):
         """Evaluator of plan's requests on the slices of any azimuth block.
@@ -522,27 +507,22 @@ class SliceColumn:
         The returned sample(a0, a1) gives, per request, its SplitValues (see
         SlicePlan.values) at azimuth rows a0:a1 inside [0, n_t), the rows
         blocks() covers; other ranges raise ValueError. Coefficient-backed
-        values are slice-angle modes, parts of shape (a1 - a0, column centres,
-        2L+1), with this column's expansion; a part at -p is the field of its
-        parity-flipped row on the same azimuth rows. Sharp and literal values
-        are at the slice nodes. The table must reach plan.degree. The
-        coefficient rows' fields come from recall, the column's one memo, so
-        every value is bit for bit that of a fresh column; sample reads views
-        of those fields, and a negated field with the opposite sign.
+        values are views of recall's fields of plan.rows, in slice-angle
+        modes, parts of shape (a1 - a0, column centres, 2L+1), with this
+        column's expansion; a part at -p is the field of its parity-flipped
+        row on the same azimuth rows. Sharp and literal values are at the
+        slice nodes. The table must reach plan.degree.
 
-        Coefficient-backed values carry the memo's store (SplitValues.products)
-        of the held fields' real products on block a0:a1, keyed by row index
-        (plan.rows is the order of recall's rows), so pair_profile forms the
-        product of two held rows on a block once across the samplers of those
-        fields. A sampler keeps there only the products of rows its plan's
-        coefficient-backed values read (plan.keys), so no call holds an
-        earlier one's products that it has no use for. recall drops the store
-        with the fields, and a sampler whose fields were replaced gets none.
-        Keys are row indices, never array identities.
+        Coefficient-backed values carry the memo's product store of block
+        a0:a1, keyed by index into plan.rows. The sampler takes the memo's
+        stores when it is made and keeps there only the products of rows its
+        plan's coefficient-backed values read (plan.keys). A sampler whose
+        fields recall later replaces writes into those stores, detached from
+        the memo with its fields.
         """
-        fields, signs = self.recall(plan.rows)
+        fields, stores = self.recall(plan.rows), self._memo[2]
         if len(fields):
-            for store in self._memo[2].values():
+            for store in stores.values():
                 for key in [k for k in store if not plan.keys.issuperset(k)]:
                     del store[key]
         n_t = self.n_az // 2
@@ -550,11 +530,8 @@ class SliceColumn:
         def sample(a0: int, a1: int) -> list:
             if not 0 <= a0 <= a1 <= n_t:
                 raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
-            held = len(fields) and fields is self._memo[1]
-            return plan.values([(v[a0:a1], sign) for v, sign in zip(fields, signs)],
-                               lambda: self.points(a0, a1),
-                               self._memo[2].setdefault((a0, a1), {}) if held else None,
-                               self.expansion)
+            return plan.values([v[a0:a1] for v in fields], lambda: self.points(a0, a1),
+                               stores.setdefault((a0, a1), {}), self.expansion)
 
         return sample
 

@@ -167,16 +167,12 @@ class FormGrids:
     band limit asked for so far: the slice-angle modes of the harmonics on
     one azimuth column of slices, (L+1)^2 n_r n_t (2L+1) entries at every
     n_c, 6.3 MB at L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for
-    geometry and basis once. Its one memo (SliceColumn.recall), which every
-    caller reads through SliceColumn.sampler, keeps the last call's
-    coefficient rows synthesized as modes on azimuth rows [0, n_t) (1.9 MB a
-    row above), f at -p as its parity-flipped rows, so a chain of Q/B calls
-    on one f, such as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#),
-    Q(f, f, f, f) = 3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), runs one spectra
-    pass and one synthesis for f's rows at +-p: two, or four for complex f.
-    Next to the fields the memo keeps, per azimuth block, their real
-    products, so B(F, F) reads the products Q(f, f, f, f) formed, and G's
-    profiles in Q(f, f*, f, f*) read F's. |F|^2 of
+    geometry and basis once. The column's memo of the last call's rows and
+    their products (SliceColumn.recall; 1.9 MB a row above), with rows
+    identified as SlicePlan states, lets a chain of Q/B calls on one f, such
+    as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
+    3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), run one spectra pass and one
+    synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
     band-limited f pairs on its band limit's own rule (see _kernel_profile),
     exactly at every n_c, so only f# and literal factors read values at the
     slice nodes, which they expand per call and keep none of (2.7 MB a
@@ -296,15 +292,14 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # profiles are F's and are not computed again; the sum keeps its form, so
     # the result is the same bit for bit.
     # Structured kernels' factors are sampled at p, and at -p from
-    # parity-flipped coefficient rows on the same azimuth rows; one column
-    # table serves both kernels, and shared rows are synthesized once (or not
-    # at all, if the column's last call had them: see SliceColumn.sampler).
-    # Every profile sums real products of the sampled parts, each formed
-    # once per block (pair_profile): F's profile at -x for F = f tensor
-    # f_star, and G's in Q(f, g, f_star, g_star), read the products of F's at
-    # x, the same held rows swapped, and so do G's on F's factors, which get
-    # F's sampled values and stores. A held row's node values, for a kernel
-    # that needs them, are formed once per block too.
+    # parity-flipped coefficient rows on the same azimuth rows, through one
+    # plan and one column table (row identity: SlicePlan; the memo of rows
+    # and products across calls: SliceColumn.recall). Every profile sums
+    # real products of the sampled parts, each formed once per block
+    # (pair_profile): F's profile at -x for F = f tensor f_star, and G's in
+    # Q(f, g, f_star, g_star), read the products of F's at x, the same held
+    # rows swapped, and so do G's on F's factors, which get F's sampled
+    # values and stores.
     kernels = [(F, False), (F, True)]
     if G is not F:
         kernels += [(G, True), (G, False)]

@@ -24,7 +24,7 @@ from sharpsphere import (
     random_band_limited,
 )
 from sharpsphere import convolution
-from sharpsphere.convolution import _row_keys, slice_point_table
+from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
 from helpers import ball_points, rand_fn, unit_vectors
@@ -465,15 +465,19 @@ class TestSliceColumn:
             with pytest.raises(ValueError, match=f"rows {a0}:{a1} .* 0:{n_t}"):
                 sample(a0, a1)
 
-    def test_a_sampler_whose_fields_were_replaced_gets_no_store(self, column):
+    def test_a_sampler_whose_fields_were_replaced_keeps_its_own_store(self, column):
         # the memo's store is keyed by row index: another call's rows reuse
-        # the indices, so a stale sampler must not read or fill that store
+        # the indices, so a stale sampler reads and fills the stores it took
+        # with its fields, which recall detached from the memo
         stale = column.sampler(SlicePlan([(rand_fn(3, 65), False)]))
         (held,) = stale(0, 1)
         assert held.products is column._memo[2][(0, 1)]
-        column.sampler(SlicePlan([(rand_fn(3, 66), False)]))
+        (new,) = column.sampler(SlicePlan([(rand_fn(3, 66), False)]))(0, 1)
         (v,) = stale(0, 1)
-        assert v.products is None
+        assert v.products is held.products
+        assert new.products is column._memo[2][(0, 1)] and new.products is not held.products
+        pair_profile(v, v, column.radii)
+        assert held.products and not new.products
 
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,
@@ -512,26 +516,27 @@ class TestSliceColumn:
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_literal_nodes_are_built_on_first_use(self, n_c, monkeypatch):
-        # the table build places only its 2L+1 rule nodes, no partners;
-        # blocks() places none; points() is slice_point_table at centres(),
-        # bit for bit, placed per call
-        placed, inner = [], convolution._slice_nodes
+        # the table build places the uniform rule of 2L+1 = 11 slice angles,
+        # 22 nodes with partners, and keeps the 11 rule nodes; blocks()
+        # places none; points() is slice_point_table at centres(), bit for
+        # bit, placed per call
+        placed, inner = [], convolution.slice_point_table
 
-        def spy(X, n, count=None):
-            out = inner(X, n, count)
+        def spy(X, n):
+            out = inner(X, n)
             placed.append(out[0].shape[1])
             return out
 
-        monkeypatch.setattr(convolution, "_slice_nodes", spy)
+        monkeypatch.setattr(convolution, "slice_point_table", spy)
         col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
         col.blocks()
-        assert placed == [11]
+        assert placed == [22]
         for a0, a1 in [(0, col.n_az), (1, 2)]:
             pts = col.points(a0, a1)
             x = col.centres(a0, a1).reshape(-1, 3)
             expect = slice_point_table(x, n_c)[0].reshape(pts.shape)
             assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
-        assert placed == [11] + [2 * n_c if n_c % 2 else n_c] * 4
+        assert placed == [22] + [2 * n_c if n_c % 2 else n_c] * 2   # once per points()
 
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)
@@ -618,22 +623,49 @@ class TestNegatedReads:
                 assert np.abs(split - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
-class TestRowKeys:
-    @pytest.mark.parametrize("row", [
-        [0.5, -1.25, 3.0, 0.0, 0.0],     # trailing zeros
-        [0.0, 2.0, 0.0, 0.0, -7.5],      # interior zeros, none trailing
-        [0.0, 1.0, 0.0, -3.0, 0.0],      # both
-        [0.0, 0.0, 0.0],                 # all zero
-        [],
-    ], ids=["trailing", "interior", "both", "zero", "empty"])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_keys_are_the_trimmed_row_bytes(self, row, sign):
-        row = sign * np.array(row) + 0.0   # no -0.0 entries, as SlicePlan stores them
-        expect = (np.trim_zeros(row, "b").tobytes(), np.trim_zeros(0.0 - row, "b").tobytes())
-        assert _row_keys(row) == expect
+class TestRowIdentity:
+    """SlicePlan stores each real row once, in canonical sign."""
 
-    def test_negated_rows_swap_keys_at_any_padding(self):
-        row = np.random.default_rng(74).standard_normal(9)
-        row[[2, 6]] = 0.0
-        key, negated = _row_keys(row)
-        assert _row_keys(np.concatenate([0.0 - row, np.zeros(7)])) == (negated, key)
+    @pytest.mark.parametrize("row", [
+        [0.5, -1.25, 3.0, 0.0],     # trailing zeros
+        [0.0, 0.0, -2.0, 7.5],      # leading zeros
+        [2.0, 0.0, 0.0, -7.5],      # interior zeros
+        [-0.0, -1.0, 0.0, 3.0],     # a leading -0.0
+        [0.0, -0.0, 0.0, 0.0],      # zero
+    ], ids=["trailing", "leading", "interior", "signed zero", "zero"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_row_and_its_negation_at_any_padding_are_one_row(self, row, sign):
+        c = sign * np.array(row)
+        padded = np.concatenate([0.0 - c, np.zeros(5)])   # degree 2
+        plan = SlicePlan([(coeff_fn(1, c), False), (coeff_fn(2, padded), False)])
+        (stored,) = plan.rows
+        nz = np.flatnonzero(stored)
+        assert nz.size == 0 or stored[nz[0]] > 0.0
+        assert not np.any(np.signbit(stored[stored == 0.0]))
+        a, b = plan.values(list(plan.rows), lambda: None)
+        assert a.keys == b.keys
+        assert b.re_sign == (-a.re_sign if nz.size else a.re_sign)   # a zero row reads +
+        assert np.array_equal(a.dense()[:4], c) and np.array_equal(b.dense(), padded)
+
+    def test_rows_are_stored_in_canonical_sign(self):
+        # leading zeros, -0.0 at the degree-1 zero slot of the parity flips,
+        # and the zero real row of 1j c.imag
+        p = parity_signs(4)
+        c = rand_fn(4, 148, complex_valued=True).coeffs.coeffs.copy()
+        c[:2] = 0.0
+        funcs = [coeff_fn(4, v) for v in (c, -c, p * c, 1j * c.imag)]
+        requests = [(func, negate) for func in funcs for negate in (False, True)]
+        plan = SlicePlan(requests)
+        assert plan.rows.shape[0] == 5
+        for row in plan.rows:
+            nz = np.flatnonzero(row)
+            assert nz.size == 0 or row[nz[0]] > 0.0
+            assert not np.any(np.signbit(row[row == 0.0]))
+        # the rows as their own values: each request reads its row back
+        values = plan.values(list(plan.rows), lambda: None)
+        for (func, negate), v in zip(requests, values):
+            assert np.array_equal(v.dense(), func.coeffs.coeffs * (p if negate else 1.0))
+        # c and -c: one index per part, with opposite signs
+        f, neg = values[0], values[2]
+        assert f.keys == neg.keys
+        assert (neg.re_sign, neg.im_sign) == (-f.re_sign, -f.im_sign)

@@ -779,9 +779,12 @@ class TestSpectraMemo:
         neg = SphereFunction.from_coeffs(HarmonicCoeffs(4, -f.coeffs.coeffs))
         col = grids.slice_column(4)
         (pos,) = col.sampler(convolution.SlicePlan([(f, False)]))(0, col.n_az // 2)
-        assert pos.re_sign == pos.im_sign == 1.0
+        # f's rows are held in canonical sign: f's signs follow each row's
+        # first nonzero entry, and the negated function's are their negatives
+        c = f.coeffs.coeffs
+        assert (pos.re_sign, pos.im_sign) == (np.sign(c.real[0]), np.sign(c.imag[0]))
         (v,) = col.sampler(convolution.SlicePlan([(neg, False)]))(0, col.n_az // 2)
-        assert v.re_sign == v.im_sign == -1.0
+        assert (v.re_sign, v.im_sign) == (-pos.re_sign, -pos.im_sign)
         held = held_fields(col).values()
         assert any(np.shares_memory(v.re, h) for h in held)
         assert any(np.shares_memory(v.im, h) for h in held)
@@ -845,23 +848,25 @@ class TestSpectraMemo:
         assert spectra_rows == [2]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_each_row_is_keyed_once_per_call(self, complex_valued, monkeypatch):
-        # recall keys each of the plan's rows, which are distinct, once
-        keyed, row_keys = [], convolution._row_keys
-
-        def spy(row):
-            keyed.append(row.tobytes())
-            return row_keys(row)
-
-        monkeypatch.setattr(convolution, "_row_keys", spy)
+    def test_rows_zero_padded_to_the_column_degree_are_hits(self, complex_valued,
+                                                            spectra_rows):
+        # recall pads rows to the table's columns: on a column built to L=4,
+        # f of degree 2 and its coefficients zero-padded to degree 4 are the
+        # same rows
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
-        f = rand_fn(4, 109, complex_valued=complex_valued)
-        fs = f.antipodal_conjugate()
-        rows = 4 if complex_valued else 2
-        for _ in range(2):   # a fresh memo, then a hit
-            keyed.clear()
-            quadrilinear_q(f, fs, f, fs, grids)
-            assert len(keyed) == len(set(keyed)) == rows
+        grids.slice_column(4)
+        f = rand_fn(2, 109, complex_valued=complex_valued)
+        padded = np.zeros(n_coeffs(4), dtype=f.coeffs.coeffs.dtype)
+        padded[:n_coeffs(2)] = f.coeffs.coeffs
+        g = SphereFunction.from_coeffs(HarmonicCoeffs(4, padded))
+        values = [quadrilinear_q(h, h.antipodal_conjugate(), h, h.antipodal_conjugate(), grids)
+                  for h in (f, g)]
+        assert spectra_rows == [4 if complex_valued else 2]
+        for h, value in zip((f, g), values):
+            fresh = forms.FormGrids(grids.ball, grids.n_c)
+            fresh.slice_column(4)
+            hs = h.antipodal_conjugate()
+            assert value == quadrilinear_q(h, hs, h, hs, fresh)
 
     def test_one_row_after_a_batch_matches_a_fresh_column(self):
         # BLAS rounds a row differently in batches of other sizes: a field
@@ -897,8 +902,10 @@ class TestSpectraMemo:
         f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
         quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
         col = grids.slice_column(4)
-        fields, signs = col.recall(np.stack([a, parity_signs(4) * a]))
-        assert signs == [1.0, 1.0]
+        held = col._memo[1]
+        # in canonical sign (SlicePlan): a[0], of degree 0, leads both rows
+        fields = col.recall(np.sign(a[0]) * np.stack([a, parity_signs(4) * a]))
+        assert fields is held
         assert fields.shape == (2, col.n_az // 2, col.radii.size, 2 * col.L + 1)
         # a's fields outlive the memo here: b must not get a's profile
         g = SphereFunction.from_coeffs(HarmonicCoeffs(4, b))
@@ -952,9 +959,13 @@ class TestSpectraMemo:
                     quadrilinear_q(f, fs, f, fs, grids)
                     tracemalloc.reset_peak()
                 quadrilinear_q(sharp, sharp, sharp, sharp, grids)
-                return tracemalloc.get_traced_memory()[1]
+                top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            # whatever spectra allocates, the memo pins no product after the
+            # sharp Q: its plan reads no row in modes
+            assert not held_products(grids.slice_column(8))
+            return top
 
         assert peak(True) <= peak(False) + 64 * 1024
 
@@ -1119,7 +1130,7 @@ class TestHeldProducts:
         col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
         f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
         p = parity_signs(4)
-        fields, _ = col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag]))
+        fields = col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag]))
         a0, a1 = col.blocks()[0]
         modes = [v[a0:a1] for v in fields]
         nodes = [convolution.SplitValues(v, expansion=col.expansion).nodes().re for v in modes]
