@@ -15,12 +15,15 @@ band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
 every n_c. Node values, at each slice's nodes p_j and their partners (n_c
 nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
 no band limit: sharp rearrangements, |.|^p of odd p and literal callables.
+Apart from literal calls they are formed one chunk of slices at a time
+(_CHUNK_BYTES), as pair_profile pairs them, and never for a whole block.
 Pointwise values of f sigma * g sigma come two ways: convolve_many reads f
 and g at those nodes through one SlicePlan, and pair_slice_average of the
 kernel f tensor g is the literal route it is checked against.
 """
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,10 +47,16 @@ __all__ = [
 # Centers per vectorized batch; bounds peak memory of the slice-point tables.
 _CHUNK = 2048
 
-# Slice nodes per azimuth block of a SliceColumn; bounds the ball route's
-# per-block profile, sharp and literal arrays, not the column table or the
-# synthesized fields it holds.
+# Slice nodes per azimuth block of a SliceColumn; bounds what the ball route
+# keeps per block, the product stores and profiles, and the literal points
+# and values of one block, not the column table or the synthesized fields.
 _BLOCK_NODES = 1 << 20
+
+# Bytes per chunk of one array that is formed in pieces (_chunks): a part's
+# node values on a chunk of slices, a pass's Fourier rows on a chunk of table
+# columns, the harmonic values of a chunk of column centres. A chunk and the
+# few arrays formed next to it sit in L2; a smaller block is one chunk.
+_CHUNK_BYTES = 1 << 18
 
 
 def _half_turn(n_c: int) -> np.ndarray:
@@ -94,25 +103,62 @@ def _mode_weights(modes: int) -> np.ndarray:
     return w
 
 
+def _chunks(n: int, item_bytes: int, align: int = 1) -> list:
+    # ranges (i0, i1) covering range(n) in order, each of at most
+    # _CHUNK_BYTES for items of item_bytes, and each but the last a multiple
+    # of align items, at least align
+    step = max(1, _CHUNK_BYTES // item_bytes // align) * align
+    return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
+
+
 def _to_nodes(a: np.ndarray, expansion: np.ndarray) -> np.ndarray:
     # slice-angle modes (last axis) to the slice nodes, in one matmul
     return (a.reshape(-1, a.shape[-1]) @ expansion).reshape(a.shape[:-1] + (-1,))
 
 
-def _square_sum(rows, expansion: np.ndarray | None) -> np.ndarray:
-    # the sum of the squares of real rows in one new array, each row taken
-    # from slice-angle modes to the nodes of expansion first, if given; one
-    # row's square is formed next to the sum at a time
-    acc = None
-    for row in rows:
-        if expansion is None:
-            sq = np.square(row)
-        else:
-            sq = _to_nodes(row, expansion)
-            np.square(sq, out=sq)
-        acc = sq if acc is None else np.add(acc, sq, out=acc)
-        del sq   # before the next row's array is made
-    return acc
+class _Formed(NamedTuple):
+    # real values at the slice nodes, formed per use: form(s0, s1) returns
+    # those of slices s0:s1 of the flattened slice axes in a new array of
+    # shape (s1 - s0, N); shape is the slice axes, then N
+    form: Callable[[int, int], np.ndarray]
+    shape: tuple
+
+
+def _rows(part, s0: int, s1: int, expansion: np.ndarray | None = None) -> np.ndarray:
+    # part's values at the slice nodes on slices s0:s1 of its flattened slice
+    # axes: formed (_Formed) or taken there from slice-angle modes by
+    # expansion, in a new array; else a view of the values already there
+    if isinstance(part, _Formed):
+        return part.form(s0, s1)
+    rows = part.reshape(-1, part.shape[-1])[s0:s1]
+    return rows if expansion is None else _to_nodes(rows, expansion)
+
+
+def _squares_formed(parts, expansion: np.ndarray | None, scale: float = 1.0,
+                    power: float = 1.0) -> _Formed:
+    # (scale * the sum of the squares of real parts)^power at the slice
+    # nodes, each part taken there first (_rows); per chunk, one part's
+    # square is formed next to the sum at a time, and the rest is done in
+    # place (numpy takes ** 0.5 as np.sqrt)
+    def form(s0: int, s1: int) -> np.ndarray:
+        acc = None
+        for part in parts:
+            if isinstance(part, np.ndarray) and expansion is None:
+                sq = np.square(_rows(part, s0, s1))
+            else:
+                sq = _rows(part, s0, s1, expansion)
+                np.square(sq, out=sq)
+            acc = sq if acc is None else np.add(acc, sq, out=acc)
+            del sq   # before the next part's array is made
+        if scale != 1.0:
+            acc *= scale
+        if power != 1.0:
+            acc **= power
+        return acc
+
+    first = parts[0]
+    nodes = first.shape[-1] if expansion is None else expansion.shape[1]
+    return _Formed(form, first.shape[:-1] + (nodes,))
 
 
 def slice_point_table(X: np.ndarray, n_c: int):
@@ -144,12 +190,14 @@ class SplitValues(NamedTuple):
     """Values re_sign re + 1j im_sign im, held as real arrays with signs.
 
     re and im are usually rows of a SliceColumn's held fields, read in place;
-    im is None for real values. The signs are +-1.
+    im is None for real values. The signs are +-1. re may instead be formed
+    per use (sharp rearrangements, magnitude): real values at the slice
+    nodes, made one chunk of slices at a time (chunk), never kept.
 
     expansion marks the domain. None: the last axis runs over slice nodes.
     Otherwise the last axis holds the 2L+1 slice-angle modes of a
     band-limited function (see SliceColumn), and expansion is the
-    (2L+1, nodes) matrix that takes them to the slice nodes (nodes()).
+    (2L+1, nodes) matrix that takes them to the slice nodes (chunk, nodes).
 
     products, when set, is a store that pair_profile keeps the real products
     of these parts in, shared with every SplitValues that holds the same
@@ -157,7 +205,7 @@ class SplitValues(NamedTuple):
     name equal arrays (see SlicePlan.values).
     """
 
-    re: np.ndarray
+    re: np.ndarray | _Formed
     im: np.ndarray | None = None
     re_sign: float = 1.0
     im_sign: float = 1.0
@@ -171,7 +219,10 @@ class SplitValues(NamedTuple):
         return [re] if self.im is None else [re, (self.im, self.im_sign, 1j, self.keys[1])]
 
     def dense(self) -> np.ndarray:
-        """The values as one real or complex array, in their own domain."""
+        """The values as one real or complex array, in their own domain;
+        formed values at the slice nodes."""
+        if isinstance(self.re, _Formed):
+            return self.nodes().re
         if self.im is None:
             return self.re if self.re_sign > 0 else -self.re
         v = np.empty(self.re.shape, dtype=complex)
@@ -179,25 +230,31 @@ class SplitValues(NamedTuple):
         np.multiply(self.im, self.im_sign, out=v.imag)
         return v
 
+    def chunk(self, s0: int, s1: int) -> list:
+        """Each part's values at the slice nodes on slices s0:s1 of the
+        flattened slice axes, shape (s1 - s0, N), unsigned: a view of
+        values already there, else a new array, expanded or formed."""
+        return [_rows(part, s0, s1, self.expansion) for part, *_ in self.parts()]
+
     def nodes(self) -> "SplitValues":
-        """The values at the slice nodes: self if they are there already,
-        else each part expanded into a new array, with no store."""
-        if self.expansion is None:
+        """The values at the slice nodes of every slice, in the slice axes'
+        shape: self if they are arrays there already, else each part
+        expanded or formed into a new array, with no store."""
+        if self.expansion is None and not isinstance(self.re, _Formed):
             return self
-        im = None if self.im is None else _to_nodes(self.im, self.expansion)
-        return SplitValues(_to_nodes(self.re, self.expansion), im, self.re_sign, self.im_sign)
+        lead = self.re.shape[:-1]
+        re, *im = (v.reshape(lead + (-1,)) for v in self.chunk(0, math.prod(lead)))
+        return SplitValues(re, im[0] if im else None, self.re_sign, self.im_sign)
 
     def magnitude(self, p: int, n_c: int | None = None) -> "SplitValues":
-        """|v|^p, real, in one new buffer at the nodes of expansion, or of
-        _expansion(L, n_c) if n_c is given, or at the nodes the values are
-        at; real |x|^2 is np.square(x) bit for bit."""
+        """|v|^p, real, at the nodes of expansion, or of _expansion(L, n_c) if
+        n_c is given, or at the nodes the values are at; formed per use, as
+        chunk reads it. Real |x|^2 is np.square(x) bit for bit."""
         expansion = self.expansion
         if expansion is not None and n_c is not None:
             expansion = _expansion(expansion.shape[0] // 2, n_c)
-        m = _square_sum([part for part, *_ in self.parts()], expansion)
-        if p != 2:
-            m **= p / 2
-        return SplitValues(m)
+        return SplitValues(_squares_formed([part for part, *_ in self.parts()], expansion,
+                                           power=p / 2))
 
 
 class SlicePlan:
@@ -282,9 +339,10 @@ class SlicePlan:
         the literal nodes with the node axes plus a last axis of 3, and is
         called only for literal calls. A coefficient-backed request reads its
         arrays in place, with its rows' signs, in their domain; a sharp
-        rearrangement is built at the nodes in one new buffer; a literal call
-        is split into views of its real and imaginary parts. Requests that
-        share an entry get the same object.
+        rearrangement is formed at the nodes per use, one chunk of slices at
+        a time (SplitValues.chunk); a literal call is split into views of its
+        real and imaginary parts. Requests that share an entry get the same
+        object.
 
         products is a store (SplitValues.products) of the fields' real
         products, keyed by row index, or None; coefficient-backed values
@@ -301,9 +359,9 @@ class SlicePlan:
                 v = SplitValues(fields[i], None if j is None else fields[j], si, sj, (i, j),
                                 products, expansion)
             elif kind == "sharp":
-                acc = _square_sum([fields[r[0]] for r in args if r is not None], expansion)
-                acc *= 0.5
-                v = SplitValues(np.sqrt(acc, out=acc), keys=((e, 0), None), products=own)
+                rows = [fields[r[0]] for r in args if r is not None]
+                v = SplitValues(_squares_formed(rows, expansion, 0.5, 0.5),
+                                keys=((e, 0), None), products=own)
             else:
                 func, negate = args
                 if pts is None:
@@ -402,17 +460,20 @@ class SliceColumn:
         self._mix = np.array(order[:L + 1] + mix), np.array([1.0] * (L + 1) + sign)
         self.expansion = _expansion(L, n_c)
         # harmonics at 2L+1 uniform slice angles, the rule nodes of that odd
-        # count, copied out so that their partners are freed first; the DFT
-        # takes each row's values to its modes, written straight into the
-        # row's ordered slot
+        # count, one chunk of column centres at a time; one DFT of all the
+        # chunk's rows takes their values to their modes, which are copied
+        # into each row's ordered slot. A chunk's values take 4 _CHUNK_BYTES:
+        # each chunk makes one harmonic_values call, some 250 numpy calls at
+        # L=8, which would dominate smaller chunks
         modes = 2 * L + 1
-        uniform, self.radii = slice_point_table(self._centres, modes)
-        uniform = uniform[:, :modes].reshape(-1, 3)
-        values = harmonic_values(L, uniform).reshape(len(order), -1, modes)
+        self.radii = np.linalg.norm(self._centres, axis=-1)
         dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
-        self.table = np.empty((len(order), values.shape[1] * modes))
-        for row, k in zip(self.table, order):
-            np.matmul(values[k], dft, out=row.reshape(-1, modes))
+        self.table = np.empty((len(order), len(self._centres) * modes))
+        for c0, c1 in _chunks(len(self._centres), 8 * len(order) * modes // 4):
+            uniform = slice_point_table(self._centres[c0:c1], modes)[0][:, :modes]
+            values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
+            dft_rows = (values.reshape(-1, modes) @ dft).reshape(len(order), -1)
+            self.table[:, c0 * modes:c1 * modes] = dft_rows[order]
         # the last recall's padded rows, its fields buffer and, per block,
         # the fields' real products
         self._memo = (None, (), {})
@@ -422,9 +483,11 @@ class SliceColumn:
 
         Row a + n_t holds the slices of -x for the ball nodes x of row a (see
         antipodal rows, above), so the ball route reads them off row a at -p.
-        Each block spans about _BLOCK_NODES slice nodes of x and -x together;
-        the blocks bound the profile, sharp and literal arrays of one block,
-        since the memo's coefficient fields are held whole.
+        Each block spans about _BLOCK_NODES slice nodes of x and -x together.
+        The blocks bound what the ball route keeps per block, the product
+        stores and profiles, and the literal points and values of a block;
+        other node values are formed per chunk of slices (pair_profile), and
+        the memo's coefficient fields are held whole.
         """
         n_t = self.n_az // 2
         n = min(n_t, -(-self.n_az * self.radii.size * self.expansion.shape[1] // _BLOCK_NODES))
@@ -445,27 +508,35 @@ class SliceColumn:
         x = self.centres(a0, a1)
         return slice_point_table(x.reshape(-1, 3), self.n_c)[0].reshape(x.shape[:-1] + (-1, 3))
 
-    def spectra(self, coeffs: np.ndarray) -> np.ndarray:
-        """Azimuth Fourier rows, shape (n, 2L+1, table columns), of real coefficient rows.
+    def spectra(self, coeffs: np.ndarray):
+        """Azimuth Fourier rows of real coefficient rows, in one pass over the
+        table, one chunk of table columns at a time.
 
-        coeffs has shape (n, (L'+1)^2) with L' <= L, in the flat layout. Each
-        order's rows are written in place: the result is a view of a
-        Fourier-row-major buffer.
+        coeffs has shape (n, (L'+1)^2) with L' <= L, in the flat layout. Yields
+        ((c0, c1), rows) per chunk, in column order: rows of shape
+        (n, 2L+1, c1 - c0), on table columns c0:c1. Each order's rows are
+        written in place: rows is a view of a Fourier-row-major buffer of
+        that chunk alone.
         """
         L, nv = self.L, len(coeffs)
         c = np.zeros((nv, (L + 1) ** 2))
         c[:, :coeffs.shape[1]] = coeffs
         c = c[:, self._mix[0]] * self._mix[1]   # order 0, then each order's mixing matrix
-        out = np.empty((2 * L + 1, nv, self.table.shape[1]))
-        np.matmul(c[:, :L + 1], self.table[:L + 1], out=out[0])
-        lo = L + 1
-        for m in range(1, L + 1):
-            n = L + 1 - m
-            mix = c[:, 2 * lo - L - 1:2 * lo - L - 1 + 4 * n].reshape(nv, 2, 2 * n)
-            np.matmul(mix.transpose(1, 0, 2).reshape(2 * nv, 2 * n), self.table[lo:lo + 2 * n],
-                      out=out[2 * m - 1:2 * m + 1].reshape(2 * nv, -1))
-            lo += 2 * n
-        return out.transpose(1, 0, 2)
+        # chunks start at multiples of 64 columns, where BLAS's column tiles
+        # start in a product over the whole table too: each entry, and each
+        # synthesized one (recall), is bit for bit that of the whole product
+        for c0, c1 in _chunks(self.table.shape[1], 8 * (2 * L + 1) * nv, 64):
+            table = self.table[:, c0:c1]
+            out = np.empty((2 * L + 1, nv, c1 - c0))
+            np.matmul(c[:, :L + 1], table[:L + 1], out=out[0])
+            lo = L + 1
+            for m in range(1, L + 1):
+                n = L + 1 - m
+                mix = c[:, 2 * lo - L - 1:2 * lo - L - 1 + 4 * n].reshape(nv, 2, 2 * n)
+                np.matmul(mix.transpose(1, 0, 2).reshape(2 * nv, 2 * n), table[lo:lo + 2 * n],
+                          out=out[2 * m - 1:2 * m + 1].reshape(2 * nv, -1))
+                lo += 2 * n
+            yield (c0, c1), out.transpose(1, 0, 2)
 
     def recall(self, rows):
         """The fields of real coefficient rows, shape (n, (L'+1)^2) or None: a
@@ -478,14 +549,15 @@ class SliceColumn:
         at most once while the fields are held (see sampler). A call whose
         padded rows equal the held ones (np.array_equal) gets the held buffer
         back; rows equal up to sign are equal here, as SlicePlan stores them.
-        Any other rows replace the memo: all take one spectra pass and one
-        synthesis trig[:n_t] @ spectra into one buffer, since BLAS may round a
-        row differently in a batch of another size, so every field is bit for
-        bit that of a fresh column; the spectra are dropped, and so are the
-        products kept with the fields replaced. A call without rows gets an
-        empty buffer and leaves the memo as it is. Node values are formed per
-        use and not kept: a row at the nodes takes N / (2L+1) times the memory
-        of its modes.
+        Any other rows replace the memo: all take one spectra pass, each chunk
+        of which is synthesized by trig[:n_t] @ spectra straight into its
+        columns of one buffer, so the spectra are never held whole; since
+        BLAS may round a row differently in a batch of another size, every
+        field is bit for bit that of a fresh column. The products kept with
+        the fields replaced are dropped. A call without rows gets an empty
+        buffer and leaves the memo as it is. Node values are not kept: a row
+        at the nodes takes N / (2L+1) times the memory of its modes, so
+        pair_profile forms them per chunk of slices.
         """
         if rows is None or not len(rows):
             return ()
@@ -496,7 +568,9 @@ class SliceColumn:
         self._memo = (None, (), {})   # frees the last call's buffer before this call's
         n_t = self.n_az // 2
         fields = np.empty((len(rows), n_t, self.radii.size, 2 * self.L + 1))
-        np.matmul(self.trig[:n_t], self.spectra(padded), out=fields.reshape(len(rows), n_t, -1))
+        flat = fields.reshape(len(rows), n_t, -1)
+        for (c0, c1), spectra in self.spectra(padded):
+            np.matmul(self.trig[:n_t], spectra, out=flat[..., c0:c1])
         fields.flags.writeable = False
         self._memo = (padded, fields, {})
         return fields
@@ -510,8 +584,9 @@ class SliceColumn:
         values are views of recall's fields of plan.rows, in slice-angle
         modes, parts of shape (a1 - a0, column centres, 2L+1), with this
         column's expansion; a part at -p is the field of its parity-flipped
-        row on the same azimuth rows. Sharp and literal values are at the
-        slice nodes. The table must reach plan.degree.
+        row on the same azimuth rows. Sharp values are formed at the slice
+        nodes per use, from those views; literal values are arrays there,
+        one block at a time. The table must reach plan.degree.
 
         Coefficient-backed values carry the memo's product store of block
         a0:a1, keyed by index into plan.rows. The sampler takes the memo's
@@ -536,7 +611,7 @@ class SliceColumn:
         return sample
 
 
-def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _half_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # sum over each slice of a at node j times b at its partner, node j + N/2
     # of N (halves crosswise); einsum sums each half over j and adds the two
     # sums once, so a and b swapped give the same bits (pair_profile keys
@@ -544,7 +619,7 @@ def _half_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half = a.shape[-1] // 2
     a = a.reshape(a.shape[:-1] + (2, half))
     b = b.reshape(b.shape[:-1] + (2, half))[..., ::-1, :]
-    return np.einsum("...ij,...ij->...", a, b)
+    return np.einsum("...ij,...ij->...", a, b, out=out)
 
 
 def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -553,50 +628,66 @@ def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b) @ _mode_weights(a.shape[-1])
 
 
+def _even(nodes: int) -> int:
+    if nodes % 2:
+        raise ValueError(f"pair_profile needs an even node count, got {nodes}")
+    return nodes
+
+
 def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis).
 
     Leading axes run over centres x of norm radii. va and vb are dense
     arrays at the slice nodes, or SplitValues, whose signed real parts are
-    paired in place: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i + a_i b_r);
-    the result is real when both are.
+    paired: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i + a_i b_r); the
+    result is real when both are.
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
-    exact for band-limited factors at every n_c. Otherwise both are taken to
-    the slice nodes (SplitValues.nodes) and paired by the trapezoid rule on
-    the N nodes of the last axis, N even and read from the values: the
-    partner x - p_j of node j is node j + N/2 and back (see _half_turn),
-    so the two halves of each slice pair crosswise.
+    exact for band-limited factors at every n_c. Otherwise they pair by the
+    trapezoid rule on the N slice nodes, N even: the partner x - p_j of node
+    j is node j + N/2 and back (see _half_turn), so the two halves of each
+    slice pair crosswise. That runs one chunk of slices at a time
+    (_CHUNK_BYTES for one part's node values): per chunk, each part is read,
+    taken from modes or formed at the nodes (SplitValues.chunk), and paired,
+    and no part's node values exist for more slices than a chunk's.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
     the set of the parts' keys: a pair and its swap give the same bits.
     """
-    dense = isinstance(va, np.ndarray)
-    if not dense and (va.expansion is None) != (vb.expansion is None):
-        va, vb = va.nodes(), vb.nodes()
-    modes = not dense and va.expansion is not None
-    if not modes:
-        nodes = (va if dense else va.re).shape[-1]
-        if nodes % 2:
-            raise ValueError(f"pair_profile needs an even node count, got {nodes}")
-    pair = _mode_pair if modes else _half_pair
-    if dense:
-        s = pair(va, vb)
+    if isinstance(va, np.ndarray):
+        return (2.0 * np.pi / _even(va.shape[-1])) * _half_pair(va, vb) / radii
+    modes = va.expansion is not None and vb.expansion is not None
+    store = va.products if va.products is vb.products else None
+    held = {} if store is None else store
+    pa, pb = va.parts(), vb.parts()
+    keys = {(i, j): (i, j) if store is None else frozenset((pa[i][3], pb[j][3]))
+            for i in range(len(pa)) for j in range(len(pb))}
+    todo = {}
+    for ij, key in keys.items():
+        if key not in held:
+            todo.setdefault(key, ij)
+    if modes:
+        for key, (i, j) in todo.items():
+            held[key] = _mode_pair(pa[i][0], pb[j][0])
     else:
-        store = va.products if va.products is vb.products else None
-        s = None
-        for a, sa, ua, ka in va.parts():
-            for b, sb, ub, kb in vb.parts():
-                key = None if store is None else frozenset((ka, kb))
-                p = None if key is None else store.get(key)
-                if p is None:
-                    p = pair(a, b)
-                    if key is not None:
-                        store[key] = p
-                coef = ua * ub * (sa * sb)
-                term = p if coef == 1.0 else coef * p
-                s = term if s is None else s + term
+        v = vb if va.expansion is not None else va
+        nodes = _even(v.re.shape[-1])
+        lead = va.re.shape[:-1]
+        n = math.prod(lead)
+        flat = {key: np.empty(n) for key in todo}
+        for s0, s1 in _chunks(n, 8 * nodes) if todo else ():
+            a = va.chunk(s0, s1)
+            b = a if vb is va else vb.chunk(s0, s1)
+            for key, (i, j) in todo.items():
+                _half_pair(a[i], b[j], flat[key][s0:s1])
+        for key, p in flat.items():
+            held[key] = p.reshape(lead)
+    s = None
+    for (i, j), key in keys.items():
+        coef = pa[i][2] * pb[j][2] * (pa[i][1] * pb[j][1])
+        term = held[key] if coef == 1.0 else coef * held[key]
+        s = term if s is None else s + term
     return (s if modes else (2.0 * np.pi / nodes) * s) / radii
 
 

@@ -175,12 +175,14 @@ class FormGrids:
     synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
     band-limited f pairs on its band limit's own rule (see _kernel_profile),
     exactly at every n_c, so only f# and literal factors read values at the
-    slice nodes, which they expand per call and keep none of (2.7 MB a
-    row and block of n_c=48 nodes above); n_c sizes only them and the
-    literal routes. The Plancherel norms (conv_l2_norm, l4_norm) are Q on
-    this route and share the column. The ascent (maximizer.Workspace) takes
-    the slice-free radial route instead, which verify checks against this
-    one (q_radial_vs_ball_max_rel_dev).
+    slice nodes. f# is formed there one chunk of slices at a time
+    (pair_profile) and kept nowhere, so a call's node values take one
+    chunk's bytes, not the 2.7 MB of a row on a whole block of n_c=48
+    nodes above; n_c sizes only them and the literal routes. The
+    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
+    the column. The ascent (maximizer.Workspace) takes the slice-free
+    radial route instead, which verify checks against this one
+    (q_radial_vs_ball_max_rel_dev).
     """
 
     ball: BallGrid
@@ -265,8 +267,10 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
     degree 2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half
     of them partners of the other half; |.|^p of sharp or literal factors,
     and of odd p, is at the slice nodes, n_c or, at odd n_c, 2 n_c, each
-    paired with its partner. The constant kernel gives 2 pi / r. An
-    unstructured kernel takes the literal pair_slice_average at the ball nodes.
+    paired with its partner. |.|^p is formed per use (SplitValues.magnitude),
+    one chunk of slices at a time as pair_profile pairs it. The constant
+    kernel gives 2 pi / r. An unstructured kernel takes the literal
+    pair_slice_average at the ball nodes.
     """
     r = col.radii
     if K.factors is None:

@@ -215,7 +215,7 @@ class TestPairProfile:
         v[0, :3] = (-0.0, 0.0, -1e-200)
         sq = SplitValues(v, None, -1.0).magnitude(2)
         assert sq.im is None
-        assert sq.re.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
+        assert sq.dense().view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
 
     def test_odd_slice_count_is_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -424,20 +424,25 @@ class TestSliceColumn:
             assert np.abs(column.centres(a, a + 1)[0] - X[:, a]).max() <= 1e-15
 
     @staticmethod
+    def whole_spectra(column, coeffs):
+        # spectra's one pass, its chunks of table columns joined
+        return np.concatenate([rows for _, rows in column.spectra(coeffs)], axis=-1)
+
+    @staticmethod
     def at_nodes(column, modes):
         # azimuth rows of slice-angle modes, taken to every slice node
         return modes.reshape(column.n_az, column.radii.size, -1) @ column.expansion
 
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
-        fields = self.at_nodes(column, column.trig @ column.spectra(c[None])[0])
+        fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
         pts = column.points(0, column.n_az).reshape(-1, 3)
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_lower_degree_coefficients_use_leading_rows(self, column):
         c = random_band_limited(2, np.random.default_rng(61)).coeffs
-        fields = self.at_nodes(column, column.trig @ column.spectra(c[None])[0])
+        fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
         expect = c @ harmonic_values(2, column.points(0, column.n_az).reshape(-1, 3))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -517,26 +522,29 @@ class TestSliceColumn:
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_literal_nodes_are_built_on_first_use(self, n_c, monkeypatch):
         # the table build places the uniform rule of 2L+1 = 11 slice angles,
-        # 22 nodes with partners, and keeps the 11 rule nodes; blocks()
-        # places none; points() is slice_point_table at centres(), bit for
-        # bit, placed per call
+        # 22 nodes with partners, at each column centre once, chunk by chunk,
+        # and keeps the 11 rule nodes; blocks() places none; points() is
+        # slice_point_table at centres(), bit for bit, placed per call
         placed, inner = [], convolution.slice_point_table
 
         def spy(X, n):
             out = inner(X, n)
-            placed.append(out[0].shape[1])
+            placed.append((out[0].shape[1], len(X)))
             return out
 
         monkeypatch.setattr(convolution, "slice_point_table", spy)
         col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
         col.blocks()
-        assert placed == [22]
+        build = len(placed)
+        assert {n for n, _ in placed} == {22}
+        assert sum(centres for _, centres in placed) == col.radii.size
         for a0, a1 in [(0, col.n_az), (1, 2)]:
             pts = col.points(a0, a1)
             x = col.centres(a0, a1).reshape(-1, 3)
             expect = slice_point_table(x, n_c)[0].reshape(pts.shape)
             assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
-        assert placed == [22] + [2 * n_c if n_c % 2 else n_c] * 2   # once per points()
+        # once per points()
+        assert [n for n, _ in placed[build:]] == [2 * n_c if n_c % 2 else n_c] * 2
 
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)
@@ -568,7 +576,8 @@ class TestNegatedReads:
         f = rand_fn(L, 140 + L, complex_valued=complex_valued)
         (v,) = col.sampler(SlicePlan([(f, True)]))(0, n_t)
         flipped = parity_signs(L) * f.coeffs.coeffs
-        fresh = col.trig[:n_t] @ col.spectra(np.stack([flipped.real, flipped.imag]))
+        fresh = col.trig[:n_t] @ TestSliceColumn.whole_spectra(
+            col, np.stack([flipped.real, flipped.imag]))
         fresh = fresh.reshape(2, n_t, -1, modes)
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
         got = v.dense().reshape(expect.shape)

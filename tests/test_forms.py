@@ -543,15 +543,18 @@ class TestHalfTurnRule:
         expanded, to_nodes = [], convolution._to_nodes
 
         def spy(a, expansion):
-            expanded.append(expansion.shape)
+            expanded.append((expansion.shape, len(a)))
             return to_nodes(a, expansion)
 
         monkeypatch.setattr(convolution, "_to_nodes", spy)
         monkeypatch.setattr(convolution.SplitValues, "nodes", None)   # any call raises
         bilinear_b(F.abs_squared(), PairKernel.one(), grids)
         parts = 2 if complex_valued else 1
-        assert expanded == [(9, 18)] * parts * 2 * len(grids.slice_column(4).blocks())
-        assert grids.slice_column(4).expansion.shape == (9, 12)
+        col = grids.slice_column(4)
+        # each part at +-p is expanded once on every slice, chunk by chunk
+        assert {shape for shape, _ in expanded} == {(9, 18)}
+        assert sum(rows for _, rows in expanded) == parts * 2 * col.n_az // 2 * col.radii.size
+        assert col.expansion.shape == (9, 12)
 
 
 def unfolded_b(F, G, grids):
@@ -713,21 +716,26 @@ def spectra_rows(monkeypatch):
 
 @pytest.fixture
 def row_passes(monkeypatch):
-    """Rows per SliceColumn.spectra call, and rows per synthesis from its
-    output: the spectra come back as an array that records each ufunc, such
-    as np.matmul, that reads them, with the row count of its result."""
+    """Rows per SliceColumn.spectra pass, and per chunk of a pass the ufuncs,
+    such as np.matmul, that read it, each with the row count of its result:
+    each chunk comes back as an array that records them."""
     passes, spectra = {"spectra": [], "synthesis": []}, convolution.SliceColumn.spectra
 
     class Spectra(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            reads = self.reads
             inputs = [x.view(np.ndarray) if isinstance(x, Spectra) else x for x in inputs]
             out = getattr(ufunc, method)(*inputs, **kwargs)
-            passes["synthesis"].append((ufunc.__name__, int(np.prod(out.shape[:-2]))))
+            reads.append((ufunc.__name__, int(np.prod(out.shape[:-2]))))
             return out
 
     def spy(col, coeffs):
         passes["spectra"].append(len(coeffs))
-        return spectra(col, coeffs).view(Spectra)
+        for cols, rows in spectra(col, coeffs):
+            rows = rows.view(Spectra)
+            rows.reads = []
+            passes["synthesis"].append(rows.reads)
+            yield cols, rows
 
     monkeypatch.setattr(convolution.SliceColumn, "spectra", spy)
     return passes
@@ -758,7 +766,10 @@ class TestSpectraMemo:
         f = rand_fn(4, 105, complex_valued=complex_valued)
         values = chain_values(f, grids)
         rows = 4 if complex_valued else 2
-        assert row_passes == {"spectra": [rows], "synthesis": [("matmul", rows)]}
+        assert row_passes["spectra"] == [rows]
+        # every chunk of the one pass is read once, by one synthesis of all rows
+        assert row_passes["synthesis"]
+        assert all(reads == [("matmul", rows)] for reads in row_passes["synthesis"])
         assert values == chain_values(f, grids, fresh=True)
 
     def test_memo_holds_n_t_field_rows_per_coefficient_row(self):
@@ -1034,15 +1045,25 @@ class TestSameKernelFold:
 
 @pytest.fixture
 def half_pairs(monkeypatch):
-    """Count of the real products of slice values: convolution._half_pair
-    calls at the slice nodes and _mode_pair calls in slice-angle modes."""
-    calls = [0]
-    for name in ("_half_pair", "_mode_pair"):
-        def spy(*args, _inner=getattr(convolution, name)):
-            calls[0] += 1
-            return _inner(*args)
+    """Count of the real products of slice values: _mode_pair calls in
+    slice-angle modes, and at the slice nodes the product arrays that
+    convolution._half_pair fills, one chunk of slices per call (a call
+    without an array to fill is one product)."""
+    calls, filled = [0], []
 
-        monkeypatch.setattr(convolution, name, spy)
+    def spy_half(a, b, *out, _inner=convolution._half_pair):
+        base = out[0].base if out else None
+        if base is None or not any(base is f for f in filled):
+            calls[0] += 1
+            filled.append(base)
+        return _inner(a, b, *out)
+
+    def spy_mode(*args, _inner=convolution._mode_pair):
+        calls[0] += 1
+        return _inner(*args)
+
+    monkeypatch.setattr(convolution, "_half_pair", spy_half)
+    monkeypatch.setattr(convolution, "_mode_pair", spy_mode)
     return calls
 
 
@@ -1153,7 +1174,7 @@ class TestHeldProducts:
         expanded, to_nodes = [], convolution._to_nodes
 
         def spy(a, expansion):
-            expanded.append(a.shape)
+            expanded.append(len(a))
             return to_nodes(a, expansion)
 
         monkeypatch.setattr(convolution, "_to_nodes", spy)
@@ -1166,7 +1187,8 @@ class TestHeldProducts:
                 for (a0, a1), store in col._memo[2].items() for p in store.values()]
         assert held and all(shape == block for shape, block in held)
         quadrilinear_q(sharp, sharp, sharp, sharp, grids)
-        assert len(expanded) == 2 * 2   # two rows on two blocks
+        # two rows, each on every slice of the two blocks once, chunk by chunk
+        assert sum(expanded) == 2 * col.n_az // 2 * col.radii.size
         # the sharp plan reads no row in modes: its sampler keeps none of f's
         # products, and its sharp values keep their own store
         assert not any(col._memo[2].values())
@@ -1186,6 +1208,78 @@ class TestHeldProducts:
         assert all(r() is None for r in refs)
         assert len(held_products(col)) == len(refs)   # g's own, as many as f's
         assert quadrilinear_q(f, f, f, f, grids) == first
+
+
+class TestNodeChunks:
+    """Node values are formed one chunk of slices at a time
+    (convolution._CHUNK_BYTES), never for a whole block."""
+
+    def test_a_call_peaks_below_one_row_of_node_values_on_a_block(self):
+        # the chain's grids: two azimuth blocks of 12 x 576 slices; sharp Q
+        # pairs on the n_c = 48 slice nodes, B(|F|^2, 1) on the 34 of the
+        # band limit's own rule. On a warm column (the rows of f held) no
+        # call may allocate as much as one row of node values on one block.
+        L = 8
+        grids = default_form_grids(n_t=24, n_c=48, n_r=24)
+        col = grids.slice_column(L)
+        (a0, a1), *_ = col.blocks()
+        assert len(col.blocks()) == 2
+        slices = (a1 - a0) * col.radii.size
+        f = rand_fn(L, 160)
+        sharp = f.sharp_rearrangement()
+        F = weighted_pair_kernel(f)
+        calls = [(lambda: quadrilinear_q(sharp, sharp, sharp, sharp, grids), col.n_c),
+                 (lambda: bilinear_b(F.abs_squared(), PairKernel.one(), grids), 2 * (2 * L + 1))]
+        for call, nodes in calls:
+            call()
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert peak < slices * nodes * 8
+
+    ball = build_ball_grid(4, build_sphere_grid(5))   # one block of 5 x 20 slices
+
+    @staticmethod
+    def call(case, complex_valued):
+        """(call on grids, the node count it pairs on, or None where that is
+        the grids' slice nodes)."""
+        f = rand_fn(4, 161, complex_valued=complex_valued)
+        fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
+        F = weighted_pair_kernel(f)
+        return {"sharp": (lambda g: quadrilinear_q(sharp, sharp, sharp, sharp, g), None),
+                "B(|F|^2, 1)": (lambda g: bilinear_b(F.abs_squared(), PairKernel.one(), g),
+                                2 * (2 * 4 + 1)),
+                # a mode row meets node values
+                "mixed": (lambda g: quadrilinear_q(f, sharp, fs, sharp, g), None),
+                "literal": (lambda g: quadrilinear_q(literal(f), fs, f, literal(fs), g),
+                            None)}[case]
+
+    @pytest.mark.parametrize("chunk", [1, 7, "block"])
+    @pytest.mark.parametrize("n_c", [3, 8, 11])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("case", ["sharp", "B(|F|^2, 1)", "mixed", "literal"])
+    def test_any_chunk_gives_the_default_chunk_s_value(self, case, complex_valued, n_c, chunk,
+                                                       monkeypatch):
+        call, nodes = self.call(case, complex_valued)
+        expect = call(forms.FormGrids(self.ball, n_c))
+        nodes = nodes or (2 * n_c if n_c % 2 else n_c)
+        rows, inner = [], convolution._half_pair
+
+        def spy(a, b, *out):
+            rows.append(len(a))
+            return inner(a, b, *out)
+
+        # chunks of 1 and 7 slices, or all 100 in one; 7 does not divide 100
+        monkeypatch.setattr(convolution, "_CHUNK_BYTES",
+                            1 << 40 if chunk == "block" else chunk * 8 * nodes)
+        monkeypatch.setattr(convolution, "_half_pair", spy)
+        value = call(forms.FormGrids(self.ball, n_c))
+        assert set(rows) == ({100} if chunk == "block" else {chunk, 100 % chunk} - {0})
+        assert abs(value - expect) <= 4 * np.finfo(float).eps * abs(expect)
 
 
 class TestMeanValue:
