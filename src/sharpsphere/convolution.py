@@ -14,12 +14,14 @@ which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
 band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
 every n_c. Node values, at each slice's nodes p_j and their partners (n_c
 nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
-no band limit: sharp rearrangements, |.|^p of odd p and literal callables.
-Apart from literal calls they are formed one chunk of slices at a time
-(_CHUNK_BYTES), as pair_profile pairs them, and never for a whole block.
-Pointwise values of f sigma * g sigma come two ways: convolve_many reads f
-and g at those nodes through one SlicePlan, and pair_slice_average of the
-kernel f tensor g is the literal route it is checked against.
+no band limit but is formed from coefficient rows: sharp rearrangements and
+|.|^p of odd p. They are formed one chunk of slices at a time
+(_CHUNK_BYTES), as pair_profile pairs them, and never for a whole column.
+Literal callables have no place on the column; pair_slice_average takes
+them at slice_point_table's nodes. Pointwise values of f sigma * g sigma
+come two ways: convolve_many reads f and g at those nodes through one
+SlicePlan, and pair_slice_average of the kernel f tensor g is the literal
+route it is checked against.
 """
 
 import math
@@ -47,15 +49,10 @@ __all__ = [
 # Centers per vectorized batch; bounds peak memory of the slice-point tables.
 _CHUNK = 2048
 
-# Slice nodes per azimuth block of a SliceColumn; bounds what the ball route
-# keeps per block, the product stores and profiles, and the literal points
-# and values of one block, not the column table or the synthesized fields.
-_BLOCK_NODES = 1 << 20
-
 # Bytes per chunk of one array that is formed in pieces (_chunks): a part's
-# node values on a chunk of slices, a pass's Fourier rows on a chunk of table
-# columns, the harmonic values of a chunk of column centres. A chunk and the
-# few arrays formed next to it sit in L2; a smaller block is one chunk.
+# modes or node values on a chunk of slices, a pass's Fourier rows on a chunk
+# of table columns, the harmonic values of a chunk of column centres. A chunk
+# and the few arrays formed next to it sit in L2.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -178,6 +175,18 @@ def slice_point_table(X: np.ndarray, n_c: int):
     return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
 
 
+def _sources(func) -> tuple:
+    # (func's coefficients, its sharp source's), each None where it has none
+    return (getattr(func, "coeffs", None),
+            getattr(getattr(func, "sharp_source", None), "coeffs", None))
+
+
+def _backed(func) -> bool:
+    # whether a SlicePlan backs func with coefficient rows: func is
+    # coefficient-backed, or the sharp rearrangement of such a function
+    return any(c is not None for c in _sources(func))
+
+
 def _finite(x, what: str) -> np.ndarray:
     # x as a float array; a non-finite entry raises ValueError naming what
     x = np.asarray(x, dtype=float)
@@ -266,7 +275,9 @@ class SlicePlan:
     imaginary coefficient rows, times parity_signs for f(-p); a sharp
     rearrangement of one becomes its source's rows for +p and -p, combined as
     sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2), which is antipodally symmetric
-    and stays real; any other callable is called at the literal nodes.
+    and stays real. These are the functions the plan backs with coefficient
+    rows (_backed). Any other callable is a literal call, evaluated at points
+    only (at).
 
     Row identity is decided here, once: each real row is stored in canonical
     sign, the sign that makes its first nonzero entry positive (a zero row
@@ -277,7 +288,7 @@ class SlicePlan:
     real row of f(-p) and the negated imaginary one, f, f_star and both at
     -p cost the rows of f at +p and -p; a row of pure parity is its own
     parity flip up to sign, so it is one row at +-p. Requests whose rows (or,
-    for callables, object and sign) agree share one entry.
+    for literal calls, object and sign) agree share one entry.
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
@@ -287,9 +298,7 @@ class SlicePlan:
     """
 
     def __init__(self, requests):
-        sources = [(getattr(func, "coeffs", None),
-                    getattr(getattr(func, "sharp_source", None), "coeffs", None))
-                   for func, _ in requests]
+        sources = [_sources(func) for func, _ in requests]
         width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
                     default=0)
         rows, where = [], {}
@@ -330,62 +339,67 @@ class SlicePlan:
         self.keys = frozenset(i for e in self._entries if e[0] == "field"
                               for i, _ in filter(None, e[1:]))
 
-    def values(self, fields, nodes, products=None, expansion=None) -> list:
-        """Per request, its values on a set of slices, as SplitValues.
-
-        fields holds one array per row, in the order of rows (empty or None
-        without rows): each row's values at the slice nodes, or, given
-        expansion (see SplitValues), its slice-angle modes. nodes() returns
-        the literal nodes with the node axes plus a last axis of 3, and is
-        called only for literal calls. A coefficient-backed request reads its
-        arrays in place, with its rows' signs, in their domain; a sharp
-        rearrangement is formed at the nodes per use, one chunk of slices at
-        a time (SplitValues.chunk); a literal call is split into views of its
-        real and imaginary parts. Requests that share an entry get the same
-        object.
-
-        products is a store (SplitValues.products) of the fields' real
-        products, keyed by row index, or None; coefficient-backed values
-        carry it (a SliceColumn's is described at SliceColumn.recall). Sharp
-        and literal values carry a store of this call's own, keyed by entry
-        and part, so they share products only with each other and only among
-        the values returned here.
-        """
-        pts, out, own = None, [], {}
+    def _split(self, fields, products=None, expansion=None) -> list:
+        # per entry, its SplitValues on the fields (see values); None for a
+        # literal call
+        out, own = [], {}
         for e, (kind, *args) in enumerate(self._entries):
             if kind == "field":
                 (i, si), im = args
                 j, sj = im or (None, 1.0)
-                v = SplitValues(fields[i], None if j is None else fields[j], si, sj, (i, j),
-                                products, expansion)
+                out.append(SplitValues(fields[i], None if j is None else fields[j], si, sj,
+                                       (i, j), products, expansion))
             elif kind == "sharp":
                 rows = [fields[r[0]] for r in args if r is not None]
-                v = SplitValues(_squares_formed(rows, expansion, 0.5, 0.5),
-                                keys=((e, 0), None), products=own)
+                out.append(SplitValues(_squares_formed(rows, expansion, 0.5, 0.5),
+                                       keys=((e, 0), None), products=own))
             else:
-                func, negate = args
-                if pts is None:
-                    pts = nodes()
-                flat = pts.reshape(-1, 3)
-                dense = np.asarray(func(-flat if negate else flat)).reshape(pts.shape[:-1])
-                v = (SplitValues(dense.real, dense.imag) if np.iscomplexobj(dense)
-                     else SplitValues(dense))._replace(keys=((e, 0), (e, 1)), products=own)
-            out.append(v)
+                out.append(None)
+        return out
+
+    def values(self, fields, products=None, expansion=None) -> list:
+        """Per request, its values on a set of slices, as SplitValues.
+
+        fields holds one array per row, in the order of rows (empty or None
+        without rows): each row's values at the slice nodes, or, given
+        expansion (see SplitValues), its slice-angle modes. A
+        coefficient-backed request reads its arrays in place, with its rows'
+        signs, in their domain; a sharp rearrangement is formed at the nodes
+        per use, one chunk of slices at a time (SplitValues.chunk). Requests
+        that share an entry get the same object. A literal call has no
+        values here and raises ValueError: only at evaluates it.
+
+        products is a store (SplitValues.products) of the fields' real
+        products, keyed by row index, or None; coefficient-backed values
+        carry it (a SliceColumn's is described at SliceColumn.recall). Sharp
+        values carry a store of this call's own, keyed by entry, so they
+        share products only with each other and only among the values
+        returned here.
+        """
+        out = self._split(fields, products, expansion)
+        if any(v is None for v in out):
+            raise ValueError("a literal call has no values on slices; SlicePlan.at evaluates it")
         return [out[i] for i in self._index]
 
     def at(self, points: np.ndarray) -> list:
         """Per request, its values as dense arrays at points of any shape (last
-        axis 3), with the coefficient rows synthesized from one harmonic table.
-        Non-finite values raise ValueError."""
+        axis 3), with the coefficient rows synthesized from one harmonic table
+        and literal calls called at points. Non-finite values raise ValueError."""
         fields = None
         if self.rows is not None:
             table = harmonic_values(self.degree, points.reshape(-1, 3))
             fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
-        split = self.values(fields, lambda: points)
-        dense = {id(v): v.dense() for v in split}
-        if not all(np.all(np.isfinite(v)) for v in dense.values()):
-            raise ValueError("function produced non-finite values at the nodes")
-        return [dense[id(v)] for v in split]
+        dense, flat = [], points.reshape(-1, 3)
+        for v, entry in zip(self._split(fields), self._entries):
+            if v is None:
+                _, func, negate = entry
+                v = np.asarray(func(-flat if negate else flat)).reshape(points.shape[:-1])
+            else:
+                v = v.dense()
+            if not np.all(np.isfinite(v)):
+                raise ValueError("function produced non-finite values at the nodes")
+            dense.append(v)
+        return [dense[i] for i in self._index]
 
 
 class SliceColumn:
@@ -416,15 +430,14 @@ class SliceColumn:
     exactly (_mode_weights), and the slice nodes enter only through
     expansion, the (2L+1, N) matrix to each slice's N nodes, n_c or, at odd
     n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn).
-    Those node values serve only what has no band limit: sharp
-    rearrangements, |.|^p of odd p and literal calls; |.|^p of even p pairs
-    on its band limit's own rule (SplitValues.magnitude). Literal calls read
-    points(), slice_point_table at the rotated centres.
+    Those node values serve only what has no band limit but is formed from
+    coefficient rows: sharp rearrangements and |.|^p of odd p; |.|^p of even
+    p pairs on its band limit's own rule (SplitValues.magnitude). The column
+    holds no literal call: SlicePlan.values refuses one.
 
-    Values on slices come in blocks of shape (azimuth rows, column centres,
-    modes or slice nodes), the centres radial-major as in BallGrid.points();
-    radii and weights belong to the column centres and hold for every
-    azimuth row.
+    Values on slices have shape (n_t azimuth rows, column centres, modes or
+    slice nodes), the centres radial-major as in BallGrid.points(); radii
+    and weights belong to the column centres and hold for every azimuth row.
 
     Antipodal rows: the ball node x at (radius, polar ring i, azimuth row a)
     has -x at (radius, ring n_t-1-i, row a+n_t), of equal weight, and
@@ -474,25 +487,9 @@ class SliceColumn:
             values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
             dft_rows = (values.reshape(-1, modes) @ dft).reshape(len(order), -1)
             self.table[:, c0 * modes:c1 * modes] = dft_rows[order]
-        # the last recall's padded rows, its fields buffer and, per block,
-        # the fields' real products
+        # the last recall's padded rows, its fields buffer and the fields'
+        # real products
         self._memo = (None, (), {})
-
-    def blocks(self):
-        """Azimuth row ranges (a0, a1) covering rows [0, n_t) only.
-
-        Row a + n_t holds the slices of -x for the ball nodes x of row a (see
-        antipodal rows, above), so the ball route reads them off row a at -p.
-        Each block spans about _BLOCK_NODES slice nodes of x and -x together.
-        The blocks bound what the ball route keeps per block, the product
-        stores and profiles, and the literal points and values of a block;
-        other node values are formed per chunk of slices (pair_profile), and
-        the memo's coefficient fields are held whole.
-        """
-        n_t = self.n_az // 2
-        n = min(n_t, -(-self.n_az * self.radii.size * self.expansion.shape[1] // _BLOCK_NODES))
-        edges = np.arange(n + 1) * n_t // n
-        return list(zip(edges[:-1], edges[1:]))
 
     def centres(self, a0: int, a1: int) -> np.ndarray:
         """The slices' centres x at azimuth rows a0:a1, shape (a1 - a0, centres, 3):
@@ -501,12 +498,6 @@ class SliceColumn:
         x, y, z = self._centres.T
         return np.stack([c * x - s * y, s * x + c * y, np.broadcast_to(z, (a1 - a0,) + z.shape)],
                         axis=-1)
-
-    def points(self, a0: int, a1: int) -> np.ndarray:
-        """Literal slice nodes of azimuth rows a0:a1, shape (a1 - a0, centres, nodes, 3):
-        slice_point_table at centres(a0, a1), placed per call."""
-        x = self.centres(a0, a1)
-        return slice_point_table(x.reshape(-1, 3), self.n_c)[0].reshape(x.shape[:-1] + (-1, 3))
 
     def spectra(self, coeffs: np.ndarray):
         """Azimuth Fourier rows of real coefficient rows, in one pass over the
@@ -544,9 +535,9 @@ class SliceColumn:
         modes on the slices of azimuth rows [0, n_t).
 
         This is the column's one memo. It holds the last call's rows, padded
-        to the table's (L+1)^2 columns, their fields, and per azimuth block a
-        store of the fields' real products in modes, which pair_profile forms
-        at most once while the fields are held (see sampler). A call whose
+        to the table's (L+1)^2 columns, their fields, and a store of the
+        fields' real products in modes, which pair_profile forms at most once
+        while the fields are held (see sampler). A call whose
         padded rows equal the held ones (np.array_equal) gets the held buffer
         back; rows equal up to sign are equal here, as SlicePlan stores them.
         Any other rows replace the memo: all take one spectra pass, each chunk
@@ -575,40 +566,29 @@ class SliceColumn:
         self._memo = (padded, fields, {})
         return fields
 
-    def sampler(self, plan: SlicePlan):
-        """Evaluator of plan's requests on the slices of any azimuth block.
+    def sampler(self, plan: SlicePlan) -> list:
+        """Per request of plan, its SplitValues (see SlicePlan.values) on the
+        slices of azimuth rows [0, n_t), the rows the ball route reads.
 
-        The returned sample(a0, a1) gives, per request, its SplitValues (see
-        SlicePlan.values) at azimuth rows a0:a1 inside [0, n_t), the rows
-        blocks() covers; other ranges raise ValueError. Coefficient-backed
-        values are views of recall's fields of plan.rows, in slice-angle
-        modes, parts of shape (a1 - a0, column centres, 2L+1), with this
-        column's expansion; a part at -p is the field of its parity-flipped
-        row on the same azimuth rows. Sharp values are formed at the slice
-        nodes per use, from those views; literal values are arrays there,
-        one block at a time. The table must reach plan.degree.
+        Coefficient-backed values are recall's fields of plan.rows, in
+        slice-angle modes, parts of shape (n_t, column centres, 2L+1), with
+        this column's expansion; a part at -p is the field of its
+        parity-flipped row on the same azimuth rows. Sharp values are formed
+        at the slice nodes per use, from those fields. The table must reach
+        plan.degree, and plan must hold no literal call (_backed): one raises
+        ValueError.
 
-        Coefficient-backed values carry the memo's product store of block
-        a0:a1, keyed by index into plan.rows. The sampler takes the memo's
-        stores when it is made and keeps there only the products of rows its
-        plan's coefficient-backed values read (plan.keys). A sampler whose
-        fields recall later replaces writes into those stores, detached from
-        the memo with its fields.
+        Coefficient-backed values carry the memo's product store, keyed by
+        index into plan.rows. The sampler keeps there only the products of
+        rows its plan's coefficient-backed values read (plan.keys). Values
+        whose fields recall later replaces write into that store, detached
+        from the memo with its fields.
         """
-        fields, stores = self.recall(plan.rows), self._memo[2]
+        fields, store = self.recall(plan.rows), self._memo[2]
         if len(fields):
-            for store in stores.values():
-                for key in [k for k in store if not plan.keys.issuperset(k)]:
-                    del store[key]
-        n_t = self.n_az // 2
-
-        def sample(a0: int, a1: int) -> list:
-            if not 0 <= a0 <= a1 <= n_t:
-                raise ValueError(f"azimuth rows {a0}:{a1} lie outside the sampled range 0:{n_t}")
-            return plan.values([v[a0:a1] for v in fields], lambda: self.points(a0, a1),
-                               stores.setdefault((a0, a1), {}), self.expansion)
-
-        return sample
+            for key in [k for k in store if not plan.keys.issuperset(k)]:
+                del store[key]
+        return plan.values(fields, store, self.expansion)
 
 
 def _half_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -622,10 +602,10 @@ def _half_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return np.einsum("...ij,...ij->...", a, b, out=out)
 
 
-def _mode_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mode_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # the integral over psi of a(psi) b(psi + pi) on each slice, of a and b in
     # slice-angle modes; a * b is b * a bit for bit, so a swap gives the same bits
-    return (a * b) @ _mode_weights(a.shape[-1])
+    return np.matmul(a * b, _mode_weights(a.shape[-1]), out=out)
 
 
 def _even(nodes: int) -> int:
@@ -646,10 +626,11 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     exact for band-limited factors at every n_c. Otherwise they pair by the
     trapezoid rule on the N slice nodes, N even: the partner x - p_j of node
     j is node j + N/2 and back (see _half_turn), so the two halves of each
-    slice pair crosswise. That runs one chunk of slices at a time
-    (_CHUNK_BYTES for one part's node values): per chunk, each part is read,
-    taken from modes or formed at the nodes (SplitValues.chunk), and paired,
-    and no part's node values exist for more slices than a chunk's.
+    slice pair crosswise. Either runs one chunk of slices at a time
+    (_CHUNK_BYTES for one part's modes or node values): per chunk, each part
+    is read, taken from modes or formed at the nodes (SplitValues.chunk),
+    and paired, and no product of modes and no part's node values exist for
+    more slices than a chunk's.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
@@ -667,28 +648,27 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     for ij, key in keys.items():
         if key not in held:
             todo.setdefault(key, ij)
-    if modes:
-        for key, (i, j) in todo.items():
-            held[key] = _mode_pair(pa[i][0], pb[j][0])
+    lead, same = va.re.shape[:-1], vb is va
+    if modes:   # the modes themselves are read and paired, chunk by chunk
+        va, vb = va._replace(expansion=None), vb._replace(expansion=None)
+        width, pair = va.re.shape[-1], _mode_pair
     else:
-        v = vb if va.expansion is not None else va
-        nodes = _even(v.re.shape[-1])
-        lead = va.re.shape[:-1]
-        n = math.prod(lead)
-        flat = {key: np.empty(n) for key in todo}
-        for s0, s1 in _chunks(n, 8 * nodes) if todo else ():
-            a = va.chunk(s0, s1)
-            b = a if vb is va else vb.chunk(s0, s1)
-            for key, (i, j) in todo.items():
-                _half_pair(a[i], b[j], flat[key][s0:s1])
-        for key, p in flat.items():
-            held[key] = p.reshape(lead)
+        width, pair = _even((vb if va.expansion is not None else va).re.shape[-1]), _half_pair
+    n = math.prod(lead)
+    flat = {key: np.empty(n) for key in todo}
+    for s0, s1 in _chunks(n, 8 * width) if todo else ():
+        a = va.chunk(s0, s1)
+        b = a if same else vb.chunk(s0, s1)
+        for key, (i, j) in todo.items():
+            pair(a[i], b[j], flat[key][s0:s1])
+    for key, p in flat.items():
+        held[key] = p.reshape(lead)
     s = None
     for (i, j), key in keys.items():
         coef = pa[i][2] * pb[j][2] * (pa[i][1] * pb[j][1])
         term = held[key] if coef == 1.0 else coef * held[key]
         s = term if s is None else s + term
-    return (s if modes else (2.0 * np.pi / nodes) * s) / radii
+    return (s if modes else (2.0 * np.pi / width) * s) / radii
 
 
 def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import SliceColumn, SlicePlan, pair_profile, pair_slice_average
+from .convolution import SliceColumn, SlicePlan, _backed, pair_profile, pair_slice_average
 from .harmonics import HarmonicCoeffs, SphereFunction
 from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
 from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _require_int,
@@ -113,15 +113,19 @@ class PairKernel:
 
     Always carries a point evaluator. Kernels of the special shape
     mag(f(omega) g(nu)) * |omega + nu|^p additionally record that structure
-    (factors, sum_weight_power, magnitude_power); the slice-average routines
-    then evaluate the factors through a shared harmonic table and replace
-    |omega + nu| on a slice at x by |x| itself, which is what the analytic
-    slice nodes satisfy exactly. factors = () means the constant kernel 1;
-    factors = None means no structure is known.
+    (factors, sum_weight_power, magnitude_power); the ball route then
+    evaluates factors backed by coefficient rows through a shared harmonic
+    table and replaces |omega + nu| on a slice at x by |x| itself, which is
+    what the analytic slice nodes satisfy exactly. factors is two functions,
+    f and g; factors = () means the constant kernel 1; factors = None means
+    no structure is known. Any other factors raise ValueError.
     """
 
     def __init__(self, evaluator, *, factors=None, sum_weight_power: int = 0,
                  magnitude_power: int | None = None):
+        if factors is not None and not (len(factors) in (0, 2)
+                                        and all(callable(f) for f in factors)):
+            raise ValueError("factors must be None, () or two functions")
         self.evaluator = evaluator
         self.factors = factors
         self.sum_weight_power = sum_weight_power
@@ -174,11 +178,12 @@ class FormGrids:
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), run one spectra pass and one
     synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
     band-limited f pairs on its band limit's own rule (see _kernel_profile),
-    exactly at every n_c, so only f# and literal factors read values at the
-    slice nodes. f# is formed there one chunk of slices at a time
-    (pair_profile) and kept nowhere, so a call's node values take one
-    chunk's bytes, not the 2.7 MB of a row on a whole block of n_c=48
-    nodes above; n_c sizes only them and the literal routes. The
+    exactly at every n_c, so only f# reads values at the slice nodes. f# is
+    formed there one chunk of slices at a time (pair_profile) and kept
+    nowhere, so a call's node values take one chunk's bytes, not the 5.3 MB
+    of a row on all n_t azimuth rows of n_c=48 nodes above. Kernels with a
+    literal factor, and unstructured ones, take pair_slice_average at the
+    ball nodes and nothing from the column; n_c sizes only them and f#. The
     Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
     the column. The ascent (maximizer.Workspace) takes the slice-free
     radial route instead, which verify checks against this one
@@ -215,9 +220,7 @@ class FormGrids:
 
         Plancherel turns the quartic integral into the L2 norm of the
         convolution of f sigma with its antipodal conjugate:
-        ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2. The
-        conjugate of f_star is f itself (SphereFunction.antipodal_conjugate),
-        so a literal callable is evaluated at two functions' nodes, not three.
+        ||ext f||_4^2 = (2 pi)^{3/2} ||f sigma * f_star sigma||_2.
         """
         return float(np.sqrt((2.0 * np.pi) ** 1.5
                              * self.conv_l2_norm(f, f.antipodal_conjugate())))
@@ -255,26 +258,31 @@ def _polar_ring(grid: SphereGrid, n_phi: int):
             ((sel, (ring @ frames[sel]).reshape(-1, 3)) for sel in sels))
 
 
-def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
-                    negate: bool) -> np.ndarray:
-    """K's pair profile at the ball nodes x (-x if negate) of azimuth rows a0:a1.
+def _on_column(K: PairKernel) -> bool:
+    # K's factors, if any, are all backed by coefficient rows (SlicePlan)
+    return K.factors is not None and all(_backed(f) for f in K.factors)
 
-    A structured K, at any n_c, pairs its factors, which values yields on
-    the column's slices as SplitValues, in pair_profile, as
-    |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the analytic nodes:
-    band-limited factors in slice-angle modes, exactly. |.|^p of even p of
-    them is a trig polynomial of degree pL on each slice, so its pairing, of
-    degree 2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half
-    of them partners of the other half; |.|^p of sharp or literal factors,
-    and of odd p, is at the slice nodes, n_c or, at odd n_c, 2 n_c, each
-    paired with its partner. |.|^p is formed per use (SplitValues.magnitude),
-    one chunk of slices at a time as pair_profile pairs it. The constant
-    kernel gives 2 pi / r. An unstructured kernel takes the literal
+
+def _kernel_profile(K: PairKernel, values, col: SliceColumn, negate: bool) -> np.ndarray:
+    """K's pair profile at the ball nodes x (-x if negate) of azimuth rows [0, n_t).
+
+    A structured K whose factors are backed by coefficient rows pairs them,
+    which values yields on the column's slices as SplitValues, in
+    pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
+    analytic nodes: band-limited factors in slice-angle modes, exactly at any
+    n_c. |.|^p of even p of them is a trig polynomial of degree pL on each
+    slice, so its pairing, of degree 2pL, is exact on the band limit's own
+    2(pL+1) uniform nodes, half of them partners of the other half; |.|^p of
+    sharp factors, and of odd p, is at the slice nodes, n_c or, at odd n_c,
+    2 n_c, each paired with its partner. |.|^p is formed per use
+    (SplitValues.magnitude), one chunk of slices at a time as pair_profile
+    pairs it. The constant kernel gives 2 pi / r. Any other kernel, an
+    unstructured one or one with a literal factor, takes the literal
     pair_slice_average at the ball nodes.
     """
-    r = col.radii
-    if K.factors is None:
-        x = -col.centres(a0, a1) if negate else col.centres(a0, a1)
+    r, n_t = col.radii, col.n_az // 2
+    if not _on_column(K):
+        x = -col.centres(0, n_t) if negate else col.centres(0, n_t)
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
         va, vb = next(values), next(values)
@@ -286,7 +294,7 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, a0: int, a1: int,
             va, vb = ma, (ma if vb is va else vb.magnitude(p, n_c))
         prof = pair_profile(va, vb, r)
     else:
-        prof = np.broadcast_to(2.0 * np.pi / r, (a1 - a0, r.size))
+        prof = np.broadcast_to(2.0 * np.pi / r, (n_t, r.size))
     return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
 
 
@@ -295,28 +303,24 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, its
     # profiles are F's and are not computed again; the sum keeps its form, so
     # the result is the same bit for bit.
-    # Structured kernels' factors are sampled at p, and at -p from
+    # Factors backed by coefficient rows are sampled at p, and at -p from
     # parity-flipped coefficient rows on the same azimuth rows, through one
     # plan and one column table (row identity: SlicePlan; the memo of rows
     # and products across calls: SliceColumn.recall). Every profile sums
-    # real products of the sampled parts, each formed once per block
-    # (pair_profile): F's profile at -x for F = f tensor f_star, and G's in
+    # real products of the sampled parts, each formed once (pair_profile):
+    # F's profile at -x for F = f tensor f_star, and G's in
     # Q(f, g, f_star, g_star), read the products of F's at x, the same held
     # rows swapped, and so do G's on F's factors, which get F's sampled
-    # values and stores.
+    # values and stores. Other kernels take pair_slice_average.
     kernels = [(F, False), (F, True)]
     if G is not F:
         kernels += [(G, True), (G, False)]
-    plan = SlicePlan([(f, negate) for K, negate in kernels if K.factors for f in K.factors])
+    plan = SlicePlan([(f, negate) for K, negate in kernels if _on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
-    sample = col.sampler(plan)
-    total = 0.0 + 0.0j
-    for a0, a1 in col.blocks():
-        values = iter(sample(a0, a1))
-        prof = [_kernel_profile(K, values, col, a0, a1, negate) for K, negate in kernels]
-        fx, fnx, gnx, gx = prof if len(prof) == 4 else prof + prof[::-1]
-        total += np.sum(col.weights * (fx * gnx + fnx * gx))
-    return complex(total)
+    values = iter(col.sampler(plan))
+    prof = [_kernel_profile(K, values, col, negate) for K, negate in kernels]
+    fx, fnx, gnx, gx = prof if len(prof) == 4 else prof + prof[::-1]
+    return complex(np.sum(col.weights * (fx * gnx + fnx * gx)))
 
 
 def _b_outer(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
@@ -351,11 +355,12 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     grids. It folds over the antipodal symmetry of the ball grid, summing
     PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
     is F it computes F's two profiles only, with the same result bit for
-    bit. Structured kernels pair their
-    factors sampled on the column table at p and at -p: band-limited factors
-    in slice-angle modes, |.|^p of even p among them, exactly at every n_c,
-    and sharp and literal factors (and |.|^p of odd p) at the slice nodes,
-    n_c or, at odd n_c, 2 n_c; an unstructured kernel takes the literal
+    bit. Structured kernels whose factors are coefficient-backed, or sharp
+    rearrangements of such, pair their factors sampled on the column table
+    at p and at -p: band-limited factors in slice-angle modes, |.|^p of even
+    p among them, exactly at every n_c, and sharp factors (and |.|^p of odd
+    p) at the slice nodes, n_c or, at odd n_c, 2 n_c. Any other kernel, an
+    unstructured one or one with a literal factor, takes the literal
     pair_slice_average at the ball nodes. method="outer", the
     cross-check, integrates F(omega_1, omega_2) times G's literal slice
     profile at -(omega_1 + omega_2) over omega_2 on the polar ring about

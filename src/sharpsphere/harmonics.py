@@ -261,19 +261,16 @@ class SphereFunction:
     quadrature-exactness reasoning elsewhere relies on. A sharp rearrangement
     of a coefficient-backed function records its source in sharp_source, so
     bulk evaluators can obtain both |f(w)|^2 and |f(-w)|^2 from one basis
-    table instead of calling the closure at w and -w. A closure-backed
-    function and its antipodal conjugate know each other, so conjugation
-    returns the same object every time and twice returns the function itself.
+    table instead of calling the closure at w and -w.
     """
 
-    __slots__ = ("_fn", "coeffs", "sharp_source", "_conjugate")
+    __slots__ = ("_fn", "coeffs", "sharp_source")
 
     def __init__(self, fn, coeffs: HarmonicCoeffs | None = None,
                  sharp_source: "SphereFunction | None" = None):
         self._fn = fn
         self.coeffs = coeffs
         self.sharp_source = sharp_source
-        self._conjugate = None
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -302,11 +299,8 @@ class SphereFunction:
     def antipodal_conjugate(self) -> "SphereFunction":
         if self.coeffs is not None:
             return SphereFunction.from_coeffs(self.coeffs.antipodal_conjugate())
-        if self._conjugate is None:
-            fn = self._fn
-            self._conjugate = SphereFunction(lambda pts: np.conj(fn(-pts)))
-            self._conjugate._conjugate = self   # conj(conj(f(-(-p)))) is f(p) exactly
-        return self._conjugate
+        fn = self._fn
+        return SphereFunction(lambda pts: np.conj(fn(-pts)))
 
     def sharp_rearrangement(self) -> "SphereFunction":
         """p -> sqrt((|f(p)|^2 + |f(-p)|^2) / 2); for coefficient-backed f,

@@ -206,8 +206,9 @@ def exact_sizes(L: int) -> tuple[int, int, int]:
     (convolution.SliceColumn, forms._kernel_profile). n_c sizes the rest:
     a squared pair kernel of band limit L is a trig polynomial of degree 4L
     on each slice, so n_c = 4L+2, the smallest even count above it, makes
-    the literal routes exact (pair_slice_average, the outer route); sharp
-    rearrangements and literal factors take those nodes too. Any n_c above
+    the literal routes exact (pair_slice_average, which also takes the ball
+    route's kernels with literal factors, and the outer route); sharp
+    rearrangements take those nodes too. Any n_c above
     4L is exact as well, and so is an odd n_c above 2L, which adds its n_c
     nodes' partners x - p: the 2 n_c nodes are the uniform 2 n_c rule.
     """

@@ -195,7 +195,7 @@ class TestPairProfile:
         plan = SlicePlan([(f, False), (fs, False), (f, True), (fs, True), (neg, False),
                           (neg, True), (f.sharp_rearrangement(), False), (rand_fn(L, 90), True)])
         assert len(plan.rows) == (3 if L == 0 else 5)
-        vals = col.sampler(plan)(0, col.n_az // 2)
+        vals = col.sampler(plan)
         assert vals[0].re.shape[-1] == 2 * L + 1
         assert vals[6].re.shape[-1] == (2 if odd else 1) * col.n_c
         squares = [v.magnitude(2) for v in vals]
@@ -233,7 +233,7 @@ class TestModePairing:
         col = SliceColumn(build_ball_grid(4, build_sphere_grid(5)), n_c, L)
         f, g = rand_fn(L, 130, complex_valued=complex_valued), rand_fn(L, 131)
         n_t = col.n_az // 2
-        a, b = col.sampler(SlicePlan([(f, False), (g, False)]))(0, n_t)
+        a, b = col.sampler(SlicePlan([(f, False), (g, False)]))
         assert a.expansion is col.expansion and a.re.shape[-1] == 2 * L + 1
         modes = pair_profile(a, b, col.radii)
         nodes = pair_profile(a.nodes(), b.nodes(), col.radii)
@@ -317,28 +317,6 @@ class TestConvL2Norm:
         val = FormGrids(ball_default, 64).conv_l2_norm(f, f.antipodal_conjugate())
         assert abs(val - np.sqrt(32 * PI ** 3)) <= 1e-10 * np.sqrt(32 * PI ** 3)
 
-    def test_literal_conjugate_pair_is_evaluated_for_two_functions(self):
-        # conv_l2_norm(f, f_star) needs f_star's and f's conjugates: f_star and f
-        xi, calls = np.array([0.3, 0.5, -0.2]), []
-
-        def wave(p):
-            calls.append(len(p))
-            return np.exp(1j * (p @ xi))
-
-        grids = FormGrids(build_ball_grid(6, build_sphere_grid(6)), 16)
-        blocks = len(grids.slice_column(0).blocks())
-        f = SphereFunction(wave)
-        value = grids.conv_l2_norm(f, f.antipodal_conjugate())
-        assert len(calls) == 4 * blocks   # f and f_star at +-p
-        g = SphereFunction(wave)
-        g_star = SphereFunction(lambda p: np.conj(wave(-p)))   # not linked to g
-        calls.clear()
-        assert grids.conv_l2_norm(g, g_star) == value
-        assert len(calls) == 8 * blocks
-        calls.clear()
-        grids.l4_norm(SphereFunction(wave))
-        assert len(calls) == 4 * blocks
-
     def test_zero_function(self, ball_default):
         zero = SphereFunction.constant(0.0)
         assert FormGrids(ball_default, 16).conv_l2_norm(zero, zero) == 0.0
@@ -413,7 +391,7 @@ class TestSliceColumn:
         ball = build_ball_grid(5, build_sphere_grid(6))
         X = ball.points().reshape(-1, column.n_az, 3).transpose(1, 0, 2)
         pts, _ = slice_point_table(X.reshape(-1, 3), column.n_c)
-        literal = column.points(0, column.n_az).reshape(pts.shape)
+        literal = slice_nodes(column, 0, column.n_az).reshape(pts.shape)
         assert np.abs(literal - pts).max() <= 1e-15
         assert np.array_equal(column.weights, ball.weights()[::column.n_az])
 
@@ -436,52 +414,43 @@ class TestSliceColumn:
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
         fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
-        pts = column.points(0, column.n_az).reshape(-1, 3)
+        pts = slice_nodes(column, 0, column.n_az)
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_lower_degree_coefficients_use_leading_rows(self, column):
         c = random_band_limited(2, np.random.default_rng(61)).coeffs
         fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
-        expect = c @ harmonic_values(2, column.points(0, column.n_az).reshape(-1, 3))
+        expect = c @ harmonic_values(2, slice_nodes(column, 0, column.n_az))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
-
-    def test_blocks_cover_the_first_n_t_azimuth_rows(self, column):
-        # rows a >= n_t hold -x of rows a < n_t; the ball route reads them at -p
-        edges = [a for block in column.blocks() for a in block]
-        assert edges[0] == 0 and edges[-1] == column.n_az // 2
-        assert all(a1 == b0 for a1, b0 in zip(edges[1::2], edges[2::2]))
 
     def test_sampler_shares_repeated_requests(self, column):
         f = rand_fn(3, 63, complex_valued=True)
         sharp = f.sharp_rearrangement()
         plan = SlicePlan([(f, False), (f, False), (sharp, False), (sharp, True)])
-        a, b, c, d = column.sampler(plan)(0, 3)
+        a, b, c, d = column.sampler(plan)
         assert a is b and c is d
-        modes, nodes = (3, column.radii.size, 2 * column.L + 1), (3, column.radii.size, column.n_c)
+        # the slices of azimuth rows [0, n_t): rows a >= n_t hold the
+        # antipodal slices, which the ball route reads at -p
+        n_t = column.n_az // 2
+        modes, nodes = (n_t, column.radii.size, 2 * column.L + 1), (n_t, column.radii.size, column.n_c)
         assert a.re.shape == a.im.shape == modes and c.re.shape == nodes and c.im is None
 
-    def test_sampler_covers_rows_below_n_t_only(self, column):
-        # rows a >= n_t hold the antipodal slices, which the ball route reads at -p
-        sample = column.sampler(SlicePlan([(rand_fn(3, 64), False)]))
-        n_t = column.n_az // 2
-        assert sample(n_t - 1, n_t)[0].re.shape[0] == 1
-        for a0, a1 in ((n_t - 1, n_t + 1), (n_t, n_t + 1), (-1, 1), (2, 1)):
-            with pytest.raises(ValueError, match=f"rows {a0}:{a1} .* 0:{n_t}"):
-                sample(a0, a1)
+    def test_sampler_refuses_a_literal_call(self, column):
+        # literal callables take pair_slice_average at the ball nodes
+        wave = SphereFunction.plane_wave((0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="literal call"):
+            column.sampler(SlicePlan([(rand_fn(3, 64), False), (wave, True)]))
 
     def test_a_sampler_whose_fields_were_replaced_keeps_its_own_store(self, column):
         # the memo's store is keyed by row index: another call's rows reuse
-        # the indices, so a stale sampler reads and fills the stores it took
-        # with its fields, which recall detached from the memo
-        stale = column.sampler(SlicePlan([(rand_fn(3, 65), False)]))
-        (held,) = stale(0, 1)
-        assert held.products is column._memo[2][(0, 1)]
-        (new,) = column.sampler(SlicePlan([(rand_fn(3, 66), False)]))(0, 1)
-        (v,) = stale(0, 1)
-        assert v.products is held.products
-        assert new.products is column._memo[2][(0, 1)] and new.products is not held.products
-        pair_profile(v, v, column.radii)
+        # the indices, so stale values read and fill the store they took
+        # with their fields, which recall detached from the memo
+        (held,) = column.sampler(SlicePlan([(rand_fn(3, 65), False)]))
+        assert held.products is column._memo[2]
+        (new,) = column.sampler(SlicePlan([(rand_fn(3, 66), False)]))
+        assert new.products is column._memo[2] and new.products is not held.products
+        pair_profile(held, held, column.radii)
         assert held.products and not new.products
 
     def test_conjugate_pairs_share_rows_by_content(self):
@@ -520,11 +489,11 @@ class TestSliceColumn:
         assert np.abs(v - expect).max() <= 1e-15 * np.abs(expect).max()
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
-    def test_literal_nodes_are_built_on_first_use(self, n_c, monkeypatch):
+    def test_slice_nodes_are_placed_by_the_table_build_only(self, n_c, monkeypatch):
         # the table build places the uniform rule of 2L+1 = 11 slice angles,
         # 22 nodes with partners, at each column centre once, chunk by chunk,
-        # and keeps the 11 rule nodes; blocks() places none; points() is
-        # slice_point_table at centres(), bit for bit, placed per call
+        # and keeps the 11 rule nodes; sampling places none, the sharp
+        # rearrangement's nodes included
         placed, inner = [], convolution.slice_point_table
 
         def spy(X, n):
@@ -534,17 +503,13 @@ class TestSliceColumn:
 
         monkeypatch.setattr(convolution, "slice_point_table", spy)
         col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
-        col.blocks()
-        build = len(placed)
         assert {n for n, _ in placed} == {22}
         assert sum(centres for _, centres in placed) == col.radii.size
-        for a0, a1 in [(0, col.n_az), (1, 2)]:
-            pts = col.points(a0, a1)
-            x = col.centres(a0, a1).reshape(-1, 3)
-            expect = slice_point_table(x, n_c)[0].reshape(pts.shape)
-            assert pts.view(np.int64).tolist() == expect.view(np.int64).tolist()
-        # once per points()
-        assert [n for n, _ in placed[build:]] == [2 * n_c if n_c % 2 else n_c] * 2
+        build = len(placed)
+        f = rand_fn(5, 73, complex_valued=True)
+        for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
+            v.nodes()
+        assert len(placed) == build
 
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)
@@ -552,6 +517,25 @@ class TestSliceColumn:
                          grid.exactness_degree)
         with pytest.raises(ValueError):
             SliceColumn(build_ball_grid(3, odd), 8, 2)
+
+
+def slice_nodes(col: SliceColumn, a0: int, a1: int) -> np.ndarray:
+    """The literal slice nodes of a column's azimuth rows a0:a1, flat:
+    slice_point_table at their centres."""
+    return slice_point_table(col.centres(a0, a1).reshape(-1, 3), col.n_c)[0].reshape(-1, 3)
+
+
+def antipodal_order(col: SliceColumn, values: np.ndarray) -> np.ndarray:
+    """Values on the slices of azimuth rows [n_t, 2 n_t), flat, reordered to
+    those of rows [0, n_t) at -p. Row a + n_t holds -x of row a's centre x
+    on polar ring i at ring n_t - 1 - i, and -x's slice is x's negated with
+    the slice angle negated: node j of each uniform half-rule (_half_turn)
+    is node -j of x's."""
+    n_t, N = col.n_az // 2, values.size // (col.radii.size * col.n_az // 2)
+    k = np.arange(N)
+    perm = k // col.n_c * col.n_c + (-k) % col.n_c
+    rings = values.reshape(n_t, -1, n_t, N)[:, :, ::-1]
+    return rings[..., perm].ravel()
 
 
 def coeff_fn(L: int, c) -> SphereFunction:
@@ -574,7 +558,7 @@ class TestNegatedReads:
         col = self.column(L, odd)
         n_t, modes = col.n_az // 2, 2 * L + 1
         f = rand_fn(L, 140 + L, complex_valued=complex_valued)
-        (v,) = col.sampler(SlicePlan([(f, True)]))(0, n_t)
+        (v,) = col.sampler(SlicePlan([(f, True)]))
         flipped = parity_signs(L) * f.coeffs.coeffs
         fresh = col.trig[:n_t] @ TestSliceColumn.whole_spectra(
             col, np.stack([flipped.real, flipped.imag]))
@@ -582,9 +566,10 @@ class TestNegatedReads:
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
         got = v.dense().reshape(expect.shape)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
-        # at the nodes, the literal f(-p)
-        pts = col.points(0, n_t).reshape(-1, 3)
-        literal = f(-pts)
+        # at the nodes, f on the slices of rows a >= n_t, those of -x, from a
+        # harmonic table at their own nodes
+        c = f.coeffs.coeffs
+        literal = antipodal_order(col, c @ harmonic_values(L, slice_nodes(col, n_t, col.n_az)))
         nodes = v.nodes().dense().ravel()
         assert np.abs(nodes - literal).max() <= 1e-13 * np.abs(literal).max()
 
@@ -594,7 +579,7 @@ class TestNegatedReads:
         col = self.column(4, False)
         c = rand_fn(4, 145).coeffs.coeffs
         f = coeff_fn(4, 0.5 * (c + parity * parity_signs(4) * c))
-        plus, minus = col.sampler(SlicePlan([(f, False), (f, True)]))(0, col.n_az // 2)
+        plus, minus = col.sampler(SlicePlan([(f, False), (f, True)]))
         assert np.shares_memory(plus.re, minus.re)
         assert minus.re_sign == parity * plus.re_sign
         assert np.array_equal(minus.dense(), parity * plus.dense())
@@ -617,11 +602,13 @@ class TestNegatedReads:
         funcs.append(funcs[0].antipodal_conjugate())
         requests = [(func, negate) for func in funcs for negate in (False, True)]
         col = self.column(4, True)
-        values = col.sampler(SlicePlan(requests))(0, col.n_az // 2)
+        values = col.sampler(SlicePlan(requests))
         assert rows == [8]
-        pts = col.points(0, col.n_az // 2).reshape(-1, 3)
+        n_t = col.n_az // 2
+        pts, antipodes = slice_nodes(col, 0, n_t), slice_nodes(col, n_t, col.n_az)
         for (func, negate), v in zip(requests, values):
-            expect = func(-pts if negate else pts)
+            # f(-p) is f on the slices of rows a >= n_t, at their own nodes
+            expect = antipodal_order(col, func(antipodes)) if negate else func(pts)
             got = v.nodes().dense().ravel()
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
         # every pair, at p or -p, in modes matches the node route

@@ -117,6 +117,16 @@ class TestPairKernel:
         expect = np.abs(f(a) * f(b)) ** 2 * np.linalg.norm(a + b, axis=1) ** 2
         assert np.abs(K2(a, b) - expect).max() <= 1e-13 * expect.max()
 
+    @pytest.mark.parametrize("factors", [(ONE,), (ONE, ONE, ONE), (ONE, 2.0)],
+                             ids=["one", "three", "not-callable"])
+    def test_factors_are_none_empty_or_two_functions(self, factors):
+        # the ball route pairs exactly two sampled factors per structured kernel
+        with pytest.raises(ValueError, match="factors"):
+            PairKernel(lambda a, b: np.ones(len(a)), factors=factors)
+        f = rand_fn(2, 1)
+        for ok in (None, (), (f, f)):
+            assert PairKernel(lambda a, b: np.ones(len(a)), factors=ok).factors == ok
+
     def test_slice_average_of_constant_kernel(self):
         xs = ball_points(np.random.default_rng(9), 100)
         vals = pair_slice_average(PairKernel.one(), xs, 16)
@@ -379,22 +389,6 @@ class TestBallRouteAgainstReference(ReferenceCases):
         # exact for band limit 4: sphere degree 17, radial degree 21, trig degree 17
         return default_form_grids(n_t=9, n_c=18, n_r=10)
 
-    def test_azimuth_blocks_agree_with_one_block(self, grids4, monkeypatch):
-        f = rand_fn(4, 56, complex_valued=True)
-        wave = SphereFunction.plane_wave((0.1, 0.3, -0.2))
-        generic = PairKernel(lambda a, b: f(a) * wave(b))
-
-        def values():
-            return [quadrilinear_q(f, f.antipodal_conjugate(), f.sharp_rearrangement(),
-                                   wave, grids4),
-                    bilinear_b(generic, weighted_pair_kernel(f), grids4)]
-
-        whole = values()
-        monkeypatch.setattr(convolution, "_BLOCK_NODES", 5000)
-        assert len(grids4.slice_column(4).blocks()) == 6
-        for blocked, one in zip(values(), whole):
-            assert abs(blocked - one) <= 1e-13 * abs(one)
-
 
 class TestOddSliceCountAgainstReference(ReferenceCases):
     """Odd n_c: no rule node is another's partner, so the column adds the partners."""
@@ -557,26 +551,41 @@ class TestHalfTurnRule:
         assert col.expansion.shape == (9, 12)
 
 
+class _UpperRows:
+    """A SliceColumn seen from azimuth rows [n_t, 2 n_t): forms._kernel_profile
+    reads its rows [0, n_t) there."""
+
+    def __init__(self, col):
+        self._col = col
+
+    def __getattr__(self, name):
+        return getattr(self._col, name)
+
+    def centres(self, a0, a1):
+        n_t = self._col.n_az // 2
+        return self._col.centres(a0 + n_t, a1 + n_t)
+
+
 def unfolded_b(F, G, grids):
     """The ball route before the antipodal fold: F's profile at x times G's at
     -x, summed over every azimuth row of the ball grid. Rows a >= n_t, which
     the sampler does not cover, take the factors from a harmonic table at
-    their literal slice nodes, independent of the column's rotation."""
+    their literal slice nodes, slice_point_table at their centres,
+    independent of the column's rotation."""
     kernels = ((F, False), (G, True))
     plan = convolution.SlicePlan(
-        [(f, negate) for K, negate in kernels if K.factors for f in K.factors])
+        [(f, negate) for K, negate in kernels if forms._on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
-    sample = col.sampler(plan)
+    n_t = col.n_az // 2
+    x = col.centres(n_t, col.n_az)
+    pts = convolution.slice_point_table(x.reshape(-1, 3), col.n_c)[0]
+    upper = [convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
+             else convolution.SplitValues(v)
+             for v in plan.at(pts.reshape(x.shape[:-1] + (-1, 3)))]
     total = 0.0 + 0.0j
-    for a in range(col.n_az):
-        if a < col.n_az // 2:
-            values = iter(sample(a, a + 1))
-        else:
-            values = iter([convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
-                           else convolution.SplitValues(v)
-                           for v in plan.at(col.points(a, a + 1))])
-        pf, pg = [forms._kernel_profile(K, values, col, a, a + 1, negate)
-                  for K, negate in kernels]
+    for values, rows in ((col.sampler(plan), col), (upper, _UpperRows(col))):
+        values = iter(values)
+        pf, pg = [forms._kernel_profile(K, values, rows, negate) for K, negate in kernels]
         total += np.sum(col.weights * pf * pg)
     return total
 
@@ -616,28 +625,21 @@ class TestAntipodalFold:
         generic = PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1)))
         rows = []
         column = convolution.SliceColumn
-        sampler, points, centres = column.sampler, column.points, column.centres
+        sampler, centres = column.sampler, column.centres
 
         def spy_sampler(col, plan):
-            sample = sampler(col, plan)
-            def spied(a0, a1):
-                rows.extend(range(a0, a1))
-                return sample(a0, a1)
-            return spied
+            values = sampler(col, plan)
+            rows.extend(range(len(values[0].re)))
+            return values
 
-        def spy(method):
-            def spied(col, a0, a1):
-                rows.extend(range(a0, a1))
-                return method(col, a0, a1)
-            return spied
+        def spy_centres(col, a0, a1):
+            rows.extend(range(a0, a1))
+            return centres(col, a0, a1)
 
         monkeypatch.setattr(column, "sampler", spy_sampler)
-        monkeypatch.setattr(column, "points", spy(points))
-        monkeypatch.setattr(column, "centres", spy(centres))
-        monkeypatch.setattr(convolution, "_BLOCK_NODES", 5000)
+        monkeypatch.setattr(column, "centres", spy_centres)
         bilinear_b(generic, weighted_pair_kernel(f), grids)
         n_t = grids.slice_column(4).n_az // 2
-        assert len(grids.slice_column(4).blocks()) > 1
         assert set(rows) == set(range(n_t))
 
     @pytest.mark.parametrize("case", ["odd", "unstructured"])
@@ -685,6 +687,42 @@ class TestAntipodalFold:
             assert calls and all(calls)
             assert sum(spectra_rows) == 0
         assert abs(value - expect) <= 1e-12 * abs(expect)
+
+
+class TestLiteralFactors:
+    """A kernel with a literal factor takes pair_slice_average at the ball
+    nodes, as an unstructured one does: only factors backed by coefficient
+    rows reach the column."""
+
+    @pytest.mark.parametrize("case", ["f x wave", "wave x wave", "weighted wave"])
+    def test_reach_pair_slice_average_and_not_the_column(self, case, monkeypatch):
+        grids = exact_form_grids(5)
+        f = rand_fn(4, 170, complex_valued=True)
+        wave = SphereFunction.plane_wave((0.2, -0.4, 0.3))
+        K = {"f x wave": PairKernel.tensor(f, wave),
+             "wave x wave": PairKernel.tensor(wave, wave.antipodal_conjugate()),
+             "weighted wave": weighted_pair_kernel(wave)}[case]
+        W = weighted_pair_kernel(f)   # on the column
+        averaged, plans = [], []
+        average, sampler = forms.pair_slice_average, convolution.SliceColumn.sampler
+
+        def spy_average(F, X, n_c):
+            averaged.append(F)
+            return average(F, X, n_c)
+
+        def spy_sampler(col, plan):
+            plans.append(plan)
+            return sampler(col, plan)
+
+        monkeypatch.setattr(forms, "pair_slice_average", spy_average)
+        monkeypatch.setattr(convolution.SliceColumn, "sampler", spy_sampler)
+        value = bilinear_b(K, W, grids)
+        assert averaged == [K, K]   # at x and -x
+        (plan,) = plans
+        assert all(kind != "call" for kind, *_ in plan._entries)
+        assert len(plan.rows) == 4   # f's real and imaginary rows at +-p
+        outer = bilinear_b(K, W, grids, "outer")
+        assert abs(value - outer) <= 1e-12 * abs(outer)
 
 
 def chain_values(f, grids, fresh=False):
@@ -789,18 +827,18 @@ class TestSpectraMemo:
         f = rand_fn(4, 107, complex_valued=True)
         neg = SphereFunction.from_coeffs(HarmonicCoeffs(4, -f.coeffs.coeffs))
         col = grids.slice_column(4)
-        (pos,) = col.sampler(convolution.SlicePlan([(f, False)]))(0, col.n_az // 2)
+        (pos,) = col.sampler(convolution.SlicePlan([(f, False)]))
         # f's rows are held in canonical sign: f's signs follow each row's
         # first nonzero entry, and the negated function's are their negatives
         c = f.coeffs.coeffs
         assert (pos.re_sign, pos.im_sign) == (np.sign(c.real[0]), np.sign(c.imag[0]))
-        (v,) = col.sampler(convolution.SlicePlan([(neg, False)]))(0, col.n_az // 2)
+        (v,) = col.sampler(convolution.SlicePlan([(neg, False)]))
         assert (v.re_sign, v.im_sign) == (-pos.re_sign, -pos.im_sign)
         held = held_fields(col).values()
         assert any(np.shares_memory(v.re, h) for h in held)
         assert any(np.shares_memory(v.im, h) for h in held)
         fresh = forms.FormGrids(grids.ball, grids.n_c).slice_column(4)
-        (expect,) = fresh.sampler(convolution.SlicePlan([(neg, False)]))(0, col.n_az // 2)
+        (expect,) = fresh.sampler(convolution.SlicePlan([(neg, False)]))
         assert np.array_equal(v.dense(), expect.dense())
 
     def test_sign_flipped_rows_are_hits(self, spectra_rows):
@@ -998,19 +1036,18 @@ class TestSameKernelFold:
     profiles read them from the memo's store, or G is F and is not
     profiled again."""
 
-    def test_conjugate_pairing_takes_two_profiles_per_block(self, half_pairs, spectra_rows):
-        # F's two profiles per block form every product: f f* at x, read
-        # swapped at -x; G's, on the same factors or on a twin's, read them
+    def test_conjugate_pairing_takes_two_profiles(self, half_pairs, spectra_rows):
+        # F's two profiles form every product: f f* at x, read swapped at
+        # -x; G's, on the same factors or on a twin's, read them
         grids = exact_form_grids(4)
         f = rand_fn(4, 101, complex_valued=True)
         twin = SphereFunction.from_coeffs(f.coeffs)   # equal values, another object
         fs = f.antipodal_conjugate()
-        blocks = len(grids.slice_column(4).blocks())
         folded = quadrilinear_q(f, fs, f, fs, grids)
-        assert half_pairs[0] == 4 * blocks
+        assert half_pairs[0] == 4
         assert spectra_rows == [4]
         whole = quadrilinear_q(f, fs, twin, twin.antipodal_conjugate(), grids)
-        assert half_pairs[0] == 4 * blocks
+        assert half_pairs[0] == 4
         assert spectra_rows == [4]
         assert folded == whole
 
@@ -1027,7 +1064,7 @@ class TestSameKernelFold:
                            factors=W.factors, sum_weight_power=2)
         assert F.factors[0] is G.factors[0] and F.factors[1] is G.factors[1]
         value = bilinear_b(F, G, grids)
-        assert profile_calls["pair_profile"] == 4 * len(grids.slice_column(4).blocks())
+        assert profile_calls["pair_profile"] == 4
         ref = unfolded_b(F, G, grids)
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
@@ -1035,35 +1072,32 @@ class TestSameKernelFold:
         grids = exact_form_grids(2)
         f = rand_fn(2, 103, complex_valued=True)
         K = PairKernel(lambda a, b: f(a) * f(b) * np.exp(np.sum(a * b, axis=-1)))
-        blocks = len(grids.slice_column(0).blocks())
         folded = bilinear_b(K, K, grids)
-        assert profile_calls["pair_slice_average"] == 2 * blocks
+        assert profile_calls["pair_slice_average"] == 2
         whole = bilinear_b(K, PairKernel(K.evaluator), grids)
-        assert profile_calls["pair_slice_average"] == 6 * blocks
+        assert profile_calls["pair_slice_average"] == 6
         assert folded == whole
 
 
 @pytest.fixture
 def half_pairs(monkeypatch):
-    """Count of the real products of slice values: _mode_pair calls in
-    slice-angle modes, and at the slice nodes the product arrays that
-    convolution._half_pair fills, one chunk of slices per call (a call
-    without an array to fill is one product)."""
+    """Count of the real products of slice values: the product arrays that
+    convolution._mode_pair (in slice-angle modes) and convolution._half_pair
+    (at the slice nodes) fill, one chunk of slices per call (a call without
+    an array to fill is one product)."""
     calls, filled = [0], []
 
-    def spy_half(a, b, *out, _inner=convolution._half_pair):
-        base = out[0].base if out else None
-        if base is None or not any(base is f for f in filled):
-            calls[0] += 1
-            filled.append(base)
-        return _inner(a, b, *out)
+    def spy(inner):
+        def spied(a, b, *out):
+            base = out[0].base if out else None
+            if base is None or not any(base is f for f in filled):
+                calls[0] += 1
+                filled.append(base)
+            return inner(a, b, *out)
+        return spied
 
-    def spy_mode(*args, _inner=convolution._mode_pair):
-        calls[0] += 1
-        return _inner(*args)
-
-    monkeypatch.setattr(convolution, "_half_pair", spy_half)
-    monkeypatch.setattr(convolution, "_mode_pair", spy_mode)
+    for name in ("_half_pair", "_mode_pair"):
+        monkeypatch.setattr(convolution, name, spy(getattr(convolution, name)))
     return calls
 
 
@@ -1084,36 +1118,27 @@ def unshared(monkeypatch):
 
 
 def held_products(col) -> list:
-    """The real products a SliceColumn keeps next to its fields, over all blocks."""
-    return [p for block in col._memo[2].values() for p in block.values()]
+    """The real products a SliceColumn keeps next to its fields."""
+    return list(col._memo[2].values())
 
 
 class TestHeldProducts:
-    """Each real product of two held field rows is formed once per block."""
+    """Each real product of two held field rows is formed once."""
 
-    @staticmethod
-    def two_blocks(grids, L, monkeypatch):
-        col = grids.slice_column(L)
-        nodes = col.n_az * col.radii.size * col.expansion.shape[1]
-        monkeypatch.setattr(convolution, "_BLOCK_NODES", -(-nodes // 2))
-        assert len(col.blocks()) == 2
-
-    def test_chain_sample_forms_twelve_products_on_two_blocks(self, half_pairs, monkeypatch):
-        # per block: f f* once for both signs, the sharp field once, f f and
+    def test_chain_sample_forms_six_products(self, half_pairs):
+        # f f* once for both signs, the sharp field once, f f and
         # f(-.) f(-.) once for Q(f, f, f, f) and B(F, F), and B(|F|^2, 1)'s
         # |f|^2 pairs on the band limit's own nodes at x and -x
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
-        self.two_blocks(grids, 4, monkeypatch)
         chain_values(rand_fn(4, 120), grids)
-        assert half_pairs[0] == 12
+        assert half_pairs[0] == 6
 
-    @pytest.mark.parametrize("case, per_block", [("complex star", 4), ("sharp", 1),
-                                                 ("B(F, F) after Q(f, f, f, f)", 0)])
-    def test_products_per_block(self, case, per_block, half_pairs):
+    @pytest.mark.parametrize("case, products", [("complex star", 4), ("sharp", 1),
+                                                ("B(F, F) after Q(f, f, f, f)", 0)])
+    def test_products_per_call(self, case, products, half_pairs):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 121, complex_valued=case == "complex star")
         fs = f.antipodal_conjugate()
-        blocks = len(grids.slice_column(4).blocks())
         if case == "complex star":
             quadrilinear_q(f, fs, f, fs, grids)
         elif case == "sharp":
@@ -1124,7 +1149,7 @@ class TestHeldProducts:
             half_pairs[0] = 0
             F = weighted_pair_kernel(f)
             bilinear_b(F, F, grids)
-        assert half_pairs[0] == per_block * blocks
+        assert half_pairs[0] == products
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -1151,9 +1176,7 @@ class TestHeldProducts:
         col = convolution.SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 4)
         f = rand_fn(4, 124, complex_valued=True).coeffs.coeffs
         p = parity_signs(4)
-        fields = col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag]))
-        a0, a1 = col.blocks()[0]
-        modes = [v[a0:a1] for v in fields]
+        modes = list(col.recall(np.stack([f.real, f.imag, p * f.real, p * f.imag])))
         nodes = [convolution.SplitValues(v, expansion=col.expansion).nodes().re for v in modes]
         if layout == "contiguous":
             modes, nodes = ([np.ascontiguousarray(v[:, ::-1]) for v in rows]
@@ -1168,9 +1191,8 @@ class TestHeldProducts:
     def test_node_values_are_formed_per_use_and_not_held(self, monkeypatch):
         # Q(f, f*, f, f*) pairs in modes only; the sharp Q, the one kernel of
         # coefficient-backed f left on the n_c nodes, takes f's rows at +-p
-        # to the nodes once per block, and the memo keeps none of them
+        # to the nodes once, and the memo keeps none of them
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
-        self.two_blocks(grids, 4, monkeypatch)
         expanded, to_nodes = [], convolution._to_nodes
 
         def spy(a, expansion):
@@ -1183,15 +1205,14 @@ class TestHeldProducts:
         col = grids.slice_column(4)
         quadrilinear_q(f, fs, f, fs, grids)
         assert expanded == []
-        held = [(p.shape, (a1 - a0, col.radii.size))
-                for (a0, a1), store in col._memo[2].items() for p in store.values()]
-        assert held and all(shape == block for shape, block in held)
+        held = [p.shape for p in held_products(col)]
+        assert held and all(shape == (col.n_az // 2, col.radii.size) for shape in held)
         quadrilinear_q(sharp, sharp, sharp, sharp, grids)
-        # two rows, each on every slice of the two blocks once, chunk by chunk
+        # two rows, each on every slice once, chunk by chunk
         assert sum(expanded) == 2 * col.n_az // 2 * col.radii.size
         # the sharp plan reads no row in modes: its sampler keeps none of f's
         # products, and its sharp values keep their own store
-        assert not any(col._memo[2].values())
+        assert not held_products(col)
 
     def test_products_are_dropped_when_recall_replaces_the_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -1211,20 +1232,20 @@ class TestHeldProducts:
 
 
 class TestNodeChunks:
-    """Node values are formed one chunk of slices at a time
-    (convolution._CHUNK_BYTES), never for a whole block."""
+    """Node values, and products of modes, are formed one chunk of slices at
+    a time (convolution._CHUNK_BYTES), never for every slice at once."""
 
     def test_a_call_peaks_below_one_row_of_node_values_on_a_block(self):
-        # the chain's grids: two azimuth blocks of 12 x 576 slices; sharp Q
-        # pairs on the n_c = 48 slice nodes, B(|F|^2, 1) on the 34 of the
-        # band limit's own rule. On a warm column (the rows of f held) no
-        # call may allocate as much as one row of node values on one block.
+        # the chain's grids: 24 x 576 slices; sharp Q pairs on the n_c = 48
+        # slice nodes, B(|F|^2, 1) on the 34 of the band limit's own rule. On
+        # a warm column (the rows of f held) no call may allocate as much as
+        # one row of node values on a block of half the n_t azimuth rows,
+        # 12 x 576 slices: 2.65 MB and 1.88 MB.
         L = 8
         grids = default_form_grids(n_t=24, n_c=48, n_r=24)
         col = grids.slice_column(L)
-        (a0, a1), *_ = col.blocks()
-        assert len(col.blocks()) == 2
-        slices = (a1 - a0) * col.radii.size
+        assert col.n_az // 2 == 24
+        slices = 12 * col.radii.size
         f = rand_fn(L, 160)
         sharp = f.sharp_rearrangement()
         F = weighted_pair_kernel(f)
@@ -1241,12 +1262,12 @@ class TestNodeChunks:
                 tracemalloc.stop()
             assert peak < slices * nodes * 8
 
-    ball = build_ball_grid(4, build_sphere_grid(5))   # one block of 5 x 20 slices
+    ball = build_ball_grid(4, build_sphere_grid(5))   # 5 x 20 slices
 
     @staticmethod
     def call(case, complex_valued):
-        """(call on grids, the node count it pairs on, or None where that is
-        the grids' slice nodes)."""
+        """(call on grids, the node or mode count it pairs on, or None where
+        that is the grids' slice nodes)."""
         f = rand_fn(4, 161, complex_valued=complex_valued)
         fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
         F = weighted_pair_kernel(f)
@@ -1255,28 +1276,31 @@ class TestNodeChunks:
                                 2 * (2 * 4 + 1)),
                 # a mode row meets node values
                 "mixed": (lambda g: quadrilinear_q(f, sharp, fs, sharp, g), None),
-                "literal": (lambda g: quadrilinear_q(literal(f), fs, f, literal(fs), g),
-                            None)}[case]
+                # modes pair with modes
+                "star": (lambda g: quadrilinear_q(f, fs, f, fs, g), 2 * 4 + 1)}[case]
 
     @pytest.mark.parametrize("chunk", [1, 7, "block"])
     @pytest.mark.parametrize("n_c", [3, 8, 11])
     @pytest.mark.parametrize("complex_valued", [False, True])
-    @pytest.mark.parametrize("case", ["sharp", "B(|F|^2, 1)", "mixed", "literal"])
+    @pytest.mark.parametrize("case", ["sharp", "B(|F|^2, 1)", "mixed", "star"])
     def test_any_chunk_gives_the_default_chunk_s_value(self, case, complex_valued, n_c, chunk,
                                                        monkeypatch):
         call, nodes = self.call(case, complex_valued)
         expect = call(forms.FormGrids(self.ball, n_c))
         nodes = nodes or (2 * n_c if n_c % 2 else n_c)
-        rows, inner = [], convolution._half_pair
+        rows = []
 
-        def spy(a, b, *out):
-            rows.append(len(a))
-            return inner(a, b, *out)
+        def spy(inner):
+            def spied(a, b, *out):
+                rows.append(len(a))
+                return inner(a, b, *out)
+            return spied
 
         # chunks of 1 and 7 slices, or all 100 in one; 7 does not divide 100
         monkeypatch.setattr(convolution, "_CHUNK_BYTES",
                             1 << 40 if chunk == "block" else chunk * 8 * nodes)
-        monkeypatch.setattr(convolution, "_half_pair", spy)
+        for name in ("_half_pair", "_mode_pair"):
+            monkeypatch.setattr(convolution, name, spy(getattr(convolution, name)))
         value = call(forms.FormGrids(self.ball, n_c))
         assert set(rows) == ({100} if chunk == "block" else {chunk, 100 % chunk} - {0})
         assert abs(value - expect) <= 4 * np.finfo(float).eps * abs(expect)
