@@ -28,10 +28,10 @@ def main():
     one = SphereFunction.constant(1.0)
 
     radii = np.linspace(0.05, 2.0, 14)
-    profile = conv_profile(one, one, radii, n_c=64)
+    values = conv_profile(one, one, radii, n_c=64)
     print("sigma * sigma along a ray (any ray; the profile is radial)")
     print(f"{'r':>6}  {'computed':>18}  {'2 pi / r':>18}  {'rel err':>9}")
-    for r, v in zip(profile.radii, profile.values):
+    for r, v in zip(radii, values):
         closed = 2 * PI / r
         print(f"{r:6.3f}  {v.real:18.12f}  {closed:18.12f}  "
               f"{abs(v - closed) / closed:9.2e}")

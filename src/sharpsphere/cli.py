@@ -244,11 +244,11 @@ def cmd_convolution(args) -> int:
     n_pts = _resolve("points", args.points)
     one = SphereFunction.constant(1.0)
     radii = 2.0 * (np.arange(n_pts) + 1.0) / n_pts
-    profile = convolution.conv_profile(one, one, radii, n_c=n_c)
-    closed = 2.0 * np.pi / profile.radii
+    values = convolution.conv_profile(one, one, radii, n_c=n_c)
+    closed = 2.0 * np.pi / radii
     header = ("r", "conv_value_real", "conv_value_imag", "closed_form", "abs_diff")
     rows = [(float(r), float(v.real), float(v.imag), float(cf), float(abs(v - cf)))
-            for r, v, cf in zip(profile.radii, profile.values, closed)]
+            for r, v, cf in zip(radii, values, closed)]
     _report(args, {"rows": [dict(zip(header, r)) for r in rows]}, header, rows)
     return 0
 

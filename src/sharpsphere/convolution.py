@@ -11,7 +11,7 @@ On the slice at x a band-limited f of degree L is a trigonometric polynomial
 of degree L in the slice angle psi, and the partner x - p of the node at psi
 sits at psi + pi. SliceColumn holds such f as its 2L+1 slice-angle modes,
 which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
-band limit's own 2(pL+1) nodes (SplitValues.magnitude), both exactly at
+band limit's own 2(pL+1) nodes (pair_profile's node rule), both exactly at
 every n_c. Node values, at each slice's nodes p_j and their partners (n_c
 nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
 no band limit but is formed from coefficient rows: sharp rearrangements and
@@ -35,7 +35,6 @@ from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values, parity_s
 from .quadrature import BallGrid, SphereGrid, _require_int, circle_frames
 
 __all__ = [
-    "ConvProfile",
     "SliceColumn",
     "SlicePlan",
     "SplitValues",
@@ -46,7 +45,7 @@ __all__ = [
     "extension_at",
 ]
 
-# Centers per vectorized batch; bounds peak memory of the slice-point tables.
+# Centers per vectorized batch at most; bounds peak memory of the slice-point tables.
 _CHUNK = 2048
 
 # Bytes per chunk of one array that is formed in pieces (_chunks): a part's
@@ -200,8 +199,9 @@ class SplitValues(NamedTuple):
 
     re and im are usually rows of a SliceColumn's held fields, read in place;
     im is None for real values. The signs are +-1. re may instead be formed
-    per use (sharp rearrangements, magnitude): real values at the slice
-    nodes, made one chunk of slices at a time (chunk), never kept.
+    per use (sharp rearrangements, and |.|^p in pair_profile): real values
+    at the slice nodes, made one chunk of slices at a time (chunk), never
+    kept.
 
     expansion marks the domain. None: the last axis runs over slice nodes.
     Otherwise the last axis holds the 2L+1 slice-angle modes of a
@@ -254,16 +254,6 @@ class SplitValues(NamedTuple):
         lead = self.re.shape[:-1]
         re, *im = (v.reshape(lead + (-1,)) for v in self.chunk(0, math.prod(lead)))
         return SplitValues(re, im[0] if im else None, self.re_sign, self.im_sign)
-
-    def magnitude(self, p: int, n_c: int | None = None) -> "SplitValues":
-        """|v|^p, real, at the nodes of expansion, or of _expansion(L, n_c) if
-        n_c is given, or at the nodes the values are at; formed per use, as
-        chunk reads it. Real |x|^2 is np.square(x) bit for bit."""
-        expansion = self.expansion
-        if expansion is not None and n_c is not None:
-            expansion = _expansion(expansion.shape[0] // 2, n_c)
-        return SplitValues(_squares_formed([part for part, *_ in self.parts()], expansion,
-                                           power=p / 2))
 
 
 class SlicePlan:
@@ -431,9 +421,9 @@ class SliceColumn:
     expansion, the (2L+1, N) matrix to each slice's N nodes, n_c or, at odd
     n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn).
     Those node values serve only what has no band limit but is formed from
-    coefficient rows: sharp rearrangements and |.|^p of odd p; |.|^p of even
-    p pairs on its band limit's own rule (SplitValues.magnitude). The column
-    holds no literal call: SlicePlan.values refuses one.
+    coefficient rows: sharp rearrangements and |.|^p of odd p; pair_profile
+    pairs |.|^p of even p on its band limit's own rule. The column holds no
+    literal call: SlicePlan.values refuses one.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -503,16 +493,14 @@ class SliceColumn:
         """Azimuth Fourier rows of real coefficient rows, in one pass over the
         table, one chunk of table columns at a time.
 
-        coeffs has shape (n, (L'+1)^2) with L' <= L, in the flat layout. Yields
-        ((c0, c1), rows) per chunk, in column order: rows of shape
-        (n, 2L+1, c1 - c0), on table columns c0:c1. Each order's rows are
-        written in place: rows is a view of a Fourier-row-major buffer of
-        that chunk alone.
+        coeffs has shape (n, (L+1)^2), the table's width, in the flat layout:
+        recall pads lower-degree rows to it. Yields ((c0, c1), rows) per
+        chunk, in column order: rows of shape (n, 2L+1, c1 - c0), on table
+        columns c0:c1. Each order's rows are written in place: rows is a
+        view of a Fourier-row-major buffer of that chunk alone.
         """
         L, nv = self.L, len(coeffs)
-        c = np.zeros((nv, (L + 1) ** 2))
-        c[:, :coeffs.shape[1]] = coeffs
-        c = c[:, self._mix[0]] * self._mix[1]   # order 0, then each order's mixing matrix
+        c = coeffs[:, self._mix[0]] * self._mix[1]   # order 0, then each order's mixing matrix
         # chunks start at multiples of 64 columns, where BLAS's column tiles
         # start in a product over the whole table too: each entry, and each
         # synthesized one (recall), is bit for bit that of the whole product
@@ -614,8 +602,9 @@ def _even(nodes: int) -> int:
     return nodes
 
 
-def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
-    """(f sigma * g sigma)(x) from f and g on x's slice (last axis).
+def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
+    """(f sigma * g sigma)(x) from f and g on x's slice (last axis), or,
+    given p, that of |f|^p and |g|^p.
 
     Leading axes run over centres x of norm radii. va and vb are dense
     arrays at the slice nodes, or SplitValues, whose signed real parts are
@@ -632,12 +621,34 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
     and paired, and no product of modes and no part's node values exist for
     more slices than a chunk's.
 
+    p, for SplitValues, is the node rule's one input: |f|^p and |g|^p are
+    formed per use, real, at nodes picked here. For even p and both factors
+    in modes of degree L, |.|^p is a trig polynomial of degree pL on each
+    slice, so its pairing, of degree 2pL, is exact on the band limit's own
+    2(pL+1) uniform nodes, half of them partners of the other half, at every
+    n_c. Otherwise (sharp factors, odd p) they are the column's slice nodes,
+    n_c or, at odd n_c, 2 n_c (the factor's expansion), or the nodes a
+    factor is at. Real |x|^2 is np.square(x) bit for bit.
+
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
     the set of the parts' keys: a pair and its swap give the same bits.
     """
     if isinstance(va, np.ndarray):
         return (2.0 * np.pi / _even(va.shape[-1])) * _half_pair(va, vb) / radii
+    if p:
+        rule = None
+        if p % 2 == 0 and va.expansion is not None and vb.expansion is not None:
+            L = va.expansion.shape[0] // 2
+            rule = _expansion(L, 2 * (p * L + 1))   # the band limit's own rule
+
+        def magnitude(v: SplitValues) -> SplitValues:
+            parts = [part for part, *_ in v.parts()]
+            return SplitValues(_squares_formed(parts, v.expansion if rule is None else rule,
+                                               power=p / 2))
+
+        ma = magnitude(va)
+        va, vb = ma, (ma if vb is va else magnitude(vb))
     modes = va.expansion is not None and vb.expansion is not None
     store = va.products if va.products is vb.products else None
     held = {} if store is None else store
@@ -661,12 +672,11 @@ def pair_profile(va, vb, radii: np.ndarray) -> np.ndarray:
         b = a if same else vb.chunk(s0, s1)
         for key, (i, j) in todo.items():
             pair(a[i], b[j], flat[key][s0:s1])
-    for key, p in flat.items():
-        held[key] = p.reshape(lead)
+    for key, prod in flat.items():
+        held[key] = prod.reshape(lead)
     s = None
     for (i, j), key in keys.items():
-        coef = pa[i][2] * pb[j][2] * (pa[i][1] * pb[j][1])
-        term = held[key] if coef == 1.0 else coef * held[key]
+        term = pa[i][2] * pb[j][2] * (pa[i][1] * pb[j][1]) * held[key]
         s = term if s is None else s + term
     return (s if modes else (2.0 * np.pi / width) * s) / radii
 
@@ -702,32 +712,29 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
 
     The slice nodes hold each node's partner x - p_j (see _half_turn), so
     g is read off the same nodes as f, both through one SlicePlan, and the
-    two meet in pair_profile. A centre at 0, or one whose norm underflows to
-    0, raises DegenerateSliceError, and non-finite centres ValueError.
+    two meet in pair_profile. Centres are taken in batches of at most _CHUNK
+    whose harmonic table, 8 N (degree+1)^2 bytes a centre for N slice
+    nodes, stays within 64 _CHUNK_BYTES. A centre at 0, or one whose norm
+    underflows to 0, raises DegenerateSliceError, and non-finite centres
+    ValueError.
     """
     X = np.atleast_2d(_finite(X, "convolution centres"))
     out = np.zeros(len(X), dtype=complex)
     idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
     plan = SlicePlan([(f, False), (g, False)])
-    for i0 in range(0, len(idx), _CHUNK):
-        sel = idx[i0:i0 + _CHUNK]
+    nodes = 2 * _half_turn(n_c).size
+    step = min(_CHUNK, max(1, 64 * _CHUNK_BYTES // (8 * nodes * (plan.degree + 1) ** 2)))
+    for i0 in range(0, len(idx), step):
+        sel = idx[i0:i0 + step]
         pts, rr = slice_point_table(X[sel], n_c)
         a, b = plan.at(pts)
         out[sel] = pair_profile(a, b, rr)
     return out
 
 
-class ConvProfile:
-    """Radial profile of (f sigma * g sigma)(r * direction)."""
-
-    def __init__(self, radii: np.ndarray, values: np.ndarray, direction: np.ndarray):
-        self.radii = np.asarray(radii, dtype=float)
-        self.values = np.asarray(values)
-        self.direction = np.asarray(direction, dtype=float)
-
-
-def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> ConvProfile:
-    """Sample the convolution at radii in (0, 2] along a finite nonzero direction."""
+def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> np.ndarray:
+    """The convolution at radii in (0, 2] along a finite nonzero direction,
+    one value per radius."""
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii > 0.0) & (radii <= 2.0)):
         raise ValueError("profile radii must lie in (0, 2]")
@@ -735,9 +742,7 @@ def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> ConvP
     norm = np.linalg.norm(u)
     if not 0.0 < norm < np.inf:
         raise ValueError(f"profile direction must be finite and nonzero, got {u}")
-    u = u / norm
-    vals = convolve_many(f, g, radii[:, None] * u, n_c)
-    return ConvProfile(radii, vals, u)
+    return convolve_many(f, g, radii[:, None] * (u / norm), n_c)
 
 
 def extension_at(f: SphereFunction, x, grid: SphereGrid):

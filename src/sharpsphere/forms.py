@@ -177,7 +177,7 @@ class FormGrids:
     as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), run one spectra pass and one
     synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
-    band-limited f pairs on its band limit's own rule (see _kernel_profile),
+    band-limited f pairs on its band limit's own rule (see pair_profile),
     exactly at every n_c, so only f# reads values at the slice nodes. f# is
     formed there one chunk of slices at a time (pair_profile) and kept
     nowhere, so a call's node values take one chunk's bytes, not the 5.3 MB
@@ -269,40 +269,25 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, negate: bool) -> np
     A structured K whose factors are backed by coefficient rows pairs them,
     which values yields on the column's slices as SplitValues, in
     pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
-    analytic nodes: band-limited factors in slice-angle modes, exactly at any
-    n_c. |.|^p of even p of them is a trig polynomial of degree pL on each
-    slice, so its pairing, of degree 2pL, is exact on the band limit's own
-    2(pL+1) uniform nodes, half of them partners of the other half; |.|^p of
-    sharp factors, and of odd p, is at the slice nodes, n_c or, at odd n_c,
-    2 n_c, each paired with its partner. |.|^p is formed per use
-    (SplitValues.magnitude), one chunk of slices at a time as pair_profile
-    pairs it. The constant kernel gives 2 pi / r. Any other kernel, an
-    unstructured one or one with a literal factor, takes the literal
-    pair_slice_average at the ball nodes.
+    analytic nodes; pair_profile picks the nodes |.|^p is paired on. The
+    constant kernel gives 2 pi / r. Any other kernel, an unstructured one or
+    one with a literal factor, takes the literal pair_slice_average at the
+    ball nodes.
     """
     r, n_t = col.radii, col.n_az // 2
     if not _on_column(K):
         x = -col.centres(0, n_t) if negate else col.centres(0, n_t)
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
-        va, vb = next(values), next(values)
-        p, n_c = K.magnitude_power, None
-        if p:
-            if p % 2 == 0 and va.expansion is not None and vb.expansion is not None:
-                n_c = 2 * (p * col.L + 1)   # the band limit's own rule, exact (see above)
-            ma = va.magnitude(p, n_c)
-            va, vb = ma, (ma if vb is va else vb.magnitude(p, n_c))
-        prof = pair_profile(va, vb, r)
+        prof = pair_profile(next(values), next(values), r, K.magnitude_power)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (n_t, r.size))
-    return prof * r ** K.sum_weight_power if K.sum_weight_power else prof
+    return prof * r ** K.sum_weight_power
 
 
 def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
-    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t. When G is F, its
-    # profiles are F's and are not computed again; the sum keeps its form, so
-    # the result is the same bit for bit.
+    # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t.
     # Factors backed by coefficient rows are sampled at p, and at -p from
     # parity-flipped coefficient rows on the same azimuth rows, through one
     # plan and one column table (row identity: SlicePlan; the memo of rows
@@ -311,15 +296,13 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # F's profile at -x for F = f tensor f_star, and G's in
     # Q(f, g, f_star, g_star), read the products of F's at x, the same held
     # rows swapped, and so do G's on F's factors, which get F's sampled
-    # values and stores. Other kernels take pair_slice_average.
-    kernels = [(F, False), (F, True)]
-    if G is not F:
-        kernels += [(G, True), (G, False)]
+    # values and stores; for G = F they are all reads. Other kernels take
+    # pair_slice_average.
+    kernels = [(F, False), (F, True), (G, True), (G, False)]
     plan = SlicePlan([(f, negate) for K, negate in kernels if _on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
     values = iter(col.sampler(plan))
-    prof = [_kernel_profile(K, values, col, negate) for K, negate in kernels]
-    fx, fnx, gnx, gx = prof if len(prof) == 4 else prof + prof[::-1]
+    fx, fnx, gnx, gx = (_kernel_profile(K, values, col, negate) for K, negate in kernels)
     return complex(np.sum(col.weights * (fx * gnx + fnx * gx)))
 
 
@@ -353,20 +336,20 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     method="ball" integrates F's pair profile at x times G's at -x over the
     ball, exact to rounding for band-limited ingredients on exact_sizes
     grids. It folds over the antipodal symmetry of the ball grid, summing
-    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows, and when G
-    is F it computes F's two profiles only, with the same result bit for
-    bit. Structured kernels whose factors are coefficient-backed, or sharp
+    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows; G = F
+    takes the same four profiles, G's read from the products of F's.
+    Structured kernels whose factors are coefficient-backed, or sharp
     rearrangements of such, pair their factors sampled on the column table
     at p and at -p: band-limited factors in slice-angle modes, |.|^p of even
     p among them, exactly at every n_c, and sharp factors (and |.|^p of odd
-    p) at the slice nodes, n_c or, at odd n_c, 2 n_c. Any other kernel, an
-    unstructured one or one with a literal factor, takes the literal
-    pair_slice_average at the ball nodes. method="outer", the
-    cross-check, integrates F(omega_1, omega_2) times G's literal slice
-    profile at -(omega_1 + omega_2) over omega_2 on the polar ring about
-    -omega_1 (2 n_t azimuths), whose Jacobian cancels the profile's
-    1/|omega_1 + omega_2|; it is exact to rounding on exact_sizes(L) grids
-    too. A non-finite result raises ValueError.
+    p) at the slice nodes, n_c or, at odd n_c, 2 n_c (see pair_profile).
+    Any other kernel, an unstructured one or one with a literal factor,
+    takes the literal pair_slice_average at the ball nodes, four times.
+    method="outer", the cross-check, integrates F(omega_1, omega_2) times
+    G's literal slice profile at -(omega_1 + omega_2) over omega_2 on the
+    polar ring about -omega_1 (2 n_t azimuths), whose Jacobian cancels the
+    profile's 1/|omega_1 + omega_2|; it is exact to rounding on
+    exact_sizes(L) grids too. A non-finite result raises ValueError.
     """
     if method not in ("ball", "outer"):
         raise ValueError(f"unknown method {method!r}")

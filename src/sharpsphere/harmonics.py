@@ -1,4 +1,4 @@
-"""Real spherical harmonics: basis tables, analysis/synthesis, zonal operators.
+"""Real spherical harmonics: basis tables, analysis, zonal operators.
 
 The basis is orthonormal with respect to the raw surface measure (L2(sigma)
 norm 1, not 4*pi-normalized), so Parseval needs no extra constants and a zonal
@@ -30,7 +30,6 @@ __all__ = [
     "random_band_limited",
     "build_basis",
     "analyze",
-    "synthesize",
     "funk_hecke_apply",
     "eigenvalue_residual",
 ]
@@ -216,15 +215,6 @@ def analyze(f, basis: BasisTable) -> HarmonicCoeffs:
             f"expected values on the {basis.grid.n_nodes}-node basis grid, "
             f"got shape {vals.shape}")
     return HarmonicCoeffs(basis.max_degree, basis.values @ (basis.grid.weights * vals))
-
-
-def synthesize(c: HarmonicCoeffs, basis: BasisTable) -> np.ndarray:
-    """Evaluate the expansion at the basis grid nodes."""
-    if c.max_degree != basis.max_degree:
-        raise ValueError(
-            f"coefficient degree {c.max_degree} does not match basis degree "
-            f"{basis.max_degree}")
-    return c.coeffs @ basis.values
 
 
 def funk_hecke_apply(spectrum, c: HarmonicCoeffs) -> HarmonicCoeffs:

@@ -203,7 +203,7 @@ def exact_sizes(L: int) -> tuple[int, int, int]:
     radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. The ball route pairs
     band-limited factors exactly at every n_c: f(p) g(x - p) in slice-angle
     modes, |f(p) g(x - p)|^2 on its band limit's own 2(2L+1) nodes
-    (convolution.SliceColumn, forms._kernel_profile). n_c sizes the rest:
+    (convolution.SliceColumn, convolution.pair_profile). n_c sizes the rest:
     a squared pair kernel of band limit L is a trig polynomial of degree 4L
     on each slice, so n_c = 4L+2, the smallest even count above it, makes
     the literal routes exact (pair_slice_average, which also takes the ball

@@ -1,5 +1,7 @@
 """Surface-measure convolutions, the extension operator, and the L4 norm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,22 @@ class TestConvolveMany:
         with pytest.raises(ValueError, match="finite"):
             convolve_many(ONE, ONE, xs, 16)
 
+    def test_batches_bound_the_harmonic_table(self):
+        # 4096 centres at L=8 on 34 nodes: one 2048-centre table would take
+        # 45 MB; batches sized from the table's bytes keep the peak near 64
+        # _CHUNK_BYTES (16 MiB), and each centre's value is its own
+        f = rand_fn(8, 15, complex_valued=True)
+        xs = ball_points(np.random.default_rng(16), 4096)
+        tracemalloc.start()
+        try:
+            batch = convolve_many(f, f, xs, 34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * convolution._CHUNK_BYTES
+        few = convolve_many(f, f, xs[-7:], 34)
+        assert np.abs(batch[-7:] - few).max() <= 1e-14 * np.abs(few).max()
+
     def test_mixed_batch_zeroes_outside_support(self):
         xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
         vals = convolve_many(ONE, ONE, xs, 16)
@@ -198,24 +216,32 @@ class TestPairProfile:
         vals = col.sampler(plan)
         assert vals[0].re.shape[-1] == 2 * L + 1
         assert vals[6].re.shape[-1] == (2 if odd else 1) * col.n_c
-        squares = [v.magnitude(2) for v in vals]
-        for v, sq in zip(vals, squares):
-            expect = np.abs(v.nodes().dense()) ** 2
-            assert np.abs(sq.dense() - expect).max() <= 1e-15 * expect.max()
-        for group in (vals, squares):
-            for a in group:
-                for b in group:
-                    dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)
-                    split = pair_profile(a, b, col.radii)
-                    assert split.dtype == dense.dtype
+        own = convolution._expansion(L, 2 * (2 * L + 1))   # |.|^2's own rule
+        for a in vals:
+            for b in vals:
+                dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)
+                split = pair_profile(a, b, col.radii)
+                assert split.dtype == dense.dtype
+                assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+                # |a|^p |b|^p: p = 2 of two factors in modes on the band
+                # limit's own 2(2L+1) nodes, anything else at the column's
+                for p in (1, 2):
+                    moved = p == 2 and a.expansion is not None and b.expansion is not None
+                    da, db = (np.abs((v._replace(expansion=own) if moved else v).nodes().dense())
+                              ** p for v in (a, b))
+                    dense = pair_profile(da, db, col.radii)
+                    split = pair_profile(a, b, col.radii, p)
+                    assert split.dtype == dense.dtype == float
                     assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_real_squares_are_one_square_of_the_values(self):
-        v = np.random.default_rng(81).standard_normal((3, 40))
+        v, w = np.random.default_rng(81).standard_normal((2, 3, 40))
         v[0, :3] = (-0.0, 0.0, -1e-200)
-        sq = SplitValues(v, None, -1.0).magnitude(2)
-        assert sq.im is None
-        assert sq.dense().view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
+        formed = convolution._squares_formed([v], None).form(0, 3)
+        assert formed.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
+        split = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), 2)
+        dense = pair_profile(np.square(v), np.square(w), np.ones(3))
+        assert split.view(np.int64).tolist() == dense.view(np.int64).tolist()
 
     def test_odd_slice_count_is_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -279,16 +305,16 @@ class TestConvProfile:
     def test_flat_profile_matches_closed_form(self):
         radii = np.linspace(0.04, 2.0, 50)
         prof = conv_profile(ONE, ONE, radii)
-        assert np.abs(prof.values - 2 * PI / radii).max() <= 1e-12 * (2 * PI / radii).max()
-        assert np.array_equal(prof.radii, radii)
+        assert prof.shape == radii.shape
+        assert np.abs(prof - 2 * PI / radii).max() <= 1e-12 * (2 * PI / radii).max()
 
     def test_direction_is_normalized(self):
         radii = np.array([0.5, 1.0, 1.5])
         f = rand_fn(3, 12)
         a = conv_profile(f, f, radii, direction=(0.0, 0.0, 1.0))
         b = conv_profile(f, f, radii, direction=(0.0, 0.0, 7.0))
-        assert np.abs(a.values - b.values).max() <= 1e-14
-        assert abs(np.linalg.norm(b.direction) - 1.0) <= 1e-15
+        assert np.abs(a - b).max() <= 1e-14
+        assert np.array_equal(a, convolve_many(f, f, radii[:, None] * [0.0, 0.0, 1.0], 64))
 
     def test_out_of_range_radii_rejected(self):
         with pytest.raises(ValueError):
@@ -419,9 +445,11 @@ class TestSliceColumn:
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_lower_degree_coefficients_use_leading_rows(self, column):
+        # recall pads a row of lower degree to the table's width
         c = random_band_limited(2, np.random.default_rng(61)).coeffs
-        fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
-        expect = c @ harmonic_values(2, slice_nodes(column, 0, column.n_az))
+        (modes,) = column.recall(c[None])
+        fields = modes @ column.expansion
+        expect = c @ harmonic_values(2, slice_nodes(column, 0, column.n_az // 2))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_sampler_shares_repeated_requests(self, column):

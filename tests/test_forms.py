@@ -430,7 +430,7 @@ class TestOddSliceCountIsTheDoubledRule:
                 return convolve_many(*pair, xs, n)
             if route == "pair_slice_average":
                 return pair_slice_average(K, xs, n)
-            return conv_profile(*pair, np.linspace(0.1, 2.0, 7), n_c=n).values
+            return conv_profile(*pair, np.linspace(0.1, 2.0, 7), n_c=n)
 
         for K, pair in node_valued_cases():
             odd, doubled = value(K, pair, n_c), value(K, pair, 2 * n_c)
@@ -1033,8 +1033,7 @@ def profile_calls(monkeypatch):
 
 class TestSameKernelFold:
     """B(F, G) with G's profiles those of F forms only F's products: G's
-    profiles read them from the memo's store, or G is F and is not
-    profiled again."""
+    profiles read them from the memo's store, G = F too."""
 
     def test_conjugate_pairing_takes_two_profiles(self, half_pairs, spectra_rows):
         # F's two profiles form every product: f f* at x, read swapped at
@@ -1073,10 +1072,33 @@ class TestSameKernelFold:
         f = rand_fn(2, 103, complex_valued=True)
         K = PairKernel(lambda a, b: f(a) * f(b) * np.exp(np.sum(a * b, axis=-1)))
         folded = bilinear_b(K, K, grids)
-        assert profile_calls["pair_slice_average"] == 2
+        assert profile_calls["pair_slice_average"] == 4
         whole = bilinear_b(K, PairKernel(K.evaluator), grids)
-        assert profile_calls["pair_slice_average"] == 6
+        assert profile_calls["pair_slice_average"] == 8
         assert folded == whole
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_b_of_f_and_f_forms_each_product_once(self, complex_valued, half_pairs,
+                                                  monkeypatch):
+        # on a fresh column, F's profiles at x and -x form the real products
+        # of f's parts at p and at -p, each once; G's two profiles read them
+        grids = exact_form_grids(4)
+        F = weighted_pair_kernel(rand_fn(4, 104, complex_valued=complex_valued))
+        formed, inner = [], forms.pair_profile
+
+        def spy(*args):
+            before = half_pairs[0]
+            out = inner(*args)
+            formed.append(half_pairs[0] - before)
+            return out
+
+        monkeypatch.setattr(forms, "pair_profile", spy)
+        value = bilinear_b(F, F, grids)
+        # per sign, {re re} for real f; {re re}, {re im}, {im im} for complex f
+        per_sign = 3 if complex_valued else 1
+        assert formed == [per_sign, per_sign, 0, 0]
+        ref = unfolded_b(F, F, grids)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.fixture

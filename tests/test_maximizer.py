@@ -338,6 +338,19 @@ class TestSearch:
         with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
             search(init, workspace=ws8)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),
+        ({"tol": -1.0}, "tol must be a finite number >= 0, got -1.0"),
+        ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
+        ({"max_iter": 2.5}, "max_iter must be a nonnegative integer, got 2.5"),
+        ({"max_iter": -1}, "max_iter must be a nonnegative integer, got -1"),
+    ])
+    def test_invalid_settings_rejected(self, kwargs, message, passes):
+        init = initial_coeffs("random", 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            search(init, **kwargs)
+        assert passes[0] == 0   # before any forward pass
+
 
 @pytest.fixture
 def passes(monkeypatch):
@@ -400,8 +413,10 @@ class TestWorkspace:
         q_grad, dq = ws.q_gradient(a)
         assert passes[0] == 1
         assert q_grad == q
-        q_neg, dq_neg = ws.q_gradient(-a)   # a negated hit: Q is even, its gradient odd
-        assert passes[0] == 1
+        # the negation is other coefficients: a pass of its own, in which Q
+        # is even and its gradient odd, bit for bit
+        q_neg, dq_neg = ws.q_gradient(-a)
+        assert passes[0] == 2
         assert q_neg == q and np.array_equal(dq_neg, -dq)
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
