@@ -21,7 +21,7 @@ Literal callables have no place on the column; pair_slice_average takes
 them at slice_point_table's nodes. Pointwise values of f sigma * g sigma
 come two ways: convolve_many reads f and g at those nodes through one
 SlicePlan, and pair_slice_average of the kernel f tensor g is the literal
-route it is checked against.
+route it is checked against, each in batches of centres sized by bytes.
 """
 
 import math
@@ -44,9 +44,6 @@ __all__ = [
     "conv_profile",
     "extension_at",
 ]
-
-# Centers per vectorized batch at most; bounds peak memory of the slice-point tables.
-_CHUNK = 2048
 
 # Bytes per chunk of one array that is formed in pieces (_chunks): a part's
 # modes or node values on a chunk of slices, a pass's Fourier rows on a chunk
@@ -422,8 +419,7 @@ class SliceColumn:
     n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn).
     Those node values serve only what has no band limit but is formed from
     coefficient rows: sharp rearrangements and |.|^p of odd p; pair_profile
-    pairs |.|^p of even p on its band limit's own rule. The column holds no
-    literal call: SlicePlan.values refuses one.
+    pairs |.|^p of even p on its band limit's own rule.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -433,7 +429,9 @@ class SliceColumn:
     has -x at (radius, ring n_t-1-i, row a+n_t), of equal weight, and
     circle_frames gives -x the frame (-e1, e2): -x's slice is x's negated,
     slice angle negated. So the ball routes read rows [0, n_t) only, at p
-    and at -p, the latter as the parity-flipped coefficient row (SlicePlan).
+    and at -p, the latter as the parity-flipped coefficient row (SlicePlan);
+    trig holds those rows alone. The column keeps no point and no literal
+    call (SlicePlan.values refuses one).
 
     The column's one memo, of its last call's rows and their products, is
     described at recall; the forms route reads it through sampler.
@@ -442,16 +440,13 @@ class SliceColumn:
     def __init__(self, ball: BallGrid, n_c: int, L: int):
         dirs = ball.directions
         n_t = (dirs.exactness_degree + 1) // 2
-        n_az = 2 * n_t
-        if dirs.n_nodes != n_t * n_az:
+        if dirs.n_nodes != 2 * n_t * n_t:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
-        self._centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::n_az]).reshape(-1, 3)
-        self.weights = ball.weights()[::n_az]
-        self.n_c, self.n_az, self.L = n_c, n_az, L
-        alpha = np.arange(n_az) * (np.pi / n_t)
-        self._cos, self._sin = np.cos(alpha), np.sin(alpha)
-        m_alpha = alpha[:, None] * np.arange(1, L + 1)
-        self.trig = np.ones((n_az, 2 * L + 1))
+        centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::2 * n_t]).reshape(-1, 3)
+        self.weights = ball.weights()[::2 * n_t]
+        self.n_c, self.n_t, self.L = n_c, n_t, L
+        m_alpha = (np.arange(n_t) * (np.pi / n_t))[:, None] * np.arange(1, L + 1)
+        self.trig = np.ones((n_t, 2 * L + 1))
         self.trig[:, 1::2] = np.cos(m_alpha)
         self.trig[:, 2::2] = np.sin(m_alpha)
         order, mix, sign = [k * k + k for k in range(L + 1)], [], []
@@ -469,25 +464,17 @@ class SliceColumn:
         # each chunk makes one harmonic_values call, some 250 numpy calls at
         # L=8, which would dominate smaller chunks
         modes = 2 * L + 1
-        self.radii = np.linalg.norm(self._centres, axis=-1)
+        self.radii = np.linalg.norm(centres, axis=-1)
         dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
-        self.table = np.empty((len(order), len(self._centres) * modes))
-        for c0, c1 in _chunks(len(self._centres), 8 * len(order) * modes // 4):
-            uniform = slice_point_table(self._centres[c0:c1], modes)[0][:, :modes]
+        self.table = np.empty((len(order), len(centres) * modes))
+        for c0, c1 in _chunks(len(centres), 8 * len(order) * modes // 4):
+            uniform = slice_point_table(centres[c0:c1], modes)[0][:, :modes]
             values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
             dft_rows = (values.reshape(-1, modes) @ dft).reshape(len(order), -1)
             self.table[:, c0 * modes:c1 * modes] = dft_rows[order]
         # the last recall's padded rows, its fields buffer and the fields'
         # real products
         self._memo = (None, (), {})
-
-    def centres(self, a0: int, a1: int) -> np.ndarray:
-        """The slices' centres x at azimuth rows a0:a1, shape (a1 - a0, centres, 3):
-        the column's centres turned about z by alpha_a per row a."""
-        c, s = self._cos[a0:a1, None], self._sin[a0:a1, None]
-        x, y, z = self._centres.T
-        return np.stack([c * x - s * y, s * x + c * y, np.broadcast_to(z, (a1 - a0,) + z.shape)],
-                        axis=-1)
 
     def spectra(self, coeffs: np.ndarray):
         """Azimuth Fourier rows of real coefficient rows, in one pass over the
@@ -529,7 +516,7 @@ class SliceColumn:
         padded rows equal the held ones (np.array_equal) gets the held buffer
         back; rows equal up to sign are equal here, as SlicePlan stores them.
         Any other rows replace the memo: all take one spectra pass, each chunk
-        of which is synthesized by trig[:n_t] @ spectra straight into its
+        of which is synthesized by trig @ spectra straight into its
         columns of one buffer, so the spectra are never held whole; since
         BLAS may round a row differently in a batch of another size, every
         field is bit for bit that of a fresh column. The products kept with
@@ -545,11 +532,10 @@ class SliceColumn:
         if np.array_equal(padded, self._memo[0]):
             return self._memo[1]
         self._memo = (None, (), {})   # frees the last call's buffer before this call's
-        n_t = self.n_az // 2
-        fields = np.empty((len(rows), n_t, self.radii.size, 2 * self.L + 1))
-        flat = fields.reshape(len(rows), n_t, -1)
+        fields = np.empty((len(rows), self.n_t, self.radii.size, 2 * self.L + 1))
+        flat = fields.reshape(len(rows), self.n_t, -1)
         for (c0, c1), spectra in self.spectra(padded):
-            np.matmul(self.trig[:n_t], spectra, out=flat[..., c0:c1])
+            np.matmul(self.trig, spectra, out=flat[..., c0:c1])
         fields.flags.writeable = False
         self._memo = (padded, fields, {})
         return fields
@@ -606,10 +592,10 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis), or,
     given p, that of |f|^p and |g|^p.
 
-    Leading axes run over centres x of norm radii. va and vb are dense
-    arrays at the slice nodes, or SplitValues, whose signed real parts are
-    paired: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i + a_i b_r); the
-    result is real when both are.
+    Leading axes run over centres x of norm radii. va and vb are both dense
+    arrays at the slice nodes (else ValueError), or SplitValues, whose signed
+    real parts are paired: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i +
+    a_i b_r); the result is real when both are.
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
     exact for band-limited factors at every n_c. Otherwise they pair by the
@@ -621,20 +607,26 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     and paired, and no product of modes and no part's node values exist for
     more slices than a chunk's.
 
-    p, for SplitValues, is the node rule's one input: |f|^p and |g|^p are
-    formed per use, real, at nodes picked here. For even p and both factors
-    in modes of degree L, |.|^p is a trig polynomial of degree pL on each
-    slice, so its pairing, of degree 2pL, is exact on the band limit's own
-    2(pL+1) uniform nodes, half of them partners of the other half, at every
-    n_c. Otherwise (sharp factors, odd p) they are the column's slice nodes,
-    n_c or, at odd n_c, 2 n_c (the factor's expansion), or the nodes a
-    factor is at. Real |x|^2 is np.square(x) bit for bit.
+    Dense arrays take |.|^p at their nodes. For SplitValues p is the node
+    rule's one input: |f|^p and |g|^p are formed per use, real, at nodes
+    picked here. For even p and both factors in modes of degree L, |.|^p is
+    a trig polynomial of degree pL on each slice, so its pairing, of degree
+    2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half of
+    them partners of the other half, at every n_c. Otherwise (sharp factors,
+    odd p) they are the column's slice nodes, n_c or, at odd n_c, 2 n_c (the
+    factor's expansion), or the nodes a factor is at. Real |x|^2 is
+    np.square(x) bit for bit.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
     the set of the parts' keys: a pair and its swap give the same bits.
     """
-    if isinstance(va, np.ndarray):
+    dense = isinstance(va, np.ndarray), isinstance(vb, np.ndarray)
+    if any(dense):
+        if not all(dense):
+            raise ValueError("pair_profile pairs two dense arrays or two SplitValues")
+        if p:
+            va, vb = np.abs(va) ** p, np.abs(vb) ** p
         return (2.0 * np.pi / _even(va.shape[-1])) * _half_pair(va, vb) / radii
     if p:
         rule = None
@@ -691,15 +683,17 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     rounding) whenever F(omega(phi), x - omega(phi)) is a trigonometric
     polynomial of degree < N in the slice angle, N = n_c or, at odd n_c,
     2 n_c, which holds with degree 2L for f tensor g of band-limited f, g of
-    degree L. The result is real when F's values are. A centre at 0 raises
-    DegenerateSliceError, one beyond |x| = 2 EmptyIntersectionError, and
-    non-finite centres or values ValueError.
+    degree L. The result is real when F's values are. A batch of centres
+    holds at most 4 _CHUNK_BYTES of slice nodes at 64 B a node (point,
+    partner, complex value). A centre at 0 raises DegenerateSliceError, one
+    beyond |x| = 2 EmptyIntersectionError, and non-finite centres or values
+    ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
-    parts = [np.zeros(0)]
-    for i0 in range(0, len(X), _CHUNK):
-        pts, r = slice_point_table(X[i0:i0 + _CHUNK], n_c)
-        partner = X[i0:i0 + _CHUNK, None, :] - pts
+    parts, nodes = [np.zeros(0)], 2 * _half_turn(n_c).size
+    for i0, i1 in _chunks(len(X), 64 * nodes // 4):
+        pts, r = slice_point_table(X[i0:i1], n_c)
+        partner = X[i0:i1, None, :] - pts
         vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(pts.shape[:2])
         if not np.all(np.isfinite(vals)):
             raise ValueError("kernel produced non-finite values on the slices")
@@ -712,9 +706,9 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
 
     The slice nodes hold each node's partner x - p_j (see _half_turn), so
     g is read off the same nodes as f, both through one SlicePlan, and the
-    two meet in pair_profile. Centres are taken in batches of at most _CHUNK
-    whose harmonic table, 8 N (degree+1)^2 bytes a centre for N slice
-    nodes, stays within 64 _CHUNK_BYTES. A centre at 0, or one whose norm
+    two meet in pair_profile. Centres are taken in batches whose harmonic
+    table and points, 8 N ((degree+1)^2 + 3) bytes a centre for N slice
+    nodes, stay within 64 _CHUNK_BYTES. A centre at 0, or one whose norm
     underflows to 0, raises DegenerateSliceError, and non-finite centres
     ValueError.
     """
@@ -723,7 +717,7 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
     plan = SlicePlan([(f, False), (g, False)])
     nodes = 2 * _half_turn(n_c).size
-    step = min(_CHUNK, max(1, 64 * _CHUNK_BYTES // (8 * nodes * (plan.degree + 1) ** 2)))
+    step = max(1, 64 * _CHUNK_BYTES // (8 * nodes * ((plan.degree + 1) ** 2 + 3)))
     for i0 in range(0, len(idx), step):
         sel = idx[i0:i0 + step]
         pts, rr = slice_point_table(X[sel], n_c)

@@ -109,56 +109,60 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
 
 
 class PairKernel:
-    """A kernel F(omega, nu) on pairs of unit vectors.
+    """A kernel F(omega, nu) on pairs of unit vectors, of one description.
 
-    Always carries a point evaluator. Kernels of the special shape
-    mag(f(omega) g(nu)) * |omega + nu|^p additionally record that structure
-    (factors, sum_weight_power, magnitude_power); the ball route then
-    evaluates factors backed by coefficient rows through a shared harmonic
-    table and replaces |omega + nu| on a slice at x by |x| itself, which is
-    what the analytic slice nodes satisfy exactly. factors is two functions,
-    f and g; factors = () means the constant kernel 1; factors = None means
-    no structure is known. Any other factors raise ValueError.
+    Either a point evaluator, or the structure |f(omega) g(nu)|^p |omega +
+    nu|^w: factors, two functions f and g or () for 1, sum_weight_power w and
+    magnitude_power p, with no |.| when p is None. A call evaluates the
+    structure, and the ball route pairs it, coefficient-backed factors on a
+    shared harmonic table and |omega + nu| = |x| on the slice at x. An
+    evaluator with factors or powers, neither, or factors other than () or
+    two functions raise ValueError.
     """
 
-    def __init__(self, evaluator, *, factors=None, sum_weight_power: int = 0,
+    def __init__(self, evaluator=None, *, factors=None, sum_weight_power: int = 0,
                  magnitude_power: int | None = None):
+        if (evaluator is None) == (factors is None) or (
+                factors is None and (sum_weight_power or magnitude_power is not None)):
+            raise ValueError("a PairKernel takes an evaluator or factors and their powers")
         if factors is not None and not (len(factors) in (0, 2)
                                         and all(callable(f) for f in factors)):
-            raise ValueError("factors must be None, () or two functions")
+            raise ValueError("factors must be () or two functions")
         self.evaluator = evaluator
         self.factors = factors
         self.sum_weight_power = sum_weight_power
         self.magnitude_power = magnitude_power
 
     def __call__(self, omega, nu):
-        return self.evaluator(omega, nu)
+        if self.factors is None:
+            return self.evaluator(omega, nu)
+        vals = (self.factors[0](omega) * self.factors[1](nu) if self.factors
+                else np.ones(np.shape(omega)[:-1]))
+        if self.magnitude_power:   # as pair_profile reads it
+            vals = np.abs(vals) ** self.magnitude_power
+        if self.sum_weight_power:
+            vals = vals * np.linalg.norm(omega + nu, axis=-1) ** self.sum_weight_power
+        return vals
 
     @classmethod
     def tensor(cls, f, g) -> "PairKernel":
         """f tensor g: (omega, nu) -> f(omega) g(nu), with no pair-sum weight."""
-        return cls(lambda omega, nu: f(omega) * g(nu), factors=(f, g))
+        return cls(factors=(f, g))
 
     @classmethod
     def one(cls) -> "PairKernel":
-        return cls(lambda omega, nu: np.ones(np.shape(omega)[:-1]), factors=())
+        return cls(factors=())
 
     def abs_squared(self) -> "PairKernel":
-        ev = self.evaluator
-        def squared(omega, nu):
-            return np.abs(ev(omega, nu)) ** 2
         if self.factors is None:
-            return PairKernel(squared)
-        return PairKernel(
-            squared, factors=self.factors, sum_weight_power=2 * self.sum_weight_power,
-            magnitude_power=2 * (self.magnitude_power or 1))
+            return PairKernel(lambda omega, nu: np.abs(self.evaluator(omega, nu)) ** 2)
+        return PairKernel(factors=self.factors, sum_weight_power=2 * self.sum_weight_power,
+                          magnitude_power=2 * (self.magnitude_power or 1))
 
 
 def weighted_pair_kernel(f: SphereFunction) -> PairKernel:
     """F(omega, nu) = f(omega) f(nu) |omega + nu|, the tensor square with pair-sum weight."""
-    def ev(omega, nu):
-        return f(omega) * f(nu) * np.linalg.norm(np.asarray(omega) + np.asarray(nu), axis=-1)
-    return PairKernel(ev, factors=(f, f), sum_weight_power=1)
+    return PairKernel(factors=(f, f), sum_weight_power=1)
 
 
 @dataclass(frozen=True)
@@ -178,13 +182,11 @@ class FormGrids:
     3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), run one spectra pass and one
     synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
     band-limited f pairs on its band limit's own rule (see pair_profile),
-    exactly at every n_c, so only f# reads values at the slice nodes. f# is
-    formed there one chunk of slices at a time (pair_profile) and kept
-    nowhere, so a call's node values take one chunk's bytes, not the 5.3 MB
-    of a row on all n_t azimuth rows of n_c=48 nodes above. Kernels with a
-    literal factor, and unstructured ones, take pair_slice_average at the
-    ball nodes and nothing from the column; n_c sizes only them and f#. The
-    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
+    exactly at every n_c, so only f# reads values at the slice nodes, one
+    chunk of slices at a time (pair_profile), kept nowhere. Kernels with a
+    literal factor, and evaluator kernels, take pair_slice_average at the
+    ball grid's nodes and nothing from the column; n_c sizes only them and
+    f#. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
     the column. The ascent (maximizer.Workspace) takes the slice-free
     radial route instead, which verify checks against this one
     (q_radial_vs_ball_max_rel_dev).
@@ -263,20 +265,21 @@ def _on_column(K: PairKernel) -> bool:
     return K.factors is not None and all(_backed(f) for f in K.factors)
 
 
-def _kernel_profile(K: PairKernel, values, col: SliceColumn, negate: bool) -> np.ndarray:
-    """K's pair profile at the ball nodes x (-x if negate) of azimuth rows [0, n_t).
+def _kernel_profile(K: PairKernel, values, col: SliceColumn, ball: BallGrid,
+                    negate: bool) -> np.ndarray:
+    """K's pair profile at the nodes x (-x if negate) of ball's azimuth rows [0, n_t).
 
     A structured K whose factors are backed by coefficient rows pairs them,
     which values yields on the column's slices as SplitValues, in
     pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
     analytic nodes; pair_profile picks the nodes |.|^p is paired on. The
-    constant kernel gives 2 pi / r. Any other kernel, an unstructured one or
-    one with a literal factor, takes the literal pair_slice_average at the
-    ball nodes.
+    constant kernel gives 2 pi / r. Any other kernel, an evaluator or one
+    with a literal factor, takes the literal pair_slice_average at x.
     """
-    r, n_t = col.radii, col.n_az // 2
+    r, n_t = col.radii, col.n_t
     if not _on_column(K):
-        x = -col.centres(0, n_t) if negate else col.centres(0, n_t)
+        x = ball.points().reshape(r.size, 2 * n_t, 3)[:, :n_t].swapaxes(0, 1)
+        x = -x if negate else x
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
         prof = pair_profile(next(values), next(values), r, K.magnitude_power)
@@ -302,7 +305,7 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     plan = SlicePlan([(f, negate) for K, negate in kernels if _on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
     values = iter(col.sampler(plan))
-    fx, fnx, gnx, gx = (_kernel_profile(K, values, col, negate) for K, negate in kernels)
+    fx, fnx, gnx, gx = (_kernel_profile(K, values, col, grids.ball, n) for K, n in kernels)
     return complex(np.sum(col.weights * (fx * gnx + fnx * gx)))
 
 
@@ -316,7 +319,7 @@ def _b_outer(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     total = 0.0 + 0.0j
     for sel, nu in blocks:
         omega = np.repeat(dirs.nodes[sel], w.size, axis=0)
-        vals = F.evaluator(omega, -nu) * pair_slice_average(G, nu - omega, grids.n_c)
+        vals = F(omega, -nu) * pair_slice_average(G, nu - omega, grids.n_c)
         total += np.sum(dirs.weights[sel] * (vals.reshape(-1, w.size) @ w))
     return complex(total)
 
@@ -343,8 +346,8 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     at p and at -p: band-limited factors in slice-angle modes, |.|^p of even
     p among them, exactly at every n_c, and sharp factors (and |.|^p of odd
     p) at the slice nodes, n_c or, at odd n_c, 2 n_c (see pair_profile).
-    Any other kernel, an unstructured one or one with a literal factor,
-    takes the literal pair_slice_average at the ball nodes, four times.
+    Any other kernel, an evaluator or one with a literal factor, takes the
+    literal pair_slice_average at the ball grid's nodes, four times.
     method="outer", the cross-check, integrates F(omega_1, omega_2) times
     G's literal slice profile at -(omega_1 + omega_2) over omega_2 on the
     polar ring about -omega_1 (2 n_t azimuths), whose Jacobian cancels the

@@ -305,19 +305,17 @@ class SphereFunction:
         return SphereFunction(sharp, sharp_source=self)
 
 
-def eigenvalue_residual(k: int, m: int, basis: BasisTable, mesh_size: int = 96) -> float:
+def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:
     """Laplace-Beltrami check: residual of the discrete Delta Y = -k(k+1) Y.
 
-    An auxiliary theta-phi mesh (mesh_size x 2*mesh_size, independent of the
-    basis grid) carries second-order finite differences: conservative flux
+    A theta-phi mesh (mesh_size x 2*mesh_size) carries Y_{k,m} from
+    harmonic_values and second-order finite differences: conservative flux
     form in theta, periodic central differences in phi. The two rows nearest
     each pole are excluded from the reported max; the chart is singular there
     while the harmonic itself is not, so mesh_size must be at least 5.
     """
     _require_int(mesh_size, "mesh_size", 5)
     row = flat_index(k, m)   # k and m integers, m in -k..k
-    if k > basis.max_degree:
-        raise ValueError(f"degree k={k} outside basis range 0..{basis.max_degree}")
     M = mesh_size
     h = np.pi / M
     theta = (np.arange(M) + 0.5) * h

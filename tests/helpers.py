@@ -21,3 +21,12 @@ def rand_fn(L: int, seed: int, complex_valued: bool = False) -> SphereFunction:
     rng = np.random.default_rng(seed)
     return SphereFunction.from_coeffs(
         random_band_limited(L, rng, complex_valued=complex_valued))
+
+
+def ball_rows(ball, a0: int, a1: int) -> np.ndarray:
+    """The nodes of a product ball grid's azimuth rows a0:a1, from
+    ball.points(), shape (a1 - a0, n_r * n_t, 3): row a holds the node at
+    azimuth a of every radius and polar ring, radial-major, in a
+    SliceColumn's centre order."""
+    n_az = ball.directions.exactness_degree + 1   # 2 n_t
+    return ball.points().reshape(-1, n_az, 3)[:, a0:a1].swapaxes(0, 1)

@@ -29,7 +29,7 @@ from sharpsphere import convolution
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
-from helpers import ball_points, rand_fn, unit_vectors
+from helpers import ball_points, ball_rows, rand_fn, unit_vectors
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -102,6 +102,31 @@ class TestLiteralSliceAverage:
         lhs = np.abs(convolve_many(f, g, xs, 32))
         rhs = convolve_many(sharp, sharp, xs, 32).real
         assert np.all(lhs <= rhs + 1e-10)
+
+    def test_literal_batches_are_sized_by_their_slice_nodes(self):
+        # 2048 centres at n_c=128 in one batch would hold 262144 nodes and
+        # f's degree-4 harmonic table there, 178 MB traced; batches of 16384
+        # nodes (4 _CHUNK_BYTES at 64 B a node) keep the peak near f's table
+        # on one batch, and each centre's value is its own
+        f = rand_fn(4, 17, complex_valued=True)
+        xs = ball_points(np.random.default_rng(18), 2048)
+        K = PairKernel.tensor(f, f)
+        tracemalloc.start()
+        try:
+            batch = pair_slice_average(K, xs, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * convolution._CHUNK_BYTES
+        few = pair_slice_average(K, xs[-7:], 128)
+        assert np.abs(batch[-7:] - few).max() <= 1e-14 * np.abs(few).max()
+
+    def test_mixed_batch_zeroes_outside_support(self):
+        xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
+        vals = convolve_many(ONE, ONE, xs, 16)
+        assert vals[1] == 0.0
+        assert abs(vals[0] - 4 * PI) <= 1e-12 * 4 * PI
+        assert abs(vals[2] - 4 * PI / 3) <= 1e-12 * 4 * PI / 3
 
 
 def _pair(case):
@@ -190,13 +215,6 @@ class TestConvolveMany:
         few = convolve_many(f, f, xs[-7:], 34)
         assert np.abs(batch[-7:] - few).max() <= 1e-14 * np.abs(few).max()
 
-    def test_mixed_batch_zeroes_outside_support(self):
-        xs = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0], [0.0, 0.0, 1.5]])
-        vals = convolve_many(ONE, ONE, xs, 16)
-        assert vals[1] == 0.0
-        assert abs(vals[0] - 4 * PI) <= 1e-12 * 4 * PI
-        assert abs(vals[2] - 4 * PI / 3) <= 1e-12 * 4 * PI / 3
-
 
 class TestPairProfile:
     @pytest.mark.parametrize("L, odd", [(L, False) for L in (0, 1, 2, 4, 8)] + [(4, True)],
@@ -247,6 +265,28 @@ class TestPairProfile:
         with pytest.raises(ValueError, match="even"):
             pair_profile(np.ones((2, 5)), np.ones((2, 5)), np.ones(2))
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_dense_arrays_take_the_power_at_their_own_nodes(self, complex_valued):
+        # one slice of four nodes: |a|^2 = 1, 4, 9, 16 meets |b|^2 at the
+        # partners, 1, 1/4, 4, 1, so the profile is (2 pi / 4) 54 = 27 pi,
+        # as it is from SplitValues
+        a, b = np.array([[1.0, -2.0, 3.0, -4.0]]), np.array([[2.0, 1.0, -1.0, 0.5]])
+        split = [SplitValues(a), SplitValues(b)]
+        if complex_valued:   # the same magnitudes, split over two parts
+            a, b = a * np.exp(0.3j), b * np.exp(-1.1j)
+            split = [SplitValues(v.real, v.imag) for v in (a, b)]
+        dense = pair_profile(a, b, np.ones(1), 2)
+        assert dense.dtype == float and abs(dense[0] - 27 * PI) <= 1e-15 * 27 * PI
+        assert np.abs(dense - pair_profile(*split, np.ones(1), 2)).max() <= 1e-15 * 27 * PI
+        odd = pair_profile(a, b, np.ones(1), 1)   # |a| |b| at the partners: 12
+        assert abs(odd[0] - 6 * PI) <= 1e-15 * 6 * PI
+
+    def test_a_dense_array_and_split_values_are_refused(self):
+        v = np.ones((1, 4))
+        for a, b in ((v, SplitValues(v)), (SplitValues(v), v)):
+            with pytest.raises(ValueError, match="two dense arrays or two SplitValues"):
+                pair_profile(a, b, np.ones(1))
+
 
 class TestModePairing:
     """Band-limited slice values pair in slice-angle modes, by Parseval."""
@@ -255,15 +295,15 @@ class TestModePairing:
     def profiles(L, n_c, complex_valued):
         # (modes, nodes, centres): f tensor g's profile on a column's first
         # n_t azimuth rows from its modes and from its n_c slice nodes, and
-        # the slices' centres
-        col = SliceColumn(build_ball_grid(4, build_sphere_grid(5)), n_c, L)
+        # the slices' centres, the ball grid's nodes of those rows
+        ball = build_ball_grid(4, build_sphere_grid(5))
+        col = SliceColumn(ball, n_c, L)
         f, g = rand_fn(L, 130, complex_valued=complex_valued), rand_fn(L, 131)
-        n_t = col.n_az // 2
         a, b = col.sampler(SlicePlan([(f, False), (g, False)]))
         assert a.expansion is col.expansion and a.re.shape[-1] == 2 * L + 1
         modes = pair_profile(a, b, col.radii)
         nodes = pair_profile(a.nodes(), b.nodes(), col.radii)
-        return modes, nodes, col.centres(0, n_t), (f, g)
+        return modes, nodes, ball_rows(ball, 0, col.n_t), (f, g)
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -408,24 +448,36 @@ class TestL4Norm:
 
 
 class TestSliceColumn:
+    BALL = build_ball_grid(5, build_sphere_grid(6))
+
     @pytest.fixture(scope="class")
     def column(self):
-        return SliceColumn(build_ball_grid(5, build_sphere_grid(6)), 10, 5)
+        return SliceColumn(self.BALL, 10, 5)
 
     def test_rotated_column_is_the_slice_geometry(self, column):
-        # azimuth row a of the column holds the slices of the ball nodes at azimuth a
-        ball = build_ball_grid(5, build_sphere_grid(6))
-        X = ball.points().reshape(-1, column.n_az, 3).transpose(1, 0, 2)
-        pts, _ = slice_point_table(X.reshape(-1, 3), column.n_c)
-        literal = slice_nodes(column, 0, column.n_az).reshape(pts.shape)
-        assert np.abs(literal - pts).max() <= 1e-15
-        assert np.array_equal(column.weights, ball.weights()[::column.n_az])
+        # azimuth row a of the ball grid is its row 0 turned about z by
+        # alpha_a = a pi / n_t, node by node, and so are the slices there
+        X = ball_rows(self.BALL, 0, column.n_t)
+        first = slice_point_table(X[0], column.n_c)[0]
+        for a in range(column.n_t):
+            c, s = np.cos(a * PI / column.n_t), np.sin(a * PI / column.n_t)
+            turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+            assert np.abs(X[0] @ turn - X[a]).max() <= 1e-15
+            pts = slice_point_table(X[a], column.n_c)[0]
+            assert np.abs(first @ turn - pts).max() <= 1e-15
+        assert np.array_equal(column.weights, self.BALL.weights()[::2 * column.n_t])
+        assert np.array_equal(column.radii, np.linalg.norm(X[0], axis=-1))
 
-    def test_centres_are_the_ball_nodes_of_each_azimuth_row(self, column):
-        ball = build_ball_grid(5, build_sphere_grid(6))
-        X = ball.points().reshape(-1, column.n_az, 3)
-        for a in range(column.n_az):
-            assert np.abs(column.centres(a, a + 1)[0] - X[:, a]).max() <= 1e-15
+    def test_trig_holds_the_rows_the_ball_route_reads(self, column):
+        # one row per azimuth row a < n_t: 1, cos(m alpha_a), sin(m alpha_a)
+        n_t, L = column.n_t, column.L
+        assert column.trig.shape == (n_t, 2 * L + 1) and column.trig.flags.c_contiguous
+        m_alpha = np.outer(np.arange(n_t) * PI / n_t, np.arange(1, L + 1))
+        assert np.all(column.trig[:, 0] == 1.0)
+        # angles up to L pi, rounded in another order
+        assert np.abs(column.trig[:, 1::2] - np.cos(m_alpha)).max() <= 1e-14
+        assert np.abs(column.trig[:, 2::2] - np.sin(m_alpha)).max() <= 1e-14
+        assert not hasattr(column, "centres") and not hasattr(column, "n_az")
 
     @staticmethod
     def whole_spectra(column, coeffs):
@@ -435,12 +487,12 @@ class TestSliceColumn:
     @staticmethod
     def at_nodes(column, modes):
         # azimuth rows of slice-angle modes, taken to every slice node
-        return modes.reshape(column.n_az, column.radii.size, -1) @ column.expansion
+        return modes.reshape(column.n_t, column.radii.size, -1) @ column.expansion
 
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
         fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
-        pts = slice_nodes(column, 0, column.n_az)
+        pts = slice_nodes(self.BALL, column.n_c, 0, column.n_t)
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -449,7 +501,7 @@ class TestSliceColumn:
         c = random_band_limited(2, np.random.default_rng(61)).coeffs
         (modes,) = column.recall(c[None])
         fields = modes @ column.expansion
-        expect = c @ harmonic_values(2, slice_nodes(column, 0, column.n_az // 2))
+        expect = c @ harmonic_values(2, slice_nodes(self.BALL, column.n_c, 0, column.n_t))
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_sampler_shares_repeated_requests(self, column):
@@ -460,7 +512,7 @@ class TestSliceColumn:
         assert a is b and c is d
         # the slices of azimuth rows [0, n_t): rows a >= n_t hold the
         # antipodal slices, which the ball route reads at -p
-        n_t = column.n_az // 2
+        n_t = column.n_t
         modes, nodes = (n_t, column.radii.size, 2 * column.L + 1), (n_t, column.radii.size, column.n_c)
         assert a.re.shape == a.im.shape == modes and c.re.shape == nodes and c.im is None
 
@@ -547,10 +599,11 @@ class TestSliceColumn:
             SliceColumn(build_ball_grid(3, odd), 8, 2)
 
 
-def slice_nodes(col: SliceColumn, a0: int, a1: int) -> np.ndarray:
-    """The literal slice nodes of a column's azimuth rows a0:a1, flat:
-    slice_point_table at their centres."""
-    return slice_point_table(col.centres(a0, a1).reshape(-1, 3), col.n_c)[0].reshape(-1, 3)
+def slice_nodes(ball, n_c: int, a0: int, a1: int) -> np.ndarray:
+    """The literal slice nodes of a ball grid's azimuth rows a0:a1, flat:
+    slice_point_table at their centres, the grid's own nodes."""
+    X = ball_rows(ball, a0, a1)
+    return slice_point_table(X.reshape(-1, 3), n_c)[0].reshape(-1, 3)
 
 
 def antipodal_order(col: SliceColumn, values: np.ndarray) -> np.ndarray:
@@ -559,7 +612,7 @@ def antipodal_order(col: SliceColumn, values: np.ndarray) -> np.ndarray:
     on polar ring i at ring n_t - 1 - i, and -x's slice is x's negated with
     the slice angle negated: node j of each uniform half-rule (_half_turn)
     is node -j of x's."""
-    n_t, N = col.n_az // 2, values.size // (col.radii.size * col.n_az // 2)
+    n_t, N = col.n_t, values.size // (col.radii.size * col.n_t)
     k = np.arange(N)
     perm = k // col.n_c * col.n_c + (-k) % col.n_c
     rings = values.reshape(n_t, -1, n_t, N)[:, :, ::-1]
@@ -575,20 +628,24 @@ class TestNegatedReads:
     azimuth rows (SlicePlan): rows are shared up to sign only."""
 
     @staticmethod
-    def column(L: int, odd: bool) -> SliceColumn:
+    def ball(L: int):
         # the identity is per slice, so a small product grid covers it
-        return SliceColumn(build_ball_grid(3, build_sphere_grid(L + 2)), 2 * L + 2 + odd, L)
+        return build_ball_grid(3, build_sphere_grid(L + 2))
+
+    @classmethod
+    def column(cls, L: int, odd: bool) -> SliceColumn:
+        return SliceColumn(cls.ball(L), 2 * L + 2 + odd, L)
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
     @pytest.mark.parametrize("L", list(range(9)) + [16])
     def test_a_negated_read_is_the_parity_flipped_synthesis(self, L, complex_valued, odd):
         col = self.column(L, odd)
-        n_t, modes = col.n_az // 2, 2 * L + 1
+        n_t, modes = col.n_t, 2 * L + 1
         f = rand_fn(L, 140 + L, complex_valued=complex_valued)
         (v,) = col.sampler(SlicePlan([(f, True)]))
         flipped = parity_signs(L) * f.coeffs.coeffs
-        fresh = col.trig[:n_t] @ TestSliceColumn.whole_spectra(
+        fresh = col.trig @ TestSliceColumn.whole_spectra(
             col, np.stack([flipped.real, flipped.imag]))
         fresh = fresh.reshape(2, n_t, -1, modes)
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
@@ -597,7 +654,8 @@ class TestNegatedReads:
         # at the nodes, f on the slices of rows a >= n_t, those of -x, from a
         # harmonic table at their own nodes
         c = f.coeffs.coeffs
-        literal = antipodal_order(col, c @ harmonic_values(L, slice_nodes(col, n_t, col.n_az)))
+        upper = slice_nodes(self.ball(L), col.n_c, n_t, 2 * n_t)
+        literal = antipodal_order(col, c @ harmonic_values(L, upper))
         nodes = v.nodes().dense().ravel()
         assert np.abs(nodes - literal).max() <= 1e-13 * np.abs(literal).max()
 
@@ -632,8 +690,9 @@ class TestNegatedReads:
         col = self.column(4, True)
         values = col.sampler(SlicePlan(requests))
         assert rows == [8]
-        n_t = col.n_az // 2
-        pts, antipodes = slice_nodes(col, 0, n_t), slice_nodes(col, n_t, col.n_az)
+        n_t, ball = col.n_t, self.ball(4)
+        pts, antipodes = (slice_nodes(ball, col.n_c, 0, n_t),
+                          slice_nodes(ball, col.n_c, n_t, 2 * n_t))
         for (func, negate), v in zip(requests, values):
             # f(-p) is f on the slices of rows a >= n_t, at their own nodes
             expect = antipodal_order(col, func(antipodes)) if negate else func(pts)

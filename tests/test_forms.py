@@ -37,7 +37,7 @@ from sharpsphere import convolution, forms, legendre
 from sharpsphere.harmonics import parity_signs
 from sharpsphere.legendre import FunkHeckeSpectrum
 
-from helpers import ball_points, rand_fn, unit_vectors
+from helpers import ball_points, ball_rows, rand_fn, unit_vectors
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -122,10 +122,35 @@ class TestPairKernel:
     def test_factors_are_none_empty_or_two_functions(self, factors):
         # the ball route pairs exactly two sampled factors per structured kernel
         with pytest.raises(ValueError, match="factors"):
-            PairKernel(lambda a, b: np.ones(len(a)), factors=factors)
+            PairKernel(factors=factors)
         f = rand_fn(2, 1)
-        for ok in (None, (), (f, f)):
-            assert PairKernel(lambda a, b: np.ones(len(a)), factors=ok).factors == ok
+        for ok in ((), (f, f)):
+            assert PairKernel(factors=ok).factors == ok
+        assert PairKernel(lambda a, b: np.ones(len(a))).factors is None
+
+    @pytest.mark.parametrize("case", ["both", "neither", "weight", "magnitude"])
+    def test_one_description_per_kernel(self, case):
+        # an evaluator beside factors or powers would be a second kernel:
+        # the outer route would call it while the ball route paired the
+        # structure, and B would differ between them with no error
+        f = rand_fn(2, 1)
+        ev = lambda a, b: 2.0 * f(a) * f(b)
+        kwargs = {"both": dict(evaluator=ev, factors=(f, f)), "neither": {},
+                  "weight": dict(evaluator=ev, sum_weight_power=1),
+                  "magnitude": dict(evaluator=ev, magnitude_power=2)}[case]
+        with pytest.raises(ValueError, match="an evaluator or factors"):
+            PairKernel(**kwargs)
+
+    def test_a_structured_kernel_is_evaluated_from_its_structure(self):
+        f, g = rand_fn(3, 2, complex_valued=True), rand_fn(2, 3)
+        rng = np.random.default_rng(4)
+        a, b = unit_vectors(rng, 20), unit_vectors(rng, 20)
+        s = np.linalg.norm(a + b, axis=1)
+        K = PairKernel(factors=(f, g), sum_weight_power=3, magnitude_power=1)
+        expect = np.abs(f(a) * g(b)) * s ** 3
+        assert np.abs(K(a, b) - expect).max() <= 1e-13 * expect.max()
+        assert np.array_equal(PairKernel.tensor(f, g)(a, b), f(a) * g(b))
+        assert np.array_equal(PairKernel(factors=(), sum_weight_power=2)(a, b), s ** 2)
 
     def test_slice_average_of_constant_kernel(self):
         xs = ball_points(np.random.default_rng(9), 100)
@@ -292,13 +317,39 @@ class TestBilinearForm:
         W = weighted_pair_kernel(f)
         F, G = {"weighted": (W, W),
                 "squared": (W.abs_squared(), PairKernel.one()),
-                "unstructured-squared": (PairKernel(W.evaluator).abs_squared(),
+                "unstructured-squared": (PairKernel(W).abs_squared(),
                                          PairKernel.one()),
                 "polynomial": (PairKernel(lambda a, b: f(a) * g(b)
                                           * (1.0 + np.sum(a * b, axis=-1))), W)}[case]
         ball = bilinear_b(F, G, grids)
         outer = bilinear_b(F, G, grids, method="outer")
         assert abs(outer - ball) <= 1e-12 * abs(ball)
+
+    @pytest.mark.parametrize("case", ["PairKernel(evaluator)", "PairKernel(factors)",
+                                      "PairKernel(factors, powers)", "tensor", "one",
+                                      "weighted_pair_kernel", "abs_squared",
+                                      "abs_squared(evaluator)"])
+    def test_each_constructor_gives_one_kernel_to_both_routes(self, case):
+        # B(K, 1) and B(1, K): the outer route calls K at points, on the
+        # omega side and in G's slice sums, and the ball route pairs K's
+        # structure or averages K itself; each kernel has one description,
+        # so the two agree on every constructor's kernel
+        grids = exact_form_grids(2)
+        f, g = rand_fn(2, 60, complex_valued=True), rand_fn(2, 61)
+        K = {"PairKernel(evaluator)": lambda: PairKernel(lambda a, b: 2.0 * f(a) * g(b)),
+             "PairKernel(factors)": lambda: PairKernel(factors=(f, g)),
+             "PairKernel(factors, powers)": lambda: PairKernel(
+                 factors=(f, g), sum_weight_power=2, magnitude_power=2),
+             "tensor": lambda: PairKernel.tensor(f, g),
+             "one": PairKernel.one,
+             "weighted_pair_kernel": lambda: weighted_pair_kernel(f),
+             "abs_squared": lambda: weighted_pair_kernel(f).abs_squared(),
+             "abs_squared(evaluator)": lambda: PairKernel(weighted_pair_kernel(f)).abs_squared(),
+             }[case]()
+        for F, G in ((K, PairKernel.one()), (PairKernel.one(), K)):
+            ball = bilinear_b(F, G, grids)
+            outer = bilinear_b(F, G, grids, method="outer")
+            assert abs(outer - ball) <= 1e-13 * abs(ball)
 
     def test_outer_route_is_independent_of_the_ball_route(self, monkeypatch):
         f = rand_fn(4, 59, complex_valued=True)
@@ -405,7 +456,7 @@ def node_valued_cases():
     f, g = rand_fn(4, 150, complex_valued=True), rand_fn(3, 151, complex_valued=True)
     fsh = f.sharp_rearrangement()
     absf, absg = (SphereFunction(lambda p, h=h: np.abs(h(p))) for h in (f, g))
-    odd = PairKernel(lambda a, b: np.abs(f(a) * g(b)), factors=(f, g), magnitude_power=1)
+    odd = PairKernel(factors=(f, g), magnitude_power=1)
     return [(PairKernel.tensor(literal(f), literal(g)), (literal(f), literal(g))),
             (PairKernel.tensor(f, fsh), (f, fsh)), (odd, (absf, absg))]
 
@@ -516,7 +567,7 @@ class TestHalfTurnRule:
         f = rand_fn(L, 142, complex_valued=complex_valued)
         g = rand_fn(L, 143, complex_valued=True)
         for K, p in magnitude_kernels(f, g):
-            flat = PairKernel(K.evaluator)   # no structure: pair_slice_average
+            flat = PairKernel(K)   # no structure: pair_slice_average
             exact = bilinear_b(flat, PairKernel.one(), forms.FormGrids(self.ball, 2 * p * L + 2))
             for n_c in (4, 6, 7, 12):
                 grids = forms.FormGrids(self.ball, n_c)
@@ -547,23 +598,21 @@ class TestHalfTurnRule:
         col = grids.slice_column(4)
         # each part at +-p is expanded once on every slice, chunk by chunk
         assert {shape for shape, _ in expanded} == {(9, 18)}
-        assert sum(rows for _, rows in expanded) == parts * 2 * col.n_az // 2 * col.radii.size
+        assert sum(rows for _, rows in expanded) == parts * 2 * col.n_t * col.radii.size
         assert col.expansion.shape == (9, 12)
 
 
 class _UpperRows:
-    """A SliceColumn seen from azimuth rows [n_t, 2 n_t): forms._kernel_profile
+    """A ball grid seen from azimuth rows [n_t, 2 n_t): forms._kernel_profile
     reads its rows [0, n_t) there."""
 
-    def __init__(self, col):
-        self._col = col
+    def __init__(self, ball):
+        self._ball = ball
 
-    def __getattr__(self, name):
-        return getattr(self._col, name)
-
-    def centres(self, a0, a1):
-        n_t = self._col.n_az // 2
-        return self._col.centres(a0 + n_t, a1 + n_t)
+    def points(self):
+        n_az = self._ball.directions.exactness_degree + 1
+        rows = self._ball.points().reshape(-1, n_az, 3)
+        return np.roll(rows, -(n_az // 2), axis=1).reshape(-1, 3)
 
 
 def unfolded_b(F, G, grids):
@@ -576,16 +625,15 @@ def unfolded_b(F, G, grids):
     plan = convolution.SlicePlan(
         [(f, negate) for K, negate in kernels if forms._on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
-    n_t = col.n_az // 2
-    x = col.centres(n_t, col.n_az)
+    x = ball_rows(grids.ball, col.n_t, 2 * col.n_t)
     pts = convolution.slice_point_table(x.reshape(-1, 3), col.n_c)[0]
     upper = [convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
              else convolution.SplitValues(v)
              for v in plan.at(pts.reshape(x.shape[:-1] + (-1, 3)))]
     total = 0.0 + 0.0j
-    for values, rows in ((col.sampler(plan), col), (upper, _UpperRows(col))):
+    for values, ball in ((col.sampler(plan), grids.ball), (upper, _UpperRows(grids.ball))):
         values = iter(values)
-        pf, pg = [forms._kernel_profile(K, values, rows, negate) for K, negate in kernels]
+        pf, pg = [forms._kernel_profile(K, values, col, ball, negate) for K, negate in kernels]
         total += np.sum(col.weights * pf * pg)
     return total
 
@@ -623,24 +671,28 @@ class TestAntipodalFold:
         grids = default_form_grids(n_t=9, n_c=18, n_r=10)
         f = rand_fn(4, 66, complex_valued=True)
         generic = PairKernel(lambda a, b: f(a) * np.exp(np.sum(a * b, axis=-1)))
-        rows = []
-        column = convolution.SliceColumn
-        sampler, centres = column.sampler, column.centres
+        rows, centres = [], []
+        sampler, average = convolution.SliceColumn.sampler, forms.pair_slice_average
 
         def spy_sampler(col, plan):
             values = sampler(col, plan)
             rows.extend(range(len(values[0].re)))
             return values
 
-        def spy_centres(col, a0, a1):
-            rows.extend(range(a0, a1))
-            return centres(col, a0, a1)
+        def spy_average(K, X, n_c):
+            centres.append(X)
+            return average(K, X, n_c)
 
-        monkeypatch.setattr(column, "sampler", spy_sampler)
-        monkeypatch.setattr(column, "centres", spy_centres)
+        monkeypatch.setattr(convolution.SliceColumn, "sampler", spy_sampler)
+        monkeypatch.setattr(forms, "pair_slice_average", spy_average)
         bilinear_b(generic, weighted_pair_kernel(f), grids)
-        n_t = grids.slice_column(4).n_az // 2
+        n_t = grids.slice_column(4).n_t
         assert set(rows) == set(range(n_t))
+        # the literal kernel's slices sit at the ball grid's own nodes of
+        # rows [0, n_t), and at their negations
+        x = ball_rows(grids.ball, 0, n_t).reshape(-1, 3)
+        assert len(centres) == 2
+        assert np.array_equal(centres[0], x) and np.array_equal(centres[1], -x)
 
     @pytest.mark.parametrize("case", ["odd", "unstructured"])
     def test_literal_kernels_go_through_pair_slice_average(self, case, monkeypatch):
@@ -657,6 +709,16 @@ class TestAntipodalFold:
                 return evaluator(omega, nu)
             return ev
 
+        class SpiedFactor:
+            # h's coefficients, which a SlicePlan backs with rows, and a spy
+            # on its point calls
+            def __init__(self, h):
+                self.coeffs, self._h = h.coeffs, h
+
+            def __call__(self, p):
+                calls.append(inside[0])
+                return self._h(p)
+
         average, spectra = forms.pair_slice_average, convolution.SliceColumn.spectra
 
         def spy_average(K, X, n_c):
@@ -671,7 +733,7 @@ class TestAntipodalFold:
             return spectra(col, coeffs)
 
         if case == "odd":
-            F = PairKernel(spied(lambda a, b: f(a) * fs(b)), factors=(f, fs))
+            F = PairKernel.tensor(SpiedFactor(f), SpiedFactor(fs))
             G = F
         else:
             F = PairKernel(spied(lambda a, b: f(a) * fs(b) * (1.0 + np.sum(a * b, axis=-1))))
@@ -815,7 +877,7 @@ class TestSpectraMemo:
         f = rand_fn(4, 106, complex_valued=True)
         chain_values(f, grids)
         col = grids.slice_column(4)
-        n_t, modes = col.n_az // 2, col.table.shape[1]
+        n_t, modes = col.n_t, col.table.shape[1]
         held = held_fields(col)
         assert len(held) == 4
         assert all(v.shape == (n_t, col.radii.size, 2 * col.L + 1) for v in held.values())
@@ -955,7 +1017,7 @@ class TestSpectraMemo:
         # in canonical sign (SlicePlan): a[0], of degree 0, leads both rows
         fields = col.recall(np.sign(a[0]) * np.stack([a, parity_signs(4) * a]))
         assert fields is held
-        assert fields.shape == (2, col.n_az // 2, col.radii.size, 2 * col.L + 1)
+        assert fields.shape == (2, col.n_t, col.radii.size, 2 * col.L + 1)
         # a's fields outlive the memo here: b must not get a's profile
         g = SphereFunction.from_coeffs(HarmonicCoeffs(4, b))
         gs = g.antipodal_conjugate()
@@ -1059,8 +1121,7 @@ class TestSameKernelFold:
             F, G = W, PairKernel.tensor(f, f)
         else:
             F = W.abs_squared()
-            G = PairKernel(lambda a, b: F(a, b) / np.linalg.norm(a + b, axis=-1) ** 2,
-                           factors=W.factors, sum_weight_power=2)
+            G = PairKernel(factors=W.factors, sum_weight_power=2)
         assert F.factors[0] is G.factors[0] and F.factors[1] is G.factors[1]
         value = bilinear_b(F, G, grids)
         assert profile_calls["pair_profile"] == 4
@@ -1073,7 +1134,7 @@ class TestSameKernelFold:
         K = PairKernel(lambda a, b: f(a) * f(b) * np.exp(np.sum(a * b, axis=-1)))
         folded = bilinear_b(K, K, grids)
         assert profile_calls["pair_slice_average"] == 4
-        whole = bilinear_b(K, PairKernel(K.evaluator), grids)
+        whole = bilinear_b(K, PairKernel(K), grids)
         assert profile_calls["pair_slice_average"] == 8
         assert folded == whole
 
@@ -1228,10 +1289,10 @@ class TestHeldProducts:
         quadrilinear_q(f, fs, f, fs, grids)
         assert expanded == []
         held = [p.shape for p in held_products(col)]
-        assert held and all(shape == (col.n_az // 2, col.radii.size) for shape in held)
+        assert held and all(shape == (col.n_t, col.radii.size) for shape in held)
         quadrilinear_q(sharp, sharp, sharp, sharp, grids)
         # two rows, each on every slice once, chunk by chunk
-        assert sum(expanded) == 2 * col.n_az // 2 * col.radii.size
+        assert sum(expanded) == 2 * col.n_t * col.radii.size
         # the sharp plan reads no row in modes: its sampler keeps none of f's
         # products, and its sharp values keep their own store
         assert not held_products(col)
@@ -1266,7 +1327,7 @@ class TestNodeChunks:
         L = 8
         grids = default_form_grids(n_t=24, n_c=48, n_r=24)
         col = grids.slice_column(L)
-        assert col.n_az // 2 == 24
+        assert col.n_t == 24
         slices = 12 * col.radii.size
         f = rand_fn(L, 160)
         sharp = f.sharp_rearrangement()

@@ -25,7 +25,6 @@ from helpers import unit_vectors
 
 PI = np.pi
 UNIT_Z = np.array([[0.0, 0.0, 1.0]])
-BASIS2 = build_basis(2, build_sphere_grid(3))
 
 
 class TestIndexing:
@@ -50,7 +49,7 @@ class TestIndexing:
         with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
             flat_index(2, m)
         with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
-            eigenvalue_residual(2, m, BASIS2)
+            eigenvalue_residual(2, m)
 
     def test_parity_signs_follow_degree(self):
         signs = parity_signs(3)
@@ -263,8 +262,8 @@ class TestHarmonicCoeffs:
         (lambda: flat_index(1.5, 0), "k must be a nonnegative integer, got 1.5"),
         (lambda: n_coeffs(-3), "L must be a nonnegative integer, got -3"),
         (lambda: parity_signs(-1), "L must be a nonnegative integer, got -1"),
-        (lambda: eigenvalue_residual(1.5, 0, BASIS2), "k must be a nonnegative integer, got 1.5"),
-        *[(lambda n=n: eigenvalue_residual(1, 0, BASIS2, mesh_size=n),
+        (lambda: eigenvalue_residual(1.5, 0), "k must be a nonnegative integer, got 1.5"),
+        *[(lambda n=n: eigenvalue_residual(1, 0, mesh_size=n),
            f"mesh_size must be an integer >= 5, got {n}") for n in range(5)],
     ])
     def test_degrees_and_sizes_must_be_integers_in_range(self, call, message):
@@ -272,7 +271,7 @@ class TestHarmonicCoeffs:
             call()
 
     def test_smallest_eigenvalue_mesh_keeps_one_row(self):
-        assert eigenvalue_residual(1, 0, BASIS2, mesh_size=5) >= 0.0
+        assert eigenvalue_residual(1, 0, mesh_size=5) >= 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_non_finite_rejected(self, bad):
@@ -383,24 +382,18 @@ class TestSphereFunction:
 
 
 class TestEigenvalueResidual:
-    def test_constant_is_exact(self, grid17):
-        basis = build_basis(8, grid17)
-        assert eigenvalue_residual(0, 0, basis) == 0.0
+    def test_constant_is_exact(self):
+        assert eigenvalue_residual(0, 0) == 0.0
 
     @pytest.mark.parametrize("k,m,budget", [(1, 0, 1e-3), (4, 2, 5e-2)])
-    def test_finite_difference_laplacian_scale(self, grid17, k, m, budget):
-        basis = build_basis(8, grid17)
-        assert eigenvalue_residual(k, m, basis, mesh_size=96) <= budget
+    def test_finite_difference_laplacian_scale(self, k, m, budget):
+        assert eigenvalue_residual(k, m, mesh_size=96) <= budget
 
-    def test_residual_shrinks_quadratically(self, grid17):
-        basis = build_basis(8, grid17)
-        coarse = eigenvalue_residual(4, 2, basis, mesh_size=96)
-        fine = eigenvalue_residual(4, 2, basis, mesh_size=192)
+    def test_residual_shrinks_quadratically(self):
+        coarse = eigenvalue_residual(4, 2, mesh_size=96)
+        fine = eigenvalue_residual(4, 2, mesh_size=192)
         assert 3.2 <= coarse / fine <= 4.8
 
-    def test_out_of_range_indices_rejected(self, grid17):
-        basis = build_basis(8, grid17)
+    def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValueError):
-            eigenvalue_residual(9, 0, basis)
-        with pytest.raises(ValueError):
-            eigenvalue_residual(2, 3, basis)
+            eigenvalue_residual(2, 3)
