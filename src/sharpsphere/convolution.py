@@ -9,16 +9,18 @@ the ball route (forms.FormGrids.conv_l2_norm and .l4_norm).
 
 On the slice at x a band-limited f of degree L is a trigonometric polynomial
 of degree L in the slice angle psi, and the partner x - p of the node at psi
-sits at psi + pi. SliceColumn holds such f as its 2L+1 slice-angle modes,
-which pair_profile pairs by Parseval, and |f tensor g|^p of even p on the
-band limit's own 2(pL+1) nodes (pair_profile's node rule), both exactly at
-every n_c. Node values, at each slice's nodes p_j and their partners (n_c
-nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are for what has
-no band limit but is formed from coefficient rows: sharp rearrangements and
-|.|^p of odd p. They are formed one chunk of slices at a time
-(_CHUNK_BYTES), as pair_profile pairs them, and never for a whole column.
-Literal callables have no place on the column; pair_slice_average takes
-them at slice_point_table's nodes. Pointwise values of f sigma * g sigma
+sits at psi + pi. SliceColumn gives such f as its 2L+1 slice-angle modes,
+synthesized from two factors, a rotation block per polar ring and degree
+and the Legendre values per radius, never held as one table of every
+centre's modes. pair_profile pairs the modes by Parseval, and |f tensor
+g|^p of even p on the band limit's own 2(pL+1) nodes (pair_profile's node
+rule), both exactly at every n_c. Node values, at each slice's nodes p_j
+and their partners (n_c nodes, or at odd n_c the uniform 2 n_c: see
+_half_turn), are for what has no band limit but is formed from coefficient
+rows: sharp rearrangements and |.|^p of odd p. They are formed one chunk of
+slices at a time (_CHUNK_BYTES), as pair_profile pairs them, and never for
+a whole column. Literal callables have no place on the column;
+pair_slice_average takes them at slice_point_table's nodes. Pointwise values of f sigma * g sigma
 come two ways: convolve_many reads f and g at those nodes through one
 SlicePlan, and pair_slice_average of the kernel f tensor g is the literal
 route it is checked against, each in batches of centres sized by bytes.
@@ -31,8 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values, parity_signs
-from .quadrature import BallGrid, SphereGrid, _require_int, circle_frames
+from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, harmonic_values,
+                        parity_signs)
+from .quadrature import BallGrid, SphereGrid, _require_int, build_sphere_grid, circle_frames
 
 __all__ = [
     "SliceColumn",
@@ -46,9 +49,9 @@ __all__ = [
 ]
 
 # Bytes per chunk of one array that is formed in pieces (_chunks): a part's
-# modes or node values on a chunk of slices, a pass's Fourier rows on a chunk
-# of table columns, the harmonic values of a chunk of column centres. A chunk
-# and the few arrays formed next to it sit in L2.
+# modes or node values on a chunk of slices, a synthesis pass's fields on a
+# chunk of (row, azimuth) pairs, the harmonics at a chunk of rings' turned
+# projection nodes. A chunk and the few arrays formed next to it sit in L2.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -96,11 +99,10 @@ def _mode_weights(modes: int) -> np.ndarray:
     return w
 
 
-def _chunks(n: int, item_bytes: int, align: int = 1) -> list:
+def _chunks(n: int, item_bytes: int) -> list:
     # ranges (i0, i1) covering range(n) in order, each of at most
-    # _CHUNK_BYTES for items of item_bytes, and each but the last a multiple
-    # of align items, at least align
-    step = max(1, _CHUNK_BYTES // item_bytes // align) * align
+    # _CHUNK_BYTES for items of item_bytes, and at least one item
+    step = max(1, _CHUNK_BYTES // item_bytes)
     return [(i0, min(i0 + step, n)) for i0 in range(0, n, step)]
 
 
@@ -389,6 +391,45 @@ class SlicePlan:
         return [dense[i] for i in self._index]
 
 
+def _legendre_factor(L: int, radial_nodes: np.ndarray) -> list:
+    # per order m, Pbar_k^m(r/2) per radius r and degree k = m..L, times
+    # sqrt(2) for m > 0: shape (radii, L+1-m). Taken in np.longdouble and
+    # rounded once, as every field shares them
+    t = 0.5 * radial_nodes.astype(np.longdouble)
+    values = np.empty(((L + 1) ** 2, t.size), dtype=np.longdouble)
+    _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
+    values[[k * k + k + m for k in range(L + 1) for m in range(1, k + 1)]] *= np.sqrt(
+        np.longdouble(2))
+    return [values[[k * k + k + m for k in range(m, L + 1)]].T.astype(float)
+            for m in range(L + 1)]
+
+
+def _rotation_blocks(L: int, rings: np.ndarray) -> list:
+    # per degree k, every ring's block D_j^k, shape (2k+1 orders m, 2k+1
+    # modes, rings): Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), R_j =
+    # (e1, e2, u_j) of circle_frames, columns m' in mode order 0, 1, -1, ...,
+    # k, -k. Projected on a grid exact for degree 2L, a chunk of rings at a
+    # time (4 _CHUNK_BYTES of harmonics at the turned grid nodes), then made
+    # orthogonal to rounding by one Newton-Schulz step, D <- D (3I - D^T D) / 2
+    grid = build_sphere_grid(L + 1)
+    weighted = harmonic_values(L, grid.nodes)
+    weighted *= grid.weights
+    _, _, e1, e2 = circle_frames(rings)
+    frames = np.stack([e1, e2, rings], axis=1)   # q @ frames[j] is R_j q
+    blocks = [np.empty((2 * k + 1, 2 * k + 1, len(rings))) for k in range(L + 1)]
+    for j0, j1 in _chunks(len(rings), 8 * weighted.size // 4):
+        turned = harmonic_values(L, (grid.nodes @ frames[j0:j1]).reshape(-1, 3))
+        for k, block in enumerate(blocks):
+            lo, hi = k * k, (k + 1) * (k + 1)
+            modes = [k] + [k + s * i for i in range(1, k + 1) for s in (1, -1)]
+            d = turned[lo:hi].reshape(-1, grid.n_nodes) @ weighted[lo:hi].T
+            d = d.reshape(2 * k + 1, j1 - j0, 2 * k + 1).transpose(1, 0, 2)[..., modes]
+            d = 1.5 * d - 0.5 * (d @ (d.transpose(0, 2, 1) @ d))
+            block[..., j0:j1] = d.transpose(1, 2, 0)
+        del turned   # before the next chunk's
+    return blocks
+
+
 class SliceColumn:
     """The circle slices of a product ball grid, tabulated on one azimuth column.
 
@@ -401,25 +442,25 @@ class SliceColumn:
         Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
         Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
 
-    so a band-limited f on every slice is trig @ spectra(c): spectra mixes
-    the coefficients with the column table into the 2L+1 azimuth Fourier rows
-    A_0, A_1, B_1, ..., A_L, B_L, and row a of trig holds 1, cos(m alpha_a),
-    sin(m alpha_a).
-
-    On each slice, degree-L harmonics are trigonometric polynomials of degree
-    L in the slice angle psi, so the table holds their 2L+1 psi-modes
-    1, cos psi, sin psi, ..., cos L psi, sin L psi per column centre: shape
-    ((L+1)^2, column centres * (2L+1)), centre-major, built from harmonic
-    values at 2L+1 uniform slice angles by one exact real DFT. The table rows
-    are grouped by order: degrees 0..L of order 0, then for each m >= 1 the
-    +m rows of degrees m..L followed by the -m rows, so every order is one
-    contiguous block. Nothing in it depends on n_c: pair_profile pairs modes
-    exactly (_mode_weights), and the slice nodes enter only through
-    expansion, the (2L+1, N) matrix to each slice's N nodes, n_c or, at odd
-    n_c, 2 n_c: the rule nodes, then their partners x - p_j (see _half_turn).
-    Those node values serve only what has no band limit but is formed from
-    coefficient rows: sharp rearrangements and |.|^p of odd p; pair_profile
-    pairs |.|^p of even p on its band limit's own rule.
+    so f on row a's slices is f turned, its coefficients mixed order by
+    order, on the first column's. There the slice at radius r on polar ring
+    j is the latitude circle t = r/2 turned by the ring's frame R_j = (e1,
+    e2, u_j) (circle_frames): its node at slice angle psi is R_j (rho cos
+    psi, rho sin psi, r/2), rho = sqrt(1 - r^2/4). So Y_{k,m}(R_j q) =
+    sum_m' D_j^k[m, m'] Y_{k,m'}(q), and Y_{k,m'} on that circle is
+    Pbar_k^|m'|(r/2) times 1, sqrt(2) cos(m' psi) or sqrt(2) sin(|m'| psi):
+    slice-angle modes 0, 2m'-1 and 2|m'| of the 2L+1 modes 1, cos psi, sin
+    psi, ..., cos L psi, sin L psi. The column holds these two factors and
+    no table of every centre's modes: rotations, per degree the blocks of
+    every ring (_rotation_blocks), and legendre, the Pbar factors per
+    radius (_legendre_factor). synthesize forms fields from them. Nothing
+    here depends on n_c: pair_profile pairs modes exactly (_mode_weights),
+    and the slice nodes enter only through expansion, the (2L+1, N) matrix
+    to each slice's N nodes, n_c or, at odd n_c, 2 n_c: the rule nodes,
+    then their partners x - p_j (see _half_turn). Those node values serve
+    only what has no band limit but is formed from coefficient rows: sharp
+    rearrangements and |.|^p of odd p; pair_profile pairs |.|^p of even p
+    on its band limit's own rule. The build places no slice node.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -430,8 +471,8 @@ class SliceColumn:
     circle_frames gives -x the frame (-e1, e2): -x's slice is x's negated,
     slice angle negated. So the ball routes read rows [0, n_t) only, at p
     and at -p, the latter as the parity-flipped coefficient row (SlicePlan);
-    trig holds those rows alone. The column keeps no point and no literal
-    call (SlicePlan.values refuses one).
+    the column turns rows to those azimuths alone. The column keeps no point
+    and no literal call (SlicePlan.values refuses one).
 
     The column's one memo, of its last call's rows and their products, is
     described at recall; the forms route reads it through sampler.
@@ -442,100 +483,97 @@ class SliceColumn:
         n_t = (dirs.exactness_degree + 1) // 2
         if dirs.n_nodes != 2 * n_t * n_t:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
-        centres = (ball.radial_nodes[:, None, None] * dirs.nodes[::2 * n_t]).reshape(-1, 3)
-        self.weights = ball.weights()[::2 * n_t]
+        rings = dirs.nodes[::2 * n_t]
+        self.rotations = _rotation_blocks(L, rings)   # first: its build peaks highest
+        self.weights = (ball.radial_weights[:, None] * dirs.weights[::2 * n_t]).ravel()
+        self.radii = np.linalg.norm(
+            (ball.radial_nodes[:, None, None] * rings).reshape(-1, 3), axis=-1)
         self.n_c, self.n_t, self.L = n_c, n_t, L
-        m_alpha = (np.arange(n_t) * (np.pi / n_t))[:, None] * np.arange(1, L + 1)
-        self.trig = np.ones((n_t, 2 * L + 1))
-        self.trig[:, 1::2] = np.cos(m_alpha)
-        self.trig[:, 2::2] = np.sin(m_alpha)
-        order, mix, sign = [k * k + k for k in range(L + 1)], [], []
-        for m in range(1, L + 1):
-            plus, minus = ([k * k + k + s for k in range(m, L + 1)] for s in (m, -m))
-            order += plus + minus
-            mix += plus + minus + minus + plus   # spectra's [[plus, minus], [minus, -plus]]
-            sign += [1.0] * (3 * len(plus)) + [-1.0] * len(plus)
-        self._mix = np.array(order[:L + 1] + mix), np.array([1.0] * (L + 1) + sign)
         self.expansion = _expansion(L, n_c)
-        # harmonics at 2L+1 uniform slice angles, the rule nodes of that odd
-        # count, one chunk of column centres at a time; one DFT of all the
-        # chunk's rows takes their values to their modes, which are copied
-        # into each row's ordered slot. A chunk's values take 4 _CHUNK_BYTES:
-        # each chunk makes one harmonic_values call, some 250 numpy calls at
-        # L=8, which would dominate smaller chunks
-        modes = 2 * L + 1
-        self.radii = np.linalg.norm(centres, axis=-1)
-        dft = _expansion(L, modes)[:, :modes].T * (np.where(np.arange(modes), 2.0, 1.0) / modes)
-        self.table = np.empty((len(order), len(centres) * modes))
-        for c0, c1 in _chunks(len(centres), 8 * len(order) * modes // 4):
-            uniform = slice_point_table(centres[c0:c1], modes)[0][:, :modes]
-            values = harmonic_values(L, uniform.reshape(-1, 3)).reshape(len(order), -1, modes)
-            dft_rows = (values.reshape(-1, modes) @ dft).reshape(len(order), -1)
-            self.table[:, c0 * modes:c1 * modes] = dft_rows[order]
+        # the turn to azimuth row a: slot (k, m) takes cos(m alpha_a) of
+        # itself and sin(m alpha_a) of its partner (k, -m)
+        slot = np.arange((L + 1) ** 2)
+        deg = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        order = slot - deg * deg - deg
+        m_alpha = (np.arange(n_t) * (np.pi / n_t))[:, None] * order
+        self._turn = np.cos(m_alpha), np.sin(m_alpha), slot - 2 * order
+        self.legendre = _legendre_factor(L, ball.radial_nodes)
+        # synthesize's buffer rows, order-major: order m's degrees m..L, each
+        # with its modes, 0 or 2m-1 and 2m; per degree k, the rows of its
+        # modes 0..2k in mode order
+        width = [L + 1] + [2 * (L + 1 - m) for m in range(1, L + 1)]
+        start = np.cumsum([0] + width)
+        self._orders = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+        self._degrees = [[k] + [start[(d + 1) // 2] + 2 * (k - (d + 1) // 2) + (d + 1) % 2
+                               for d in range(1, 2 * k + 1)] for k in range(L + 1)]
         # the last recall's padded rows, its fields buffer and the fields'
         # real products
         self._memo = (None, (), {})
 
-    def spectra(self, coeffs: np.ndarray):
-        """Azimuth Fourier rows of real coefficient rows, in one pass over the
-        table, one chunk of table columns at a time.
-
-        coeffs has shape (n, (L+1)^2), the table's width, in the flat layout:
-        recall pads lower-degree rows to it. Yields ((c0, c1), rows) per
-        chunk, in column order: rows of shape (n, 2L+1, c1 - c0), on table
-        columns c0:c1. Each order's rows are written in place: rows is a
-        view of a Fourier-row-major buffer of that chunk alone.
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The fields of real coefficient rows, shape (n, (L+1)^2), in a new
+        buffer (n, n_t, column centres, 2L+1): row i's slice-angle modes on
+        the slices of azimuth rows [0, n_t). One pass turns each row to the
+        n_t azimuths; per degree k, takes every ring's block on the turned
+        rows in one matmul, into a buffer of modes d <= 2k only; then per
+        chunk of (row, azimuth) pairs, 4 _CHUNK_BYTES of fields, and per
+        order m, takes the Legendre factors on the buffer rows of m's modes
+        in one matmul, and copies the chunk into the fields, transposed.
         """
-        L, nv = self.L, len(coeffs)
-        c = coeffs[:, self._mix[0]] * self._mix[1]   # order 0, then each order's mixing matrix
-        # chunks start at multiples of 64 columns, where BLAS's column tiles
-        # start in a product over the whole table too: each entry, and each
-        # synthesized one (recall), is bit for bit that of the whole product
-        for c0, c1 in _chunks(self.table.shape[1], 8 * (2 * L + 1) * nv, 64):
-            table = self.table[:, c0:c1]
-            out = np.empty((2 * L + 1, nv, c1 - c0))
-            np.matmul(c[:, :L + 1], table[:L + 1], out=out[0])
-            lo = L + 1
-            for m in range(1, L + 1):
-                n = L + 1 - m
-                mix = c[:, 2 * lo - L - 1:2 * lo - L - 1 + 4 * n].reshape(nv, 2, 2 * n)
-                np.matmul(mix.transpose(1, 0, 2).reshape(2 * nv, 2 * n), table[lo:lo + 2 * n],
-                          out=out[2 * m - 1:2 * m + 1].reshape(2 * nv, -1))
-                lo += 2 * n
-            yield (c0, c1), out.transpose(1, 0, 2)
+        L, n_t, nv = self.L, self.n_t, len(coeffs)
+        n_r, modes = len(self.radii) // n_t, 2 * L + 1
+        cos, sin, partner = self._turn
+        turned = (coeffs[:, None] * cos + coeffs[:, None, partner] * sin).reshape(nv * n_t, -1)
+        # n chunks of step (row, azimuth) pairs, zero rows padding the last
+        n = -(-len(turned) // max(1, 4 * _CHUNK_BYTES // (8 * n_r * modes * n_t)))
+        step = -(-len(turned) // n)
+        turned = np.concatenate([turned, np.zeros((n * step - len(turned), turned.shape[1]))])
+        rings = np.empty((n, (L + 1) ** 2, step, n_t))   # per chunk, buffer row, pair, ring
+        for k, (block, at) in enumerate(zip(self.rotations, self._degrees)):
+            out = turned[:, k * k:(k + 1) * (k + 1)] @ block.reshape(2 * k + 1, -1)
+            rings[:, at] = out.reshape(n, step, 2 * k + 1, n_t).transpose(0, 2, 1, 3)
+        fields = np.empty((nv * n_t, n_r, n_t, modes))
+        chunk = np.empty((n_r, modes, step, n_t))
+        for c in range(n):
+            for m, (legendre, held) in enumerate(zip(self.legendre, self._orders)):
+                np.matmul(legendre, rings[c, held].reshape(L + 1 - m, -1),
+                          out=chunk[:, max(0, 2 * m - 1):2 * m + 1].reshape(n_r, -1))
+            pairs = fields[c * step:(c + 1) * step]
+            pairs[...] = chunk[:, :, :len(pairs)].transpose(2, 0, 3, 1)
+        return fields.reshape(nv, n_t, n_r * n_t, modes)
 
     def recall(self, rows):
         """The fields of real coefficient rows, shape (n, (L'+1)^2) or None: a
         read-only buffer (n, n_t, column centres, 2L+1), row i's slice-angle
-        modes on the slices of azimuth rows [0, n_t).
+        modes on the slices of azimuth rows [0, n_t) (synthesize). Rows
+        above the column's band limit, L' > L, raise ValueError.
 
         This is the column's one memo. It holds the last call's rows, padded
-        to the table's (L+1)^2 columns, their fields, and a store of the
+        to the column's (L+1)^2 columns, their fields, and a store of the
         fields' real products in modes, which pair_profile forms at most once
         while the fields are held (see sampler). A call whose
         padded rows equal the held ones (np.array_equal) gets the held buffer
         back; rows equal up to sign are equal here, as SlicePlan stores them.
-        Any other rows replace the memo: all take one spectra pass, each chunk
-        of which is synthesized by trig @ spectra straight into its
-        columns of one buffer, so the spectra are never held whole; since
-        BLAS may round a row differently in a batch of another size, every
-        field is bit for bit that of a fresh column. The products kept with
-        the fields replaced are dropped. A call without rows gets an empty
-        buffer and leaves the memo as it is. Node values are not kept: a row
-        at the nodes takes N / (2L+1) times the memory of its modes, so
+        Any other rows replace the memo: all take one synthesize pass, and
+        since BLAS may round a row differently in a batch of another size,
+        every field is bit for bit that of a fresh column. The products kept
+        with the fields replaced are dropped. A call without rows gets an
+        empty buffer and leaves the memo as it is. Node values are not kept:
+        a row at the nodes takes N / (2L+1) times the memory of its modes, so
         pair_profile forms them per chunk of slices.
         """
         if rows is None or not len(rows):
             return ()
-        padded = np.zeros((len(rows), self.table.shape[0]))
+        width = (self.L + 1) ** 2
+        if rows.shape[1] > width:
+            raise ValueError(f"rows of degree {math.isqrt(rows.shape[1]) - 1} need a column "
+                             f"of band limit at least that; this one has L = {self.L}")
+        padded = np.zeros((len(rows), width))
         padded[:, :rows.shape[1]] = rows
         if np.array_equal(padded, self._memo[0]):
             return self._memo[1]
         self._memo = (None, (), {})   # frees the last call's buffer before this call's
-        fields = np.empty((len(rows), self.n_t, self.radii.size, 2 * self.L + 1))
-        flat = fields.reshape(len(rows), self.n_t, -1)
-        for (c0, c1), spectra in self.spectra(padded):
-            np.matmul(self.trig, spectra, out=flat[..., c0:c1])
+        fields = self.synthesize(padded)
         fields.flags.writeable = False
         self._memo = (padded, fields, {})
         return fields
@@ -548,9 +586,9 @@ class SliceColumn:
         slice-angle modes, parts of shape (n_t, column centres, 2L+1), with
         this column's expansion; a part at -p is the field of its
         parity-flipped row on the same azimuth rows. Sharp values are formed
-        at the slice nodes per use, from those fields. The table must reach
-        plan.degree, and plan must hold no literal call (_backed): one raises
-        ValueError.
+        at the slice nodes per use, from those fields. The column must reach
+        plan.degree (recall), and plan must hold no literal call (_backed):
+        either raises ValueError.
 
         Coefficient-backed values carry the memo's product store, keyed by
         index into plan.rows. The sampler keeps there only the products of

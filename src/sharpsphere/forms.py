@@ -172,15 +172,16 @@ class FormGrids:
     nodes of ball.directions.
 
     The ball route memoizes a SliceColumn on this object, through the largest
-    band limit asked for so far: the slice-angle modes of the harmonics on
-    one azimuth column of slices, (L+1)^2 n_r n_t (2L+1) entries at every
-    n_c, 6.3 MB at L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for
-    geometry and basis once. The column's memo of the last call's rows and
-    their products (SliceColumn.recall; 1.9 MB a row above), with rows
-    identified as SlicePlan states, lets a chain of Q/B calls on one f, such
-    as the paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) =
-    3/4 B(F, F) and B(F, F) <= B(|F|^2, 1), run one spectra pass and one
-    synthesis for f's rows at +-p: two, or four for complex f. |F|^2 of
+    band limit asked for so far: the factors of the harmonics' slice-angle
+    modes on one azimuth column of slices, a rotation block per polar ring
+    and degree and the Legendre values per radius, at every n_c: 0.25 MB at
+    L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for geometry and
+    basis once. The column's memo of the last call's rows and their
+    products (SliceColumn.recall; 1.9 MB a row above), with rows identified
+    as SlicePlan states, lets a chain of Q/B calls on one f, such as the
+    paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F)
+    and B(F, F) <= B(|F|^2, 1), run one synthesis pass (SliceColumn.synthesize)
+    for f's rows at +-p: two, or four for complex f. |F|^2 of
     band-limited f pairs on its band limit's own rule (see pair_profile),
     exactly at every n_c, so only f# reads values at the slice nodes, one
     chunk of slices at a time (pair_profile), kept nowhere. Kernels with a
@@ -293,7 +294,7 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t.
     # Factors backed by coefficient rows are sampled at p, and at -p from
     # parity-flipped coefficient rows on the same azimuth rows, through one
-    # plan and one column table (row identity: SlicePlan; the memo of rows
+    # plan and one column (row identity: SlicePlan; the memo of rows
     # and products across calls: SliceColumn.recall). Every profile sums
     # real products of the sampled parts, each formed once (pair_profile):
     # F's profile at -x for F = f tensor f_star, and G's in
@@ -342,7 +343,7 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows; G = F
     takes the same four profiles, G's read from the products of F's.
     Structured kernels whose factors are coefficient-backed, or sharp
-    rearrangements of such, pair their factors sampled on the column table
+    rearrangements of such, pair their factors sampled on the column
     at p and at -p: band-limited factors in slice-angle modes, |.|^p of even
     p among them, exactly at every n_c, and sharp factors (and |.|^p of odd
     p) at the slice nodes, n_c or, at odd n_c, 2 n_c (see pair_profile).

@@ -76,27 +76,30 @@ def _assoc_legendre_rows(L: int, t: np.ndarray, s: np.ndarray, out: np.ndarray):
     Y_{k,0} = Pbar_k^0 and Y_{k,+-m} = sqrt(2) * Pbar_k^m * {cos,sin}(m phi)
     are orthonormal in L2(sigma). Recursion is along increasing k at fixed m,
     seeded by the diagonal march; all multipliers are O(1), so the scheme is
-    stable for the moderate degrees used here.
+    stable for the moderate degrees used here. The multipliers are rounded
+    to out's dtype, so np.longdouble arrays get longdouble values; for
+    float64 they are Python floats, the faster scalars.
     """
+    one = 1.0 if out.dtype == np.float64 else out.dtype.type(1)
     scratch = np.empty_like(t)
-    pmm = np.full_like(t, 1.0 / np.sqrt(4.0 * np.pi))
+    pmm = np.full_like(t, one / np.sqrt(4 * np.arccos(-one)))
     for m in range(L + 1):
         out[m * m + 2 * m] = pmm
         if m == L:
             break
         row = out[(m + 1) * (m + 2) + m]
         np.multiply(t, out[m * m + 2 * m], out=row)
-        row *= np.sqrt(2.0 * m + 3.0)
+        row *= np.sqrt((2 * m + 3) * one)
         for k in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+            a = np.sqrt((4 * k * k - 1) * one / (k * k - m * m))
+            b = np.sqrt(((k - 1) ** 2 - m * m) * one / (4 * (k - 1) ** 2 - 1))
             row = out[k * k + k + m]
             np.multiply(t, out[k * k - k + m], out=row)
             np.multiply(out[(k - 1) * (k - 2) + m], b, out=scratch)
             row -= scratch
             row *= a
         np.multiply(pmm, s, out=scratch)
-        scratch *= np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
+        scratch *= np.sqrt((2 * m + 3) * one / (2 * m + 2))
         pmm, scratch = scratch, pmm
 
 

@@ -25,7 +25,7 @@ from sharpsphere import (
     pair_slice_average,
     random_band_limited,
 )
-from sharpsphere import convolution
+from sharpsphere import convolution, harmonics
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
@@ -33,6 +33,8 @@ from helpers import ball_points, ball_rows, rand_fn, unit_vectors
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
+# the ball grid of the paper's chain on refined grids: n_t = 24, n_r = 24
+CHAIN_BALL = build_ball_grid(24, build_sphere_grid(24))
 
 
 class TestLiteralSliceAverage:
@@ -468,21 +470,22 @@ class TestSliceColumn:
         assert np.array_equal(column.weights, self.BALL.weights()[::2 * column.n_t])
         assert np.array_equal(column.radii, np.linalg.norm(X[0], axis=-1))
 
-    def test_trig_holds_the_rows_the_ball_route_reads(self, column):
-        # one row per azimuth row a < n_t: 1, cos(m alpha_a), sin(m alpha_a)
+    def test_turn_covers_the_rows_the_ball_route_reads(self, column):
+        # one turn per azimuth row a < n_t: f turned by alpha_a = a pi / n_t
+        # about z, f(p turned), has coefficients cos * c + sin * c[partner]
         n_t, L = column.n_t, column.L
-        assert column.trig.shape == (n_t, 2 * L + 1) and column.trig.flags.c_contiguous
-        m_alpha = np.outer(np.arange(n_t) * PI / n_t, np.arange(1, L + 1))
-        assert np.all(column.trig[:, 0] == 1.0)
-        # angles up to L pi, rounded in another order
-        assert np.abs(column.trig[:, 1::2] - np.cos(m_alpha)).max() <= 1e-14
-        assert np.abs(column.trig[:, 2::2] - np.sin(m_alpha)).max() <= 1e-14
-        assert not hasattr(column, "centres") and not hasattr(column, "n_az")
-
-    @staticmethod
-    def whole_spectra(column, coeffs):
-        # spectra's one pass, its chunks of table columns joined
-        return np.concatenate([rows for _, rows in column.spectra(coeffs)], axis=-1)
+        cos, sin, partner = column._turn
+        assert cos.shape == sin.shape == (n_t, (L + 1) ** 2)
+        c = random_band_limited(L, np.random.default_rng(59)).coeffs
+        pts = unit_vectors(np.random.default_rng(58), 40)
+        for a in range(n_t):
+            ca, sa = np.cos(a * PI / n_t), np.sin(a * PI / n_t)
+            turn = np.array([[ca, sa, 0.0], [-sa, ca, 0.0], [0.0, 0.0, 1.0]])
+            expect = c @ harmonic_values(L, pts @ turn)
+            got = (cos[a] * c + sin[a] * c[partner]) @ harmonic_values(L, pts)
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+        for name in ("centres", "n_az", "trig", "table", "spectra", "_mix"):
+            assert not hasattr(column, name)
 
     @staticmethod
     def at_nodes(column, modes):
@@ -491,7 +494,7 @@ class TestSliceColumn:
 
     def test_synthesis_matches_literal_evaluation(self, column):
         c = random_band_limited(5, np.random.default_rng(60)).coeffs
-        fields = self.at_nodes(column, column.trig @ self.whole_spectra(column, c[None])[0])
+        fields = self.at_nodes(column, column.synthesize(c[None])[0])
         pts = slice_nodes(self.BALL, column.n_c, 0, column.n_t)
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -569,27 +572,77 @@ class TestSliceColumn:
         assert np.abs(v - expect).max() <= 1e-15 * np.abs(expect).max()
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
-    def test_slice_nodes_are_placed_by_the_table_build_only(self, n_c, monkeypatch):
-        # the table build places the uniform rule of 2L+1 = 11 slice angles,
-        # 22 nodes with partners, at each column centre once, chunk by chunk,
-        # and keeps the 11 rule nodes; sampling places none, the sharp
-        # rearrangement's nodes included
-        placed, inner = [], convolution.slice_point_table
+    def test_no_slice_node_is_placed(self, n_c, monkeypatch):
+        # the build evaluates harmonics at the projection grid's 2(L+1)^2
+        # nodes and at those nodes turned by each of the n_t ring frames,
+        # and the Legendre factor at the n_r radii; it places no slice node,
+        # and sampling places none either, the sharp rearrangement's
+        # nodes included
+        placed, points, radii = [], [], []
+        inner, values, legendre = (convolution.slice_point_table, harmonics.harmonic_values,
+                                   convolution._assoc_legendre_rows)
 
         def spy(X, n):
-            out = inner(X, n)
-            placed.append((out[0].shape[1], len(X)))
-            return out
+            placed.append(len(X))
+            return inner(X, n)
+
+        def spy_values(L, pts):
+            points.append(len(np.atleast_2d(pts)))
+            return values(L, pts)
+
+        def spy_legendre(L, t, s, out):
+            radii.append(t.size)
+            return legendre(L, t, s, out)
 
         monkeypatch.setattr(convolution, "slice_point_table", spy)
-        col = SliceColumn(build_ball_grid(5, build_sphere_grid(6)), n_c, 5)
-        assert {n for n, _ in placed} == {22}
-        assert sum(centres for _, centres in placed) == col.radii.size
-        build = len(placed)
+        for module in (convolution, harmonics):
+            monkeypatch.setattr(module, "harmonic_values", spy_values)
+        monkeypatch.setattr(convolution, "_assoc_legendre_rows", spy_legendre)
+        L, n_r = 5, 5
+        col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(6)), n_c, L)
+        grid = 2 * (L + 1) ** 2
+        assert placed == [] and sum(points) == (1 + col.n_t) * grid and radii == [n_r]
         f = rand_fn(5, 73, complex_valued=True)
         for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
             v.nodes()
-        assert len(placed) == build
+        assert placed == []
+
+    @pytest.mark.parametrize("L", list(range(9)) + [16])
+    def test_rotation_blocks_are_orthogonal(self, L):
+        # D_j^k of every ring and degree, after its Newton-Schulz step
+        col = SliceColumn(CHAIN_BALL, 48, L)
+        assert len(col.rotations) == L + 1
+        for k, block in enumerate(col.rotations):
+            assert block.shape == (2 * k + 1, 2 * k + 1, col.n_t)
+            for j in range(col.n_t):
+                d = block[..., j]
+                assert np.abs(d.T @ d - np.eye(2 * k + 1)).max() <= 1e-15
+
+    def test_memory_at_band_limit_16(self):
+        # exact_sizes(16): the column keeps its two factors, 86 MB as a
+        # table of every centre's modes; its build projects one chunk of
+        # rings at a time, and a recall of 4 rows adds their fields
+        n_t, n_r, n_c = exact_sizes(16)
+        ball = build_ball_grid(n_r, build_sphere_grid(n_t))
+        rows = np.stack([random_band_limited(16, np.random.default_rng(s)).coeffs
+                         for s in range(4)])
+        SliceColumn(ball, n_c, 2)   # caches of the grids, outside the count
+        tracemalloc.start()
+        try:
+            col = SliceColumn(ball, n_c, 16)
+            kept, build = tracemalloc.get_traced_memory()
+            fields = col.recall(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields.nbytes == 4 * n_t * n_r * n_t * 33 * 8
+        assert kept <= 3e6 and build <= 5e6 and peak <= 65e6
+
+    def test_rows_above_the_band_limit_are_refused(self):
+        # a plan of degree 4 on a column built to L = 2
+        col = FormGrids(self.BALL, 10).slice_column(2)
+        with pytest.raises(ValueError, match="degree 4.*L = 2"):
+            col.sampler(SlicePlan([(rand_fn(4, 74), False)]))
 
     def test_rejects_non_product_directions(self):
         grid = build_sphere_grid(4)
@@ -645,9 +698,8 @@ class TestNegatedReads:
         f = rand_fn(L, 140 + L, complex_valued=complex_valued)
         (v,) = col.sampler(SlicePlan([(f, True)]))
         flipped = parity_signs(L) * f.coeffs.coeffs
-        fresh = col.trig @ TestSliceColumn.whole_spectra(
-            col, np.stack([flipped.real, flipped.imag]))
-        fresh = fresh.reshape(2, n_t, -1, modes)
+        fresh = col.synthesize(np.stack([flipped.real, flipped.imag]))
+        assert fresh.shape == (2, n_t, col.radii.size, modes)
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
         got = v.dense().reshape(expect.shape)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -670,14 +722,14 @@ class TestNegatedReads:
         assert minus.re_sign == parity * plus.re_sign
         assert np.array_equal(minus.dense(), parity * plus.dense())
 
-    def test_one_spectra_row_per_distinct_row_up_to_sign(self, monkeypatch):
-        rows, spectra = [], SliceColumn.spectra
+    def test_one_synthesized_row_per_distinct_row_up_to_sign(self, monkeypatch):
+        rows, synthesize = [], SliceColumn.synthesize
 
         def spy(col, coeffs):
             rows.append(len(coeffs))
-            return spectra(col, coeffs)
+            return synthesize(col, coeffs)
 
-        monkeypatch.setattr(SliceColumn, "spectra", spy)
+        monkeypatch.setattr(SliceColumn, "synthesize", spy)
         p = parity_signs(4)
         c, g = rand_fn(4, 146, complex_valued=True).coeffs.coeffs, rand_fn(4, 147).coeffs.coeffs
         even = 0.5 * (g + p * g)

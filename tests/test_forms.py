@@ -25,8 +25,10 @@ from sharpsphere import (
     gamma_samples,
     h_direct_many,
     h_spectral,
+    harmonic_values,
     integrate_sphere,
     lambda_closed_form,
+    make_workspace,
     n_coeffs,
     pair_slice_average,
     quadrilinear_q,
@@ -701,7 +703,7 @@ class TestAntipodalFold:
         f = rand_fn(4, 73, complex_valued=True)
         fs = f.antipodal_conjugate()
         grids = default_form_grids(n_t=9, n_c=19 if case == "odd" else 18, n_r=10)
-        inside, calls, spectra_rows = [False], [], []
+        inside, calls, synthesized = [False], [], []
 
         def spied(evaluator):
             def ev(omega, nu):
@@ -719,7 +721,7 @@ class TestAntipodalFold:
                 calls.append(inside[0])
                 return self._h(p)
 
-        average, spectra = forms.pair_slice_average, convolution.SliceColumn.spectra
+        average, synthesize = forms.pair_slice_average, convolution.SliceColumn.synthesize
 
         def spy_average(K, X, n_c):
             inside[0] = True
@@ -728,9 +730,9 @@ class TestAntipodalFold:
             finally:
                 inside[0] = False
 
-        def spy_spectra(col, coeffs):
-            spectra_rows.append(len(coeffs))
-            return spectra(col, coeffs)
+        def spy_synthesize(col, coeffs):
+            synthesized.append(len(coeffs))
+            return synthesize(col, coeffs)
 
         if case == "odd":
             F = PairKernel.tensor(SpiedFactor(f), SpiedFactor(fs))
@@ -741,13 +743,13 @@ class TestAntipodalFold:
         expect = reference_b(F, G, grids)
         calls.clear()
         monkeypatch.setattr(forms, "pair_slice_average", spy_average)
-        monkeypatch.setattr(convolution.SliceColumn, "spectra", spy_spectra)
+        monkeypatch.setattr(convolution.SliceColumn, "synthesize", spy_synthesize)
         value = bilinear_b(F, G, grids)
         if case == "odd":
-            assert calls == [] and sum(spectra_rows) > 0
+            assert calls == [] and sum(synthesized) > 0
         else:
             assert calls and all(calls)
-            assert sum(spectra_rows) == 0
+            assert sum(synthesized) == 0
         assert abs(value - expect) <= 1e-12 * abs(expect)
 
 
@@ -802,42 +804,30 @@ def chain_values(f, grids, fresh=False):
 
 
 @pytest.fixture
-def spectra_rows(monkeypatch):
-    """Rows per SliceColumn.spectra call."""
-    rows, spectra = [], convolution.SliceColumn.spectra
+def synthesized_rows(monkeypatch):
+    """Rows per SliceColumn.synthesize pass."""
+    rows, synthesize = [], convolution.SliceColumn.synthesize
 
     def spy(col, coeffs):
         rows.append(len(coeffs))
-        return spectra(col, coeffs)
+        return synthesize(col, coeffs)
 
-    monkeypatch.setattr(convolution.SliceColumn, "spectra", spy)
+    monkeypatch.setattr(convolution.SliceColumn, "synthesize", spy)
     return rows
 
 
 @pytest.fixture
 def row_passes(monkeypatch):
-    """Rows per SliceColumn.spectra pass, and per chunk of a pass the ufuncs,
-    such as np.matmul, that read it, each with the row count of its result:
-    each chunk comes back as an array that records them."""
-    passes, spectra = {"spectra": [], "synthesis": []}, convolution.SliceColumn.spectra
-
-    class Spectra(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            reads = self.reads
-            inputs = [x.view(np.ndarray) if isinstance(x, Spectra) else x for x in inputs]
-            out = getattr(ufunc, method)(*inputs, **kwargs)
-            reads.append((ufunc.__name__, int(np.prod(out.shape[:-2]))))
-            return out
+    """Per SliceColumn.synthesize pass, its row count and the fields buffer
+    it returned."""
+    passes, synthesize = [], convolution.SliceColumn.synthesize
 
     def spy(col, coeffs):
-        passes["spectra"].append(len(coeffs))
-        for cols, rows in spectra(col, coeffs):
-            rows = rows.view(Spectra)
-            rows.reads = []
-            passes["synthesis"].append(rows.reads)
-            yield cols, rows
+        fields = synthesize(col, coeffs)
+        passes.append((len(coeffs), fields))
+        return fields
 
-    monkeypatch.setattr(convolution.SliceColumn, "spectra", spy)
+    monkeypatch.setattr(convolution.SliceColumn, "synthesize", spy)
     return passes
 
 
@@ -846,18 +836,18 @@ def held_fields(col) -> dict:
     return {id(v): v for v in col._memo[1]}
 
 
-class TestSpectraMemo:
+class TestFieldsMemo:
     """A SliceColumn reuses the fields of its last sampler call's rows."""
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_chain_computes_the_rows_of_f_once(self, complex_valued, odd, spectra_rows):
+    def test_chain_computes_the_rows_of_f_once(self, complex_valued, odd, synthesized_rows):
         grids = odd_form_grids(4) if odd else exact_form_grids(4)
         grids = forms.FormGrids(grids.ball, grids.n_c)
         f = rand_fn(4, 94, complex_valued=complex_valued)
         values = chain_values(f, grids)
         # the real and imaginary rows of f at +-p
-        assert spectra_rows == [4 if complex_valued else 2]
+        assert synthesized_rows == [4 if complex_valued else 2]
         assert values == chain_values(f, grids, fresh=True)
 
     @pytest.mark.parametrize("complex_valued", [False, True])
@@ -866,10 +856,10 @@ class TestSpectraMemo:
         f = rand_fn(4, 105, complex_valued=complex_valued)
         values = chain_values(f, grids)
         rows = 4 if complex_valued else 2
-        assert row_passes["spectra"] == [rows]
-        # every chunk of the one pass is read once, by one synthesis of all rows
-        assert row_passes["synthesis"]
-        assert all(reads == [("matmul", rows)] for reads in row_passes["synthesis"])
+        # one pass of all rows, whose buffer the memo holds: every field
+        # row of the chain was synthesized once, in that pass
+        assert [n for n, _ in row_passes] == [rows]
+        assert grids.slice_column(4)._memo[1] is row_passes[0][1]
         assert values == chain_values(f, grids, fresh=True)
 
     def test_memo_holds_n_t_field_rows_per_coefficient_row(self):
@@ -877,7 +867,7 @@ class TestSpectraMemo:
         f = rand_fn(4, 106, complex_valued=True)
         chain_values(f, grids)
         col = grids.slice_column(4)
-        n_t, modes = col.n_t, col.table.shape[1]
+        n_t, modes = col.n_t, col.radii.size * (2 * col.L + 1)
         held = held_fields(col)
         assert len(held) == 4
         assert all(v.shape == (n_t, col.radii.size, 2 * col.L + 1) for v in held.values())
@@ -903,7 +893,7 @@ class TestSpectraMemo:
         (expect,) = fresh.sampler(convolution.SlicePlan([(neg, False)]))
         assert np.array_equal(v.dense(), expect.dense())
 
-    def test_sign_flipped_rows_are_hits(self, spectra_rows):
+    def test_sign_flipped_rows_are_hits(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 95, complex_valued=True)
         fs = f.antipodal_conjugate()
@@ -911,11 +901,11 @@ class TestSpectraMemo:
         quadrilinear_q(f, fs, f, fs, grids)
         # odd in neg, so a row read with the wrong sign would flip the value
         value = quadrilinear_q(neg, f, fs, fs, grids)
-        assert spectra_rows == [4]
+        assert synthesized_rows == [4]
         fresh = forms.FormGrids(grids.ball, grids.n_c)
         assert value == quadrilinear_q(neg, f, fs, fs, fresh)
 
-    def test_a_call_on_another_function_drops_the_rows(self, spectra_rows):
+    def test_a_call_on_another_function_drops_the_rows(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f, g = rand_fn(4, 96, complex_valued=True), rand_fn(4, 97, complex_valued=True)
         first = quadrilinear_q(f, f, f, f, grids)
@@ -923,9 +913,9 @@ class TestSpectraMemo:
         held = held_fields(grids.slice_column(4))
         assert len(held) == 4   # g's rows only
         assert quadrilinear_q(f, f, f, f, grids) == first
-        assert spectra_rows == [4, 4, 4]
+        assert synthesized_rows == [4, 4, 4]
 
-    def test_a_rebuilt_column_starts_empty(self, spectra_rows):
+    def test_a_rebuilt_column_starts_empty(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f, h = rand_fn(2, 98, complex_valued=True), rand_fn(4, 99, complex_valued=True)
         fs, hs = f.antipodal_conjugate(), h.antipodal_conjugate()
@@ -933,21 +923,21 @@ class TestSpectraMemo:
         low = grids.slice_column(2)
         value = quadrilinear_q(f, fs, h, hs, grids)
         assert grids.slice_column(4) is not low
-        assert spectra_rows == [4, 8]   # f's rows again, on the new column
+        assert synthesized_rows == [4, 8]   # f's rows again, on the new column
         assert value == quadrilinear_q(f, fs, h, hs, forms.FormGrids(grids.ball, grids.n_c))
 
-    def test_a_partly_reused_batch_is_recomputed(self, spectra_rows):
+    def test_a_partly_reused_batch_is_recomputed(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 104, complex_valued=True)
         re = SphereFunction.from_coeffs(HarmonicCoeffs(4, f.coeffs.coeffs.real.copy()))
         quadrilinear_q(f, f, f, f, grids)
         value = quadrilinear_q(re, re, re, re, grids)   # 2 of f's 4 rows
-        assert spectra_rows == [4, 2]
+        assert synthesized_rows == [4, 2]
         assert len(held_fields(grids.slice_column(4))) == 2
         assert value == quadrilinear_q(re, re, re, re, forms.FormGrids(grids.ball, grids.n_c))
 
     @pytest.mark.parametrize("case", ["B(1, 1)", "literal"])
-    def test_a_call_without_rows_keeps_the_memo(self, case, spectra_rows):
+    def test_a_call_without_rows_keeps_the_memo(self, case, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 108)
         fs = f.antipodal_conjugate()
@@ -956,11 +946,11 @@ class TestSpectraMemo:
         first = quadrilinear_q(f, fs, f, fs, grids)
         bilinear_b(K, PairKernel.one(), grids)
         assert quadrilinear_q(f, fs, f, fs, grids) == first
-        assert spectra_rows == [2]
+        assert synthesized_rows == [2]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_rows_zero_padded_to_the_column_degree_are_hits(self, complex_valued,
-                                                            spectra_rows):
+                                                            synthesized_rows):
         # recall pads rows to the table's columns: on a column built to L=4,
         # f of degree 2 and its coefficients zero-padded to degree 4 are the
         # same rows
@@ -972,7 +962,7 @@ class TestSpectraMemo:
         g = SphereFunction.from_coeffs(HarmonicCoeffs(4, padded))
         values = [quadrilinear_q(h, h.antipodal_conjugate(), h, h.antipodal_conjugate(), grids)
                   for h in (f, g)]
-        assert spectra_rows == [4 if complex_valued else 2]
+        assert synthesized_rows == [4 if complex_valued else 2]
         for h, value in zip((f, g), values):
             fresh = forms.FormGrids(grids.ball, grids.n_c)
             fresh.slice_column(4)
@@ -990,7 +980,7 @@ class TestSpectraMemo:
         value = quadrilinear_q(e, e, e, e, grids)   # an even-degree real e: one row
         assert value == quadrilinear_q(e, e, e, e, forms.FormGrids(grids.ball, grids.n_c))
 
-    def test_a_zero_slot_of_either_sign_is_one_key(self, spectra_rows):
+    def test_a_zero_slot_of_either_sign_is_one_key(self, synthesized_rows):
         # parity * coeffs holds -0.0 at a zero slot of odd degree, where
         # another row holds 0.0: both must read as one key
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -1001,7 +991,7 @@ class TestSpectraMemo:
         f, g = (SphereFunction.from_coeffs(HarmonicCoeffs(4, c)) for c in (a, signed))
         quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
         value = quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(), grids)
-        assert spectra_rows == [2]
+        assert synthesized_rows == [2]
         fresh = forms.FormGrids(grids.ball, grids.n_c)
         assert value == quadrilinear_q(g, g.antipodal_conjugate(), g, g.antipodal_conjugate(),
                                        fresh)
@@ -1024,7 +1014,7 @@ class TestSpectraMemo:
         assert (quadrilinear_q(g, gs, g, gs, grids)
                 == quadrilinear_q(g, gs, g, gs, forms.FormGrids(grids.ball, grids.n_c)))
 
-    def test_a_pure_parity_row_is_one_spectra_row(self, spectra_rows):
+    def test_a_pure_parity_row_is_one_synthesized_row(self, synthesized_rows):
         # an odd f has f_star = -f: f's row read negated, and a second call hits
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         a = np.zeros(n_coeffs(4))
@@ -1032,9 +1022,9 @@ class TestSpectraMemo:
         f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
         fs = f.antipodal_conjugate()
         q = quadrilinear_q(f, fs, f, fs, grids)
-        assert spectra_rows == [1]
+        assert synthesized_rows == [1]
         assert quadrilinear_q(f, fs, f, fs, grids) == q
-        assert spectra_rows == [1]
+        assert synthesized_rows == [1]
 
     def test_a_column_rebuilt_past_its_band_limit_still_serves(self):
         grids = forms.FormGrids(exact_form_grids(2).ball, exact_form_grids(2).n_c)
@@ -1043,7 +1033,7 @@ class TestSpectraMemo:
         q_ref = quadrilinear_q(f, fs, f, fs, grids).real
         grids.slice_column(3)   # a form of degree 3 on these grids rebuilds the column
         q = quadrilinear_q(f, fs, f, fs, grids).real
-        assert grids.slice_column(2).table.shape[0] == n_coeffs(3)
+        assert grids.slice_column(2).L == 3
         assert abs(q - q_ref) <= 1e-13 * q_ref
 
     def test_a_replaced_column_memo_frees_the_old_fields(self):
@@ -1073,7 +1063,7 @@ class TestSpectraMemo:
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # whatever spectra allocates, the memo pins no product after the
+            # whatever synthesize allocates, the memo pins no product after the
             # sharp Q: its plan reads no row in modes
             assert not held_products(grids.slice_column(8))
             return top
@@ -1097,7 +1087,7 @@ class TestSameKernelFold:
     """B(F, G) with G's profiles those of F forms only F's products: G's
     profiles read them from the memo's store, G = F too."""
 
-    def test_conjugate_pairing_takes_two_profiles(self, half_pairs, spectra_rows):
+    def test_conjugate_pairing_takes_two_profiles(self, half_pairs, synthesized_rows):
         # F's two profiles form every product: f f* at x, read swapped at
         # -x; G's, on the same factors or on a twin's, read them
         grids = exact_form_grids(4)
@@ -1106,10 +1096,10 @@ class TestSameKernelFold:
         fs = f.antipodal_conjugate()
         folded = quadrilinear_q(f, fs, f, fs, grids)
         assert half_pairs[0] == 4
-        assert spectra_rows == [4]
+        assert synthesized_rows == [4]
         whole = quadrilinear_q(f, fs, twin, twin.antipodal_conjugate(), grids)
         assert half_pairs[0] == 4
-        assert spectra_rows == [4]
+        assert synthesized_rows == [4]
         assert folded == whole
 
     @pytest.mark.parametrize("case", ["sum_weight_power", "magnitude_power"])
@@ -1387,6 +1377,50 @@ class TestNodeChunks:
         value = call(forms.FormGrids(self.ball, n_c))
         assert set(rows) == ({100} if chunk == "block" else {chunk, 100 % chunk} - {0})
         assert abs(value - expect) <= 4 * np.finfo(float).eps * abs(expect)
+
+
+class TestChainAccuracy:
+    """The paper's chain on the chain's grids, n_t = n_r = 24 and n_c = 48,
+    from the column's factors: seeds 1..8, three draws of
+    random_band_limited(8) each."""
+
+    GRIDS = default_form_grids(n_t=24, n_c=48, n_r=24)
+
+    @staticmethod
+    def draws():
+        for seed in range(1, 9):
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                yield random_band_limited(8, rng)
+
+    def test_ball_q_matches_the_radial_route(self):
+        workspace = make_workspace(8)
+        for c in self.draws():
+            f = SphereFunction.from_coeffs(c)
+            fs = f.antipodal_conjugate()
+            radial = workspace.q_value(c.coeffs)
+            ball = quadrilinear_q(f, fs, f, fs, self.GRIDS)
+            assert abs(ball - radial) <= 4e-16 * radial
+
+    def test_q_is_three_quarters_of_b(self):
+        for c in self.draws():
+            f = SphereFunction.from_coeffs(c)
+            F = weighted_pair_kernel(f)
+            q = quadrilinear_q(f, f, f, f, self.GRIDS)
+            assert abs(q - 0.75 * bilinear_b(F, F, self.GRIDS)) <= 1.5e-14 * abs(q)
+
+    def test_fields_at_the_nodes_match_the_harmonics_there(self):
+        # one azimuth row at a time: f at its slice nodes, from the fields
+        # and from a harmonic table at the nodes themselves
+        col = self.GRIDS.slice_column(8)
+        rows = np.stack([c.coeffs for c in self.draws()])
+        fields = col.recall(rows)
+        for a in range(col.n_t):
+            x = ball_rows(self.GRIDS.ball, a, a + 1).reshape(-1, 3)
+            pts = convolution.slice_point_table(x, col.n_c)[0].reshape(-1, 3)
+            expect = rows @ harmonic_values(8, pts)
+            nodes = (fields[:, a] @ col.expansion).reshape(len(rows), -1)
+            assert np.abs(nodes - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 class TestMeanValue:
