@@ -13,21 +13,19 @@ sits at psi + pi. SliceColumn gives such f as its 2L+1 slice-angle modes,
 synthesized from two factors, a rotation block per polar ring and degree
 and the Legendre values per radius, never held as one table of every
 centre's modes. pair_profile pairs the modes by Parseval, and |f tensor
-g|^p of even p on the band limit's own 2(pL+1) nodes (pair_profile's node
-rule), both exactly at every n_c. Node values, at each slice's nodes p_j
-and their partners (n_c nodes, or at odd n_c the uniform 2 n_c: see
-_half_turn), are for what has no band limit but is formed from coefficient
-rows: sharp rearrangements and |.|^p of odd p. They are formed one chunk of
-slices at a time (_CHUNK_BYTES), as pair_profile pairs them, and never for
-a whole column. Literal callables have no place on the column;
-pair_slice_average takes them at slice_point_table's nodes. Pointwise values of f sigma * g sigma
-come two ways: convolve_many reads f and g at those nodes through one
+g|^p of even p, f# included, on the band limit's own 2(pL+1) nodes, both
+exactly at every n_c. Node values, at each slice's nodes p_j and their
+partners (n_c nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are
+for unsquared sharp rearrangements and |.|^p of odd p, formed one chunk of
+slices at a time (_CHUNK_BYTES) as pair_profile pairs them. Literal
+callables have no place on the column; pair_slice_average takes them at
+slice_point_table's nodes. Pointwise values of f sigma * g sigma come two
+ways: convolve_many reads f and g at those nodes through one
 SlicePlan, and pair_slice_average of the kernel f tensor g is the literal
 route it is checked against, each in batches of centres sized by bytes.
 """
 
 import math
-from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -111,14 +109,6 @@ def _to_nodes(a: np.ndarray, expansion: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[-1]) @ expansion).reshape(a.shape[:-1] + (-1,))
 
 
-class _Formed(NamedTuple):
-    # real values at the slice nodes, formed per use: form(s0, s1) returns
-    # those of slices s0:s1 of the flattened slice axes in a new array of
-    # shape (s1 - s0, N); shape is the slice axes, then N
-    form: Callable[[int, int], np.ndarray]
-    shape: tuple
-
-
 def _rows(part, s0: int, s1: int, expansion: np.ndarray | None = None) -> np.ndarray:
     # part's values at the slice nodes on slices s0:s1 of its flattened slice
     # axes: formed (_Formed) or taken there from slice-angle modes by
@@ -129,31 +119,37 @@ def _rows(part, s0: int, s1: int, expansion: np.ndarray | None = None) -> np.nda
     return rows if expansion is None else _to_nodes(rows, expansion)
 
 
-def _squares_formed(parts, expansion: np.ndarray | None, scale: float = 1.0,
-                    power: float = 1.0) -> _Formed:
+class _Formed(NamedTuple):
     # (scale * the sum of the squares of real parts)^power at the slice
-    # nodes, each part taken there first (_rows); per chunk, one part's
-    # square is formed next to the sum at a time, and the rest is done in
-    # place (numpy takes ** 0.5 as np.sqrt)
-    def form(s0: int, s1: int) -> np.ndarray:
+    # nodes, formed per use: each part, an array of the same shape, is taken
+    # there by expansion first (None: it is there already); shape is the
+    # slice axes, then the node count
+    parts: tuple
+    expansion: np.ndarray | None
+    scale: float = 1.0
+    power: float = 1.0
+
+    @property
+    def shape(self) -> tuple:
+        first = self.parts[0]
+        nodes = first.shape[-1] if self.expansion is None else self.expansion.shape[1]
+        return first.shape[:-1] + (nodes,)
+
+    def form(self, s0: int, s1: int) -> np.ndarray:
+        # slices s0:s1 of the flattened slice axes, shape (s1 - s0, nodes),
+        # in a new array; one part's square is formed next to the sum at a
+        # time, and the rest is done in place (numpy takes ** 0.5 as np.sqrt)
         acc = None
-        for part in parts:
-            if isinstance(part, np.ndarray) and expansion is None:
-                sq = np.square(_rows(part, s0, s1))
-            else:
-                sq = _rows(part, s0, s1, expansion)
-                np.square(sq, out=sq)
+        for part in self.parts:
+            sq = _rows(part, s0, s1, self.expansion)
+            sq = np.square(sq, out=None if self.expansion is None else sq)
             acc = sq if acc is None else np.add(acc, sq, out=acc)
             del sq   # before the next part's array is made
-        if scale != 1.0:
-            acc *= scale
-        if power != 1.0:
-            acc **= power
+        if self.scale != 1.0:
+            acc *= self.scale
+        if self.power != 1.0:
+            acc **= self.power
         return acc
-
-    first = parts[0]
-    nodes = first.shape[-1] if expansion is None else expansion.shape[1]
-    return _Formed(form, first.shape[:-1] + (nodes,))
 
 
 def slice_point_table(X: np.ndarray, n_c: int):
@@ -197,10 +193,10 @@ class SplitValues(NamedTuple):
     """Values re_sign re + 1j im_sign im, held as real arrays with signs.
 
     re and im are usually rows of a SliceColumn's held fields, read in place;
-    im is None for real values. The signs are +-1. re may instead be formed
-    per use (sharp rearrangements, and |.|^p in pair_profile): real values
-    at the slice nodes, made one chunk of slices at a time (chunk), never
-    kept.
+    im is None for real values. The signs are +-1. re may instead be a
+    formula (_Formed) of real rows, formed per use (sharp rearrangements,
+    and |.|^p in pair_profile): real values at the slice nodes, made one
+    chunk of slices at a time (chunk), never kept.
 
     expansion marks the domain. None: the last axis runs over slice nodes.
     Otherwise the last axis holds the 2L+1 slice-angle modes of a
@@ -282,8 +278,8 @@ class SlicePlan:
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
     Without coefficient-backed requests rows is None and degree is 0. keys
-    holds the indices of the rows its coefficient-backed requests read; a
-    held product of any other row is one its values cannot read.
+    names the parts its values read, row indices and sharp entries; a held
+    product of any other part is one its values cannot read.
     """
 
     def __init__(self, requests):
@@ -325,23 +321,24 @@ class SlicePlan:
             self._index.append(seen[key])
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
-        self.keys = frozenset(i for e in self._entries if e[0] == "field"
-                              for i, _ in filter(None, e[1:]))
+        self.keys = frozenset([i for e in self._entries if e[0] == "field"
+                               for i, _ in filter(None, e[1:])]
+                              + [e for e in self._entries if e[0] == "sharp"])
 
     def _split(self, fields, products=None, expansion=None) -> list:
         # per entry, its SplitValues on the fields (see values); None for a
         # literal call
-        out, own = [], {}
-        for e, (kind, *args) in enumerate(self._entries):
+        out = []
+        for kind, *args in self._entries:
             if kind == "field":
                 (i, si), im = args
                 j, sj = im or (None, 1.0)
                 out.append(SplitValues(fields[i], None if j is None else fields[j], si, sj,
                                        (i, j), products, expansion))
             elif kind == "sharp":
-                rows = [fields[r[0]] for r in args if r is not None]
-                out.append(SplitValues(_squares_formed(rows, expansion, 0.5, 0.5),
-                                       keys=((e, 0), None), products=own))
+                rows = tuple(fields[r[0]] for r in args if r is not None)
+                out.append(SplitValues(_Formed(rows, expansion, 0.5, 0.5),
+                                       keys=((kind, *args), None), products=products))
             else:
                 out.append(None)
         return out
@@ -353,17 +350,16 @@ class SlicePlan:
         without rows): each row's values at the slice nodes, or, given
         expansion (see SplitValues), its slice-angle modes. A
         coefficient-backed request reads its arrays in place, with its rows'
-        signs, in their domain; a sharp rearrangement is formed at the nodes
+        signs, in their domain; a sharp rearrangement is the formula
+        sqrt((the sum of its source rows' squares) / 2), formed at the nodes
         per use, one chunk of slices at a time (SplitValues.chunk). Requests
         that share an entry get the same object. A literal call has no
         values here and raises ValueError: only at evaluates it.
 
-        products is a store (SplitValues.products) of the fields' real
-        products, keyed by row index, or None; coefficient-backed values
-        carry it (a SliceColumn's is described at SliceColumn.recall). Sharp
-        values carry a store of this call's own, keyed by entry, so they
-        share products only with each other and only among the values
-        returned here.
+        products is the one store (SplitValues.products) of the values' real
+        products, or None; every value carries it (a SliceColumn's is
+        described at SliceColumn.recall), a coefficient-backed part keyed by
+        its row index, a sharp one by its entry, its source rows and signs.
         """
         out = self._split(fields, products, expansion)
         if any(v is None for v in out):
@@ -458,9 +454,9 @@ class SliceColumn:
     and the slice nodes enter only through expansion, the (2L+1, N) matrix
     to each slice's N nodes, n_c or, at odd n_c, 2 n_c: the rule nodes,
     then their partners x - p_j (see _half_turn). Those node values serve
-    only what has no band limit but is formed from coefficient rows: sharp
-    rearrangements and |.|^p of odd p; pair_profile pairs |.|^p of even p
-    on its band limit's own rule. The build places no slice node.
+    only unsquared sharp rearrangements and |.|^p of odd p; pair_profile
+    pairs |.|^p of even p on its band limit's own rule, f# included. The
+    build places no slice node.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -549,10 +545,11 @@ class SliceColumn:
         above the column's band limit, L' > L, raise ValueError.
 
         This is the column's one memo. It holds the last call's rows, padded
-        to the column's (L+1)^2 columns, their fields, and a store of the
-        fields' real products in modes, which pair_profile forms at most once
-        while the fields are held (see sampler). A call whose
-        padded rows equal the held ones (np.array_equal) gets the held buffer
+        to the column's (L+1)^2 columns, their fields, and the one store of
+        the real products of values read from them, modes or f#'s node
+        values, which pair_profile forms at most once while the fields are
+        held (see sampler). A call whose padded rows equal the held ones
+        (np.array_equal) gets the held buffer
         back; rows equal up to sign are equal here, as SlicePlan stores them.
         Any other rows replace the memo: all take one synthesize pass, and
         since BLAS may round a row differently in a batch of another size,
@@ -590,11 +587,11 @@ class SliceColumn:
         plan.degree (recall), and plan must hold no literal call (_backed):
         either raises ValueError.
 
-        Coefficient-backed values carry the memo's product store, keyed by
-        index into plan.rows. The sampler keeps there only the products of
-        rows its plan's coefficient-backed values read (plan.keys). Values
-        whose fields recall later replaces write into that store, detached
-        from the memo with its fields.
+        Every value carries the memo's product store, keyed by index into
+        plan.rows or, for sharp values, by plan entry (SlicePlan.values).
+        The sampler keeps there only the products of parts its plan's values
+        read (plan.keys). Values whose fields recall later replaces write
+        into that store, detached from the memo with its fields.
         """
         fields, store = self.recall(plan.rows), self._memo[2]
         if len(fields):
@@ -620,20 +617,14 @@ def _mode_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return np.matmul(a * b, _mode_weights(a.shape[-1]), out=out)
 
 
-def _even(nodes: int) -> int:
-    if nodes % 2:
-        raise ValueError(f"pair_profile needs an even node count, got {nodes}")
-    return nodes
-
-
 def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis), or,
     given p, that of |f|^p and |g|^p.
 
-    Leading axes run over centres x of norm radii. va and vb are both dense
-    arrays at the slice nodes (else ValueError), or SplitValues, whose signed
-    real parts are paired: Re = sum(a_r b_r - a_i b_i), Im = sum(a_r b_i +
-    a_i b_r); the result is real when both are.
+    Leading axes run over centres x of norm radii. va and vb are SplitValues,
+    whose signed real parts are paired: Re = sum(a_r b_r - a_i b_i), Im =
+    sum(a_r b_i + a_i b_r); the result is real when both are. A dense array
+    is the SplitValues of its real and imaginary parts, at the slice nodes.
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
     exact for band-limited factors at every n_c. Otherwise they pair by the
@@ -645,40 +636,35 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     and paired, and no product of modes and no part's node values exist for
     more slices than a chunk's.
 
-    Dense arrays take |.|^p at their nodes. For SplitValues p is the node
-    rule's one input: |f|^p and |g|^p are formed per use, real, at nodes
-    picked here. For even p and both factors in modes of degree L, |.|^p is
-    a trig polynomial of degree pL on each slice, so its pairing, of degree
-    2pL, is exact on the band limit's own 2(pL+1) uniform nodes, half of
-    them partners of the other half, at every n_c. Otherwise (sharp factors,
-    odd p) they are the column's slice nodes, n_c or, at odd n_c, 2 n_c (the
-    factor's expansion), or the nodes a factor is at. Real |x|^2 is
-    np.square(x) bit for bit.
+    p is the node rule's one input. |v|^p is formed per use, real, by one
+    formula, (scale * the sum of the squares of v's own real rows)^(p/2):
+    its parts at scale 1, or a sharp rearrangement's source rows at scale
+    1/2 (_Formed). For even p and the rows of both values in modes of
+    degree L, |.|^p is a trig polynomial of degree pL on each slice, so its
+    pairing, of degree 2pL, is exact on the band limit's own 2(pL+1)
+    uniform nodes, half of them partners of the other half, at every n_c,
+    f# included. Otherwise (odd p) the rows are taken to their values'
+    nodes, the column's n_c or, at odd n_c, 2 n_c (expansion), or the nodes
+    they are at. Real |x|^2 is np.square(x) bit for bit.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
     the set of the parts' keys: a pair and its swap give the same bits.
     """
-    dense = isinstance(va, np.ndarray), isinstance(vb, np.ndarray)
-    if any(dense):
-        if not all(dense):
-            raise ValueError("pair_profile pairs two dense arrays or two SplitValues")
-        if p:
-            va, vb = np.abs(va) ** p, np.abs(vb) ** p
-        return (2.0 * np.pi / _even(va.shape[-1])) * _half_pair(va, vb) / radii
+    va, vb = (v if isinstance(v, SplitValues)
+              else SplitValues(v.real, v.imag if np.iscomplexobj(v) else None) for v in (va, vb))
     if p:
+        # each value's |v| as a formula: its own, or its parts' at scale 1
+        fa, fb = (v.re if isinstance(v.re, _Formed)
+                  else _Formed(tuple(part for part, *_ in v.parts()), v.expansion, 1.0, 0.5)
+                  for v in (va, vb))
         rule = None
-        if p % 2 == 0 and va.expansion is not None and vb.expansion is not None:
-            L = va.expansion.shape[0] // 2
+        if p % 2 == 0 and fa.expansion is not None and fb.expansion is not None:
+            L = fa.expansion.shape[0] // 2
             rule = _expansion(L, 2 * (p * L + 1))   # the band limit's own rule
-
-        def magnitude(v: SplitValues) -> SplitValues:
-            parts = [part for part, *_ in v.parts()]
-            return SplitValues(_squares_formed(parts, v.expansion if rule is None else rule,
-                                               power=p / 2))
-
-        ma = magnitude(va)
-        va, vb = ma, (ma if vb is va else magnitude(vb))
+        ma, mb = (SplitValues(f._replace(expansion=f.expansion if rule is None else rule,
+                                         power=f.power * p)) for f in (fa, fb))
+        va, vb = ma, (ma if vb is va else mb)
     modes = va.expansion is not None and vb.expansion is not None
     store = va.products if va.products is vb.products else None
     held = {} if store is None else store
@@ -694,7 +680,9 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
         va, vb = va._replace(expansion=None), vb._replace(expansion=None)
         width, pair = va.re.shape[-1], _mode_pair
     else:
-        width, pair = _even((vb if va.expansion is not None else va).re.shape[-1]), _half_pair
+        width, pair = (vb if va.expansion is not None else va).re.shape[-1], _half_pair
+        if width % 2:
+            raise ValueError(f"pair_profile needs an even node count, got {width}")
     n = math.prod(lead)
     flat = {key: np.empty(n) for key in todo}
     for s0, s1 in _chunks(n, 8 * width) if todo else ():
@@ -722,14 +710,19 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     polynomial of degree < N in the slice angle, N = n_c or, at odd n_c,
     2 n_c, which holds with degree 2L for f tensor g of band-limited f, g of
     degree L. The result is real when F's values are. A batch of centres
-    holds at most 4 _CHUNK_BYTES of slice nodes at 64 B a node (point,
-    partner, complex value). A centre at 0 raises DegenerateSliceError, one
+    holds at most 16 _CHUNK_BYTES of slice nodes at 128 B a node (point,
+    partner, F's complex values and temporaries, as traced for plane waves)
+    plus 8 B per row of the harmonic tables that F's coefficient-backed or
+    sharp factors build there, (L+1)^2 rows a factor; complex factors take
+    about 40% more at L=8. A centre at 0 raises DegenerateSliceError, one
     beyond |x| = 2 EmptyIntersectionError, and non-finite centres or values
     ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
+    rows = sum(len(c.coeffs) for func in getattr(F, "factors", None) or ()
+               for c in _sources(func) if c is not None)
     parts, nodes = [np.zeros(0)], 2 * _half_turn(n_c).size
-    for i0, i1 in _chunks(len(X), 64 * nodes // 4):
+    for i0, i1 in _chunks(len(X), (128 + 8 * rows) * nodes // 16):
         pts, r = slice_point_table(X[i0:i1], n_c)
         partner = X[i0:i1, None, :] - pts
         vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(pts.shape[:2])

@@ -116,8 +116,9 @@ class PairKernel:
     magnitude_power p, with no |.| when p is None. A call evaluates the
     structure, and the ball route pairs it, coefficient-backed factors on a
     shared harmonic table and |omega + nu| = |x| on the slice at x. An
-    evaluator with factors or powers, neither, or factors other than () or
-    two functions raise ValueError.
+    evaluator with factors or powers, neither, factors other than () or two
+    functions, or a magnitude_power neither None nor a positive integer
+    raise ValueError.
     """
 
     def __init__(self, evaluator=None, *, factors=None, sum_weight_power: int = 0,
@@ -128,6 +129,8 @@ class PairKernel:
         if factors is not None and not (len(factors) in (0, 2)
                                         and all(callable(f) for f in factors)):
             raise ValueError("factors must be () or two functions")
+        if magnitude_power is not None:
+            _require_int(magnitude_power, "magnitude_power")
         self.evaluator = evaluator
         self.factors = factors
         self.sum_weight_power = sum_weight_power
@@ -181,14 +184,15 @@ class FormGrids:
     as SlicePlan states, lets a chain of Q/B calls on one f, such as the
     paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F)
     and B(F, F) <= B(|F|^2, 1), run one synthesis pass (SliceColumn.synthesize)
-    for f's rows at +-p: two, or four for complex f. |F|^2 of
-    band-limited f pairs on its band limit's own rule (see pair_profile),
-    exactly at every n_c, so only f# reads values at the slice nodes, one
-    chunk of slices at a time (pair_profile), kept nowhere. Kernels with a
-    literal factor, and evaluator kernels, take pair_slice_average at the
-    ball grid's nodes and nothing from the column; n_c sizes only them and
-    f#. The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
-    the column. The ascent (maximizer.Workspace) takes the slice-free
+    for f's rows at +-p: two, or four for complex f, and keeps f#'s
+    products in the same store. |F|^p of even p pairs on its band limit's
+    own rule (see pair_profile), exactly at every n_c, f# included, so only
+    unsquared f# and odd p read values at the slice nodes, one chunk of
+    slices at a time, kept nowhere. Kernels with a literal factor, and
+    evaluator kernels, take pair_slice_average at the ball grid's nodes and
+    nothing from the column; n_c sizes only them, unsquared f# and odd p.
+    The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and
+    share the column. The ascent (maximizer.Workspace) takes the slice-free
     radial route instead, which verify checks against this one
     (q_radial_vs_ball_max_rel_dev).
     """
@@ -344,9 +348,10 @@ def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ba
     takes the same four profiles, G's read from the products of F's.
     Structured kernels whose factors are coefficient-backed, or sharp
     rearrangements of such, pair their factors sampled on the column
-    at p and at -p: band-limited factors in slice-angle modes, |.|^p of even
-    p among them, exactly at every n_c, and sharp factors (and |.|^p of odd
-    p) at the slice nodes, n_c or, at odd n_c, 2 n_c (see pair_profile).
+    at p and at -p: band-limited factors in slice-angle modes and |.|^p of
+    even p, sharp factors included, exactly at every n_c, and unsquared
+    sharp factors (and |.|^p of odd p) at the slice nodes, n_c or, at odd
+    n_c, 2 n_c (see pair_profile).
     Any other kernel, an evaluator or one with a literal factor, takes the
     literal pair_slice_average at the ball grid's nodes, four times.
     method="outer", the cross-check, integrates F(omega_1, omega_2) times

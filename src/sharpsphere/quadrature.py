@@ -202,13 +202,13 @@ def exact_sizes(L: int) -> tuple[int, int, int]:
     The ball integrand has degree <= 4L in the direction and <= 4L+2 in the
     radius (r^2 Jacobian): n_t = 2L+1, n_r = 2L+2. The ball route pairs
     band-limited factors exactly at every n_c: f(p) g(x - p) in slice-angle
-    modes, |f(p) g(x - p)|^2 on its band limit's own 2(2L+1) nodes
-    (convolution.SliceColumn, convolution.pair_profile). n_c sizes the rest:
-    a squared pair kernel of band limit L is a trig polynomial of degree 4L
-    on each slice, so n_c = 4L+2, the smallest even count above it, makes
-    the literal routes exact (pair_slice_average, which also takes the ball
-    route's kernels with literal factors, and the outer route); sharp
-    rearrangements take those nodes too. Any n_c above
+    modes, |f(p) g(x - p)|^2 on its band limit's own 2(2L+1) nodes, for f#
+    too (convolution.SliceColumn, convolution.pair_profile). n_c sizes
+    the rest: a squared pair kernel of band limit L is a trig polynomial of
+    degree 4L on each slice, so n_c = 4L+2, the smallest even count above
+    it, makes the literal routes exact (pair_slice_average, which also
+    takes the ball route's kernels with literal factors, and the outer
+    route); unsquared f# and odd p take those nodes too. Any n_c above
     4L is exact as well, and so is an odd n_c above 2L, which adds its n_c
     nodes' partners x - p: the 2 n_c nodes are the uniform 2 n_c rule.
     """

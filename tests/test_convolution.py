@@ -46,6 +46,26 @@ class TestLiteralSliceAverage:
         vals = pair_slice_average(PairKernel.tensor(ONE, ONE), xs, 16)
         assert np.all(np.abs(vals - 2 * PI / r) <= 1e-12 * (2 * PI / r))
 
+    def test_batches_count_the_factors_harmonic_tables(self):
+        # a coefficient-backed factor builds an (L+1)^2-row harmonic table at
+        # the slice nodes, and the other one at the partners: 1,424 counted
+        # bytes a node at L=8, so 2048 centres on 34 nodes take batches of 86
+        # centres, about 6 MB, as a complex f's evaluation casts its table to
+        # complex; counting 64 B a node alone, one batch of 481 centres
+        # peaked near 32 MB
+        f = rand_fn(8, 17, complex_valued=True)
+        K = PairKernel.tensor(f, f.antipodal_conjugate())
+        xs = ball_points(np.random.default_rng(18), 2048)
+        tracemalloc.start()
+        try:
+            batch = pair_slice_average(K, xs, 34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * convolution._CHUNK_BYTES
+        few = pair_slice_average(K, xs[-7:], 34)
+        assert np.abs(batch[-7:] - few).max() <= 1e-14 * np.abs(few).max()
+
     def test_unit_and_boundary_radii(self):
         xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         unit, boundary = pair_slice_average(PairKernel.tensor(ONE, ONE), xs, 8)
@@ -107,9 +127,10 @@ class TestLiteralSliceAverage:
 
     def test_literal_batches_are_sized_by_their_slice_nodes(self):
         # 2048 centres at n_c=128 in one batch would hold 262144 nodes and
-        # f's degree-4 harmonic table there, 178 MB traced; batches of 16384
-        # nodes (4 _CHUNK_BYTES at 64 B a node) keep the peak near f's table
-        # on one batch, and each centre's value is its own
+        # f's degree-4 harmonic table there, 178 MB traced; batches of 7936
+        # nodes (16 _CHUNK_BYTES at 528 B a node, f's two 25-row tables
+        # counted) keep the peak near f's tables on one batch, and each
+        # centre's value is its own
         f = rand_fn(4, 17, complex_valued=True)
         xs = ball_points(np.random.default_rng(18), 2048)
         K = PairKernel.tensor(f, f)
@@ -257,7 +278,7 @@ class TestPairProfile:
     def test_real_squares_are_one_square_of_the_values(self):
         v, w = np.random.default_rng(81).standard_normal((2, 3, 40))
         v[0, :3] = (-0.0, 0.0, -1e-200)
-        formed = convolution._squares_formed([v], None).form(0, 3)
+        formed = convolution._Formed((v,), None).form(0, 3)
         assert formed.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
         split = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), 2)
         dense = pair_profile(np.square(v), np.square(w), np.ones(3))
@@ -283,11 +304,21 @@ class TestPairProfile:
         odd = pair_profile(a, b, np.ones(1), 1)   # |a| |b| at the partners: 12
         assert abs(odd[0] - 6 * PI) <= 1e-15 * 6 * PI
 
-    def test_a_dense_array_and_split_values_are_refused(self):
-        v = np.ones((1, 4))
-        for a, b in ((v, SplitValues(v)), (SplitValues(v), v)):
-            with pytest.raises(ValueError, match="two dense arrays or two SplitValues"):
-                pair_profile(a, b, np.ones(1))
+    @pytest.mark.parametrize("p", [None, 1, 2])
+    def test_a_dense_array_pairs_as_its_split_rows(self, p):
+        # a dense array is the SplitValues of its real and imaginary parts:
+        # beside SplitValues or another array it pairs as they do, bit for bit
+        rng = np.random.default_rng(82)
+        a, b = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
+        r = rng.uniform(0.5, 2.0, 3)
+        sb = SplitValues(b.real, b.imag)
+        for x in (a, a.real):
+            sx = SplitValues(x.real, x.imag if np.iscomplexobj(x) else None)
+            expect = pair_profile(sx, sb, r, p)
+            for va, vb in ((x, sb), (sx, b), (x, b)):
+                got = pair_profile(va, vb, r, p)
+                assert got.dtype == expect.dtype
+                assert got.tobytes() == expect.tobytes()
 
 
 class TestModePairing:

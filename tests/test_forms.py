@@ -143,6 +143,16 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="an evaluator or factors"):
             PairKernel(**kwargs)
 
+    @pytest.mark.parametrize("power", [-2, 0, True, 1.5, 2.0, "2"])
+    def test_magnitude_power_is_none_or_a_positive_integer(self, power):
+        # unchecked, -2 would fail deep in the node rule, 0 would mean no |.|
+        # at all, and True would be taken as 1
+        f = rand_fn(2, 1)
+        with pytest.raises(ValueError, match="magnitude_power must be a positive integer"):
+            PairKernel(factors=(f, f), magnitude_power=power)
+        for ok in (None, 1, 2, np.int64(4)):
+            assert PairKernel(factors=(f, f), magnitude_power=ok).magnitude_power == ok
+
     def test_a_structured_kernel_is_evaluated_from_its_structure(self):
         f, g = rand_fn(3, 2, complex_valued=True), rand_fn(2, 3)
         rng = np.random.default_rng(4)
@@ -522,6 +532,20 @@ class TestSliceCount:
         few, many = (quadrilinear_q(sharp, sharp, sharp, sharp, forms.FormGrids(ball, n_c))
                      for n_c in (4, 34))
         assert abs(few - many) > 1e-6 * abs(many)
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_squared_sharp_kernels_do_not(self, L):
+        # |f#|^2 = (|f|^2 + |f(-.)|^2) / 2 is band-limited to 2L though f# is
+        # not, so B(|F#|^2, 1) pairs on its band limit's own rule and is the
+        # chain's link 2 pi H(|f#|^2) at every n_c, few nodes and odd counts too
+        sharp = rand_fn(L, 62, complex_valued=True).sharp_rearrangement()
+        square = analyze(lambda p: sharp(p) ** 2, build_basis(2 * L, build_sphere_grid(2 * L + 1)))
+        link = 2 * PI * h_spectral(square, lambda_closed_form(2 * L))
+        ball = exact_form_grids(L).ball
+        K = weighted_pair_kernel(sharp).abs_squared()
+        for n_c in (3, 6, 12, 4 * L + 2):
+            b = bilinear_b(K, PairKernel.one(), forms.FormGrids(ball, n_c))
+            assert abs(b - link) <= 1e-13 * link
 
 
 def literal(f):
@@ -1063,9 +1087,13 @@ class TestFieldsMemo:
                 top = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # whatever synthesize allocates, the memo pins no product after the
-            # sharp Q: its plan reads no row in modes
-            assert not held_products(grids.slice_column(8))
+            # whatever synthesize allocates, the memo pins after the sharp Q
+            # exactly f#'s one product, one value per slice, and none of the
+            # products of f's rows in modes: the sharp plan reads no such row
+            col = grids.slice_column(8)
+            (key,) = col._memo[2]
+            assert [k[0] for k in key] == ["sharp"]
+            assert [p.shape for p in held_products(col)] == [(col.n_t, col.radii.size)]
             return top
 
         assert peak(True) <= peak(False) + 64 * 1024
@@ -1264,7 +1292,8 @@ class TestHeldProducts:
     def test_node_values_are_formed_per_use_and_not_held(self, monkeypatch):
         # Q(f, f*, f, f*) pairs in modes only; the sharp Q, the one kernel of
         # coefficient-backed f left on the n_c nodes, takes f's rows at +-p
-        # to the nodes once, and the memo keeps none of them
+        # to the nodes once, and the memo keeps none of their node values,
+        # only f#'s one product, which a second sharp Q reads
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         expanded, to_nodes = [], convolution._to_nodes
 
@@ -1284,8 +1313,22 @@ class TestHeldProducts:
         # two rows, each on every slice once, chunk by chunk
         assert sum(expanded) == 2 * col.n_t * col.radii.size
         # the sharp plan reads no row in modes: its sampler keeps none of f's
-        # products, and its sharp values keep their own store
-        assert not held_products(col)
+        # products, and f#'s product goes into the same store, one value a slice
+        assert [p.shape for p in held_products(col)] == [(col.n_t, col.radii.size)]
+        quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+        assert sum(expanded) == 2 * col.n_t * col.radii.size
+
+    def test_b_of_sharp_kernels_after_sharp_q_reads_its_product(self, half_pairs):
+        # Q(f#, f#, f#, f#) = 3/4 B(F#, F#): the column's one store keeps f#'s
+        # product under its plan entry, so B(F#, F#) right after forms none
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        sharp = rand_fn(4, 128, complex_valued=True).sharp_rearrangement()
+        F = weighted_pair_kernel(sharp)
+        quadrilinear_q(sharp, sharp, sharp, sharp, grids)
+        assert half_pairs[0] == 1
+        b = bilinear_b(F, F, grids)
+        assert half_pairs[0] == 1
+        assert b == bilinear_b(F, F, forms.FormGrids(grids.ball, grids.n_c))
 
     def test_products_are_dropped_when_recall_replaces_the_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
