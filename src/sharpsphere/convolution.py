@@ -13,16 +13,16 @@ sits at psi + pi. SliceColumn gives such f as its 2L+1 slice-angle modes,
 synthesized from two factors, a rotation block per polar ring and degree
 and the Legendre values per radius, never held as one table of every
 centre's modes. pair_profile pairs the modes by Parseval, and |f tensor
-g|^p of even p, f# included, on the band limit's own 2(pL+1) nodes, both
-exactly at every n_c. Node values, at each slice's nodes p_j and their
-partners (n_c nodes, or at odd n_c the uniform 2 n_c: see _half_turn), are
-for unsquared sharp rearrangements and |.|^p of odd p, formed one chunk of
-slices at a time (_CHUNK_BYTES) as pair_profile pairs them. Literal
-callables have no place on the column; pair_slice_average takes them at
+g|^2, f# included, on the band limit's own 2(2L+1) nodes, both exactly at
+every n_c. Only unsquared sharp rearrangements take node values, at each
+slice's nodes p_j and their partners (n_c nodes, or at odd n_c the uniform
+2 n_c: see _half_turn), formed one chunk of slices at a time (_CHUNK_BYTES)
+as pair_profile pairs them. Literal callables, plain-callable kernels
+included, have no place on the column; pair_slice_average takes them at
 slice_point_table's nodes. Pointwise values of f sigma * g sigma come two
-ways: convolve_many reads f and g at those nodes through one
-SlicePlan, and pair_slice_average of the kernel f tensor g is the literal
-route it is checked against, each in batches of centres sized by bytes.
+ways: convolve_many reads f and g at those nodes through one SlicePlan,
+and pair_slice_average of the kernel f tensor g is the literal route it
+is checked against, each in batches of centres sized by bytes.
 """
 
 import math
@@ -195,7 +195,7 @@ class SplitValues(NamedTuple):
     re and im are usually rows of a SliceColumn's held fields, read in place;
     im is None for real values. The signs are +-1. re may instead be a
     formula (_Formed) of real rows, formed per use (sharp rearrangements,
-    and |.|^p in pair_profile): real values at the slice nodes, made one
+    and |.|^2 in pair_profile): real values at the slice nodes, made one
     chunk of slices at a time (chunk), never kept.
 
     expansion marks the domain. None: the last axis runs over slice nodes.
@@ -226,7 +226,7 @@ class SplitValues(NamedTuple):
         """The values as one real or complex array, in their own domain;
         formed values at the slice nodes."""
         if isinstance(self.re, _Formed):
-            return self.nodes().re
+            return self.re.form(0, math.prod(self.re.shape[:-1])).reshape(self.re.shape)
         if self.im is None:
             return self.re if self.re_sign > 0 else -self.re
         v = np.empty(self.re.shape, dtype=complex)
@@ -239,16 +239,6 @@ class SplitValues(NamedTuple):
         flattened slice axes, shape (s1 - s0, N), unsigned: a view of
         values already there, else a new array, expanded or formed."""
         return [_rows(part, s0, s1, self.expansion) for part, *_ in self.parts()]
-
-    def nodes(self) -> "SplitValues":
-        """The values at the slice nodes of every slice, in the slice axes'
-        shape: self if they are arrays there already, else each part
-        expanded or formed into a new array, with no store."""
-        if self.expansion is None and not isinstance(self.re, _Formed):
-            return self
-        lead = self.re.shape[:-1]
-        re, *im = (v.reshape(lead + (-1,)) for v in self.chunk(0, math.prod(lead)))
-        return SplitValues(re, im[0] if im else None, self.re_sign, self.im_sign)
 
 
 class SlicePlan:
@@ -454,9 +444,8 @@ class SliceColumn:
     and the slice nodes enter only through expansion, the (2L+1, N) matrix
     to each slice's N nodes, n_c or, at odd n_c, 2 n_c: the rule nodes,
     then their partners x - p_j (see _half_turn). Those node values serve
-    only unsquared sharp rearrangements and |.|^p of odd p; pair_profile
-    pairs |.|^p of even p on its band limit's own rule, f# included. The
-    build places no slice node.
+    only unsquared sharp rearrangements; pair_profile pairs |.|^2 on its
+    band limit's own rule, f# included. The build places no slice node.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -617,9 +606,9 @@ def _mode_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return np.matmul(a * b, _mode_weights(a.shape[-1]), out=out)
 
 
-def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
+def pair_profile(va, vb, radii: np.ndarray, squared: bool = False) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis), or,
-    given p, that of |f|^p and |g|^p.
+    squared, that of |f|^2 and |g|^2.
 
     Leading axes run over centres x of norm radii. va and vb are SplitValues,
     whose signed real parts are paired: Re = sum(a_r b_r - a_i b_i), Im =
@@ -636,16 +625,12 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     and paired, and no product of modes and no part's node values exist for
     more slices than a chunk's.
 
-    p is the node rule's one input. |v|^p is formed per use, real, by one
-    formula, (scale * the sum of the squares of v's own real rows)^(p/2):
-    its parts at scale 1, or a sharp rearrangement's source rows at scale
-    1/2 (_Formed). For even p and the rows of both values in modes of
-    degree L, |.|^p is a trig polynomial of degree pL on each slice, so its
-    pairing, of degree 2pL, is exact on the band limit's own 2(pL+1)
-    uniform nodes, half of them partners of the other half, at every n_c,
-    f# included. Otherwise (odd p) the rows are taken to their values'
-    nodes, the column's n_c or, at odd n_c, 2 n_c (expansion), or the nodes
-    they are at. Real |x|^2 is np.square(x) bit for bit.
+    squared pairs |v|^2, formed per use as scale * the sum of the squares of
+    v's own real rows: its parts at scale 1, or f#'s source rows at scale
+    1/2 (_Formed). Of two column values, modes of degree L, it pairs on the
+    band limit's own 2(2L+1) uniform nodes, exactly at every n_c, f#
+    included; of any other values, at their slice nodes. Real |x|^2 is
+    np.square(x) bit for bit.
 
     When va and vb carry one product store (SplitValues.products), each real
     product of two parts is read from it, or formed and kept there, under
@@ -653,18 +638,15 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
     """
     va, vb = (v if isinstance(v, SplitValues)
               else SplitValues(v.real, v.imag if np.iscomplexobj(v) else None) for v in (va, vb))
-    if p:
-        # each value's |v| as a formula: its own, or its parts' at scale 1
-        fa, fb = (v.re if isinstance(v.re, _Formed)
-                  else _Formed(tuple(part for part, *_ in v.parts()), v.expansion, 1.0, 0.5)
+    if squared:
+        # each value's |v|^2 as a formula: its own rows', or its parts'
+        fa, fb = (v.re._replace(power=1.0) if isinstance(v.re, _Formed)
+                  else _Formed(tuple(part for part, *_ in v.parts()), v.expansion)
                   for v in (va, vb))
-        rule = None
-        if p % 2 == 0 and fa.expansion is not None and fb.expansion is not None:
-            L = fa.expansion.shape[0] // 2
-            rule = _expansion(L, 2 * (p * L + 1))   # the band limit's own rule
-        ma, mb = (SplitValues(f._replace(expansion=f.expansion if rule is None else rule,
-                                         power=f.power * p)) for f in (fa, fb))
-        va, vb = ma, (ma if vb is va else mb)
+        if fa.expansion is not None and fb.expansion is not None:   # the band limit's own rule
+            rule = _expansion(fa.expansion.shape[0] // 2, 2 * fa.expansion.shape[0])
+            fa, fb = fa._replace(expansion=rule), fb._replace(expansion=rule)
+        va, vb = [SplitValues(fa)] * 2 if vb is va else (SplitValues(fa), SplitValues(fb))
     modes = va.expansion is not None and vb.expansion is not None
     store = va.products if va.products is vb.products else None
     held = {} if store is None else store
@@ -702,24 +684,24 @@ def pair_profile(va, vb, radii: np.ndarray, p: int | None = None) -> np.ndarray:
 def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     """(1/|x|) * integral of F(omega(phi), x - omega(phi)) dphi for each row x of X.
 
-    The pair-measure profile of a kernel F(omega, nu): for F = f tensor g
-    this is the convolution of f sigma and g sigma at x. This is the literal
-    route (partner points x - p, generic evaluator) that the table routes are
-    cross-checked against, on slice_point_table's nodes. Exact (up to
-    rounding) whenever F(omega(phi), x - omega(phi)) is a trigonometric
-    polynomial of degree < N in the slice angle, N = n_c or, at odd n_c,
-    2 n_c, which holds with degree 2L for f tensor g of band-limited f, g of
-    degree L. The result is real when F's values are. A batch of centres
-    holds at most 16 _CHUNK_BYTES of slice nodes at 128 B a node (point,
-    partner, F's complex values and temporaries, as traced for plane waves)
-    plus 8 B per row of the harmonic tables that F's coefficient-backed or
-    sharp factors build there, (L+1)^2 rows a factor; complex factors take
-    about 40% more at L=8. A centre at 0 raises DegenerateSliceError, one
-    beyond |x| = 2 EmptyIntersectionError, and non-finite centres or values
-    ValueError.
+    The pair-measure profile of a kernel F(omega, nu), a PairKernel or a
+    plain callable: for F = f tensor g this is the convolution of f sigma
+    and g sigma at x. This is the literal route (partner points x - p, F
+    called there) that the table routes are cross-checked against, on
+    slice_point_table's nodes. Exact (up to rounding) whenever
+    F(omega(phi), x - omega(phi)) is a trigonometric polynomial of degree
+    < N in the slice angle, N = n_c or, at odd n_c, 2 n_c, which holds with
+    degree 2L for f tensor g of band-limited f, g of degree L. The result
+    is real when F's values are. A batch of centres holds at most 16
+    _CHUNK_BYTES of slice nodes at 128 B a node (point, partner, F's complex
+    values and temporaries, as traced for plane waves) plus 8 B per row of
+    the harmonic tables that F's coefficient-backed or sharp factors build
+    there, (L+1)^2 rows a factor. A centre at 0 raises DegenerateSliceError,
+    one beyond |x| = 2 EmptyIntersectionError, and non-finite centres or
+    values ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
-    rows = sum(len(c.coeffs) for func in getattr(F, "factors", None) or ()
+    rows = sum(len(c.coeffs) for func in getattr(F, "factors", ())
                for c in _sources(func) if c is not None)
     parts, nodes = [np.zeros(0)], 2 * _half_turn(n_c).size
     for i0, i1 in _chunks(len(X), (128 + 8 * rows) * nodes // 16):
@@ -771,7 +753,10 @@ def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> np.nd
 
 
 def extension_at(f: SphereFunction, x, grid: SphereGrid):
-    """The extension (Fourier transform of f dsigma) at a finite point x in R^3."""
+    """The extension (Fourier transform of f dsigma) at a finite point x in R^3.
+    Non-finite values of f at the grid nodes raise ValueError."""
     x = _finite(x, "extension point").reshape(3)
-    vals = np.asarray(f(grid.nodes)) * np.exp(-1j * (grid.nodes @ x))
-    return np.sum(grid.weights * vals)
+    vals = np.asarray(f(grid.nodes))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("f produced non-finite values on the grid")
+    return np.sum(grid.weights * (vals * np.exp(-1j * (grid.nodes @ x))))

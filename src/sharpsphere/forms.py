@@ -109,40 +109,32 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
 
 
 class PairKernel:
-    """A kernel F(omega, nu) on pairs of unit vectors, of one description.
+    """A pair kernel of the paper's proof, f(omega) g(nu) |omega + nu|^w or,
+    squared, |f(omega) g(nu)|^2 |omega + nu|^w: f tensor g for Q, F = f
+    tensor f |omega + nu|, |F|^2 and 1, on f or on f#.
 
-    Either a point evaluator, or the structure |f(omega) g(nu)|^p |omega +
-    nu|^w: factors, two functions f and g or () for 1, sum_weight_power w and
-    magnitude_power p, with no |.| when p is None. A call evaluates the
-    structure, and the ball route pairs it, coefficient-backed factors on a
-    shared harmonic table and |omega + nu| = |x| on the slice at x. An
-    evaluator with factors or powers, neither, factors other than () or two
-    functions, or a magnitude_power neither None nor a positive integer
-    raise ValueError.
+    factors are two functions f and g, or () for 1; w is sum_weight_power.
+    A call evaluates the structure, and the ball route pairs it (see
+    bilinear_b). Any other kernel is a plain callable F(omega, nu). factors
+    other than a tuple of none or two functions, or a squared that is not a
+    bool, raise ValueError.
     """
 
-    def __init__(self, evaluator=None, *, factors=None, sum_weight_power: int = 0,
-                 magnitude_power: int | None = None):
-        if (evaluator is None) == (factors is None) or (
-                factors is None and (sum_weight_power or magnitude_power is not None)):
-            raise ValueError("a PairKernel takes an evaluator or factors and their powers")
-        if factors is not None and not (len(factors) in (0, 2)
-                                        and all(callable(f) for f in factors)):
-            raise ValueError("factors must be () or two functions")
-        if magnitude_power is not None:
-            _require_int(magnitude_power, "magnitude_power")
-        self.evaluator = evaluator
+    def __init__(self, factors=(), *, sum_weight_power: int = 0, squared: bool = False):
+        if not (isinstance(factors, tuple) and len(factors) in (0, 2)
+                and all(callable(f) for f in factors)):
+            raise ValueError(f"factors must be () or two functions, got {factors!r}")
+        if not isinstance(squared, bool):
+            raise ValueError(f"squared must be a bool, got {squared!r}")
         self.factors = factors
         self.sum_weight_power = sum_weight_power
-        self.magnitude_power = magnitude_power
+        self.squared = squared
 
     def __call__(self, omega, nu):
-        if self.factors is None:
-            return self.evaluator(omega, nu)
         vals = (self.factors[0](omega) * self.factors[1](nu) if self.factors
                 else np.ones(np.shape(omega)[:-1]))
-        if self.magnitude_power:   # as pair_profile reads it
-            vals = np.abs(vals) ** self.magnitude_power
+        if self.squared:
+            vals = np.abs(vals) ** 2
         if self.sum_weight_power:
             vals = vals * np.linalg.norm(omega + nu, axis=-1) ** self.sum_weight_power
         return vals
@@ -150,22 +142,23 @@ class PairKernel:
     @classmethod
     def tensor(cls, f, g) -> "PairKernel":
         """f tensor g: (omega, nu) -> f(omega) g(nu), with no pair-sum weight."""
-        return cls(factors=(f, g))
+        return cls((f, g))
 
     @classmethod
     def one(cls) -> "PairKernel":
-        return cls(factors=())
+        return cls()
 
-    def abs_squared(self) -> "PairKernel":
-        if self.factors is None:
-            return PairKernel(lambda omega, nu: np.abs(self.evaluator(omega, nu)) ** 2)
-        return PairKernel(factors=self.factors, sum_weight_power=2 * self.sum_weight_power,
-                          magnitude_power=2 * (self.magnitude_power or 1))
+    def abs_squared(self):
+        """|F|^2: a squared PairKernel, or, of a squared one, a plain callable."""
+        if self.squared:
+            return lambda omega, nu: np.abs(self(omega, nu)) ** 2
+        return PairKernel(self.factors, sum_weight_power=2 * self.sum_weight_power,
+                          squared=True)
 
 
 def weighted_pair_kernel(f: SphereFunction) -> PairKernel:
     """F(omega, nu) = f(omega) f(nu) |omega + nu|, the tensor square with pair-sum weight."""
-    return PairKernel(factors=(f, f), sum_weight_power=1)
+    return PairKernel((f, f), sum_weight_power=1)
 
 
 @dataclass(frozen=True)
@@ -185,12 +178,11 @@ class FormGrids:
     paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F)
     and B(F, F) <= B(|F|^2, 1), run one synthesis pass (SliceColumn.synthesize)
     for f's rows at +-p: two, or four for complex f, and keeps f#'s
-    products in the same store. |F|^p of even p pairs on its band limit's
-    own rule (see pair_profile), exactly at every n_c, f# included, so only
-    unsquared f# and odd p read values at the slice nodes, one chunk of
-    slices at a time, kept nowhere. Kernels with a literal factor, and
-    evaluator kernels, take pair_slice_average at the ball grid's nodes and
-    nothing from the column; n_c sizes only them, unsquared f# and odd p.
+    products in the same store. |F|^2 pairs on its band limit's own rule
+    (pair_profile), exactly at every n_c, f# included. n_c sizes only
+    unsquared f#, read at the slice nodes one chunk of slices at a time and
+    kept nowhere, and plain callables and kernels with a literal factor,
+    which take pair_slice_average at the ball grid's nodes.
     The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and
     share the column. The ascent (maximizer.Workspace) takes the slice-free
     radial route instead, which verify checks against this one
@@ -265,21 +257,20 @@ def _polar_ring(grid: SphereGrid, n_phi: int):
             ((sel, (ring @ frames[sel]).reshape(-1, 3)) for sel in sels))
 
 
-def _on_column(K: PairKernel) -> bool:
-    # K's factors, if any, are all backed by coefficient rows (SlicePlan)
-    return K.factors is not None and all(_backed(f) for f in K.factors)
+def _on_column(K) -> bool:
+    # K is a PairKernel whose factors are all backed by coefficient rows (SlicePlan)
+    return isinstance(K, PairKernel) and all(_backed(f) for f in K.factors)
 
 
-def _kernel_profile(K: PairKernel, values, col: SliceColumn, ball: BallGrid,
-                    negate: bool) -> np.ndarray:
+def _kernel_profile(K, values, col: SliceColumn, ball: BallGrid, negate: bool) -> np.ndarray:
     """K's pair profile at the nodes x (-x if negate) of ball's azimuth rows [0, n_t).
 
-    A structured K whose factors are backed by coefficient rows pairs them,
+    A PairKernel whose factors are backed by coefficient rows pairs them,
     which values yields on the column's slices as SplitValues, in
-    pair_profile, as |ab|^p = |a|^p |b|^p and |omega + nu| = |x| = r at the
-    analytic nodes; pair_profile picks the nodes |.|^p is paired on. The
-    constant kernel gives 2 pi / r. Any other kernel, an evaluator or one
-    with a literal factor, takes the literal pair_slice_average at x.
+    pair_profile, as |ab|^2 = |a|^2 |b|^2 when squared, and |omega + nu| =
+    |x| = r; pair_profile picks the nodes |.|^2 is paired on. The constant
+    kernel gives 2 pi / r. Any other kernel, a plain callable or one with a
+    literal factor, takes the literal pair_slice_average at x.
     """
     r, n_t = col.radii, col.n_t
     if not _on_column(K):
@@ -287,13 +278,13 @@ def _kernel_profile(K: PairKernel, values, col: SliceColumn, ball: BallGrid,
         x = -x if negate else x
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
-        prof = pair_profile(next(values), next(values), r, K.magnitude_power)
+        prof = pair_profile(next(values), next(values), r, K.squared)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (n_t, r.size))
     return prof * r ** K.sum_weight_power
 
 
-def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
+def _b_ball(F, G, grids: FormGrids) -> complex:
     # Ball rows a >= n_t hold -x of rows a < n_t with equal weight, so B sums
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t.
     # Factors backed by coefficient rows are sampled at p, and at -p from
@@ -314,7 +305,7 @@ def _b_ball(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
     return complex(np.sum(col.weights * (fx * gnx + fnx * gx)))
 
 
-def _b_outer(F: PairKernel, G: PairKernel, grids: FormGrids) -> complex:
+def _b_outer(F, G, grids: FormGrids) -> complex:
     # omega_2 = -nu, so G's slice sum at nu - omega_1 divides by 2u, which the
     # ring weight 4u du dphi multiplies back
     dirs = grids.ball.directions
@@ -338,22 +329,21 @@ def quadrilinear_q(f1, f2, f3, f4, grids: FormGrids, method: str = "ball"):
     return bilinear_b(PairKernel.tensor(f1, f2), PairKernel.tensor(f3, f4), grids, method)
 
 
-def bilinear_b(F: PairKernel, G: PairKernel, grids: FormGrids, method: str = "ball"):
+def bilinear_b(F, G, grids: FormGrids, method: str = "ball"):
     """B(F, G): pair kernels integrated against the zero-sum pairing measure.
 
-    method="ball" integrates F's pair profile at x times G's at -x over the
-    ball, exact to rounding for band-limited ingredients on exact_sizes
-    grids. It folds over the antipodal symmetry of the ball grid, summing
-    PF(x) PG(-x) + PF(-x) PG(x) over the first n_t azimuth rows; G = F
-    takes the same four profiles, G's read from the products of F's.
-    Structured kernels whose factors are coefficient-backed, or sharp
-    rearrangements of such, pair their factors sampled on the column
-    at p and at -p: band-limited factors in slice-angle modes and |.|^p of
-    even p, sharp factors included, exactly at every n_c, and unsquared
-    sharp factors (and |.|^p of odd p) at the slice nodes, n_c or, at odd
-    n_c, 2 n_c (see pair_profile).
-    Any other kernel, an evaluator or one with a literal factor, takes the
-    literal pair_slice_average at the ball grid's nodes, four times.
+    F and G are PairKernels or plain callables F(omega, nu). method="ball"
+    integrates F's pair profile at x times G's at -x over the ball, exact
+    to rounding for band-limited ingredients on exact_sizes grids. It folds
+    over the antipodal symmetry of the ball grid, summing PF(x) PG(-x) +
+    PF(-x) PG(x) over the first n_t azimuth rows; G = F takes the same four
+    profiles, G's read from the products of F's. A PairKernel whose factors
+    are coefficient-backed, or sharp rearrangements of such, pairs them
+    sampled on the column at p and at -p (pair_profile): in slice-angle
+    modes, and squared on the band limit's own rule, exactly at every n_c;
+    unsquared sharp factors at the slice nodes, n_c or, at odd n_c, 2 n_c.
+    Any other kernel, a plain callable or one with a literal factor, takes
+    the literal pair_slice_average at the ball grid's nodes, four times.
     method="outer", the cross-check, integrates F(omega_1, omega_2) times
     G's literal slice profile at -(omega_1 + omega_2) over omega_2 on the
     polar ring about -omega_1 (2 n_t azimuths), whose Jacobian cancels the

@@ -139,6 +139,12 @@ def harmonic_values(L: int, points: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _synthesize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # coeffs @ table, complex coefficients by parts: no complex copy of the table
+    return (coeffs.real @ table + 1j * (coeffs.imag @ table) if np.iscomplexobj(coeffs)
+            else coeffs @ table)
+
+
 @dataclass(frozen=True)
 class HarmonicCoeffs:
     """Expansion coefficients c_{k,m} through degree max_degree, flat layout."""
@@ -274,7 +280,7 @@ class SphereFunction:
     @classmethod
     def from_coeffs(cls, c: HarmonicCoeffs) -> "SphereFunction":
         def fn(pts):
-            return c.coeffs @ harmonic_values(c.max_degree, pts)
+            return _synthesize(c.coeffs, harmonic_values(c.max_degree, pts))
         return cls(fn, coeffs=c)
 
     @classmethod
@@ -303,7 +309,7 @@ class SphereFunction:
 
         def sharp(pts):
             plus, minus = ((fn(pts), fn(-pts)) if rows is None
-                           else rows @ harmonic_values(c.max_degree, pts))
+                           else _synthesize(rows, harmonic_values(c.max_degree, pts)))
             return np.sqrt(0.5 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
         return SphereFunction(sharp, sharp_source=self)
 

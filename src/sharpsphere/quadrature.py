@@ -207,9 +207,9 @@ def exact_sizes(L: int) -> tuple[int, int, int]:
     the rest: a squared pair kernel of band limit L is a trig polynomial of
     degree 4L on each slice, so n_c = 4L+2, the smallest even count above
     it, makes the literal routes exact (pair_slice_average, which also
-    takes the ball route's kernels with literal factors, and the outer
-    route); unsquared f# and odd p take those nodes too. Any n_c above
-    4L is exact as well, and so is an odd n_c above 2L, which adds its n_c
+    takes the ball route's callable kernels and those with literal factors,
+    and the outer route), and unsquared f# takes those nodes. Any n_c above 4L
+    is exact as well, and so is an odd n_c above 2L, which adds its n_c
     nodes' partners x - p: the 2 n_c nodes are the uniform 2 n_c rule.
     """
     _require_int(L, "L", 0)

@@ -1,8 +1,10 @@
 """Shared random-geometry helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from sharpsphere import SphereFunction, random_band_limited
+from sharpsphere import SphereFunction, SplitValues, random_band_limited
 
 
 def unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -30,3 +32,14 @@ def ball_rows(ball, a0: int, a1: int) -> np.ndarray:
     SliceColumn's centre order."""
     n_az = ball.directions.exactness_degree + 1   # 2 n_t
     return ball.points().reshape(-1, n_az, 3)[:, a0:a1].swapaxes(0, 1)
+
+
+def node_values(v: SplitValues) -> SplitValues:
+    """v's values at the slice nodes of every slice, in the slice axes'
+    shape: v itself if they are arrays there already, else each part
+    expanded or formed into a new array (SplitValues.chunk), with no store."""
+    if v.expansion is None and isinstance(v.re, np.ndarray):
+        return v
+    lead = v.re.shape[:-1]
+    re, *im = (part.reshape(lead + (-1,)) for part in v.chunk(0, math.prod(lead)))
+    return SplitValues(re, im[0] if im else None, v.re_sign, v.im_sign)

@@ -29,7 +29,7 @@ from sharpsphere import convolution, harmonics
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
-from helpers import ball_points, ball_rows, rand_fn, unit_vectors
+from helpers import ball_points, ball_rows, node_values, rand_fn, unit_vectors
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -50,9 +50,8 @@ class TestLiteralSliceAverage:
         # a coefficient-backed factor builds an (L+1)^2-row harmonic table at
         # the slice nodes, and the other one at the partners: 1,424 counted
         # bytes a node at L=8, so 2048 centres on 34 nodes take batches of 86
-        # centres, about 6 MB, as a complex f's evaluation casts its table to
-        # complex; counting 64 B a node alone, one batch of 481 centres
-        # peaked near 32 MB
+        # centres, about 2.3 MB traced for this complex f; counting 64 B a
+        # node alone, one batch of 481 centres peaked near 32 MB
         f = rand_fn(8, 17, complex_valued=True)
         K = PairKernel.tensor(f, f.antipodal_conjugate())
         xs = ball_points(np.random.default_rng(18), 2048)
@@ -260,27 +259,26 @@ class TestPairProfile:
         own = convolution._expansion(L, 2 * (2 * L + 1))   # |.|^2's own rule
         for a in vals:
             for b in vals:
-                dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)
+                dense = pair_profile(node_values(a).dense(), node_values(b).dense(), col.radii)
                 split = pair_profile(a, b, col.radii)
                 assert split.dtype == dense.dtype
                 assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
-                # |a|^p |b|^p: p = 2 of two factors in modes on the band
-                # limit's own 2(2L+1) nodes, anything else at the column's
-                for p in (1, 2):
-                    moved = p == 2 and a.expansion is not None and b.expansion is not None
-                    da, db = (np.abs((v._replace(expansion=own) if moved else v).nodes().dense())
-                              ** p for v in (a, b))
-                    dense = pair_profile(da, db, col.radii)
-                    split = pair_profile(a, b, col.radii, p)
-                    assert split.dtype == dense.dtype == float
-                    assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+                # |a|^2 |b|^2: two factors in modes on the band limit's own
+                # 2(2L+1) nodes, anything else at the column's
+                moved = a.expansion is not None and b.expansion is not None
+                da, db = (np.abs(node_values(v._replace(expansion=own) if moved else v).dense())
+                          ** 2 for v in (a, b))
+                dense = pair_profile(da, db, col.radii)
+                split = pair_profile(a, b, col.radii, True)
+                assert split.dtype == dense.dtype == float
+                assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_real_squares_are_one_square_of_the_values(self):
         v, w = np.random.default_rng(81).standard_normal((2, 3, 40))
         v[0, :3] = (-0.0, 0.0, -1e-200)
         formed = convolution._Formed((v,), None).form(0, 3)
         assert formed.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
-        split = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), 2)
+        split = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), True)
         dense = pair_profile(np.square(v), np.square(w), np.ones(3))
         assert split.view(np.int64).tolist() == dense.view(np.int64).tolist()
 
@@ -298,14 +296,12 @@ class TestPairProfile:
         if complex_valued:   # the same magnitudes, split over two parts
             a, b = a * np.exp(0.3j), b * np.exp(-1.1j)
             split = [SplitValues(v.real, v.imag) for v in (a, b)]
-        dense = pair_profile(a, b, np.ones(1), 2)
+        dense = pair_profile(a, b, np.ones(1), True)
         assert dense.dtype == float and abs(dense[0] - 27 * PI) <= 1e-15 * 27 * PI
-        assert np.abs(dense - pair_profile(*split, np.ones(1), 2)).max() <= 1e-15 * 27 * PI
-        odd = pair_profile(a, b, np.ones(1), 1)   # |a| |b| at the partners: 12
-        assert abs(odd[0] - 6 * PI) <= 1e-15 * 6 * PI
+        assert np.abs(dense - pair_profile(*split, np.ones(1), True)).max() <= 1e-15 * 27 * PI
 
-    @pytest.mark.parametrize("p", [None, 1, 2])
-    def test_a_dense_array_pairs_as_its_split_rows(self, p):
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_a_dense_array_pairs_as_its_split_rows(self, squared):
         # a dense array is the SplitValues of its real and imaginary parts:
         # beside SplitValues or another array it pairs as they do, bit for bit
         rng = np.random.default_rng(82)
@@ -314,9 +310,9 @@ class TestPairProfile:
         sb = SplitValues(b.real, b.imag)
         for x in (a, a.real):
             sx = SplitValues(x.real, x.imag if np.iscomplexobj(x) else None)
-            expect = pair_profile(sx, sb, r, p)
+            expect = pair_profile(sx, sb, r, squared)
             for va, vb in ((x, sb), (sx, b), (x, b)):
-                got = pair_profile(va, vb, r, p)
+                got = pair_profile(va, vb, r, squared)
                 assert got.dtype == expect.dtype
                 assert got.tobytes() == expect.tobytes()
 
@@ -335,7 +331,7 @@ class TestModePairing:
         a, b = col.sampler(SlicePlan([(f, False), (g, False)]))
         assert a.expansion is col.expansion and a.re.shape[-1] == 2 * L + 1
         modes = pair_profile(a, b, col.radii)
-        nodes = pair_profile(a.nodes(), b.nodes(), col.radii)
+        nodes = pair_profile(node_values(a), node_values(b), col.radii)
         return modes, nodes, ball_rows(ball, 0, col.n_t), (f, g)
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
@@ -457,6 +453,14 @@ class TestExtension:
     def test_non_finite_point_rejected(self, grid32, bad):
         with pytest.raises(ValueError, match="finite"):
             extension_at(ONE, np.array([bad, 0.0, 1.0]), grid32)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, grid32, bad):
+        # f non-finite at some grid nodes: NaN would be carried into the
+        # value, and inf would warn and give NaN
+        f = SphereFunction(lambda p: np.where(p[:, 2] > 0.5, bad, 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            extension_at(f, np.array([0.3, 0.0, 1.0]), grid32)
 
 
 class TestL4Norm:
@@ -635,7 +639,7 @@ class TestSliceColumn:
         assert placed == [] and sum(points) == (1 + col.n_t) * grid and radii == [n_r]
         f = rand_fn(5, 73, complex_valued=True)
         for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
-            v.nodes()
+            node_values(v)
         assert placed == []
 
     @pytest.mark.parametrize("L", list(range(9)) + [16])
@@ -739,7 +743,7 @@ class TestNegatedReads:
         c = f.coeffs.coeffs
         upper = slice_nodes(self.ball(L), col.n_c, n_t, 2 * n_t)
         literal = antipodal_order(col, c @ harmonic_values(L, upper))
-        nodes = v.nodes().dense().ravel()
+        nodes = node_values(v).dense().ravel()
         assert np.abs(nodes - literal).max() <= 1e-13 * np.abs(literal).max()
 
     @pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
@@ -779,12 +783,12 @@ class TestNegatedReads:
         for (func, negate), v in zip(requests, values):
             # f(-p) is f on the slices of rows a >= n_t, at their own nodes
             expect = antipodal_order(col, func(antipodes)) if negate else func(pts)
-            got = v.nodes().dense().ravel()
+            got = node_values(v).dense().ravel()
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
         # every pair, at p or -p, in modes matches the node route
         for a in values:
             for b in values:
-                dense = pair_profile(a.nodes().dense(), b.nodes().dense(), col.radii)
+                dense = pair_profile(node_values(a).dense(), node_values(b).dense(), col.radii)
                 split = pair_profile(a, b, col.radii)
                 assert np.abs(split - dense).max() <= 1e-13 * np.abs(dense).max()
 
