@@ -119,6 +119,18 @@ class TestPairKernel:
         expect = np.abs(f(a) * f(b)) ** 2 * np.linalg.norm(a + b, axis=1) ** 2
         assert np.abs(K2(a, b) - expect).max() <= 1e-13 * expect.max()
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_abs_squared_of_a_squared_kernel_is_its_square(self, complex_valued):
+        # |F|^4 has no PairKernel form: abs_squared of a squared kernel is a
+        # plain callable, |f(a) f(b)|^4 |a + b|^4 at every pair
+        f = rand_fn(3, 9, complex_valued=complex_valued)
+        K4 = weighted_pair_kernel(f).abs_squared().abs_squared()
+        assert not isinstance(K4, PairKernel) and callable(K4)
+        rng = np.random.default_rng(10)
+        a, b = unit_vectors(rng, 20), unit_vectors(rng, 20)
+        expect = np.abs(f(a) * f(b)) ** 4 * np.linalg.norm(a + b, axis=1) ** 4
+        assert np.abs(K4(a, b) - expect).max() <= 1e-13 * expect.max()
+
     @pytest.mark.parametrize("factors", [ONE, (ONE,), (ONE, ONE, ONE), (ONE, 2.0)],
                              ids=["callable", "one", "three", "not-callable"])
     def test_factors_are_empty_or_two_functions(self, factors):
@@ -350,6 +362,20 @@ class TestBilinearForm:
             ball = bilinear_b(F, G, grids)
             outer = bilinear_b(F, G, grids, method="outer")
             assert abs(outer - ball) <= 1e-13 * abs(ball)
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+    @pytest.mark.parametrize("w", [1, 3, -1, 0.5])
+    def test_a_sum_weight_is_r_on_every_slice(self, w, squared):
+        # the ball route multiplies the paired profile by r^w, as
+        # |omega + nu| = |x| = r on the slice at x for any real w; the same
+        # kernel as a plain callable averages |omega + nu|^w on each slice
+        L = 2
+        grids = exact_form_grids(L)
+        f, g = rand_fn(L, 64, complex_valued=True), rand_fn(L, 65)
+        K = PairKernel((f, g), sum_weight_power=w, squared=squared)
+        structured = bilinear_b(K, PairKernel.one(), grids)
+        literal_route = bilinear_b(lambda a, b: K(a, b), PairKernel.one(), grids)
+        assert abs(structured - literal_route) <= 1e-13 * abs(literal_route)
 
     def test_outer_route_is_independent_of_the_ball_route(self, monkeypatch):
         f = rand_fn(4, 59, complex_valued=True)
