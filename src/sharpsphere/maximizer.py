@@ -65,9 +65,14 @@ class Workspace:
 
     u at 2L+1 Gauss nodes on (0, 2), where H'_ab H'_cd, a polynomial of
     degree <= 4L there, integrates exactly. |A_u|^2 has degree 4L on the
-    sphere, integrated exactly by sphere, build_sphere_grid(2L+1) (578
-    nodes at L=8). basis holds the harmonics at its nodes, (L+1)^2 rows:
-    0.37 MB at L=8, growing like L^4. The 1-D table holds
+    sphere, integrated exactly by build_sphere_grid(2L+1), which holds -n
+    at equal weight for each node n. The fold to one node of each pair, at
+    twice the weight, is exact: f_a(-n) = (-1)^a f_a(n), so A_u (and for
+    complex f the square of its odd imaginary part) is even, as is the
+    gradient's integrand. The kept nodes are the L rings above the equator
+    and the equator's first 2L+1 azimuths, (2L+1)^2 nodes, 289 at L=8.
+    basis holds the harmonics at those nodes, (L+1)^2 rows: 0.19 MB at
+    L=8, growing like L^4. The 1-D table holds
     (-1)^a H'_ab(u) per degree pair a <= b, the pair (b, a) folded in:
     H'_ba = H'_ab, so for real f a pair of odd a+b cancels its swap and
     only the pairs of even a+b are read, and for complex f those carry
@@ -80,9 +85,11 @@ class Workspace:
 
     q_value takes real or complex coefficients, (L+1)^2 finite entries in
     the flat layout (HarmonicCoeffs rejects any other length or a NaN or
-    infinite entry with ValueError); q_gradient takes real ones. The last
-    forward pass is held: q_gradient on coefficients equal, bit for bit, to
-    the last call's (the line search's accepted trial) reads it.
+    infinite entry with ValueError); q_gradient takes real ones. Both raise
+    ValueError when Q, which grows like |c|^4, is not finite; objective_phi,
+    gradient and search first scale c by a power of two. The last forward
+    pass is held: q_gradient on coefficients equal, bit for bit, to the last
+    call's (the line search's accepted trial) reads it.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -94,8 +101,12 @@ class Workspace:
     def __init__(self, L: int):
         _require_int(L, "L", 0)
         self.L = L
-        sphere = build_sphere_grid(2 * L + 1)
-        self.basis = harmonic_values(L, sphere.nodes)
+        n = 2 * L + 1
+        sphere = build_sphere_grid(n)
+        # one node of each antipodal pair, at twice its weight: the rings
+        # above the equator and the equator's first n azimuths
+        keep = np.r_[L * 2 * n:L * 2 * n + n, (L + 1) * 2 * n:2 * n * n]
+        self.basis = harmonic_values(L, sphere.nodes[keep])
         self._slots = [slice(k * k, (k + 1) ** 2) for k in range(L + 1)]   # per degree
         w_u, h = _radial_table(L)
         a, b = np.triu_indices(L + 1)
@@ -103,7 +114,7 @@ class Workspace:
         # the swap (b, a) folded in: twice the entry off the diagonal
         table = np.where(a == b, 1.0, 2.0)[:, None] * (1.0 - 2.0 * (a % 2))[:, None] * h[a, b]
         self._pairs = [(a[sel], b[sel], table[sel]) for sel in (even, ~even)]
-        self._weights = np.outer(4.0 * np.pi ** 2 * w_u, sphere.weights)
+        self._weights = np.outer(4.0 * np.pi ** 2 * w_u, 2.0 * sphere.weights[keep])
         # row k marks the even pairs whose a (then b) is k: the gradient's
         # scatter of per-pair terms onto the degrees, as two GEMMs
         self._incidence = [np.equal.outer(np.arange(L + 1), ends).astype(float)
@@ -113,14 +124,19 @@ class Workspace:
 
     def _forward(self, coeffs: np.ndarray):
         # (F, A, q) of the coefficients, held for the next call; coefficients
-        # other than the held ones are validated first, and the copy keeps
-        # the caller's array writable
+        # other than the held ones are validated first, the copy keeps the
+        # caller's array writable, and a Q that overflows raises ValueError
         arr = np.asarray(coeffs)
         if not np.iscomplexobj(arr):
             arr = arr.astype(float, copy=False)
         key = (arr.dtype, arr.shape, arr.tobytes())
         if key != self._held[0]:
-            self._held = (key, self._evaluate(HarmonicCoeffs(self.L, arr.copy()).coeffs))
+            c = HarmonicCoeffs(self.L, arr.copy()).coeffs
+            with np.errstate(over="ignore", invalid="ignore"):
+                held = self._evaluate(c)
+            if not np.isfinite(held[2]):
+                raise ValueError(f"Q evaluated to the non-finite value {held[2]}")
+            self._held = (key, held)
         return self._held[1]
 
     def _evaluate(self, c: np.ndarray):
@@ -205,18 +221,27 @@ def _workspace_for(c: HarmonicCoeffs, workspace: Workspace | None) -> Workspace:
     return workspace
 
 
-def _as_real_coeffs(c: HarmonicCoeffs) -> np.ndarray:
+def _as_real_coeffs(c: HarmonicCoeffs) -> tuple[np.ndarray, int]:
+    """c's real coefficients over 2^e, e the binary exponent of their largest
+    magnitude (0 for the zero vector), and e.
+
+    Phi is scale-free, so the scaled vector has the same Phi and 2^e times
+    the log-form gradient, and its norms and Q neither overflow nor
+    underflow. A power of two scales exactly: for coefficients of ordinary
+    size every value is the same, bit for bit.
+    """
     arr = np.asarray(c.coeffs)
     if np.iscomplexobj(arr):
         if np.max(np.abs(arr.imag)) != 0.0:
             raise ValueError("optimizer works on real coefficient vectors")
         arr = arr.real
-    return arr.astype(float)
+    e = int(np.frexp(np.max(np.abs(arr)))[1])
+    return np.ldexp(arr.astype(float), -e), e
 
 
 def objective_phi(c: HarmonicCoeffs, workspace: Workspace | None = None) -> float:
     """Phi(f) = ((2 pi)^3 Q)^(1/4) / ||f||_2 for the synthesized f."""
-    arr = _as_real_coeffs(c)
+    arr = _as_real_coeffs(c)[0]
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("Phi is undefined for the zero function")
@@ -229,15 +254,21 @@ def gradient(c: HarmonicCoeffs, workspace: Workspace | None = None) -> np.ndarra
     """Gradient of log Phi^4 = log((2 pi)^3 Q) - 2 log ||f||_2^2 in coefficient space.
 
     The log form is scale-free: constants (of either sign) are critical
-    points, and the finite-difference oracle needs no renormalization.
+    points, and the finite-difference oracle needs no renormalization. It
+    grows like 1/|c|, so coefficients of subnormal size, where it is past
+    the largest float, raise ValueError.
     """
-    arr = _as_real_coeffs(c)
+    arr, e = _as_real_coeffs(c)
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("gradient is undefined for the zero function")
     ws = _workspace_for(c, workspace)
     q, dq = ws.q_gradient(arr)
-    return dq / q - 4.0 * arr / nrm2
+    with np.errstate(over="ignore"):
+        g = np.ldexp(dq / q - 4.0 * arr / nrm2, -e)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient overflows: it grows like 1/|c|")
+    return g
 
 
 def constancy_metric(c: HarmonicCoeffs) -> float:
@@ -326,9 +357,10 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
     ValueError naming the value.
     """
     _require_int(max_iter, "max_iter", 0)
-    if not (np.isfinite(tol) and tol >= 0.0):
+    if (not isinstance(tol, (int, float, np.integer, np.floating)) or isinstance(tol, bool)
+            or not (np.isfinite(tol) and tol >= 0.0)):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    arr = _as_real_coeffs(init)
+    arr = _as_real_coeffs(init)[0]
     if not np.any(arr):
         raise ValueError("initial coefficients must be nonzero")
     ws = _workspace_for(init, workspace)

@@ -64,6 +64,35 @@ class TestObjective:
         a = objective_phi(HarmonicCoeffs(8, c), ws8)
         b = objective_phi(HarmonicCoeffs(8, 7.5 * c), ws8)
         assert abs(a - b) <= 1e-12 * a
+        # Phi, gradient and search scale c by a power of two first: a power
+        # of two moves no bit, and no size overflows or underflows
+        g = gradient(HarmonicCoeffs(8, c), ws8)
+        run = search(HarmonicCoeffs(8, c), workspace=ws8)
+        for e in (600, -600):
+            scaled = HarmonicCoeffs(8, np.ldexp(c, e))
+            assert objective_phi(scaled, ws8) == a
+            assert np.array_equal(gradient(scaled, ws8), np.ldexp(g, -e))
+            other = search(scaled, workspace=ws8)
+            assert [s.objective for s in other.states] == [s.objective for s in run.states]
+        for factor in (1e200, 1e-200):
+            scaled = HarmonicCoeffs(8, factor * c)
+            assert abs(objective_phi(scaled, ws8) - a) <= 1e-15 * a
+            # the log-form gradient is dq/q - 4c/|c|^2, two terms of size
+            # 1/|c| that cancel to about a third of it, so the rounding of
+            # factor * c reads about 1.6e-15 of its largest entry
+            g_scaled = factor * gradient(scaled, ws8)
+            assert np.all(np.isfinite(g_scaled))
+            assert np.abs(g_scaled - g).max() <= 1e-14 * np.abs(g).max()
+            final = search(scaled, workspace=ws8).final.objective
+            assert abs(final - run.final.objective) <= 1e-15 * run.final.objective
+
+    def test_q_value_of_overflowing_coeffs_rejected(self, ws8):
+        c = 1e200 * np.random.default_rng(3).standard_normal(n_coeffs(8))
+        for method in (ws8.q_value, ws8.q_gradient):
+            with pytest.raises(ValueError, match="Q evaluated to the non-finite value"):
+                method(c)
+        with pytest.raises(ValueError, match="Q evaluated to the non-finite value"):
+            ws8.q_value(1e80 * c.astype(complex))
 
     def test_random_draws_never_exceed_sharp_constant(self, ws8):
         # The workspace rules are exact at band limit 8, so the discrete
@@ -158,6 +187,14 @@ class TestGradient:
     def test_band_limit_mismatch_rejected(self, ws8):
         with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
             gradient(constant_coeffs(L=4), ws8)
+
+    def test_overflowing_gradient_rejected(self, ws8):
+        # at subnormal coefficients the gradient, of size 1/|c|, is past
+        # the largest float; Phi there is still finite
+        c = HarmonicCoeffs(8, 1e-310 * np.random.default_rng(3).standard_normal(n_coeffs(8)))
+        assert np.isfinite(objective_phi(c, ws8))
+        with pytest.raises(ValueError, match="gradient overflows"):
+            gradient(c, ws8)
 
 
 class TestCurvature:
@@ -342,6 +379,9 @@ class TestSearch:
         ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),
         ({"tol": -1.0}, "tol must be a finite number >= 0, got -1.0"),
         ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
+        ({"tol": "1e-8"}, "tol must be a finite number >= 0, got '1e-8'"),
+        ({"tol": None}, "tol must be a finite number >= 0, got None"),
+        ({"tol": True}, "tol must be a finite number >= 0, got True"),
         ({"max_iter": 2.5}, "max_iter must be a nonnegative integer, got 2.5"),
         ({"max_iter": -1}, "max_iter must be a nonnegative integer, got -1"),
     ])
@@ -523,6 +563,33 @@ def full_table_q_gradient(L, arr):
     return np.sum(w * prof * prof), table @ w1 + parity * (table @ w2)
 
 
+def kept_nodes(L):
+    """Indices of Workspace's nodes in build_sphere_grid(2L+1): the L rings
+    above the equator and the equator's first 2L+1 azimuths."""
+    n = 2 * L + 1
+    return np.r_[L * 2 * n:L * 2 * n + n, (L + 1) * 2 * n:2 * n * n]
+
+
+def full_grid_q(L, coeffs):
+    """Q, and for real coefficients its gradient, from the radial sum over
+    all 2(2L+1)^2 nodes of build_sphere_grid(2L+1), every pair (a, b)
+    summed: A_u = sum over a, b of (-1)^a H'_ab(u) f_a conj(f_b)."""
+    grid = build_sphere_grid(2 * L + 1)
+    Y = harmonic_values(L, grid.nodes)
+    w_u, h = maximizer._radial_table(L)
+    slots = [slice(k * k, (k + 1) ** 2) for k in range(L + 1)]
+    F = np.stack([coeffs[s] @ Y[s] for s in slots])              # (a, node)
+    kernel = (-1.0) ** np.arange(L + 1)[:, None, None] * h        # (a, b, u)
+    A = np.einsum("abu,an,bn->un", kernel, F, F.conj())
+    W = 4 * PI ** 2 * np.outer(w_u, grid.weights)
+    q = float(np.sum(W * np.abs(A) ** 2))
+    if np.iscomplexobj(coeffs):
+        return q
+    dA = np.einsum("abu,bn->aun", kernel + kernel.transpose(1, 0, 2), F)
+    dF = np.einsum("un,un,aun->an", 2 * W, A.real, dA)
+    return q, np.concatenate([Y[s] @ dF[k] for k, s in enumerate(slots)])
+
+
 def exact_radial_integrals(L):
     """I(a, b, c, d) / pi, exact, for a <= b <= c <= d <= L of even sum.
 
@@ -596,18 +663,56 @@ class TestRadialRoute:
             assert abs(q - q_ref) <= 1e-13 * q_ref
             assert np.abs(dq - dq_ref).max() <= 1e-13 * np.abs(dq_ref).max()
 
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_fold_matches_the_full_grid(self, L):
+        # one node of each antipodal pair at twice the weight: Q, complex Q
+        # and the gradient equal the sum over every node of the grid
+        ws = Workspace(L)
+        rng = np.random.default_rng(4100 + L)
+        for _ in range(3):
+            arr = rng.standard_normal(n_coeffs(L))
+            z = arr + 1j * rng.standard_normal(n_coeffs(L))
+            q_ref, dq_ref = full_grid_q(L, arr)
+            q, dq = ws.q_gradient(arr)
+            assert abs(q - q_ref) <= 1e-14 * q_ref
+            assert np.abs(dq - dq_ref).max() <= 1e-14 * np.abs(dq_ref).max()
+            qz_ref = full_grid_q(L, z)
+            assert abs(ws.q_value(z) - qz_ref) <= 1e-14 * qz_ref
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 8, 12])
+    def test_kept_nodes_are_one_of_each_antipodal_pair(self, L):
+        # every other node is the negation of exactly one kept node, to
+        # rounding: the polar rule is symmetric bit for bit, and azimuth
+        # j + 2L+1 is rounded apart from azimuth j plus pi, so the gap is at
+        # most an ulp of 2 pi (3.3e-16 at L=8, 6.7e-16 at L=12)
+        grid, keep = build_sphere_grid(2 * L + 1), kept_nodes(L)
+        assert len(keep) == (2 * L + 1) ** 2
+        kept = grid.nodes[keep]
+        for i, node in enumerate(grid.nodes):
+            gap = np.abs(kept + node).max(axis=1)
+            if i in keep:
+                assert gap.min() > 0.1
+            else:
+                assert np.count_nonzero(gap <= np.spacing(2 * PI)) == 1
+        ws = Workspace(L)
+        w_u = maximizer._radial_table(L)[0]
+        weights = 2 * grid.weights[keep]
+        assert np.array_equal(ws._weights, np.outer(4 * PI ** 2 * w_u, weights))
+        assert abs(weights.sum() - 4 * PI) <= 4 * np.spacing(4 * PI)
+
     @pytest.mark.parametrize("L", [4, 8])
     def test_basis_is_the_harmonics_on_the_exact_sphere_grid(self, L):
-        # |A_u|^2 has degree 4L on the sphere: 2L+1 polar nodes integrate it exactly
+        # |A_u|^2 has degree 4L on the sphere: 2L+1 polar nodes integrate it
+        # exactly; basis holds one node of each antipodal pair
         grid = build_sphere_grid(2 * L + 1)
         assert grid.exactness_degree >= 4 * L
         ws = make_workspace(L)
-        assert np.array_equal(ws.basis, harmonic_values(L, grid.nodes))
-        assert ws.basis.shape == (n_coeffs(L), 2 * (2 * L + 1) ** 2)
+        assert np.array_equal(ws.basis, harmonic_values(L, grid.nodes[kept_nodes(L)]))
+        assert ws.basis.shape == (n_coeffs(L), (2 * L + 1) ** 2)
 
     def test_table_is_small(self, ws8):
-        assert ws8.basis.shape == (81, 578)
-        assert ws8.basis.nbytes < 0.4e6
+        assert ws8.basis.shape == (81, 289)
+        assert ws8.basis.nbytes < 0.2e6
 
     def test_band_limit_sixteen(self):
         ws = Workspace(16)
