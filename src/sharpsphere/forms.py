@@ -57,6 +57,8 @@ class GammaSample:
         om = np.asarray(self.omegas, dtype=float)
         if om.shape != (4, 3):
             raise ValueError(f"expected four 3-vectors, got shape {om.shape}")
+        if not np.isfinite(om).all():
+            raise ValueError(f"sample vectors must be finite, got {om.tolist()}")
         object.__setattr__(self, "omegas", om)
         norms = np.linalg.norm(om, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-13:
@@ -77,8 +79,10 @@ def gamma_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     with |omega_1 + omega_2| < 1e-8), omega_3 uniform on the circle the
     constraint leaves for it, omega_4 the forced remainder. No claim is made
     that this is any particular measure on the manifold; it only needs to
-    cover it, since the identities being fuzzed hold pointwise.
+    cover it, since the identities being fuzzed hold pointwise. n is a
+    nonnegative integer.
     """
+    _require_int(n, "n", 0)
     w1 = _uniform_sphere(rng, n)
     w2 = _uniform_sphere(rng, n)
     while True:
@@ -98,11 +102,17 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
     """|w1+w2||w3+w4| + |w1+w3||w2+w4| + |w1+w4||w2+w3| per quadruple, batched.
 
     Equals 4 on zero-sum quadruples (GammaSample.omegas, gamma_samples); a
-    single (4, 3) quadruple gives an array of one value.
+    single (4, 3) quadruple gives an array of one value. Any other shape, or
+    a non-finite entry, raises ValueError.
     """
     om = np.asarray(omegas, dtype=float)
     if om.ndim == 2:
         om = om[None]
+    if om.ndim != 3 or om.shape[1:] != (4, 3):
+        raise ValueError(f"expected shape (4, 3) or (n, 4, 3), got {np.shape(omegas)}")
+    bad = ~np.isfinite(om).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"quadruples must be finite, got {om[bad][0].tolist()}")
     def pn(i, j):
         return np.linalg.norm(om[:, i] + om[:, j], axis=1)
     return pn(0, 1) * pn(2, 3) + pn(0, 2) * pn(1, 3) + pn(0, 3) * pn(1, 2)
@@ -116,14 +126,19 @@ class PairKernel:
     factors are two functions f and g, or () for 1; w is sum_weight_power.
     A call evaluates the structure, and the ball route pairs it (see
     bilinear_b). Any other kernel is a plain callable F(omega, nu). factors
-    other than a tuple of none or two functions, or a squared that is not a
+    other than a tuple of none or two functions, a sum_weight_power that is
+    not a finite real number (a bool neither), or a squared that is not a
     bool, raise ValueError.
     """
 
-    def __init__(self, factors=(), *, sum_weight_power: int = 0, squared: bool = False):
+    def __init__(self, factors=(), *, sum_weight_power: float = 0, squared: bool = False):
         if not (isinstance(factors, tuple) and len(factors) in (0, 2)
                 and all(callable(f) for f in factors)):
             raise ValueError(f"factors must be () or two functions, got {factors!r}")
+        w = sum_weight_power
+        if (not isinstance(w, (int, float, np.integer, np.floating)) or isinstance(w, bool)
+                or not np.isfinite(w)):
+            raise ValueError(f"sum_weight_power must be a finite real number, got {w!r}")
         if not isinstance(squared, bool):
             raise ValueError(f"squared must be a bool, got {squared!r}")
         self.factors = factors

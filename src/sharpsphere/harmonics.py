@@ -1,4 +1,4 @@
-"""Real spherical harmonics: basis tables, analysis, zonal operators.
+"""Real spherical harmonics: basis tables and analysis.
 
 The basis is orthonormal with respect to the raw surface measure (L2(sigma)
 norm 1, not 4*pi-normalized), so Parseval needs no extra constants and a zonal
@@ -23,25 +23,13 @@ __all__ = [
     "HarmonicCoeffs",
     "BasisTable",
     "SphereFunction",
-    "flat_index",
     "n_coeffs",
     "parity_signs",
     "harmonic_values",
     "random_band_limited",
     "build_basis",
     "analyze",
-    "funk_hecke_apply",
-    "eigenvalue_residual",
 ]
-
-
-def flat_index(k: int, m: int) -> int:
-    """Position of the (k, m) coefficient in the flat layout; m is an integer in -k..k."""
-    _require_int(k, "k", 0)
-    _require_int(m, "m", -k)
-    if m > k:
-        raise ValueError(f"order m={m} out of range for degree k={k}")
-    return k * k + k + m
 
 
 def n_coeffs(L: int) -> int:
@@ -226,16 +214,6 @@ def analyze(f, basis: BasisTable) -> HarmonicCoeffs:
     return HarmonicCoeffs(basis.max_degree, basis.values @ (basis.grid.weights * vals))
 
 
-def funk_hecke_apply(spectrum, c: HarmonicCoeffs) -> HarmonicCoeffs:
-    """Apply a zonal kernel in coefficient space: c_{k,m} -> 2 pi lambda_k c_{k,m}."""
-    if spectrum.max_degree < c.max_degree:
-        raise ValueError(
-            f"spectrum covers degrees <= {spectrum.max_degree}, "
-            f"coefficients reach {c.max_degree}")
-    mult = 2.0 * np.pi * spectrum.multipliers[_degree_index(c.max_degree)]
-    return HarmonicCoeffs(c.max_degree, mult * c.coeffs)
-
-
 def random_band_limited(L: int, rng: np.random.Generator,
                         complex_valued: bool = False) -> HarmonicCoeffs:
     """Random coefficients with the fixed per-degree amplitude (1 + k)^-2.
@@ -312,41 +290,3 @@ class SphereFunction:
                            else _synthesize(rows, harmonic_values(c.max_degree, pts)))
             return np.sqrt(0.5 * (np.abs(plus) ** 2 + np.abs(minus) ** 2))
         return SphereFunction(sharp, sharp_source=self)
-
-
-def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:
-    """Laplace-Beltrami check: residual of the discrete Delta Y = -k(k+1) Y.
-
-    A theta-phi mesh (mesh_size x 2*mesh_size) carries Y_{k,m} from
-    harmonic_values and second-order finite differences: conservative flux
-    form in theta, periodic central differences in phi. The two rows nearest
-    each pole are excluded from the reported max; the chart is singular there
-    while the harmonic itself is not, so mesh_size must be at least 5.
-    """
-    _require_int(mesh_size, "mesh_size", 5)
-    row = flat_index(k, m)   # k and m integers, m in -k..k
-    M = mesh_size
-    h = np.pi / M
-    theta = (np.arange(M) + 0.5) * h
-    phi = np.arange(2 * M) * (2.0 * np.pi / (2 * M))
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    pts = np.column_stack([
-        (np.sin(T) * np.cos(P)).ravel(),
-        (np.sin(T) * np.sin(P)).ravel(),
-        np.cos(T).ravel(),
-    ])
-    Y = harmonic_values(k, pts)[row].reshape(M, 2 * M)
-
-    sin_t = np.sin(theta)
-    sin_half = np.sin(theta[:-1] + 0.5 * h)   # flux faces between rows
-    flux = sin_half[:, None] * (Y[1:] - Y[:-1]) / h
-    lap_t = np.empty_like(Y)
-    lap_t[1:-1] = (flux[1:] - flux[:-1]) / (h * sin_t[1:-1, None])
-    lap_t[0] = lap_t[-1] = 0.0   # excluded below anyway
-
-    h_p = 2.0 * np.pi / (2 * M)
-    lap_p = (np.roll(Y, -1, axis=1) - 2.0 * Y + np.roll(Y, 1, axis=1)) / h_p**2
-    lap = lap_t + lap_p / (sin_t**2)[:, None]
-
-    resid = np.abs(lap + k * (k + 1) * Y)
-    return float(resid[2:-2].max())

@@ -12,7 +12,6 @@ are negative.)
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,9 +21,7 @@ __all__ = [
     "FunkHeckeSpectrum",
     "legendre_values",
     "recurrence_residuals",
-    "a_coefficient",
     "lambda_closed_form",
-    "funk_hecke_coefficient",
     "chord_kernel",
     "chord_spectrum_quadrature",
 ]
@@ -104,12 +101,6 @@ def recurrence_residuals(K: int, t: float) -> tuple[float, float, float]:
     )
 
 
-def a_coefficient(k: int) -> float:
-    """A_k = 2/(2k+1), the Legendre coefficient of 1/|omega - nu| = (2-2t)^(-1/2)."""
-    _require_int(k, "k", 0)
-    return 2.0 / (2 * k + 1)
-
-
 def lambda_closed_form(K: int) -> FunkHeckeSpectrum:
     """Closed-form chord-kernel multipliers Lambda_0..Lambda_K.
 
@@ -128,49 +119,19 @@ def chord_kernel(t):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(t, dtype=float)))
 
 
-def _weighted_kernel(kernel: Callable, K: int, n_quad: int,
-                     sqrt_singular_at_one: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights w * kernel(t) of the rule for degrees 0..K."""
-    _require_int(K, "degree", 0)
-    _require_int(n_quad, "n_quad")
-    if n_quad < K + 1:
-        raise ValueError(f"n_quad must be at least k+1 = {K + 1}, got {n_quad}")
-    t, w = _gauss_legendre(n_quad)
-    if sqrt_singular_at_one:
-        u = 0.5 * (t + 1.0)   # map to (0, 1), then dt = -4u du
-        t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
-    kv = np.asarray(kernel(t), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced non-finite values on the quadrature nodes")
-    return t, w * kv
-
-
-def funk_hecke_coefficient(
-    kernel: Callable,
-    k: int,
-    n_quad: int,
-    sqrt_singular_at_one: bool = False,
-) -> float:
-    """Gauss-Legendre quadrature of integral kernel(t) P_k(t) dt over (-1, 1).
-
-    With sqrt_singular_at_one set, the substitution t = 1 - 2u^2 (dt = -4u du)
-    is applied first. For kernels of the form smooth(t)*sqrt(1-t) this removes
-    the endpoint singularity entirely -- for the chord kernel the transformed
-    integrand 4u * kernel(1-2u^2) * P_k(1-2u^2) is a polynomial in u, so the
-    quadrature is exact once n_quad exceeds k + 1.
-    """
-    t, wk = _weighted_kernel(kernel, k, n_quad, sqrt_singular_at_one)
-    return float(np.sum(wk * legendre_values(k, t)[k]))
-
-
-def chord_spectrum_quadrature(K: int, n_quad: Optional[int] = None) -> FunkHeckeSpectrum:
+def chord_spectrum_quadrature(K: int) -> FunkHeckeSpectrum:
     """Chord-kernel multipliers by quadrature, the oracle for lambda_closed_form.
 
-    Each Lambda_k is funk_hecke_coefficient's sum, bit for bit, taken over
-    one table of P_0..P_K at the nodes rather than K + 1 recursions.
+    Gauss-Legendre on K + 8 nodes after the substitution t = 1 - 2u^2
+    (dt = -4u du), which removes the kernel's sqrt endpoint: the integrand
+    4u * chord_kernel(1 - 2u^2) * P_k(1 - 2u^2) is a polynomial in u, so the
+    rule is exact for every k <= K. One table of P_0..P_K at the nodes gives
+    every Lambda_k.
     """
-    if n_quad is None:
-        n_quad = K + 8
-    t, wk = _weighted_kernel(chord_kernel, K, n_quad, sqrt_singular_at_one=True)
+    _require_int(K, "K", 0)
+    t, w = _gauss_legendre(K + 8)
+    u = 0.5 * (t + 1.0)   # map to (0, 1), then dt = -4u du
+    t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
+    wk = w * chord_kernel(t)
     lam = np.array([np.sum(wk * p) for p in legendre_values(K, t)])
     return FunkHeckeSpectrum(kernel_id=CHORD_KERNEL_ID, multipliers=lam)

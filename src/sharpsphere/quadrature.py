@@ -141,8 +141,12 @@ def circle_frames(xs: np.ndarray):
     right-handed frame x_hat, e1, e2. The frame is equivariant under rotations
     about the z axis: the slice at R x is R applied to the slice at x, node by
     node, which lets product grids with uniform azimuth tabulate one column.
+    A non-finite centre raises ValueError.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"slice centres must be finite, got {xs[bad][0].tolist()}")
     r = np.linalg.norm(xs, axis=1)
     if np.any(r == 0.0):
         raise DegenerateSliceError("circle slice undefined at x = 0")

@@ -1,10 +1,11 @@
-"""Shared random-geometry helpers for the test suite."""
+"""Shared random-geometry helpers and diagnostics for the test suite."""
 
 import math
 
 import numpy as np
 
-from sharpsphere import SphereFunction, SplitValues, random_band_limited
+from sharpsphere import SphereFunction, SplitValues, harmonic_values, random_band_limited
+from sharpsphere.quadrature import _require_int
 
 
 def unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -43,3 +44,46 @@ def node_values(v: SplitValues) -> SplitValues:
     lead = v.re.shape[:-1]
     re, *im = (part.reshape(lead + (-1,)) for part in v.chunk(0, math.prod(lead)))
     return SplitValues(re, im[0] if im else None, v.re_sign, v.im_sign)
+
+
+def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:
+    """Laplace-Beltrami check of harmonic_values: residual of the discrete
+    Delta Y = -k(k+1) Y.
+
+    A theta-phi mesh (mesh_size x 2*mesh_size) carries Y_{k,m} from
+    harmonic_values and second-order finite differences: conservative flux
+    form in theta, periodic central differences in phi. The two rows nearest
+    each pole are excluded from the reported max; the chart is singular there
+    while the harmonic itself is not, so mesh_size must be at least 5. k is a
+    nonnegative integer and m an integer in -k..k.
+    """
+    _require_int(k, "k", 0)
+    _require_int(m, "m", -k)
+    if m > k:
+        raise ValueError(f"order m={m} out of range for degree k={k}")
+    _require_int(mesh_size, "mesh_size", 5)
+    M = mesh_size
+    h = np.pi / M
+    theta = (np.arange(M) + 0.5) * h
+    phi = np.arange(2 * M) * (2.0 * np.pi / (2 * M))
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    pts = np.column_stack([
+        (np.sin(T) * np.cos(P)).ravel(),
+        (np.sin(T) * np.sin(P)).ravel(),
+        np.cos(T).ravel(),
+    ])
+    Y = harmonic_values(k, pts)[k * k + k + m].reshape(M, 2 * M)
+
+    sin_t = np.sin(theta)
+    sin_half = np.sin(theta[:-1] + 0.5 * h)   # flux faces between rows
+    flux = sin_half[:, None] * (Y[1:] - Y[:-1]) / h
+    lap_t = np.empty_like(Y)
+    lap_t[1:-1] = (flux[1:] - flux[:-1]) / (h * sin_t[1:-1, None])
+    lap_t[0] = lap_t[-1] = 0.0   # excluded below anyway
+
+    h_p = 2.0 * np.pi / (2 * M)
+    lap_p = (np.roll(Y, -1, axis=1) - 2.0 * Y + np.roll(Y, 1, axis=1)) / h_p**2
+    lap = lap_t + lap_p / (sin_t**2)[:, None]
+
+    resid = np.abs(lap + k * (k + 1) * Y)
+    return float(resid[2:-2].max())

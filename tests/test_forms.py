@@ -1,6 +1,7 @@
 """Zero-sum pairing identity, the Q/B multilinear forms, and the chord form H."""
 
 import functools
+import re
 import tracemalloc
 import weakref
 
@@ -95,6 +96,32 @@ class TestFourPointIdentity:
         shifted[0] = -shifted[0]
         with pytest.raises(ValueError):
             GammaSample(shifted)
+        # NaN compares False, so the unit-length and zero-sum checks alone pass it
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"sample vectors must be finite, got \[\[{bad}"):
+                GammaSample(np.full((4, 3), bad))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (3,), (2, 3, 3), (1, 1, 4, 3)])
+    def test_identity_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected shape (4, 3) or (n, 4, 3), got {shape}")):
+            four_identity_many(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_identity_rejects_non_finite_entries(self, bad):
+        omegas = gamma_samples(np.random.default_rng(5), 3)
+        omegas[1, 2, 0] = bad
+        with pytest.raises(ValueError, match=rf"quadruples must be finite, got \[\[.*{bad}"):
+            four_identity_many(omegas)
+        with pytest.raises(ValueError, match=rf"quadruples must be finite, got \[\[.*{bad}"):
+            four_identity_many(omegas[1])
+
+    @pytest.mark.parametrize("n", [2.5, -1, "3", True])
+    def test_sample_count_is_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be a nonnegative integer, got {n!r}")):
+            gamma_samples(np.random.default_rng(6), n)
+        assert gamma_samples(np.random.default_rng(6), 0).shape == (0, 4, 3)
 
 
 class TestPairKernel:
@@ -150,6 +177,17 @@ class TestPairKernel:
             PairKernel((f, f), squared=squared)
         for ok in (False, True):
             assert PairKernel((f, f), squared=ok).squared is ok
+
+    @pytest.mark.parametrize("w", ["a", np.nan, np.inf, True, None])
+    def test_sum_weight_power_is_a_finite_real_number(self, w):
+        # unchecked, "a" fails inside np.power at the first call, and NaN
+        # shows only as "B evaluated to nan"
+        f = rand_fn(2, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sum_weight_power must be a finite real number, got {w!r}")):
+            PairKernel((f, f), sum_weight_power=w)
+        for ok in (0, 2, -1, 0.5, np.float64(-2.5), np.int64(3)):
+            assert PairKernel((f, f), sum_weight_power=ok).sum_weight_power == ok
 
     def test_a_structured_kernel_is_evaluated_from_its_structure(self):
         f, g = rand_fn(3, 2, complex_valued=True), rand_fn(2, 3)
@@ -1617,7 +1655,7 @@ class TestPolarChordRoute:
     def test_independent_of_the_chord_spectrum(self, monkeypatch, lam8):
         def unavailable(*args, **kwargs):
             raise AssertionError("the direct route must not use the chord spectrum")
-        for name in ("lambda_closed_form", "funk_hecke_coefficient"):
+        for name in ("lambda_closed_form", "chord_spectrum_quadrature"):
             monkeypatch.setattr(legendre, name, unavailable)
             monkeypatch.setattr(forms, name, unavailable, raising=False)
         c = random_band_limited(8, np.random.default_rng(510), complex_valued=True)

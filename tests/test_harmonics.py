@@ -11,9 +11,6 @@ from sharpsphere import (
     analyze,
     build_basis,
     build_sphere_grid,
-    eigenvalue_residual,
-    flat_index,
-    funk_hecke_apply,
     harmonic_values,
     integrate_sphere,
     lambda_closed_form,
@@ -21,9 +18,7 @@ from sharpsphere import (
     parity_signs,
     random_band_limited,
 )
-from sharpsphere.legendre import FunkHeckeSpectrum
-
-from helpers import unit_vectors
+from helpers import eigenvalue_residual, unit_vectors
 
 PI = np.pi
 UNIT_Z = np.array([[0.0, 0.0, 1.0]])
@@ -33,23 +28,10 @@ class TestIndexing:
     def test_layout_sizes(self):
         assert n_coeffs(0) == 1
         assert n_coeffs(8) == 81
-        assert flat_index(0, 0) == 0
-        assert flat_index(1, 0) == 2
-        assert flat_index(3, 3) == 15
-
-    def test_flat_index_covers_each_slot_once(self):
-        idx = [flat_index(k, m) for k in range(6) for m in range(-k, k + 1)]
-        assert sorted(idx) == list(range(n_coeffs(5)))
-
-    def test_out_of_range_order_rejected(self):
-        with pytest.raises(ValueError):
-            flat_index(2, 3)
 
     @pytest.mark.parametrize("m", [0.5, -1.0, "1", True])
     def test_order_must_be_an_integer(self, m):
-        # a fractional m made flat_index(2, 0.5) return 6.5, a row index
-        with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
-            flat_index(2, m)
+        # a fractional m would make the flat index k*k + k + m fractional
         with pytest.raises(ValueError, match=f"m must be an integer >= -2, got {m!r}"):
             eigenvalue_residual(2, m)
 
@@ -89,7 +71,7 @@ class TestHarmonicValues:
         pts = unit_vectors(np.random.default_rng(3), 100)
         vals = harmonic_values(2, pts)
         expected = np.sqrt(3.0 / (4 * PI)) * pts[:, 2]
-        assert np.abs(vals[flat_index(1, 0)] - expected).max() <= 1e-13
+        assert np.abs(vals[2] - expected).max() <= 1e-13
 
 
 class TestBasisAndTransforms:
@@ -113,7 +95,7 @@ class TestBasisAndTransforms:
     def test_analyze_height_hits_single_slot(self):
         basis = build_basis(3, build_sphere_grid(8))
         c = analyze(lambda p: p[:, 2], basis)
-        i = flat_index(1, 0)
+        i = 2   # (k, m) = (1, 0) at k*k + k + m
         assert abs(c.coeffs[i] - np.sqrt(4 * PI / 3)) <= 1e-12
         assert np.abs(np.delete(c.coeffs, i)).max() <= 1e-12
 
@@ -128,7 +110,7 @@ class TestBasisAndTransforms:
         grid = build_sphere_grid(8)
         basis = build_basis(3, grid)
         c = np.zeros(n_coeffs(3))
-        c[flat_index(3, 2)] = 1.0
+        c[14] = 1.0   # (k, m) = (3, 2)
         vals = c @ basis.values
         norm_sq = integrate_sphere(grid, np.abs(vals) ** 2)
         assert abs(norm_sq - 1.0) <= 1e-10
@@ -159,35 +141,7 @@ class TestBasisAndTransforms:
             analyze(np.ones(7), basis)
 
 
-class TestFunkHeckeApply:
-    def test_chord_on_mean(self, lam8):
-        c = np.zeros(n_coeffs(8))
-        c[0] = 1.0
-        out = funk_hecke_apply(lam8, HarmonicCoeffs(8, c))
-        assert abs(out.coeffs[0] - 2 * PI * 8.0 / 3.0) <= 1e-14
-        assert np.abs(out.coeffs[1:]).max() == 0.0
-
-    def test_each_slot_is_an_eigenvector(self, lam8):
-        for (k, m) in [(1, -1), (4, 2), (8, -5)]:
-            c = np.zeros(n_coeffs(8), dtype=complex)
-            c[flat_index(k, m)] = 1.0 + 0.5j
-            out = funk_hecke_apply(lam8, HarmonicCoeffs(8, c))
-            expect = 2 * PI * lam8.multipliers[k] * c[flat_index(k, m)]
-            assert abs(out.coeffs[flat_index(k, m)] - expect) <= 1e-14
-            assert np.abs(np.delete(out.coeffs, flat_index(k, m))).max() == 0.0
-
-    def test_flat_kernel_annihilates_nonconstants(self):
-        spectrum = FunkHeckeSpectrum(kernel_id="flat",
-                                     multipliers=np.array([2.0, 0.0, 0.0]))
-        c = random_band_limited(2, np.random.default_rng(7))
-        out = funk_hecke_apply(spectrum, c)
-        assert abs(out.coeffs[0] - 4 * PI * c.coeffs[0]) <= 1e-14
-        assert np.abs(out.coeffs[1:]).max() == 0.0
-
-    def test_short_spectrum_rejected(self, lam8):
-        with pytest.raises(ValueError):
-            funk_hecke_apply(lam8, random_band_limited(9, np.random.default_rng(0)))
-
+class TestChordMultipliers:
     def test_matches_rotated_pole_quadrature_at_nodes(self):
         # independent route: rotate each node to the pole, average in azimuth,
         # and integrate chord(t) p(t) dt with t = 1 - 2 u^2 so the sqrt
@@ -229,7 +183,7 @@ class TestHarmonicCoeffs:
         energies = c.degree_energies()
         assert energies.shape == (6,)
         assert abs(energies.sum() - c.norm_sq()) <= 1e-13 * c.norm_sq()
-        block = np.abs(c.coeffs[flat_index(3, -3):flat_index(3, 3) + 1]) ** 2
+        block = np.abs(c.coeffs[9:16]) ** 2   # degree 3: flat indices 9..15
         assert abs(energies[3] - block.sum()) <= 1e-13 * c.norm_sq()
 
     def test_mean_value(self):
@@ -261,7 +215,6 @@ class TestHarmonicCoeffs:
     @pytest.mark.parametrize("call,message", [
         (lambda: harmonic_values(-1, UNIT_Z), "L must be a nonnegative integer, got -1"),
         (lambda: harmonic_values(2.5, UNIT_Z), "L must be a nonnegative integer, got 2.5"),
-        (lambda: flat_index(1.5, 0), "k must be a nonnegative integer, got 1.5"),
         (lambda: n_coeffs(-3), "L must be a nonnegative integer, got -3"),
         (lambda: parity_signs(-1), "L must be a nonnegative integer, got -1"),
         (lambda: eigenvalue_residual(1.5, 0), "k must be a nonnegative integer, got 1.5"),

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from sharpsphere import (
-    a_coefficient,
-    chord_kernel,
     chord_spectrum_quadrature,
-    funk_hecke_coefficient,
     lambda_closed_form,
     legendre_values,
     recurrence_residuals,
@@ -87,11 +84,6 @@ class TestRecurrenceResiduals:
 
 
 class TestChordSpectrum:
-    def test_a_coefficient_values(self):
-        assert a_coefficient(0) == 2.0
-        assert abs(a_coefficient(1) - 2.0 / 3.0) <= 1e-16
-        assert abs(a_coefficient(10) - 2.0 / 21.0) <= 1e-16
-
     def test_multiplier_closed_forms(self):
         lam = lambda_closed_form(5).multipliers
         assert abs(lam[0] - 8.0 / 3.0) <= 1e-15
@@ -107,11 +99,12 @@ class TestChordSpectrum:
         assert abs(oracle - lam0) <= 1e-6   # raw rule fights the sqrt endpoint
 
     def test_consecutive_a_difference_form(self):
-        # (2k+1) Lambda_k = A_{k+1} - A_{k-1} for k >= 1
+        # (2k+1) Lambda_k = A_{k+1} - A_{k-1} for k >= 1, with A_k = 2/(2k+1)
+        # the Legendre coefficients of 1/|omega - nu|
         lam = lambda_closed_form(12).multipliers
         for k in range(1, 13):
             lhs = (2 * k + 1) * lam[k]
-            rhs = a_coefficient(k + 1) - a_coefficient(k - 1)
+            rhs = 2.0 / (2 * k + 3) - 2.0 / (2 * k - 1)
             assert abs(lhs - rhs) <= 1e-15
 
     def test_quadrature_matches_closed_form(self):
@@ -128,12 +121,6 @@ class TestChordSpectrum:
         lam = np.abs(lambda_closed_form(50).multipliers)
         assert np.all(np.diff(lam) < 0)
 
-    def test_one_table_gives_each_coefficient_bit_for_bit(self):
-        quad = chord_spectrum_quadrature(50).multipliers
-        for k in range(51):
-            one = funk_hecke_coefficient(chord_kernel, k, 58, sqrt_singular_at_one=True)
-            assert quad[k].hex() == one.hex()
-
     def test_kernel_id_tags_chord(self):
         assert lambda_closed_form(3).kernel_id == "chord"
         assert chord_spectrum_quadrature(3).kernel_id == "chord"
@@ -143,42 +130,14 @@ class TestChordSpectrum:
             lambda_closed_form(-1)
 
 
-class TestFunkHeckeCoefficient:
-    def test_flat_kernel_isolates_degree_zero(self):
-        lam0 = funk_hecke_coefficient(lambda t: np.ones_like(t), 0, 16)
-        assert abs(lam0 - 2.0) <= 1e-14
-        for k in range(1, 6):
-            assert abs(funk_hecke_coefficient(lambda t: np.ones_like(t), k, 16)) <= 1e-14
-
-    def test_legendre_kernel_projects_onto_itself(self):
-        kernel = lambda t: legendre_values(3, t)[3]
-        assert abs(funk_hecke_coefficient(kernel, 3, 16) - 2.0 / 7.0) <= 1e-14
-
-    def test_chord_kernel_with_endpoint_substitution(self):
-        val = funk_hecke_coefficient(chord_kernel, 0, 32, sqrt_singular_at_one=True)
-        assert abs(val - 8.0 / 3.0) <= 1e-12
-
-    def test_underresolved_quadrature_rejected(self):
-        with pytest.raises(ValueError):
-            funk_hecke_coefficient(lambda t: np.ones_like(t), 5, 4)
-
-    def test_non_finite_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            funk_hecke_coefficient(lambda t: np.full(np.shape(t), np.nan), 0, 16)
-
-
 class TestIntegerArguments:
-    """Degrees are nonnegative integers and node counts positive ones."""
+    """Degrees are nonnegative integers, positive for recurrence_residuals."""
 
     CALLS = {
         "legendre_values": lambda n: legendre_values(n, 0.3),
         "recurrence_residuals": lambda n: recurrence_residuals(n, 0.3),
-        "a_coefficient": a_coefficient,
         "lambda_closed_form": lambda_closed_form,
         "chord_spectrum_quadrature K": chord_spectrum_quadrature,
-        "chord_spectrum_quadrature n_quad": lambda n: chord_spectrum_quadrature(4, n),
-        "funk_hecke_coefficient k": lambda n: funk_hecke_coefficient(chord_kernel, n, 16),
-        "funk_hecke_coefficient n_quad": lambda n: funk_hecke_coefficient(chord_kernel, 0, n),
     }
 
     @pytest.mark.parametrize("bad", [2.5, -1])

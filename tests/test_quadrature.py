@@ -1,5 +1,7 @@
 """Sphere, circle-slice, and ball quadrature geometry and exactness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from sharpsphere import (
     BallGrid,
     DegenerateSliceError,
     EmptyIntersectionError,
+    PairKernel,
+    SphereFunction,
     SphereGrid,
     build_ball_grid,
     build_sphere_grid,
     circle_frames,
+    convolve_many,
     exact_sizes,
     integrate_ball,
     integrate_sphere,
+    pair_slice_average,
 )
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.quadrature import _gauss_legendre
@@ -136,6 +142,22 @@ class TestCircleSlice:
     def test_origin_rejected(self):
         with pytest.raises(DegenerateSliceError):
             slice_point_table(np.zeros((1, 3)), 8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centre_rejected(self, bad):
+        # a NaN centre passes the |x| = 0 and |x| > 2 checks; unchecked, its
+        # frame and slice nodes would be NaN
+        xs = np.array([[0.5, 0.0, 1.0], [bad, 0.0, 1.0]])
+        message = re.escape(f"slice centres must be finite, got {[bad, 0.0, 1.0]}")
+        with pytest.raises(ValueError, match=message):
+            circle_frames(xs)
+        with pytest.raises(ValueError, match=message):
+            slice_point_table(xs, 8)
+        # the callers that check their centres first keep their own messages
+        with pytest.raises(ValueError, match="^convolution centres must be finite$"):
+            convolve_many(SphereFunction.constant(), SphereFunction.constant(), xs, 8)
+        with pytest.raises(ValueError, match="^slice centres must be finite$"):
+            pair_slice_average(PairKernel.one(), xs, 8)
 
     def test_points_and_partners_are_unit_vectors(self):
         # omega(phi) in S^2 and |x - omega(phi)| = 1 define the slice
