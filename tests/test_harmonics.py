@@ -29,6 +29,22 @@ class TestIndexing:
         assert n_coeffs(0) == 1
         assert n_coeffs(8) == 81
 
+    def test_flat_index_covers_each_slot_once(self):
+        # slot k*k + k + m; a unit coefficient there is all degree k
+        idx = [k * k + k + m for k in range(6) for m in range(-k, k + 1)]
+        assert sorted(idx) == list(range(n_coeffs(5)))
+        for k in range(6):
+            for m in range(-k, k + 1):
+                c = np.zeros(n_coeffs(5))
+                c[k * k + k + m] = 1.0
+                assert HarmonicCoeffs(5, c).degree_energies().tolist() == [
+                    float(j == k) for j in range(6)]
+                assert parity_signs(5)[k * k + k + m] == (-1.0) ** k
+
+    def test_out_of_range_order_rejected(self):
+        with pytest.raises(ValueError, match="order m=3 out of range for degree k=2"):
+            eigenvalue_residual(2, 3)
+
     @pytest.mark.parametrize("m", [0.5, -1.0, "1", True])
     def test_order_must_be_an_integer(self, m):
         # a fractional m would make the flat index k*k + k + m fractional
