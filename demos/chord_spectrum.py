@@ -11,7 +11,8 @@ engine of the whole verification: subtracting the mean can only lower the
 chord form H. The quadrature route integrates the kernel against each
 Legendre polynomial directly after the substitution t = 1 - 2u^2 that
 removes the sqrt singularity at t = 1, and reproduces the closed form to
-near machine precision.
+near machine precision. Both routes return plain read-only arrays of
+Lambda_0..Lambda_K.
 """
 
 import numpy as np
@@ -23,8 +24,8 @@ K = 12
 
 
 def main():
-    closed = lambda_closed_form(K).multipliers
-    quad = chord_spectrum_quadrature(K).multipliers
+    closed = lambda_closed_form(K)
+    quad = chord_spectrum_quadrature(K)
 
     print(f"{'k':>3}  {'closed form':>16}  {'quadrature':>16}  {'abs diff':>9}")
     for k in range(K + 1):

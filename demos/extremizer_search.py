@@ -11,6 +11,9 @@ strict local maximum at Phi = 2 pi - 0.2667 with pure odd parity. A run
 started there climbs monotonically, stalls below the sharp value, and its
 defect never moves off 1.0 -- an honest certificate that it found a critical
 point which is not the global maximizer.
+
+Every search evaluates Phi on make_workspace(L), the cached exact-quadrature
+workspace for band limit L, so the three runs below share one table.
 """
 
 import numpy as np
@@ -18,7 +21,6 @@ import numpy as np
 from sharpsphere import (
     SHARP_CONSTANT,
     initial_coeffs,
-    make_workspace,
     search,
 )
 
@@ -44,16 +46,14 @@ def report(result, label):
 
 
 def main():
-    ws = make_workspace(L)   # exact quadrature for band limit 8
-
     init = initial_coeffs("perturbed-constant", L, np.random.default_rng(42))
-    report(search(init, workspace=ws), "perturbed constant")
+    report(search(init), "perturbed constant")
 
     init = initial_coeffs("random", L, np.random.default_rng(3))
-    report(search(init, workspace=ws), "random start (mean-balanced)")
+    report(search(init), "random start (mean-balanced)")
 
     init = initial_coeffs("zonal", L, np.random.default_rng(0))
-    report(search(init, workspace=ws), "zonal start: trapped at the odd local max")
+    report(search(init), "zonal start: trapped at the odd local max")
 
 
 if __name__ == "__main__":

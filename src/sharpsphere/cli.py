@@ -175,8 +175,8 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     K = _resolve("degree", args.degree, default=50)
     # the quadrature first: a degree too large for memory fails there at once
-    quad = legendre.chord_spectrum_quadrature(K).multipliers
-    closed = legendre.lambda_closed_form(K).multipliers
+    quad = legendre.chord_spectrum_quadrature(K)
+    closed = legendre.lambda_closed_form(K)
     header = ("k", "lambda_closed", "lambda_quadrature", "abs_diff")
     rows = [(k, float(closed[k]), float(quad[k]), float(abs(closed[k] - quad[k])))
             for k in range(K + 1)]

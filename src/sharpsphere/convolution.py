@@ -33,7 +33,8 @@ import numpy as np
 
 from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, harmonic_values,
                         parity_signs)
-from .quadrature import BallGrid, SphereGrid, _require_int, build_sphere_grid, circle_frames
+from .quadrature import (BallGrid, SphereGrid, _real, _require_int, build_sphere_grid,
+                         circle_frames)
 
 __all__ = [
     "SliceColumn",
@@ -182,8 +183,8 @@ def _backed(func) -> bool:
 
 
 def _finite(x, what: str) -> np.ndarray:
-    # x as a float array; a non-finite entry raises ValueError naming what
-    x = np.asarray(x, dtype=float)
+    # x as a float array; a complex or non-finite entry raises ValueError naming what
+    x = _real(x, what)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} must be finite")
     return x
@@ -739,17 +740,13 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     return out
 
 
-def conv_profile(f, g, radii, direction=(0.0, 0.0, 1.0), n_c: int = 64) -> np.ndarray:
-    """The convolution at radii in (0, 2] along a finite nonzero direction,
-    one value per radius."""
-    radii = np.asarray(radii, dtype=float)
+def conv_profile(f, g, radii, n_c: int = 64) -> np.ndarray:
+    """The convolution along z, at (0, 0, r) for each radius r in (0, 2], one
+    value per radius. Complex radii, or radii outside (0, 2], raise ValueError."""
+    radii = _real(radii, "profile radii")
     if not np.all((radii > 0.0) & (radii <= 2.0)):
         raise ValueError("profile radii must lie in (0, 2]")
-    u = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(u)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"profile direction must be finite and nonzero, got {u}")
-    return convolve_many(f, g, radii[:, None] * (u / norm), n_c)
+    return convolve_many(f, g, radii[:, None] * (0.0, 0.0, 1.0), n_c)
 
 
 def extension_at(f: SphereFunction, x, grid: SphereGrid):

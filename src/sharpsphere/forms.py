@@ -23,8 +23,7 @@ import numpy as np
 
 from .convolution import SliceColumn, SlicePlan, _backed, pair_profile, pair_slice_average
 from .harmonics import HarmonicCoeffs, SphereFunction
-from .legendre import CHORD_KERNEL_ID, FunkHeckeSpectrum
-from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _require_int,
+from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _real, _require_int,
                          build_ball_grid, build_sphere_grid, circle_frames)
 
 __all__ = [
@@ -54,7 +53,7 @@ class GammaSample:
     omegas: np.ndarray
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
+        om = _real(self.omegas, "sample vectors")
         if om.shape != (4, 3):
             raise ValueError(f"expected four 3-vectors, got shape {om.shape}")
         if not np.isfinite(om).all():
@@ -105,7 +104,7 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
     single (4, 3) quadruple gives an array of one value. Any other shape, or
     a non-finite entry, raises ValueError.
     """
-    om = np.asarray(omegas, dtype=float)
+    om = _real(omegas, "quadruples")
     if om.ndim == 2:
         om = om[None]
     if om.ndim != 3 or om.shape[1:] != (4, 3):
@@ -404,14 +403,16 @@ def h_direct_many(gs, grid: SphereGrid):
     return acc
 
 
-def h_spectral(c: HarmonicCoeffs, spectrum: FunkHeckeSpectrum) -> float:
-    """H(g) in coefficient space: 2*pi * sum_k Lambda_k * (degree-k energy)."""
-    if spectrum.kernel_id != CHORD_KERNEL_ID:
+def h_spectral(c: HarmonicCoeffs, multipliers: np.ndarray) -> float:
+    """H(g) in coefficient space: 2*pi * sum_k Lambda_k * (degree-k energy).
+
+    multipliers are the chord multipliers Lambda_0..Lambda_K
+    (lambda_closed_form or chord_spectrum_quadrature); K below the
+    coefficients' degree raises ValueError.
+    """
+    if len(multipliers) <= c.max_degree:
         raise ValueError(
-            f"spectrum is for kernel {spectrum.kernel_id!r}; H needs the chord kernel")
-    if spectrum.max_degree < c.max_degree:
-        raise ValueError(
-            f"spectrum covers degrees <= {spectrum.max_degree}, "
+            f"multipliers cover degrees <= {len(multipliers) - 1}, "
             f"coefficients reach {c.max_degree}")
     energies = c.degree_energies()
-    return float(2.0 * np.pi * np.sum(spectrum.multipliers[:len(energies)] * energies))
+    return float(2.0 * np.pi * np.sum(multipliers[:len(energies)] * energies))

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import SphereGrid, _require_int
+from .quadrature import SphereGrid, _real, _require_int
 
 __all__ = [
     "HarmonicCoeffs",
@@ -97,10 +97,14 @@ def harmonic_values(L: int, points: np.ndarray) -> np.ndarray:
     Returns a ((L+1)^2, n) matrix in the flat layout; row i holds one basis
     function sampled at every point. Because the layout is degree-contiguous,
     the leading (L'+1)^2 rows of a degree-L table are exactly the degree-L'
-    table, so one table can serve every band limit up to L.
+    table, so one table can serve every band limit up to L. Complex or
+    non-finite points raise ValueError. Points off the sphere are taken as
+    given, not normalized, so the values there are not those at p / |p|.
     """
     _require_int(L, "L", 0)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(_real(points, "points"))
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     s = np.hypot(x, y)
     vals = np.empty(((L + 1) ** 2, len(points)))
@@ -250,7 +254,7 @@ class SphereFunction:
         self.sharp_source = sharp_source
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = _real(points, "points")
         single = pts.ndim == 1
         vals = self._fn(np.atleast_2d(pts))
         return vals[0] if single else vals
@@ -270,7 +274,7 @@ class SphereFunction:
     @classmethod
     def plane_wave(cls, xi) -> "SphereFunction":
         """omega -> exp(i xi . omega); not band-limited."""
-        xi = np.asarray(xi, dtype=float).reshape(3)
+        xi = _real(xi, "plane-wave xi").reshape(3)
         return cls(lambda pts: np.exp(1j * (pts @ xi)))
 
     def antipodal_conjugate(self) -> "SphereFunction":

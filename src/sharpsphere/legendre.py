@@ -11,40 +11,17 @@ trusts it. (At k = 0 the same expression yields +8/3; all higher multipliers
 are negative.)
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quadrature import _gauss_legendre, _require_int
 
 __all__ = [
-    "FunkHeckeSpectrum",
     "legendre_values",
     "recurrence_residuals",
     "lambda_closed_form",
     "chord_kernel",
     "chord_spectrum_quadrature",
 ]
-
-CHORD_KERNEL_ID = "chord"
-
-
-@dataclass(frozen=True)
-class FunkHeckeSpectrum:
-    """Per-degree multipliers lambda_k of a zonal kernel phi(omega . nu).
-
-    The zonal operator g -> integral of phi(omega . nu) g(nu) dsigma(nu) acts
-    on degree-k spherical harmonics as multiplication by 2*pi*lambda_k, with
-    lambda_k = integral of phi(t) P_k(t) dt over (-1, 1).
-    """
-
-    kernel_id: str
-    multipliers: np.ndarray
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.multipliers) - 1
-
 
 def legendre_values(K: int, t: np.ndarray) -> np.ndarray:
     """Bonnet recursion, vectorized: values[k, ...] = P_k(t) for k = 0..K.
@@ -101,17 +78,22 @@ def recurrence_residuals(K: int, t: float) -> tuple[float, float, float]:
     )
 
 
-def lambda_closed_form(K: int) -> FunkHeckeSpectrum:
-    """Closed-form chord-kernel multipliers Lambda_0..Lambda_K.
+def lambda_closed_form(K: int) -> np.ndarray:
+    """Closed-form chord-kernel multipliers Lambda_0..Lambda_K, a read-only
+    array of K + 1 floats.
 
-    Consolidates (2k+1) Lambda_k = A_{k+1} - A_{k-1} with A_k = 2/(2k+1) into
+    The zonal operator g -> integral of |omega - nu| g(nu) dsigma(nu) acts
+    on degree-k harmonics as multiplication by 2*pi*Lambda_k, Lambda_k the
+    integral of sqrt(2 - 2t) P_k(t) dt over (-1, 1). Consolidates
+    (2k+1) Lambda_k = A_{k+1} - A_{k-1} with A_k = 2/(2k+1) into
     Lambda_k = -8/((2k-1)(2k+1)(2k+3)); Lambda_0 = 8/3 and Lambda_k < 0 for
     k >= 1.
     """
     _require_int(K, "K", 0)
     k = np.arange(K + 1, dtype=float)
     lam = -8.0 / ((2 * k - 1) * (2 * k + 1) * (2 * k + 3))
-    return FunkHeckeSpectrum(kernel_id=CHORD_KERNEL_ID, multipliers=lam)
+    lam.flags.writeable = False
+    return lam
 
 
 def chord_kernel(t):
@@ -119,8 +101,9 @@ def chord_kernel(t):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(t, dtype=float)))
 
 
-def chord_spectrum_quadrature(K: int) -> FunkHeckeSpectrum:
-    """Chord-kernel multipliers by quadrature, the oracle for lambda_closed_form.
+def chord_spectrum_quadrature(K: int) -> np.ndarray:
+    """Chord-kernel multipliers by quadrature, the oracle for lambda_closed_form,
+    a read-only array of K + 1 floats.
 
     Gauss-Legendre on K + 8 nodes after the substitution t = 1 - 2u^2
     (dt = -4u du), which removes the kernel's sqrt endpoint: the integrand
@@ -134,4 +117,5 @@ def chord_spectrum_quadrature(K: int) -> FunkHeckeSpectrum:
     t, w = 1.0 - 2.0 * u * u, 2.0 * w * u
     wk = w * chord_kernel(t)
     lam = np.array([np.sum(wk * p) for p in legendre_values(K, t)])
-    return FunkHeckeSpectrum(kernel_id=CHORD_KERNEL_ID, multipliers=lam)
+    lam.flags.writeable = False
+    return lam

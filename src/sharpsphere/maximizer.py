@@ -209,16 +209,8 @@ def _radial_table(L: int):
 
 @lru_cache(maxsize=4)
 def make_workspace(L: int) -> Workspace:
+    """The Workspace of band limit L that objective_phi, gradient and search read."""
     return Workspace(L)
-
-
-def _workspace_for(c: HarmonicCoeffs, workspace: Workspace | None) -> Workspace:
-    if workspace is None:
-        return make_workspace(c.max_degree)
-    if workspace.L != c.max_degree:
-        raise ValueError(f"workspace band limit {workspace.L} does not match the "
-                         f"coefficients' band limit {c.max_degree}")
-    return workspace
 
 
 def _as_real_coeffs(c: HarmonicCoeffs) -> tuple[np.ndarray, int]:
@@ -239,18 +231,18 @@ def _as_real_coeffs(c: HarmonicCoeffs) -> tuple[np.ndarray, int]:
     return np.ldexp(arr.astype(float), -e), e
 
 
-def objective_phi(c: HarmonicCoeffs, workspace: Workspace | None = None) -> float:
-    """Phi(f) = ((2 pi)^3 Q)^(1/4) / ||f||_2 for the synthesized f."""
+def objective_phi(c: HarmonicCoeffs) -> float:
+    """Phi(f) = ((2 pi)^3 Q)^(1/4) / ||f||_2 for the synthesized f, Q on
+    make_workspace(c.max_degree)."""
     arr = _as_real_coeffs(c)[0]
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("Phi is undefined for the zero function")
-    ws = _workspace_for(c, workspace)
-    q = ws.q_value(arr)
+    q = make_workspace(c.max_degree).q_value(arr)
     return float(((2.0 * np.pi) ** 3 * q) ** 0.25 / np.sqrt(nrm2))
 
 
-def gradient(c: HarmonicCoeffs, workspace: Workspace | None = None) -> np.ndarray:
+def gradient(c: HarmonicCoeffs) -> np.ndarray:
     """Gradient of log Phi^4 = log((2 pi)^3 Q) - 2 log ||f||_2^2 in coefficient space.
 
     The log form is scale-free: constants (of either sign) are critical
@@ -262,8 +254,7 @@ def gradient(c: HarmonicCoeffs, workspace: Workspace | None = None) -> np.ndarra
     nrm2 = float(arr @ arr)
     if nrm2 == 0.0:
         raise ValueError("gradient is undefined for the zero function")
-    ws = _workspace_for(c, workspace)
-    q, dq = ws.q_gradient(arr)
+    q, dq = make_workspace(c.max_degree).q_gradient(arr)
     with np.errstate(over="ignore"):
         g = np.ldexp(dq / q - 4.0 * arr / nrm2, -e)
     if not np.all(np.isfinite(g)):
@@ -334,8 +325,7 @@ def initial_coeffs(kind: str, L: int, rng: np.random.Generator) -> HarmonicCoeff
     return HarmonicCoeffs(L, c)
 
 
-def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
-           workspace: Workspace | None = None) -> SearchResult:
+def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8) -> SearchResult:
     """Curvature-scaled ascent on log Phi^4 over the unit coefficient sphere.
 
     Each step moves along grad / |lambda| per coefficient slot, lambda the
@@ -344,6 +334,8 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
     every degree contracts at a comparable rate, where plain gradient ascent
     crawls along the weakest degree (lambda_2 = -8/5). The scaling is
     diagonal by degree, so the odd-degree invariant subspace stays invariant.
+    Every Q and gradient runs on make_workspace(init.max_degree), the one
+    cached Workspace of that band limit.
 
     Line search: the step starts at INITIAL_STEP = 1, halves on a trial that
     does not strictly increase Phi, and after an accepted step doubles back
@@ -363,8 +355,8 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8,
     arr = _as_real_coeffs(init)[0]
     if not np.any(arr):
         raise ValueError("initial coefficients must be nonzero")
-    ws = _workspace_for(init, workspace)
     L = init.max_degree
+    ws = make_workspace(L)
     scale = 1.0 / np.abs(ws.curvature)
 
     def make_state(arr, step, iteration):

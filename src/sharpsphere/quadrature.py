@@ -36,6 +36,15 @@ def _require_int(value, name: str, low: int = 1):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _real(x, name: str) -> np.ndarray:
+    # x as a float array; complex x raises ValueError naming it, where a cast
+    # would drop its imaginary part
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+    return np.asarray(x, dtype=float)
+
+
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only.
@@ -141,9 +150,9 @@ def circle_frames(xs: np.ndarray):
     right-handed frame x_hat, e1, e2. The frame is equivariant under rotations
     about the z axis: the slice at R x is R applied to the slice at x, node by
     node, which lets product grids with uniform azimuth tabulate one column.
-    A non-finite centre raises ValueError.
+    A complex or non-finite centre raises ValueError.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.atleast_2d(_real(xs, "slice centres"))
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
         raise ValueError(f"slice centres must be finite, got {xs[bad][0].tolist()}")

@@ -26,7 +26,6 @@ from sharpsphere import (
     initial_coeffs,
     lambda_closed_form,
     legendre_values,
-    make_workspace,
     objective_phi,
     pair_slice_average,
     quadrilinear_q,
@@ -70,8 +69,8 @@ def test_criterion_03_sharp_ratio_and_modulation(ball_default):
 
 
 def test_criterion_04_chord_multipliers():
-    closed = lambda_closed_form(50).multipliers
-    quad = chord_spectrum_quadrature(50).multipliers
+    closed = lambda_closed_form(50)
+    quad = chord_spectrum_quadrature(50)
     assert np.max(np.abs(closed - quad)) <= 1e-10
     assert np.all(closed[1:] < 0.0)
 
@@ -138,11 +137,11 @@ def test_criterion_08_pointwise_symmetrization():
         assert np.max(lhs - rhs) <= 1e-10
 
 
-def test_criterion_09_ascent_finds_sharp_constant(ws8):
+def test_criterion_09_ascent_finds_sharp_constant():
     t0 = time.perf_counter()
     for seed in range(20):
         init = initial_coeffs("random", 8, np.random.default_rng(seed))
-        result = search(init, workspace=ws8)
+        result = search(init)
         final = result.final
         assert abs(final.objective - SHARP_CONSTANT) <= 1e-4
         assert final.constancy_defect < 1e-3
@@ -151,15 +150,15 @@ def test_criterion_09_ascent_finds_sharp_constant(ws8):
     # gradient oracle at a generic point, where it is O(1)
     init = initial_coeffs("random", 8, np.random.default_rng(0))
     arr = init.coeffs / np.linalg.norm(init.coeffs)
-    g = gradient(HarmonicCoeffs(8, arr), ws8)
+    g = gradient(HarmonicCoeffs(8, arr))
     h = 1e-5
     fd = np.empty_like(arr)
     for i in range(arr.size):
         up, down = arr.copy(), arr.copy()
         up[i] += h
         down[i] -= h
-        fd[i] = (4 * np.log(objective_phi(HarmonicCoeffs(8, up), ws8))
-                 - 4 * np.log(objective_phi(HarmonicCoeffs(8, down), ws8))) / (2 * h)
+        fd[i] = (4 * np.log(objective_phi(HarmonicCoeffs(8, up)))
+                 - 4 * np.log(objective_phi(HarmonicCoeffs(8, down)))) / (2 * h)
     assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
     assert time.perf_counter() - t0 < 600.0
 
@@ -167,10 +166,9 @@ def test_criterion_09_ascent_finds_sharp_constant(ws8):
 def test_criterion_09b_ascent_finds_sharp_constant_at_band_limit_12():
     # Criterion 09's bounds past L=8, on the L=12 exact-quadrature workspace.
     t0 = time.perf_counter()
-    ws12 = make_workspace(12)
     for seed in range(5):
         init = initial_coeffs("random", 12, np.random.default_rng(seed))
-        result = search(init, workspace=ws12)
+        result = search(init)
         final = result.final
         assert abs(final.objective - SHARP_CONSTANT) <= 1e-4
         assert final.constancy_defect < 1e-3

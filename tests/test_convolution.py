@@ -8,6 +8,7 @@ import pytest
 from sharpsphere import (
     DegenerateSliceError,
     FormGrids,
+    GammaSample,
     HarmonicCoeffs,
     PairKernel,
     SliceColumn,
@@ -16,10 +17,13 @@ from sharpsphere import (
     SplitValues,
     build_ball_grid,
     build_sphere_grid,
+    circle_frames,
     conv_profile,
     convolve_many,
     exact_sizes,
     extension_at,
+    four_identity_many,
+    gamma_samples,
     harmonic_values,
     pair_profile,
     pair_slice_average,
@@ -377,12 +381,10 @@ class TestConvProfile:
         assert prof.shape == radii.shape
         assert np.abs(prof - 2 * PI / radii).max() <= 1e-12 * (2 * PI / radii).max()
 
-    def test_direction_is_normalized(self):
+    def test_profile_runs_along_z(self):
         radii = np.array([0.5, 1.0, 1.5])
         f = rand_fn(3, 12)
-        a = conv_profile(f, f, radii, direction=(0.0, 0.0, 1.0))
-        b = conv_profile(f, f, radii, direction=(0.0, 0.0, 7.0))
-        assert np.abs(a - b).max() <= 1e-14
+        a = conv_profile(f, f, radii)
         assert np.array_equal(a, convolve_many(f, f, radii[:, None] * [0.0, 0.0, 1.0], 64))
 
     def test_out_of_range_radii_rejected(self):
@@ -394,12 +396,6 @@ class TestConvProfile:
     def test_non_finite_radii_rejected(self):
         with pytest.raises(ValueError, match="radii"):
             conv_profile(ONE, ONE, np.array([np.nan, 1.0]))
-
-    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0),
-                                           (np.inf, 0.0, 1.0)])
-    def test_degenerate_direction_rejected(self, direction):
-        with pytest.raises(ValueError, match="direction"):
-            conv_profile(ONE, ONE, np.array([0.5, 1.0]), direction=direction)
 
 
 class TestConvL2Norm:
@@ -839,3 +835,32 @@ class TestRowIdentity:
         f, neg = values[0], values[2]
         assert f.keys == neg.keys
         assert (neg.re_sign, neg.im_sign) == (-f.re_sign, -f.im_sign)
+
+
+ZERO_SUM = gamma_samples(np.random.default_rng(19), 1)[0]
+COMPLEX_CENTRE = np.array([[1j, 0.0, 1.0]])
+
+
+class TestComplexGeometry:
+    """Complex points raise ValueError naming them, where a cast to float
+    would drop the imaginary part (numpy only warns)."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: circle_frames(COMPLEX_CENTRE), "slice centres"),
+        (lambda: slice_point_table(COMPLEX_CENTRE, 8), "slice centres"),
+        (lambda: convolve_many(ONE, ONE, COMPLEX_CENTRE, 8), "convolution centres"),
+        (lambda: pair_slice_average(PairKernel.one(), COMPLEX_CENTRE, 8), "slice centres"),
+        (lambda: GammaSample(ZERO_SUM * (1 + 1j)), "sample vectors"),
+        (lambda: four_identity_many(ZERO_SUM * (1 + 1j)), "quadruples"),
+        (lambda: conv_profile(ONE, ONE, np.array([0.5 + 1j])), "profile radii"),
+        (lambda: extension_at(ONE, np.array([1j, 0.0, 0.0]), build_sphere_grid(4)),
+         "extension point"),
+        (lambda: SphereFunction.plane_wave([1j, 0.0, 0.0]), "plane-wave xi"),
+        (lambda: harmonic_values(2, COMPLEX_CENTRE), "points"),
+        (lambda: ONE(COMPLEX_CENTRE), "points"),
+    ], ids=["circle_frames", "slice_point_table", "convolve_many", "pair_slice_average",
+            "GammaSample", "four_identity_many", "conv_profile", "extension_at",
+            "plane_wave", "harmonic_values", "SphereFunction"])
+    def test_complex_input_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            call()

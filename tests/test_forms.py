@@ -38,7 +38,6 @@ from sharpsphere import (
 )
 from sharpsphere import convolution, forms, legendre
 from sharpsphere.harmonics import parity_signs
-from sharpsphere.legendre import FunkHeckeSpectrum
 
 from helpers import ball_points, ball_rows, node_values, rand_fn, unit_vectors
 
@@ -1589,11 +1588,6 @@ class TestChordForm:
 
     def test_spectral_zero(self, lam8):
         assert h_spectral(HarmonicCoeffs(8, np.zeros(81)), lam8) == 0.0
-
-    def test_spectral_demands_chord_kernel(self):
-        flat = FunkHeckeSpectrum(kernel_id="flat", multipliers=np.array([2.0]))
-        with pytest.raises(ValueError):
-            h_spectral(HarmonicCoeffs(0, np.ones(1)), flat)
 
     def test_spectral_demands_full_coverage(self):
         short = lambda_closed_form(4)

@@ -89,6 +89,19 @@ class TestHarmonicValues:
         expected = np.sqrt(3.0 / (4 * PI)) * pts[:, 2]
         assert np.abs(vals[2] - expected).max() <= 1e-13
 
+    @pytest.mark.parametrize("L", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, L, bad):
+        # at degree 0 the table's one row is finite at any point, so the
+        # constant read 3.0 at a NaN point
+        pts = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+        f = SphereFunction.constant(3.0) if L == 0 else SphereFunction.from_coeffs(
+            random_band_limited(2, np.random.default_rng(4)))
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            harmonic_values(L, pts)
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            f(pts)
+
 
 class TestBasisAndTransforms:
     def test_gram_identity(self):
@@ -186,7 +199,7 @@ class TestChordMultipliers:
         vals = harmonic_values(L, pts.reshape(-1, 3))
         vals = vals.reshape(n_coeffs(L), len(nodes), len(t), n_phi)
         applied = 2 * PI * np.einsum("q,cnq->cn", w, vals.mean(axis=3))
-        lam = lambda_closed_form(L).multipliers
+        lam = lambda_closed_form(L)
         degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
         expected = 2 * PI * lam[degree][:, None] * basis.values
         scale = np.abs(expected).max()

@@ -85,7 +85,7 @@ class TestRecurrenceResiduals:
 
 class TestChordSpectrum:
     def test_multiplier_closed_forms(self):
-        lam = lambda_closed_form(5).multipliers
+        lam = lambda_closed_form(5)
         assert abs(lam[0] - 8.0 / 3.0) <= 1e-15
         assert abs(lam[1] - (-8.0 / 15.0)) <= 1e-15
         assert abs(lam[5] - (-8.0 / (9 * 11 * 13))) <= 1e-18
@@ -94,36 +94,39 @@ class TestChordSpectrum:
         # Lambda_0 = integral of sqrt(2 - 2t) dt over (-1, 1) = 8/3
         t, w = np.polynomial.legendre.leggauss(400)
         oracle = float(np.sum(w * np.sqrt(2.0 - 2.0 * t)))
-        lam0 = lambda_closed_form(0).multipliers[0]
+        lam0 = lambda_closed_form(0)[0]
         assert abs(lam0 - 8.0 / 3.0) <= 1e-15
         assert abs(oracle - lam0) <= 1e-6   # raw rule fights the sqrt endpoint
 
     def test_consecutive_a_difference_form(self):
         # (2k+1) Lambda_k = A_{k+1} - A_{k-1} for k >= 1, with A_k = 2/(2k+1)
         # the Legendre coefficients of 1/|omega - nu|
-        lam = lambda_closed_form(12).multipliers
+        lam = lambda_closed_form(12)
         for k in range(1, 13):
             lhs = (2 * k + 1) * lam[k]
             rhs = 2.0 / (2 * k + 3) - 2.0 / (2 * k - 1)
             assert abs(lhs - rhs) <= 1e-15
 
     def test_quadrature_matches_closed_form(self):
-        closed = lambda_closed_form(50).multipliers
-        quad = chord_spectrum_quadrature(50).multipliers
+        closed = lambda_closed_form(50)
+        quad = chord_spectrum_quadrature(50)
         assert np.abs(closed - quad).max() <= 1e-10
 
     def test_negative_beyond_degree_zero(self):
-        lam = lambda_closed_form(50).multipliers
+        lam = lambda_closed_form(50)
         assert lam[0] > 0
         assert np.all(lam[1:] < 0)
 
     def test_magnitudes_strictly_decreasing(self):
-        lam = np.abs(lambda_closed_form(50).multipliers)
+        lam = np.abs(lambda_closed_form(50))
         assert np.all(np.diff(lam) < 0)
 
-    def test_kernel_id_tags_chord(self):
-        assert lambda_closed_form(3).kernel_id == "chord"
-        assert chord_spectrum_quadrature(3).kernel_id == "chord"
+    @pytest.mark.parametrize("spectrum", [lambda_closed_form, chord_spectrum_quadrature])
+    def test_arrays_are_read_only(self, spectrum):
+        lam = spectrum(3)
+        assert lam.shape == (4,) and lam.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 0.0
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

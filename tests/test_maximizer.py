@@ -45,45 +45,45 @@ def constant_coeffs(L=8, value=1.0):
 
 
 class TestObjective:
-    def test_constant_attains_sharp_value(self, ws8):
-        phi = objective_phi(constant_coeffs(), ws8)
+    def test_constant_attains_sharp_value(self):
+        phi = objective_phi(constant_coeffs())
         assert abs(phi - SHARP_CONSTANT) <= 1e-12 * SHARP_CONSTANT
 
     def test_sharp_constant_is_two_pi(self):
         assert SHARP_CONSTANT == 2 * PI
 
-    def test_zonal_anchor(self, ws8):
+    def test_zonal_anchor(self):
         z = initial_coeffs("zonal", 8, np.random.default_rng(0))
-        phi = objective_phi(z, ws8)
+        phi = objective_phi(z)
         assert abs(phi - PHI_ZONAL) <= 1e-6
         assert SHARP_CONSTANT - phi > 0.26
 
-    def test_scale_invariance(self, ws8):
+    def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         c = rng.standard_normal(n_coeffs(8))
-        a = objective_phi(HarmonicCoeffs(8, c), ws8)
-        b = objective_phi(HarmonicCoeffs(8, 7.5 * c), ws8)
+        a = objective_phi(HarmonicCoeffs(8, c))
+        b = objective_phi(HarmonicCoeffs(8, 7.5 * c))
         assert abs(a - b) <= 1e-12 * a
         # Phi, gradient and search scale c by a power of two first: a power
         # of two moves no bit, and no size overflows or underflows
-        g = gradient(HarmonicCoeffs(8, c), ws8)
-        run = search(HarmonicCoeffs(8, c), workspace=ws8)
+        g = gradient(HarmonicCoeffs(8, c))
+        run = search(HarmonicCoeffs(8, c))
         for e in (600, -600):
             scaled = HarmonicCoeffs(8, np.ldexp(c, e))
-            assert objective_phi(scaled, ws8) == a
-            assert np.array_equal(gradient(scaled, ws8), np.ldexp(g, -e))
-            other = search(scaled, workspace=ws8)
+            assert objective_phi(scaled) == a
+            assert np.array_equal(gradient(scaled), np.ldexp(g, -e))
+            other = search(scaled)
             assert [s.objective for s in other.states] == [s.objective for s in run.states]
         for factor in (1e200, 1e-200):
             scaled = HarmonicCoeffs(8, factor * c)
-            assert abs(objective_phi(scaled, ws8) - a) <= 1e-15 * a
+            assert abs(objective_phi(scaled) - a) <= 1e-15 * a
             # the log-form gradient is dq/q - 4c/|c|^2, two terms of size
             # 1/|c| that cancel to about a third of it, so the rounding of
             # factor * c reads about 1.6e-15 of its largest entry
-            g_scaled = factor * gradient(scaled, ws8)
+            g_scaled = factor * gradient(scaled)
             assert np.all(np.isfinite(g_scaled))
             assert np.abs(g_scaled - g).max() <= 1e-14 * np.abs(g).max()
-            final = search(scaled, workspace=ws8).final.objective
+            final = search(scaled).final.objective
             assert abs(final - run.final.objective) <= 1e-15 * run.final.objective
 
     def test_q_value_of_overflowing_coeffs_rejected(self, ws8):
@@ -94,15 +94,15 @@ class TestObjective:
         with pytest.raises(ValueError, match="Q evaluated to the non-finite value"):
             ws8.q_value(1e80 * c.astype(complex))
 
-    def test_random_draws_never_exceed_sharp_constant(self, ws8):
+    def test_random_draws_never_exceed_sharp_constant(self):
         # The workspace rules are exact at band limit 8, so the discrete
         # objective inherits the global bound.
         rng = np.random.default_rng(99)
         for _ in range(300):
             c = HarmonicCoeffs(8, rng.standard_normal(n_coeffs(8)))
-            assert objective_phi(c, ws8) <= SHARP_CONSTANT * (1 + 1e-6)
+            assert objective_phi(c) <= SHARP_CONSTANT * (1 + 1e-6)
 
-    def test_constant_is_strict_local_max(self, ws8):
+    def test_constant_is_strict_local_max(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             d = rng.standard_normal(n_coeffs(8))
@@ -110,7 +110,7 @@ class TestObjective:
             d /= np.linalg.norm(d)
             c = np.zeros(n_coeffs(8))
             c[0] = 1.0
-            phi = objective_phi(HarmonicCoeffs(8, c + 1e-2 * d), ws8)
+            phi = objective_phi(HarmonicCoeffs(8, c + 1e-2 * d))
             assert phi < SHARP_CONSTANT - 1e-4
 
     def test_matches_quadrilinear_form(self, ws8, exact_grids):
@@ -121,80 +121,72 @@ class TestObjective:
         q = quadrilinear_q(f, fs, f, fs, exact_grids)
         assert abs(ws8.q_value(arr) - q.real) <= 1e-10 * abs(q.real)
 
-    def test_zero_coeffs_rejected(self, ws8):
+    def test_zero_coeffs_rejected(self):
         zero = HarmonicCoeffs(8, np.zeros(n_coeffs(8)))
         with pytest.raises(ValueError):
-            objective_phi(zero, ws8)
+            objective_phi(zero)
 
-    def test_complex_coeffs_rejected(self, ws8):
+    def test_complex_coeffs_rejected(self):
         c = np.zeros(n_coeffs(8), dtype=complex)
         c[0] = 1.0
         c[3] = 0.2j
         with pytest.raises(ValueError):
-            objective_phi(HarmonicCoeffs(8, c), ws8)
+            objective_phi(HarmonicCoeffs(8, c))
 
-    def test_complex_typed_real_coeffs_are_the_real_array(self, ws8):
+    def test_complex_typed_real_coeffs_are_the_real_array(self):
         # complex dtype with zero imaginary parts is read as the real array
         real = random_band_limited(8, np.random.default_rng(62))
         typed = HarmonicCoeffs(8, real.coeffs.astype(complex))
-        assert objective_phi(typed, ws8) == objective_phi(real, ws8)
-        assert np.array_equal(gradient(typed, ws8), gradient(real, ws8))
-
-    def test_band_limit_mismatch_rejected(self, ws8):
-        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
-            objective_phi(constant_coeffs(L=4), ws8)
+        assert objective_phi(typed) == objective_phi(real)
+        assert np.array_equal(gradient(typed), gradient(real))
 
 
 class TestGradient:
-    def test_vanishes_at_constant(self, ws8):
-        g = gradient(constant_coeffs(), ws8)
+    def test_vanishes_at_constant(self):
+        g = gradient(constant_coeffs())
         assert np.linalg.norm(g) <= 1e-10
 
     def test_matches_finite_differences(self):
-        ws3 = make_workspace(3)
         rng = np.random.default_rng(23)
         c = rng.standard_normal(n_coeffs(3))
-        g = gradient(HarmonicCoeffs(3, c), ws3)
+        g = gradient(HarmonicCoeffs(3, c))
         h = 1e-5
         for i in range(c.size):
             cp, cm = c.copy(), c.copy()
             cp[i] += h
             cm[i] -= h
-            fd = (4 * np.log(objective_phi(HarmonicCoeffs(3, cp), ws3))
-                  - 4 * np.log(objective_phi(HarmonicCoeffs(3, cm), ws3))) / (2 * h)
+            fd = (4 * np.log(objective_phi(HarmonicCoeffs(3, cp)))
+                  - 4 * np.log(objective_phi(HarmonicCoeffs(3, cm)))) / (2 * h)
             assert abs(fd - g[i]) <= 1e-7
 
-    def test_orthogonal_to_coefficients(self, ws8):
+    def test_orthogonal_to_coefficients(self):
         # log Phi^4 is scale-free, so its gradient is orthogonal to the
         # radial direction (Euler's identity for the quartic form).
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.standard_normal(n_coeffs(8))
-            g = gradient(HarmonicCoeffs(8, c), ws8)
+            g = gradient(HarmonicCoeffs(8, c))
             assert abs(g @ c) <= 1e-12
 
-    def test_degree_minus_one_homogeneous(self, ws8):
+    def test_degree_minus_one_homogeneous(self):
         rng = np.random.default_rng(12)
         c = rng.standard_normal(n_coeffs(8))
-        g1 = gradient(HarmonicCoeffs(8, c), ws8)
-        g2 = gradient(HarmonicCoeffs(8, 2.0 * c), ws8)
+        g1 = gradient(HarmonicCoeffs(8, c))
+        g2 = gradient(HarmonicCoeffs(8, 2.0 * c))
         assert np.max(np.abs(g2 - 0.5 * g1)) <= 1e-14
 
-    def test_zero_coeffs_rejected(self, ws8):
+    def test_zero_coeffs_rejected(self):
         with pytest.raises(ValueError):
-            gradient(HarmonicCoeffs(8, np.zeros(n_coeffs(8))), ws8)
+            gradient(HarmonicCoeffs(8, np.zeros(n_coeffs(8))))
 
-    def test_band_limit_mismatch_rejected(self, ws8):
-        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
-            gradient(constant_coeffs(L=4), ws8)
 
-    def test_overflowing_gradient_rejected(self, ws8):
+    def test_overflowing_gradient_rejected(self):
         # at subnormal coefficients the gradient, of size 1/|c|, is past
         # the largest float; Phi there is still finite
         c = HarmonicCoeffs(8, 1e-310 * np.random.default_rng(3).standard_normal(n_coeffs(8)))
-        assert np.isfinite(objective_phi(c, ws8))
+        assert np.isfinite(objective_phi(c))
         with pytest.raises(ValueError, match="gradient overflows"):
-            gradient(c, ws8)
+            gradient(c)
 
 
 class TestCurvature:
@@ -211,8 +203,8 @@ class TestCurvature:
             up, down = const.copy(), const.copy()
             up[j] += h
             down[j] -= h
-            hess[:, j] = (gradient(HarmonicCoeffs(8, up), ws8)
-                          - gradient(HarmonicCoeffs(8, down), ws8)) / (2 * h)
+            hess[:, j] = (gradient(HarmonicCoeffs(8, up))
+                          - gradient(HarmonicCoeffs(8, down))) / (2 * h)
         diag = np.diag(hess)
         lam = ws8.curvature
         assert np.all(np.abs(diag[1:] - lam[1:]) <= 1e-7 * np.abs(lam[1:]))
@@ -280,23 +272,23 @@ class TestInitialCoeffs:
 
 
 class TestSearch:
-    def test_constant_converges_immediately(self, ws8):
-        result = search(constant_coeffs(), workspace=ws8)
+    def test_constant_converges_immediately(self):
+        result = search(constant_coeffs())
         assert result.converged
         assert result.reason == "gradient norm below tolerance"
         assert result.final.iteration == 0
         assert abs(result.final.objective - SHARP_CONSTANT) <= 1e-10
 
-    def test_perturbed_constant_reaches_sharp_value(self, ws8):
+    def test_perturbed_constant_reaches_sharp_value(self):
         init = initial_coeffs("perturbed-constant", 8, np.random.default_rng(42))
-        result = search(init, workspace=ws8)
+        result = search(init)
         assert abs(result.final.objective - SHARP_CONSTANT) <= 1e-4
         assert result.final.constancy_defect < 1e-3
         assert result.converged or result.reason == "line search stalled"
 
-    def test_zonal_start_stalls_on_odd_plateau(self, ws8):
+    def test_zonal_start_stalls_on_odd_plateau(self):
         init = initial_coeffs("zonal", 8, np.random.default_rng(0))
-        result = search(init, workspace=ws8)
+        result = search(init)
         assert not result.converged
         assert result.reason == "line search stalled"
         # Odd coefficients span an invariant subspace: no constant component
@@ -307,20 +299,21 @@ class TestSearch:
         assert all(b > a for a, b in zip(objectives, objectives[1:]))
         assert max(objectives) <= SHARP_CONSTANT * (1 + 1e-6)
 
-    def test_zonal_start_keeps_even_degrees_at_zero(self, ws8):
+    def test_zonal_start_keeps_even_degrees_at_zero(self):
         # The curvature scaling is diagonal by degree, so it leaves the odd
         # invariant subspace invariant exactly, not just up to rounding.
         init = initial_coeffs("zonal", 8, np.random.default_rng(0))
-        result = search(init, workspace=ws8)
+        result = search(init)
         even = parity_signs(8) > 0
         for state in result.states:
             assert np.all(state.coeffs.coeffs[even] == 0.0)
 
-    def test_zonal_stall_stops_at_rounding_level(self, ws8, monkeypatch):
+    def test_zonal_stall_stops_at_rounding_level(self, monkeypatch):
         # The stop rule ends the line search once its predicted gain is below
         # the rounding level of log Phi^4, not after halving down to a floor.
         calls = {"q_value": 0, "at_last_state": 0}
-        q_value, q_gradient = ws8.q_value, ws8.q_gradient
+        ws = make_workspace(8)   # the cached workspace search reads
+        q_value, q_gradient = ws.q_value, ws.q_gradient
 
         def counted_q_value(coeffs):
             calls["q_value"] += 1
@@ -330,50 +323,46 @@ class TestSearch:
             calls["at_last_state"] = calls["q_value"]
             return q_gradient(coeffs)
 
-        monkeypatch.setattr(ws8, "q_value", counted_q_value)
-        monkeypatch.setattr(ws8, "q_gradient", counted_q_gradient)
+        monkeypatch.setattr(ws, "q_value", counted_q_value)
+        monkeypatch.setattr(ws, "q_gradient", counted_q_gradient)
         init = initial_coeffs("zonal", 8, np.random.default_rng(0))
-        result = search(init, workspace=ws8)
+        result = search(init)
         assert result.reason == "line search stalled"
         assert calls["q_value"] - calls["at_last_state"] <= 2
 
-    def test_random_starts_reach_sharp_value(self, ws8):
+    def test_random_starts_reach_sharp_value(self):
         for seed in range(3):
             init = initial_coeffs("random", 8, np.random.default_rng(seed))
-            result = search(init, workspace=ws8)
+            result = search(init)
             assert abs(result.final.objective - SHARP_CONSTANT) <= 1e-4
             assert result.final.constancy_defect < 1e-3
 
-    def test_trace_invariants(self, ws8):
+    def test_trace_invariants(self):
         init = initial_coeffs("perturbed-constant", 8, np.random.default_rng(9))
-        result = search(init, workspace=ws8)
+        result = search(init)
         for i, state in enumerate(result.states):
             assert state.iteration == i
             assert abs(state.coeffs.norm_sq() - 1.0) <= 1e-12
             assert 0.0 < state.step_size <= INITIAL_STEP
             assert state.gradient_norm >= 0.0
 
-    def test_iteration_limit(self, ws8):
+    def test_iteration_limit(self):
         init = initial_coeffs("zonal", 8, np.random.default_rng(0))
-        result = search(init, max_iter=5, workspace=ws8)
+        result = search(init, max_iter=5)
         assert not result.converged
         assert result.reason == "iteration limit reached"
         assert len(result.states) == 6
 
-    def test_zero_init_rejected(self, ws8):
+    def test_zero_init_rejected(self):
         with pytest.raises(ValueError):
-            search(HarmonicCoeffs(8, np.zeros(n_coeffs(8))), workspace=ws8)
+            search(HarmonicCoeffs(8, np.zeros(n_coeffs(8))))
 
-    def test_complex_init_rejected(self, ws8):
+    def test_complex_init_rejected(self):
         c = np.zeros(n_coeffs(8), dtype=complex)
         c[0] = 1.0 + 0.5j
         with pytest.raises(ValueError):
-            search(HarmonicCoeffs(8, c), workspace=ws8)
+            search(HarmonicCoeffs(8, c))
 
-    def test_band_limit_mismatch_rejected(self, ws8):
-        init = initial_coeffs("random", 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="band limit 8 .* band limit 4"):
-            search(init, workspace=ws8)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"tol": float("nan")}, "tol must be a finite number >= 0, got nan"),
@@ -429,8 +418,9 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="L must be a nonnegative integer, got 2.5"):
             Workspace(2.5)
 
-    def test_accepted_steps_reuse_the_line_search_forward_pass(self, passes):
+    def test_accepted_steps_reuse_the_line_search_forward_pass(self, passes, monkeypatch):
         ws = Workspace(4)
+        monkeypatch.setattr(maximizer, "make_workspace", lambda L: ws)
         trials, q_value = [0], ws.q_value
 
         def counted_q_value(coeffs):
@@ -439,7 +429,7 @@ class TestWorkspace:
 
         ws.q_value = counted_q_value
         init = initial_coeffs("zonal", 4, np.random.default_rng(3))
-        result = search(init, workspace=ws)
+        result = search(init)
         assert len(result.states) > 10
         assert trials[0] > len(result.states) - 1
         # one forward pass per trial, plus the starting point's gradient
@@ -715,9 +705,8 @@ class TestRadialRoute:
         assert ws8.basis.nbytes < 0.2e6
 
     def test_band_limit_sixteen(self):
-        ws = Workspace(16)
-        assert ws.basis.nbytes < 100e6
-        phi = objective_phi(constant_coeffs(16), ws)
+        assert make_workspace(16).basis.nbytes < 100e6
+        phi = objective_phi(constant_coeffs(16))
         assert abs(phi - SHARP_CONSTANT) <= 1e-12 * SHARP_CONSTANT
 
     def test_radial_table_matches_the_exact_integrals(self):
@@ -742,7 +731,6 @@ class TestRadialRoute:
     def test_phi_never_exceeds_two_pi_near_the_constant(self, L):
         # exactness: 1,500 near-constant unit vectors, perturbed by 1e-9 to
         # 1e-3, read Phi no more than 2 ulps above 2 pi
-        ws = make_workspace(L)
         rng = np.random.default_rng(2026 + L)
         ulp = np.spacing(SHARP_CONSTANT)
         worst = -np.inf
@@ -753,5 +741,5 @@ class TestRadialRoute:
             c[0] = rng.choice([-1.0, 1.0])
             c += 10.0 ** rng.uniform(-9, -3) * d / np.linalg.norm(d)
             c /= np.linalg.norm(c)
-            worst = max(worst, objective_phi(HarmonicCoeffs(L, c), ws) - SHARP_CONSTANT)
+            worst = max(worst, objective_phi(HarmonicCoeffs(L, c)) - SHARP_CONSTANT)
         assert worst <= 2 * ulp
