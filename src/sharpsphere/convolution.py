@@ -52,6 +52,7 @@ __all__ = [
 # chunk of (row, azimuth) pairs, the harmonics at a chunk of rings' turned
 # projection nodes. A chunk and the few arrays formed next to it sit in L2.
 _CHUNK_BYTES = 1 << 18
+_CALLABLE_NODES = 1 << 12   # slice nodes in a batch of pair_slice_average's plain callables
 
 
 def _half_turn(n_c: int) -> np.ndarray:
@@ -539,11 +540,11 @@ class SliceColumn:
         the real products of values read from them, modes or f#'s node
         values, which pair_profile forms at most once while the fields are
         held (see sampler). A call whose padded rows equal the held ones
-        (np.array_equal) gets the held buffer
-        back; rows equal up to sign are equal here, as SlicePlan stores them.
-        Any other rows replace the memo: all take one synthesize pass, and
-        since BLAS may round a row differently in a batch of another size,
-        every field is bit for bit that of a fresh column. The products kept
+        (np.array_equal) gets the held buffer back; rows equal up to sign are
+        equal here, as SlicePlan stores them. Any other rows replace the
+        memo: all take one synthesize pass, and since BLAS may round a row
+        differently in a batch of another size, every field is bit for bit
+        that of a fresh column of the same band limit. The products kept
         with the fields replaced are dropped. A call without rows gets an
         empty buffer and leaves the memo as it is. Node values are not kept:
         a row at the nodes takes N / (2L+1) times the memory of its modes, so
@@ -693,19 +694,22 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     F(omega(phi), x - omega(phi)) is a trigonometric polynomial of degree
     < N in the slice angle, N = n_c or, at odd n_c, 2 n_c, which holds with
     degree 2L for f tensor g of band-limited f, g of degree L. The result
-    is real when F's values are. A batch of centres holds at most 16
-    _CHUNK_BYTES of slice nodes at 128 B a node (point, partner, F's complex
-    values and temporaries, as traced for plane waves) plus 8 B per row of
-    the harmonic tables that F's coefficient-backed or sharp factors build
-    there, (L+1)^2 rows a factor. A centre at 0 raises DegenerateSliceError,
+    is real when F's values are. A PairKernel's batch of centres holds at
+    most 16 _CHUNK_BYTES of slice nodes at 128 B a node (point, partner,
+    F's complex values and temporaries, as traced for plane waves) plus 8 B
+    per row of the harmonic tables that F's coefficient-backed or sharp
+    factors build there, (L+1)^2 rows a factor. A plain callable, whose
+    tables no count sees, gets batches of at most _CALLABLE_NODES = 4,096
+    slice nodes (or one centre's). A centre at 0 raises DegenerateSliceError,
     one beyond |x| = 2 EmptyIntersectionError, and non-finite centres or
     values ValueError.
     """
     X = np.atleast_2d(_finite(X, "slice centres"))
-    rows = sum(len(c.coeffs) for func in getattr(F, "factors", ())
-               for c in _sources(func) if c is not None)
     parts, nodes = [np.zeros(0)], 2 * _half_turn(n_c).size
-    for i0, i1 in _chunks(len(X), (128 + 8 * rows) * nodes // 16):
+    factors = getattr(F, "factors", None)   # None for a plain callable
+    rows = sum(len(c.coeffs) for func in factors or () for c in _sources(func) if c is not None)
+    node_bytes = 16 * _CHUNK_BYTES // _CALLABLE_NODES if factors is None else 128 + 8 * rows
+    for i0, i1 in _chunks(len(X), node_bytes * nodes // 16):
         pts, r = slice_point_table(X[i0:i1], n_c)
         partner = X[i0:i1, None, :] - pts
         vals = np.asarray(F(pts.reshape(-1, 3), partner.reshape(-1, 3))).reshape(pts.shape[:2])

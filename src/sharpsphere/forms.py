@@ -211,7 +211,10 @@ class FormGrids:
         object.__setattr__(self, "_slice_cache", None)
 
     def slice_column(self, L: int) -> SliceColumn:
-        """The memoized SliceColumn, rebuilt when its table stops short of degree L."""
+        """The memoized SliceColumn, rebuilt when its table stops short of degree L.
+        A lower L reads the larger column, whose rotation blocks were projected on
+        a finer grid, so its values may move by ulps: 4 for a degree-2 Q after a
+        degree-8 Q on exact_sizes(8) grids, against fresh grids."""
         col = self._slice_cache
         if col is None or col.L < L:
             col = SliceColumn(self.ball, self.n_c, L)

@@ -87,9 +87,8 @@ class Workspace:
     the flat layout (HarmonicCoeffs rejects any other length or a NaN or
     infinite entry with ValueError); q_gradient takes real ones. Both raise
     ValueError when Q, which grows like |c|^4, is not finite; objective_phi,
-    gradient and search first scale c by a power of two. The last forward
-    pass is held: q_gradient on coefficients equal, bit for bit, to the last
-    call's (the line search's accepted trial) reads it.
+    gradient and search first scale c by a power of two. Each call runs its
+    own forward pass; the Workspace holds its tables only.
 
     Curvature: the Hessian of log Phi^4 at the unit constant is diagonal by
     degree, lambda_k = -4 + 4 (2 + (-1)^k) / (2k + 1) on every slot of degree
@@ -120,24 +119,17 @@ class Workspace:
         self._incidence = [np.equal.outer(np.arange(L + 1), ends).astype(float)
                            for ends in self._pairs[0][:2]]
         self.curvature = -4.0 + 4.0 * (2.0 + parity_signs(L)) / (2 * _degree_index(L) + 1)
-        self._held = (None, None)   # the last coefficients, as (dtype, shape, bytes), and their pass
 
     def _forward(self, coeffs: np.ndarray):
-        # (F, A, q) of the coefficients, held for the next call; coefficients
-        # other than the held ones are validated first, the copy keeps the
-        # caller's array writable, and a Q that overflows raises ValueError
-        arr = np.asarray(coeffs)
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float, copy=False)
-        key = (arr.dtype, arr.shape, arr.tobytes())
-        if key != self._held[0]:
-            c = HarmonicCoeffs(self.L, arr.copy()).coeffs
-            with np.errstate(over="ignore", invalid="ignore"):
-                held = self._evaluate(c)
-            if not np.isfinite(held[2]):
-                raise ValueError(f"Q evaluated to the non-finite value {held[2]}")
-            self._held = (key, held)
-        return self._held[1]
+        # (F, A, q) of a validated copy of the coefficients (HarmonicCoeffs
+        # freezes the array it holds); a Q that overflows raises ValueError
+        dtype = complex if np.iscomplexobj(coeffs) else float
+        c = HarmonicCoeffs(self.L, np.array(coeffs, dtype=dtype)).coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            F, A, q = self._evaluate(c)
+        if not np.isfinite(q):
+            raise ValueError(f"Q evaluated to the non-finite value {q}")
+        return F, A, q
 
     def _evaluate(self, c: np.ndarray):
         # F, the degree pieces f_a at the sphere nodes, of c's real rows (its
@@ -335,7 +327,7 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8) -> Sear
     crawls along the weakest degree (lambda_2 = -8/5). The scaling is
     diagonal by degree, so the odd-degree invariant subspace stays invariant.
     Every Q and gradient runs on make_workspace(init.max_degree), the one
-    cached Workspace of that band limit.
+    cached Workspace of that band limit, in one q_gradient call per trial.
 
     Line search: the step starts at INITIAL_STEP = 1, halves on a trial that
     does not strictly increase Phi, and after an accepted step doubles back
@@ -379,17 +371,14 @@ def search(init: HarmonicCoeffs, max_iter: int = 500, tol: float = 1e-8) -> Sear
         direction = scale * grad
         slope = float(grad @ direction)
         while True:
-            trial = arr + step * direction
-            trial = trial / np.linalg.norm(trial)
-            q_trial = ws.q_value(trial)
-            phi_trial = float(((2.0 * np.pi) ** 3 * q_trial) ** 0.25)
-            if phi_trial > state.objective:
+            trial = state.coeffs.coeffs + step * direction
+            new, new_grad = make_state(trial / np.linalg.norm(trial), step, iteration)
+            if new.objective > state.objective:
                 break
             step *= STEP_SHRINK
             if step * slope < ROUNDING_GAIN:
                 return SearchResult(trace, False, "line search stalled")
-        arr = trial
-        state, grad = make_state(arr, step, iteration)
+        state, grad = new, new_grad
         trace.append(state)
         step = min(step * 2.0, INITIAL_STEP)
     if state.gradient_norm < tol:

@@ -69,6 +69,24 @@ class TestLiteralSliceAverage:
         few = pair_slice_average(K, xs[-7:], 34)
         assert np.abs(batch[-7:] - few).max() <= 1e-14 * np.abs(few).max()
 
+    def test_a_plain_callable_takes_batches_of_a_stated_node_count(self):
+        # the same kernel as a plain callable: its factors' harmonic tables
+        # are out of the byte count's sight, so its batches hold at most
+        # _CALLABLE_NODES slice nodes, 120 centres on 34 nodes; counted as
+        # 128 B a node, one batch of 963 centres peaked near 26 MB
+        f = rand_fn(8, 17, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        xs = ball_points(np.random.default_rng(18), 2048)
+        tracemalloc.start()
+        try:
+            batch = pair_slice_average(lambda a, b: f(a) * fs(b), xs, 34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * convolution._CHUNK_BYTES
+        tensor = pair_slice_average(PairKernel.tensor(f, fs), xs, 34)
+        assert np.abs(batch - tensor).max() <= 1e-14 * np.abs(tensor).max()
+
     def test_unit_and_boundary_radii(self):
         xs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         unit, boundary = pair_slice_average(PairKernel.tensor(ONE, ONE), xs, 8)

@@ -1104,6 +1104,20 @@ class TestFieldsMemo:
         assert grids.slice_column(2).L == 3
         assert abs(q - q_ref) <= 1e-13 * q_ref
 
+    def test_a_lower_band_limit_on_a_larger_column_is_within_an_ulp_bound(self, exact_grids):
+        # a lower band limit reads the larger column, whose rotation blocks
+        # were projected on a finer grid: 4 ulps off a fresh column here
+        rng = np.random.default_rng(3)
+        f = SphereFunction.from_coeffs(random_band_limited(2, rng, complex_valued=True))
+        h = SphereFunction.from_coeffs(random_band_limited(8, rng, complex_valued=True))
+        fs, hs = f.antipodal_conjugate(), h.antipodal_conjugate()
+        grids = forms.FormGrids(exact_grids.ball, exact_grids.n_c)
+        quadrilinear_q(h, hs, h, hs, grids)
+        q = quadrilinear_q(f, fs, f, fs, grids).real
+        assert grids.slice_column(2).L == 8
+        q_fresh = quadrilinear_q(f, fs, f, fs, forms.FormGrids(grids.ball, grids.n_c)).real
+        assert abs(q - q_fresh) <= 1e-15 * q_fresh
+
     def test_a_replaced_column_memo_frees_the_old_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f = rand_fn(4, 12)

@@ -310,25 +310,22 @@ class TestSearch:
 
     def test_zonal_stall_stops_at_rounding_level(self, monkeypatch):
         # The stop rule ends the line search once its predicted gain is below
-        # the rounding level of log Phi^4, not after halving down to a floor.
-        calls = {"q_value": 0, "at_last_state": 0}
+        # the rounding level of log Phi^4, not after halving down to a floor:
+        # at most two trials follow the last accepted state.
         ws = make_workspace(8)   # the cached workspace search reads
-        q_value, q_gradient = ws.q_value, ws.q_gradient
+        evaluated, q_gradient = [], ws.q_gradient
 
-        def counted_q_value(coeffs):
-            calls["q_value"] += 1
-            return q_value(coeffs)
-
-        def counted_q_gradient(coeffs):
-            calls["at_last_state"] = calls["q_value"]
+        def recorded_q_gradient(coeffs):
+            evaluated.append(np.array(coeffs))
             return q_gradient(coeffs)
 
-        monkeypatch.setattr(ws, "q_value", counted_q_value)
-        monkeypatch.setattr(ws, "q_gradient", counted_q_gradient)
+        monkeypatch.setattr(ws, "q_gradient", recorded_q_gradient)
         init = initial_coeffs("zonal", 8, np.random.default_rng(0))
         result = search(init)
         assert result.reason == "line search stalled"
-        assert calls["q_value"] - calls["at_last_state"] <= 2
+        last = [np.array_equal(c, result.final.coeffs.coeffs) for c in evaluated]
+        assert last.count(True) == 1
+        assert len(evaluated) - 1 - last.index(True) <= 2
 
     def test_random_starts_reach_sharp_value(self):
         for seed in range(3):
@@ -418,48 +415,65 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="L must be a nonnegative integer, got 2.5"):
             Workspace(2.5)
 
-    def test_accepted_steps_reuse_the_line_search_forward_pass(self, passes, monkeypatch):
+    def test_each_line_search_trial_is_one_gradient_pass(self, passes, monkeypatch):
+        # search evaluates every trial once, with q_gradient, and an accepted
+        # trial's Q and gradient become the next state's: one forward pass
+        # per trial plus the start's, and no q_value call
         ws = Workspace(4)
         monkeypatch.setattr(maximizer, "make_workspace", lambda L: ws)
-        trials, q_value = [0], ws.q_value
+        evaluated, q_value, q_gradient = [], [0], ws.q_gradient
 
         def counted_q_value(coeffs):
-            trials[0] += 1
-            return q_value(coeffs)
+            q_value[0] += 1
 
-        ws.q_value = counted_q_value
+        def recorded_q_gradient(coeffs):
+            evaluated.append(np.array(coeffs))
+            return q_gradient(coeffs)
+
+        ws.q_value, ws.q_gradient = counted_q_value, recorded_q_gradient
         init = initial_coeffs("zonal", 4, np.random.default_rng(3))
         result = search(init)
+        trials = len(evaluated) - 1
         assert len(result.states) > 10
-        assert trials[0] > len(result.states) - 1
-        # one forward pass per trial, plus the starting point's gradient
-        assert passes[0] == trials[0] + 1
+        assert trials > len(result.states) - 1   # some trials were rejected
+        assert passes[0] == trials + 1
+        assert q_value[0] == 0
+        for state in result.states:
+            assert sum(np.array_equal(c, state.coeffs.coeffs) for c in evaluated) == 1
 
-    def test_gradient_after_value_runs_no_forward_pass(self, passes):
+    def test_q_is_even_and_its_gradient_odd_under_negation(self):
+        # q_value and q_gradient give the same Q, bit for bit, and under
+        # negation Q is even and its gradient odd, bit for bit
         ws = Workspace(4)
         a = np.random.default_rng(9).standard_normal(n_coeffs(4))
         q = ws.q_value(a)
-        assert passes[0] == 1
         q_grad, dq = ws.q_gradient(a)
-        assert passes[0] == 1
         assert q_grad == q
-        # the negation is other coefficients: a pass of its own, in which Q
-        # is even and its gradient odd, bit for bit
         q_neg, dq_neg = ws.q_gradient(-a)
-        assert passes[0] == 2
         assert q_neg == q and np.array_equal(dq_neg, -dq)
 
+    def test_calls_leave_the_workspace_as_built(self):
+        # a Workspace holds its tables only: no call adds, replaces or
+        # writes to any of its attributes
+        ws = Workspace(4)
+        built = dict(vars(ws))
+        copies = {k: np.copy(v) for k, v in built.items() if isinstance(v, np.ndarray)}
+        a = np.random.default_rng(10).standard_normal(n_coeffs(4))
+        ws.q_value(a)
+        ws.q_value(a + 1j * a)
+        ws.q_gradient(a)
+        assert vars(ws).keys() == built.keys()
+        assert all(vars(ws)[k] is v for k, v in built.items())
+        assert all(np.array_equal(getattr(ws, k), v) for k, v in copies.items())
+
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16])
-    def test_value_and_gradient_agree_with_forms_q(self, L, passes):
-        # the forms call sits between q_value and q_gradient on the same
-        # array, and leaves the held pass as it was
+    def test_value_and_gradient_agree_with_forms_q(self, L):
         ws, grids = Workspace(L), exact_form_grids(L)
         rng = np.random.default_rng(400 + L)
         arr = rng.standard_normal(n_coeffs(L))
         q = ws.q_value(arr)
         q_forms = star_q(L, arr, grids)
         q_grad, _ = ws.q_gradient(arr)
-        assert passes[0] == 1
         assert abs(q_forms - q) <= 1e-14 * q
         assert q_grad == q
         cplx = arr + 1j * rng.standard_normal(n_coeffs(L))
@@ -482,7 +496,9 @@ class TestWorkspace:
             expect = 4.0 * quadrilinear_q(y, fs, f, fs, grids).real
             assert abs(dq[i] - expect) <= (1e-14 if L <= 8 else 1e-13) * np.abs(dq).max()
 
-    def test_memo_ignores_an_array_mutated_in_place(self):
+    def test_an_array_changed_in_place_is_read_afresh(self):
+        # the caller's array stays writable, and a changed one gives the
+        # values of a fresh Workspace
         ws = Workspace(4)
         rng = np.random.default_rng(8)
         a = rng.standard_normal(n_coeffs(4))
@@ -493,14 +509,13 @@ class TestWorkspace:
         assert q == q_ref
         assert np.array_equal(dq, dq_ref)
 
-    def test_a_complex_call_holds_no_pass_for_its_real_part(self, passes):
-        # the held pass is keyed by dtype too: a complex array whose
-        # imaginary part is 0 has other bytes than its real part
+    def test_a_complex_array_with_zero_imaginary_part_gives_the_real_q(self):
+        # the complex route of a real vector agrees with the real one, and
+        # leaves nothing that changes the real call after it
         ws = Workspace(4)
         a = np.random.default_rng(16).standard_normal(n_coeffs(4))
         q_complex = ws.q_value(a.astype(complex))
         q, dq = ws.q_gradient(a)
-        assert passes[0] == 2
         q_ref, dq_ref = Workspace(4).q_gradient(a)
         assert q == q_ref and np.array_equal(dq, dq_ref)
         assert abs(q_complex - q) <= 1e-15 * q
