@@ -22,7 +22,9 @@ included, have no place on the column; pair_slice_average takes them at
 slice_point_table's nodes. Pointwise values of f sigma * g sigma come two
 ways: convolve_many reads f and g at those nodes through one SlicePlan,
 and pair_slice_average of the kernel f tensor g is the literal route it
-is checked against, each in batches of centres sized by bytes.
+is checked against, each in batches of centres sized by bytes. For many
+band-limited f, each on centres of its own, _star_and_sharp reads f,
+f_star and f# at the slice nodes from 2L+1 nodes a slice.
 """
 
 import math
@@ -33,8 +35,8 @@ import numpy as np
 
 from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, harmonic_values,
                         parity_signs)
-from .quadrature import (BallGrid, SphereGrid, _real, _require_int, build_sphere_grid,
-                         circle_frames)
+from .quadrature import (BallGrid, SphereGrid, _norm3, _real, _require_int,
+                         build_sphere_grid, circle_frames)
 
 __all__ = [
     "SliceColumn",
@@ -154,6 +156,11 @@ class _Formed(NamedTuple):
         return acc
 
 
+def _sharp(rows: tuple, expansion: np.ndarray | None = None) -> _Formed:
+    # f# = sqrt((|f(p)|^2 + |f(-p)|^2) / 2) from the real rows of f at p and -p
+    return _Formed(rows, expansion, 0.5, 0.5)
+
+
 def slice_point_table(X: np.ndarray, n_c: int):
     """Circle-slice nodes for a batch of centers X, shape (M, 3).
 
@@ -166,9 +173,15 @@ def slice_point_table(X: np.ndarray, n_c: int):
     """
     ang = _half_turn(n_c)
     c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
+    return _slice_nodes(X, c, s), np.linalg.norm(X, axis=-1)
+
+
+def _slice_nodes(X: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    # the nodes centre + rho (cos e1 + sin e2) of the slices at centres X
+    # (circle_frames), one per given cos and sin, shape (M, nodes, 3)
     centers, rad, e1, e2 = circle_frames(X)
-    disp = c[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
-    return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
+    disp = cos[None, :, None] * e1[:, None, :] + sin[None, :, None] * e2[:, None, :]
+    return centers[:, None, :] + rad[:, None, None] * disp
 
 
 def _sources(func) -> tuple:
@@ -293,10 +306,16 @@ class SlicePlan:
                 rows.append(p)
             return i, sign
 
+        splits = {}
+
         def split(c: HarmonicCoeffs, negate: bool) -> tuple:
-            # the real row and the imaginary one (None for real coefficients)
-            v = c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs
-            return row(v.real), (row(v.imag) if np.iscomplexobj(v) else None)
+            # the real row and the imaginary one (None for real coefficients),
+            # made once per coefficients and sign (the requests keep c alive)
+            key = id(c), negate
+            if key not in splits:
+                v = c.coeffs * parity_signs(c.max_degree) if negate else c.coeffs
+                splits[key] = row(v.real), (row(v.imag) if np.iscomplexobj(v) else None)
+            return splits[key]
 
         self._entries, self._index, seen = [], [], {}
         for (func, negate), (c, src) in zip(requests, sources):
@@ -329,7 +348,7 @@ class SlicePlan:
                                        (i, j), products, expansion))
             elif kind == "sharp":
                 rows = tuple(fields[r[0]] for r in args if r is not None)
-                out.append(SplitValues(_Formed(rows, expansion, 0.5, 0.5),
+                out.append(SplitValues(_sharp(rows, expansion),
                                        keys=((kind, *args), None), products=products))
             else:
                 out.append(None)
@@ -418,24 +437,51 @@ def _rotation_blocks(L: int, rings: np.ndarray) -> list:
     return blocks
 
 
+class _Turn(NamedTuple):
+    """Turns of flat-layout coefficient rows about the z axis by alpha_a = a
+    pi / n_t, one per azimuth row a < rows of a product grid with 2 n_t
+    uniform azimuths (build_sphere_grid). Real harmonics rotate order by
+    order,
+
+        Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
+        Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
+
+    so f(R_a p) has coefficients whose slot (k, m) takes cos(m alpha_a) of
+    f's slot and sin(m alpha_a) of its partner (k, -m) (a call). Since
+    circle_frames is z-equivariant, f on the slices or polar rings about
+    the nodes of azimuth row a is f turned on those about row 0's.
+    """
+
+    cos: np.ndarray       # (rows, (L+1)^2)
+    sin: np.ndarray       # (rows, (L+1)^2)
+    partner: np.ndarray   # slot of (k, -m) per slot (k, m)
+
+    @classmethod
+    def to_rows(cls, L: int, n_t: int, rows: int) -> "_Turn":
+        slot = np.arange((L + 1) ** 2)
+        deg = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        order = slot - deg * deg - deg
+        m_alpha = (np.arange(rows) * (np.pi / n_t))[:, None] * order
+        return cls(np.cos(m_alpha), np.sin(m_alpha), slot - 2 * order)
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs (..., (L+1)^2) turned to every row: (..., rows, (L+1)^2)."""
+        return coeffs[..., None, :] * self.cos + coeffs[..., None, self.partner] * self.sin
+
+
 class SliceColumn:
     """The circle slices of a product ball grid, tabulated on one azimuth column.
 
     Ball grid directions carry 2 n_t uniform azimuths, and circle_frames takes
     each slice frame from the azimuthal unit vector of its centre, so the
     slice at azimuth row a is the first column's slice rotated about the z
-    axis by alpha_a = a pi / n_t, node by node. Real harmonics rotate order by
-    order,
-
-        Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
-        Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
-
-    so f on row a's slices is f turned, its coefficients mixed order by
-    order, on the first column's. There the slice at radius r on polar ring
-    j is the latitude circle t = r/2 turned by the ring's frame R_j = (e1,
-    e2, u_j) (circle_frames): its node at slice angle psi is R_j (rho cos
-    psi, rho sin psi, r/2), rho = sqrt(1 - r^2/4). So Y_{k,m}(R_j q) =
-    sum_m' D_j^k[m, m'] Y_{k,m'}(q), and Y_{k,m'} on that circle is
+    axis by alpha_a = a pi / n_t, node by node. Real harmonics rotate order
+    by order, so f on row a's slices is f turned, its coefficients mixed
+    order by order (_Turn), on the first column's. There the slice at radius
+    r on polar ring j is the latitude circle t = r/2 turned by the ring's
+    frame R_j = (e1, e2, u_j) (circle_frames): its node at slice angle psi
+    is R_j (rho cos psi, rho sin psi, r/2), rho = sqrt(1 - r^2/4). So
+    Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), and Y_{k,m'} on that circle is
     Pbar_k^|m'|(r/2) times 1, sqrt(2) cos(m' psi) or sqrt(2) sin(|m'| psi):
     slice-angle modes 0, 2m'-1 and 2|m'| of the 2L+1 modes 1, cos psi, sin
     psi, ..., cos L psi, sin L psi. The column holds these two factors and
@@ -477,13 +523,7 @@ class SliceColumn:
             (ball.radial_nodes[:, None, None] * rings).reshape(-1, 3), axis=-1)
         self.n_c, self.n_t, self.L = n_c, n_t, L
         self.expansion = _expansion(L, n_c)
-        # the turn to azimuth row a: slot (k, m) takes cos(m alpha_a) of
-        # itself and sin(m alpha_a) of its partner (k, -m)
-        slot = np.arange((L + 1) ** 2)
-        deg = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-        order = slot - deg * deg - deg
-        m_alpha = (np.arange(n_t) * (np.pi / n_t))[:, None] * order
-        self._turn = np.cos(m_alpha), np.sin(m_alpha), slot - 2 * order
+        self._turn = _Turn.to_rows(L, n_t, n_t)
         self.legendre = _legendre_factor(L, ball.radial_nodes)
         # synthesize's buffer rows, order-major: order m's degrees m..L, each
         # with its modes, 0 or 2m-1 and 2m; per degree k, the rows of its
@@ -509,8 +549,7 @@ class SliceColumn:
         """
         L, n_t, nv = self.L, self.n_t, len(coeffs)
         n_r, modes = len(self.radii) // n_t, 2 * L + 1
-        cos, sin, partner = self._turn
-        turned = (coeffs[:, None] * cos + coeffs[:, None, partner] * sin).reshape(nv * n_t, -1)
+        turned = self._turn(coeffs).reshape(nv * n_t, -1)
         # n chunks of step (row, azimuth) pairs, zero rows padding the last
         n = -(-len(turned) // max(1, 4 * _CHUNK_BYTES // (8 * n_r * modes * n_t)))
         step = -(-len(turned) // n)
@@ -742,6 +781,51 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
         a, b = plan.at(pts)
         out[sel] = pair_profile(a, b, rr)
     return out
+
+
+@lru_cache(maxsize=None)
+def _from_own_nodes(L: int, n_c: int) -> np.ndarray:
+    """(2L+1, N) matrix taking a trigonometric polynomial of degree L in the
+    slice angle from its values at the 2L+1 uniform nodes that
+    slice_point_table(X, 2L+1) places first to its values at n_c's N slice
+    nodes (_half_turn): the inverse of those nodes' expansion, then n_c's.
+    Read-only."""
+    out = np.linalg.solve(_expansion(L, 2 * L + 1)[:, :2 * L + 1], _expansion(L, n_c))
+    out.flags.writeable = False
+    return out
+
+
+def _star_and_sharp(coeffs: np.ndarray, X: np.ndarray, n_c: int):
+    """f, f_star and f_sharp on the slices about centres X, per row of
+    coeffs, as SplitValues at n_c's slice nodes; and the centres' norms.
+
+    coeffs (S, (L+1)^2) holds one band-limited f a row, and X (S, C, 3)
+    each f's own C centres, so every value has leading axes (S, C) and the
+    N slice nodes last. The values are those SlicePlan.at gives f, its
+    antipodal conjugate and its sharp rearrangement: the real and imaginary
+    parts of f(p) and of f(-p) (parity_signs), f_star's imaginary part
+    negated, f_sharp their formula (_sharp). On a slice, f(p) and f(-p) are
+    trigonometric polynomials of degree L in the slice angle, so they are
+    read at the 2L+1 uniform nodes that slice_point_table(X, 2L+1) places
+    first, from one harmonic table of S C (2L+1) points, 8 S C (2L+1)
+    ((L+1)^2 + 3) bytes with the points, and carried to the N nodes
+    (_from_own_nodes): 8 S C N bytes for each of the four parts.
+    """
+    S, C = X.shape[:2]
+    L = math.isqrt(coeffs.shape[-1]) - 1
+    ang = _half_turn(2 * L + 1)
+    pts = _slice_nodes(X.reshape(-1, 3), np.cos(ang), np.sin(ang))
+    table = harmonic_values(L, pts.reshape(-1, 3)).reshape(-1, S, C * ang.size)
+    signed = np.stack([coeffs, coeffs * parity_signs(L)], axis=1)   # f(p), f(-p)
+    rows = np.concatenate([signed.real, signed.imag], axis=1)
+    own = np.empty((4, S, table.shape[-1]))   # per part, f, centre and node
+    for i in range(S):
+        np.matmul(rows[i], table[:, i], out=own[:, i])
+    del pts, table   # before the node values are made
+    nodes = own.reshape(-1, ang.size) @ _from_own_nodes(L, n_c)
+    re_p, re_m, im_p, im_m = nodes.reshape(4, S, C, -1)
+    f_sharp = SplitValues(_sharp((re_p, im_p, re_m, im_m)))
+    return (SplitValues(re_p, im_p), SplitValues(re_m, im_m, 1.0, -1.0), f_sharp), _norm3(X)
 
 
 def conv_profile(f, g, radii, n_c: int = 64) -> np.ndarray:

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import SliceColumn, SlicePlan, _backed, pair_profile, pair_slice_average
-from .harmonics import HarmonicCoeffs, SphereFunction
-from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _real, _require_int,
+from .convolution import (SliceColumn, SlicePlan, _backed, _Turn, pair_profile,
+                          pair_slice_average)
+from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values
+from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _norm3, _real, _require_int,
                          build_ball_grid, build_sphere_grid, circle_frames)
 
 __all__ = [
@@ -68,7 +69,7 @@ class GammaSample:
 
 def _uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / _norm3(v)[:, None]
 
 
 def gamma_samples(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -85,7 +86,7 @@ def gamma_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     w1 = _uniform_sphere(rng, n)
     w2 = _uniform_sphere(rng, n)
     while True:
-        bad = np.linalg.norm(w1 + w2, axis=1) < 1e-8
+        bad = _norm3(w1 + w2) < 1e-8
         if not np.any(bad):
             break
         w2[bad] = _uniform_sphere(rng, int(bad.sum()))
@@ -113,7 +114,7 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"quadruples must be finite, got {om[bad][0].tolist()}")
     def pn(i, j):
-        return np.linalg.norm(om[:, i] + om[:, j], axis=1)
+        return _norm3(om[:, i] + om[:, j])
     return pn(0, 1) * pn(2, 3) + pn(0, 2) * pn(1, 3) + pn(0, 3) * pn(1, 2)
 
 
@@ -247,8 +248,8 @@ def default_form_grids(*, n_t: int, n_c: int, n_r: int) -> FormGrids:
     return FormGrids(ball=build_ball_grid(n_r, build_sphere_grid(n_t)), n_c=n_c)
 
 
-def _polar_ring(grid: SphereGrid, n_phi: int):
-    """Polar nodes nu about every node omega of grid, in blocks of outer nodes.
+def _polar_ring(nodes: np.ndarray, n_t: int, n_phi: int):
+    """Polar nodes nu about each outer node omega, a row of nodes, in blocks of them.
 
     nu = t omega + s (cos phi e1 + sin phi e2) with t = 1 - 2u^2,
     s = 2u sqrt(1 - u^2) and the circle_frames frame of omega, so
@@ -257,7 +258,6 @@ def _polar_ring(grid: SphereGrid, n_phi: int):
     n_phi uniform nodes. Returns u and its weight w_u per ring node, and blocks
     of (sel, nu), nu of shape (outer nodes in sel * ring nodes, 3), outer-major.
     """
-    n_t = (grid.exactness_degree + 1) // 2
     u, w_u = _gauss_legendre(n_t + 1)
     u, w_u = 0.5 * (u + 1.0), 0.5 * w_u
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -266,10 +266,10 @@ def _polar_ring(grid: SphereGrid, n_phi: int):
     ring = np.column_stack([np.repeat(1.0 - 2.0 * u * u, n_phi),
                             np.outer(s, np.cos(phi)).ravel(),
                             np.outer(s, np.sin(phi)).ravel()])
-    _, _, e1, e2 = circle_frames(grid.nodes)
-    frames = np.stack([grid.nodes, e1, e2], axis=1)
+    _, _, e1, e2 = circle_frames(nodes)
+    frames = np.stack([nodes, e1, e2], axis=1)
     block = max(1, _POLAR_NODES // len(ring))
-    sels = [slice(i0, i0 + block) for i0 in range(0, grid.n_nodes, block)]
+    sels = [slice(i0, i0 + block) for i0 in range(0, len(nodes), block)]
     return (np.repeat(u, n_phi), np.repeat(w_u, n_phi),
             ((sel, (ring @ frames[sel]).reshape(-1, 3)) for sel in sels))
 
@@ -327,7 +327,7 @@ def _b_outer(F, G, grids: FormGrids) -> complex:
     # ring weight 4u du dphi multiplies back
     dirs = grids.ball.directions
     n_phi = dirs.exactness_degree + 1   # 2 n_t
-    u, w_u, blocks = _polar_ring(dirs, n_phi)
+    u, w_u, blocks = _polar_ring(dirs.nodes, n_phi // 2, n_phi)
     w = 4.0 * u * w_u * (2.0 * np.pi / n_phi)
     total = 0.0 + 0.0j
     for sel, nu in blocks:
@@ -385,22 +385,60 @@ def h_direct_many(gs, grid: SphereGrid):
     uniform phi-rule with n_t nodes averages g exactly to a polynomial of
     degree L in t, Gauss-Legendre with n_t + 1 nodes in u integrates the
     resulting degree 2L + 2 polynomial, and the outer grid integrates the
-    degree-2L product with conj(g). So H is exact to rounding for g of
-    degree <= n_t - 1, and real up to rounding for any g (Hermitian kernel).
-    Non-finite values raise ValueError (SlicePlan.at). No functions give an
-    empty array.
+    degree-2L product with conj(g). So H is exact to rounding, and real up
+    to rounding (Hermitian kernel), for g of degree <= n_t - 1; a
+    coefficient-backed g of higher degree raises ValueError.
+
+    When every g is coefficient-backed and grid is build_sphere_grid(n_t),
+    whose 2 n_t uniform azimuths make the ring about the node at (polar
+    ring i, azimuth a) that about (i, 0) turned about z by a pi / n_t
+    (circle_frames is z-equivariant), the ring-weighted harmonic sums are
+    tabulated about the n_t nodes of azimuth 0 alone, and each g reaches
+    the other azimuths turned (_Turn), its coefficients mixed order by
+    order: the same sums regrouped, free of Lambda_k. Otherwise, a literal
+    callable among gs or another grid, every g is evaluated at every ring
+    node (SlicePlan.at), where non-finite values raise ValueError. No
+    functions give an empty array.
     """
     if not len(gs):
         return np.zeros(0)
     n_t = (grid.exactness_degree + 1) // 2
-    u, w_u, blocks = _polar_ring(grid, n_t)
+    coeffs = [getattr(g, "coeffs", None) for g in gs]
+    for c in coeffs:
+        if c is not None and c.max_degree > n_t - 1:
+            raise ValueError(f"g has degree {c.max_degree}; the direct route on a grid with "
+                             f"n_t = {n_t} is exact for degree <= {n_t - 1} only")
+    on_column = (all(c is not None for c in coeffs) and grid.n_nodes == 2 * n_t * n_t
+                 and np.array_equal(grid.nodes, build_sphere_grid(n_t).nodes))
+    if on_column:   # the harmonics themselves, at and about azimuth 0's nodes
+        L = max(c.max_degree for c in coeffs)
+        rows = np.zeros((len(gs), (L + 1) ** 2),
+                        dtype=np.result_type(*(c.coeffs for c in coeffs)))
+        for row, c in zip(rows, coeffs):
+            row[:len(c.coeffs)] = c.coeffs
+        nodes = grid.nodes[::2 * n_t]
+
+        def values(p):
+            return harmonic_values(L, p)
+    else:
+        plan = SlicePlan([(g, False) for g in gs])
+        nodes = grid.nodes
+
+        def values(p):
+            return np.stack(plan.at(p))
+    u, w_u, blocks = _polar_ring(nodes, n_t, n_t)
     ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)
-    plan = SlicePlan([(g, False) for g in gs])
-    outer = np.conj(np.stack(plan.at(grid.nodes))) * grid.weights
-    inner = np.concatenate(
-        [np.stack(plan.at(nu)).reshape(len(gs), -1, ring_w.size) @ ring_w
-         for _, nu in blocks], axis=1)
-    acc = np.sum(outer * inner, axis=1)
+    outer = values(nodes)
+    inner = np.concatenate([values(nu).reshape(len(outer), -1, ring_w.size) @ ring_w
+                            for _, nu in blocks], axis=1)
+    if on_column:
+        # per g, azimuth a and polar ring i: g turned by a pi / n_t, at and
+        # about the node at (i, 0)
+        turned = _Turn.to_rows(L, n_t, 2 * n_t)(rows) @ np.concatenate([outer, inner], axis=1)
+        outer, inner = np.split(turned, 2, axis=-1)
+        acc = np.sum(np.conj(outer) * grid.weights.reshape(n_t, 2 * n_t).T * inner, axis=(1, 2))
+    else:
+        acc = np.sum(np.conj(outer) * grid.weights * inner, axis=1)
     if np.all(acc.imag == 0.0):
         return acc.real
     return acc

@@ -45,6 +45,14 @@ def _real(x, name: str) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _norm3(v: np.ndarray) -> np.ndarray:
+    # the Euclidean norm of each 3-vector on the last axis: sqrt(x^2 + y^2 +
+    # z^2), np.linalg.norm(v, axis=-1) bit for bit, without its reduction
+    # over an axis of three
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on (-1, 1), built once per n; read-only.
@@ -156,7 +164,7 @@ def circle_frames(xs: np.ndarray):
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
         raise ValueError(f"slice centres must be finite, got {xs[bad][0].tolist()}")
-    r = np.linalg.norm(xs, axis=1)
+    r = _norm3(xs)
     if np.any(r == 0.0):
         raise DegenerateSliceError("circle slice undefined at x = 0")
     if np.any(r > 2.0):

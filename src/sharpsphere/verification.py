@@ -8,6 +8,7 @@ expectation is zero. Tolerances are part of the suite definition, not of the
 caller's config, so a passing report means the same thing everywhere.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,6 +108,34 @@ class _Suite:
         self._t0 = time.perf_counter()
 
 
+def _pointwise_symmetrization_gap(coeffs: np.ndarray, X: np.ndarray, n_c: int) -> float:
+    """The largest |(f sigma * f_star sigma)(x)| - (f# sigma * f# sigma)(x),
+    unclamped, over each row f of coeffs, shape (S, (L+1)^2), at its own
+    centres, X of shape (S, C, 3).
+
+    Both sides pair at the slice nodes of n_c's rule (pair_profile), where
+    the inequality holds node by node: a node and its partner x - p give
+    |f(p) f_star(x - p) + f(x - p) f_star(p)| <= 2 f#(p) f#(x - p) by
+    Cauchy-Schwarz. The f are taken in chunks of samples, each one harmonic
+    table at 2L+1 nodes a slice (convolution._star_and_sharp) and two
+    pair_profile calls. A chunk's table, its points and harmonic_values'
+    temporaries, 8 (2L+1) ((L+1)^2 + 16) bytes a centre, stay within 16
+    _CHUNK_BYTES (4 MiB), or one sample's, and its values at the slice
+    nodes take less: a traced peak stays under 20 _CHUNK_BYTES.
+    """
+    L = math.isqrt(coeffs.shape[1]) - 1
+    sample_bytes = 8 * X.shape[1] * (2 * L + 1) * ((L + 1) ** 2 + 16)
+    step = max(1, 16 * convolution._CHUNK_BYTES // sample_bytes)
+
+    def chunk_gap(s0: int) -> float:   # a chunk's values are freed before the next's
+        (f, f_star, f_sharp), r = convolution._star_and_sharp(
+            coeffs[s0:s0 + step], X[s0:s0 + step], n_c)
+        lhs = np.abs(convolution.pair_profile(f, f_star, r))
+        return float(np.max(lhs - convolution.pair_profile(f_sharp, f_sharp, r)))
+
+    return max(chunk_gap(s0) for s0 in range(0, len(coeffs), step))
+
+
 def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationReport:
     """Run every suite check in fixed order at the configured grid sizes."""
     report = VerificationReport(suite_name="sharpsphere-verify",
@@ -162,19 +191,14 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                 float(np.max(np.abs(forms.four_identity_many(omegas) - 4.0))),
                 1e-12, "abs")
 
-    # pointwise symmetrization of the pair convolution
-    worst = 0.0
+    # pointwise symmetrization of the pair convolution: 50 complex f, each
+    # at 20 centres of its own, all drawn before any is evaluated
+    coeffs, xs = [], []
     for _ in range(50):
-        f = SphereFunction.from_coeffs(random_band_limited(L, rng, complex_valued=True))
-        fs, fsh = f.antipodal_conjugate(), f.sharp_rearrangement()
+        coeffs.append(random_band_limited(L, rng, complex_valued=True).coeffs)
         x = rng.standard_normal((20, 3))
-        x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1))
-        # f, f_star and f_sharp on x's slices from one harmonic table
-        pts, r = convolution.slice_point_table(x, n_c)
-        a, b, c = convolution.SlicePlan([(f, False), (fs, False), (fsh, False)]).at(pts)
-        lhs = np.abs(convolution.pair_profile(a, b, r))
-        rhs = convolution.pair_profile(c, c, r)
-        worst = max(worst, float(np.max(lhs - rhs)))
+        xs.append(x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1)))
+    worst = _pointwise_symmetrization_gap(np.array(coeffs), np.array(xs), n_c)
     suite.check("pointwise_symmetrization_violation", 0.0, max(0.0, worst),
                 1e-10, "abs")
 

@@ -855,6 +855,77 @@ class TestRowIdentity:
         assert (neg.re_sign, neg.im_sign) == (-f.re_sign, -f.im_sign)
 
 
+    def test_a_sharp_source_is_split_once_per_sign(self, monkeypatch):
+        # Q(f#, f#, f#, f#) asks for f# at p and -p four times each; the
+        # plan splits f's coefficients once at p and once at -p
+        fsh = rand_fn(4, 149, complex_valued=True).sharp_rearrangement()
+        one = SlicePlan([(fsh, False)])
+        flips = []
+        monkeypatch.setattr(convolution, "parity_signs",
+                            lambda L: flips.append(L) or parity_signs(L))
+        plan = SlicePlan([(fsh, negate) for _ in range(4) for negate in (False, True)])
+        assert flips == [4]
+        assert np.array_equal(plan.rows, one.rows) and plan.keys == one.keys
+        assert plan.rows.shape == (4, 25)
+
+    def test_fields_are_split_once_per_function_and_sign(self, monkeypatch):
+        f = rand_fn(3, 150, complex_valued=True)
+        fs = f.antipodal_conjugate()
+        requests = [(g, negate) for g in (f, fs, f, fs) for negate in (False, True)]
+        expect = SlicePlan(requests)
+        flips = []
+        monkeypatch.setattr(convolution, "parity_signs",
+                            lambda L: flips.append(L) or parity_signs(L))
+        plan = SlicePlan(requests)
+        assert flips == [3, 3]   # f and fs at -p
+        assert np.array_equal(plan.rows, expect.rows) and plan.keys == expect.keys
+        assert plan.rows.shape == (4, 16)   # f_star's rows are f's at -p
+
+
+class TestStarAndSharpFromOwnNodes:
+    """f, f_star and f# at n_c's slice nodes from f at 2L+1 nodes a slice,
+    each f on its own centres (convolution._star_and_sharp)."""
+
+    @pytest.mark.parametrize("n_c", [1, 2, 3, 11, 17, 34, 35])
+    @pytest.mark.parametrize("L", [0, 1, 4, 8])
+    def test_matches_each_sample_at_the_slice_nodes(self, L, n_c):
+        rng = np.random.default_rng(160 + L)
+        cs = [random_band_limited(L, rng, complex_valued=True) for _ in range(3)]
+        X = np.stack([ball_points(rng, 4, r_min=0.05) for _ in cs])
+        values, r = convolution._star_and_sharp(np.array([c.coeffs for c in cs]), X, n_c)
+        dense = [v.dense() for v in values]
+        for i, c in enumerate(cs):
+            f = SphereFunction.from_coeffs(c)
+            pts, radii = slice_point_table(X[i], n_c)
+            expect = SlicePlan([(f, False), (f.antipodal_conjugate(), False),
+                                (f.sharp_rearrangement(), False)]).at(pts)
+            assert np.array_equal(r[i], radii)
+            for got, want in zip(dense, expect):
+                assert got[i].shape == want.shape
+                assert np.abs(got[i] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_real_coefficients_give_real_values(self):
+        rng = np.random.default_rng(170)
+        c = random_band_limited(5, rng)
+        X = ball_points(rng, 6, r_min=0.05)[None]
+        (f, f_star, f_sharp), _ = convolution._star_and_sharp(c.coeffs[None], X, 12)
+        assert np.all(f.im == 0.0) and np.all(f_star.im == 0.0)
+        g = SphereFunction.from_coeffs(c)
+        pts, _ = slice_point_table(X[0], 12)
+        assert np.abs(f.dense()[0] - g(pts.reshape(-1, 3)).reshape(6, 12)).max() <= 1e-13
+        sharp = g.sharp_rearrangement()(pts.reshape(-1, 3)).reshape(6, 12)
+        assert np.abs(f_sharp.dense()[0] - sharp).max() <= 1e-13 * sharp.max()
+
+    def test_the_node_map_is_read_only_and_exact_on_trig_polynomials(self):
+        L, n_c = 4, 11
+        P = convolution._from_own_nodes(L, n_c)
+        assert P.shape == (2 * L + 1, 2 * n_c) and not P.flags.writeable
+        modes = np.random.default_rng(171).standard_normal(2 * L + 1)
+        own = modes @ convolution._expansion(L, 2 * L + 1)[:, :2 * L + 1]
+        want = modes @ convolution._expansion(L, n_c)
+        assert np.abs(own @ P - want).max() <= 1e-14 * np.abs(want).max()
+
+
 ZERO_SUM = gamma_samples(np.random.default_rng(19), 1)[0]
 COMPLEX_CENTRE = np.array([[1j, 0.0, 1.0]])
 

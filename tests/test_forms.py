@@ -13,6 +13,7 @@ from sharpsphere import (
     HarmonicCoeffs,
     PairKernel,
     SphereFunction,
+    SphereGrid,
     analyze,
     bilinear_b,
     build_ball_grid,
@@ -1670,10 +1671,65 @@ class TestPolarChordRoute:
         h = h_direct_many([SphereFunction.from_coeffs(c)], build_sphere_grid(9))[0]
         assert abs(h - h_spectral(c, lam8)) <= 1e-12 * abs(h)
 
-    def test_blocks_match_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("wrap", [literal, lambda g: g], ids=["nodes", "column"])
+    def test_blocks_match_one_block(self, monkeypatch, wrap):
         grid = build_sphere_grid(9)
-        gs = [rand_fn(8, s, complex_valued=True) for s in (511, 512)] + [ONE]
+        gs = [wrap(g) for g in [rand_fn(8, s, complex_valued=True) for s in (511, 512)] + [ONE]]
         whole = h_direct_many(gs, grid)
         monkeypatch.setattr(forms, "_POLAR_NODES", 200)   # two outer nodes a block
         blocked = h_direct_many(gs, grid)
         assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-14
+
+
+def literal(g: SphereFunction) -> SphereFunction:
+    """g as a literal callable: the same values, no coefficients."""
+    return SphereFunction(g)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this route must not run")
+
+
+class TestChordColumn:
+    """h_direct_many of coefficient-backed g on build_sphere_grid(n_t) tabulates
+    the ring sums about azimuth 0's nodes only and turns g to the others."""
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("L", [*range(9), 16])
+    def test_column_equals_node_path(self, monkeypatch, L, complex_valued):
+        grid = build_sphere_grid(L + 1)
+        gs = [rand_fn(L, 520 + s, complex_valued) for s in range(2)]
+        nodes = h_direct_many([literal(g) for g in gs], grid)
+        monkeypatch.setattr(forms, "SlicePlan", refuse)   # the column reads no function at nodes
+        column = h_direct_many(gs, grid)
+        assert np.max(np.abs(column - nodes) / np.abs(nodes)) <= 1e-14
+        if not complex_valued:
+            assert not np.iscomplexobj(column)
+
+    def test_a_mixed_list_takes_the_node_path(self, monkeypatch):
+        grid = build_sphere_grid(7)
+        g, h = rand_fn(6, 530, complex_valued=True), rand_fn(5, 531)
+        expect = h_direct_many([g, h], grid)
+        monkeypatch.setattr(forms, "_Turn", refuse)
+        mixed = h_direct_many([g, literal(h)], grid)
+        assert np.max(np.abs(mixed - expect) / np.abs(expect)) <= 1e-14
+
+    def test_a_grid_without_the_product_layout_takes_the_node_path(self, monkeypatch):
+        # build_sphere_grid(7)'s nodes in another order: the same rule
+        grid = build_sphere_grid(7)
+        order = np.random.default_rng(532).permutation(grid.n_nodes)
+        shuffled = SphereGrid(grid.nodes[order], grid.weights[order], grid.exactness_degree)
+        g = rand_fn(6, 533, complex_valued=True)
+        expect = h_direct_many([g], grid)
+        monkeypatch.setattr(forms, "_Turn", refuse)
+        got = h_direct_many([g], shuffled)
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
+
+    @pytest.mark.parametrize("L, n_t, complex_valued", [(3, 2, True), (6, 3, False), (9, 9, False)])
+    def test_a_degree_above_the_grid_raises(self, L, n_t, complex_valued):
+        # the route is exact to degree n_t - 1 only: unchecked, a degree-3
+        # complex g on n_t = 2 gives 4.0496 - 1.0381j against h_spectral's 4.8044
+        g = rand_fn(L, 534, complex_valued)
+        for gs in ([g], [literal(g), g]):
+            with pytest.raises(ValueError, match=rf"degree {L}\b.*<= {n_t - 1}\b"):
+                h_direct_many(gs, build_sphere_grid(n_t))

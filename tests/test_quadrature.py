@@ -22,7 +22,7 @@ from sharpsphere import (
     pair_slice_average,
 )
 from sharpsphere.convolution import slice_point_table
-from sharpsphere.quadrature import _gauss_legendre
+from sharpsphere.quadrature import _gauss_legendre, _norm3
 
 from helpers import ball_points, unit_vectors
 
@@ -115,6 +115,19 @@ class TestSphereGrid:
         grid = build_sphere_grid(3)
         with pytest.raises(ValueError):
             grid.nodes[0, 0] = 2.0
+
+
+class TestNorm3:
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e160, 1e300],
+                             ids=["unit", "tiny", "subnormal squares", "huge", "overflowing"])
+    def test_bit_equal_to_linalg_norm(self, scale):
+        # sqrt(x^2 + y^2 + z^2) in that order is np.linalg.norm's sum over an
+        # axis of three; squares that underflow or overflow do so alike
+        v = scale * np.random.default_rng(40).standard_normal((10_000, 4, 3))
+        v[0, 0] = (0.0, -0.0, 0.0)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_norm3(v), np.linalg.norm(v, axis=-1))
+            assert np.array_equal(_norm3(v[0, 0]), np.linalg.norm(v[0, 0]))
 
 
 class TestCircleSlice:

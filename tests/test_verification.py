@@ -1,14 +1,17 @@
 """Structure and outcome of the bundled verification suite."""
 
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sharpsphere import convolution, forms
-from sharpsphere import (CheckResult, VerificationReport, VerifyConfig, build_ball_grid,
-                         build_sphere_grid, exact_sizes, run_verification)
-from sharpsphere.verification import _passes
+from sharpsphere import (CheckResult, HarmonicCoeffs, SphereFunction, VerificationReport,
+                         VerifyConfig, build_ball_grid, build_sphere_grid, exact_sizes,
+                         random_band_limited, run_verification)
+from sharpsphere.verification import _passes, _pointwise_symmetrization_gap
 
 EXPECTED_CHECK_ORDER = [
     "sphere_gram_identity_max_dev",
@@ -164,6 +167,77 @@ class TestReportSerialization:
     def test_explicit_sizes_override_the_plan(self):
         cfg = VerifyConfig(degree=4, n_c=20)
         assert (cfg.n_t, cfg.n_c, cfg.n_r) == (9, 20, 10)
+
+
+def symmetrization_samples(L: int, n: int, seed: int):
+    """n complex f of band limit L, each with 20 centres of its own, drawn as
+    the suite draws them: coefficients (n, (L+1)^2) and centres (n, 20, 3)."""
+    rng = np.random.default_rng(seed)
+    coeffs, xs = [], []
+    for _ in range(n):
+        coeffs.append(random_band_limited(L, rng, complex_valued=True).coeffs)
+        x = rng.standard_normal((20, 3))
+        xs.append(x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1)))
+    return np.array(coeffs), np.array(xs)
+
+
+def per_sample_gap(coeffs, X, n_c) -> float:
+    # one SlicePlan and one harmonic table per sample at every slice node
+    worst = -np.inf
+    for c, x in zip(coeffs, X):
+        f = SphereFunction.from_coeffs(HarmonicCoeffs(math.isqrt(len(c)) - 1, c))
+        pts, r = convolution.slice_point_table(x, n_c)
+        a, b, d = convolution.SlicePlan([(f, False), (f.antipodal_conjugate(), False),
+                                         (f.sharp_rearrangement(), False)]).at(pts)
+        gap = np.abs(convolution.pair_profile(a, b, r)) - convolution.pair_profile(d, d, r)
+        worst = max(worst, float(np.max(gap)))
+    return worst
+
+
+class TestPointwiseSymmetrization:
+    """The suite's pointwise check: every sample's f, f_star and f# at the
+    slice nodes from 2L+1 nodes a slice, in chunks of samples."""
+
+    @pytest.mark.parametrize("L, n_c", [(0, 2), (1, 3), (4, 1), (4, 18), (8, 34), (8, 35)])
+    def test_matches_a_table_per_sample(self, L, n_c):
+        coeffs, X = symmetrization_samples(L, 12, 300 + L)
+        got = _pointwise_symmetrization_gap(coeffs, X, n_c)
+        expect = per_sample_gap(coeffs, X, n_c)
+        # the gap is a difference of profiles of size about one
+        assert abs(got - expect) <= 1e-14
+
+    def test_chunks_do_not_change_the_gap(self, monkeypatch):
+        coeffs, X = symmetrization_samples(8, 50, 310)
+        whole = _pointwise_symmetrization_gap(coeffs, X, 34)
+        monkeypatch.setattr(convolution, "_CHUNK_BYTES", 1)   # a sample a chunk
+        assert abs(_pointwise_symmetrization_gap(coeffs, X, 34) - whole) <= 1e-15
+
+    def test_a_shrunken_sharp_side_reads_positive(self, monkeypatch):
+        # negative control: with f# scaled by 0.99 the check must see a violation
+        coeffs, X = symmetrization_samples(8, 50, 311)
+        assert _pointwise_symmetrization_gap(coeffs, X, 34) < 0.0
+        star_and_sharp = convolution._star_and_sharp
+
+        def shrunken(*args):
+            (f, f_star, f_sharp), r = star_and_sharp(*args)
+            formed = f_sharp.re._replace(scale=f_sharp.re.scale * 0.99 ** 2)
+            return (f, f_star, f_sharp._replace(re=formed)), r
+
+        monkeypatch.setattr(convolution, "_star_and_sharp", shrunken)
+        assert _pointwise_symmetrization_gap(coeffs, X, 34) > 0.0
+
+    @pytest.mark.parametrize("L, n_c", [(0, 2), (1, 3), (4, 18), (8, 34), (8, 35)])
+    def test_five_hundred_samples_stay_within_the_chunk_bound(self, L, n_c):
+        # the docstring's bound: a traced peak under 20 _CHUNK_BYTES, where
+        # 500 samples in one table would take 114 MB at L = 8
+        coeffs, X = symmetrization_samples(L, 500, 320 + L)
+        tracemalloc.start()
+        try:
+            _pointwise_symmetrization_gap(coeffs, X, n_c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * convolution._CHUNK_BYTES
 
 
 class TestPassLogic:
