@@ -541,31 +541,45 @@ class SliceColumn:
         """The fields of real coefficient rows, shape (n, (L+1)^2), in a new
         buffer (n, n_t, column centres, 2L+1): row i's slice-angle modes on
         the slices of azimuth rows [0, n_t). One pass turns each row to the
-        n_t azimuths; per degree k, takes every ring's block on the turned
-        rows in one matmul, into a buffer of modes d <= 2k only; then per
-        chunk of (row, azimuth) pairs, 4 _CHUNK_BYTES of fields, and per
-        order m, takes the Legendre factors on the buffer rows of m's modes
-        in one matmul, and copies the chunk into the fields, transposed.
+        n_t azimuths, then forms the fields per chunk of (row, azimuth)
+        pairs, 4 _CHUNK_BYTES of fields, and takes the rotations per group
+        of chunks whose rings, 8 (L+1)^2 n_t bytes a pair, take 16
+        _CHUNK_BYTES (or one chunk's). Per group and degree k, one matmul
+        takes every ring's block on the group's turned rows, into a ring
+        buffer of modes d <= 2k only; then per chunk and order m, one
+        matmul takes the Legendre factors on the buffer rows of m's modes,
+        and the chunk is copied into the fields, transposed. Beyond the
+        fields it holds the turned rows, 8 (L+1)^2 bytes a pair, the ring
+        buffer, one degree's matmul, 8 (2L+1) n_t bytes a pair of a group,
+        and the chunk: at exact_sizes(16) with 4 rows, 19 _CHUNK_BYTES
+        traced, within 24, where rings of every pair would take 38.
         """
         L, n_t, nv = self.L, self.n_t, len(coeffs)
         n_r, modes = len(self.radii) // n_t, 2 * L + 1
         turned = self._turn(coeffs).reshape(nv * n_t, -1)
-        # n chunks of step (row, azimuth) pairs, zero rows padding the last
+        # n chunks of step pairs, in groups of g chunks; zero rows pad the last group
         n = -(-len(turned) // max(1, 4 * _CHUNK_BYTES // (8 * n_r * modes * n_t)))
         step = -(-len(turned) // n)
-        turned = np.concatenate([turned, np.zeros((n * step - len(turned), turned.shape[1]))])
-        rings = np.empty((n, (L + 1) ** 2, step, n_t))   # per chunk, buffer row, pair, ring
-        for k, (block, at) in enumerate(zip(self.rotations, self._degrees)):
-            out = turned[:, k * k:(k + 1) * (k + 1)] @ block.reshape(2 * k + 1, -1)
-            rings[:, at] = out.reshape(n, step, 2 * k + 1, n_t).transpose(0, 2, 1, 3)
+        groups = -(-n // max(1, 16 * _CHUNK_BYTES // (8 * step * (L + 1) ** 2 * n_t)))
+        g = -(-n // groups)
+        pad = np.zeros((groups * g * step - len(turned), turned.shape[1]))
+        turned = np.concatenate([turned, pad])
+        rings = np.empty((g, (L + 1) ** 2, step, n_t))   # per chunk, buffer row, pair, ring
+        turns = np.empty((g * step, modes * n_t))          # one degree's matmul
         fields = np.empty((nv * n_t, n_r, n_t, modes))
         chunk = np.empty((n_r, modes, step, n_t))
-        for c in range(n):
-            for m, (legendre, held) in enumerate(zip(self.legendre, self._orders)):
-                np.matmul(legendre, rings[c, held].reshape(L + 1 - m, -1),
-                          out=chunk[:, max(0, 2 * m - 1):2 * m + 1].reshape(n_r, -1))
-            pairs = fields[c * step:(c + 1) * step]
-            pairs[...] = chunk[:, :, :len(pairs)].transpose(2, 0, 3, 1)
+        for c0 in range(0, n, g):
+            group = turned[c0 * step:(c0 + g) * step]
+            for k, (block, at) in enumerate(zip(self.rotations, self._degrees)):
+                out = np.matmul(group[:, k * k:(k + 1) * (k + 1)], block.reshape(2 * k + 1, -1),
+                                out=turns[:, :(2 * k + 1) * n_t])
+                rings[:, at] = out.reshape(g, step, 2 * k + 1, n_t).transpose(0, 2, 1, 3)
+            for c in range(c0, min(c0 + g, n)):
+                for m, (legendre, held) in enumerate(zip(self.legendre, self._orders)):
+                    np.matmul(legendre, rings[c - c0, held].reshape(L + 1 - m, -1),
+                              out=chunk[:, max(0, 2 * m - 1):2 * m + 1].reshape(n_r, -1))
+                pairs = fields[c * step:(c + 1) * step]
+                pairs[...] = chunk[:, :, :len(pairs)].transpose(2, 0, 3, 1)
         return fields.reshape(nv, n_t, n_r * n_t, modes)
 
     def recall(self, rows):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import (SliceColumn, SlicePlan, _backed, _Turn, pair_profile,
+from .convolution import (SliceColumn, SlicePlan, _backed, _chunks, _Turn, pair_profile,
                           pair_slice_average)
 from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values
 from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _norm3, _real, _require_int,
@@ -45,6 +45,9 @@ __all__ = [
 # values of one block (H at L=8 on n_t=9 has 162 x 90 = 14580 polar nodes,
 # four blocks of at most 45 x 90, each a 2.6 MB degree-8 harmonic table).
 _POLAR_NODES = 1 << 12
+# Bytes a sample counted for a chunk of gamma_samples: its y, frames, psi and
+# omega_3 terms, with the temporaries that form them, trace at about 270 B
+_GAMMA_SAMPLE_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -81,21 +84,35 @@ def gamma_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     that this is any particular measure on the manifold; it only needs to
     cover it, since the identities being fuzzed hold pointwise. n is a
     nonnegative integer.
+
+    Every value is written into the output, 96 B a sample, one chunk of
+    samples at a time (_chunks at _GAMMA_SAMPLE_BYTES a sample), so beyond
+    the output and a rejection mask of 1 B a sample its temporaries stay
+    within 2 _CHUNK_BYTES (512 KiB). The draws keep the order of one draw of
+    all n: omega_1, omega_2, the redraws of rejected omega_2, then psi per
+    chunk, while omega_3 and omega_4 are formed sample by sample.
     """
     _require_int(n, "n", 0)
-    w1 = _uniform_sphere(rng, n)
-    w2 = _uniform_sphere(rng, n)
+    out = np.empty((n, 4, 3))
+    w1, w2, w3, w4 = out.transpose(1, 0, 2)
+    chunks = [slice(i0, i1) for i0, i1 in _chunks(n, _GAMMA_SAMPLE_BYTES)]
+    for w in (w1, w2):
+        for s in chunks:
+            w[s] = _uniform_sphere(rng, s.stop - s.start)
+    bad = np.empty(n, dtype=bool)
     while True:
-        bad = _norm3(w1 + w2) < 1e-8
+        for s in chunks:
+            bad[s] = _norm3(w1[s] + w2[s]) < 1e-8
         if not np.any(bad):
             break
         w2[bad] = _uniform_sphere(rng, int(bad.sum()))
-    y = -(w1 + w2)
-    centers, rho, e1, e2 = circle_frames(y)
-    psi = rng.uniform(0.0, 2.0 * np.pi, n)
-    w3 = centers + rho[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
-    w4 = y - w3
-    return np.stack([w1, w2, w3, w4], axis=1)
+    for s in chunks:
+        y = -(w1[s] + w2[s])
+        centers, rho, e1, e2 = circle_frames(y)
+        psi = rng.uniform(0.0, 2.0 * np.pi, len(y))
+        w3[s] = centers + rho[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
+        w4[s] = y - w3[s]
+    return out
 
 
 def four_identity_many(omegas: np.ndarray) -> np.ndarray:

@@ -119,13 +119,13 @@ def _pointwise_symmetrization_gap(coeffs: np.ndarray, X: np.ndarray, n_c: int) -
     Cauchy-Schwarz. The f are taken in chunks of samples, each one harmonic
     table at 2L+1 nodes a slice (convolution._star_and_sharp) and two
     pair_profile calls. A chunk's table, its points and harmonic_values'
-    temporaries, 8 (2L+1) ((L+1)^2 + 16) bytes a centre, stay within 16
-    _CHUNK_BYTES (4 MiB), or one sample's, and its values at the slice
-    nodes take less: a traced peak stays under 20 _CHUNK_BYTES.
+    temporaries, 8 (2L+1) ((L+1)^2 + 16) bytes a centre, stay within 4
+    _CHUNK_BYTES (1 MiB), or one sample's, and its values at the slice
+    nodes take less: a traced peak stays under 8 _CHUNK_BYTES.
     """
     L = math.isqrt(coeffs.shape[1]) - 1
     sample_bytes = 8 * X.shape[1] * (2 * L + 1) * ((L + 1) ** 2 + 16)
-    step = max(1, 16 * convolution._CHUNK_BYTES // sample_bytes)
+    step = max(1, 4 * convolution._CHUNK_BYTES // sample_bytes)
 
     def chunk_gap(s0: int) -> float:   # a chunk's values are freed before the next's
         (f, f_star, f_sharp), r = convolution._star_and_sharp(
@@ -137,7 +137,15 @@ def _pointwise_symmetrization_gap(coeffs: np.ndarray, X: np.ndarray, n_c: int) -
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationReport:
-    """Run every suite check in fixed order at the configured grid sizes."""
+    """Run every suite check in fixed order at the configured grid sizes.
+
+    Each check's tables are freed when its check ends, and the quadruples
+    and the pointwise check keep to their own byte budgets (gamma_samples,
+    _pointwise_symmetrization_gap), so the peak is the Q/B loop's: the
+    column memo's fields and one synthesis pass within its budget
+    (SliceColumn.synthesize), 5.0 MB traced at the defaults once the
+    caches are filled, 2.8 MB of it fields.
+    """
     report = VerificationReport(suite_name="sharpsphere-verify",
                                 config=config.as_dict())
     suite = _Suite(report)
@@ -153,6 +161,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
     basis = build_basis(L, grid)
     gram = (basis.values * grid.weights) @ basis.values.T
     dev = float(np.max(np.abs(gram - np.eye(len(gram)))))
+    del basis, gram   # each check's tables are freed before the next check's
     suite.check("sphere_gram_identity_max_dev", 0.0, dev, 1e-10, "abs")
 
     vol = integrate_ball(ball, np.ones(len(ball.weights())))
@@ -186,10 +195,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
                 max(0.0, float(np.max(closed_spec[1:]))), 1e-15, "abs")
 
     # zero-sum quadruple identity
-    omegas = forms.gamma_samples(rng, 10_000)
-    suite.check("gamma_identity_max_abs_dev", 0.0,
-                float(np.max(np.abs(forms.four_identity_many(omegas) - 4.0))),
-                1e-12, "abs")
+    dev = float(np.max(np.abs(forms.four_identity_many(forms.gamma_samples(rng, 10_000)) - 4.0)))
+    suite.check("gamma_identity_max_abs_dev", 0.0, dev, 1e-12, "abs")
 
     # pointwise symmetrization of the pair convolution: 50 complex f, each
     # at 20 centres of its own, all drawn before any is evaluated
@@ -199,6 +206,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
         x = rng.standard_normal((20, 3))
         xs.append(x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 2.0, (20, 1)))
     worst = _pointwise_symmetrization_gap(np.array(coeffs), np.array(xs), n_c)
+    del coeffs, xs
     suite.check("pointwise_symmetrization_violation", 0.0, max(0.0, worst),
                 1e-10, "abs")
 

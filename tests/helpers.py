@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from sharpsphere import SphereFunction, SplitValues, harmonic_values, random_band_limited
-from sharpsphere.quadrature import _require_int
+from sharpsphere import SphereFunction, SplitValues, forms, harmonic_values, random_band_limited
+from sharpsphere.quadrature import _norm3, _require_int, circle_frames
 
 
 def unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -24,6 +24,24 @@ def rand_fn(L: int, seed: int, complex_valued: bool = False) -> SphereFunction:
     rng = np.random.default_rng(seed)
     return SphereFunction.from_coeffs(
         random_band_limited(L, rng, complex_valued=complex_valued))
+
+
+def gamma_reference(rng: np.random.Generator, n: int) -> np.ndarray:
+    """forms.gamma_samples as one batch of all n samples: the same draws
+    through forms._uniform_sphere, and every value formed at once."""
+    w1 = forms._uniform_sphere(rng, n)
+    w2 = forms._uniform_sphere(rng, n)
+    while True:
+        bad = _norm3(w1 + w2) < 1e-8
+        if not np.any(bad):
+            break
+        w2[bad] = forms._uniform_sphere(rng, int(bad.sum()))
+    y = -(w1 + w2)
+    centers, rho, e1, e2 = circle_frames(y)
+    psi = rng.uniform(0.0, 2.0 * np.pi, n)
+    w3 = centers + rho[:, None] * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
+    w4 = y - w3
+    return np.stack([w1, w2, w3, w4], axis=1)
 
 
 def ball_rows(ball, a0: int, a1: int) -> np.ndarray:

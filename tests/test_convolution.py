@@ -687,6 +687,40 @@ class TestSliceColumn:
         assert fields.nbytes == 4 * n_t * n_r * n_t * 33 * 8
         assert kept <= 3e6 and build <= 5e6 and peak <= 65e6
 
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    @pytest.mark.parametrize("L", [0, 1, 8, 16])
+    @pytest.mark.parametrize("grid", ["exact", "chain"])
+    def test_chunks_and_groups_synthesize_one_chunks_fields(self, grid, L, rows, monkeypatch):
+        n_t, n_r, n_c = exact_sizes(L)
+        ball = build_ball_grid(n_r, build_sphere_grid(n_t)) if grid == "exact" else CHAIN_BALL
+        col = SliceColumn(ball, n_c, L)
+        c = np.random.default_rng(75 + L).standard_normal((rows, (L + 1) ** 2))
+        fields = col.synthesize(c)
+        monkeypatch.setattr(convolution, "_CHUNK_BYTES", 1 << 40)   # one chunk, one group
+        whole = col.synthesize(c)
+        if grid == "exact" and L == 16:
+            # the matmuls' shapes follow the chunks, and at these sizes
+            # OpenBLAS rounds a few entries differently with them (with
+            # one group of every pair too): a few in a million move by
+            # less than one ulp of the largest field
+            assert np.abs(fields - whole).max() <= np.spacing(np.abs(whole).max())
+        else:
+            assert np.array_equal(fields, whole)
+
+    def test_synthesis_stays_within_its_budget_at_band_limit_16(self):
+        # the docstring's budget beyond the fields, 4 rows at exact_sizes(16),
+        # where a ring buffer of every pair would take 10 MB on its own
+        n_t, n_r, n_c = exact_sizes(16)
+        col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(n_t)), n_c, 16)
+        c = np.random.default_rng(76).standard_normal((4, 17 ** 2))
+        tracemalloc.start()
+        try:
+            fields = col.synthesize(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - fields.nbytes <= 24 * convolution._CHUNK_BYTES
+
     def test_rows_above_the_band_limit_are_refused(self):
         # a plan of degree 4 on a column built to L = 2
         col = FormGrids(self.BALL, 10).slice_column(2)

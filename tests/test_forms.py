@@ -40,7 +40,7 @@ from sharpsphere import (
 from sharpsphere import convolution, forms, legendre
 from sharpsphere.harmonics import parity_signs
 
-from helpers import ball_points, ball_rows, node_values, rand_fn, unit_vectors
+from helpers import ball_points, ball_rows, gamma_reference, node_values, rand_fn, unit_vectors
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -115,6 +115,50 @@ class TestFourPointIdentity:
             four_identity_many(omegas)
         with pytest.raises(ValueError, match=rf"quadruples must be finite, got \[\[.*{bad}"):
             four_identity_many(omegas[1])
+
+    CHUNK = convolution._CHUNK_BYTES // forms._GAMMA_SAMPLE_BYTES   # samples a chunk
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 10_000])
+    def test_chunks_are_one_batch_bit_for_bit(self, n):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        assert np.array_equal(gamma_samples(rng, n), gamma_reference(ref, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_rejected_draw_is_redrawn_as_in_one_batch(self, monkeypatch):
+        # omega_2 of sample 0 drawn as -omega_1, however the draws are split
+        n, uniform = 3 * self.CHUNK, forms._uniform_sphere
+        drawn, sizes = [], []
+
+        def antipodal_first(rng, m):
+            v = uniform(rng, m)
+            i0 = sum(sizes)
+            if i0 <= n < i0 + m:
+                v[n - i0] = -drawn[0][0]
+            drawn.append(v)
+            sizes.append(m)
+            return v
+
+        monkeypatch.setattr(forms, "_uniform_sphere", antipodal_first)
+        rng = np.random.default_rng(8)
+        got = gamma_samples(rng, n)
+        assert sum(sizes) == 2 * n + 1   # one redraw
+        drawn.clear()
+        sizes.clear()
+        ref = np.random.default_rng(8)
+        assert np.array_equal(got, gamma_reference(ref, n))
+        assert sum(sizes) == 2 * n + 1
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_temporaries_stay_within_the_chunk_bound(self):
+        # the docstring's bound beyond the output; one batch of 10,000
+        # samples takes 8 _CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            out = gamma_samples(np.random.default_rng(9), 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - len(out) <= 2 * convolution._CHUNK_BYTES
 
     @pytest.mark.parametrize("n", [2.5, -1, "3", True])
     def test_sample_count_is_a_nonnegative_integer(self, n):

@@ -126,6 +126,18 @@ class TestRunVerification:
         assert centres
         assert not set(centres) & {row.tobytes() for row in ball.points()}
 
+    def test_peak_at_the_defaults_is_the_form_loops(self):
+        # the docstring's peak: the Q/B loop's fields (2.8 MB at L = 8) and
+        # one synthesis pass, with no earlier check's tables alive
+        run_verification(VerifyConfig())   # the caches a first run fills, outside the count
+        tracemalloc.start()
+        try:
+            assert run_verification(VerifyConfig()).overall_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * convolution._CHUNK_BYTES
+
     def test_odd_slice_count_passes(self):
         report = run_verification(VerifyConfig(degree=2, n_c=11))
         assert report.overall_pass, [c.name for c in report.checks if not c.passed]
@@ -228,7 +240,7 @@ class TestPointwiseSymmetrization:
 
     @pytest.mark.parametrize("L, n_c", [(0, 2), (1, 3), (4, 18), (8, 34), (8, 35)])
     def test_five_hundred_samples_stay_within_the_chunk_bound(self, L, n_c):
-        # the docstring's bound: a traced peak under 20 _CHUNK_BYTES, where
+        # the docstring's bound: a traced peak under 8 _CHUNK_BYTES, where
         # 500 samples in one table would take 114 MB at L = 8
         coeffs, X = symmetrization_samples(L, 500, 320 + L)
         tracemalloc.start()
@@ -237,7 +249,7 @@ class TestPointwiseSymmetrization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * convolution._CHUNK_BYTES
+        assert peak < 8 * convolution._CHUNK_BYTES
 
 
 class TestPassLogic:
