@@ -23,8 +23,8 @@ slice_point_table's nodes. Pointwise values of f sigma * g sigma come two
 ways: convolve_many reads f and g at those nodes through one SlicePlan,
 and pair_slice_average of the kernel f tensor g is the literal route it
 is checked against, each in batches of centres sized by bytes. For many
-band-limited f, each on centres of its own, _star_and_sharp reads f,
-f_star and f# at the slice nodes from 2L+1 nodes a slice.
+band-limited f, each on centres of its own, _star_and_sharp takes f's rows
+to each slice's frame (harmonics._framed) and reads f, f_star and f# there.
 """
 
 import math
@@ -33,10 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, harmonic_values,
-                        parity_signs)
-from .quadrature import (BallGrid, SphereGrid, _norm3, _real, _require_int,
-                         build_sphere_grid, circle_frames)
+from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, _framed,
+                        _slot_orders, _turn, harmonic_values, parity_signs)
+from .quadrature import BallGrid, SphereGrid, _norm3, _real, _require_int, circle_frames
 
 __all__ = [
     "SliceColumn",
@@ -51,8 +50,8 @@ __all__ = [
 
 # Bytes per chunk of one array that is formed in pieces (_chunks): a part's
 # modes or node values on a chunk of slices, a synthesis pass's fields on a
-# chunk of (row, azimuth) pairs, the harmonics at a chunk of rings' turned
-# projection nodes. A chunk and the few arrays formed next to it sit in L2.
+# chunk of (row, azimuth) pairs, the unit rows in a chunk of rings' frames.
+# A chunk and the few arrays formed next to it sit in L2.
 _CHUNK_BYTES = 1 << 18
 _CALLABLE_NODES = 1 << 12   # slice nodes in a batch of pair_slice_average's plain callables
 
@@ -173,15 +172,9 @@ def slice_point_table(X: np.ndarray, n_c: int):
     """
     ang = _half_turn(n_c)
     c, s = (np.concatenate([v, -v]) for v in (np.cos(ang), np.sin(ang)))
-    return _slice_nodes(X, c, s), np.linalg.norm(X, axis=-1)
-
-
-def _slice_nodes(X: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # the nodes centre + rho (cos e1 + sin e2) of the slices at centres X
-    # (circle_frames), one per given cos and sin, shape (M, nodes, 3)
     centers, rad, e1, e2 = circle_frames(X)
-    disp = cos[None, :, None] * e1[:, None, :] + sin[None, :, None] * e2[:, None, :]
-    return centers[:, None, :] + rad[:, None, None] * disp
+    disp = c[None, :, None] * e1[:, None, :] + s[None, :, None] * e2[:, None, :]
+    return centers[:, None, :] + rad[:, None, None] * disp, np.linalg.norm(X, axis=-1)
 
 
 def _sources(func) -> tuple:
@@ -398,102 +391,61 @@ class SlicePlan:
         return [dense[i] for i in self._index]
 
 
-def _legendre_factor(L: int, radial_nodes: np.ndarray) -> list:
-    # per order m, Pbar_k^m(r/2) per radius r and degree k = m..L, times
-    # sqrt(2) for m > 0: shape (radii, L+1-m). Taken in np.longdouble and
-    # rounded once, as every field shares them
-    t = 0.5 * radial_nodes.astype(np.longdouble)
-    values = np.empty(((L + 1) ** 2, t.size), dtype=np.longdouble)
+def _legendre_factor(L: int, radii: np.ndarray) -> np.ndarray:
+    # per flat slot (k, m), Pbar_k^|m|(r/2) per radius r, times sqrt(2) for m != 0:
+    # ((L+1)^2, radii), taken in the radii's dtype and rounded to double
+    t = 0.5 * radii
+    values = np.empty(((L + 1) ** 2, t.size), dtype=t.dtype)
     _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
-    values[[k * k + k + m for k in range(L + 1) for m in range(1, k + 1)]] *= np.sqrt(
-        np.longdouble(2))
-    return [values[[k * k + k + m for k in range(m, L + 1)]].T.astype(float)
-            for m in range(L + 1)]
+    order = _slot_orders(L)
+    values = values[np.arange(order.size) - order + np.abs(order)]   # slot (k, |m|)'s
+    values[order != 0] *= np.sqrt(t.dtype.type(2))
+    return values.astype(float, copy=False)
 
 
-def _rotation_blocks(L: int, rings: np.ndarray) -> list:
+def _ring_blocks(L: int, rings: np.ndarray) -> list:
     # per degree k, every ring's block D_j^k, shape (2k+1 orders m, 2k+1
     # modes, rings): Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), R_j =
     # (e1, e2, u_j) of circle_frames, columns m' in mode order 0, 1, -1, ...,
-    # k, -k. Projected on a grid exact for degree 2L, a chunk of rings at a
-    # time (4 _CHUNK_BYTES of harmonics at the turned grid nodes), then made
-    # orthogonal to rounding by one Newton-Schulz step, D <- D (3I - D^T D) / 2
-    grid = build_sphere_grid(L + 1)
-    weighted = harmonic_values(L, grid.nodes)
-    weighted *= grid.weights
-    _, _, e1, e2 = circle_frames(rings)
-    frames = np.stack([e1, e2, rings], axis=1)   # q @ frames[j] is R_j q
+    # k, -k. Row m is slot (k, m)'s unit row framed (_framed, np.longdouble
+    # angles), one row of order m for every degree, _CHUNK_BYTES at a time;
+    # then one Newton-Schulz step, D <- (3I - D D^T) D / 2
+    unit = np.equal.outer(np.arange(-L, L + 1), _slot_orders(L)).astype(float)
     blocks = [np.empty((2 * k + 1, 2 * k + 1, len(rings))) for k in range(L + 1)]
-    for j0, j1 in _chunks(len(rings), 8 * weighted.size // 4):
-        turned = harmonic_values(L, (grid.nodes @ frames[j0:j1]).reshape(-1, 3))
+    for j0, j1 in _chunks(len(rings), 8 * unit.size):
+        framed = _framed(unit, rings[j0:j1, None].astype(np.longdouble))
         for k, block in enumerate(blocks):
-            lo, hi = k * k, (k + 1) * (k + 1)
             modes = [k] + [k + s * i for i in range(1, k + 1) for s in (1, -1)]
-            d = turned[lo:hi].reshape(-1, grid.n_nodes) @ weighted[lo:hi].T
-            d = d.reshape(2 * k + 1, j1 - j0, 2 * k + 1).transpose(1, 0, 2)[..., modes]
-            d = 1.5 * d - 0.5 * (d @ (d.transpose(0, 2, 1) @ d))
+            d = framed[:, L - k:L + k + 1, k * k:(k + 1) ** 2][..., modes]
+            d = 1.5 * d - 0.5 * ((d @ d.transpose(0, 2, 1)) @ d)
             block[..., j0:j1] = d.transpose(1, 2, 0)
-        del turned   # before the next chunk's
     return blocks
-
-
-class _Turn(NamedTuple):
-    """Turns of flat-layout coefficient rows about the z axis by alpha_a = a
-    pi / n_t, one per azimuth row a < rows of a product grid with 2 n_t
-    uniform azimuths (build_sphere_grid). Real harmonics rotate order by
-    order,
-
-        Y_{k,m}(R p)  = cos(m alpha) Y_{k,m}(p) - sin(m alpha) Y_{k,-m}(p),
-        Y_{k,-m}(R p) = sin(m alpha) Y_{k,m}(p) + cos(m alpha) Y_{k,-m}(p),
-
-    so f(R_a p) has coefficients whose slot (k, m) takes cos(m alpha_a) of
-    f's slot and sin(m alpha_a) of its partner (k, -m) (a call). Since
-    circle_frames is z-equivariant, f on the slices or polar rings about
-    the nodes of azimuth row a is f turned on those about row 0's.
-    """
-
-    cos: np.ndarray       # (rows, (L+1)^2)
-    sin: np.ndarray       # (rows, (L+1)^2)
-    partner: np.ndarray   # slot of (k, -m) per slot (k, m)
-
-    @classmethod
-    def to_rows(cls, L: int, n_t: int, rows: int) -> "_Turn":
-        slot = np.arange((L + 1) ** 2)
-        deg = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-        order = slot - deg * deg - deg
-        m_alpha = (np.arange(rows) * (np.pi / n_t))[:, None] * order
-        return cls(np.cos(m_alpha), np.sin(m_alpha), slot - 2 * order)
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        """coeffs (..., (L+1)^2) turned to every row: (..., rows, (L+1)^2)."""
-        return coeffs[..., None, :] * self.cos + coeffs[..., None, self.partner] * self.sin
 
 
 class SliceColumn:
     """The circle slices of a product ball grid, tabulated on one azimuth column.
 
-    Ball grid directions carry 2 n_t uniform azimuths, and circle_frames takes
-    each slice frame from the azimuthal unit vector of its centre, so the
-    slice at azimuth row a is the first column's slice rotated about the z
-    axis by alpha_a = a pi / n_t, node by node. Real harmonics rotate order
-    by order, so f on row a's slices is f turned, its coefficients mixed
-    order by order (_Turn), on the first column's. There the slice at radius
-    r on polar ring j is the latitude circle t = r/2 turned by the ring's
-    frame R_j = (e1, e2, u_j) (circle_frames): its node at slice angle psi
-    is R_j (rho cos psi, rho sin psi, r/2), rho = sqrt(1 - r^2/4). So
-    Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), and Y_{k,m'} on that circle is
-    Pbar_k^|m'|(r/2) times 1, sqrt(2) cos(m' psi) or sqrt(2) sin(|m'| psi):
-    slice-angle modes 0, 2m'-1 and 2|m'| of the 2L+1 modes 1, cos psi, sin
-    psi, ..., cos L psi, sin L psi. The column holds these two factors and
-    no table of every centre's modes: rotations, per degree the blocks of
-    every ring (_rotation_blocks), and legendre, the Pbar factors per
-    radius (_legendre_factor). synthesize forms fields from them. Nothing
-    here depends on n_c: pair_profile pairs modes exactly (_mode_weights),
-    and the slice nodes enter only through expansion, the (2L+1, N) matrix
-    to each slice's N nodes, n_c or, at odd n_c, 2 n_c: the rule nodes,
-    then their partners x - p_j (see _half_turn). Those node values serve
-    only unsquared sharp rearrangements; pair_profile pairs |.|^2 on its
-    band limit's own rule, f# included. The build places no slice node.
+    Ball grid directions carry 2 n_t uniform azimuths and circle_frames is
+    z-equivariant, so the slices at azimuth row a are the first column's
+    turned about z by alpha_a = a pi / n_t, and f there is f turned
+    (harmonics._turn) on the first column's. There the slice at radius r on
+    polar ring j is the latitude circle t = r/2 in the ring's frame R_j =
+    (e1, e2, u_j) of circle_frames: its node at slice angle psi is
+    R_j (rho cos psi, rho sin psi, r/2), rho = sqrt(1 - r^2/4). So
+    Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), and Y_{k,m'} on that
+    circle is Pbar_k^|m'|(r/2) times 1, sqrt(2) cos(m' psi) or sqrt(2)
+    sin(|m'| psi): slice-angle modes 0, 2m'-1 and 2|m'| of the 2L+1 modes
+    1, cos psi, sin psi, ..., cos L psi, sin L psi. The column holds these
+    two factors, no table of every centre's modes: rotations, per degree
+    every ring's block (_ring_blocks, on harmonics' frame route), and
+    legendre, the Pbar factors per radius and order (_legendre_factor);
+    synthesize forms fields from them. Nothing here depends on n_c:
+    pair_profile pairs modes exactly (_mode_weights), and the slice nodes
+    enter only through expansion, the (2L+1, N) matrix to each slice's N
+    nodes (n_c, or 2 n_c at odd n_c: the rule nodes, then their partners,
+    see _half_turn), for unsquared sharp rearrangements only; pair_profile
+    pairs |.|^2 on the band limit's own rule, f# included. The build
+    places no slice node.
 
     Values on slices have shape (n_t azimuth rows, column centres, modes or
     slice nodes), the centres radial-major as in BallGrid.points(); radii
@@ -517,14 +469,14 @@ class SliceColumn:
         if dirs.n_nodes != 2 * n_t * n_t:
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
         rings = dirs.nodes[::2 * n_t]
-        self.rotations = _rotation_blocks(L, rings)   # first: its build peaks highest
+        self.rotations = _ring_blocks(L, rings)
         self.weights = (ball.radial_weights[:, None] * dirs.weights[::2 * n_t]).ravel()
         self.radii = np.linalg.norm(
             (ball.radial_nodes[:, None, None] * rings).reshape(-1, 3), axis=-1)
         self.n_c, self.n_t, self.L = n_c, n_t, L
         self.expansion = _expansion(L, n_c)
-        self._turn = _Turn.to_rows(L, n_t, n_t)
-        self.legendre = _legendre_factor(L, ball.radial_nodes)
+        legendre = _legendre_factor(L, ball.radial_nodes.astype(np.longdouble))   # all fields'
+        self.legendre = [legendre[_slot_orders(L) == m].T for m in range(L + 1)]
         # synthesize's buffer rows, order-major: order m's degrees m..L, each
         # with its modes, 0 or 2m-1 and 2m; per degree k, the rows of its
         # modes 0..2k in mode order
@@ -541,22 +493,21 @@ class SliceColumn:
         """The fields of real coefficient rows, shape (n, (L+1)^2), in a new
         buffer (n, n_t, column centres, 2L+1): row i's slice-angle modes on
         the slices of azimuth rows [0, n_t). One pass turns each row to the
-        n_t azimuths, then forms the fields per chunk of (row, azimuth)
-        pairs, 4 _CHUNK_BYTES of fields, and takes the rotations per group
-        of chunks whose rings, 8 (L+1)^2 n_t bytes a pair, take 16
-        _CHUNK_BYTES (or one chunk's). Per group and degree k, one matmul
-        takes every ring's block on the group's turned rows, into a ring
-        buffer of modes d <= 2k only; then per chunk and order m, one
-        matmul takes the Legendre factors on the buffer rows of m's modes,
-        and the chunk is copied into the fields, transposed. Beyond the
-        fields it holds the turned rows, 8 (L+1)^2 bytes a pair, the ring
-        buffer, one degree's matmul, 8 (2L+1) n_t bytes a pair of a group,
-        and the chunk: at exact_sizes(16) with 4 rows, 19 _CHUNK_BYTES
-        traced, within 24, where rings of every pair would take 38.
+        n_t azimuths (harmonics._turn). Per group of chunks of (row, azimuth)
+        pairs whose rings, 8 (L+1)^2 n_t bytes a pair, take 16 _CHUNK_BYTES
+        (or one chunk's), one matmul a degree k takes every ring's block on
+        the turned rows into a ring buffer of modes d <= 2k; per chunk, 4
+        _CHUNK_BYTES of fields, one matmul an order m takes the Legendre
+        factors on the buffer rows of m's modes, and the chunk is copied
+        into the fields, transposed. Beyond the fields it holds the turned
+        rows, 8 (L+1)^2 bytes a pair, the ring buffer, one degree's matmul,
+        8 (2L+1) n_t bytes a pair of a group, and the chunk: 19 _CHUNK_BYTES
+        traced at exact_sizes(16) with 4 rows, within 24, where rings of
+        every pair would take 38.
         """
         L, n_t, nv = self.L, self.n_t, len(coeffs)
         n_r, modes = len(self.radii) // n_t, 2 * L + 1
-        turned = self._turn(coeffs).reshape(nv * n_t, -1)
+        turned = _turn(coeffs[:, None], np.arange(n_t) * (np.pi / n_t)).reshape(nv * n_t, -1)
         # n chunks of step pairs, in groups of g chunks; zero rows pad the last group
         n = -(-len(turned) // max(1, 4 * _CHUNK_BYTES // (8 * n_r * modes * n_t)))
         step = -(-len(turned) // n)
@@ -797,49 +748,28 @@ def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _from_own_nodes(L: int, n_c: int) -> np.ndarray:
-    """(2L+1, N) matrix taking a trigonometric polynomial of degree L in the
-    slice angle from its values at the 2L+1 uniform nodes that
-    slice_point_table(X, 2L+1) places first to its values at n_c's N slice
-    nodes (_half_turn): the inverse of those nodes' expansion, then n_c's.
-    Read-only."""
-    out = np.linalg.solve(_expansion(L, 2 * L + 1)[:, :2 * L + 1], _expansion(L, n_c))
-    out.flags.writeable = False
-    return out
-
-
 def _star_and_sharp(coeffs: np.ndarray, X: np.ndarray, n_c: int):
-    """f, f_star and f_sharp on the slices about centres X, per row of
-    coeffs, as SplitValues at n_c's slice nodes; and the centres' norms.
-
-    coeffs (S, (L+1)^2) holds one band-limited f a row, and X (S, C, 3)
-    each f's own C centres, so every value has leading axes (S, C) and the
-    N slice nodes last. The values are those SlicePlan.at gives f, its
-    antipodal conjugate and its sharp rearrangement: the real and imaginary
-    parts of f(p) and of f(-p) (parity_signs), f_star's imaginary part
-    negated, f_sharp their formula (_sharp). On a slice, f(p) and f(-p) are
-    trigonometric polynomials of degree L in the slice angle, so they are
-    read at the 2L+1 uniform nodes that slice_point_table(X, 2L+1) places
-    first, from one harmonic table of S C (2L+1) points, 8 S C (2L+1)
-    ((L+1)^2 + 3) bytes with the points, and carried to the N nodes
-    (_from_own_nodes): 8 S C N bytes for each of the four parts.
+    """f, f_star and f_sharp, as SplitValues at n_c's N slice nodes (last
+    axis), about each f's own C centres, X (S, C, 3), for one band-limited
+    f a row of coeffs (S, (L+1)^2); and the centres' norms. The values are
+    those SlicePlan.at gives. In x's slice frame (harmonics._framed) the
+    slice is the circle t = |x|/2, where Y_{k,m} is Pbar_k^|m|(t) times 1,
+    sqrt(2) cos(m psi) or sqrt(2) sin(|m| psi): f's framed real and
+    imaginary rows, times that factor, sum to the slice-angle modes 0,
+    2m-1 (m > 0) or 2|m| (m < 0) of f(p), and with parity_signs of f(-p).
     """
     S, C = X.shape[:2]
     L = math.isqrt(coeffs.shape[-1]) - 1
-    ang = _half_turn(2 * L + 1)
-    pts = _slice_nodes(X.reshape(-1, 3), np.cos(ang), np.sin(ang))
-    table = harmonic_values(L, pts.reshape(-1, 3)).reshape(-1, S, C * ang.size)
-    signed = np.stack([coeffs, coeffs * parity_signs(L)], axis=1)   # f(p), f(-p)
-    rows = np.concatenate([signed.real, signed.imag], axis=1)
-    own = np.empty((4, S, table.shape[-1]))   # per part, f, centre and node
-    for i in range(S):
-        np.matmul(rows[i], table[:, i], out=own[:, i])
-    del pts, table   # before the node values are made
-    nodes = own.reshape(-1, ang.size) @ _from_own_nodes(L, n_c)
-    re_p, re_m, im_p, im_m = nodes.reshape(4, S, C, -1)
+    r, order = _norm3(X), _slot_orders(L)
+    rows = _framed(np.stack([coeffs.real, coeffs.imag], axis=1)[:, None], X[:, :, None])
+    rows *= _legendre_factor(L, r.ravel()).T.reshape(S, C, 1, -1)
+    to_mode = np.equal.outer(np.where(order > 0, 2 * order - 1, -2 * order), np.arange(2 * L + 1))
+    to_mode = np.concatenate([to_mode, parity_signs(L)[:, None] * to_mode], axis=1)
+    modes = (rows @ to_mode).reshape(S, C, 2, 2, -1)   # part, sign (p, -p), mode
+    del rows   # before the node values are made
+    (re_p, re_m), (im_p, im_m) = _to_nodes(modes, _expansion(L, n_c)).transpose(2, 3, 0, 1, 4)
     f_sharp = SplitValues(_sharp((re_p, im_p, re_m, im_m)))
-    return (SplitValues(re_p, im_p), SplitValues(re_m, im_m, 1.0, -1.0), f_sharp), _norm3(X)
+    return (SplitValues(re_p, im_p), SplitValues(re_m, im_m, 1.0, -1.0), f_sharp), r
 
 
 def conv_profile(f, g, radii, n_c: int = 64) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import (SliceColumn, SlicePlan, _backed, _chunks, _Turn, pair_profile,
+from .convolution import (SliceColumn, SlicePlan, _backed, _chunks, pair_profile,
                           pair_slice_average)
-from .harmonics import HarmonicCoeffs, SphereFunction, harmonic_values
+from .harmonics import HarmonicCoeffs, SphereFunction, _turn, harmonic_values
 from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _norm3, _real, _require_int,
                          build_ball_grid, build_sphere_grid, circle_frames)
 
@@ -411,7 +411,7 @@ def h_direct_many(gs, grid: SphereGrid):
     ring i, azimuth a) that about (i, 0) turned about z by a pi / n_t
     (circle_frames is z-equivariant), the ring-weighted harmonic sums are
     tabulated about the n_t nodes of azimuth 0 alone, and each g reaches
-    the other azimuths turned (_Turn), its coefficients mixed order by
+    the other azimuths turned (_turn), its coefficients mixed order by
     order: the same sums regrouped, free of Lambda_k. Otherwise, a literal
     callable among gs or another grid, every g is evaluated at every ring
     node (SlicePlan.at), where non-finite values raise ValueError. No
@@ -451,7 +451,8 @@ def h_direct_many(gs, grid: SphereGrid):
     if on_column:
         # per g, azimuth a and polar ring i: g turned by a pi / n_t, at and
         # about the node at (i, 0)
-        turned = _Turn.to_rows(L, n_t, 2 * n_t)(rows) @ np.concatenate([outer, inner], axis=1)
+        turned = (_turn(rows[:, None], np.arange(2 * n_t) * (np.pi / n_t))
+                  @ np.concatenate([outer, inner], axis=1))
         outer, inner = np.split(turned, 2, axis=-1)
         acc = np.sum(np.conj(outer) * grid.weights.reshape(n_t, 2 * n_t).T * inner, axis=(1, 2))
     else:

@@ -12,12 +12,13 @@ Flat coefficient layout: index(k, m) = k*k + k + m, degrees contiguous,
 m = -k..k within a degree. Negative m holds the sin(m*phi) branch.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import SphereGrid, _real, _require_int
+from .quadrature import SphereGrid, _real, _require_int, build_sphere_grid
 
 __all__ = [
     "HarmonicCoeffs",
@@ -129,6 +130,67 @@ def harmonic_values(L: int, points: np.ndarray) -> np.ndarray:
             np.multiply(pos, ss, out=vals[k * k + k - m])
             pos *= cs
     return vals
+
+
+@lru_cache(maxsize=None)
+def _slot_orders(L: int) -> np.ndarray:
+    """Order m of each flat slot: [0, -1,0,1, -2,-1,0,1,2, ...]. Read-only."""
+    deg = _degree_index(L)
+    order = np.arange((L + 1) ** 2) - deg * deg - deg
+    order.flags.writeable = False
+    return order
+
+
+def _turn(coeffs: np.ndarray, angles) -> np.ndarray:
+    """Coefficient rows (..., (L+1)^2) of f turned by angles about z, which
+    broadcast against the rows' leading axes: those of f(R_z(alpha) p). Slot
+    (k, m) takes cos(m alpha) of f's slot and sin(m alpha) of its partner
+    (k, -m), factors taken once per |m| in the angles' dtype (m alpha in
+    double loses about m ulps) and rounded to double."""
+    L = math.isqrt(coeffs.shape[-1]) - 1
+    order = _slot_orders(L)
+    m_alpha = np.asarray(angles)[..., None] * np.arange(L + 1)
+    cos, sin = (f(m_alpha).astype(float, copy=False)[..., abs(order)] for f in (np.cos, np.sin))
+    turned = np.multiply(coeffs, cos, order="C")
+    turned += coeffs[..., np.arange(order.size) - 2 * order] * (np.sign(order) * sin)
+    return turned
+
+
+@lru_cache(maxsize=None)
+def _tilt(L: int) -> tuple:
+    """Per degree k <= L, the block X_k of the quarter turn R_x(pi/2), which
+    takes z to -y: Y_{k,m}(R_x q) = sum_m' X_k[m, m'] Y_{k,m'}(q). Projected
+    on build_sphere_grid(L + 1), exact for degree 2L, then one Newton-Schulz
+    step, X <- X (3I - X^T X) / 2. Read-only."""
+    grid = build_sphere_grid(L + 1)
+    weighted = harmonic_values(L, grid.nodes) * grid.weights
+    turned = harmonic_values(L, grid.nodes[:, [0, 2, 1]] * (1.0, -1.0, 1.0))   # R_x q
+    blocks = [turned[k * k:(k + 1) ** 2] @ weighted[k * k:(k + 1) ** 2].T for k in range(L + 1)]
+    blocks = tuple(1.5 * x - 0.5 * (x @ (x.T @ x)) for x in blocks)
+    for x in blocks:
+        x.flags.writeable = False
+    return blocks
+
+
+def _framed(coeffs: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Coefficient rows (..., (L+1)^2) of f taken to the frame R = (e1, e2,
+    x/|x|) of circle_frames at each centre x (..., 3), broadcast against the
+    rows' leading axes: those of f(R q). R = R_z(phi) R_y(theta) R_z(pi/2)
+    and R_y(theta) = R_x(-pi/2) R_z(theta) R_x(pi/2), so the rows are turned
+    by phi (_turn), tilted back (_tilt), turned by theta, tilted and turned
+    by pi/2, all angles in the centres' dtype. theta = arctan2(|(x, y)|, z)
+    holds near the axis, where phi is 0 (e1 = (0, 1, 0))."""
+    x, y, z = centres[..., 0], centres[..., 1], centres[..., 2]
+    rho = np.hypot(x, y)
+    tilt = _tilt(math.isqrt(coeffs.shape[-1]) - 1)
+    c = _turn(coeffs, np.where(rho > 0.0, np.arctan2(y, x), 0.0))
+    for angle, back in ((np.arctan2(rho, z), True), (np.arctan2(rho.dtype.type(1), 0), False)):
+        rows = c.reshape(-1, c.shape[-1])   # one matmul a degree
+        for k, block in enumerate(tilt):
+            deg = slice(k * k, (k + 1) ** 2)
+            rows[:, deg] = rows[:, deg] @ (block.T if back else block)
+        c = _turn(rows.reshape(c.shape), angle)
+    return c
 
 
 def _synthesize(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import convolution, forms, legendre, maximizer
+from . import convolution, forms, legendre, maximizer, quadrature
 from .harmonics import SphereFunction, build_basis, random_band_limited
 from .quadrature import build_sphere_grid, exact_sizes, integrate_ball, integrate_sphere
 
@@ -116,16 +116,19 @@ def _pointwise_symmetrization_gap(coeffs: np.ndarray, X: np.ndarray, n_c: int) -
     Both sides pair at the slice nodes of n_c's rule (pair_profile), where
     the inequality holds node by node: a node and its partner x - p give
     |f(p) f_star(x - p) + f(x - p) f_star(p)| <= 2 f#(p) f#(x - p) by
-    Cauchy-Schwarz. The f are taken in chunks of samples, each one harmonic
-    table at 2L+1 nodes a slice (convolution._star_and_sharp) and two
-    pair_profile calls. A chunk's table, its points and harmonic_values'
-    temporaries, 8 (2L+1) ((L+1)^2 + 16) bytes a centre, stay within 4
-    _CHUNK_BYTES (1 MiB), or one sample's, and its values at the slice
-    nodes take less: a traced peak stays under 8 _CHUNK_BYTES.
+    Cauchy-Schwarz. The f are taken in chunks of samples, each f's rows
+    taken to its centres' slice frames (convolution._star_and_sharp) and
+    paired by two pair_profile calls. A centre takes 8 (10 (L+1)^2 +
+    4 (2L+1) + 4 N) bytes, N slice nodes: two rows in its frame with a
+    turn's angles, factors and temporaries, ten rows of (L+1)^2 (the
+    Legendre factor takes fewer), then four parts' modes and node values.
+    A chunk's centres stay within 4 _CHUNK_BYTES (1 MiB), or one sample's:
+    a traced peak stays under 8 _CHUNK_BYTES.
     """
     L = math.isqrt(coeffs.shape[1]) - 1
-    sample_bytes = 8 * X.shape[1] * (2 * L + 1) * ((L + 1) ** 2 + 16)
-    step = max(1, 4 * convolution._CHUNK_BYTES // sample_bytes)
+    nodes = 2 * convolution._half_turn(n_c).size   # N
+    centre_bytes = 8 * (10 * (L + 1) ** 2 + 4 * (2 * L + 1) + 4 * nodes)
+    step = max(1, 4 * convolution._CHUNK_BYTES // (X.shape[1] * centre_bytes))
 
     def chunk_gap(s0: int) -> float:   # a chunk's values are freed before the next's
         (f, f_star, f_sharp), r = convolution._star_and_sharp(
@@ -179,7 +182,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationRepor
     suite.check("sigma_conv_norm_sq", 32.0 * np.pi ** 3, norm_sq, 1e-8, "rel")
 
     # Legendre / Funk-Hecke infrastructure
-    x_gl, w_gl = np.polynomial.legendre.leggauss(52)
+    x_gl, w_gl = quadrature._gauss_legendre(52)
     p = legendre.legendre_values(50, x_gl)
     norms = np.sum(w_gl * p * p, axis=1)
     target = 2.0 / (2.0 * np.arange(51) + 1.0)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from sharpsphere import SphereFunction, SplitValues, forms, harmonic_values, random_band_limited
+from sharpsphere import (SphereFunction, SplitValues, build_sphere_grid, forms, harmonic_values,
+                         random_band_limited)
 from sharpsphere.quadrature import _norm3, _require_int, circle_frames
 
 
@@ -105,3 +106,36 @@ def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:
 
     resid = np.abs(lap + k * (k + 1) * Y)
     return float(resid[2:-2].max())
+
+
+def leggauss_rule(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule as quadrature._gauss_legendre once
+    built it: numpy.polynomial's leggauss nodes, one Newton step and the
+    weights in np.longdouble, rounded."""
+    t = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for step in (True, False):
+        prev, p = np.ones_like(t), t.copy()
+        for k in range(1, n):
+            prev, p = p, ((2 * k + 1) * t * p - k * prev) / (k + 1)
+        d = n * (prev - t * p) / ((1 - t) * (1 + t))   # P_n'
+        if step:
+            t = t - p / d
+    return t.astype(float), (2 / ((1 - t) * (1 + t) * d * d)).astype(float)
+
+
+def projected_ring_blocks(L: int, rings: np.ndarray) -> list:
+    """Per degree k, every ring's block D_j^k in the layout of
+    SliceColumn.rotations, by projection: Y_{k,m}(R_j q) against Y_{k,m'}(q)
+    on build_sphere_grid(L + 1), exact for degree 2L, R_j = (e1, e2, u_j) of
+    circle_frames, then one Newton-Schulz step."""
+    grid = build_sphere_grid(L + 1)
+    weighted = harmonic_values(L, grid.nodes) * grid.weights
+    _, _, e1, e2 = circle_frames(rings)
+    blocks = [np.empty((2 * k + 1, 2 * k + 1, len(rings))) for k in range(L + 1)]
+    for j, frame in enumerate(np.stack([e1, e2, rings], axis=1)):   # q @ frame is R_j q
+        turned = harmonic_values(L, grid.nodes @ frame)
+        for k, block in enumerate(blocks):
+            modes = [k] + [k + s * i for i in range(1, k + 1) for s in (1, -1)]
+            d = (turned[k * k:(k + 1) ** 2] @ weighted[k * k:(k + 1) ** 2].T)[:, modes]
+            block[..., j] = 1.5 * d - 0.5 * (d @ (d.T @ d))
+    return blocks

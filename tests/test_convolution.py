@@ -33,7 +33,8 @@ from sharpsphere import convolution, harmonics
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
-from helpers import ball_points, ball_rows, node_values, rand_fn, unit_vectors
+from helpers import (ball_points, ball_rows, node_values, projected_ring_blocks, rand_fn,
+                     unit_vectors)
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -521,19 +522,19 @@ class TestSliceColumn:
 
     def test_turn_covers_the_rows_the_ball_route_reads(self, column):
         # one turn per azimuth row a < n_t: f turned by alpha_a = a pi / n_t
-        # about z, f(p turned), has coefficients cos * c + sin * c[partner]
+        # about z, f(p turned), has the turned coefficients (harmonics._turn)
         n_t, L = column.n_t, column.L
-        cos, sin, partner = column._turn
-        assert cos.shape == sin.shape == (n_t, (L + 1) ** 2)
         c = random_band_limited(L, np.random.default_rng(59)).coeffs
+        turned = harmonics._turn(c[None], np.arange(n_t) * (PI / n_t))
+        assert turned.shape == (n_t, (L + 1) ** 2)
         pts = unit_vectors(np.random.default_rng(58), 40)
         for a in range(n_t):
             ca, sa = np.cos(a * PI / n_t), np.sin(a * PI / n_t)
             turn = np.array([[ca, sa, 0.0], [-sa, ca, 0.0], [0.0, 0.0, 1.0]])
             expect = c @ harmonic_values(L, pts @ turn)
-            got = (cos[a] * c + sin[a] * c[partner]) @ harmonic_values(L, pts)
+            got = turned[a] @ harmonic_values(L, pts)
             assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
-        for name in ("centres", "n_az", "trig", "table", "spectra", "_mix"):
+        for name in ("centres", "n_az", "trig", "table", "spectra", "_mix", "_turn"):
             assert not hasattr(column, name)
 
     @staticmethod
@@ -623,10 +624,11 @@ class TestSliceColumn:
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_no_slice_node_is_placed(self, n_c, monkeypatch):
         # the build evaluates harmonics at the projection grid's 2(L+1)^2
-        # nodes and at those nodes turned by each of the n_t ring frames,
-        # and the Legendre factor at the n_r radii; it places no slice node,
-        # and sampling places none either, the sharp rearrangement's
-        # nodes included
+        # nodes and at those nodes turned by the quarter turn, once (the
+        # tilt, cached), and the Legendre factor at the n_r radii; it places
+        # no slice node, and sampling places none either, the sharp
+        # rearrangement's nodes included
+        harmonics._tilt.cache_clear()
         placed, points, radii = [], [], []
         inner, values, legendre = (convolution.slice_point_table, harmonics.harmonic_values,
                                    convolution._assoc_legendre_rows)
@@ -650,11 +652,23 @@ class TestSliceColumn:
         L, n_r = 5, 5
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(6)), n_c, L)
         grid = 2 * (L + 1) ** 2
-        assert placed == [] and sum(points) == (1 + col.n_t) * grid and radii == [n_r]
+        assert placed == [] and sum(points) == 2 * grid and radii == [n_r]
         f = rand_fn(5, 73, complex_valued=True)
         for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
             node_values(v)
         assert placed == []
+
+    @pytest.mark.parametrize("L", list(range(9)) + [16, 24])
+    @pytest.mark.parametrize("grid", ["exact", "chain"])
+    def test_ring_blocks_match_the_projection(self, grid, L):
+        # the blocks composed on the frame route against the per-ring
+        # projection of the turned harmonics
+        n_t, n_r, n_c = exact_sizes(L)
+        ball = build_ball_grid(n_r, build_sphere_grid(n_t)) if grid == "exact" else CHAIN_BALL
+        col = SliceColumn(ball, n_c, L)
+        oracle = projected_ring_blocks(L, ball.directions.nodes[::2 * col.n_t])
+        for block, expect in zip(col.rotations, oracle, strict=True):
+            assert np.abs(block - expect).max() <= 1e-14
 
     @pytest.mark.parametrize("L", list(range(9)) + [16])
     def test_rotation_blocks_are_orthogonal(self, L):
@@ -916,9 +930,9 @@ class TestRowIdentity:
         assert plan.rows.shape == (4, 16)   # f_star's rows are f's at -p
 
 
-class TestStarAndSharpFromOwnNodes:
-    """f, f_star and f# at n_c's slice nodes from f at 2L+1 nodes a slice,
-    each f on its own centres (convolution._star_and_sharp)."""
+class TestStarAndSharpInSliceFrames:
+    """f, f_star and f# at n_c's slice nodes from f's rows taken to each
+    slice's frame, each f on its own centres (convolution._star_and_sharp)."""
 
     @pytest.mark.parametrize("n_c", [1, 2, 3, 11, 17, 34, 35])
     @pytest.mark.parametrize("L", [0, 1, 4, 8])
@@ -949,15 +963,6 @@ class TestStarAndSharpFromOwnNodes:
         assert np.abs(f.dense()[0] - g(pts.reshape(-1, 3)).reshape(6, 12)).max() <= 1e-13
         sharp = g.sharp_rearrangement()(pts.reshape(-1, 3)).reshape(6, 12)
         assert np.abs(f_sharp.dense()[0] - sharp).max() <= 1e-13 * sharp.max()
-
-    def test_the_node_map_is_read_only_and_exact_on_trig_polynomials(self):
-        L, n_c = 4, 11
-        P = convolution._from_own_nodes(L, n_c)
-        assert P.shape == (2 * L + 1, 2 * n_c) and not P.flags.writeable
-        modes = np.random.default_rng(171).standard_normal(2 * L + 1)
-        own = modes @ convolution._expansion(L, 2 * L + 1)[:, :2 * L + 1]
-        want = modes @ convolution._expansion(L, n_c)
-        assert np.abs(own @ P - want).max() <= 1e-14 * np.abs(want).max()
 
 
 ZERO_SUM = gamma_samples(np.random.default_rng(19), 1)[0]

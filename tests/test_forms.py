@@ -1754,7 +1754,7 @@ class TestChordColumn:
         grid = build_sphere_grid(7)
         g, h = rand_fn(6, 530, complex_valued=True), rand_fn(5, 531)
         expect = h_direct_many([g, h], grid)
-        monkeypatch.setattr(forms, "_Turn", refuse)
+        monkeypatch.setattr(forms, "_turn", refuse)
         mixed = h_direct_many([g, literal(h)], grid)
         assert np.max(np.abs(mixed - expect) / np.abs(expect)) <= 1e-14
 
@@ -1765,7 +1765,7 @@ class TestChordColumn:
         shuffled = SphereGrid(grid.nodes[order], grid.weights[order], grid.exactness_degree)
         g = rand_fn(6, 533, complex_valued=True)
         expect = h_direct_many([g], grid)
-        monkeypatch.setattr(forms, "_Turn", refuse)
+        monkeypatch.setattr(forms, "_turn", refuse)
         got = h_direct_many([g], shuffled)
         assert np.max(np.abs(got - expect) / np.abs(expect)) <= 1e-14
 

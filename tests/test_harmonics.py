@@ -11,6 +11,7 @@ from sharpsphere import (
     analyze,
     build_basis,
     build_sphere_grid,
+    circle_frames,
     harmonic_values,
     integrate_sphere,
     lambda_closed_form,
@@ -18,7 +19,8 @@ from sharpsphere import (
     parity_signs,
     random_band_limited,
 )
-from helpers import eigenvalue_residual, unit_vectors
+from sharpsphere import harmonics
+from helpers import ball_points, eigenvalue_residual, unit_vectors
 
 PI = np.pi
 UNIT_Z = np.array([[0.0, 0.0, 1.0]])
@@ -101,6 +103,49 @@ class TestHarmonicValues:
             harmonic_values(L, pts)
         with pytest.raises(ValueError, match="^points must be finite$"):
             f(pts)
+
+
+class TestSliceFrameRoute:
+    """Coefficients taken to rotated frames: turned about z (_turn), tilted
+    by the quarter turn about x (_tilt), and to each slice frame (_framed)."""
+
+    # q @ QUARTER is R_x(pi/2) q, which takes z to -y
+    QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+    @pytest.mark.parametrize("L", [0, 1, 4, 8, 16])
+    def test_the_tilt_is_the_quarter_turn_about_x(self, L):
+        tilt = harmonics._tilt(L)
+        assert harmonics._tilt(L) is tilt and len(tilt) == L + 1
+        rng = np.random.default_rng(90 + L)
+        c = random_band_limited(L, rng).coeffs
+        pts = unit_vectors(rng, 60)
+        tilted = np.concatenate([c[k * k:(k + 1) ** 2] @ x for k, x in enumerate(tilt)])
+        expect = c @ harmonic_values(L, pts @ self.QUARTER)
+        assert np.abs(tilted @ harmonic_values(L, pts) - expect).max() <= 1e-14 * np.abs(expect).max()
+        for k, x in enumerate(tilt):
+            assert x.shape == (2 * k + 1, 2 * k + 1) and not x.flags.writeable
+            assert np.abs(x.T @ x - np.eye(2 * k + 1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["double", "longdouble"])
+    @pytest.mark.parametrize("L", [0, 1, 2, 5, 8, 16])
+    def test_framed_rows_read_f_at_the_rotated_points(self, L, dtype):
+        # f(R q), R = (e1, e2, x/|x|) of circle_frames, from the framed rows
+        # at q; centres on both poles and 1e-9 off the axis, where theta
+        # from arccos(z/|x|) reads f to only about 1e-9
+        rng = np.random.default_rng(100 + L)
+        rows = np.stack([random_band_limited(L, rng).coeffs for _ in range(2)])
+        X = np.concatenate([ball_points(rng, 6, r_min=0.05),
+                            [[0.0, 0.0, 0.7], [0.0, 0.0, -1.3], [1e-9, 0.0, 0.9],
+                             [0.0, -1e-9, -0.4], [-1e-9, 1e-9, 1.5]]])
+        framed = harmonics._framed(rows[:, None], X.astype(dtype))
+        assert framed.shape == (2, len(X), (L + 1) ** 2) and framed.dtype == np.float64
+        _, _, e1, e2 = circle_frames(X)
+        frames = np.stack([e1, e2, X / np.linalg.norm(X, axis=1, keepdims=True)], axis=1)
+        pts = unit_vectors(rng, 40)
+        for i, frame in enumerate(frames):
+            expect = rows @ harmonic_values(L, pts @ frame)
+            got = framed[:, i] @ harmonic_values(L, pts)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), i
 
 
 class TestBasisAndTransforms:
