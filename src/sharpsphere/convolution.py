@@ -33,9 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import (HarmonicCoeffs, SphereFunction, _assoc_legendre_rows, _framed,
+from .harmonics import (HarmonicCoeffs, SphereFunction, _framed, _legendre_factor,
                         _slot_orders, _turn, harmonic_values, parity_signs)
-from .quadrature import BallGrid, SphereGrid, _norm3, _real, _require_int, circle_frames
+from .quadrature import (BallGrid, SphereGrid, _is_product_grid, _norm3, _real, _require_int,
+                         circle_frames)
 
 __all__ = [
     "SliceColumn",
@@ -391,18 +392,6 @@ class SlicePlan:
         return [dense[i] for i in self._index]
 
 
-def _legendre_factor(L: int, radii: np.ndarray) -> np.ndarray:
-    # per flat slot (k, m), Pbar_k^|m|(r/2) per radius r, times sqrt(2) for m != 0:
-    # ((L+1)^2, radii), taken in the radii's dtype and rounded to double
-    t = 0.5 * radii
-    values = np.empty(((L + 1) ** 2, t.size), dtype=t.dtype)
-    _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
-    order = _slot_orders(L)
-    values = values[np.arange(order.size) - order + np.abs(order)]   # slot (k, |m|)'s
-    values[order != 0] *= np.sqrt(t.dtype.type(2))
-    return values.astype(float, copy=False)
-
-
 def _ring_blocks(L: int, rings: np.ndarray) -> list:
     # per degree k, every ring's block D_j^k, shape (2k+1 orders m, 2k+1
     # modes, rings): Y_{k,m}(R_j q) = sum_m' D_j^k[m, m'] Y_{k,m'}(q), R_j =
@@ -466,7 +455,7 @@ class SliceColumn:
     def __init__(self, ball: BallGrid, n_c: int, L: int):
         dirs = ball.directions
         n_t = (dirs.exactness_degree + 1) // 2
-        if dirs.n_nodes != 2 * n_t * n_t:
+        if not _is_product_grid(dirs):
             raise ValueError("ball directions are not a product grid with 2 n_t azimuths")
         rings = dirs.nodes[::2 * n_t]
         self.rotations = _ring_blocks(L, rings)
@@ -475,7 +464,8 @@ class SliceColumn:
             (ball.radial_nodes[:, None, None] * rings).reshape(-1, 3), axis=-1)
         self.n_c, self.n_t, self.L = n_c, n_t, L
         self.expansion = _expansion(L, n_c)
-        legendre = _legendre_factor(L, ball.radial_nodes.astype(np.longdouble))   # all fields'
+        # all fields' Legendre factor, at t = r/2
+        legendre = _legendre_factor(L, 0.5 * ball.radial_nodes.astype(np.longdouble))
         self.legendre = [legendre[_slot_orders(L) == m].T for m in range(L + 1)]
         # synthesize's buffer rows, order-major: order m's degrees m..L, each
         # with its modes, 0 or 2m-1 and 2m; per degree k, the rows of its
@@ -762,7 +752,7 @@ def _star_and_sharp(coeffs: np.ndarray, X: np.ndarray, n_c: int):
     L = math.isqrt(coeffs.shape[-1]) - 1
     r, order = _norm3(X), _slot_orders(L)
     rows = _framed(np.stack([coeffs.real, coeffs.imag], axis=1)[:, None], X[:, :, None])
-    rows *= _legendre_factor(L, r.ravel()).T.reshape(S, C, 1, -1)
+    rows *= _legendre_factor(L, 0.5 * r.ravel()).T.reshape(S, C, 1, -1)
     to_mode = np.equal.outer(np.where(order > 0, 2 * order - 1, -2 * order), np.arange(2 * L + 1))
     to_mode = np.concatenate([to_mode, parity_signs(L)[:, None] * to_mode], axis=1)
     modes = (rows @ to_mode).reshape(S, C, 2, 2, -1)   # part, sign (p, -p), mode

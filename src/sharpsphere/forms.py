@@ -24,8 +24,8 @@ import numpy as np
 from .convolution import (SliceColumn, SlicePlan, _backed, _chunks, pair_profile,
                           pair_slice_average)
 from .harmonics import HarmonicCoeffs, SphereFunction, _turn, harmonic_values
-from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _norm3, _real, _require_int,
-                         build_ball_grid, build_sphere_grid, circle_frames)
+from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _is_product_grid, _norm3, _real,
+                         _require_int, build_ball_grid, build_sphere_grid, circle_frames)
 
 __all__ = [
     "GammaSample",
@@ -425,8 +425,7 @@ def h_direct_many(gs, grid: SphereGrid):
         if c is not None and c.max_degree > n_t - 1:
             raise ValueError(f"g has degree {c.max_degree}; the direct route on a grid with "
                              f"n_t = {n_t} is exact for degree <= {n_t - 1} only")
-    on_column = (all(c is not None for c in coeffs) and grid.n_nodes == 2 * n_t * n_t
-                 and np.array_equal(grid.nodes, build_sphere_grid(n_t).nodes))
+    on_column = all(c is not None for c in coeffs) and _is_product_grid(grid)
     if on_column:   # the harmonics themselves, at and about azimuth 0's nodes
         L = max(c.max_degree for c in coeffs)
         rows = np.zeros((len(gs), (L + 1) ** 2),

@@ -1,4 +1,4 @@
-"""Real spherical harmonics: basis tables and analysis.
+"""Real spherical harmonics: values at points, and the ring transform.
 
 The basis is orthonormal with respect to the raw surface measure (L2(sigma)
 norm 1, not 4*pi-normalized), so Parseval needs no extra constants and a zonal
@@ -10,6 +10,15 @@ tables against other software.
 
 Flat coefficient layout: index(k, m) = k*k + k + m, degrees contiguous,
 m = -k..k within a degree. Negative m holds the sin(m*phi) branch.
+
+On build_sphere_grid(n_t), Gauss-Legendre rings t_j times 2 n_t azimuths at
+half steps, a harmonic factors as Pbar_k^|m|(t_j) times cos(m phi) or
+sin(|m| phi), so synthesis and analysis (synthesize_rings, analyze_rings,
+and analyze on a BasisTable) are two small GEMMs each: the Legendre rows
+per order against the rings, and one azimuth factor matrix (Driscoll and
+Healy, Adv. Appl. Math. 1994). The transform forms no table of every
+harmonic at every node; harmonic_values gives such a table at any points,
+the dense route the transform is tested against.
 """
 
 import math
@@ -18,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import SphereGrid, _real, _require_int, build_sphere_grid
+from .quadrature import (SphereGrid, _gauss_legendre, _is_product_grid, _real, _require_int,
+                         build_sphere_grid)
 
 __all__ = [
     "HarmonicCoeffs",
@@ -30,6 +40,8 @@ __all__ = [
     "random_band_limited",
     "build_basis",
     "analyze",
+    "synthesize_rings",
+    "analyze_rings",
 ]
 
 
@@ -141,6 +153,18 @@ def _slot_orders(L: int) -> np.ndarray:
     return order
 
 
+def _legendre_factor(L: int, t: np.ndarray) -> np.ndarray:
+    """Per flat slot (k, m), Pbar_k^|m|(t) at each t of a 1-D array, times
+    sqrt(2) for m != 0: ((L+1)^2, t.size), taken in t's dtype and rounded
+    to double once."""
+    values = np.empty(((L + 1) ** 2, t.size), dtype=t.dtype)
+    _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
+    order = _slot_orders(L)
+    values = values[np.arange(order.size) - order + np.abs(order)]   # slot (k, |m|)'s
+    values[order != 0] *= np.sqrt(t.dtype.type(2))
+    return values.astype(float, copy=False)
+
+
 def _turn(coeffs: np.ndarray, angles) -> np.ndarray:
     """Coefficient rows (..., (L+1)^2) of f turned by angles about z, which
     broadcast against the rows' leading axes: those of f(R_z(alpha) p). Slot
@@ -238,35 +262,124 @@ class HarmonicCoeffs:
                               parity_signs(self.max_degree) * np.conj(self.coeffs))
 
 
+@lru_cache(maxsize=None)
+def _ring_factors(L: int, n_t: int) -> tuple:
+    """The ring transform's factors through degree L on build_sphere_grid(n_t),
+    read-only, L^3 numbers where a table of every harmonic at every node
+    takes 2 (L+1)^2 n_t^2:
+
+    legendre (L+1 orders |m|, L+1 degrees k, n_t rings), Pbar_k^|m|(t_j)
+    times sqrt(2) for m > 0 (_legendre_factor at the rule's nodes in
+    np.longdouble), 0 for k < |m|;
+    azimuth (2 (L+1), 2 n_t), rows cos(m phi_a) and sin(m phi_a) per order
+    m (m = 0's sin row is 0), phi_a = (2a + 1) pi / (2 n_t) with the angle
+    reduced mod 2 pi in integers and taken in np.longdouble;
+    weights (n_t,), each ring's node weight, those of build_sphere_grid;
+    slots, per flat slot its (|m|, sin row?, k) in those factors.
+    """
+    t, w_t = _gauss_legendre(n_t)
+    flat = _legendre_factor(L, t.astype(np.longdouble))
+    deg, order = _degree_index(L), _slot_orders(L)
+    legendre = np.zeros((L + 1, L + 1, n_t))
+    legendre[order[order >= 0], deg[order >= 0]] = flat[order >= 0]
+    # m phi_a in steps of pi / (2 n_t), reduced mod 2 pi
+    steps = np.outer(np.arange(L + 1), 2 * np.arange(2 * n_t) + 1) % (4 * n_t)
+    angle = steps * (np.arccos(np.longdouble(-1)) / (2 * n_t))
+    azimuth = np.stack([np.cos(angle), np.sin(angle)], axis=1).reshape(2 * L + 2, 2 * n_t)
+    factors = (legendre, azimuth.astype(float), w_t * (np.pi / n_t),
+               (np.abs(order), (order < 0).astype(int), deg))
+    for a in factors[:3] + factors[3]:
+        a.flags.writeable = False
+    return factors
+
+
+def synthesize_rings(c, n_t: int) -> np.ndarray:
+    """Values at the nodes of build_sphere_grid(n_t), in its order, of each
+    coefficient row of c, shape (..., (L+1)^2): shape (..., 2 n_t^2). Per
+    order, the rows' coefficients against the Legendre rows give each ring's
+    azimuth modes, and the azimuth factor matrix takes the modes to the
+    ring's nodes (_ring_factors): two GEMMs. Complex c by parts."""
+    _require_int(n_t, "n_t")
+    c = np.asarray(c)
+    L = math.isqrt(c.shape[-1]) - 1
+    if L < 0 or (L + 1) ** 2 != c.shape[-1]:
+        raise ValueError(f"a coefficient row has (L+1)^2 entries, got {c.shape[-1]}")
+    if np.iscomplexobj(c):
+        re, im = synthesize_rings(np.stack([c.real, c.imag]), n_t)
+        return re + 1j * im
+    legendre, azimuth, _, slots = _ring_factors(L, n_t)
+    rows = c.reshape(-1, c.shape[-1])
+    per_order = np.zeros((L + 1, 2, len(rows), L + 1))   # |m|, cos or sin, row, k
+    per_order[slots[0], slots[1], :, slots[2]] = rows.T
+    # |m|, (cos or sin, row), ring
+    modes = np.matmul(per_order.reshape(L + 1, -1, L + 1), legendre)
+    modes = modes.reshape(2 * L + 2, len(rows) * n_t).T
+    return (modes @ azimuth).reshape(c.shape[:-1] + (2 * n_t * n_t,))
+
+
+def analyze_rings(values, n_t: int, L: int) -> np.ndarray:
+    """The quadrature sums c_{k,m} = sum_n w_n f_n Y_{k,m}(node_n) through
+    degree L over build_sphere_grid(n_t), for each row f of values, shape
+    (..., 2 n_t^2) in the grid's node order: shape (..., (L+1)^2). The sums
+    are regrouped, the azimuth factor matrix first, then each ring's weight
+    and the Legendre rows per order (_ring_factors): two GEMMs. The
+    projection of f of degree at most L is exact when 2L <= 2 n_t - 1;
+    complex values by parts."""
+    _require_int(n_t, "n_t")
+    _require_int(L, "L", 0)
+    values = np.asarray(values)
+    if values.shape[-1:] != (2 * n_t * n_t,):
+        raise ValueError(f"expected values on the {2 * n_t * n_t} nodes of "
+                         f"build_sphere_grid({n_t}), got shape {values.shape}")
+    if np.iscomplexobj(values):
+        re, im = analyze_rings(np.stack([values.real, values.imag]), n_t, L)
+        return re + 1j * im
+    legendre, azimuth, weights, slots = _ring_factors(L, n_t)
+    rows = values.reshape(-1, n_t, 2 * n_t)
+    modes = rows @ azimuth.T   # row, ring, (|m|, cos or sin)
+    modes *= weights[:, None]
+    modes = modes.reshape(-1, 2 * L + 2).T.reshape(L + 1, -1, n_t)
+    per_order = np.matmul(modes, legendre.transpose(0, 2, 1)).reshape(L + 1, 2, len(rows), L + 1)
+    return per_order[slots[0], slots[1], :, slots[2]].T.reshape(values.shape[:-1] + (-1,))
+
+
 @dataclass(frozen=True)
 class BasisTable:
-    """All basis functions through max_degree sampled on one SphereGrid.
-
-    values has shape ((L+1)^2, n_nodes); with w the grid weights, the weighted
-    Gram matrix values @ diag(w) @ values.T is the identity as long as the
-    grid integrates degree 2L exactly.
-    """
+    """The basis through max_degree on a SphereGrid with build_sphere_grid's
+    layout, which analyze reads through the ring transform's factors
+    (_ring_factors, cached per band limit and ring count). The grid must
+    integrate degree 2L exactly, so that the weighted Gram matrix of the
+    basis is the identity; a grid of too low an exactness, or without the
+    product layout, raises ValueError."""
 
     grid: SphereGrid
     max_degree: int
-    values: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        _require_int(self.max_degree, "max degree", 0)
+        if self.grid.exactness_degree < 2 * self.max_degree:
+            raise ValueError(
+                f"grid exactness {self.grid.exactness_degree} < 2L = {2 * self.max_degree}; "
+                "products of two basis functions would not integrate exactly")
+        if not _is_product_grid(self.grid):
+            raise ValueError("the grid does not have build_sphere_grid's product layout, "
+                             "which the ring transform reads")
+
+    @property
+    def n_t(self) -> int:
+        return (self.grid.exactness_degree + 1) // 2
 
 
 def build_basis(L: int, grid: SphereGrid) -> BasisTable:
-    """Tabulate the orthonormal basis on a grid; needs exactness >= 2L."""
-    _require_int(L, "max degree", 0)
-    if grid.exactness_degree < 2 * L:
-        raise ValueError(
-            f"grid exactness {grid.exactness_degree} < 2L = {2 * L}; "
-            "products of two basis functions would not integrate exactly")
-    return BasisTable(grid=grid, max_degree=L, values=harmonic_values(L, grid.nodes))
+    """The basis on a product grid (BasisTable), its ring factors built."""
+    basis = BasisTable(grid=grid, max_degree=L)
+    _ring_factors(L, basis.n_t)
+    return basis
 
 
 def analyze(f, basis: BasisTable) -> HarmonicCoeffs:
-    """Project grid values onto the basis: c_{k,m} = sum_n w_n f_n Y_{k,m}(node_n).
+    """Project grid values onto the basis: c_{k,m} = sum_n w_n f_n Y_{k,m}(node_n),
+    on the rings (analyze_rings).
 
     f may be an array of values at the basis grid nodes or a callable on unit
     vectors (evaluated at the nodes). Exact for band-limited f within the
@@ -277,7 +390,7 @@ def analyze(f, basis: BasisTable) -> HarmonicCoeffs:
         raise ValueError(
             f"expected values on the {basis.grid.n_nodes}-node basis grid, "
             f"got shape {vals.shape}")
-    return HarmonicCoeffs(basis.max_degree, basis.values @ (basis.grid.weights * vals))
+    return HarmonicCoeffs(basis.max_degree, analyze_rings(vals, basis.n_t, basis.max_degree))
 
 
 def random_band_limited(L: int, rng: np.random.Generator,

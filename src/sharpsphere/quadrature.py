@@ -60,12 +60,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Tricomi's estimate (1 - (n-1)/(8n^3)) cos(pi (4i - 1)/(4n + 2)) of the
     positive nodes, within 1.3e-3, takes four Newton steps in double; the
     negative nodes mirror them and odd n adds 0, so the rule is symmetric
-    bit for bit. One more step, and the weights 2 / ((1 - x^2) P_n'(x)^2),
-    are taken in np.longdouble and rounded: on x86-64, up to n = 200, every
-    node within half an ulp of mpmath's and every weight within one, but
-    the end weights from n = 123 on (1 + x carries the node's longdouble
-    rounding: up to 3.3 ulps). An n x n array is asked for first, so a rule
-    too large for memory raises MemoryError at once.
+    bit for bit. One more step is taken in np.longdouble and rounded: on
+    x86-64, up to n = 200, every node within half an ulp of mpmath's. The
+    weights 2 / ((1 - x^2) P_n'(x)^2) are taken at x >= 0 from u = 1 - x,
+    which keeps its relative precision where x nears 1, one Newton step in
+    u (_legendre_near_one) and 1 - x^2 = u (2 - u) = sin^2 theta: every
+    weight within 0.51 ulp of mpmath's there, where a longdouble node, and
+    Bonnet's recursion at it, put the end weights up to 3.3 ulps off from
+    n = 123 on. An n x n array is asked for first, so a rule too large for
+    memory raises MemoryError at once.
     """
     np.empty((n, n))
     x = (1 - (n - 1) / (8 * n ** 3)) * np.cos(np.pi * (4 * np.arange(1, n // 2 + 1) - 1)
@@ -74,8 +77,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - np.divide(*_legendre_and_slope(n, x))
     t = np.concatenate([-x, np.zeros(n % 2), x[::-1]]).astype(np.longdouble)
     t = t - np.divide(*_legendre_and_slope(n, t))
-    d = _legendre_and_slope(n, t)[1]
-    x, w = t.astype(float), (2 / ((1 - t) * (1 + t) * d * d)).astype(float)
+    u = 1 - t[n // 2:]
+    u = u + np.divide(*_legendre_near_one(n, u))
+    d = _legendre_near_one(n, u)[1]
+    w = (2 / (u * (2 - u) * d * d)).astype(float)
+    x, w = t.astype(float), np.concatenate([w[::-1][:n // 2], w])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -86,6 +92,17 @@ def _legendre_and_slope(n: int, t: np.ndarray) -> tuple:
     for k in range(1, n):
         prev, p = p, ((2 * k + 1) * t * p - k * prev) / (k + 1)
     return p, n * (prev - t * p) / ((1 - t) * (1 + t))
+
+
+def _legendre_near_one(n: int, u: np.ndarray) -> tuple:
+    # P_n(1 - u) and P_n'(1 - u) in u's dtype, 0 < u <= 1: Bonnet's recursion
+    # on the differences D_k = P_k - P_(k-1) (Reinsch's form), whose terms
+    # carry u's relative precision where 1 - u nears 1
+    prev, p, diff = np.ones_like(u), 1 - u, -u
+    for k in range(1, n):
+        diff = (k * diff - (2 * k + 1) * u * p) / (k + 1)
+        prev, p = p, p + diff
+    return p, n * (prev - (1 - u) * p) / (u * (2 - u))
 
 
 class DegenerateSliceError(ValueError):
@@ -138,6 +155,19 @@ def build_sphere_grid(n_t: int) -> SphereGrid:
     nodes = np.column_stack([ss * np.cos(pp), ss * np.sin(pp), tt])
     weights = np.repeat(w_t, 2 * n_t) * step
     return SphereGrid(nodes, weights, exactness_degree=2 * n_t - 1)
+
+
+def _is_product_grid(grid: SphereGrid) -> bool:
+    """Whether grid is build_sphere_grid(n_t)'s, node for node and weight for
+    weight, n_t = (exactness + 1) / 2: n_t polar rings in order, each of 2 n_t
+    azimuths at half steps, the layout that ring transforms and azimuth
+    columns read."""
+    n_t = (grid.exactness_degree + 1) // 2
+    if n_t < 1 or grid.n_nodes != 2 * n_t * n_t:
+        return False
+    product = build_sphere_grid(n_t)
+    return (np.array_equal(grid.nodes, product.nodes)
+            and np.array_equal(grid.weights, product.weights))
 
 
 def integrate_sphere(grid: SphereGrid, f):

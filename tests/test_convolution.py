@@ -631,7 +631,7 @@ class TestSliceColumn:
         harmonics._tilt.cache_clear()
         placed, points, radii = [], [], []
         inner, values, legendre = (convolution.slice_point_table, harmonics.harmonic_values,
-                                   convolution._assoc_legendre_rows)
+                                   convolution._legendre_factor)
 
         def spy(X, n):
             placed.append(len(X))
@@ -641,14 +641,14 @@ class TestSliceColumn:
             points.append(len(np.atleast_2d(pts)))
             return values(L, pts)
 
-        def spy_legendre(L, t, s, out):
+        def spy_legendre(L, t):
             radii.append(t.size)
-            return legendre(L, t, s, out)
+            return legendre(L, t)
 
         monkeypatch.setattr(convolution, "slice_point_table", spy)
         for module in (convolution, harmonics):
             monkeypatch.setattr(module, "harmonic_values", spy_values)
-        monkeypatch.setattr(convolution, "_assoc_legendre_rows", spy_legendre)
+        monkeypatch.setattr(convolution, "_legendre_factor", spy_legendre)
         L, n_r = 5, 5
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(6)), n_c, L)
         grid = 2 * (L + 1) ** 2

@@ -9,6 +9,7 @@ from sharpsphere import (
     HarmonicCoeffs,
     SphereFunction,
     analyze,
+    analyze_rings,
     build_basis,
     build_sphere_grid,
     circle_frames,
@@ -18,8 +19,9 @@ from sharpsphere import (
     n_coeffs,
     parity_signs,
     random_band_limited,
+    synthesize_rings,
 )
-from sharpsphere import harmonics
+from sharpsphere import SphereGrid, harmonics
 from helpers import ball_points, eigenvalue_residual, unit_vectors
 
 PI = np.pi
@@ -150,10 +152,9 @@ class TestSliceFrameRoute:
 
 class TestBasisAndTransforms:
     def test_gram_identity(self):
-        grid = build_sphere_grid(8)
-        basis = build_basis(2, grid)
-        gram = (basis.values * grid.weights) @ basis.values.conj().T
-        assert np.abs(gram - np.eye(n_coeffs(2))).max() <= 1e-12
+        unit = np.eye(n_coeffs(2))
+        gram = analyze_rings(synthesize_rings(unit, 8), 8, 2)
+        assert np.abs(gram - unit).max() <= 1e-12
 
     def test_insufficient_exactness_rejected(self):
         grid = build_sphere_grid(4)   # exactness 7 < 2 * 4
@@ -174,38 +175,35 @@ class TestBasisAndTransforms:
         assert np.abs(np.delete(c.coeffs, i)).max() <= 1e-12
 
     def test_synthesize_constant(self):
-        basis = build_basis(2, build_sphere_grid(8))
         c = np.zeros(n_coeffs(2))
         c[0] = np.sqrt(4 * PI)
-        vals = c @ basis.values
+        vals = synthesize_rings(c, 8)
         assert np.abs(vals - 1.0).max() <= 1e-12
 
     def test_unit_coefficient_has_unit_norm(self):
         grid = build_sphere_grid(8)
-        basis = build_basis(3, grid)
         c = np.zeros(n_coeffs(3))
         c[14] = 1.0   # (k, m) = (3, 2)
-        vals = c @ basis.values
+        vals = synthesize_rings(c, 8)
         norm_sq = integrate_sphere(grid, np.abs(vals) ** 2)
         assert abs(norm_sq - 1.0) <= 1e-10
 
     def test_value_round_trip(self, grid17):
         basis = build_basis(8, grid17)
         c = random_band_limited(8, np.random.default_rng(4), complex_valued=True)
-        vals = c.coeffs @ basis.values
-        back = analyze(vals, basis).coeffs @ basis.values
+        vals = synthesize_rings(c.coeffs, 17)
+        back = synthesize_rings(analyze(vals, basis).coeffs, 17)
         assert np.abs(back - vals).max() <= 1e-10
 
     def test_coefficient_round_trip(self, grid17):
         basis = build_basis(8, grid17)
         c = random_band_limited(8, np.random.default_rng(5), complex_valued=True)
-        back = analyze(c.coeffs @ basis.values, basis)
+        back = analyze(synthesize_rings(c.coeffs, 17), basis)
         assert np.abs(back.coeffs - c.coeffs).max() <= 1e-12
 
     def test_parseval(self, grid17):
-        basis = build_basis(8, grid17)
         c = random_band_limited(8, np.random.default_rng(6), complex_valued=True)
-        vals = c.coeffs @ basis.values
+        vals = synthesize_rings(c.coeffs, 17)
         quad = integrate_sphere(grid17, np.abs(vals) ** 2)
         assert abs(quad - c.norm_sq()) <= 1e-10 * c.norm_sq()
 
@@ -213,6 +211,72 @@ class TestBasisAndTransforms:
         basis = build_basis(8, grid17)
         with pytest.raises(ValueError):
             analyze(np.ones(7), basis)
+
+
+class TestRingTransform:
+    @pytest.mark.parametrize("L", [0, 1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_matches_the_dense_oracle(self, L, complex_valued):
+        # against the table of every harmonic at every node, on the grid
+        # exact for degree 2L and on a finer one
+        rng = np.random.default_rng(540 + L)
+        for n_t in (L + 1, 2 * L + 3):
+            grid = build_sphere_grid(n_t)
+            table = harmonic_values(L, grid.nodes)
+            c = np.stack([random_band_limited(L, rng, complex_valued).coeffs for _ in range(3)])
+            vals = synthesize_rings(c, n_t)
+            expect = c @ table
+            assert vals.shape == expect.shape and np.iscomplexobj(vals) == complex_valued
+            assert np.abs(vals - expect).max() <= 1e-13 * np.abs(expect).max()
+            f = rng.standard_normal((2, grid.n_nodes))
+            if complex_valued:
+                f = f + 1j * rng.standard_normal(f.shape)
+            got, expect = analyze_rings(f, n_t, L), (f * grid.weights) @ table.T
+            assert got.shape == expect.shape and np.iscomplexobj(got) == complex_valued
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("L", [8, 16, 32])
+    def test_projects_the_squared_sharp_rearrangement_as_the_dense_sum(self, L):
+        # |f#|^2 of band limit L/2 is not band-limited; its projection is the
+        # same quadrature sum either way, regrouped: 4.8e-16 apart at L=32
+        sharp = SphereFunction.from_coeffs(
+            random_band_limited(L // 2, np.random.default_rng(550 + L))).sharp_rearrangement()
+        grid = build_sphere_grid(L + 1)
+        vals = np.abs(sharp(grid.nodes)) ** 2
+        got = analyze(vals, build_basis(L, grid)).coeffs
+        expect = harmonic_values(L, grid.nodes) @ (grid.weights * vals)
+        assert np.abs(got - expect).max() <= 4e-15 * np.abs(expect).max()
+
+    def test_a_degree_64_round_trip_holds_no_table_of_every_node(self):
+        # the table of every harmonic at the 8,450 nodes would take 285 MB;
+        # the factors, built here in np.longdouble, and the transform peak at
+        # 8.9 MB traced
+        L, n_t = 64, 65
+        c = random_band_limited(L, np.random.default_rng(560), complex_valued=True).coeffs
+        harmonics._ring_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            back = analyze_rings(synthesize_rings(c, n_t), n_t, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
+        assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
+
+    def test_a_grid_without_the_product_layout_raises(self):
+        # build_sphere_grid(7)'s nodes in another order: the same rule, but
+        # not the rings the transform reads
+        grid = build_sphere_grid(7)
+        order = np.random.default_rng(561).permutation(grid.n_nodes)
+        shuffled = SphereGrid(grid.nodes[order], grid.weights[order], grid.exactness_degree)
+        with pytest.raises(ValueError, match="product layout"):
+            build_basis(3, shuffled)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match=r"\(L\+1\)\^2 entries, got 5"):
+            synthesize_rings(np.ones(5), 3)
+        with pytest.raises(ValueError, match="18 nodes of build_sphere_grid"):
+            analyze_rings(np.ones(17), 3, 2)
 
 
 class TestChordMultipliers:
@@ -223,7 +287,6 @@ class TestChordMultipliers:
         # degree L exactly
         L = 6
         grid = build_sphere_grid(10)
-        basis = build_basis(L, grid)
         nu, wu = np.polynomial.legendre.leggauss(L + 4)
         u = 0.5 * (nu + 1.0)
         w = 0.5 * wu * 8.0 * u ** 2
@@ -246,7 +309,7 @@ class TestChordMultipliers:
         applied = 2 * PI * np.einsum("q,cnq->cn", w, vals.mean(axis=3))
         lam = lambda_closed_form(L)
         degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-        expected = 2 * PI * lam[degree][:, None] * basis.values
+        expected = 2 * PI * lam[degree][:, None] * harmonic_values(L, nodes)
         scale = np.abs(expected).max()
         assert np.abs(applied - expected).max() <= 1e-8 * scale
 

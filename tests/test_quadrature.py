@@ -31,6 +31,34 @@ from sharpsphere.quadrature import _gauss_legendre, _norm3
 from helpers import ball_points, leggauss_rule, unit_vectors
 
 PI = np.pi
+# rule sizes up to 160 whose weights, taken from u = 1 - x, differ from those
+# taken at the longdouble node; every weight is within 0.51 ulp of mpmath's
+WEIGHTS_MOVED = (11, 23, 37, 40, 51, 52, 54, 59, 62, 65, 68, 74, 80, 82, 84, 87, 88, 92, 93, 94,
+                 95, 98, 99, 100, 101, 103, 106, 107, 108, 110, 111, 115, 119, 121, 122, 123,
+                 126, 127, 130, 132, 133, 134, 136, 137, 139, 140, 141, 143, 144, 145, 147, 148,
+                 149, 152, 153, 154, 155, 156, 157, 158, 159, 160)
+
+
+def angle_weights(n: int, x: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre weights at nodes x >= 0 of the n-node rule, refined in
+    the angle theta = arccos x: P_n(cos theta) = sum_k a_k a_(n-k)
+    cos((n - 2k) theta), a_k = binom(2k, k) / 4^k, so that neither P_n nor
+    1 - x^2 = sin^2 theta reads a rounded x (Hale and Townsend, SIAM J. Sci.
+    Comput. 2013). Two Newton steps in theta from the double nodes, then
+    w = 2 / (dP_n/dtheta)^2, in np.longdouble; within 0.27 ulp of mpmath's
+    up to n = 200 on x86-64."""
+    k = np.arange(n + 1)
+    ratios = np.ones(n + 1, dtype=np.longdouble)
+    ratios[1:] = (2 * k[1:] - 1) / np.longdouble(2 * k[1:])
+    a = np.cumprod(ratios)
+    coef, freq = a * a[::-1], (n - 2 * k).astype(np.longdouble)
+    theta = np.arccos(x.astype(np.longdouble))
+    for step in range(3):
+        angle = np.multiply.outer(theta, freq)
+        slope = (np.sin(angle) * freq) @ coef   # -dP_n/dtheta
+        if step < 2:
+            theta = theta + (np.cos(angle) @ coef) / slope
+    return 2 / (slope * slope)
 
 
 class TestGaussLegendre:
@@ -52,13 +80,27 @@ class TestGaussLegendre:
         assert _gauss_legendre(n)[0] is x
 
     def test_the_rules_of_leggauss_nodes_keep_their_bits(self):
-        # Tricomi's estimate and Newton in double reach the same rules as
-        # leggauss's nodes did, bit for bit, at every n up to 160; the end
-        # weights of n = 168 and 193 move, nearer mpmath's values
+        # Tricomi's estimate and Newton in double reach the nodes of
+        # leggauss's rules, bit for bit, at every n up to 160; the weights,
+        # taken from u = 1 - x, move at the sizes named (with an 80-bit
+        # longdouble; where it is double, the moves differ)
+        extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
         for n in range(1, 161):
             x, w = _gauss_legendre(n)
             expect_x, expect_w = leggauss_rule(n)
-            assert np.array_equal(x, expect_x) and np.array_equal(w, expect_w), n
+            assert np.array_equal(x, expect_x), n
+            if extended:
+                assert np.array_equal(w, expect_w) == (n not in WEIGHTS_MOVED), n
+
+    def test_weights_within_one_ulp_of_an_angle_reference(self):
+        # up to n = 200, end weights included, where a longdouble node and
+        # Bonnet's recursion at it put them up to 3.3 ulps off from n = 123
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("longdouble is double here: the reference is unavailable")
+        for n in range(1, 201):
+            x, w = _gauss_legendre(n)
+            ref = angle_weights(n, x[n // 2:])
+            assert np.all(np.abs(w[n // 2:] - ref) <= np.spacing(w[n // 2:])), n
 
     def test_odd_rules_hold_zero_exactly(self):
         for n in (1, 3, 17, 49):
