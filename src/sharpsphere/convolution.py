@@ -18,11 +18,12 @@ every n_c. Only unsquared sharp rearrangements take node values, at each
 slice's nodes p_j and their partners (n_c nodes, or at odd n_c the uniform
 2 n_c: see _half_turn), formed one chunk of slices at a time (_CHUNK_BYTES)
 as pair_profile pairs them. Literal callables, plain-callable kernels
-included, have no place on the column; pair_slice_average takes them at
-slice_point_table's nodes. Pointwise values of f sigma * g sigma come two
-ways: convolve_many reads f and g at those nodes through one SlicePlan,
-and pair_slice_average of the kernel f tensor g is the literal route it
-is checked against, each in batches of centres sized by bytes. For many
+included, have no place on the column (a SlicePlan refuses them).
+Pointwise values of f sigma * g sigma come one way: pair_slice_average,
+the literal slice sum of a pair kernel (PairKernel, or a plain callable)
+at slice_point_table's nodes, in batches of centres sized by bytes, which
+the column routes are checked against; convolve_many is that sum for f
+tensor g. For many
 band-limited f, each on centres of its own, _star_and_sharp takes f's rows
 to each slice's frame (harmonics._framed) and reads f, f_star and f# there.
 """
@@ -34,11 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import (HarmonicCoeffs, SphereFunction, _framed, _legendre_factor,
-                        _slot_orders, _turn, harmonic_values, parity_signs)
+                        _legendre_orders, _slot_orders, _turn, parity_signs)
 from .quadrature import (BallGrid, SphereGrid, _is_product_grid, _norm3, _real, _require_int,
                          circle_frames)
 
 __all__ = [
+    "PairKernel",
     "SliceColumn",
     "SlicePlan",
     "SplitValues",
@@ -251,8 +253,8 @@ class SplitValues(NamedTuple):
 
 
 class SlicePlan:
-    """How to evaluate several functions on slices from one basis table, at
-    points (at) or, for a SliceColumn, as slice-angle modes (values).
+    """How to read several functions on a SliceColumn's slices from shared
+    coefficient rows (SliceColumn.sampler).
 
     requests holds (func, negate) pairs, each asking for func at the nodes p,
     or at -p when negate. A coefficient-backed function becomes its real and
@@ -260,8 +262,8 @@ class SlicePlan:
     rearrangement of one becomes its source's rows for +p and -p, combined as
     sqrt((re+^2 + im+^2 + re-^2 + im-^2) / 2), which is antipodally symmetric
     and stays real. These are the functions the plan backs with coefficient
-    rows (_backed). Any other callable is a literal call, evaluated at points
-    only (at).
+    rows (_backed); any other callable, a literal call, raises ValueError
+    here: pair_slice_average evaluates it.
 
     Row identity is decided here, once: each real row is stored in canonical
     sign, the sign that makes its first nonzero entry positive (a zero row
@@ -271,17 +273,18 @@ class SlicePlan:
     content alone (SliceColumn.recall). Since f_star = conj(f(-.)) has the
     real row of f(-p) and the negated imaginary one, f, f_star and both at
     -p cost the rows of f at +p and -p; a row of pure parity is its own
-    parity flip up to sign, so it is one row at +-p. Requests whose rows (or,
-    for literal calls, object and sign) agree share one entry.
+    parity flip up to sign, so it is one row at +-p. Requests whose rows
+    agree share one entry.
 
     rows stacks the distinct real rows, padded to (degree + 1)^2 columns of
     the flat layout; degree is the band limit of the basis table they need.
-    Without coefficient-backed requests rows is None and degree is 0. keys
-    names the parts its values read, row indices and sharp entries; a held
-    product of any other part is one its values cannot read.
+    Without requests rows is None and degree is 0.
     """
 
     def __init__(self, requests):
+        if not all(_backed(func) for func, _ in requests):
+            raise ValueError("a literal call has no coefficient rows on slices; "
+                             "pair_slice_average evaluates it")
         sources = [_sources(func) for func, _ in requests]
         width = max((len(c.coeffs) for pair in sources for c in pair if c is not None),
                     default=0)
@@ -312,41 +315,15 @@ class SlicePlan:
             return splits[key]
 
         self._entries, self._index, seen = [], [], {}
-        for (func, negate), (c, src) in zip(requests, sources):
-            if c is not None:
-                entry = ("field",) + split(c, negate)
-            elif src is not None:
-                entry = ("sharp",) + split(src, False) + split(src, True)
-            else:
-                entry = ("call", func, negate)
-            key = ("call", id(func), negate) if entry[0] == "call" else entry
-            if key not in seen:
-                seen[key] = len(self._entries)
+        for (_, negate), (c, src) in zip(requests, sources):
+            entry = (("field",) + split(c, negate) if c is not None
+                     else ("sharp",) + split(src, False) + split(src, True))
+            if entry not in seen:
+                seen[entry] = len(self._entries)
                 self._entries.append(entry)
-            self._index.append(seen[key])
+            self._index.append(seen[entry])
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
-        self.keys = frozenset([i for e in self._entries if e[0] == "field"
-                               for i, _ in filter(None, e[1:])]
-                              + [e for e in self._entries if e[0] == "sharp"])
-
-    def _split(self, fields, products=None, expansion=None) -> list:
-        # per entry, its SplitValues on the fields (see values); None for a
-        # literal call
-        out = []
-        for kind, *args in self._entries:
-            if kind == "field":
-                (i, si), im = args
-                j, sj = im or (None, 1.0)
-                out.append(SplitValues(fields[i], None if j is None else fields[j], si, sj,
-                                       (i, j), products, expansion))
-            elif kind == "sharp":
-                rows = tuple(fields[r[0]] for r in args if r is not None)
-                out.append(SplitValues(_sharp(rows, expansion),
-                                       keys=((kind, *args), None), products=products))
-            else:
-                out.append(None)
-        return out
 
     def values(self, fields, products=None, expansion=None) -> list:
         """Per request, its values on a set of slices, as SplitValues.
@@ -358,38 +335,25 @@ class SlicePlan:
         signs, in their domain; a sharp rearrangement is the formula
         sqrt((the sum of its source rows' squares) / 2), formed at the nodes
         per use, one chunk of slices at a time (SplitValues.chunk). Requests
-        that share an entry get the same object. A literal call has no
-        values here and raises ValueError: only at evaluates it.
+        that share an entry get the same object.
 
         products is the one store (SplitValues.products) of the values' real
         products, or None; every value carries it (a SliceColumn's is
         described at SliceColumn.recall), a coefficient-backed part keyed by
         its row index, a sharp one by its entry, its source rows and signs.
         """
-        out = self._split(fields, products, expansion)
-        if any(v is None for v in out):
-            raise ValueError("a literal call has no values on slices; SlicePlan.at evaluates it")
-        return [out[i] for i in self._index]
-
-    def at(self, points: np.ndarray) -> list:
-        """Per request, its values as dense arrays at points of any shape (last
-        axis 3), with the coefficient rows synthesized from one harmonic table
-        and literal calls called at points. Non-finite values raise ValueError."""
-        fields = None
-        if self.rows is not None:
-            table = harmonic_values(self.degree, points.reshape(-1, 3))
-            fields = (self.rows @ table).reshape((-1,) + points.shape[:-1])
-        dense, flat = [], points.reshape(-1, 3)
-        for v, entry in zip(self._split(fields), self._entries):
-            if v is None:
-                _, func, negate = entry
-                v = np.asarray(func(-flat if negate else flat)).reshape(points.shape[:-1])
+        out = []
+        for kind, *args in self._entries:
+            if kind == "field":
+                (i, si), im = args
+                j, sj = im or (None, 1.0)
+                out.append(SplitValues(fields[i], None if j is None else fields[j], si, sj,
+                                       (i, j), products, expansion))
             else:
-                v = v.dense()
-            if not np.all(np.isfinite(v)):
-                raise ValueError("function produced non-finite values at the nodes")
-            dense.append(v)
-        return [dense[i] for i in self._index]
+                rows = tuple(fields[r[0]] for r in args if r is not None)
+                out.append(SplitValues(_sharp(rows, expansion),
+                                       keys=((kind, *args), None), products=products))
+        return [out[i] for i in self._index]
 
 
 def _ring_blocks(L: int, rings: np.ndarray) -> list:
@@ -427,7 +391,7 @@ class SliceColumn:
     1, cos psi, sin psi, ..., cos L psi, sin L psi. The column holds these
     two factors, no table of every centre's modes: rotations, per degree
     every ring's block (_ring_blocks, on harmonics' frame route), and
-    legendre, the Pbar factors per radius and order (_legendre_factor);
+    legendre, the Pbar factors per radius and order (_legendre_orders);
     synthesize forms fields from them. Nothing here depends on n_c:
     pair_profile pairs modes exactly (_mode_weights), and the slice nodes
     enter only through expansion, the (2L+1, N) matrix to each slice's N
@@ -446,7 +410,7 @@ class SliceColumn:
     slice angle negated. So the ball routes read rows [0, n_t) only, at p
     and at -p, the latter as the parity-flipped coefficient row (SlicePlan);
     the column turns rows to those azimuths alone. The column keeps no point
-    and no literal call (SlicePlan.values refuses one).
+    and no literal call (a SlicePlan refuses one).
 
     The column's one memo, of its last call's rows and their products, is
     described at recall; the forms route reads it through sampler.
@@ -465,8 +429,8 @@ class SliceColumn:
         self.n_c, self.n_t, self.L = n_c, n_t, L
         self.expansion = _expansion(L, n_c)
         # all fields' Legendre factor, at t = r/2
-        legendre = _legendre_factor(L, 0.5 * ball.radial_nodes.astype(np.longdouble))
-        self.legendre = [legendre[_slot_orders(L) == m].T for m in range(L + 1)]
+        self.legendre = [rows.T for rows in
+                         _legendre_orders(L, 0.5 * ball.radial_nodes.astype(np.longdouble))]
         # synthesize's buffer rows, order-major: order m's degrees m..L, each
         # with its modes, 0 or 2m-1 and 2m; per degree k, the rows of its
         # modes 0..2k in mode order
@@ -569,20 +533,16 @@ class SliceColumn:
         this column's expansion; a part at -p is the field of its
         parity-flipped row on the same azimuth rows. Sharp values are formed
         at the slice nodes per use, from those fields. The column must reach
-        plan.degree (recall), and plan must hold no literal call (_backed):
-        either raises ValueError.
+        plan.degree (recall), else ValueError.
 
         Every value carries the memo's product store, keyed by index into
-        plan.rows or, for sharp values, by plan entry (SlicePlan.values).
-        The sampler keeps there only the products of parts its plan's values
-        read (plan.keys). Values whose fields recall later replaces write
-        into that store, detached from the memo with its fields.
+        plan.rows or, for sharp values, by plan entry (SlicePlan.values), so
+        the store lives and dies with the fields. Values whose fields recall
+        later replaces write into that store, detached from the memo with
+        its fields.
         """
-        fields, store = self.recall(plan.rows), self._memo[2]
-        if len(fields):
-            for key in [k for k in store if not plan.keys.issuperset(k)]:
-                del store[key]
-        return plan.values(fields, store, self.expansion)
+        fields = self.recall(plan.rows)
+        return plan.values(fields, self._memo[2], self.expansion)
 
 
 def _half_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -677,6 +637,60 @@ def pair_profile(va, vb, radii: np.ndarray, squared: bool = False) -> np.ndarray
     return (s if modes else (2.0 * np.pi / width) * s) / radii
 
 
+class PairKernel:
+    """A pair kernel of the paper's proof, f(omega) g(nu) |omega + nu|^w or,
+    squared, |f(omega) g(nu)|^2 |omega + nu|^w: f tensor g for Q, F = f
+    tensor f |omega + nu|, |F|^2 and 1, on f or on f#.
+
+    factors are two functions f and g, or () for 1; w is sum_weight_power.
+    A call evaluates the structure, which pair_slice_average sums on the
+    slices; the ball route of forms.bilinear_b pairs the factors instead.
+    Any other kernel is a plain callable F(omega, nu). factors other than a
+    tuple of none or two functions, a sum_weight_power that is not a finite
+    real number (a bool neither), or a squared that is not a bool, raise
+    ValueError.
+    """
+
+    def __init__(self, factors=(), *, sum_weight_power: float = 0, squared: bool = False):
+        if not (isinstance(factors, tuple) and len(factors) in (0, 2)
+                and all(callable(f) for f in factors)):
+            raise ValueError(f"factors must be () or two functions, got {factors!r}")
+        w = sum_weight_power
+        if (not isinstance(w, (int, float, np.integer, np.floating)) or isinstance(w, bool)
+                or not np.isfinite(w)):
+            raise ValueError(f"sum_weight_power must be a finite real number, got {w!r}")
+        if not isinstance(squared, bool):
+            raise ValueError(f"squared must be a bool, got {squared!r}")
+        self.factors = factors
+        self.sum_weight_power = sum_weight_power
+        self.squared = squared
+
+    def __call__(self, omega, nu):
+        vals = (self.factors[0](omega) * self.factors[1](nu) if self.factors
+                else np.ones(np.shape(omega)[:-1]))
+        if self.squared:
+            vals = np.abs(vals) ** 2
+        if self.sum_weight_power:
+            vals = vals * np.linalg.norm(omega + nu, axis=-1) ** self.sum_weight_power
+        return vals
+
+    @classmethod
+    def tensor(cls, f, g) -> "PairKernel":
+        """f tensor g: (omega, nu) -> f(omega) g(nu), with no pair-sum weight."""
+        return cls((f, g))
+
+    @classmethod
+    def one(cls) -> "PairKernel":
+        return cls()
+
+    def abs_squared(self):
+        """|F|^2: a squared PairKernel, or, of a squared one, a plain callable."""
+        if self.squared:
+            return lambda omega, nu: np.abs(self(omega, nu)) ** 2
+        return PairKernel(self.factors, sum_weight_power=2 * self.sum_weight_power,
+                          squared=True)
+
+
 def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
     """(1/|x|) * integral of F(omega(phi), x - omega(phi)) dphi for each row x of X.
 
@@ -714,39 +728,29 @@ def pair_slice_average(F, X: np.ndarray, n_c: int) -> np.ndarray:
 
 
 def convolve_many(f, g, X: np.ndarray, n_c: int) -> np.ndarray:
-    """(f sigma * g sigma)(x) for every row x of X, all finite; zero where |x| > 2.
+    """(f sigma * g sigma)(x) for every row x of X, as complex values, all
+    finite; exactly zero where |x| > 2.
 
-    The slice nodes hold each node's partner x - p_j (see _half_turn), so
-    g is read off the same nodes as f, both through one SlicePlan, and the
-    two meet in pair_profile. Centres are taken in batches whose harmonic
-    table and points, 8 N ((degree+1)^2 + 3) bytes a centre for N slice
-    nodes, stay within 64 _CHUNK_BYTES. A centre at 0, or one whose norm
-    underflows to 0, raises DegenerateSliceError, and non-finite centres
-    ValueError.
+    The literal slice sum, pair_slice_average of f tensor g, at the centres
+    with |x| <= 2. A centre at 0, or one whose norm underflows to 0, raises
+    DegenerateSliceError, and non-finite centres or values ValueError.
     """
     X = np.atleast_2d(_finite(X, "convolution centres"))
     out = np.zeros(len(X), dtype=complex)
-    idx = np.flatnonzero(np.linalg.norm(X, axis=-1) <= 2.0)
-    plan = SlicePlan([(f, False), (g, False)])
-    nodes = 2 * _half_turn(n_c).size
-    step = max(1, 64 * _CHUNK_BYTES // (8 * nodes * ((plan.degree + 1) ** 2 + 3)))
-    for i0 in range(0, len(idx), step):
-        sel = idx[i0:i0 + step]
-        pts, rr = slice_point_table(X[sel], n_c)
-        a, b = plan.at(pts)
-        out[sel] = pair_profile(a, b, rr)
+    inside = np.linalg.norm(X, axis=-1) <= 2.0
+    out[inside] = pair_slice_average(PairKernel.tensor(f, g), X[inside], n_c)
     return out
 
 
 def _star_and_sharp(coeffs: np.ndarray, X: np.ndarray, n_c: int):
     """f, f_star and f_sharp, as SplitValues at n_c's N slice nodes (last
     axis), about each f's own C centres, X (S, C, 3), for one band-limited
-    f a row of coeffs (S, (L+1)^2); and the centres' norms. The values are
-    those SlicePlan.at gives. In x's slice frame (harmonics._framed) the
-    slice is the circle t = |x|/2, where Y_{k,m} is Pbar_k^|m|(t) times 1,
-    sqrt(2) cos(m psi) or sqrt(2) sin(|m| psi): f's framed real and
-    imaginary rows, times that factor, sum to the slice-angle modes 0,
-    2m-1 (m > 0) or 2|m| (m < 0) of f(p), and with parity_signs of f(-p).
+    f a row of coeffs (S, (L+1)^2); and the centres' norms. In x's slice
+    frame (harmonics._framed) the slice is the circle t = |x|/2, where
+    Y_{k,m} is Pbar_k^|m|(t) times 1, sqrt(2) cos(m psi) or sqrt(2)
+    sin(|m| psi): f's framed real and imaginary rows, times that factor,
+    sum to the slice-angle modes 0, 2m-1 (m > 0) or 2|m| (m < 0) of f(p),
+    and with parity_signs of f(-p).
     """
     S, C = X.shape[:2]
     L = math.isqrt(coeffs.shape[-1]) - 1

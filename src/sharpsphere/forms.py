@@ -7,7 +7,9 @@ that ball. The quadrilinear form Q and bilinear form B are evaluated by that
 factorization; an independent outer route, a double sphere integral,
 cross-checks it, since the factorized route is the one every headline number
 depends on. The Plancherel norms are Q too: ||f sigma * g sigma||_2^2 is
-Q(f, g, f_star, g_star) (FormGrids.conv_l2_norm, FormGrids.l4_norm).
+Q(f, g, f_star, g_star) (FormGrids.conv_l2_norm, FormGrids.l4_norm). The
+kernels both routes read are PairKernels, defined in convolution next to
+pair_slice_average and re-exported here, or plain callables.
 
 H(g), the chord-kernel quadratic functional, gets the same dual treatment:
 a direct double quadrature (h_direct_many) versus the diagonal form
@@ -17,11 +19,13 @@ node, with t = 1 - 2u^2, where the chord is 2u (see _polar_ring): exact for
 band-limited input, and free of Lambda_k.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import (SliceColumn, SlicePlan, _backed, _chunks, pair_profile,
+from .convolution import (PairKernel, SliceColumn, SlicePlan, _backed, _chunks, pair_profile,
                           pair_slice_average)
 from .harmonics import HarmonicCoeffs, SphereFunction, _turn, harmonic_values
 from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _is_product_grid, _norm3, _real,
@@ -29,7 +33,6 @@ from .quadrature import (BallGrid, SphereGrid, _gauss_legendre, _is_product_grid
 
 __all__ = [
     "GammaSample",
-    "PairKernel",
     "FormGrids",
     "weighted_pair_kernel",
     "default_form_grids",
@@ -133,59 +136,6 @@ def four_identity_many(omegas: np.ndarray) -> np.ndarray:
     def pn(i, j):
         return _norm3(om[:, i] + om[:, j])
     return pn(0, 1) * pn(2, 3) + pn(0, 2) * pn(1, 3) + pn(0, 3) * pn(1, 2)
-
-
-class PairKernel:
-    """A pair kernel of the paper's proof, f(omega) g(nu) |omega + nu|^w or,
-    squared, |f(omega) g(nu)|^2 |omega + nu|^w: f tensor g for Q, F = f
-    tensor f |omega + nu|, |F|^2 and 1, on f or on f#.
-
-    factors are two functions f and g, or () for 1; w is sum_weight_power.
-    A call evaluates the structure, and the ball route pairs it (see
-    bilinear_b). Any other kernel is a plain callable F(omega, nu). factors
-    other than a tuple of none or two functions, a sum_weight_power that is
-    not a finite real number (a bool neither), or a squared that is not a
-    bool, raise ValueError.
-    """
-
-    def __init__(self, factors=(), *, sum_weight_power: float = 0, squared: bool = False):
-        if not (isinstance(factors, tuple) and len(factors) in (0, 2)
-                and all(callable(f) for f in factors)):
-            raise ValueError(f"factors must be () or two functions, got {factors!r}")
-        w = sum_weight_power
-        if (not isinstance(w, (int, float, np.integer, np.floating)) or isinstance(w, bool)
-                or not np.isfinite(w)):
-            raise ValueError(f"sum_weight_power must be a finite real number, got {w!r}")
-        if not isinstance(squared, bool):
-            raise ValueError(f"squared must be a bool, got {squared!r}")
-        self.factors = factors
-        self.sum_weight_power = sum_weight_power
-        self.squared = squared
-
-    def __call__(self, omega, nu):
-        vals = (self.factors[0](omega) * self.factors[1](nu) if self.factors
-                else np.ones(np.shape(omega)[:-1]))
-        if self.squared:
-            vals = np.abs(vals) ** 2
-        if self.sum_weight_power:
-            vals = vals * np.linalg.norm(omega + nu, axis=-1) ** self.sum_weight_power
-        return vals
-
-    @classmethod
-    def tensor(cls, f, g) -> "PairKernel":
-        """f tensor g: (omega, nu) -> f(omega) g(nu), with no pair-sum weight."""
-        return cls((f, g))
-
-    @classmethod
-    def one(cls) -> "PairKernel":
-        return cls()
-
-    def abs_squared(self):
-        """|F|^2: a squared PairKernel, or, of a squared one, a plain callable."""
-        if self.squared:
-            return lambda omega, nu: np.abs(self(omega, nu)) ** 2
-        return PairKernel(self.factors, sum_weight_power=2 * self.sum_weight_power,
-                          squared=True)
 
 
 def weighted_pair_kernel(f: SphereFunction) -> PairKernel:
@@ -413,9 +363,9 @@ def h_direct_many(gs, grid: SphereGrid):
     tabulated about the n_t nodes of azimuth 0 alone, and each g reaches
     the other azimuths turned (_turn), its coefficients mixed order by
     order: the same sums regrouped, free of Lambda_k. Otherwise, a literal
-    callable among gs or another grid, every g is evaluated at every ring
-    node (SlicePlan.at), where non-finite values raise ValueError. No
-    functions give an empty array.
+    callable among gs or another grid, each g is called at every ring node,
+    where non-finite values raise ValueError. No functions give an empty
+    array.
     """
     if not len(gs):
         return np.zeros(0)
@@ -437,11 +387,13 @@ def h_direct_many(gs, grid: SphereGrid):
         def values(p):
             return harmonic_values(L, p)
     else:
-        plan = SlicePlan([(g, False) for g in gs])
         nodes = grid.nodes
 
         def values(p):
-            return np.stack(plan.at(p))
+            v = np.stack([np.asarray(g(p)).reshape(p.shape[:-1]) for g in gs])
+            if not np.all(np.isfinite(v)):
+                raise ValueError("function produced non-finite values at the nodes")
+            return v
     u, w_u, blocks = _polar_ring(nodes, n_t, n_t)
     ring_w = 8.0 * u * u * w_u * (2.0 * np.pi / n_t)
     outer = values(nodes)

@@ -21,6 +21,8 @@ harmonic at every node; harmonic_values gives such a table at any points,
 the dense route the transform is tested against.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,10 +67,11 @@ def parity_signs(L: int) -> np.ndarray:
     return signs
 
 
-def _assoc_legendre_rows(L: int, t: np.ndarray, s: np.ndarray, out: np.ndarray):
+def _assoc_legendre_rows(L: int, t: np.ndarray, s: np.ndarray, out):
     """Fully normalized associated Legendre values Pbar_k^m(t) for m >= 0.
 
-    Written into the m >= 0 slots of the flat-layout table out (row k*k+k+m);
+    Written into the m >= 0 slots of the flat-layout table out (row k*k+k+m),
+    or of any sequence whose item k*k+k+m is a writable row for each m >= 0;
     the azimuth factors are applied by the caller in a second pass.
 
     t = cos(theta), s = sin(theta) passed separately: callers obtain s from
@@ -78,14 +81,14 @@ def _assoc_legendre_rows(L: int, t: np.ndarray, s: np.ndarray, out: np.ndarray):
     are orthonormal in L2(sigma). Recursion is along increasing k at fixed m,
     seeded by the diagonal march; all multipliers are O(1), so the scheme is
     stable for the moderate degrees used here. The multipliers are rounded
-    to out's dtype, so np.longdouble arrays get longdouble values; for
-    float64 they are Python floats, the faster scalars.
+    to t's dtype, so np.longdouble t gets longdouble values; for float64
+    they are Python floats, the faster scalars.
     """
-    one = 1.0 if out.dtype == np.float64 else out.dtype.type(1)
+    one = 1.0 if t.dtype == np.float64 else t.dtype.type(1)
     scratch = np.empty_like(t)
     pmm = np.full_like(t, one / np.sqrt(4 * np.arccos(-one)))
     for m in range(L + 1):
-        out[m * m + 2 * m] = pmm
+        out[m * m + 2 * m][...] = pmm
         if m == L:
             break
         row = out[(m + 1) * (m + 2) + m]
@@ -153,16 +156,27 @@ def _slot_orders(L: int) -> np.ndarray:
     return order
 
 
+def _legendre_orders(L: int, t: np.ndarray) -> list:
+    """Per order m <= L, Pbar_k^m(t) for k = m..L at each t of a 1-D array,
+    times sqrt(2) for m > 0: (L+1-m, t.size) row blocks of one array, taken
+    in t's dtype and rounded to double once. Only these m >= 0 rows are
+    built, order-major, about half a flat table's."""
+    start = np.cumsum([0] + [L + 1 - m for m in range(L + 1)])
+    values = np.empty((start[-1], t.size), dtype=t.dtype)
+    rows = [values[start[m] + k - m] if m >= 0 else None
+            for k, m in zip(_degree_index(L), _slot_orders(L))]
+    _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), rows)
+    values[start[1]:] *= np.sqrt(t.dtype.type(2))
+    values = values.astype(float, copy=False)
+    return [values[a:b] for a, b in zip(start[:-1], start[1:])]
+
+
 def _legendre_factor(L: int, t: np.ndarray) -> np.ndarray:
     """Per flat slot (k, m), Pbar_k^|m|(t) at each t of a 1-D array, times
-    sqrt(2) for m != 0: ((L+1)^2, t.size), taken in t's dtype and rounded
-    to double once."""
-    values = np.empty(((L + 1) ** 2, t.size), dtype=t.dtype)
-    _assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
-    order = _slot_orders(L)
-    values = values[np.arange(order.size) - order + np.abs(order)]   # slot (k, |m|)'s
-    values[order != 0] *= np.sqrt(t.dtype.type(2))
-    return values.astype(float, copy=False)
+    sqrt(2) for m != 0: ((L+1)^2, t.size), the row of (k, |m|) in
+    _legendre_orders."""
+    deg, m = _degree_index(L), np.abs(_slot_orders(L))
+    return np.concatenate(_legendre_orders(L, t))[m * (2 * L + 3 - m) // 2 + deg - m]
 
 
 def _turn(coeffs: np.ndarray, angles) -> np.ndarray:
@@ -269,7 +283,7 @@ def _ring_factors(L: int, n_t: int) -> tuple:
     takes 2 (L+1)^2 n_t^2:
 
     legendre (L+1 orders |m|, L+1 degrees k, n_t rings), Pbar_k^|m|(t_j)
-    times sqrt(2) for m > 0 (_legendre_factor at the rule's nodes in
+    times sqrt(2) for m > 0 (_legendre_orders at the rule's nodes in
     np.longdouble), 0 for k < |m|;
     azimuth (2 (L+1), 2 n_t), rows cos(m phi_a) and sin(m phi_a) per order
     m (m = 0's sin row is 0), phi_a = (2a + 1) pi / (2 n_t) with the angle
@@ -278,10 +292,12 @@ def _ring_factors(L: int, n_t: int) -> tuple:
     slots, per flat slot its (|m|, sin row?, k) in those factors.
     """
     t, w_t = _gauss_legendre(n_t)
-    flat = _legendre_factor(L, t.astype(np.longdouble))
-    deg, order = _degree_index(L), _slot_orders(L)
+    orders = _legendre_orders(L, t.astype(np.longdouble))
     legendre = np.zeros((L + 1, L + 1, n_t))
-    legendre[order[order >= 0], deg[order >= 0]] = flat[order >= 0]
+    for m, rows in enumerate(orders):
+        legendre[m, m:] = rows
+    del orders   # before the azimuth factor's temporaries
+    deg, order = _degree_index(L), _slot_orders(L)
     # m phi_a in steps of pi / (2 n_t), reduced mod 2 pi
     steps = np.outer(np.arange(L + 1), 2 * np.arange(2 * n_t) + 1) % (4 * n_t)
     angle = steps * (np.arccos(np.longdouble(-1)) / (2 * n_t))

@@ -15,6 +15,8 @@ Optimization is restricted to real coefficients. The complex symmetry group
 ascent would wander along that manifold instead of settling.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from functools import lru_cache
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from sharpsphere import (SphereFunction, SplitValues, build_sphere_grid, forms, harmonic_values,
-                         random_band_limited)
+                         harmonics, random_band_limited)
 from sharpsphere.quadrature import _norm3, _require_int, circle_frames
 
 
@@ -63,6 +63,29 @@ def node_values(v: SplitValues) -> SplitValues:
     lead = v.re.shape[:-1]
     re, *im = (part.reshape(lead + (-1,)) for part in v.chunk(0, math.prod(lead)))
     return SplitValues(re, im[0] if im else None, v.re_sign, v.im_sign)
+
+
+def plan_at(plan, points: np.ndarray) -> list:
+    """Per request of a SlicePlan, its values as dense arrays at points of
+    any shape (last axis 3): the plan's rows synthesized from one harmonic
+    table at the points, read with their signs as SlicePlan.values reads
+    them. The dense oracle of a plan's row identity."""
+    table = harmonic_values(plan.degree, points.reshape(-1, 3))
+    fields = (plan.rows @ table).reshape((-1,) + points.shape[:-1])
+    return [v.dense() for v in plan.values(fields)]
+
+
+def legendre_factor_reference(L: int, t: np.ndarray) -> np.ndarray:
+    """harmonics._legendre_factor as it was built on the full flat table:
+    Pbar_k^|m|(t) per flat slot (k, m), times sqrt(2) for m != 0, from
+    every row of _assoc_legendre_rows' ((L+1)^2, t.size) table in t's dtype,
+    indexed to slot (k, |m|) and rounded to double once."""
+    values = np.empty(((L + 1) ** 2, t.size), dtype=t.dtype)
+    harmonics._assoc_legendre_rows(L, t, np.sqrt((1 - t) * (1 + t)), values)
+    order = harmonics._slot_orders(L)
+    values = values[np.arange(order.size) - order + np.abs(order)]
+    values[order != 0] *= np.sqrt(t.dtype.type(2))
+    return values.astype(float, copy=False)
 
 
 def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:

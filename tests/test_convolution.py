@@ -33,8 +33,8 @@ from sharpsphere import convolution, harmonics
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
-from helpers import (ball_points, ball_rows, node_values, projected_ring_blocks, rand_fn,
-                     unit_vectors)
+from helpers import (ball_points, ball_rows, legendre_factor_reference, node_values, plan_at,
+                     projected_ring_blocks, rand_fn, unit_vectors)
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -185,6 +185,8 @@ def _pair(case):
         return SphereFunction.plane_wave((0.4, -0.1, 0.6)), f
     if case == "mixed-degrees":
         return rand_fn(2, 10), f
+    if case == "constant":
+        return ONE, ONE
     return f, f
 
 
@@ -216,19 +218,19 @@ class TestConvolveMany:
         tensor = pair_slice_average(PairKernel.tensor(f, g), xs, 35)
         assert np.all(np.abs(convolve_many(f, g, xs, 35) - tensor) <= 1e-14 * np.abs(tensor))
 
-    def test_odd_count_never_calls_pair_slice_average(self, monkeypatch):
-        # the partners x - p_j are nodes of the table route at odd n_c too
-        calls, average = [], convolution.pair_slice_average
-
-        def spy(*args):
-            calls.append(args)
-            return average(*args)
-
-        monkeypatch.setattr(convolution, "pair_slice_average", spy)
-        f, g = _pair("complex")
-        xs = ball_points(np.random.default_rng(12), 30)
-        assert np.all(np.isfinite(convolve_many(f, g, xs, 35)))
-        assert calls == []
+    @pytest.mark.parametrize("n_c", [16, 17, 34, 35])
+    @pytest.mark.parametrize(
+        "case", ["complex", "sharp", "plane-wave", "constant", "mixed-degrees"])
+    def test_is_the_literal_slice_sum(self, case, n_c):
+        # convolve_many is pair_slice_average of f tensor g, bit for bit,
+        # as complex values, with centres beyond |x| = 2 exactly 0
+        f, g = _pair(case)
+        xs = np.concatenate([ball_points(np.random.default_rng(13), 20),
+                             [[0.0, 0.0, 2.5], [1.5, -1.5, 0.0]]])
+        vals = convolve_many(f, g, xs, n_c)
+        assert vals.dtype == complex
+        assert np.array_equal(vals[:20], pair_slice_average(PairKernel.tensor(f, g), xs[:20], n_c))
+        assert np.all(vals[20:] == 0.0)
 
     @pytest.mark.parametrize("n_c", [16, 17])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -246,8 +248,9 @@ class TestConvolveMany:
 
     def test_batches_bound_the_harmonic_table(self):
         # 4096 centres at L=8 on 34 nodes: one 2048-centre table would take
-        # 45 MB; batches sized from the table's bytes keep the peak near 64
-        # _CHUNK_BYTES (16 MiB), and each centre's value is its own
+        # 45 MB; pair_slice_average's batches, sized from the factors' table
+        # bytes, keep the peak within 96 _CHUNK_BYTES (24 MiB), and each
+        # centre's value is its own
         f = rand_fn(8, 15, complex_valued=True)
         xs = ball_points(np.random.default_rng(16), 4096)
         tracemalloc.start()
@@ -569,11 +572,12 @@ class TestSliceColumn:
         modes, nodes = (n_t, column.radii.size, 2 * column.L + 1), (n_t, column.radii.size, column.n_c)
         assert a.re.shape == a.im.shape == modes and c.re.shape == nodes and c.im is None
 
-    def test_sampler_refuses_a_literal_call(self, column):
-        # literal callables take pair_slice_average at the ball nodes
+    def test_a_plan_refuses_a_literal_call(self):
+        # literal callables take pair_slice_average at the ball nodes; a
+        # plan, which only a column's sampler reads, refuses one when built
         wave = SphereFunction.plane_wave((0.1, 0.2, 0.3))
         with pytest.raises(ValueError, match="literal call"):
-            column.sampler(SlicePlan([(rand_fn(3, 64), False), (wave, True)]))
+            SlicePlan([(rand_fn(3, 64), False), (wave, True)])
 
     def test_a_sampler_whose_fields_were_replaced_keeps_its_own_store(self, column):
         # the memo's store is keyed by row index: another call's rows reuse
@@ -596,7 +600,7 @@ class TestSliceColumn:
         plan = SlicePlan(requests)
         assert plan.rows.shape[0] == 4
         pts = unit_vectors(np.random.default_rng(68), 50)
-        for (func, negate), v in zip(requests, plan.at(pts)):
+        for (func, negate), v in zip(requests, plan_at(plan, pts)):
             expect = func(-pts if negate else pts)
             assert np.abs(v - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -607,7 +611,7 @@ class TestSliceColumn:
         plan = SlicePlan(requests)
         assert plan.rows.shape[0] == 2
         pts = unit_vectors(np.random.default_rng(70), 50)
-        for (func, negate), v in zip(requests, plan.at(pts)):
+        for (func, negate), v in zip(requests, plan_at(plan, pts)):
             assert not np.iscomplexobj(v)
             expect = func(-pts if negate else pts)
             assert np.abs(v - expect).max() <= 1e-14 * np.abs(expect).max()
@@ -616,22 +620,22 @@ class TestSliceColumn:
     def test_split_sharp_matches_its_literal_formula(self, complex_valued):
         f = rand_fn(5, 71, complex_valued=complex_valued)
         pts = unit_vectors(np.random.default_rng(72), 200)
-        (v,) = SlicePlan([(f.sharp_rearrangement(), False)]).at(pts)
+        (v,) = plan_at(SlicePlan([(f.sharp_rearrangement(), False)]), pts)
         expect = np.sqrt(0.5 * (np.abs(f(pts)) ** 2 + np.abs(f(-pts)) ** 2))
         assert not np.iscomplexobj(v)
         assert np.abs(v - expect).max() <= 1e-15 * np.abs(expect).max()
 
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_no_slice_node_is_placed(self, n_c, monkeypatch):
-        # the build evaluates harmonics at the projection grid's 2(L+1)^2
-        # nodes and at those nodes turned by the quarter turn, once (the
-        # tilt, cached), and the Legendre factor at the n_r radii; it places
-        # no slice node, and sampling places none either, the sharp
-        # rearrangement's nodes included
+        # the build evaluates harmonics (which convolution does not call)
+        # at the projection grid's 2(L+1)^2 nodes and at those nodes turned
+        # by the quarter turn, once (the tilt, cached), and the Legendre
+        # factor at the n_r radii; it places no slice node, and sampling
+        # places none either, the sharp rearrangement's nodes included
         harmonics._tilt.cache_clear()
         placed, points, radii = [], [], []
         inner, values, legendre = (convolution.slice_point_table, harmonics.harmonic_values,
-                                   convolution._legendre_factor)
+                                   convolution._legendre_orders)
 
         def spy(X, n):
             placed.append(len(X))
@@ -646,9 +650,8 @@ class TestSliceColumn:
             return legendre(L, t)
 
         monkeypatch.setattr(convolution, "slice_point_table", spy)
-        for module in (convolution, harmonics):
-            monkeypatch.setattr(module, "harmonic_values", spy_values)
-        monkeypatch.setattr(convolution, "_legendre_factor", spy_legendre)
+        monkeypatch.setattr(harmonics, "harmonic_values", spy_values)
+        monkeypatch.setattr(convolution, "_legendre_orders", spy_legendre)
         L, n_r = 5, 5
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(6)), n_c, L)
         grid = 2 * (L + 1) ** 2
@@ -657,6 +660,19 @@ class TestSliceColumn:
         for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
             node_values(v)
         assert placed == []
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 8, 16])
+    def test_legendre_factors_keep_their_bits(self, L):
+        # per order m, the rows of slots (k, m) of the full flat table at
+        # t = r/2 in np.longdouble, transposed: (radii, L+1-m)
+        n_t, n_r, n_c = exact_sizes(L)
+        ball = build_ball_grid(n_r, build_sphere_grid(n_t))
+        flat = legendre_factor_reference(L, 0.5 * ball.radial_nodes.astype(np.longdouble))
+        order = harmonics._slot_orders(L)
+        col = SliceColumn(ball, n_c, L)
+        assert len(col.legendre) == L + 1
+        for m, rows in enumerate(col.legendre):
+            assert np.array_equal(rows, flat[order == m].T)
 
     @pytest.mark.parametrize("L", list(range(9)) + [16, 24])
     @pytest.mark.parametrize("grid", ["exact", "chain"])
@@ -913,7 +929,7 @@ class TestRowIdentity:
                             lambda L: flips.append(L) or parity_signs(L))
         plan = SlicePlan([(fsh, negate) for _ in range(4) for negate in (False, True)])
         assert flips == [4]
-        assert np.array_equal(plan.rows, one.rows) and plan.keys == one.keys
+        assert np.array_equal(plan.rows, one.rows)
         assert plan.rows.shape == (4, 25)
 
     def test_fields_are_split_once_per_function_and_sign(self, monkeypatch):
@@ -926,7 +942,7 @@ class TestRowIdentity:
                             lambda L: flips.append(L) or parity_signs(L))
         plan = SlicePlan(requests)
         assert flips == [3, 3]   # f and fs at -p
-        assert np.array_equal(plan.rows, expect.rows) and plan.keys == expect.keys
+        assert np.array_equal(plan.rows, expect.rows)
         assert plan.rows.shape == (4, 16)   # f_star's rows are f's at -p
 
 
@@ -945,8 +961,8 @@ class TestStarAndSharpInSliceFrames:
         for i, c in enumerate(cs):
             f = SphereFunction.from_coeffs(c)
             pts, radii = slice_point_table(X[i], n_c)
-            expect = SlicePlan([(f, False), (f.antipodal_conjugate(), False),
-                                (f.sharp_rearrangement(), False)]).at(pts)
+            expect = plan_at(SlicePlan([(f, False), (f.antipodal_conjugate(), False),
+                                        (f.sharp_rearrangement(), False)]), pts)
             assert np.array_equal(r[i], radii)
             for got, want in zip(dense, expect):
                 assert got[i].shape == want.shape

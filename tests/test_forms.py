@@ -40,7 +40,8 @@ from sharpsphere import (
 from sharpsphere import convolution, forms, legendre
 from sharpsphere.harmonics import parity_signs
 
-from helpers import ball_points, ball_rows, gamma_reference, node_values, rand_fn, unit_vectors
+from helpers import (ball_points, ball_rows, gamma_reference, node_values, plan_at, rand_fn,
+                     unit_vectors)
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -744,7 +745,7 @@ def unfolded_b(F, G, grids):
     pts = convolution.slice_point_table(x.reshape(-1, 3), col.n_c)[0]
     upper = [convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
              else convolution.SplitValues(v)
-             for v in plan.at(pts.reshape(x.shape[:-1] + (-1, 3)))]
+             for v in plan_at(plan, pts.reshape(x.shape[:-1] + (-1, 3)))]
     total = 0.0 + 0.0j
     for values, ball in ((col.sampler(plan), grids.ball), (upper, _UpperRows(grids.ball))):
         values = iter(values)
@@ -1191,12 +1192,15 @@ class TestFieldsMemo:
             finally:
                 tracemalloc.stop()
             # whatever synthesize allocates, the memo pins after the sharp Q
-            # exactly f#'s one product, one value per slice, and none of the
-            # products of f's rows in modes: the sharp plan reads no such row
+            # f#'s one product, one value per slice, and beside it only the
+            # 4 products complex Q formed from the same held rows, which
+            # live as long as those rows do
             col = grids.slice_column(8)
-            (key,) = col._memo[2]
+            store = col._memo[2]
+            (key,) = [key for key in store if any(isinstance(k, tuple) for k in key)]
             assert [k[0] for k in key] == ["sharp"]
-            assert [p.shape for p in held_products(col)] == [(col.n_t, col.radii.size)]
+            assert store[key].shape == (col.n_t, col.radii.size)
+            assert len(store) == (5 if warm else 1)
             return top
 
         assert peak(True) <= peak(False) + 64 * 1024
@@ -1411,14 +1415,16 @@ class TestHeldProducts:
         col = grids.slice_column(4)
         quadrilinear_q(f, fs, f, fs, grids)
         assert expanded == []
-        held = [p.shape for p in held_products(col)]
-        assert held and all(shape == (col.n_t, col.radii.size) for shape in held)
+        held = held_products(col)
+        assert held and all(p.shape == (col.n_t, col.radii.size) for p in held)
         quadrilinear_q(sharp, sharp, sharp, sharp, grids)
         # two rows, each on every slice once, chunk by chunk
         assert sum(expanded) == 2 * col.n_t * col.radii.size
-        # the sharp plan reads no row in modes: its sampler keeps none of f's
-        # products, and f#'s product goes into the same store, one value a slice
-        assert [p.shape for p in held_products(col)] == [(col.n_t, col.radii.size)]
+        # the sharp plan reads f's held rows: f's products stay with them,
+        # and f#'s one product joins the same store, one value a slice
+        after = held_products(col)
+        assert [id(p) for p in after[:len(held)]] == [id(p) for p in held]
+        assert [p.shape for p in after[len(held):]] == [(col.n_t, col.radii.size)]
         quadrilinear_q(sharp, sharp, sharp, sharp, grids)
         assert sum(expanded) == 2 * col.n_t * col.radii.size
 
@@ -1433,6 +1439,20 @@ class TestHeldProducts:
         b = bilinear_b(F, F, grids)
         assert half_pairs[0] == 1
         assert b == bilinear_b(F, F, forms.FormGrids(grids.ball, grids.n_c))
+
+    @pytest.mark.parametrize("complex_valued, most", [(False, 4), (True, 11)],
+                             ids=["real", "complex"])
+    def test_the_chain_keeps_at_most_eleven_products(self, complex_valued, most):
+        # the store keeps every product formed while f's rows are held, one
+        # synthesis for the whole chain, so it only grows across the five
+        # calls: to 4 products for real f and 11 for complex f, each one
+        # value a slice
+        grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
+        chain_values(rand_fn(4, 129, complex_valued=complex_valued), grids)
+        col = grids.slice_column(4)
+        held = held_products(col)
+        assert len(held) == most
+        assert all(p.shape == (col.n_t, col.radii.size) for p in held)
 
     def test_products_are_dropped_when_recall_replaces_the_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -1740,12 +1760,12 @@ class TestChordColumn:
 
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("L", [*range(9), 16])
-    def test_column_equals_node_path(self, monkeypatch, L, complex_valued):
+    def test_column_equals_node_path(self, L, complex_valued):
         grid = build_sphere_grid(L + 1)
         gs = [rand_fn(L, 520 + s, complex_valued) for s in range(2)]
         nodes = h_direct_many([literal(g) for g in gs], grid)
-        monkeypatch.setattr(forms, "SlicePlan", refuse)   # the column reads no function at nodes
-        column = h_direct_many(gs, grid)
+        # the column reads each g's coefficients and calls no g at nodes
+        column = h_direct_many([SphereFunction(refuse, coeffs=g.coeffs) for g in gs], grid)
         assert np.max(np.abs(column - nodes) / np.abs(nodes)) <= 1e-14
         if not complex_valued:
             assert not np.iscomplexobj(column)

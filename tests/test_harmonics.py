@@ -22,7 +22,8 @@ from sharpsphere import (
     synthesize_rings,
 )
 from sharpsphere import SphereGrid, harmonics
-from helpers import ball_points, eigenvalue_residual, unit_vectors
+from sharpsphere.quadrature import _gauss_legendre
+from helpers import ball_points, eigenvalue_residual, legendre_factor_reference, unit_vectors
 
 PI = np.pi
 UNIT_Z = np.array([[0.0, 0.0, 1.0]])
@@ -250,7 +251,7 @@ class TestRingTransform:
     def test_a_degree_64_round_trip_holds_no_table_of_every_node(self):
         # the table of every harmonic at the 8,450 nodes would take 285 MB;
         # the factors, built here in np.longdouble, and the transform peak at
-        # 8.9 MB traced
+        # 4.8 MB traced
         L, n_t = 64, 65
         c = random_band_limited(L, np.random.default_rng(560), complex_valued=True).coeffs
         harmonics._ring_factors.cache_clear()
@@ -262,6 +263,38 @@ class TestRingTransform:
             tracemalloc.stop()
         assert peak <= 16e6, peak
         assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
+
+    @pytest.mark.parametrize("L, n_t", [(0, 1), (1, 2), (2, 5), (8, 9), (8, 17), (16, 33),
+                                        (64, 65)])
+    def test_legendre_factors_keep_their_bits(self, L, n_t):
+        # the m >= 0 rows alone, built order-major, against every row of the
+        # full flat table indexed to slot (k, |m|), at the rule's nodes in
+        # np.longdouble for the ring factors and in both dtypes for the flat
+        # factor; the ring factors hold slot (k, m >= 0) at (m, k)
+        t = _gauss_legendre(n_t)[0]
+        flat = legendre_factor_reference(L, t.astype(np.longdouble))
+        deg, order = harmonics._degree_index(L), harmonics._slot_orders(L)
+        expect = np.zeros((L + 1, L + 1, n_t))
+        expect[order[order >= 0], deg[order >= 0]] = flat[order >= 0]
+        assert np.array_equal(harmonics._ring_factors(L, n_t)[0], expect)
+        for x in (t, t.astype(np.longdouble)):
+            assert np.array_equal(harmonics._legendre_factor(L, x),
+                                  legendre_factor_reference(L, x))
+
+    def test_building_the_factors_peaks_below_three_times_their_bytes(self):
+        # at (64, 65) the factors keep 2.4 MB and their build peaks at 4.1 MB
+        # traced; the full longdouble table, its fancy-index copy and a
+        # mask's temporary took 8.9 MB
+        _gauss_legendre(65)   # the rule, cached, outside the count
+        harmonics._ring_factors.cache_clear()
+        tracemalloc.start()
+        try:
+            factors = harmonics._ring_factors(64, 65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in factors[:3] + factors[3])
+        assert peak < 3 * kept, (peak, kept)
 
     def test_a_grid_without_the_product_layout_raises(self):
         # build_sphere_grid(7)'s nodes in another order: the same rule, but
