@@ -18,7 +18,9 @@ every n_c. Only unsquared sharp rearrangements take node values, at each
 slice's nodes p_j and their partners (n_c nodes, or at odd n_c the uniform
 2 n_c: see _half_turn), formed one chunk of slices at a time (_CHUNK_BYTES)
 as pair_profile pairs them. Literal callables, plain-callable kernels
-included, have no place on the column (a SlicePlan refuses them).
+included, have no place on the column (a SlicePlan refuses them). What the
+ball route reuses across calls, fields and their real products, the column
+owns; its docstring describes it.
 Pointwise values of f sigma * g sigma come one way: pair_slice_average,
 the literal slice sum of a pair kernel (PairKernel, or a plain callable)
 at slice_point_table's nodes, in batches of centres sized by bytes, which
@@ -209,15 +211,13 @@ class SplitValues(NamedTuple):
     and |.|^2 in pair_profile): real values at the slice nodes, made one
     chunk of slices at a time (chunk), never kept.
 
+    keys names each part (re's key, im's) in a product store (see
+    SliceColumn); equal keys name equal arrays (see SlicePlan.values).
+
     expansion marks the domain. None: the last axis runs over slice nodes.
     Otherwise the last axis holds the 2L+1 slice-angle modes of a
     band-limited function (see SliceColumn), and expansion is the
     (2L+1, nodes) matrix that takes them to the slice nodes (chunk, nodes).
-
-    products, when set, is a store that pair_profile keeps the real products
-    of these parts in, shared with every SplitValues that holds the same
-    store; keys then names each part in it (re's key, im's), and equal keys
-    name equal arrays (see SlicePlan.values).
     """
 
     re: np.ndarray | _Formed
@@ -225,25 +225,12 @@ class SplitValues(NamedTuple):
     re_sign: float = 1.0
     im_sign: float = 1.0
     keys: tuple = (None, None)
-    products: dict | None = None
     expansion: np.ndarray | None = None
 
     def parts(self) -> list:
         """(array, sign, unit, key) per part: unit 1.0 for re, 1j for im."""
         re = (self.re, self.re_sign, 1.0, self.keys[0])
         return [re] if self.im is None else [re, (self.im, self.im_sign, 1j, self.keys[1])]
-
-    def dense(self) -> np.ndarray:
-        """The values as one real or complex array, in their own domain;
-        formed values at the slice nodes."""
-        if isinstance(self.re, _Formed):
-            return self.re.form(0, math.prod(self.re.shape[:-1])).reshape(self.re.shape)
-        if self.im is None:
-            return self.re if self.re_sign > 0 else -self.re
-        v = np.empty(self.re.shape, dtype=complex)
-        np.multiply(self.re, self.re_sign, out=v.real)
-        np.multiply(self.im, self.im_sign, out=v.imag)
-        return v
 
     def chunk(self, s0: int, s1: int) -> list:
         """Each part's values at the slice nodes on slices s0:s1 of the
@@ -270,7 +257,7 @@ class SlicePlan:
     stays zero), with -0.0 read as 0.0, and read with the sign that gives it
     back. So rows equal up to sign are one stored row, bit for bit, whichever
     plan stores them, and a SliceColumn recognizes them across calls by
-    content alone (SliceColumn.recall). Since f_star = conj(f(-.)) has the
+    content alone (see SliceColumn). Since f_star = conj(f(-.)) has the
     real row of f(-p) and the negated imaginary one, f, f_star and both at
     -p cost the rows of f at +p and -p; a row of pure parity is its own
     parity flip up to sign, so it is one row at +-p. Requests whose rows
@@ -325,7 +312,7 @@ class SlicePlan:
         self.rows = np.array(rows) if rows else None
         self.degree = math.isqrt(width) - 1 if rows else 0
 
-    def values(self, fields, products=None, expansion=None) -> list:
+    def values(self, fields, expansion=None) -> list:
         """Per request, its values on a set of slices, as SplitValues.
 
         fields holds one array per row, in the order of rows (empty or None
@@ -335,12 +322,9 @@ class SlicePlan:
         signs, in their domain; a sharp rearrangement is the formula
         sqrt((the sum of its source rows' squares) / 2), formed at the nodes
         per use, one chunk of slices at a time (SplitValues.chunk). Requests
-        that share an entry get the same object.
-
-        products is the one store (SplitValues.products) of the values' real
-        products, or None; every value carries it (a SliceColumn's is
-        described at SliceColumn.recall), a coefficient-backed part keyed by
-        its row index, a sharp one by its entry, its source rows and signs.
+        that share an entry get the same object. A coefficient-backed part
+        is keyed by its row index, a sharp value by its entry, its source
+        rows and signs (SplitValues.keys).
         """
         out = []
         for kind, *args in self._entries:
@@ -348,11 +332,10 @@ class SlicePlan:
                 (i, si), im = args
                 j, sj = im or (None, 1.0)
                 out.append(SplitValues(fields[i], None if j is None else fields[j], si, sj,
-                                       (i, j), products, expansion))
+                                       (i, j), expansion))
             else:
                 rows = tuple(fields[r[0]] for r in args if r is not None)
-                out.append(SplitValues(_sharp(rows, expansion),
-                                       keys=((kind, *args), None), products=products))
+                out.append(SplitValues(_sharp(rows, expansion), keys=((kind, *args), None)))
         return [out[i] for i in self._index]
 
 
@@ -412,8 +395,22 @@ class SliceColumn:
     the column turns rows to those azimuths alone. The column keeps no point
     and no literal call (a SlicePlan refuses one).
 
-    The column's one memo, of its last call's rows and their products, is
-    described at recall; the forms route reads it through sampler.
+    Reuse: the column is the ball route's one reuse layer. It holds the
+    fields memo, the last recall's rows, zero-padded to (L+1)^2 columns,
+    with their fields, and beside it products, the one store of the real
+    products that pair_profile forms of values read from those fields:
+    modes, or f#'s node values, keyed by the set of the two parts' keys
+    (SplitValues.keys), each a row index into the rows or a sharp value's
+    plan entry. A recall whose padded rows equal the held ones
+    (np.array_equal; rows equal up to sign are equal here, as SlicePlan
+    stores them) gets the held fields back and keeps the store; any other
+    rows replace the fields, and the store is dropped with them, so no
+    product outlives the fields it was formed from. While the fields are
+    held the store only grows: across the paper's chain of five Q/B calls on
+    one f, to 4 products for real f and 11 for complex f, each one value a
+    slice, from one synthesis pass of f's rows at +-p. forms._b_ball reads
+    products once, right after sampler, and hands it to each of its
+    pair_profile calls; nothing else reads it.
     """
 
     def __init__(self, ball: BallGrid, n_c: int, L: int):
@@ -439,9 +436,8 @@ class SliceColumn:
         self._orders = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
         self._degrees = [[k] + [start[(d + 1) // 2] + 2 * (k - (d + 1) // 2) + (d + 1) % 2
                                for d in range(1, 2 * k + 1)] for k in range(L + 1)]
-        # the last recall's padded rows, its fields buffer and the fields'
-        # real products
-        self._memo = (None, (), {})
+        # the fields memo and the product store (see the class docstring)
+        self._rows, self._fields, self.products = None, (), {}
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """The fields of real coefficient rows, shape (n, (L+1)^2), in a new
@@ -493,20 +489,14 @@ class SliceColumn:
         modes on the slices of azimuth rows [0, n_t) (synthesize). Rows
         above the column's band limit, L' > L, raise ValueError.
 
-        This is the column's one memo. It holds the last call's rows, padded
-        to the column's (L+1)^2 columns, their fields, and the one store of
-        the real products of values read from them, modes or f#'s node
-        values, which pair_profile forms at most once while the fields are
-        held (see sampler). A call whose padded rows equal the held ones
-        (np.array_equal) gets the held buffer back; rows equal up to sign are
-        equal here, as SlicePlan stores them. Any other rows replace the
-        memo: all take one synthesize pass, and since BLAS may round a row
-        differently in a batch of another size, every field is bit for bit
-        that of a fresh column of the same band limit. The products kept
-        with the fields replaced are dropped. A call without rows gets an
-        empty buffer and leaves the memo as it is. Node values are not kept:
-        a row at the nodes takes N / (2L+1) times the memory of its modes, so
-        pair_profile forms them per chunk of slices.
+        Held rows get the held buffer back; any other rows replace the memo
+        (see the class docstring): all take one synthesize pass, and since
+        BLAS may round a row differently in a batch of another size, every
+        field is bit for bit that of a fresh column of the same band limit.
+        A call without rows gets an empty buffer and leaves the memo as it
+        is. Node values are not kept: a row at the nodes takes N / (2L+1)
+        times the memory of its modes, so pair_profile forms them per chunk
+        of slices.
         """
         if rows is None or not len(rows):
             return ()
@@ -516,12 +506,13 @@ class SliceColumn:
                              f"of band limit at least that; this one has L = {self.L}")
         padded = np.zeros((len(rows), width))
         padded[:, :rows.shape[1]] = rows
-        if np.array_equal(padded, self._memo[0]):
-            return self._memo[1]
-        self._memo = (None, (), {})   # frees the last call's buffer before this call's
+        if np.array_equal(padded, self._rows):
+            return self._fields
+        # frees the last call's buffer and products before this call's
+        self._rows, self._fields, self.products = None, (), {}
         fields = self.synthesize(padded)
         fields.flags.writeable = False
-        self._memo = (padded, fields, {})
+        self._rows, self._fields = padded, fields
         return fields
 
     def sampler(self, plan: SlicePlan) -> list:
@@ -533,16 +524,10 @@ class SliceColumn:
         this column's expansion; a part at -p is the field of its
         parity-flipped row on the same azimuth rows. Sharp values are formed
         at the slice nodes per use, from those fields. The column must reach
-        plan.degree (recall), else ValueError.
-
-        Every value carries the memo's product store, keyed by index into
-        plan.rows or, for sharp values, by plan entry (SlicePlan.values), so
-        the store lives and dies with the fields. Values whose fields recall
-        later replaces write into that store, detached from the memo with
-        its fields.
+        plan.degree (recall), else ValueError. After the call, products is
+        the store of these values' products (see the class docstring).
         """
-        fields = self.recall(plan.rows)
-        return plan.values(fields, self._memo[2], self.expansion)
+        return plan.values(self.recall(plan.rows), self.expansion)
 
 
 def _half_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -562,14 +547,14 @@ def _mode_pair(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> n
     return np.matmul(a * b, _mode_weights(a.shape[-1]), out=out)
 
 
-def pair_profile(va, vb, radii: np.ndarray, squared: bool = False) -> np.ndarray:
+def pair_profile(va: SplitValues, vb: SplitValues, radii: np.ndarray, squared: bool = False,
+                 products: dict | None = None) -> np.ndarray:
     """(f sigma * g sigma)(x) from f and g on x's slice (last axis), or,
     squared, that of |f|^2 and |g|^2.
 
     Leading axes run over centres x of norm radii. va and vb are SplitValues,
     whose signed real parts are paired: Re = sum(a_r b_r - a_i b_i), Im =
-    sum(a_r b_i + a_i b_r); the result is real when both are. A dense array
-    is the SplitValues of its real and imaginary parts, at the slice nodes.
+    sum(a_r b_i + a_i b_r); the result is real when both are.
 
     Two SplitValues in slice-angle modes pair by Parseval (_mode_weights):
     exact for band-limited factors at every n_c. Otherwise they pair by the
@@ -588,12 +573,11 @@ def pair_profile(va, vb, radii: np.ndarray, squared: bool = False) -> np.ndarray
     included; of any other values, at their slice nodes. Real |x|^2 is
     np.square(x) bit for bit.
 
-    When va and vb carry one product store (SplitValues.products), each real
+    products, when given, is a product store (see SliceColumn): each real
     product of two parts is read from it, or formed and kept there, under
-    the set of the parts' keys: a pair and its swap give the same bits.
+    the set of the parts' keys, so a pair and its swap give the same bits.
+    Squared formulas keep no products.
     """
-    va, vb = (v if isinstance(v, SplitValues)
-              else SplitValues(v.real, v.imag if np.iscomplexobj(v) else None) for v in (va, vb))
     if squared:
         # each value's |v|^2 as a formula: its own rows', or its parts'
         fa, fb = (v.re._replace(power=1.0) if isinstance(v.re, _Formed)
@@ -603,11 +587,11 @@ def pair_profile(va, vb, radii: np.ndarray, squared: bool = False) -> np.ndarray
             rule = _expansion(fa.expansion.shape[0] // 2, 2 * fa.expansion.shape[0])
             fa, fb = fa._replace(expansion=rule), fb._replace(expansion=rule)
         va, vb = [SplitValues(fa)] * 2 if vb is va else (SplitValues(fa), SplitValues(fb))
+        products = None
     modes = va.expansion is not None and vb.expansion is not None
-    store = va.products if va.products is vb.products else None
-    held = {} if store is None else store
+    held = {} if products is None else products
     pa, pb = va.parts(), vb.parts()
-    keys = {(i, j): (i, j) if store is None else frozenset((pa[i][3], pb[j][3]))
+    keys = {(i, j): (i, j) if products is None else frozenset((pa[i][3], pb[j][3]))
             for i in range(len(pa)) for j in range(len(pb))}
     todo = {}
     for ij, key in keys.items():

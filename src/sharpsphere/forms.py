@@ -154,20 +154,17 @@ class FormGrids:
     modes on one azimuth column of slices, a rotation block per polar ring
     and degree and the Legendre values per radius, at every n_c: 0.25 MB at
     L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for geometry and
-    basis once. The column's memo of the last call's rows and their
-    products (SliceColumn.recall; 1.9 MB a row above), with rows identified
-    as SlicePlan states, lets a chain of Q/B calls on one f, such as the
-    paper's Q(f, f*, f, f*) <= Q(f#, f#, f#, f#), Q(f, f, f, f) = 3/4 B(F, F)
-    and B(F, F) <= B(|F|^2, 1), run one synthesis pass (SliceColumn.synthesize)
-    for f's rows at +-p: two, or four for complex f, and keeps f#'s
-    products in the same store. |F|^2 pairs on its band limit's own rule
-    (pair_profile), exactly at every n_c, f# included. n_c sizes only
-    unsquared f#, read at the slice nodes one chunk of slices at a time and
-    kept nowhere, and plain callables and kernels with a literal factor,
-    which take pair_slice_average at the ball grid's nodes.
-    The Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and
-    share the column. The ascent (maximizer.Workspace) takes the slice-free
-    radial route instead, which verify checks against this one
+    basis once. The column also owns the route's reuse across calls, its
+    fields memo (1.9 MB a row above) and product store (see SliceColumn),
+    so the paper's chain of Q/B calls on one f runs one synthesis pass for
+    f's rows at +-p: two, or four for complex f. |F|^2 pairs on its band
+    limit's own rule (pair_profile), exactly at every n_c, f# included. n_c
+    sizes only unsquared f#, read at the slice nodes one chunk of slices at
+    a time and kept nowhere, and plain callables and kernels with a literal
+    factor, which take pair_slice_average at the ball grid's nodes. The
+    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
+    the column. The ascent (maximizer.Workspace) takes the slice-free radial
+    route instead, which verify checks against this one
     (q_radial_vs_ball_max_rel_dev).
     """
 
@@ -246,13 +243,15 @@ def _on_column(K) -> bool:
     return isinstance(K, PairKernel) and all(_backed(f) for f in K.factors)
 
 
-def _kernel_profile(K, values, col: SliceColumn, ball: BallGrid, negate: bool) -> np.ndarray:
+def _kernel_profile(K, values, col: SliceColumn, ball: BallGrid, negate: bool,
+                    products: dict | None) -> np.ndarray:
     """K's pair profile at the nodes x (-x if negate) of ball's azimuth rows [0, n_t).
 
     A PairKernel whose factors are backed by coefficient rows pairs them,
     which values yields on the column's slices as SplitValues, in
-    pair_profile, as |ab|^2 = |a|^2 |b|^2 when squared, and |omega + nu| =
-    |x| = r; pair_profile picks the nodes |.|^2 is paired on. The constant
+    pair_profile, with products its product store (None: none), as
+    |ab|^2 = |a|^2 |b|^2 when squared, and |omega + nu| = |x| = r;
+    pair_profile picks the nodes |.|^2 is paired on. The constant
     kernel gives 2 pi / r. Any other kernel, a plain callable or one with a
     literal factor, takes the literal pair_slice_average at x.
     """
@@ -262,7 +261,7 @@ def _kernel_profile(K, values, col: SliceColumn, ball: BallGrid, negate: bool) -
         x = -x if negate else x
         return pair_slice_average(K, x.reshape(-1, 3), col.n_c).reshape(x.shape[:-1])
     if K.factors:
-        prof = pair_profile(next(values), next(values), r, K.squared)
+        prof = pair_profile(next(values), next(values), r, K.squared, products=products)
     else:
         prof = np.broadcast_to(2.0 * np.pi / r, (n_t, r.size))
     return prof * r ** K.sum_weight_power
@@ -273,19 +272,19 @@ def _b_ball(F, G, grids: FormGrids) -> complex:
     # w (PF(x) PG(-x) + PF(-x) PG(x)) over rows a < n_t.
     # Factors backed by coefficient rows are sampled at p, and at -p from
     # parity-flipped coefficient rows on the same azimuth rows, through one
-    # plan and one column (row identity: SlicePlan; the memo of rows
-    # and products across calls: SliceColumn.recall). Every profile sums
-    # real products of the sampled parts, each formed once (pair_profile):
-    # F's profile at -x for F = f tensor f_star, and G's in
-    # Q(f, g, f_star, g_star), read the products of F's at x, the same held
-    # rows swapped, and so do G's on F's factors, which get F's sampled
-    # values and stores; for G = F they are all reads. Other kernels take
+    # plan (row identity) and one column, whose product store the four
+    # profiles share (reuse: SliceColumn). F's profile at -x for F = f
+    # tensor f_star, and G's in Q(f, g, f_star, g_star), read the products
+    # of F's at x, the same held rows swapped, and so do G's on F's
+    # factors; for G = F they are all reads. Other kernels take
     # pair_slice_average.
     kernels = [(F, False), (F, True), (G, True), (G, False)]
     plan = SlicePlan([(f, negate) for K, negate in kernels if _on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
     values = iter(col.sampler(plan))
-    fx, fnx, gnx, gx = (_kernel_profile(K, values, col, grids.ball, n) for K, n in kernels)
+    products = col.products
+    fx, fnx, gnx, gx = (_kernel_profile(K, values, col, grids.ball, n, products)
+                        for K, n in kernels)
     return complex(np.sum(col.weights * (fx * gnx + fnx * gx)))
 
 

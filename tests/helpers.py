@@ -57,12 +57,31 @@ def ball_rows(ball, a0: int, a1: int) -> np.ndarray:
 def node_values(v: SplitValues) -> SplitValues:
     """v's values at the slice nodes of every slice, in the slice axes'
     shape: v itself if they are arrays there already, else each part
-    expanded or formed into a new array (SplitValues.chunk), with no store."""
+    expanded or formed into a new array (SplitValues.chunk)."""
     if v.expansion is None and isinstance(v.re, np.ndarray):
         return v
     lead = v.re.shape[:-1]
     re, *im = (part.reshape(lead + (-1,)) for part in v.chunk(0, math.prod(lead)))
     return SplitValues(re, im[0] if im else None, v.re_sign, v.im_sign)
+
+
+def dense(v: SplitValues) -> np.ndarray:
+    """v's values as one real or complex array, in their own domain: slice
+    nodes or slice-angle modes; a formula (a sharp value) at the slice nodes."""
+    if not isinstance(v.re, np.ndarray):
+        return v.re.form(0, math.prod(v.re.shape[:-1])).reshape(v.re.shape)
+    if v.im is None:
+        return v.re if v.re_sign > 0 else -v.re
+    out = np.empty(v.re.shape, dtype=complex)
+    np.multiply(v.re, v.re_sign, out=out.real)
+    np.multiply(v.im, v.im_sign, out=out.imag)
+    return out
+
+
+def split(x: np.ndarray) -> SplitValues:
+    """A real or complex array at the slice nodes as SplitValues: its real
+    part, and its imaginary part for a complex array."""
+    return SplitValues(x.real, x.imag if np.iscomplexobj(x) else None)
 
 
 def plan_at(plan, points: np.ndarray) -> list:
@@ -72,7 +91,7 @@ def plan_at(plan, points: np.ndarray) -> list:
     them. The dense oracle of a plan's row identity."""
     table = harmonic_values(plan.degree, points.reshape(-1, 3))
     fields = (plan.rows @ table).reshape((-1,) + points.shape[:-1])
-    return [v.dense() for v in plan.values(fields)]
+    return [dense(v) for v in plan.values(fields)]
 
 
 def legendre_factor_reference(L: int, t: np.ndarray) -> np.ndarray:

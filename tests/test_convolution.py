@@ -33,8 +33,8 @@ from sharpsphere import convolution, harmonics
 from sharpsphere.convolution import slice_point_table
 from sharpsphere.harmonics import parity_signs
 
-from helpers import (ball_points, ball_rows, legendre_factor_reference, node_values, plan_at,
-                     projected_ring_blocks, rand_fn, unit_vectors)
+from helpers import (ball_points, ball_rows, dense, legendre_factor_reference, node_values,
+                     plan_at, projected_ring_blocks, rand_fn, split, unit_vectors)
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -285,62 +285,43 @@ class TestPairProfile:
         own = convolution._expansion(L, 2 * (2 * L + 1))   # |.|^2's own rule
         for a in vals:
             for b in vals:
-                dense = pair_profile(node_values(a).dense(), node_values(b).dense(), col.radii)
-                split = pair_profile(a, b, col.radii)
-                assert split.dtype == dense.dtype
-                assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+                whole = pair_profile(*(split(dense(node_values(v))) for v in (a, b)), col.radii)
+                parts = pair_profile(a, b, col.radii)
+                assert parts.dtype == whole.dtype
+                assert np.abs(parts - whole).max() <= 1e-15 * np.abs(whole).max()
                 # |a|^2 |b|^2: two factors in modes on the band limit's own
                 # 2(2L+1) nodes, anything else at the column's
                 moved = a.expansion is not None and b.expansion is not None
-                da, db = (np.abs(node_values(v._replace(expansion=own) if moved else v).dense())
+                da, db = (np.abs(dense(node_values(v._replace(expansion=own) if moved else v)))
                           ** 2 for v in (a, b))
-                dense = pair_profile(da, db, col.radii)
-                split = pair_profile(a, b, col.radii, True)
-                assert split.dtype == dense.dtype == float
-                assert np.abs(split - dense).max() <= 1e-15 * np.abs(dense).max()
+                whole = pair_profile(split(da), split(db), col.radii)
+                parts = pair_profile(a, b, col.radii, True)
+                assert parts.dtype == whole.dtype == float
+                assert np.abs(parts - whole).max() <= 1e-15 * np.abs(whole).max()
 
     def test_real_squares_are_one_square_of_the_values(self):
         v, w = np.random.default_rng(81).standard_normal((2, 3, 40))
         v[0, :3] = (-0.0, 0.0, -1e-200)
         formed = convolution._Formed((v,), None).form(0, 3)
         assert formed.view(np.int64).tolist() == (np.abs(v) ** 2).view(np.int64).tolist()
-        split = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), True)
-        dense = pair_profile(np.square(v), np.square(w), np.ones(3))
-        assert split.view(np.int64).tolist() == dense.view(np.int64).tolist()
+        squared = pair_profile(SplitValues(v, None, -1.0), SplitValues(w), np.ones(3), True)
+        squares = pair_profile(SplitValues(np.square(v)), SplitValues(np.square(w)), np.ones(3))
+        assert squared.view(np.int64).tolist() == squares.view(np.int64).tolist()
 
     def test_odd_slice_count_is_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            pair_profile(np.ones((2, 5)), np.ones((2, 5)), np.ones(2))
+            pair_profile(SplitValues(np.ones((2, 5))), SplitValues(np.ones((2, 5))), np.ones(2))
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_dense_arrays_take_the_power_at_their_own_nodes(self, complex_valued):
         # one slice of four nodes: |a|^2 = 1, 4, 9, 16 meets |b|^2 at the
         # partners, 1, 1/4, 4, 1, so the profile is (2 pi / 4) 54 = 27 pi,
-        # as it is from SplitValues
+        # real or with the same magnitudes split over two parts
         a, b = np.array([[1.0, -2.0, 3.0, -4.0]]), np.array([[2.0, 1.0, -1.0, 0.5]])
-        split = [SplitValues(a), SplitValues(b)]
-        if complex_valued:   # the same magnitudes, split over two parts
+        if complex_valued:
             a, b = a * np.exp(0.3j), b * np.exp(-1.1j)
-            split = [SplitValues(v.real, v.imag) for v in (a, b)]
-        dense = pair_profile(a, b, np.ones(1), True)
-        assert dense.dtype == float and abs(dense[0] - 27 * PI) <= 1e-15 * 27 * PI
-        assert np.abs(dense - pair_profile(*split, np.ones(1), True)).max() <= 1e-15 * 27 * PI
-
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_a_dense_array_pairs_as_its_split_rows(self, squared):
-        # a dense array is the SplitValues of its real and imaginary parts:
-        # beside SplitValues or another array it pairs as they do, bit for bit
-        rng = np.random.default_rng(82)
-        a, b = rng.standard_normal((2, 3, 8)) + 1j * rng.standard_normal((2, 3, 8))
-        r = rng.uniform(0.5, 2.0, 3)
-        sb = SplitValues(b.real, b.imag)
-        for x in (a, a.real):
-            sx = SplitValues(x.real, x.imag if np.iscomplexobj(x) else None)
-            expect = pair_profile(sx, sb, r, squared)
-            for va, vb in ((x, sb), (sx, b), (x, b)):
-                got = pair_profile(va, vb, r, squared)
-                assert got.dtype == expect.dtype
-                assert got.tobytes() == expect.tobytes()
+        got = pair_profile(split(a), split(b), np.ones(1), True)
+        assert got.dtype == float and abs(got[0] - 27 * PI) <= 1e-15 * 27 * PI
 
 
 class TestModePairing:
@@ -579,16 +560,19 @@ class TestSliceColumn:
         with pytest.raises(ValueError, match="literal call"):
             SlicePlan([(rand_fn(3, 64), False), (wave, True)])
 
-    def test_a_sampler_whose_fields_were_replaced_keeps_its_own_store(self, column):
-        # the memo's store is keyed by row index: another call's rows reuse
-        # the indices, so stale values read and fill the store they took
-        # with their fields, which recall detached from the memo
-        (held,) = column.sampler(SlicePlan([(rand_fn(3, 65), False)]))
-        assert held.products is column._memo[2]
-        (new,) = column.sampler(SlicePlan([(rand_fn(3, 66), False)]))
-        assert new.products is column._memo[2] and new.products is not held.products
-        pair_profile(held, held, column.radii)
-        assert held.products and not new.products
+    def test_replaced_fields_drop_the_store(self, column):
+        # the store is keyed by row index, and another call's rows reuse the
+        # indices: recall drops the store with the fields it replaces, so
+        # the products of the old fields never meet the new ones
+        plan = SlicePlan([(rand_fn(3, 65), False)])
+        (held,) = column.sampler(plan)
+        store = column.products
+        pair_profile(held, held, column.radii, products=store)
+        assert store
+        column.sampler(plan)   # the held rows: the same store
+        assert column.products is store
+        column.sampler(SlicePlan([(rand_fn(3, 66), False)]))
+        assert column.products is not store and not column.products
 
     def test_conjugate_pairs_share_rows_by_content(self):
         # the folded Q(f, f_star, f, f_star): f and two distinct f_star objects,
@@ -814,14 +798,14 @@ class TestNegatedReads:
         fresh = col.synthesize(np.stack([flipped.real, flipped.imag]))
         assert fresh.shape == (2, n_t, col.radii.size, modes)
         expect = fresh[0] + 1j * fresh[1] if complex_valued else fresh[0]
-        got = v.dense().reshape(expect.shape)
+        got = dense(v).reshape(expect.shape)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
         # at the nodes, f on the slices of rows a >= n_t, those of -x, from a
         # harmonic table at their own nodes
         c = f.coeffs.coeffs
         upper = slice_nodes(self.ball(L), col.n_c, n_t, 2 * n_t)
         literal = antipodal_order(col, c @ harmonic_values(L, upper))
-        nodes = node_values(v).dense().ravel()
+        nodes = dense(node_values(v)).ravel()
         assert np.abs(nodes - literal).max() <= 1e-13 * np.abs(literal).max()
 
     @pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
@@ -833,7 +817,7 @@ class TestNegatedReads:
         plus, minus = col.sampler(SlicePlan([(f, False), (f, True)]))
         assert np.shares_memory(plus.re, minus.re)
         assert minus.re_sign == parity * plus.re_sign
-        assert np.array_equal(minus.dense(), parity * plus.dense())
+        assert np.array_equal(dense(minus), parity * dense(plus))
 
     def test_one_synthesized_row_per_distinct_row_up_to_sign(self, monkeypatch):
         rows, synthesize = [], SliceColumn.synthesize
@@ -861,14 +845,14 @@ class TestNegatedReads:
         for (func, negate), v in zip(requests, values):
             # f(-p) is f on the slices of rows a >= n_t, at their own nodes
             expect = antipodal_order(col, func(antipodes)) if negate else func(pts)
-            got = node_values(v).dense().ravel()
+            got = dense(node_values(v)).ravel()
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
         # every pair, at p or -p, in modes matches the node route
         for a in values:
             for b in values:
-                dense = pair_profile(node_values(a).dense(), node_values(b).dense(), col.radii)
-                split = pair_profile(a, b, col.radii)
-                assert np.abs(split - dense).max() <= 1e-13 * np.abs(dense).max()
+                whole = pair_profile(*(split(dense(node_values(v))) for v in (a, b)), col.radii)
+                parts = pair_profile(a, b, col.radii)
+                assert np.abs(parts - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 class TestRowIdentity:
@@ -890,10 +874,10 @@ class TestRowIdentity:
         nz = np.flatnonzero(stored)
         assert nz.size == 0 or stored[nz[0]] > 0.0
         assert not np.any(np.signbit(stored[stored == 0.0]))
-        a, b = plan.values(list(plan.rows), lambda: None)
+        a, b = plan.values(list(plan.rows))
         assert a.keys == b.keys
         assert b.re_sign == (-a.re_sign if nz.size else a.re_sign)   # a zero row reads +
-        assert np.array_equal(a.dense()[:4], c) and np.array_equal(b.dense(), padded)
+        assert np.array_equal(dense(a)[:4], c) and np.array_equal(dense(b), padded)
 
     def test_rows_are_stored_in_canonical_sign(self):
         # leading zeros, -0.0 at the degree-1 zero slot of the parity flips,
@@ -910,9 +894,9 @@ class TestRowIdentity:
             assert nz.size == 0 or row[nz[0]] > 0.0
             assert not np.any(np.signbit(row[row == 0.0]))
         # the rows as their own values: each request reads its row back
-        values = plan.values(list(plan.rows), lambda: None)
+        values = plan.values(list(plan.rows))
         for (func, negate), v in zip(requests, values):
-            assert np.array_equal(v.dense(), func.coeffs.coeffs * (p if negate else 1.0))
+            assert np.array_equal(dense(v), func.coeffs.coeffs * (p if negate else 1.0))
         # c and -c: one index per part, with opposite signs
         f, neg = values[0], values[2]
         assert f.keys == neg.keys
@@ -957,14 +941,14 @@ class TestStarAndSharpInSliceFrames:
         cs = [random_band_limited(L, rng, complex_valued=True) for _ in range(3)]
         X = np.stack([ball_points(rng, 4, r_min=0.05) for _ in cs])
         values, r = convolution._star_and_sharp(np.array([c.coeffs for c in cs]), X, n_c)
-        dense = [v.dense() for v in values]
+        whole = [dense(v) for v in values]
         for i, c in enumerate(cs):
             f = SphereFunction.from_coeffs(c)
             pts, radii = slice_point_table(X[i], n_c)
             expect = plan_at(SlicePlan([(f, False), (f.antipodal_conjugate(), False),
                                         (f.sharp_rearrangement(), False)]), pts)
             assert np.array_equal(r[i], radii)
-            for got, want in zip(dense, expect):
+            for got, want in zip(whole, expect):
                 assert got[i].shape == want.shape
                 assert np.abs(got[i] - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -976,9 +960,9 @@ class TestStarAndSharpInSliceFrames:
         assert np.all(f.im == 0.0) and np.all(f_star.im == 0.0)
         g = SphereFunction.from_coeffs(c)
         pts, _ = slice_point_table(X[0], 12)
-        assert np.abs(f.dense()[0] - g(pts.reshape(-1, 3)).reshape(6, 12)).max() <= 1e-13
+        assert np.abs(dense(f)[0] - g(pts.reshape(-1, 3)).reshape(6, 12)).max() <= 1e-13
         sharp = g.sharp_rearrangement()(pts.reshape(-1, 3)).reshape(6, 12)
-        assert np.abs(f_sharp.dense()[0] - sharp).max() <= 1e-13 * sharp.max()
+        assert np.abs(dense(f_sharp)[0] - sharp).max() <= 1e-13 * sharp.max()
 
 
 ZERO_SUM = gamma_samples(np.random.default_rng(19), 1)[0]

@@ -40,8 +40,8 @@ from sharpsphere import (
 from sharpsphere import convolution, forms, legendre
 from sharpsphere.harmonics import parity_signs
 
-from helpers import (ball_points, ball_rows, gamma_reference, node_values, plan_at, rand_fn,
-                     unit_vectors)
+from helpers import (ball_points, ball_rows, dense, gamma_reference, node_values, plan_at,
+                     rand_fn, split, unit_vectors)
 
 PI = np.pi
 ONE = SphereFunction.constant(1.0)
@@ -736,20 +736,22 @@ def unfolded_b(F, G, grids):
     -x, summed over every azimuth row of the ball grid. Rows a >= n_t, which
     the sampler does not cover, take the factors from a harmonic table at
     their literal slice nodes, slice_point_table at their centres,
-    independent of the column's rotation."""
+    independent of the column's rotation, and no product store: their keys
+    are not the column's."""
     kernels = ((F, False), (G, True))
     plan = convolution.SlicePlan(
         [(f, negate) for K, negate in kernels if forms._on_column(K) for f in K.factors])
     col = grids.slice_column(plan.degree)
     x = ball_rows(grids.ball, col.n_t, 2 * col.n_t)
     pts = convolution.slice_point_table(x.reshape(-1, 3), col.n_c)[0]
-    upper = [convolution.SplitValues(v.real, v.imag) if np.iscomplexobj(v)
-             else convolution.SplitValues(v)
-             for v in plan_at(plan, pts.reshape(x.shape[:-1] + (-1, 3)))]
+    upper = [split(v) for v in plan_at(plan, pts.reshape(x.shape[:-1] + (-1, 3)))]
+    lower = col.sampler(plan)
     total = 0.0 + 0.0j
-    for values, ball in ((col.sampler(plan), grids.ball), (upper, _UpperRows(grids.ball))):
+    for values, ball, products in ((lower, grids.ball, col.products),
+                                   (upper, _UpperRows(grids.ball), None)):
         values = iter(values)
-        pf, pg = [forms._kernel_profile(K, values, col, ball, negate) for K, negate in kernels]
+        pf, pg = [forms._kernel_profile(K, values, col, ball, negate, products)
+                  for K, negate in kernels]
         total += np.sum(col.weights * pf * pg)
     return total
 
@@ -903,18 +905,24 @@ class TestLiteralFactors:
         assert abs(value - outer) <= 1e-12 * abs(outer)
 
 
-def chain_values(f, grids, fresh=False):
-    """The paper's chain on f: Q(f, f*, f, f*), sharp Q, Q(f, f, f, f), B(F, F)
-    and B(|F|^2, 1) with F the weighted kernel; fresh takes new grids per call."""
+def chain_calls(f) -> list:
+    """The paper's chain on f, each form a function of the grids: Q(f, f*, f,
+    f*), sharp Q, Q(f, f, f, f), B(F, F) and B(|F|^2, 1) with F the weighted
+    kernel."""
     fs, sharp = f.antipodal_conjugate(), f.sharp_rearrangement()
     F = weighted_pair_kernel(f)
-    calls = [lambda g: quadrilinear_q(f, fs, f, fs, g),
-             lambda g: quadrilinear_q(sharp, sharp, sharp, sharp, g),
-             lambda g: quadrilinear_q(f, f, f, f, g),
-             lambda g: bilinear_b(F, F, g),
-             lambda g: bilinear_b(F.abs_squared(), PairKernel.one(), g)]
+    return [lambda g: quadrilinear_q(f, fs, f, fs, g),
+            lambda g: quadrilinear_q(sharp, sharp, sharp, sharp, g),
+            lambda g: quadrilinear_q(f, f, f, f, g),
+            lambda g: bilinear_b(F, F, g),
+            lambda g: bilinear_b(F.abs_squared(), PairKernel.one(), g)]
+
+
+def chain_values(f, grids, fresh=False):
+    """The values of chain_calls(f) on grids, in order; fresh takes new grids
+    per call."""
     return [call(forms.FormGrids(grids.ball, grids.n_c) if fresh else grids)
-            for call in calls]
+            for call in chain_calls(f)]
 
 
 @pytest.fixture
@@ -947,7 +955,7 @@ def row_passes(monkeypatch):
 
 def held_fields(col) -> dict:
     """The field rows a SliceColumn holds, views of its one buffer, by id."""
-    return {id(v): v for v in col._memo[1]}
+    return {id(v): v for v in col._fields}
 
 
 class TestFieldsMemo:
@@ -973,7 +981,7 @@ class TestFieldsMemo:
         # one pass of all rows, whose buffer the memo holds: every field
         # row of the chain was synthesized once, in that pass
         assert [n for n, _ in row_passes] == [rows]
-        assert grids.slice_column(4)._memo[1] is row_passes[0][1]
+        assert grids.slice_column(4)._fields is row_passes[0][1]
         assert values == chain_values(f, grids, fresh=True)
 
     def test_memo_holds_n_t_field_rows_per_coefficient_row(self):
@@ -1005,7 +1013,7 @@ class TestFieldsMemo:
         assert any(np.shares_memory(v.im, h) for h in held)
         fresh = forms.FormGrids(grids.ball, grids.n_c).slice_column(4)
         (expect,) = fresh.sampler(convolution.SlicePlan([(neg, False)]))
-        assert np.array_equal(v.dense(), expect.dense())
+        assert np.array_equal(dense(v), dense(expect))
 
     def test_sign_flipped_rows_are_hits(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -1117,7 +1125,7 @@ class TestFieldsMemo:
         f = SphereFunction.from_coeffs(HarmonicCoeffs(4, a))
         quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
         col = grids.slice_column(4)
-        held = col._memo[1]
+        held = col._fields
         # in canonical sign (SlicePlan): a[0], of degree 0, leads both rows
         fields = col.recall(np.sign(a[0]) * np.stack([a, parity_signs(4) * a]))
         assert fields is held
@@ -1169,7 +1177,7 @@ class TestFieldsMemo:
         f = rand_fn(4, 12)
         quadrilinear_q(f, f.antipodal_conjugate(), f, f.antipodal_conjugate(), grids)
         col = grids.slice_column(4)
-        old = weakref.ref(col._memo[1])
+        old = weakref.ref(col._fields)
         col.recall(np.ones((1, n_coeffs(4))))   # another caller on the same grids
         assert old() is None
 
@@ -1196,7 +1204,7 @@ class TestFieldsMemo:
             # 4 products complex Q formed from the same held rows, which
             # live as long as those rows do
             col = grids.slice_column(8)
-            store = col._memo[2]
+            store = col.products
             (key,) = [key for key in store if any(isinstance(k, tuple) for k in key)]
             assert [k[0] for k in key] == ["sharp"]
             assert store[key].shape == (col.n_t, col.radii.size)
@@ -1211,9 +1219,9 @@ def profile_calls(monkeypatch):
     """Counts of forms.pair_profile and forms.pair_slice_average calls."""
     counts = {"pair_profile": 0, "pair_slice_average": 0}
     for name in counts:
-        def spy(*args, _name=name, _inner=getattr(forms, name)):
+        def spy(*args, _name=name, _inner=getattr(forms, name), **kwargs):
             counts[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
         monkeypatch.setattr(forms, name, spy)
     return counts
 
@@ -1272,9 +1280,9 @@ class TestSameKernelFold:
         F = weighted_pair_kernel(rand_fn(4, 104, complex_valued=complex_valued))
         formed, inner = [], forms.pair_profile
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             before = half_pairs[0]
-            out = inner(*args)
+            out = inner(*args, **kwargs)
             formed.append(half_pairs[0] - before)
             return out
 
@@ -1311,23 +1319,19 @@ def half_pairs(monkeypatch):
 
 @pytest.fixture
 def unshared(monkeypatch):
-    """Run a call with every real product formed anew: forms.pair_profile sees
-    the sampled values without their product stores."""
-    def strip(v):
-        return v if isinstance(v, np.ndarray) else v._replace(products=None)
-
+    """Run a call with every real product formed anew: forms.pair_profile gets
+    no product store."""
     def run(call):
         with monkeypatch.context() as m:
             m.setattr(forms, "pair_profile",
-                      lambda va, vb, *args, _inner=forms.pair_profile:
-                      _inner(strip(va), strip(vb), *args))
+                      lambda *args, products=None, _inner=forms.pair_profile: _inner(*args))
             return call()
     return run
 
 
 def held_products(col) -> list:
     """The real products a SliceColumn keeps next to its fields."""
-    return list(col._memo[2].values())
+    return list(col.products.values())
 
 
 class TestHeldProducts:
@@ -1469,6 +1473,29 @@ class TestHeldProducts:
         assert all(r() is None for r in refs)
         assert len(held_products(col)) == len(refs)   # g's own, as many as f's
         assert quadrilinear_q(f, f, f, f, grids) == first
+
+
+class TestInterleavedChains:
+    """Reuse never changes a value: chains on several f share one grids
+    object, in any order, and read what fresh grids compute."""
+
+    @pytest.mark.parametrize("turns", [
+        [0, 1, 2, 3] * 5,
+        [0, 0, 1, 1, 1, 0, 2, 2, 3, 3, 3, 2, 0, 0, 1, 1, 2, 2, 3, 3],
+    ], ids=["round robin", "runs"])
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_each_form_equals_its_call_on_fresh_grids(self, odd, turns):
+        # the chain's five forms for two real f (0, 1) and two complex f
+        # (2, 3) of one band limit, each f's forms in chain order: round
+        # robin replaces the fields at every call, runs hold them for 10 of
+        # the 20 calls; no call may read a product formed from fields that
+        # were replaced
+        grids = odd_form_grids(4) if odd else exact_form_grids(4)
+        grids = forms.FormGrids(grids.ball, grids.n_c)
+        chains = [chain_calls(rand_fn(4, 131 + i, complex_valued=i >= 2)) for i in range(4)]
+        for i in turns:
+            call = chains[i].pop(0)
+            assert call(grids) == call(forms.FormGrids(grids.ball, grids.n_c))
 
 
 class TestNodeChunks:

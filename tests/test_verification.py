@@ -13,7 +13,7 @@ from sharpsphere import (CheckResult, HarmonicCoeffs, SphereFunction, Verificati
                          random_band_limited, run_verification)
 from sharpsphere.verification import _passes, _pointwise_symmetrization_gap
 
-from helpers import plan_at
+from helpers import plan_at, split
 
 EXPECTED_CHECK_ORDER = [
     "sphere_gram_identity_max_dev",
@@ -201,8 +201,8 @@ def per_sample_gap(coeffs, X, n_c) -> float:
     for c, x in zip(coeffs, X):
         f = SphereFunction.from_coeffs(HarmonicCoeffs(math.isqrt(len(c)) - 1, c))
         pts, r = convolution.slice_point_table(x, n_c)
-        a, b, d = plan_at(convolution.SlicePlan([(f, False), (f.antipodal_conjugate(), False),
-                                                 (f.sharp_rearrangement(), False)]), pts)
+        a, b, d = map(split, plan_at(convolution.SlicePlan(
+            [(f, False), (f.antipodal_conjugate(), False), (f.sharp_rearrangement(), False)]), pts))
         gap = np.abs(convolution.pair_profile(a, b, r)) - convolution.pair_profile(d, d, r)
         worst = max(worst, float(np.max(gap)))
     return worst
