@@ -14,7 +14,8 @@ synthesized from two factors, a rotation block per polar ring and degree
 and the Legendre values per radius, never held as one table of every
 centre's modes. pair_profile pairs the modes by Parseval, and |f tensor
 g|^2, f# included, on the band limit's own 2(2L+1) nodes, both exactly at
-every n_c. Only unsquared sharp rearrangements take node values, at each
+every n_c; a column serves one band limit, its rows of exactly that
+degree. Only unsquared sharp rearrangements take node values, at each
 slice's nodes p_j and their partners (n_c nodes, or at odd n_c the uniform
 2 n_c: see _half_turn), formed one chunk of slices at a time (_CHUNK_BYTES)
 as pair_profile pairs them. Literal callables, plain-callable kernels
@@ -43,11 +44,7 @@ from .quadrature import (BallGrid, SphereGrid, _is_product_grid, _norm3, _real, 
 
 __all__ = [
     "PairKernel",
-    "SliceColumn",
-    "SlicePlan",
-    "SplitValues",
     "convolve_many",
-    "pair_profile",
     "pair_slice_average",
     "conv_profile",
     "extension_at",
@@ -395,14 +392,18 @@ class SliceColumn:
     the column turns rows to those azimuths alone. The column keeps no point
     and no literal call (a SlicePlan refuses one).
 
+    A column serves one band limit: it takes coefficient rows exactly
+    (L+1)^2 wide, of degree L, and any other width raises ValueError (recall),
+    so its values never depend on what a column of another band limit
+    served; forms.FormGrids keeps one column per band limit.
+
     Reuse: the column is the ball route's one reuse layer. It holds the
-    fields memo, the last recall's rows, zero-padded to (L+1)^2 columns,
-    with their fields, and beside it products, the one store of the real
-    products that pair_profile forms of values read from those fields:
-    modes, or f#'s node values, keyed by the set of the two parts' keys
-    (SplitValues.keys), each a row index into the rows or a sharp value's
-    plan entry. A recall whose padded rows equal the held ones
-    (np.array_equal; rows equal up to sign are equal here, as SlicePlan
+    fields memo, the last recall's rows with their fields, and beside it
+    products, the one store of the real products that pair_profile forms of
+    values read from those fields: modes, or f#'s node values, keyed by the
+    set of the two parts' keys (SplitValues.keys), each a row index into the
+    rows or a sharp value's plan entry. A recall whose rows equal the held
+    ones (np.array_equal; rows equal up to sign are equal here, as SlicePlan
     stores them) gets the held fields back and keeps the store; any other
     rows replace the fields, and the store is dropped with them, so no
     product outlives the fields it was formed from. While the fields are
@@ -484,35 +485,32 @@ class SliceColumn:
         return fields.reshape(nv, n_t, n_r * n_t, modes)
 
     def recall(self, rows):
-        """The fields of real coefficient rows, shape (n, (L'+1)^2) or None: a
+        """The fields of real coefficient rows, shape (n, (L+1)^2) or None: a
         read-only buffer (n, n_t, column centres, 2L+1), row i's slice-angle
-        modes on the slices of azimuth rows [0, n_t) (synthesize). Rows
-        above the column's band limit, L' > L, raise ValueError.
+        modes on the slices of azimuth rows [0, n_t) (synthesize). Rows of
+        any other width raise ValueError: a column serves its own band limit
+        only.
 
         Held rows get the held buffer back; any other rows replace the memo
         (see the class docstring): all take one synthesize pass, and since
         BLAS may round a row differently in a batch of another size, every
-        field is bit for bit that of a fresh column of the same band limit.
-        A call without rows gets an empty buffer and leaves the memo as it
-        is. Node values are not kept: a row at the nodes takes N / (2L+1)
-        times the memory of its modes, so pair_profile forms them per chunk
-        of slices.
+        field is bit for bit that of a fresh column. A call without rows
+        gets an empty buffer and leaves the memo as it is. Node values are
+        not kept: a row at the nodes takes N / (2L+1) times the memory of its
+        modes, so pair_profile forms them per chunk of slices.
         """
         if rows is None or not len(rows):
             return ()
-        width = (self.L + 1) ** 2
-        if rows.shape[1] > width:
-            raise ValueError(f"rows of degree {math.isqrt(rows.shape[1]) - 1} need a column "
-                             f"of band limit at least that; this one has L = {self.L}")
-        padded = np.zeros((len(rows), width))
-        padded[:, :rows.shape[1]] = rows
-        if np.array_equal(padded, self._rows):
+        if rows.shape[1] != (self.L + 1) ** 2:
+            raise ValueError(f"rows of {rows.shape[1]} coefficients on a column of band limit "
+                             f"L = {self.L}, which takes {(self.L + 1) ** 2}")
+        if np.array_equal(rows, self._rows):
             return self._fields
         # frees the last call's buffer and products before this call's
         self._rows, self._fields, self.products = None, (), {}
-        fields = self.synthesize(padded)
+        fields = self.synthesize(rows)
         fields.flags.writeable = False
-        self._rows, self._fields = padded, fields
+        self._rows, self._fields = rows, fields
         return fields
 
     def sampler(self, plan: SlicePlan) -> list:
@@ -523,9 +521,10 @@ class SliceColumn:
         slice-angle modes, parts of shape (n_t, column centres, 2L+1), with
         this column's expansion; a part at -p is the field of its
         parity-flipped row on the same azimuth rows. Sharp values are formed
-        at the slice nodes per use, from those fields. The column must reach
-        plan.degree (recall), else ValueError. After the call, products is
-        the store of these values' products (see the class docstring).
+        at the slice nodes per use, from those fields. plan.degree must be
+        the column's band limit (recall), else ValueError. After the call,
+        products is the store of these values' products (see the class
+        docstring).
         """
         return plan.values(self.recall(plan.rows), self.expansion)
 

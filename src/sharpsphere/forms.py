@@ -149,23 +149,24 @@ class FormGrids:
     a positive integer. The outer route takes its polar rings about the
     nodes of ball.directions.
 
-    The ball route memoizes a SliceColumn on this object, through the largest
-    band limit asked for so far: the factors of the harmonics' slice-angle
-    modes on one azimuth column of slices, a rotation block per polar ring
-    and degree and the Legendre values per radius, at every n_c: 0.25 MB at
-    L=8 on n_t=24, n_r=24, so repeated Q/B evaluations pay for geometry and
-    basis once. The column also owns the route's reuse across calls, its
-    fields memo (1.9 MB a row above) and product store (see SliceColumn),
-    so the paper's chain of Q/B calls on one f runs one synthesis pass for
-    f's rows at +-p: two, or four for complex f. |F|^2 pairs on its band
-    limit's own rule (pair_profile), exactly at every n_c, f# included. n_c
-    sizes only unsquared f#, read at the slice nodes one chunk of slices at
-    a time and kept nowhere, and plain callables and kernels with a literal
-    factor, which take pair_slice_average at the ball grid's nodes. The
-    Plancherel norms (conv_l2_norm, l4_norm) are Q on this route and share
-    the column. The ascent (maximizer.Workspace) takes the slice-free radial
-    route instead, which verify checks against this one
-    (q_radial_vs_ball_max_rel_dev).
+    The ball route memoizes one SliceColumn per band limit asked for on this
+    object (slice_column), so a Q/B value depends on its call alone, never
+    on what the grids served before. A column holds the factors of the
+    harmonics' slice-angle modes on one azimuth column of slices, a rotation
+    block per polar ring and degree and the Legendre values per radius, at
+    every n_c: 0.25 MB at L=8 on n_t=24, n_r=24, so repeated Q/B
+    evaluations pay for geometry and basis once. It also owns the route's
+    reuse across calls, its fields memo (1.9 MB a row above) and product
+    store (see SliceColumn), so the paper's chain of Q/B calls on one f runs
+    one synthesis pass for f's rows at +-p: two, or four for complex f.
+    |F|^2 pairs on its band limit's own rule (pair_profile), exactly at
+    every n_c, f# included. n_c sizes only unsquared f#, read at the slice
+    nodes one chunk of slices at a time and kept nowhere, and plain
+    callables and kernels with a literal factor, which take
+    pair_slice_average at the ball grid's nodes. The Plancherel norms
+    (conv_l2_norm, l4_norm) are Q on this route and share the columns. The
+    ascent (maximizer.Workspace) takes the slice-free radial route instead,
+    which verify checks against this one (q_radial_vs_ball_max_rel_dev).
     """
 
     ball: BallGrid
@@ -173,18 +174,13 @@ class FormGrids:
 
     def __post_init__(self):
         _require_int(self.n_c, "n_c")
-        object.__setattr__(self, "_slice_cache", None)
+        object.__setattr__(self, "_columns", {})
 
     def slice_column(self, L: int) -> SliceColumn:
-        """The memoized SliceColumn, rebuilt when its table stops short of degree L.
-        A lower L reads the larger column, whose rotation blocks were projected on
-        a finer grid, so its values may move by ulps: 4 for a degree-2 Q after a
-        degree-8 Q on exact_sizes(8) grids, against fresh grids."""
-        col = self._slice_cache
-        if col is None or col.L < L:
-            col = SliceColumn(self.ball, self.n_c, L)
-            object.__setattr__(self, "_slice_cache", col)
-        return col
+        """The memoized SliceColumn of band limit L, built on first use."""
+        if L not in self._columns:
+            self._columns[L] = SliceColumn(self.ball, self.n_c, L)
+        return self._columns[L]
 
     def conv_l2_norm(self, f, g) -> float:
         """L2(R^3) norm of f sigma * g sigma, sqrt(Re Q(f, g, f_star, g_star)).

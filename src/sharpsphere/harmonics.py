@@ -18,7 +18,8 @@ and analyze on a BasisTable) are two small GEMMs each: the Legendre rows
 per order against the rings, and one azimuth factor matrix (Driscoll and
 Healy, Adv. Appl. Math. 1994). The transform forms no table of every
 harmonic at every node; harmonic_values gives such a table at any points,
-the dense route the transform is tested against.
+the dense route the transform is tested against. analyze_rings is the one
+analysis route: _tilt projects on it too.
 """
 
 from __future__ import annotations
@@ -197,17 +198,20 @@ def _turn(coeffs: np.ndarray, angles) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tilt(L: int) -> tuple:
     """Per degree k <= L, the block X_k of the quarter turn R_x(pi/2), which
-    takes z to -y: Y_{k,m}(R_x q) = sum_m' X_k[m, m'] Y_{k,m'}(q). Projected
-    on build_sphere_grid(L + 1), exact for degree 2L, then one Newton-Schulz
-    step, X <- X (3I - X^T X) / 2. Read-only."""
+    takes z to -y: Y_{k,m}(R_x q) = sum_m' X_k[m, m'] Y_{k,m'}(q). The
+    harmonics at the quarter-turned nodes of build_sphere_grid(L + 1), one
+    table, are projected on its rings (analyze_rings, exact for degree 2L)
+    a degree at a time, then one Newton-Schulz step, X <- X (3I - X^T X) / 2.
+    Read-only."""
     grid = build_sphere_grid(L + 1)
-    weighted = harmonic_values(L, grid.nodes) * grid.weights
     turned = harmonic_values(L, grid.nodes[:, [0, 2, 1]] * (1.0, -1.0, 1.0))   # R_x q
-    blocks = [turned[k * k:(k + 1) ** 2] @ weighted[k * k:(k + 1) ** 2].T for k in range(L + 1)]
-    blocks = tuple(1.5 * x - 0.5 * (x @ (x.T @ x)) for x in blocks)
-    for x in blocks:
+    blocks = []
+    for k in range(L + 1):
+        x = analyze_rings(turned[k * k:(k + 1) ** 2], L + 1, L)[:, k * k:(k + 1) ** 2]
+        x = 1.5 * x - 0.5 * (x @ (x.T @ x))
         x.flags.writeable = False
-    return blocks
+        blocks.append(x)
+    return tuple(blocks)
 
 
 def _framed(coeffs: np.ndarray, centres: np.ndarray) -> np.ndarray:

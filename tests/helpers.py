@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from sharpsphere import (SphereFunction, SplitValues, build_sphere_grid, forms, harmonic_values,
-                         harmonics, random_band_limited)
+from sharpsphere import (SphereFunction, build_sphere_grid, forms, harmonic_values, harmonics,
+                         random_band_limited)
+from sharpsphere.convolution import SplitValues
 from sharpsphere.quadrature import _norm3, _require_int, circle_frames
 
 
@@ -105,6 +106,18 @@ def legendre_factor_reference(L: int, t: np.ndarray) -> np.ndarray:
     values = values[np.arange(order.size) - order + np.abs(order)]
     values[order != 0] *= np.sqrt(t.dtype.type(2))
     return values.astype(float, copy=False)
+
+
+def tilt_reference(L: int) -> list:
+    """harmonics._tilt by the dense projection: per degree k, the harmonics
+    at the quarter-turned nodes of build_sphere_grid(L + 1) against the
+    weighted harmonics at the nodes, both full ((L+1)^2, nodes) tables, then
+    the same Newton-Schulz step."""
+    grid = build_sphere_grid(L + 1)
+    weighted = harmonic_values(L, grid.nodes) * grid.weights
+    turned = harmonic_values(L, grid.nodes[:, [0, 2, 1]] * (1.0, -1.0, 1.0))   # R_x q
+    blocks = [turned[k * k:(k + 1) ** 2] @ weighted[k * k:(k + 1) ** 2].T for k in range(L + 1)]
+    return [1.5 * x - 0.5 * (x @ (x.T @ x)) for x in blocks]
 
 
 def eigenvalue_residual(k: int, m: int, mesh_size: int = 96) -> float:

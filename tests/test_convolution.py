@@ -11,10 +11,7 @@ from sharpsphere import (
     GammaSample,
     HarmonicCoeffs,
     PairKernel,
-    SliceColumn,
-    SlicePlan,
     SphereFunction,
-    SplitValues,
     build_ball_grid,
     build_sphere_grid,
     circle_frames,
@@ -25,12 +22,12 @@ from sharpsphere import (
     four_identity_many,
     gamma_samples,
     harmonic_values,
-    pair_profile,
     pair_slice_average,
     random_band_limited,
 )
 from sharpsphere import convolution, harmonics
-from sharpsphere.convolution import slice_point_table
+from sharpsphere.convolution import (SliceColumn, SlicePlan, SplitValues, pair_profile,
+                                    slice_point_table)
 from sharpsphere.harmonics import parity_signs
 
 from helpers import (ball_points, ball_rows, dense, legendre_factor_reference, node_values,
@@ -533,15 +530,15 @@ class TestSliceColumn:
         expect = c @ harmonic_values(5, pts)
         assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    def test_lower_degree_coefficients_use_leading_rows(self, column):
-        # recall pads a row of lower degree to the table's width
-        c = random_band_limited(2, np.random.default_rng(61)).coeffs
-        (modes,) = column.recall(c[None])
-        fields = modes @ column.expansion
-        expect = c @ harmonic_values(2, slice_nodes(self.BALL, column.n_c, 0, column.n_t))
-        assert np.abs(fields.ravel() - expect).max() <= 1e-13 * np.abs(expect).max()
+    @pytest.mark.parametrize("width", [4, 9, 30, 49])
+    def test_rows_of_another_width_raise(self, column, width):
+        # a column serves its own band limit: rows of degree 1, 2 and 6 on
+        # a degree-5 column, and a width that is no degree's, are refused
+        with pytest.raises(ValueError, match=f"rows of {width} coefficients.*L = 5"):
+            column.recall(np.ones((1, width)))
 
-    def test_sampler_shares_repeated_requests(self, column):
+    def test_sampler_shares_repeated_requests(self):
+        column = SliceColumn(self.BALL, 10, 3)   # the plan's degree
         f = rand_fn(3, 63, complex_valued=True)
         sharp = f.sharp_rearrangement()
         plan = SlicePlan([(f, False), (f, False), (sharp, False), (sharp, True)])
@@ -560,10 +557,11 @@ class TestSliceColumn:
         with pytest.raises(ValueError, match="literal call"):
             SlicePlan([(rand_fn(3, 64), False), (wave, True)])
 
-    def test_replaced_fields_drop_the_store(self, column):
+    def test_replaced_fields_drop_the_store(self):
         # the store is keyed by row index, and another call's rows reuse the
         # indices: recall drops the store with the fields it replaces, so
         # the products of the old fields never meet the new ones
+        column = SliceColumn(self.BALL, 10, 3)   # the plans' degree
         plan = SlicePlan([(rand_fn(3, 65), False)])
         (held,) = column.sampler(plan)
         store = column.products
@@ -612,8 +610,8 @@ class TestSliceColumn:
     @pytest.mark.parametrize("n_c", [10, 11], ids=["even", "odd"])
     def test_no_slice_node_is_placed(self, n_c, monkeypatch):
         # the build evaluates harmonics (which convolution does not call)
-        # at the projection grid's 2(L+1)^2 nodes and at those nodes turned
-        # by the quarter turn, once (the tilt, cached), and the Legendre
+        # at the projection grid's 2(L+1)^2 nodes turned by the quarter
+        # turn, one table, once (the tilt, cached), and the Legendre
         # factor at the n_r radii; it places no slice node, and sampling
         # places none either, the sharp rearrangement's nodes included
         harmonics._tilt.cache_clear()
@@ -639,7 +637,7 @@ class TestSliceColumn:
         L, n_r = 5, 5
         col = SliceColumn(build_ball_grid(n_r, build_sphere_grid(6)), n_c, L)
         grid = 2 * (L + 1) ** 2
-        assert placed == [] and sum(points) == 2 * grid and radii == [n_r]
+        assert placed == [] and points == [grid] and radii == [n_r]
         f = rand_fn(5, 73, complex_valued=True)
         for v in col.sampler(SlicePlan([(f, False), (f.sharp_rearrangement(), True)])):
             node_values(v)
@@ -738,7 +736,7 @@ class TestSliceColumn:
     def test_rows_above_the_band_limit_are_refused(self):
         # a plan of degree 4 on a column built to L = 2
         col = FormGrids(self.BALL, 10).slice_column(2)
-        with pytest.raises(ValueError, match="degree 4.*L = 2"):
+        with pytest.raises(ValueError, match="rows of 25 coefficients.*L = 2"):
             col.sampler(SlicePlan([(rand_fn(4, 74), False)]))
 
     def test_rejects_non_product_directions(self):

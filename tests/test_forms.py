@@ -1037,15 +1037,15 @@ class TestFieldsMemo:
         assert quadrilinear_q(f, f, f, f, grids) == first
         assert synthesized_rows == [4, 4, 4]
 
-    def test_a_rebuilt_column_starts_empty(self, synthesized_rows):
+    def test_a_higher_band_limit_starts_its_own_column(self, synthesized_rows):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
         f, h = rand_fn(2, 98, complex_valued=True), rand_fn(4, 99, complex_valued=True)
         fs, hs = f.antipodal_conjugate(), h.antipodal_conjugate()
         quadrilinear_q(f, fs, f, fs, grids)
         low = grids.slice_column(2)
         value = quadrilinear_q(f, fs, h, hs, grids)
-        assert grids.slice_column(4) is not low
-        assert synthesized_rows == [4, 8]   # f's rows again, on the new column
+        assert grids.slice_column(2) is low and grids.slice_column(4).L == 4
+        assert synthesized_rows == [4, 8]   # f's rows again, on the degree-4 column
         assert value == quadrilinear_q(f, fs, h, hs, forms.FormGrids(grids.ball, grids.n_c))
 
     def test_a_partly_reused_batch_is_recomputed(self, synthesized_rows):
@@ -1071,25 +1071,24 @@ class TestFieldsMemo:
         assert synthesized_rows == [2]
 
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_rows_zero_padded_to_the_column_degree_are_hits(self, complex_valued,
-                                                            synthesized_rows):
-        # recall pads rows to the table's columns: on a column built to L=4,
-        # f of degree 2 and its coefficients zero-padded to degree 4 are the
-        # same rows
+    def test_rows_zero_padded_to_another_degree_read_that_column(self, complex_valued,
+                                                                synthesized_rows):
+        # a column serves its own band limit: f of degree 2 reads the
+        # degree-2 column, its coefficients zero-padded to degree 4 the
+        # degree-4 one, each synthesized there once
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
-        grids.slice_column(4)
         f = rand_fn(2, 109, complex_valued=complex_valued)
         padded = np.zeros(n_coeffs(4), dtype=f.coeffs.coeffs.dtype)
         padded[:n_coeffs(2)] = f.coeffs.coeffs
         g = SphereFunction.from_coeffs(HarmonicCoeffs(4, padded))
         values = [quadrilinear_q(h, h.antipodal_conjugate(), h, h.antipodal_conjugate(), grids)
-                  for h in (f, g)]
-        assert synthesized_rows == [4 if complex_valued else 2]
-        for h, value in zip((f, g), values):
-            fresh = forms.FormGrids(grids.ball, grids.n_c)
-            fresh.slice_column(4)
+                  for h in (f, g, f, g)]
+        rows = 4 if complex_valued else 2
+        assert synthesized_rows == [rows, rows]
+        assert [grids.slice_column(L).L for L in (2, 4)] == [2, 4]
+        for h, value in zip((f, g, f, g), values):
             hs = h.antipodal_conjugate()
-            assert value == quadrilinear_q(h, hs, h, hs, fresh)
+            assert value == quadrilinear_q(h, hs, h, hs, forms.FormGrids(grids.ball, grids.n_c))
 
     def test_one_row_after_a_batch_matches_a_fresh_column(self):
         # BLAS rounds a row differently in batches of other sizes: a field
@@ -1148,29 +1147,18 @@ class TestFieldsMemo:
         assert quadrilinear_q(f, fs, f, fs, grids) == q
         assert synthesized_rows == [1]
 
-    def test_a_column_rebuilt_past_its_band_limit_still_serves(self):
-        grids = forms.FormGrids(exact_form_grids(2).ball, exact_form_grids(2).n_c)
-        f = rand_fn(2, 11)
-        fs = f.antipodal_conjugate()
-        q_ref = quadrilinear_q(f, fs, f, fs, grids).real
-        grids.slice_column(3)   # a form of degree 3 on these grids rebuilds the column
-        q = quadrilinear_q(f, fs, f, fs, grids).real
-        assert grids.slice_column(2).L == 3
-        assert abs(q - q_ref) <= 1e-13 * q_ref
-
-    def test_a_lower_band_limit_on_a_larger_column_is_within_an_ulp_bound(self, exact_grids):
-        # a lower band limit reads the larger column, whose rotation blocks
-        # were projected on a finer grid: 4 ulps off a fresh column here
+    def test_a_lower_band_limit_after_a_larger_one_equals_fresh_grids(self, exact_grids):
+        # the degree-2 form reads a column of its own band limit, whatever
+        # the grids served before
         rng = np.random.default_rng(3)
         f = SphereFunction.from_coeffs(random_band_limited(2, rng, complex_valued=True))
         h = SphereFunction.from_coeffs(random_band_limited(8, rng, complex_valued=True))
         fs, hs = f.antipodal_conjugate(), h.antipodal_conjugate()
         grids = forms.FormGrids(exact_grids.ball, exact_grids.n_c)
         quadrilinear_q(h, hs, h, hs, grids)
-        q = quadrilinear_q(f, fs, f, fs, grids).real
-        assert grids.slice_column(2).L == 8
-        q_fresh = quadrilinear_q(f, fs, f, fs, forms.FormGrids(grids.ball, grids.n_c)).real
-        assert abs(q - q_fresh) <= 1e-15 * q_fresh
+        q = quadrilinear_q(f, fs, f, fs, grids)
+        assert grids.slice_column(2).L == 2
+        assert q == quadrilinear_q(f, fs, f, fs, forms.FormGrids(grids.ball, grids.n_c))
 
     def test_a_replaced_column_memo_frees_the_old_fields(self):
         grids = forms.FormGrids(exact_form_grids(4).ball, exact_form_grids(4).n_c)
@@ -1496,6 +1484,20 @@ class TestInterleavedChains:
         for i in turns:
             call = chains[i].pop(0)
             assert call(grids) == call(forms.FormGrids(grids.ball, grids.n_c))
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_degrees_in_any_order_equal_fresh_grids(self, exact_grids, complex_valued):
+        # the chain's five forms for f of degrees 2, 8, 4, 0, 8, 2 on one
+        # grids object, then again in reverse order: each band limit reads
+        # a column of its own, so no value depends on the calls before it
+        grids = forms.FormGrids(exact_grids.ball, exact_grids.n_c)
+        fs = [rand_fn(L, 141 + i, complex_valued=complex_valued)
+              for i, L in enumerate([2, 8, 4, 0, 8, 2])]
+        fresh = [[call(forms.FormGrids(grids.ball, grids.n_c)) for call in chain_calls(f)]
+                 for f in fs]
+        for i in list(range(6)) + list(range(5, -1, -1)):
+            assert chain_values(fs[i], grids) == fresh[i]
+        assert [grids.slice_column(L).L for L in (0, 2, 4, 8)] == [0, 2, 4, 8]
 
 
 class TestNodeChunks:
